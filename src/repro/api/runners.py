@@ -64,6 +64,7 @@ from ..core.build_st import BuildST
 from ..core.config import AlgorithmConfig
 from ..dynamic import TreeMaintainer, UpdateKind, UpdateStream
 from ..network.broadcast import (
+    SUM_REDUCER,
     delivery_substrate,
     make_substrate,
     run_reference_broadcast_echo,
@@ -246,10 +247,6 @@ def _minimum_check(graph: Graph, pre_churned: bool):
     return is_minimum_weight_forest if pre_churned else is_minimum_spanning_forest
 
 
-def _count_component(local: Any, children: Any) -> int:
-    return int(local or 0) + sum(children)
-
-
 def _delivery_check(
     graph: Graph, forest: SpanningForest, schedule: ScheduleSpec
 ) -> Tuple[bool, Dict[str, Any]]:
@@ -269,7 +266,7 @@ def _delivery_check(
         forest,
         root,
         local_values={node: 1 for node in graph.nodes()},
-        combine=_count_component,
+        reducer=SUM_REDUCER,
         broadcast_bits=1,
         echo_bits=graph.id_bits,
         engine="async",

@@ -82,7 +82,7 @@ from .core.testout import CutTester
 from .dynamic import TreeMaintainer
 from .generators import random_spanning_tree_forest
 from .network.accounting import MessageAccountant
-from .network.broadcast import BroadcastEchoExecutor, make_substrate
+from .network.broadcast import SUM_REDUCER, BroadcastEchoExecutor, make_substrate
 from .network.errors import AlgorithmError
 from .network.fragments import SpanningForest
 from .network.graph import Graph
@@ -395,7 +395,7 @@ def _bench_broadcast_byzantine_body(
             executor.broadcast_and_echo(
                 root,
                 local_value=lambda node: 1,
-                combine=lambda own, children: own + sum(children),
+                reducer=SUM_REDUCER,
                 broadcast_bits=1,
                 echo_bits=graph.id_bits,
                 kind="sum",

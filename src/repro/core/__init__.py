@@ -34,8 +34,6 @@ from .sketches import (
     local_xor_below,
     pack_parity_word,
     unpack_parity_word,
-    xor_combine,
-    xor_vector_combine,
 )
 from .testout import CutTester, TreeStatistics
 
@@ -73,6 +71,4 @@ __all__ = [
     "random_odd_hash",
     "random_pairwise_hash",
     "unpack_parity_word",
-    "xor_combine",
-    "xor_vector_combine",
 ]

@@ -28,11 +28,11 @@ worst-case ``O(|T_x|)`` and its success probability at least ``1/16``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from .. import fastpath
 from ..network.accounting import MessageAccountant
-from ..network.broadcast import TreeStructure
+from ..network.broadcast import SUM_REDUCER, XOR_REDUCER, TreeStructure
 from ..network.fragments import SpanningForest
 from ..network.graph import Edge, Graph
 from .config import AlgorithmConfig
@@ -42,14 +42,13 @@ from .primes import prime_for_field
 from .sketches import (
     local_prefix_parities,
     local_xor_below,
+    pack_parity_word,
     prefix_flip_masks,
     prefix_parity_word,
     prefix_parity_words_all,
     unpack_parity_word,
     xor_below_from_numbers,
     xor_below_words_all,
-    xor_combine,
-    xor_vector_combine,
 )
 from .testout import CutTester
 
@@ -133,12 +132,12 @@ class FindAny:
         fast = fastpath.is_enabled()
         cols = self.tester._batch_columnar(tree)
 
-        # Step 3(a-c): prefix-parity vector, XORed up the tree.  On the fast
-        # path the per-node vector is a single parity word (one hash per
-        # incident edge, all prefixes derived from its bit length) combined
-        # with int XOR; the echo width charged is identical.  On large
-        # covering trees the words for every node come from one batched pass
-        # over the columnar snapshot instead of one kernel call per node.
+        # Step 3(a-c): prefix-parity vector, XORed up the tree as one parity
+        # word per node (bit i = prefix parity i).  On the fast path the word
+        # comes from one hash per incident edge, all prefixes derived from
+        # its bit length; on large covering trees the words for every node
+        # come from one batched pass over the columnar snapshot instead of
+        # one kernel call per node.
         if fast:
             masks = prefix_flip_masks(pairwise.log_range)
 
@@ -156,33 +155,24 @@ class FindAny:
                         self.graph.incident_arrays(node).numbers, pairwise, masks
                     )
 
-            word = self.tester.executor.broadcast_and_echo(
-                root=root,
-                local_value=local_word,
-                combine=xor_combine,
-                broadcast_bits=pairwise.description_bits(),
-                echo_bits=pairwise.log_range + 1,
-                tree=tree,
-                kind="findany:vector",
-            )
-            vector: List[int] = unpack_parity_word(word, pairwise.log_range + 1)
         else:
 
-            def local_vector(node: int) -> List[int]:
+            def local_word(node: int) -> int:
                 numbers = [
                     e.edge_number(id_bits) for e in self.graph.incident_edges(node)
                 ]
-                return local_prefix_parities(numbers, pairwise)
+                return pack_parity_word(local_prefix_parities(numbers, pairwise))
 
-            vector = self.tester.executor.broadcast_and_echo(
-                root=root,
-                local_value=local_vector,
-                combine=xor_vector_combine,
-                broadcast_bits=pairwise.description_bits(),
-                echo_bits=pairwise.log_range + 1,
-                tree=tree,
-                kind="findany:vector",
-            )
+        word = self.tester.executor.broadcast_and_echo(
+            root=root,
+            local_value=local_word,
+            reducer=XOR_REDUCER,
+            broadcast_bits=pairwise.description_bits(),
+            echo_bits=pairwise.log_range + 1,
+            tree=tree,
+            kind="findany:vector",
+        )
+        vector: List[int] = unpack_parity_word(word, pairwise.log_range + 1)
         min_prefix = next((i for i, bit in enumerate(vector) if bit), None)
         if min_prefix is None:
             return None
@@ -213,7 +203,7 @@ class FindAny:
         candidate = self.tester.executor.broadcast_and_echo(
             root=root,
             local_value=local_xor,
-            combine=xor_combine,
+            reducer=XOR_REDUCER,
             broadcast_bits=max(pairwise.log_range.bit_length(), 1),
             echo_bits=2 * id_bits,
             tree=tree,
@@ -248,13 +238,10 @@ class FindAny:
                     if e.edge_number(id_bits) == candidate
                 )
 
-        def sum_combine(local_value: int, children: Sequence[int]) -> int:
-            return local_value + sum(children)
-
         endpoint_count = self.tester.executor.broadcast_and_echo(
             root=root,
             local_value=local_count,
-            combine=sum_combine,
+            reducer=SUM_REDUCER,
             broadcast_bits=2 * id_bits,
             echo_bits=2,
             tree=tree,

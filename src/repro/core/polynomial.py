@@ -18,19 +18,22 @@ with probability at least ``1 − B/p`` whenever the multisets differ, where
 ``B`` bounds the degree.
 
 Each node only ever computes the product over *its own* incident edges
-(:func:`local_product`); the per-node products are multiplied up the tree by
-the echo (multiplication mod p is associative), which is what Lemma 1 needs.
+(:func:`local_product`); the per-node ``(up, down)`` pairs are multiplied up
+the tree by the echo (:func:`product_pair_reducer`: multiplication mod p is
+commutative and associative), which is what Lemma 1 needs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence, Tuple
 
+from ..network.broadcast import Reducer
 from ..network.errors import AlgorithmError
 
 __all__ = [
     "local_product",
     "combine_products",
+    "product_pair_reducer",
     "SetEqualitySketch",
 ]
 
@@ -53,13 +56,22 @@ def combine_products(values: Sequence[int], p: int) -> int:
     return product
 
 
-class SetEqualitySketch:
-    """Pairs of ``(up, down)`` products with the evaluation parameters.
+def product_pair_reducer(p: int) -> Reducer:
+    """Echo aggregation of ``(up, down)`` product pairs: componentwise ``× mod p``."""
 
-    The sketch of a node (or of a subtree) is the pair of field elements
-    ``(P(E↑)(α), P(E↓)(α))``; sketches are combined by componentwise
-    multiplication modulo ``p``.  ``HP-TestOut`` declares the cut non-empty
-    iff the two components of the root sketch differ.
+    def multiply(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+        return (a[0] * b[0]) % p, (a[1] * b[1]) % p
+
+    return Reducer(multiply, (1, 1))
+
+
+class SetEqualitySketch:
+    """The root's ``(up, down)`` products with the evaluation parameters.
+
+    The sketch of a tree is the pair of field elements
+    ``(P(E↑)(α), P(E↓)(α))``, the product of its nodes' pairs under
+    :func:`product_pair_reducer`.  ``HP-TestOut`` declares the cut non-empty
+    iff the two components differ.
     """
 
     __slots__ = ("up", "down", "alpha", "p")
@@ -71,10 +83,6 @@ class SetEqualitySketch:
         self.down = down % p
         self.alpha = alpha % p
         self.p = p
-
-    @classmethod
-    def identity(cls, alpha: int, p: int) -> "SetEqualitySketch":
-        return cls(1, 1, alpha, p)
 
     @classmethod
     def from_local_edges(
@@ -91,17 +99,6 @@ class SetEqualitySketch:
             alpha=alpha,
             p=p,
         )
-
-    def combine(self, others: Sequence["SetEqualitySketch"]) -> "SetEqualitySketch":
-        """Combine this sketch with children sketches (echo aggregation)."""
-        up = self.up
-        down = self.down
-        for other in others:
-            if other.p != self.p or other.alpha != self.alpha:
-                raise AlgorithmError("cannot combine sketches with different parameters")
-            up = (up * other.up) % self.p
-            down = (down * other.down) % self.p
-        return SetEqualitySketch(up, down, self.alpha, self.p)
 
     @property
     def sides_equal(self) -> bool:

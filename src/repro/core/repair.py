@@ -260,35 +260,20 @@ class TreeRepairer:
                 return edge
             return parent_state
 
-        def collect(node: int, state):
-            if node == target:
-                return state if state is not None else "root-is-target"
-            return None
-
-        def combine(local_value, children):
-            for value in [local_value] + list(children):
-                if value is not None:
-                    return value
-            return None
-
         answer = executor.broadcast_with_downward_state(
             root=root,
+            target=target,
             initial_state=None,
             propagate=propagate,
             broadcast_bits=2 * id_bits + self.graph.max_weight().bit_length() + 2,
             echo_bits=2 * id_bits + self.graph.max_weight().bit_length() + 2,
-            collect=collect,
-            combine=combine,
+            # target == root leaves the path empty (a self-loop insert is
+            # rejected earlier): same tree, no path edge.
+            collect=lambda _node, heaviest: (True, heaviest),
             tree=tree,
             kind="path_query",
         )
-        if answer is None:
-            return False, None
-        if answer == "root-is-target":
-            # target == root: a self-loop insert is rejected earlier, so this
-            # can only mean the path is empty; treat as same tree, no path edge.
-            return True, None
-        return True, answer
+        return answer if answer is not None else (False, None)
 
     def _charge_edge_message(self, key: Tuple[int, int]) -> None:
         self._findmin.tester.executor.point_to_point_along_edge(

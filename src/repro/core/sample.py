@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .. import fastpath
 from ..network.accounting import MessageAccountant
-from ..network.broadcast import TreeStructure
+from ..network.broadcast import Reducer, TreeStructure
 from ..network.fragments import SpanningForest
 from ..network.graph import Edge, Graph
 from .config import AlgorithmConfig
@@ -44,7 +44,23 @@ from .hashing import random_odd_hash
 from .primes import prime_for_field
 from .testout import CutTester
 
-__all__ = ["SuperpolyFindMin"]
+__all__ = ["SuperpolyFindMin", "k_smallest_reducer"]
+
+#: One sampled offer: (node-local random key, augmented weight).
+Offer = Tuple[float, int]
+
+
+def k_smallest_reducer(k: int) -> Reducer:
+    """Echo aggregation keeping the ``k`` smallest offers as a sorted list.
+
+    The ``k`` smallest of a union are the ``k`` smallest of the parts' ``k``
+    smallest, so the merge is associative, and it ignores operand order.
+    """
+
+    def merge(a: List[Offer], b: List[Offer]) -> List[Offer]:
+        return sorted(a + b)[:k]
+
+    return Reducer(merge, [])
 
 
 class SuperpolyFindMin:
@@ -190,18 +206,11 @@ class SuperpolyFindMin:
             offers.sort()
             return offers[:count]
 
-        def combine(local_value, children):
-            merged = list(local_value)
-            for child in children:
-                merged.extend(child)
-            merged.sort()
-            return merged[:count]
-
         weight_bits = max(high.bit_length(), 1)
         samples = self.tester.executor.broadcast_and_echo(
             root=root,
             local_value=local,
-            combine=combine,
+            reducer=k_smallest_reducer(count),
             broadcast_bits=2 * weight_bits + 8,
             echo_bits=max(weight_bits, count),
             tree=tree,

@@ -72,8 +72,6 @@ __all__ = [
     "xor_below_words_all",
     "hp_products_all",
     "ranges_are_disjoint_sorted",
-    "xor_combine",
-    "xor_vector_combine",
     "pack_parity_word",
     "unpack_parity_word",
 ]
@@ -444,23 +442,6 @@ def hp_products_all(
                 down_product = (down_product * (alpha - numbers[slot])) % p
         products[row] = (up_product, down_product)
     return products
-
-
-def xor_combine(local: int, children: Sequence[int]) -> int:
-    """Associative combiner: XOR a local value with children values."""
-    result = local
-    for value in children:
-        result ^= value
-    return result
-
-
-def xor_vector_combine(local: Sequence[int], children: Sequence[Sequence[int]]) -> List[int]:
-    """Componentwise XOR of equal-length vectors (local plus children)."""
-    result = list(local)
-    for vector in children:
-        for index, value in enumerate(vector):
-            result[index] ^= value
-    return result
 
 
 def pack_parity_word(parities: Sequence[int]) -> int:

@@ -34,13 +34,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from .. import fastpath
 from ..network.accounting import MessageAccountant
-from ..network.broadcast import BroadcastEchoExecutor, TreeStructure
+from ..network.broadcast import XOR_REDUCER, BroadcastEchoExecutor, Reducer, TreeStructure
 from ..network.errors import AlgorithmError
 from ..network.fragments import SpanningForest
 from ..network.graph import Edge, Graph
 from .config import AlgorithmConfig
 from .hashing import OddHashFunction, random_odd_hash
-from .polynomial import SetEqualitySketch
+from .polynomial import SetEqualitySketch, local_product, product_pair_reducer
 from .primes import prime_for_field
 from .sketches import (
     hp_products_all,
@@ -52,7 +52,7 @@ from .sketches import (
     unpack_parity_word,
 )
 
-__all__ = ["TreeStatistics", "CutTester"]
+__all__ = ["TreeStatistics", "CutTester", "STATS_REDUCER"]
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,17 @@ class TreeStatistics:
     @property
     def has_incident_edges(self) -> bool:
         return self.num_endpoints > 0
+
+
+def _merge_stats(
+    a: Tuple[int, int, int, int], b: Tuple[int, int, int, int]
+) -> Tuple[int, int, int, int]:
+    return (a[0] + b[0], max(a[1], b[1]), max(a[2], b[2]), a[3] + b[3])
+
+
+#: Echo of the statistics B&E: (size, maxEdgeNum, maxWt, B) merged as
+#: (sum, max, max, sum); every component is non-negative, so 0 is neutral.
+STATS_REDUCER = Reducer(_merge_stats, (0, 0, 0, 0))
 
 
 class CutTester:
@@ -147,15 +158,6 @@ class CutTester:
                 )
                 return (1, max_edge_number, max_augmented, len(edges))
 
-        def combine(local_value, children):
-            size, max_en, max_aw, endpoints = local_value
-            for child in children:
-                size += child[0]
-                max_en = max(max_en, child[1])
-                max_aw = max(max_aw, child[2])
-                endpoints += child[3]
-            return (size, max_en, max_aw, endpoints)
-
         max_weight = (
             self.graph.cached_maxima()[1]
             if fastpath.is_enabled()
@@ -165,7 +167,7 @@ class CutTester:
         size, max_en, max_aw, endpoints = self.executor.broadcast_and_echo(
             root=root,
             local_value=local,
-            combine=combine,
+            reducer=STATS_REDUCER,
             broadcast_bits=8,
             echo_bits=payload_bits,
             tree=tree,
@@ -273,12 +275,6 @@ class CutTester:
                 parities = local_range_parities(incident, hash_fn, resolved_ranges)
                 return pack_parity_word(parities)
 
-        def combine(local_value: int, children: Sequence[int]) -> int:
-            word = local_value
-            for child in children:
-                word ^= child
-            return word
-
         range_bits = 2 * max(
             (high.bit_length() for _, high in resolved_ranges if high), default=1
         )
@@ -287,7 +283,7 @@ class CutTester:
         return self.executor.broadcast_and_echo(
             root=root,
             local_value=local,
-            combine=combine,
+            reducer=XOR_REDUCER,
             broadcast_bits=broadcast_bits,
             echo_bits=echo_bits,
             tree=tree,
@@ -332,18 +328,19 @@ class CutTester:
         low_bound = low if low is not None else 0
         high_bound = high if high is not None else (1 << 256)
 
+        # Each node's echo value is its (up, down) pair of Schwartz–Zippel
+        # products; the pairs multiply up the tree componentwise mod p.
         cols = self._batch_columnar(tree)
         if cols is not None:
             products = hp_products_all(cols, alpha, p, low_bound, high_bound)
             pos = cols.pos
 
-            def local(node: int) -> SetEqualitySketch:
-                up_product, down_product = products[pos[node]]
-                return SetEqualitySketch(up_product, down_product, alpha, p)
+            def local(node: int) -> Tuple[int, int]:
+                return products[pos[node]]
 
         elif fastpath.is_enabled():
 
-            def local(node: int) -> SetEqualitySketch:
+            def local(node: int) -> Tuple[int, int]:
                 # Bisect to the incident edges inside the weight window and
                 # fold their (alpha - #e) factors directly; multiplication
                 # mod p is commutative, so the re-sorted order is harmless.
@@ -359,11 +356,11 @@ class CutTester:
                         up_product = (up_product * (alpha - number)) % p
                     else:
                         down_product = (down_product * (alpha - number)) % p
-                return SetEqualitySketch(up_product, down_product, alpha, p)
+                return up_product, down_product
 
         else:
 
-            def local(node: int) -> SetEqualitySketch:
+            def local(node: int) -> Tuple[int, int]:
                 up_numbers = []
                 down_numbers = []
                 for edge in self.graph.incident_edges(node):
@@ -375,24 +372,21 @@ class CutTester:
                         up_numbers.append(number)
                     else:
                         down_numbers.append(number)
-                return SetEqualitySketch.from_local_edges(
-                    up_numbers, down_numbers, alpha, p
+                return local_product(up_numbers, alpha, p), local_product(
+                    down_numbers, alpha, p
                 )
 
-        def combine(local_value: SetEqualitySketch, children) -> SetEqualitySketch:
-            return local_value.combine(list(children))
-
         payload_bits = 2 * p.bit_length()
-        sketch = self.executor.broadcast_and_echo(
+        up, down = self.executor.broadcast_and_echo(
             root=root,
             local_value=local,
-            combine=combine,
+            reducer=product_pair_reducer(p),
             broadcast_bits=p.bit_length() + min(4 * id_bits + 64, 256),
             echo_bits=payload_bits,
             tree=tree,
             kind="hp_testout",
         )
-        return not sketch.sides_equal
+        return not SetEqualitySketch(up, down, alpha, p).sides_equal
 
     # ------------------------------------------------------------------ #
     # convenience for verification / experiments (God's-eye view)

@@ -56,6 +56,13 @@ _enabled = os.environ.get("REPRO_FASTPATH", "1") not in ("0", "false", "off")
 #: lowers it so moderate graphs exercise the columnar path too).
 _DEFAULT_BATCH_MIN_NODES = 64
 
+# Read once at import, like ``REPRO_FASTPATH``: :func:`should_batch` runs on
+# every broadcast-and-echo, far too often to re-read the environment.
+try:
+    _batch_min_nodes = int(os.environ.get("REPRO_BATCH_MIN_NODES", _DEFAULT_BATCH_MIN_NODES))
+except ValueError:
+    _batch_min_nodes = _DEFAULT_BATCH_MIN_NODES
+
 
 def is_enabled() -> bool:
     """True iff the fast path (caches + one-pass kernels) is active."""
@@ -64,10 +71,7 @@ def is_enabled() -> bool:
 
 def batch_min_nodes() -> int:
     """Minimum tree size for batched (whole-graph) columnar kernels."""
-    try:
-        return int(os.environ.get("REPRO_BATCH_MIN_NODES", _DEFAULT_BATCH_MIN_NODES))
-    except ValueError:
-        return _DEFAULT_BATCH_MIN_NODES
+    return _batch_min_nodes
 
 
 def repair_batch_size() -> int:
@@ -91,7 +95,7 @@ def should_batch(tree_size: int, graph_nodes: int) -> bool:
 
     Purely a wall-clock heuristic — it can never change a computed value
     (the batched kernels are value-identical to the per-node ones and every
-    combine used with them is commutative/associative), so counters stay
+    reducer used with them is commutative/associative), so counters stay
     bit-identical regardless of the answer.  Batching computes words for
     *every* graph node in one pass, which only pays off when the tree is
     both large (``REPRO_BATCH_MIN_NODES``) and covers at least half the
@@ -99,7 +103,7 @@ def should_batch(tree_size: int, graph_nodes: int) -> bool:
     """
     return (
         _enabled
-        and tree_size >= batch_min_nodes()
+        and tree_size >= _batch_min_nodes
         and 2 * tree_size >= graph_nodes
     )
 

@@ -6,13 +6,18 @@ that aggregates values from the leaves back up to ``x``.  Two realisations
 are provided:
 
 * :class:`BroadcastEchoExecutor` — the *fast path* used by all algorithms in
-  :mod:`repro.core`.  It walks the tree structure directly and charges the
-  accountant exactly the messages a per-node execution would send: one
-  broadcast message and one echo message per tree edge, with the declared bit
-  widths, and ``2 × eccentricity(root)`` rounds.  Local computation is
-  restricted to the node-local callback it is given (a node sees only its own
-  ID, its incident edges and the broadcast payload), so the distributed
-  semantics are preserved even though the execution is centralised.
+  :mod:`repro.core`.  Every echo in the paper aggregates with an operation
+  that is commutative and associative (XOR of parities, sums and maxima,
+  products mod ``p``), so the root's value does not depend on the tree's
+  shape: it is one reduction (:class:`Reducer`) of the node-local values of
+  the tree's nodes.  The executor computes exactly that reduction and charges
+  the accountant the closed-form cost a per-node execution pays: one
+  broadcast message and one echo message per tree edge, with the declared
+  bit widths, and ``2 × eccentricity(root)`` rounds.  The shortcut is exact
+  because each ``local_value`` is still computed from node-local knowledge
+  only (a node sees its own ID, its incident edges and the broadcast
+  payload), and the reducer's operation ignores order and grouping, so
+  folding the values in any order gives the value the echo delivers.
 
 * :class:`BroadcastEchoProtocolNode` — a genuine per-node protocol for the
   message-level engines.  Tests run the same aggregation through both paths
@@ -32,9 +37,11 @@ every counter bit-identical.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from functools import reduce
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .. import fastpath
 from .accounting import MessageAccountant
@@ -45,6 +52,9 @@ from .message import Message
 from .node import ProtocolNode
 
 __all__ = [
+    "Reducer",
+    "XOR_REDUCER",
+    "SUM_REDUCER",
     "TreeStructure",
     "build_tree_structure",
     "build_tree_structure_csr",
@@ -63,9 +73,29 @@ __all__ = [
 # information local to the node (its incident edges / the broadcast payload);
 # algorithms in repro.core honour this contract.
 LocalValueFn = Callable[[int], Any]
-# Combine a node's local value with the already-combined values of its
-# children; must be associative in the children argument.
-CombineFn = Callable[[Any, Sequence[Any]], Any]
+
+
+class Reducer(NamedTuple):
+    """How an echo aggregates: a binary operation and its identity.
+
+    ``op`` must be commutative and associative and ``identity`` neutral for
+    it; then the value a broadcast-and-echo delivers at the root is the
+    reduction of the node-local values in any order, which is what lets
+    :meth:`BroadcastEchoExecutor.broadcast_and_echo` fold them in one pass.
+    """
+
+    op: Callable[[Any, Any], Any]
+    identity: Any
+
+    def combine(self, local: Any, children: Sequence[Any]) -> Any:
+        """One node's echo step: its local value folded with its children's."""
+        return reduce(self.op, children, local)
+
+
+#: XOR of parity words and edge numbers (TestOut, FindAny).
+XOR_REDUCER = Reducer(operator.xor, 0)
+#: Integer sums (counts).
+SUM_REDUCER = Reducer(operator.add, 0)
 
 
 class TreeStructure:
@@ -73,9 +103,9 @@ class TreeStructure:
 
     On the fast path (see :mod:`repro.fastpath`) structures live across many
     broadcast-and-echoes via the
-    :class:`~repro.network.tree_cache.TreeStructureCache`, so the traversal
-    orders and the eccentricity are memoised; the cache calls
-    :meth:`invalidate_orders` whenever it patches the structure.
+    :class:`~repro.network.tree_cache.TreeStructureCache`, so the
+    eccentricity is memoised; the cache calls
+    :meth:`invalidate_eccentricity` whenever it patches the structure.
     """
 
     def __init__(
@@ -89,8 +119,6 @@ class TreeStructure:
         self.parent = parent
         self.children = children
         self.depth = depth
-        self._postorder: Optional[List[int]] = None
-        self._preorder: Optional[List[int]] = None
         self._eccentricity: Optional[int] = None
 
     @property
@@ -115,54 +143,9 @@ class TreeStructure:
             self._eccentricity = value
         return value
 
-    def invalidate_orders(self) -> None:
-        """Forget memoised traversals after the structure was patched."""
-        self._postorder = None
-        self._preorder = None
+    def invalidate_eccentricity(self) -> None:
+        """Forget the memoised eccentricity after the structure was patched."""
         self._eccentricity = None
-
-    def postorder(self) -> List[int]:
-        """Nodes in post-order (children before parents), deterministic.
-
-        The returned list is memoised on the fast path — treat it as
-        read-only.
-        """
-        if self._postorder is not None:
-            return self._postorder
-        order: List[int] = []
-        stack: List[Tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            stack.append((node, True))
-            for child in reversed(self.children[node]):
-                stack.append((child, False))
-        if fastpath.is_enabled():
-            self._postorder = order
-        return order
-
-    def preorder(self) -> List[int]:
-        """Nodes in pre-order (parents before children), deterministic.
-
-        Used by :meth:`BroadcastEchoExecutor.broadcast_with_downward_state`
-        for the downward sweep instead of reversing a fresh post-order copy.
-        The returned list is memoised on the fast path — treat it as
-        read-only.
-        """
-        if self._preorder is not None:
-            return self._preorder
-        order: List[int] = []
-        stack: List[int] = [self.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            for child in reversed(self.children[node]):
-                stack.append(child)
-        if fastpath.is_enabled():
-            self._preorder = order
-        return order
 
     def path_from_root(self, node: int) -> List[int]:
         """The tree path root -> ... -> node."""
@@ -337,6 +320,13 @@ def active_substrate() -> Optional[DeliverySubstrate]:
 class BroadcastEchoExecutor:
     """Fast-path broadcast-and-echo with exact CONGEST accounting.
 
+    The root's value is one reduction of the tree's node-local values with a
+    commutative, associative :class:`Reducer`; the charge is the closed-form
+    cost of the per-node protocol (one broadcast and one echo message per
+    tree edge, ``2 × eccentricity`` rounds).  Both are exactly what
+    :class:`BroadcastEchoProtocolNode` computes and sends, because the local
+    values stay node-local and the reducer ignores order and grouping.
+
     ``substrate`` optionally names how each logical tree-hop message is
     realised on the wire (default: the plain direct send, or whatever
     :func:`delivery_substrate` installed for the surrounding block).
@@ -364,7 +354,7 @@ class BroadcastEchoExecutor:
         self,
         root: int,
         local_value: LocalValueFn,
-        combine: CombineFn,
+        reducer: Reducer,
         broadcast_bits: int,
         echo_bits: int,
         tree: Optional[TreeStructure] = None,
@@ -372,17 +362,14 @@ class BroadcastEchoExecutor:
     ) -> Any:
         """One broadcast-and-echo rooted at ``root``; returns the aggregate.
 
-        Charges ``num_edges`` broadcast messages of ``broadcast_bits`` bits,
-        ``num_edges`` echo messages of ``echo_bits`` bits, and
-        ``2 × eccentricity`` rounds (the paper's time for one B&E).
+        The aggregate is ``reducer`` folded over ``local_value(node)`` for
+        every node of the tree.  Charges ``num_edges`` broadcast messages of
+        ``broadcast_bits`` bits, ``num_edges`` echo messages of ``echo_bits``
+        bits, and ``2 × eccentricity`` rounds (the paper's time for one B&E).
         """
         structure = tree if tree is not None else self.forest.rooted_structure(root)
         self._charge(structure, broadcast_bits, echo_bits, kind)
-        values: Dict[int, Any] = {}
-        for node in structure.postorder():
-            child_values = [values[child] for child in structure.children[node]]
-            values[node] = combine(local_value(node), child_values)
-        return values[structure.root]
+        return reduce(reducer.op, map(local_value, structure.parent), reducer.identity)
 
     def broadcast_only(
         self,
@@ -409,12 +396,12 @@ class BroadcastEchoExecutor:
     def broadcast_with_downward_state(
         self,
         root: int,
+        target: int,
         initial_state: Any,
         propagate: Callable[[Any, int, int], Any],
         broadcast_bits: int,
         echo_bits: int,
         collect: Callable[[int, Any], Any],
-        combine: CombineFn,
         tree: Optional[TreeStructure] = None,
         kind: str = "b&e",
     ) -> Any:
@@ -422,22 +409,23 @@ class BroadcastEchoExecutor:
 
         ``propagate(parent_state, parent, child)`` computes the state handed
         to ``child`` when the broadcast crosses the tree edge
-        ``(parent, child)`` — e.g. the maximum edge weight seen on the path
-        from the root, used by ``Insert`` (Section 3.2).  ``collect(node,
-        state)`` produces the node's local echo value, which is aggregated
-        with ``combine`` as usual.
+        ``(parent, child)`` — e.g. the heaviest edge seen on the path from
+        the root, used by ``Insert`` (Section 3.2).  Only ``target`` answers:
+        the echo relays ``collect(target, state)`` back to the root, and
+        every other node echoes nothing.  That value depends only on the
+        states along the root → ``target`` path, so it is computed by walking
+        that path (O(depth)); ``None`` when ``target`` is not in the tree.
+        The charge is the full broadcast-and-echo the protocol sends.
         """
         structure = tree if tree is not None else self.forest.rooted_structure(root)
         self._charge(structure, broadcast_bits, echo_bits, kind)
-        state: Dict[int, Any] = {structure.root: initial_state}
-        for node in structure.preorder():  # parents first
-            for child in structure.children[node]:
-                state[child] = propagate(state[node], node, child)
-        values: Dict[int, Any] = {}
-        for node in structure.postorder():
-            child_values = [values[child] for child in structure.children[node]]
-            values[node] = combine(collect(node, state[node]), child_values)
-        return values[structure.root]
+        if target not in structure.parent:
+            return None
+        path = structure.path_from_root(target)
+        state = initial_state
+        for parent, child in zip(path, path[1:]):
+            state = propagate(state, parent, child)
+        return collect(target, state)
 
     def point_to_point_along_edge(self, u: int, v: int, size_bits: int, kind: str = "p2p") -> None:
         """Charge a single message over the (graph) edge ``{u, v}``."""
@@ -484,8 +472,8 @@ class BroadcastEchoProtocolNode(ProtocolNode):
     designated root starts the broadcast in ``on_start``.  A node receiving
     the broadcast designates the sender as its parent and forwards to its
     other tree neighbours; leaves echo immediately; an internal node echoes
-    once it has heard from all children, combining its local value with
-    theirs.
+    once it has heard from all children, folding its local value with
+    theirs through ``reducer`` (:meth:`Reducer.combine`).
     """
 
     def __init__(
@@ -495,7 +483,7 @@ class BroadcastEchoProtocolNode(ProtocolNode):
         tree_neighbors: List[int],
         is_root: bool,
         local_value: Any,
-        combine: CombineFn,
+        reducer: Reducer,
         broadcast_bits: int,
         echo_bits: int,
     ) -> None:
@@ -503,7 +491,7 @@ class BroadcastEchoProtocolNode(ProtocolNode):
         self.tree_neighbors = list(tree_neighbors)
         self.is_root = is_root
         self.local_value = local_value
-        self.combine = combine
+        self.combine = reducer.combine
         self.broadcast_bits = broadcast_bits
         self.echo_bits = echo_bits
         self.parent: Optional[int] = None
@@ -571,7 +559,7 @@ def run_reference_broadcast_echo(
     forest: SpanningForest,
     root: int,
     local_values: Dict[int, Any],
-    combine: CombineFn,
+    reducer: Reducer,
     broadcast_bits: int,
     echo_bits: int,
     engine: str = "sync",
@@ -597,8 +585,8 @@ def run_reference_broadcast_echo(
                 neighbors=neighbors,
                 tree_neighbors=tree_neighbors,
                 is_root=(node_id == root),
-                local_value=local_values.get(node_id),
-                combine=combine,
+                local_value=local_values.get(node_id, reducer.identity),
+                reducer=reducer,
                 broadcast_bits=broadcast_bits,
                 echo_bits=echo_bits,
             )

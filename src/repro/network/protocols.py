@@ -1,17 +1,19 @@
 """Message-level reference protocols for the paper's primitives.
 
 The algorithms in :mod:`repro.core` execute broadcast-and-echo through the
-fast fragment-level executor (exact accounting, centralised walk).  To back
-up the fidelity claim — that nothing in the fast path could not be done by
-real per-node code exchanging real messages — this module implements the key
-primitives as genuine :class:`~repro.network.node.ProtocolNode` state
+fast fragment-level executor (closed-form accounting, one centralised
+reduction per echo).  Each protocol here builds its per-node combine from
+the same :class:`~repro.network.broadcast.Reducer` the executor folds with.
+To back up the fidelity claim — that nothing in the fast path could not be
+done by real per-node code exchanging real messages — this module implements
+the key primitives as genuine :class:`~repro.network.node.ProtocolNode` state
 machines that run on the synchronous or asynchronous engine:
 
 * :func:`run_testout_protocol` — ``TestOut(x, j, k)``: the root broadcasts an
   odd hash function and a weight range over the tree; every node answers with
   the parity of its incident hashed edges; parities XOR up the tree.
 * :func:`run_hp_testout_protocol` — ``HP-TestOut(x, j, k)``: same shape, with
-  the Schwartz–Zippel set-equality sketch as the echo value.
+  the Schwartz–Zippel ``(up, down)`` product pair as the echo value.
 * :func:`run_path_max_protocol` — the ``Insert(u, v)`` query: a broadcast
   that carries the running path maximum downward and an echo that reports
   whether ``v`` was found and which path edge was heaviest.
@@ -26,9 +28,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.hashing import OddHashFunction
-from ..core.polynomial import SetEqualitySketch
+from ..core.polynomial import SetEqualitySketch, local_product, product_pair_reducer
 from .accounting import MessageAccountant
 from .async_simulator import AsynchronousSimulator
+from .broadcast import XOR_REDUCER, Reducer
 from .errors import ProtocolError, SimulationError
 from .fragments import SpanningForest
 from .graph import Graph
@@ -51,10 +54,10 @@ class TreeAggregationNode(ProtocolNode):
     The root sends a ``QUERY`` message carrying a (protocol-specific) state to
     each tree neighbour; every other node adopts the first ``QUERY`` sender as
     its parent, transforms the state with ``propagate`` and forwards it; once
-    a node has received ``REPLY`` messages from all its children it combines
+    a node has received ``REPLY`` messages from all its children it folds
     its local value (``collect`` of its node id and received state) with the
-    children's values (``combine``) and replies to its parent.  The root's
-    combined value is the protocol result.
+    children's values through ``reducer`` and replies to its parent.  The
+    root's folded value is the protocol result.
 
     This is exactly the reference broadcast-and-echo of
     :mod:`repro.network.broadcast`, generalised with the downward state so
@@ -68,7 +71,7 @@ class TreeAggregationNode(ProtocolNode):
         tree_neighbors: List[int],
         is_root: bool,
         collect,
-        combine,
+        reducer: Reducer,
         propagate,
         initial_state: Any,
         query_bits: int,
@@ -78,7 +81,7 @@ class TreeAggregationNode(ProtocolNode):
         self.tree_neighbors = list(tree_neighbors)
         self.is_root = is_root
         self.collect = collect
-        self.combine = combine
+        self.combine = reducer.combine
         self.propagate = propagate
         self.initial_state = initial_state
         self.query_bits = query_bits
@@ -151,7 +154,7 @@ def _run_aggregation(
     forest: SpanningForest,
     root: int,
     collect,
-    combine,
+    reducer: Reducer,
     propagate,
     initial_state: Any,
     query_bits: int,
@@ -174,7 +177,7 @@ def _run_aggregation(
                 tree_neighbors=tree_neighbors,
                 is_root=(node_id == root),
                 collect=collect,
-                combine=combine,
+                reducer=reducer,
                 propagate=propagate,
                 initial_state=initial_state,
                 query_bits=query_bits,
@@ -218,11 +221,6 @@ def run_testout_protocol(
                 parity ^= odd_hash(edge.edge_number(id_bits))
         return parity
 
-    def combine(local: int, children: List[int]) -> int:
-        for value in children:
-            local ^= value
-        return local
-
     def propagate(state: Any, _parent: int, _child: int) -> Any:
         return state
 
@@ -231,7 +229,7 @@ def run_testout_protocol(
         forest,
         root,
         collect,
-        combine,
+        XOR_REDUCER,
         propagate,
         initial_state=None,
         query_bits=odd_hash.description_bits(),
@@ -262,7 +260,7 @@ def run_hp_testout_protocol(
     high_bound = high if high is not None else (1 << 256)
     p = field_prime
 
-    def collect(node_id: int, _state: Any) -> SetEqualitySketch:
+    def collect(node_id: int, _state: Any) -> Tuple[int, int]:
         up, down = [], []
         for edge in graph.incident_edges(node_id):
             weight = edge.augmented_weight(id_bits)
@@ -270,20 +268,17 @@ def run_hp_testout_protocol(
                 continue
             number = edge.edge_number(id_bits)
             (up if node_id == edge.u else down).append(number)
-        return SetEqualitySketch.from_local_edges(up, down, alpha, p)
-
-    def combine(local: SetEqualitySketch, children: List[SetEqualitySketch]):
-        return local.combine(children)
+        return local_product(up, alpha, p), local_product(down, alpha, p)
 
     def propagate(state: Any, _parent: int, _child: int) -> Any:
         return state
 
-    sketch, accountant = _run_aggregation(
+    (up, down), accountant = _run_aggregation(
         graph,
         forest,
         root,
         collect,
-        combine,
+        product_pair_reducer(p),
         propagate,
         initial_state=None,
         query_bits=p.bit_length(),
@@ -291,7 +286,7 @@ def run_hp_testout_protocol(
         engine=engine,
         scheduler=scheduler,
     )
-    return (not sketch.sides_equal), accountant
+    return (not SetEqualitySketch(up, down, alpha, p).sides_equal), accountant
 
 
 # ---------------------------------------------------------------------- #
@@ -327,18 +322,15 @@ def run_path_max_protocol(
             return ("found", state)
         return None
 
-    def combine(local, children):
-        for value in [local] + list(children):
-            if value is not None:
-                return value
-        return None
+    # Only the target answers, so "the one non-None value" is the echo.
+    first_answer = Reducer(lambda a, b: a if a is not None else b, None)
 
     answer, accountant = _run_aggregation(
         graph,
         forest,
         root,
         collect,
-        combine,
+        first_answer,
         propagate,
         initial_state=None,
         query_bits=2 * id_bits + max(graph.max_weight().bit_length(), 1),

@@ -146,7 +146,7 @@ class TreeStructureCache:
                 return False
             touched = touched or outcome
         if touched:
-            structure.invalidate_orders()
+            structure.invalidate_eccentricity()
         return True
 
     def _apply_mark(self, structure: TreeStructure, u: int, v: int) -> Optional[bool]:

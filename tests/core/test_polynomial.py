@@ -1,10 +1,16 @@
 """Unit tests for the Schwartz–Zippel set-equality sketches (HP-TestOut core)."""
 
 import random
+from functools import reduce
 
 import pytest
 
-from repro.core.polynomial import SetEqualitySketch, combine_products, local_product
+from repro.core.polynomial import (
+    SetEqualitySketch,
+    combine_products,
+    local_product,
+    product_pair_reducer,
+)
 from repro.core.primes import next_prime
 from repro.network.errors import AlgorithmError
 
@@ -55,8 +61,14 @@ class TestSketch:
         # Schwartz-Zippel error <= degree/p ~ 2e-5; zero collisions expected.
         assert agreements == 0
 
-    def test_combine_is_distributed_product(self):
-        """Combining per-node sketches equals the sketch of the union."""
+    def test_payload_bits(self):
+        sketch = SetEqualitySketch(1, 1, alpha=0, p=P)
+        assert sketch.payload_bits() == 2 * P.bit_length()
+
+
+class TestProductPairReducer:
+    def test_reduction_is_distributed_product(self):
+        """Reducing per-node (up, down) pairs equals the sketch of the union."""
         rng = random.Random(3)
         alpha = rng.randrange(P)
         node_edges = {
@@ -64,29 +76,27 @@ class TestSketch:
             2: ([40], []),
             3: ([], [50, 60]),
         }
-        sketches = [
-            SetEqualitySketch.from_local_edges(up, down, alpha, P)
+        pairs = [
+            (local_product(up, alpha, P), local_product(down, alpha, P))
             for up, down in node_edges.values()
         ]
-        combined = SetEqualitySketch.identity(alpha, P).combine(sketches)
+        reducer = product_pair_reducer(P)
+        combined = reduce(reducer.op, pairs, reducer.identity)
         all_up = [e for up, _ in node_edges.values() for e in up]
         all_down = [e for _, down in node_edges.values() for e in down]
         direct = SetEqualitySketch.from_local_edges(all_up, all_down, alpha, P)
-        assert combined.up == direct.up
-        assert combined.down == direct.down
+        assert combined == (direct.up, direct.down)
 
-    def test_combine_rejects_mismatched_parameters(self):
-        a = SetEqualitySketch(1, 1, alpha=5, p=101)
-        b = SetEqualitySketch(1, 1, alpha=5, p=103)
-        with pytest.raises(AlgorithmError):
-            a.combine([b])
-
-    def test_payload_bits(self):
-        sketch = SetEqualitySketch(1, 1, alpha=0, p=P)
-        assert sketch.payload_bits() == 2 * P.bit_length()
+    def test_per_node_combine_matches_reduction(self):
+        reducer = product_pair_reducer(101)
+        local, children = (7, 9), [(3, 50), (100, 2)]
+        assert reducer.combine(local, children) == reduce(
+            reducer.op, [local] + children, reducer.identity
+        )
 
     def test_identity_is_neutral(self):
         alpha = 12
-        s = SetEqualitySketch.from_local_edges([5, 9], [7], alpha, P)
-        combined = s.combine([SetEqualitySketch.identity(alpha, P)])
-        assert combined.up == s.up and combined.down == s.down
+        pair = (local_product([5, 9], alpha, P), local_product([7], alpha, P))
+        reducer = product_pair_reducer(P)
+        assert reducer.op(pair, reducer.identity) == pair
+        assert reducer.op(reducer.identity, pair) == pair

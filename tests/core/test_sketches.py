@@ -1,6 +1,7 @@
 """Unit tests for the node-local sketch values carried by echoes."""
 
 import random
+from functools import reduce
 
 import pytest
 
@@ -17,9 +18,8 @@ from repro.core.sketches import (
     ranges_are_disjoint_sorted,
     unpack_parity_word,
     xor_below_from_numbers,
-    xor_combine,
-    xor_vector_combine,
 )
+from repro.network.broadcast import XOR_REDUCER
 
 
 class TestParityWords:
@@ -35,20 +35,22 @@ class TestParityWords:
         assert unpack_parity_word(0b101, 5) == [1, 0, 1, 0, 0]
 
 
-class TestCombiners:
-    def test_xor_combine(self):
-        assert xor_combine(0b1100, [0b1010, 0b0001]) == 0b0111
+class TestXorReducer:
+    def test_xor_reducer(self):
+        assert XOR_REDUCER.combine(0b1100, [0b1010, 0b0001]) == 0b0111
 
-    def test_xor_combine_no_children(self):
-        assert xor_combine(7, []) == 7
+    def test_xor_reducer_no_children(self):
+        assert XOR_REDUCER.combine(7, []) == 7
 
-    def test_xor_vector_combine(self):
-        local = [1, 0, 1]
-        children = [[1, 1, 0], [0, 1, 1]]
-        assert xor_vector_combine(local, children) == [0, 0, 0]
+    def test_xor_reducer_over_packed_vectors(self):
+        vectors = [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
+        words = map(pack_parity_word, vectors)
+        word = reduce(XOR_REDUCER.op, words, XOR_REDUCER.identity)
+        assert unpack_parity_word(word, 3) == [0, 0, 0]
 
-    def test_xor_vector_combine_preserves_length(self):
-        assert xor_vector_combine([0, 1], []) == [0, 1]
+    def test_xor_reducer_preserves_vector_length(self):
+        word = reduce(XOR_REDUCER.op, [pack_parity_word([0, 1])], XOR_REDUCER.identity)
+        assert unpack_parity_word(word, 2) == [0, 1]
 
 
 class TestLocalParity:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.baselines.flooding_st import flooding_spanning_tree
 from repro.generators import random_connected_graph, random_spanning_tree_forest
-from repro.network.broadcast import run_reference_broadcast_echo
+from repro.network.broadcast import SUM_REDUCER, Reducer, run_reference_broadcast_echo
 from repro.network.scheduler import (
     EdgeDelayScheduler,
     FifoScheduler,
@@ -35,15 +35,12 @@ class TestBroadcastEchoUnderAdversaries:
         forest = random_spanning_tree_forest(graph, seed=3)
         local_values = {node: node * 3 for node in graph.nodes()}
 
-        def combine(local, children):
-            return (local or 0) + sum(children)
-
         value, acct = run_reference_broadcast_echo(
             graph,
             forest,
             root=1,
             local_values=local_values,
-            combine=combine,
+            reducer=SUM_REDUCER,
             broadcast_bits=8,
             echo_bits=8,
             engine="async",
@@ -59,12 +56,9 @@ class TestBroadcastEchoUnderAdversaries:
         forest = random_spanning_tree_forest(graph, seed=4)
         local_values = {node: 1000 - node for node in graph.nodes()}
 
-        def combine(local, children):
-            values = [local] + list(children) if local is not None else list(children)
-            return min(values)
-
         value, _ = run_reference_broadcast_echo(
-            graph, forest, root=2, local_values=local_values, combine=combine,
+            graph, forest, root=2, local_values=local_values,
+            reducer=Reducer(min, float("inf")),
             broadcast_bits=4, echo_bits=12, engine="async", scheduler=factory(),
         )
         assert value == min(local_values.values())

@@ -3,12 +3,25 @@
 The key test family here validates the claim in DESIGN.md §4.1: the fast
 fragment-level executor charges exactly the messages/bits a genuine per-node
 execution of broadcast-and-echo sends, and both compute the same aggregate.
+The executor folds the node-local values with a ``Reducer`` in one pass;
+the reference protocol combines each node's value with its children's
+echoes in arrival order, so agreement for every reducer ``repro.core`` uses
+is what licenses the one-pass fold.
 """
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.polynomial import product_pair_reducer
+from repro.core.sample import k_smallest_reducer
+from repro.core.testout import STATS_REDUCER
+from repro.generators import random_connected_graph, random_spanning_tree_forest
 from repro.network.accounting import MessageAccountant
 from repro.network.broadcast import (
+    SUM_REDUCER,
+    XOR_REDUCER,
     BroadcastEchoExecutor,
     build_tree_structure,
     run_reference_broadcast_echo,
@@ -44,39 +57,15 @@ class TestTreeStructure:
         assert tree.num_edges == 6
         assert tree.eccentricity == 3
 
-    def test_postorder_children_before_parents(self):
+    def test_invalidate_eccentricity_recomputes(self):
         graph, forest = _tree_graph()
         tree = build_tree_structure(forest, root=1)
-        order = tree.postorder()
-        assert order[-1] == 1
-        assert order.index(3) < order.index(2)
-        assert order.index(5) < order.index(4)
-
-    def test_preorder_parents_before_children(self):
-        graph, forest = _tree_graph()
-        tree = build_tree_structure(forest, root=1)
-        order = tree.preorder()
-        assert order[0] == 1
-        assert sorted(order) == tree.nodes
-        for node in order:
-            if tree.parent[node] is not None:
-                assert order.index(tree.parent[node]) < order.index(node)
-
-    def test_preorder_visits_children_ascending(self):
-        graph, forest = _tree_graph()
-        tree = build_tree_structure(forest, root=1)
-        # Root 1 has children [2, 7]: 2's whole subtree precedes 7.
-        order = tree.preorder()
-        assert order.index(2) < order.index(7)
-        assert all(order.index(n) < order.index(7) for n in (3, 4, 5, 6))
-
-    def test_invalidate_orders_recomputes(self):
-        graph, forest = _tree_graph()
-        tree = build_tree_structure(forest, root=1)
-        before = tree.postorder()
-        tree.invalidate_orders()
-        assert tree.postorder() == before
-        assert tree.preorder()[0] == 1
+        assert tree.eccentricity == 3
+        for leaf in (5, 6):  # drop the depth-3 leaves, as a patch would
+            del tree.parent[leaf], tree.depth[leaf], tree.children[leaf]
+        tree.children[4] = []
+        tree.invalidate_eccentricity()
+        assert tree.eccentricity == 2
 
     def test_path_from_root(self):
         graph, forest = _tree_graph()
@@ -96,23 +85,65 @@ class TestTreeStructure:
         assert set(tree.nodes) == {1, 2, 3, 7}
 
 
+#: Every reducer repro.core aggregates with, and a node-local value drawn for
+#: it from an RNG (values lie where the identity is neutral, as the core's do).
+HP_PRIME = 1_000_003
+REDUCER_CASES = {
+    "xor": (XOR_REDUCER, lambda rng: rng.getrandbits(24)),
+    "sum": (SUM_REDUCER, lambda rng: rng.randrange(1000)),
+    "stats": (
+        STATS_REDUCER,
+        lambda rng: (1, rng.randrange(1 << 20), rng.randrange(1 << 60), rng.randrange(12)),
+    ),
+    "hp_pair": (
+        product_pair_reducer(HP_PRIME),
+        lambda rng: (rng.randrange(HP_PRIME), rng.randrange(HP_PRIME)),
+    ),
+    "k_smallest": (
+        k_smallest_reducer(4),
+        lambda rng: sorted(
+            (rng.random(), rng.randrange(1 << 16)) for _ in range(rng.randrange(7))
+        )[:4],
+    ),
+}
+
+
+def local_values_for(case: str, graph, seed: int = 0):
+    draw = REDUCER_CASES[case][1]
+    return {node: draw(random.Random(seed * 1_000_003 + node)) for node in graph.nodes()}
+
+
 class TestExecutorAccounting:
-    def test_broadcast_and_echo_counts(self):
+    @pytest.mark.parametrize("case", sorted(REDUCER_CASES))
+    def test_broadcast_and_echo_counts(self, case):
         graph, forest = _tree_graph()
+        reducer = REDUCER_CASES[case][0]
+        values = local_values_for(case, graph)
         acct = MessageAccountant()
         executor = BroadcastEchoExecutor(graph, forest, acct)
         total = executor.broadcast_and_echo(
             root=1,
-            local_value=lambda node: 1,
-            combine=lambda local, children: local + sum(children),
+            local_value=values.__getitem__,
+            reducer=reducer,
             broadcast_bits=10,
             echo_bits=3,
         )
-        assert total == 7  # counted the tree size
-        assert acct.messages == 12  # 6 edges, broadcast + echo each
+        expected = reducer.identity
+        for node in sorted(graph.nodes()):
+            expected = reducer.op(expected, values[node])
+        assert total == expected
+        assert acct.messages == 2 * (7 - 1)  # broadcast + echo per tree edge
         assert acct.bits == 6 * 10 + 6 * 3
         assert acct.rounds == 2 * 3  # twice the eccentricity
         assert acct.broadcast_echoes == 1
+
+    def test_sum_counts_tree_size(self):
+        graph, forest = _tree_graph()
+        executor = BroadcastEchoExecutor(graph, forest, MessageAccountant())
+        total = executor.broadcast_and_echo(
+            1, lambda node: 1, SUM_REDUCER, broadcast_bits=1, echo_bits=1
+        )
+        assert total == 7
 
     def test_broadcast_only_counts(self):
         graph, forest = _tree_graph()
@@ -132,7 +163,7 @@ class TestExecutorAccounting:
         value = executor.broadcast_and_echo(
             root=1,
             local_value=lambda node: 5,
-            combine=lambda local, children: local + sum(children),
+            reducer=SUM_REDUCER,
             broadcast_bits=8,
             echo_bits=8,
         )
@@ -158,24 +189,142 @@ class TestExecutorAccounting:
             weight = graph.get_edge(parent, child).weight
             return max(state, weight)
 
-        def collect(node, state):
-            return state if node == 5 else None
-
-        def combine(local, children):
-            values = [v for v in [local] + list(children) if v is not None]
-            return values[0] if values else None
-
         answer = executor.broadcast_with_downward_state(
             root=1,
+            target=5,
             initial_state=0,
             propagate=propagate,
             broadcast_bits=8,
             echo_bits=8,
-            collect=collect,
-            combine=combine,
+            collect=lambda node, state: (node, state),
         )
         # Path 1-2-4-5 has weights 4, 7, 2 -> max 7.
-        assert answer == 7
+        assert answer == (5, 7)
+        assert acct.messages == 2 * 6
+        assert acct.rounds == 2 * 3
+
+
+def _heaviest_edge(graph):
+    def propagate(state, parent, child):
+        edge = graph.get_edge(parent, child)
+        weight = edge.augmented_weight(graph.id_bits)
+        if state is None or weight > state.augmented_weight(graph.id_bits):
+            return edge
+        return state
+
+    return propagate
+
+
+def _two_sweep_path_query(graph, forest, root, target, propagate):
+    """The former implementation: carry state to every node, echo the target's."""
+    state = {root: None}
+    frontier = [root]
+    while frontier:
+        node = frontier.pop()
+        for child in forest.marked_neighbors(node):
+            if child not in state:
+                state[child] = propagate(state[node], node, child)
+                frontier.append(child)
+    return (True, state[target]) if target in state else None
+
+
+class TestPathWalk:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_two_sweep_for_every_target(self, seed):
+        graph = random_connected_graph(24, 60, seed=seed)
+        forest = random_spanning_tree_forest(graph, seed=seed + 10)
+        forest.unmark(*sorted(forest.marked_edges)[seed + 3])  # two components
+        propagate = _heaviest_edge(graph)
+        root = graph.nodes()[seed]
+        tree = forest.rooted_structure(root)
+        for target in graph.nodes():
+            acct = MessageAccountant()
+            executor = BroadcastEchoExecutor(graph, forest, acct)
+            answer = executor.broadcast_with_downward_state(
+                root=root,
+                target=target,
+                initial_state=None,
+                propagate=propagate,
+                broadcast_bits=11,
+                echo_bits=13,
+                collect=lambda _node, heaviest: (True, heaviest),
+                tree=tree,
+                kind="path_query",
+            )
+            assert answer == _two_sweep_path_query(graph, forest, root, target, propagate)
+            if target == root:
+                assert answer == (True, None)
+            if target not in tree.parent:
+                assert answer is None
+            # The charge is the full B&E whatever the target.
+            assert acct.broadcast_echoes == 1
+            assert acct.per_kind() == {
+                "path_query:bcast": tree.num_edges,
+                "path_query:echo": tree.num_edges,
+            }
+            assert acct.bits == tree.num_edges * (11 + 13)
+            assert acct.rounds == 2 * tree.eccentricity
+
+
+@st.composite
+def forest_instances(draw):
+    """A random graph, a spanning forest with some tree edges cut, a root."""
+    n = draw(st.integers(min_value=1, max_value=18))
+    extra = draw(st.integers(min_value=0, max_value=n))
+    seed = draw(st.integers(min_value=0, max_value=10 ** 6))
+    graph = random_connected_graph(n, min(n - 1 + extra, n * (n - 1) // 2), seed=seed)
+    forest = random_spanning_tree_forest(graph, seed=seed + 1)
+    marked = sorted(forest.marked_edges)
+    cuts = draw(st.integers(min_value=0, max_value=len(marked)))
+    for key in random.Random(seed).sample(marked, cuts):
+        forest.unmark(*key)
+    root = draw(st.sampled_from(graph.nodes()))
+    return graph, forest, root, seed
+
+
+def assert_executor_matches_reference(graph, forest, root, case, seed, engine):
+    reducer = REDUCER_CASES[case][0]
+    local_values = local_values_for(case, graph, seed)
+    scheduler = RandomScheduler(seed=seed) if engine == "async" else None
+    expected, reference_acct = run_reference_broadcast_echo(
+        graph, forest, root, local_values, reducer,
+        broadcast_bits=7, echo_bits=11, engine=engine, scheduler=scheduler,
+    )
+    acct = MessageAccountant()
+    value = BroadcastEchoExecutor(graph, forest, acct).broadcast_and_echo(
+        root, local_values.__getitem__, reducer, broadcast_bits=7, echo_bits=11,
+        kind=case,
+    )
+    assert value == expected
+    assert acct.messages == reference_acct.messages
+    assert acct.bits == reference_acct.bits
+    assert acct.messages == 2 * (len(forest.component_of(root)) - 1)
+
+
+@pytest.mark.parametrize("engine", ["sync", "async"])
+@pytest.mark.parametrize("case", sorted(REDUCER_CASES))
+class TestReducerEquivalence:
+    @given(forest_instances())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_random_forests(self, case, engine, instance):
+        graph, forest, root, seed = instance
+        assert_executor_matches_reference(graph, forest, root, case, seed, engine)
+
+    def test_singleton_tree(self, case, engine):
+        graph = Graph()
+        graph.add_node(1)
+        graph.add_edge(2, 3, 4)
+        forest = random_spanning_tree_forest(graph, seed=0)
+        assert_executor_matches_reference(graph, forest, 1, case, 5, engine)
+
+    def test_root_inside_small_component(self, case, engine):
+        graph = random_connected_graph(16, 30, seed=8)
+        forest = random_spanning_tree_forest(graph, seed=9)
+        for key in sorted(forest.marked_edges)[::2]:
+            forest.unmark(*key)
+        small = min((c for c in forest.components() if len(c) >= 2), key=len)
+        assert len(small) < graph.num_nodes
+        assert_executor_matches_reference(graph, forest, min(small), case, 6, engine)
 
 
 class TestReferenceProtocolAgreement:
@@ -184,11 +333,8 @@ class TestReferenceProtocolAgreement:
         graph, forest = _tree_graph()
         local_values = {node: node * node for node in graph.nodes()}
 
-        def combine(local, children):
-            return (local or 0) + sum(children)
-
         reference_value, reference_acct = run_reference_broadcast_echo(
-            graph, forest, root=1, local_values=local_values, combine=combine,
+            graph, forest, root=1, local_values=local_values, reducer=SUM_REDUCER,
             broadcast_bits=9, echo_bits=5, engine=engine,
         )
 
@@ -197,7 +343,7 @@ class TestReferenceProtocolAgreement:
         fast_value = executor.broadcast_and_echo(
             root=1,
             local_value=lambda node: local_values[node],
-            combine=combine,
+            reducer=SUM_REDUCER,
             broadcast_bits=9,
             echo_bits=5,
         )
@@ -212,11 +358,8 @@ class TestReferenceProtocolAgreement:
         graph, forest = _tree_graph()
         local_values = {node: node for node in graph.nodes()}
 
-        def combine(local, children):
-            return (local or 0) + sum(children)
-
         value, acct = run_reference_broadcast_echo(
-            graph, forest, root=2, local_values=local_values, combine=combine,
+            graph, forest, root=2, local_values=local_values, reducer=SUM_REDUCER,
             broadcast_bits=4, echo_bits=4, engine="async",
             scheduler=scheduler_factory(),
         )
@@ -228,11 +371,8 @@ class TestReferenceProtocolAgreement:
         forest.unmark(2, 4)   # split {1,2,3,7} / {4,5,6}
         local_values = {node: 1 for node in graph.nodes()}
 
-        def combine(local, children):
-            return (local or 0) + sum(children)
-
         value, acct = run_reference_broadcast_echo(
-            graph, forest, root=1, local_values=local_values, combine=combine,
+            graph, forest, root=1, local_values=local_values, reducer=SUM_REDUCER,
             broadcast_bits=4, echo_bits=4,
         )
         assert value == 4

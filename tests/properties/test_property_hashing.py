@@ -1,6 +1,7 @@
 """Property-based tests for the hash families and sketches."""
 
 import random
+from functools import reduce
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,8 +13,8 @@ from repro.core.sketches import (
     local_xor_below,
     pack_parity_word,
     unpack_parity_word,
-    xor_vector_combine,
 )
+from repro.network.broadcast import XOR_REDUCER
 
 
 class TestOddHashProperties:
@@ -94,8 +95,9 @@ class TestSketchAndWordProperties:
         )
     )
     @settings(max_examples=60, deadline=None)
-    def test_xor_vector_combine_is_componentwise_parity(self, vectors):
-        combined = xor_vector_combine(vectors[0], vectors[1:])
+    def test_xor_reducer_over_packed_vectors_is_componentwise_parity(self, vectors):
+        word = reduce(XOR_REDUCER.op, map(pack_parity_word, vectors), XOR_REDUCER.identity)
+        combined = unpack_parity_word(word, 6)
         for index in range(6):
             assert combined[index] == sum(v[index] for v in vectors) % 2
 
