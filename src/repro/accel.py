@@ -1,6 +1,6 @@
 """Optional acceleration tier: numpy auto-detection for the columnar kernels.
 
-The columnar sketch engine (:mod:`repro.network.columnar` and the batched
+The columnar sketch engine (:mod:`repro.network.columnar` and the columnar
 kernels in :mod:`repro.core.sketches`) is stdlib-only: flat ``array``-module
 columns and one-pass Python loops.  When numpy happens to be installed, a
 handful of kernels additionally offer a vectorised variant — but **only**

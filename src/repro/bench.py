@@ -3,9 +3,9 @@
 ``repro bench`` runs each registered micro-benchmark twice — once with the
 reference implementations (:func:`repro.fastpath.reference_path`, i.e. the
 pre-fast-path code) and once with the fast path (cached tree structures,
-one-pass sketch kernels, batched columnar passes) — records the wall-clock
-of both, **asserts that every observable counter (messages, bits, rounds,
-broadcast-and-echoes, phases) is bit-identical**, and emits a
+columnar sketch kernels) — records the wall-clock of both, **asserts that
+every observable counter (messages, bits, rounds, broadcast-and-echoes,
+phases) is bit-identical**, and emits a
 machine-readable JSON record (``BENCH_PR9.json`` by default) so the
 repository accumulates a perf trajectory across PRs.
 :func:`compare_to_baseline` turns two such reports into per-benchmark
@@ -54,7 +54,7 @@ Registered benchmarks
 ``bench_sketch_pass``
     One whole-graph sketch volley (statistics + TestOut + HP-TestOut +
     FindAny) on a sparse broken spanning tree — the workload the columnar
-    batched kernels target.  Its ``--profile large`` sizes scale it to
+    kernels target.  Its ``--profile large`` sizes scale it to
     n=10^6.
 """
 
@@ -447,11 +447,12 @@ def _bench_broadcast_byzantine_sparse(
     summary="Whole-graph sketch volley: stats + TestOut + HP-TestOut + FindAny",
 )
 def _bench_sketch_pass(n: int, density: str, seed: int) -> Tuple[Counters, int]:
-    """The columnar-kernel workload: one volley of every batched sketch.
+    """The columnar-kernel workload: one volley of every columnar sketch.
 
-    Each call in the volley runs whole-graph on the fast path (one columnar
-    pass computes the words of every node) and per-node on the reference
-    path, so this benchmark is the direct measure of the batched tier.  The
+    Each call in the volley reads the rows of the broken tree — which holds
+    most of the graph — from the columnar snapshot on the fast path, and
+    runs per node on the reference path, so this benchmark is the direct
+    measure of the columnar tier.  The
     n=10^5 / 10^6 rows only exist under ``--profile large`` and run
     fast-path-only (``reference_cutoff``): at those sizes the reference
     per-node Python loops take hours, while equality is already pinned at

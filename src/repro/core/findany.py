@@ -44,10 +44,8 @@ from .sketches import (
     local_xor_below,
     pack_parity_word,
     prefix_flip_masks,
-    prefix_parity_word,
     prefix_parity_words_all,
     unpack_parity_word,
-    xor_below_from_numbers,
     xor_below_words_all,
 )
 from .testout import CutTester
@@ -130,30 +128,17 @@ class FindAny:
         )
 
         fast = fastpath.is_enabled()
-        cols = self.tester._batch_columnar(tree)
 
         # Step 3(a-c): prefix-parity vector, XORed up the tree as one parity
-        # word per node (bit i = prefix parity i).  On the fast path the word
-        # comes from one hash per incident edge, all prefixes derived from
-        # its bit length; on large covering trees the words for every node
-        # come from one batched pass over the columnar snapshot instead of
-        # one kernel call per node.
+        # word per node (bit i = prefix parity i).  On the fast path one
+        # columnar pass over the tree's rows hashes each incident edge once
+        # and derives all prefixes from its bit length.
         if fast:
-            masks = prefix_flip_masks(pairwise.log_range)
-
-            if cols is not None:
-                words = prefix_parity_words_all(cols, pairwise, masks)
-                pos = cols.pos
-
-                def local_word(node: int) -> int:
-                    return words[pos[node]]
-
-            else:
-
-                def local_word(node: int) -> int:
-                    return prefix_parity_word(
-                        self.graph.incident_arrays(node).numbers, pairwise, masks
-                    )
+            cols = self.graph.columnar()
+            rows = tree.rows(cols)
+            local_word = prefix_parity_words_all(
+                cols, pairwise, prefix_flip_masks(pairwise.log_range), rows
+            ).__getitem__
 
         else:
 
@@ -178,19 +163,9 @@ class FindAny:
             return None
 
         # Step 3(d): XOR of edge numbers hashing below 2^min.
-        if fast and cols is not None:
-            xor_words = xor_below_words_all(cols, pairwise, min_prefix)
-            cols_pos = cols.pos
-
-            def local_xor(node: int) -> int:
-                return xor_words[cols_pos[node]]
-
-        elif fast:
-
-            def local_xor(node: int) -> int:
-                return xor_below_from_numbers(
-                    self.graph.incident_arrays(node).numbers, pairwise, min_prefix
-                )
+        if fast:
+            xor_words = xor_below_words_all(cols, pairwise, min_prefix, rows)
+            local_xor = xor_words.__getitem__
 
         else:
 
@@ -213,21 +188,12 @@ class FindAny:
             return None
 
         # Step 4: the Test — count endpoints in T incident to the candidate.
-        if fast and cols is not None:
-            cols_numbers = cols.numbers
-            count_pos = cols.pos
-            cols_indptr = cols.indptr
+        if fast:
+            pos, indptr, numbers = cols.pos, cols.indptr, cols.numbers
 
             def local_count(node: int) -> int:
-                row = count_pos[node]
-                return cols_numbers[cols_indptr[row] : cols_indptr[row + 1]].count(
-                    candidate
-                )
-
-        elif fast:
-
-            def local_count(node: int) -> int:
-                return self.graph.incident_arrays(node).numbers.count(candidate)
+                row = pos[node]
+                return numbers[indptr[row] : indptr[row + 1]].count(candidate)
 
         else:
 

@@ -31,7 +31,7 @@ module implements its stated idea:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .. import fastpath
 from ..network.accounting import MessageAccountant
@@ -184,26 +184,37 @@ class SuperpolyFindMin:
         # from the run's reproducible stream but stays node-local.
         iteration_seed = self._rng.getrandbits(64)
 
-        fast = fastpath.is_enabled()
+        is_marked = self.forest.is_marked
 
-        def local(node: int) -> List[Tuple[float, int]]:
-            node_rng = random.Random((iteration_seed << 20) ^ node)
-            offers: List[Tuple[float, int]] = []
-            if fast:
-                arrays = self.graph.incident_arrays(node)
-                for edge, weight in zip(arrays.edges, arrays.augmented):
-                    if self.forest.is_marked(edge.u, edge.v):
+        if fastpath.is_enabled():
+            cols = self.graph.columnar()
+            pos, indptr = cols.pos, cols.indptr
+            numbers, augmented = cols.numbers, cols.augmented
+            id_mask = (1 << id_bits) - 1
+
+            def qualifying(node: int) -> Iterator[int]:
+                row = pos[node]
+                for slot in range(indptr[row], indptr[row + 1]):
+                    number = numbers[slot]
+                    if is_marked(number >> id_bits, number & id_mask):
                         continue
+                    weight = augmented[slot]
                     if low <= weight <= high:
-                        offers.append((node_rng.random(), weight))
-            else:
+                        yield weight
+
+        else:
+
+            def qualifying(node: int) -> Iterator[int]:
                 for edge in self.graph.incident_edges(node):
-                    if self.forest.is_marked(edge.u, edge.v):
+                    if is_marked(edge.u, edge.v):
                         continue
                     weight = edge.augmented_weight(id_bits)
                     if low <= weight <= high:
-                        offers.append((node_rng.random(), weight))
-            offers.sort()
+                        yield weight
+
+        def local(node: int) -> List[Offer]:
+            node_rng = random.Random((iteration_seed << 20) ^ node)
+            offers = sorted((node_rng.random(), weight) for weight in qualifying(node))
             return offers[:count]
 
         weight_bits = max(high.bit_length(), 1)

@@ -19,43 +19,39 @@ These are pure functions of a node's incident edge list plus the broadcast
 parameters, matching the locality contract of the broadcast-and-echo
 executor.
 
-Each kernel has two implementations:
+Each kernel has two implementations, one per tier of :mod:`repro.fastpath`:
 
-* the **reference** form (the original names below) — re-hashes every
-  incident edge once per prefix level / weight range, returning parity
-  *lists*;
-* the **one-pass** form (``prefix_parity_word``, ``range_parity_word``,
-  ``xor_below_from_numbers``) — hashes each incident edge exactly once,
-  derives every prefix parity from ``h(e).bit_length()`` (``h(e) < 2^i`` iff
-  ``i ≥ bitlen(h(e))``, so one XOR with a precomputed mask flips all the
-  prefixes an edge belongs to), locates the one weight range containing an
-  edge by bisection, and accumulates everything as single-int parity words.
+* the **reference** form (the ``local_*`` functions below) — one call per
+  node, re-hashing every incident edge once per prefix level / weight range
+  and returning parity *lists*;
+* the **columnar** form (``*_words_all``, ``hp_products_all``) — one call per
+  broadcast-and-echo, reading the tree's rows of the graph's
+  :class:`~repro.network.columnar.ColumnarGraph` snapshot.  It hashes each
+  incident edge exactly once, derives every prefix parity from
+  ``h(e).bit_length()`` (``h(e) < 2^i`` iff ``i ≥ bitlen(h(e))``, so one XOR
+  with a precomputed mask flips all the prefixes an edge belongs to), bisects
+  each row's weight-sorted slots to the tested window, and packs the parities
+  of a node into a single int word.
 
-The two forms are numerically identical (pinned by ``tests/core/
-test_sketches.py``); :mod:`repro.fastpath` decides which one the procedures
-call.
-
-A third tier — the **batched** kernels (``*_words_all``, ``hp_products_all``)
-— computes the same per-node words for *every node of the graph in one pass*
-over the flat :class:`~repro.network.columnar.ColumnarGraph` columns, instead
-of one kernel call per node per broadcast-and-echo.  Each batched kernel is
-word-for-word equal to mapping its per-node counterpart over the nodes
-(pinned by ``tests/core/test_columnar_kernels.py``), so the dispatch decision
-in :func:`repro.fastpath.should_batch` is wall-clock-only.  When numpy is
-importable (:mod:`repro.accel`) the batched kernels vectorise internally —
-but only where exact: uint64 wrap-around multiplication for the odd hash, and
-the Carter–Wegman hash only when its products fit int64; otherwise they run
-the same stdlib loops.
+A columnar kernel maps the node of every row it is given to the packed
+reference value of that node, word for word (pinned by
+``tests/core/test_columnar_kernels.py``).  Its stdlib loop visits only the
+given rows.  When numpy is importable (:mod:`repro.accel`) and the tree
+holds at least half the graph (:func:`repro.fastpath.covers_half`), it
+instead vectorises one pass over every row — but only where exact: uint64
+wrap-around multiplication for the odd hash, and the Carter–Wegman hash only
+when its products fit int64; otherwise the stdlib loop runs.  Either way the
+words are identical, so the choice is wall-clock-only.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .. import fastpath
 from ..accel import numpy_or_none
 from ..network.columnar import ColumnarGraph
-from ..network.graph import Edge, Graph
 from .hashing import OddHashFunction, PairwiseIndependentHash
 
 __all__ = [
@@ -63,10 +59,7 @@ __all__ = [
     "local_range_parities",
     "local_prefix_parities",
     "local_xor_below",
-    "range_parity_word",
-    "prefix_parity_word",
     "prefix_flip_masks",
-    "xor_below_from_numbers",
     "range_parity_words_all",
     "prefix_parity_words_all",
     "xor_below_words_all",
@@ -143,7 +136,7 @@ def local_xor_below(
 
 
 # ---------------------------------------------------------------------- #
-# one-pass fast kernels (see repro.fastpath)
+# columnar kernels over the tree's rows (see repro.fastpath)
 # ---------------------------------------------------------------------- #
 def ranges_are_disjoint_sorted(ranges: Sequence[Tuple[int, int]]) -> bool:
     """True iff the ranges are sorted ascending and pairwise disjoint.
@@ -157,41 +150,6 @@ def ranges_are_disjoint_sorted(ranges: Sequence[Tuple[int, int]]) -> bool:
     )
 
 
-def range_parity_word(
-    weights_sorted: Sequence[int],
-    edge_numbers: Sequence[int],
-    odd_hash: OddHashFunction,
-    lows: Sequence[int],
-    highs: Sequence[int],
-) -> int:
-    """One-pass, word-packed :func:`local_range_parities`.
-
-    ``weights_sorted`` must be ascending, with ``edge_numbers`` parallel to
-    it (the :class:`~repro.network.graph.IncidentArrays` ``aug_sorted`` /
-    ``numbers_by_aug`` pair); ``lows``/``highs`` are the (sorted, disjoint)
-    range bounds.  The kernel bisects straight to the incident edges inside
-    ``[lows[0], highs[-1]]`` — after a few FindMin narrowings that span is a
-    tiny fraction of the degree — hashes each exactly once (the
-    multiply-threshold test inlined), finds its containing range by a second
-    bisection, and accumulates the parities as a single int: bit ``i`` of the
-    result is ``local_range_parities(...)[i]``.
-    """
-    start = bisect_left(weights_sorted, lows[0])
-    stop = bisect_right(weights_sorted, highs[-1], start)
-    multiplier = odd_hash.multiplier
-    threshold = odd_hash.threshold
-    mask = (1 << odd_hash.word_bits) - 1
-    word = 0
-    for weight, number in zip(
-        weights_sorted[start:stop], edge_numbers[start:stop]
-    ):
-        if (multiplier * number) & mask <= threshold:
-            index = bisect_right(lows, weight) - 1
-            if weight <= highs[index]:
-                word ^= 1 << index
-    return word
-
-
 def prefix_flip_masks(log_range: int) -> List[int]:
     """``masks[b]`` flips every prefix parity an edge with bit-length ``b`` joins.
 
@@ -203,46 +161,8 @@ def prefix_flip_masks(log_range: int) -> List[int]:
     return [full & ~((1 << b) - 1) for b in range(log_range + 1)]
 
 
-def prefix_parity_word(
-    edge_numbers: Sequence[int],
-    pairwise_hash: PairwiseIndependentHash,
-    masks: Sequence[int],
-) -> int:
-    """One-pass, word-packed :func:`local_prefix_parities`.
-
-    Bit ``i`` of the result is the parity of the incident edges hashing into
-    ``[2^i]``; ``masks`` comes from :func:`prefix_flip_masks`.  Each edge is
-    hashed exactly once instead of once per prefix level.
-    """
-    a, b, p = pairwise_hash.a, pairwise_hash.b, pairwise_hash.p
-    range_size = pairwise_hash.range_size
-    word = 0
-    for number in edge_numbers:
-        word ^= masks[(((a * number + b) % p) % range_size).bit_length()]
-    return word
-
-
-def xor_below_from_numbers(
-    edge_numbers: Sequence[int],
-    pairwise_hash: PairwiseIndependentHash,
-    prefix_exponent: int,
-) -> int:
-    """:func:`local_xor_below` over a precomputed edge-number array."""
-    a, b, p = pairwise_hash.a, pairwise_hash.b, pairwise_hash.p
-    range_size = pairwise_hash.range_size
-    limit = 1 << prefix_exponent
-    result = 0
-    for number in edge_numbers:
-        if ((a * number + b) % p) % range_size < limit:
-            result ^= number
-    return result
-
-
-# ---------------------------------------------------------------------- #
-# batched whole-graph kernels over ColumnarGraph columns
-# ---------------------------------------------------------------------- #
-def _xor_segments(np, values, indptr) -> List[int]:
-    """Per-CSR-segment XOR of ``values``, as Python ints (numpy tier).
+def _xor_segments(np, values, cols: ColumnarGraph) -> Dict[int, int]:
+    """Per-row XOR of the slot ``values``, keyed by node ID (numpy tier).
 
     ``reduceat`` mis-handles empty segments two ways: an empty row's result
     is ``values[start]`` rather than the identity, and an out-of-bounds
@@ -253,14 +173,13 @@ def _xor_segments(np, values, indptr) -> List[int]:
     contribute no slots, so each non-empty segment still ends exactly at
     its own stop.
     """
-    num_rows = len(indptr) - 1
-    out = np.zeros(num_rows, dtype=values.dtype)
-    if values.size == 0:
-        return out.tolist()
-    starts = indptr[:-1]
-    nonempty = starts < indptr[1:]
-    out[nonempty] = np.bitwise_xor.reduceat(values, starts[nonempty])
-    return out.tolist()
+    indptr = cols.numpy_columns().indptr
+    out = np.zeros(cols.num_nodes, dtype=values.dtype)
+    if values.size:
+        starts = indptr[:-1]
+        nonempty = starts < indptr[1:]
+        out[nonempty] = np.bitwise_xor.reduceat(values, starts[nonempty])
+    return dict(zip(cols.ids, out.tolist()))
 
 
 def _pairwise_fits_int64(pairwise: PairwiseIndependentHash, max_number: int) -> bool:
@@ -268,20 +187,33 @@ def _pairwise_fits_int64(pairwise: PairwiseIndependentHash, max_number: int) -> 
     return pairwise.a * max_number + pairwise.b < (1 << 63)
 
 
+def _whole_graph_numpy(cols: ColumnarGraph, rows: Sequence[int]) -> Optional[Any]:
+    """numpy when a vectorised whole-graph pass should replace the row loop."""
+    np = numpy_or_none()
+    if np is None or not cols.fits64:
+        return None
+    return np if fastpath.covers_half(len(rows), cols.num_nodes) else None
+
+
 def range_parity_words_all(
     cols: ColumnarGraph,
     odd_hash: OddHashFunction,
     lows: Sequence[int],
     highs: Sequence[int],
-) -> List[int]:
-    """:func:`range_parity_word` for every node, one pass over the columns.
+    rows: Sequence[int],
+) -> Dict[int, int]:
+    """FindMin's parallel TestOut parity words for the given rows.
 
-    ``words[cols.pos[node]]`` equals ``range_parity_word(...)`` over that
-    node's incident edges.  ``lows``/``highs`` must be sorted and disjoint
-    (same contract as the per-node kernel).
+    Maps the node of each row to its word: bit ``i`` is
+    ``local_range_parities(...)[i]`` over the node's incident edges, for
+    the ranges ``[lows[i], highs[i]]`` (sorted and disjoint, see
+    :func:`ranges_are_disjoint_sorted`).  Each row bisects straight to its
+    slots inside ``[lows[0], highs[-1]]`` — after a few FindMin narrowings a
+    tiny fraction of the degree — hashes each exactly once and finds its
+    containing range by a second bisection.
     """
-    np = numpy_or_none()
-    if np is not None and cols.fits64 and odd_hash.word_bits <= 64 and len(lows) <= 64:
+    np = _whole_graph_numpy(cols, rows)
+    if np is not None and odd_hash.word_bits <= 64 and len(lows) <= 64:
         # Highs clamp to the graph maximum (value-identical: no weight can
         # exceed it), which brings FindMin's open upper bound 2^256 back
         # into uint64 territory.
@@ -303,7 +235,7 @@ def range_parity_words_all(
             contrib = np.where(
                 valid, np.uint64(1) << clipped.astype(np.uint64), np.uint64(0)
             )
-            return _xor_segments(np, contrib, npc.indptr)
+            return _xor_segments(np, contrib, cols)
 
     indptr = cols.indptr
     aug_sorted = cols.aug_sorted
@@ -313,11 +245,14 @@ def range_parity_words_all(
     mask = (1 << odd_hash.word_bits) - 1
     low0 = lows[0]
     high_last = highs[-1]
-    words = [0] * cols.num_nodes
-    for row in range(cols.num_nodes):
+    ids = cols.ids
+    words = dict.fromkeys(map(ids.__getitem__, rows), 0)
+    for row in rows:
         begin, end = indptr[row], indptr[row + 1]
         start = bisect_left(aug_sorted, low0, begin, end)
         stop = bisect_right(aug_sorted, high_last, start, end)
+        if start == stop:
+            continue
         word = 0
         for slot in range(start, stop):
             if (multiplier * numbers[slot]) & mask <= threshold:
@@ -325,7 +260,7 @@ def range_parity_words_all(
                 index = bisect_right(lows, weight) - 1
                 if weight <= highs[index]:
                     word ^= 1 << index
-        words[row] = word
+        words[ids[row]] = word
     return words
 
 
@@ -333,13 +268,19 @@ def prefix_parity_words_all(
     cols: ColumnarGraph,
     pairwise: PairwiseIndependentHash,
     masks: Sequence[int],
-) -> List[int]:
-    """:func:`prefix_parity_word` for every node, one pass over the columns."""
-    np = numpy_or_none()
+    rows: Sequence[int],
+) -> Dict[int, int]:
+    """FindAny's prefix-parity words for the given rows.
+
+    Maps the node of each row to its word: bit ``i`` is
+    ``local_prefix_parities(...)[i]``, the parity of the node's incident
+    edges hashing into ``[2^i]``; ``masks`` comes from
+    :func:`prefix_flip_masks`.
+    """
+    np = _whole_graph_numpy(cols, rows)
     log_range = pairwise.log_range
     if (
         np is not None
-        and cols.fits64
         and log_range + 1 <= 63
         and _pairwise_fits_int64(pairwise, cols.max_number)
     ):
@@ -355,18 +296,19 @@ def prefix_parity_words_all(
         )
         bitlens = np.searchsorted(powers, hashed, side="right")
         flips = np.asarray(masks, dtype=np.uint64)[bitlens]
-        return _xor_segments(np, flips, npc.indptr)
+        return _xor_segments(np, flips, cols)
 
     a, b, p = pairwise.a, pairwise.b, pairwise.p
     range_size = pairwise.range_size
     indptr = cols.indptr
     numbers = cols.numbers
-    words = [0] * cols.num_nodes
-    for row in range(cols.num_nodes):
+    ids = cols.ids
+    words: Dict[int, int] = {}
+    for row in rows:
         word = 0
         for slot in range(indptr[row], indptr[row + 1]):
             word ^= masks[(((a * numbers[slot] + b) % p) % range_size).bit_length()]
-        words[row] = word
+        words[ids[row]] = word
     return words
 
 
@@ -374,14 +316,15 @@ def xor_below_words_all(
     cols: ColumnarGraph,
     pairwise: PairwiseIndependentHash,
     prefix_exponent: int,
-) -> List[int]:
-    """:func:`xor_below_from_numbers` for every node, one pass over the columns."""
-    np = numpy_or_none()
-    if (
-        np is not None
-        and cols.fits64
-        and _pairwise_fits_int64(pairwise, cols.max_number)
-    ):
+    rows: Sequence[int],
+) -> Dict[int, int]:
+    """FindAny's XOR of edge numbers hashing below ``2^prefix`` for the given rows.
+
+    Maps the node of each row to ``local_xor_below(...)`` over its incident
+    edges.
+    """
+    np = _whole_graph_numpy(cols, rows)
+    if np is not None and _pairwise_fits_int64(pairwise, cols.max_number):
         npc = cols.numpy_columns()
         numbers = npc.numbers.astype(np.int64)
         hashed = ((np.int64(pairwise.a) * numbers + np.int64(pairwise.b)) % np.int64(
@@ -389,21 +332,22 @@ def xor_below_words_all(
         )) % np.int64(pairwise.range_size)
         below = hashed < np.int64(1 << prefix_exponent)
         contrib = np.where(below, npc.numbers, np.uint64(0))
-        return _xor_segments(np, contrib, npc.indptr)
+        return _xor_segments(np, contrib, cols)
 
     a, b, p = pairwise.a, pairwise.b, pairwise.p
     range_size = pairwise.range_size
     limit = 1 << prefix_exponent
     indptr = cols.indptr
     numbers = cols.numbers
-    words = [0] * cols.num_nodes
-    for row in range(cols.num_nodes):
+    ids = cols.ids
+    words: Dict[int, int] = {}
+    for row in rows:
         result = 0
         for slot in range(indptr[row], indptr[row + 1]):
             number = numbers[slot]
             if ((a * number + b) % p) % range_size < limit:
                 result ^= number
-        words[row] = result
+        words[ids[row]] = result
     return words
 
 
@@ -413,22 +357,24 @@ def hp_products_all(
     p: int,
     low: int,
     high: int,
-) -> List[Tuple[int, int]]:
-    """HP-TestOut's per-node ``(up, down)`` products for every node at once.
+    rows: Sequence[int],
+) -> Dict[int, Tuple[int, int]]:
+    """HP-TestOut's per-node ``(up, down)`` products for the given rows.
 
-    ``products[cols.pos[node]]`` is the pair of Schwartz–Zippel products over
-    the node's incident edges with augmented weight in ``[low, high]``.
-    Stays on the stdlib loop at every scale: the mod-``p`` product chain has
-    no exact vectorised form (intermediate products overflow any fixed
-    width), and multiplication mod ``p`` being commutative makes the
-    weight-sorted slot order harmless — same argument as the per-node path.
+    Maps the node of each row to the pair of Schwartz–Zippel products
+    ``local_product`` computes over its "up" and "down" incident edges
+    with augmented weight in ``[low, high]``.  Always the stdlib row loop:
+    the mod-``p`` product chain has no exact vectorised form (intermediate
+    products overflow any fixed width), and multiplication mod ``p`` being
+    commutative makes the weight-sorted slot order harmless.
     """
     indptr = cols.indptr
     aug_sorted = cols.aug_sorted
     numbers = cols.numbers_by_aug
     up = cols.up_by_aug
-    products: List[Tuple[int, int]] = [(1, 1)] * cols.num_nodes
-    for row in range(cols.num_nodes):
+    ids = cols.ids
+    products = dict.fromkeys(map(ids.__getitem__, rows), (1, 1))
+    for row in rows:
         begin, end = indptr[row], indptr[row + 1]
         start = bisect_left(aug_sorted, low, begin, end)
         stop = bisect_right(aug_sorted, high, start, end)
@@ -440,7 +386,7 @@ def hp_products_all(
                 up_product = (up_product * (alpha - numbers[slot])) % p
             else:
                 down_product = (down_product * (alpha - numbers[slot])) % p
-        products[row] = (up_product, down_product)
+        products[ids[row]] = (up_product, down_product)
     return products
 
 

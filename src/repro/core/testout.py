@@ -28,7 +28,6 @@ which is exactly the paper's device for making weights distinct.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -46,7 +45,6 @@ from .sketches import (
     hp_products_all,
     local_range_parities,
     pack_parity_word,
-    range_parity_word,
     range_parity_words_all,
     ranges_are_disjoint_sorted,
     unpack_parity_word,
@@ -102,17 +100,6 @@ class CutTester:
         self.accountant = accountant if accountant is not None else MessageAccountant()
         self.executor = BroadcastEchoExecutor(graph, forest, self.accountant)
 
-    def _batch_columnar(self, tree: Optional[TreeStructure]):
-        """The graph's columnar snapshot when batching pays off, else ``None``.
-
-        Wall-clock dispatch only (see :func:`repro.fastpath.should_batch`):
-        whichever branch runs, the per-node values — and therefore every
-        counter — are identical.
-        """
-        if tree is not None and fastpath.should_batch(tree.size, self.graph.num_nodes):
-            return self.graph.columnar()
-        return None
-
     # ------------------------------------------------------------------ #
     # statistics (FindMin step 2 / HP-TestOut step 0)
     # ------------------------------------------------------------------ #
@@ -121,11 +108,15 @@ class CutTester:
     ) -> TreeStatistics:
         """One broadcast-and-echo computing size, maxEdgeNum, maxWt and B."""
         id_bits = self.graph.id_bits
-        cols = self._batch_columnar(tree)
+        if tree is None:
+            tree = self.forest.rooted_structure(root)
 
-        if cols is not None:
+        if fastpath.is_enabled():
             # O(1) per node: the maxima and degrees are columns of the
-            # snapshot, no per-node arrays to materialise.
+            # snapshot, as is the graph's max weight (the top bits of its
+            # max augmented weight).
+            cols = self.graph.columnar()
+            max_weight = cols.max_augmented >> (2 * id_bits)
             pos = cols.pos
             indptr = cols.indptr
             node_max_number = cols.node_max_number
@@ -140,13 +131,8 @@ class CutTester:
                     indptr[row + 1] - indptr[row],
                 )
 
-        elif fastpath.is_enabled():
-
-            def local(node: int) -> Tuple[int, int, int, int]:
-                arrays = self.graph.incident_arrays(node)
-                return (1, arrays.max_number, arrays.max_augmented, len(arrays.numbers))
-
         else:
+            max_weight = self.graph.max_weight()
 
             def local(node: int) -> Tuple[int, int, int, int]:
                 edges = self.graph.incident_edges(node)
@@ -158,11 +144,6 @@ class CutTester:
                 )
                 return (1, max_edge_number, max_augmented, len(edges))
 
-        max_weight = (
-            self.graph.cached_maxima()[1]
-            if fastpath.is_enabled()
-            else self.graph.max_weight()
-        )
         payload_bits = max(8, 2 * id_bits + max_weight.bit_length() + 4)
         size, max_en, max_aw, endpoints = self.executor.broadcast_and_echo(
             root=root,
@@ -231,8 +212,14 @@ class CutTester:
                 f"{len(ranges)} parallel ranges exceed the word size"
             )
         id_bits = self.graph.id_bits
+        fast = fastpath.is_enabled()
+        if tree is None:
+            tree = self.forest.rooted_structure(root)
         if max_edge_number is None:
-            max_edge_number = max(self.graph.max_edge_number(), 1)
+            graph_max = (
+                self.graph.columnar().max_number if fast else self.graph.max_edge_number()
+            )
+            max_edge_number = max(graph_max, 1)
         hash_fn = (
             odd_hash
             if odd_hash is not None
@@ -243,27 +230,17 @@ class CutTester:
             for (low, high) in ranges
         ]
 
-        if fastpath.is_enabled() and ranges_are_disjoint_sorted(resolved_ranges):
-            # One-pass kernel: hash each incident edge once, locate its
-            # weight range by bisection, accumulate a single parity word.
-            lows = [low for low, _ in resolved_ranges]
-            highs = [high for _, high in resolved_ranges]
-            cols = self._batch_columnar(tree)
-
-            if cols is not None:
-                words = range_parity_words_all(cols, hash_fn, lows, highs)
-                pos = cols.pos
-
-                def local(node: int) -> int:
-                    return words[pos[node]]
-
-            else:
-
-                def local(node: int) -> int:
-                    arrays = self.graph.incident_arrays(node)
-                    return range_parity_word(
-                        arrays.aug_sorted, arrays.numbers_by_aug, hash_fn, lows, highs
-                    )
+        if fast and ranges_are_disjoint_sorted(resolved_ranges):
+            # Columnar kernel over the tree's rows: hash each incident edge
+            # once, locate its weight range by bisection, one parity word.
+            cols = self.graph.columnar()
+            local = range_parity_words_all(
+                cols,
+                hash_fn,
+                [low for low, _ in resolved_ranges],
+                [high for _, high in resolved_ranges],
+                tree.rows(cols),
+            ).__getitem__
 
         else:
 
@@ -314,6 +291,8 @@ class CutTester:
         does — so that this is a single broadcast-and-echo (Lemma 1);
         otherwise the "step 0" statistics B&E is run (and charged) here.
         """
+        if tree is None:
+            tree = self.forest.rooted_structure(root)
         if field_prime is None:
             if statistics is None:
                 statistics = self.tree_statistics(root, tree=tree)
@@ -330,33 +309,11 @@ class CutTester:
 
         # Each node's echo value is its (up, down) pair of Schwartz–Zippel
         # products; the pairs multiply up the tree componentwise mod p.
-        cols = self._batch_columnar(tree)
-        if cols is not None:
-            products = hp_products_all(cols, alpha, p, low_bound, high_bound)
-            pos = cols.pos
-
-            def local(node: int) -> Tuple[int, int]:
-                return products[pos[node]]
-
-        elif fastpath.is_enabled():
-
-            def local(node: int) -> Tuple[int, int]:
-                # Bisect to the incident edges inside the weight window and
-                # fold their (alpha - #e) factors directly; multiplication
-                # mod p is commutative, so the re-sorted order is harmless.
-                arrays = self.graph.incident_arrays(node)
-                weights = arrays.aug_sorted
-                start = bisect_left(weights, low_bound)
-                stop = bisect_right(weights, high_bound, start)
-                up_product = down_product = 1
-                for number, is_up in zip(
-                    arrays.numbers_by_aug[start:stop], arrays.up_by_aug[start:stop]
-                ):
-                    if is_up:
-                        up_product = (up_product * (alpha - number)) % p
-                    else:
-                        down_product = (down_product * (alpha - number)) % p
-                return up_product, down_product
+        if fastpath.is_enabled():
+            cols = self.graph.columnar()
+            local = hp_products_all(
+                cols, alpha, p, low_bound, high_bound, tree.rows(cols)
+            ).__getitem__
 
         else:
 

@@ -45,6 +45,7 @@ from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Se
 
 from .. import fastpath
 from .accounting import MessageAccountant
+from .columnar import ColumnarGraph
 from .errors import ProtocolError, SimulationError
 from .fragments import SpanningForest
 from .graph import Graph
@@ -104,8 +105,8 @@ class TreeStructure:
     On the fast path (see :mod:`repro.fastpath`) structures live across many
     broadcast-and-echoes via the
     :class:`~repro.network.tree_cache.TreeStructureCache`, so the
-    eccentricity is memoised; the cache calls
-    :meth:`invalidate_eccentricity` whenever it patches the structure.
+    eccentricity and the tree's columnar rows are memoised; the cache calls
+    :meth:`invalidate_memos` whenever it patches the structure.
     """
 
     def __init__(
@@ -120,6 +121,8 @@ class TreeStructure:
         self.children = children
         self.depth = depth
         self._eccentricity: Optional[int] = None
+        self._rows: Optional[List[int]] = None
+        self._rows_version = -1
 
     @property
     def nodes(self) -> List[int]:
@@ -143,9 +146,23 @@ class TreeStructure:
             self._eccentricity = value
         return value
 
-    def invalidate_eccentricity(self) -> None:
-        """Forget the memoised eccentricity after the structure was patched."""
+    def rows(self, cols: ColumnarGraph) -> List[int]:
+        """The tree's row indices in ``cols``, the snapshot of its graph.
+
+        Memoised per graph version: the fast-path sketch kernels read only
+        these rows, and a tree typically serves many broadcast-and-echoes
+        between two graph mutations.
+        """
+        if self._rows is None or self._rows_version != cols.version:
+            pos = cols.pos
+            self._rows = [pos[node] for node in self.parent]
+            self._rows_version = cols.version
+        return self._rows
+
+    def invalidate_memos(self) -> None:
+        """Forget the memoised eccentricity and rows after a patch."""
         self._eccentricity = None
+        self._rows = None
 
     def path_from_root(self, node: int) -> List[int]:
         """The tree path root -> ... -> node."""

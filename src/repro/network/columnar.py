@@ -1,10 +1,10 @@
-"""Flat columnar incidence storage for whole-graph sketch passes.
+"""Flat columnar incidence storage: the fast path's one sketch input.
 
-The per-node fast path caches an :class:`~repro.network.graph.IncidentArrays`
-tuple per node — a dict of Python tuples that is rebuilt lazily after every
-mutation and walked once per node per broadcast-and-echo.  At n ≥ 10^4 the
-dict churn and per-node bisections dominate the simulator's profile.  This
-module stores the *whole graph's* incidence structure once, in CSR form:
+Every TestOut, HP-TestOut and FindAny echo value is a pure function of one
+node's incident edges plus the broadcast parameters, so one incidence layout
+serves every tree whatever its size.  This module stores the *whole graph's*
+incidence structure once, in CSR form, and the fast-path kernels in
+:mod:`repro.core.sketches` read the rows of the tree they echo over:
 
 * ``ids`` — the node IDs in sorted order; ``pos`` maps an ID to its row.
 * ``indptr`` — ``indptr[i]:indptr[i+1]`` is node ``ids[i]``'s slot range.
@@ -20,13 +20,13 @@ Columns are ``array('Q')`` when every value fits 64 bits and plain Python
 lists otherwise (the default ``id_bits=32`` pushes augmented weights past 64
 bits, so both representations are first-class).  When numpy is available
 (:mod:`repro.accel`) and the 64-bit representation applies, ``uint64``
-mirrors are materialised lazily for the batched kernels in
-:mod:`repro.core.sketches`; the mirrors are a wall-clock tier only — every
-kernel has a stdlib loop over the same columns producing identical words.
+mirrors are materialised lazily for the kernels' whole-graph passes; the
+mirrors are a wall-clock tier only — every kernel has a stdlib loop over the
+same rows producing identical words.
 
 Instances are immutable snapshots of one graph version; :meth:`Graph.columnar`
 caches the snapshot against :attr:`Graph.version` so a repair step pays the
-build once between mutations.
+build once between mutations; the reference tier never builds one.
 """
 
 from __future__ import annotations
@@ -230,7 +230,8 @@ class ColumnarGraph:
         """uint64 mirrors of the columns, or ``None`` outside the numpy tier.
 
         Only available when every value fits 64 bits (``fits64``) — the
-        mirrors exist purely so the batched kernels can vectorise; callers
+        mirrors exist purely so the kernels' whole-graph passes can
+        vectorise; callers
         must fall back to the stdlib columns when this returns ``None``.
         """
         if not self.fits64:

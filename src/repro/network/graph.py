@@ -20,12 +20,28 @@ the IDs of the other endpoints — is available through :meth:`Graph.neighbors`
 and :meth:`Graph.incident_edges`; algorithms in :mod:`repro.core` only touch
 the graph through those node-local views plus the broadcast-and-echo
 primitive.
+
+Those views serve the two tiers of :mod:`repro.fastpath`: the reference
+tier reads :meth:`Graph.incident_edges` node by node, and the columnar tier
+reads the rows of one version-stamped CSR snapshot of the same incidence
+data, :meth:`Graph.columnar` (:mod:`repro.network.columnar`).  The graph
+keeps no other derived cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .columnar import ColumnarGraph
 from .errors import GraphError
@@ -81,29 +97,16 @@ class Edge:
 
 
 class IncidentArrays(NamedTuple):
-    """Precomputed node-local sketch inputs for one node (fast path).
+    """One node's row of the columnar snapshot (:meth:`Graph.incident_arrays`).
 
-    The sketch kernels consume, for every incident edge of a node, its edge
-    number, its augmented weight and its orientation (whether the node is the
-    smaller endpoint, i.e. the edge counts towards ``E↑``).  Recomputing
-    those per broadcast-and-echo dominated the profile, so they are computed
-    once per node per graph :attr:`~Graph.version` and cached on the graph.
-    Entries are parallel tuples sorted by the other endpoint's ID, matching
-    :meth:`Graph.incident_edges` order exactly.
+    Parallel sequences over the node's incident edges, sorted by the other
+    endpoint's ID (:meth:`Graph.incident_edges` order); ``up[i]`` is 1 iff
+    the node is the smaller endpoint of edge ``i``.
     """
 
-    edges: Tuple[Edge, ...]
-    numbers: Tuple[int, ...]
-    augmented: Tuple[int, ...]
-    up: Tuple[bool, ...]
-    max_number: int
-    max_augmented: int
-    #: The same incident edges re-sorted by augmented weight (with parallel
-    #: edge-number / orientation arrays), so weight-windowed kernels can
-    #: bisect to the qualifying span instead of scanning the full degree.
-    aug_sorted: Tuple[int, ...]
-    numbers_by_aug: Tuple[int, ...]
-    up_by_aug: Tuple[bool, ...]
+    numbers: Sequence[int]
+    augmented: Sequence[int]
+    up: Sequence[int]
 
 
 class Graph:
@@ -125,12 +128,8 @@ class Graph:
         self._id_bits = id_bits
         self._adj: Dict[int, Dict[int, Edge]] = {}
         # Version stamp: bumped on every topology/weight mutation, so the
-        # fast path can cache derived per-node arrays and whole-graph maxima.
+        # fast path can cache the columnar snapshot against it.
         self._version = 0
-        self._incident_cache: Dict[int, IncidentArrays] = {}
-        self._incident_cache_version = -1
-        self._maxima_cache: Optional[Tuple[int, int, int]] = None
-        self._maxima_cache_version = -1
         self._columnar_cache: Optional[ColumnarGraph] = None
 
     # ------------------------------------------------------------------ #
@@ -151,7 +150,6 @@ class Graph:
         if node not in self._adj:
             self._adj[node] = {}
             self._version += 1
-            self._note_mutation()
 
     def add_edge(self, u: int, v: int, weight: int = 1) -> Edge:
         """Insert the edge ``{u, v}`` with the given weight.
@@ -170,7 +168,6 @@ class Graph:
         self._adj[a][b] = edge
         self._adj[b][a] = edge
         self._version += 1
-        self._note_mutation(a, b)
         return edge
 
     def remove_edge(self, u: int, v: int) -> Edge:
@@ -182,7 +179,6 @@ class Graph:
         except KeyError as exc:
             raise GraphError(f"edge ({a}, {b}) not present") from exc
         self._version += 1
-        self._note_mutation(a, b)
         return edge
 
     def remove_node(self, node: int) -> None:
@@ -193,7 +189,6 @@ class Graph:
             self.remove_edge(node, other)
         del self._adj[node]
         self._version += 1
-        self._note_mutation(node)
 
     def set_weight(self, u: int, v: int, weight: int) -> Edge:
         """Change the weight of an existing edge and return the new Edge."""
@@ -312,100 +307,26 @@ class Graph:
         )
 
     # ------------------------------------------------------------------ #
-    # fast-path caches (version-stamped; see repro.fastpath)
+    # fast-path snapshot (version-stamped; see repro.fastpath)
     # ------------------------------------------------------------------ #
-    def _note_mutation(self, *touched: int) -> None:
-        """Keep the incident cache current by evicting only touched nodes.
-
-        Every mutator calls this right after bumping :attr:`version`.  A
-        single-edge mutation only changes its two endpoints' incidence lists,
-        so only those entries are dropped and every other node's cached
-        arrays survive (pinned by ``tests/network/test_graph.py``).  The
-        version-mismatch branch is a safety net for subclasses that bump the
-        version without reporting the touched nodes.
-        """
-        if self._incident_cache_version == self._version - 1:
-            for node in touched:
-                self._incident_cache.pop(node, None)
-        elif self._incident_cache_version != self._version:
-            self._incident_cache.clear()
-        self._incident_cache_version = self._version
-
     def incident_arrays(self, node: int) -> IncidentArrays:
-        """Cached :class:`IncidentArrays` for ``node`` at the current version.
+        """``node``'s row of :meth:`columnar`, sliced afresh on every call.
 
-        Mutations evict only the touched nodes' entries (see
-        :meth:`_note_mutation`), so a repair step pays for each node's
-        arrays at most once between updates instead of once per
-        broadcast-and-echo — and untouched nodes keep their arrays across
-        single-edge updates.
+        A convenience view for inspection; the sketch kernels read the
+        snapshot's rows directly.
         """
-        if self._incident_cache_version != self._version:
-            self._incident_cache.clear()
-            self._incident_cache_version = self._version
-        arrays = self._incident_cache.get(node)
-        if arrays is None:
-            try:
-                nbrs = self._adj[node]
-            except KeyError as exc:
-                raise GraphError(f"node {node} not present") from exc
-            id_bits = self._id_bits
-            shift = 2 * id_bits
-            edges = tuple(nbrs[v] for v in sorted(nbrs))
-            numbers = tuple((e.u << id_bits) | e.v for e in edges)
-            augmented = tuple(
-                (e.weight << shift) | num for e, num in zip(edges, numbers)
-            )
-            up = tuple(node == e.u for e in edges)
-            order = sorted(range(len(edges)), key=augmented.__getitem__)
-            arrays = IncidentArrays(
-                edges=edges,
-                numbers=numbers,
-                augmented=augmented,
-                up=up,
-                max_number=max(numbers, default=0),
-                max_augmented=max(augmented, default=0),
-                aug_sorted=tuple(augmented[i] for i in order),
-                numbers_by_aug=tuple(numbers[i] for i in order),
-                up_by_aug=tuple(up[i] for i in order),
-            )
-            self._incident_cache[node] = arrays
-        return arrays
-
-    def cached_maxima(self) -> Tuple[int, int, int]:
-        """Cached ``(max_edge_number, max_weight, max_augmented_weight)``.
-
-        One pass over the adjacency per graph version, replacing the
-        per-call full scans of :meth:`max_weight` and friends on hot paths.
-        """
-        if self._maxima_cache_version != self._version or self._maxima_cache is None:
-            max_number = 0
-            max_weight = 0
-            max_augmented = 0
-            id_bits = self._id_bits
-            shift = 2 * id_bits
-            for u, nbrs in self._adj.items():
-                for v, edge in nbrs.items():
-                    if u < v:
-                        number = (u << id_bits) | v
-                        if number > max_number:
-                            max_number = number
-                        if edge.weight > max_weight:
-                            max_weight = edge.weight
-                        augmented = (edge.weight << shift) | number
-                        if augmented > max_augmented:
-                            max_augmented = augmented
-            self._maxima_cache = (max_number, max_weight, max_augmented)
-            self._maxima_cache_version = self._version
-        return self._maxima_cache
+        cols = self.columnar()
+        start, stop = cols.slice_of(node)
+        return IncidentArrays(
+            cols.numbers[start:stop], cols.augmented[start:stop], cols.up[start:stop]
+        )
 
     def columnar(self) -> ColumnarGraph:
         """Cached :class:`~repro.network.columnar.ColumnarGraph` snapshot.
 
         Rebuilt lazily after any mutation (the snapshot is immutable and
-        stamped with the version it was built at), so whole-graph batched
-        kernels pay one CSR build per graph version instead of populating
-        per-node :class:`IncidentArrays` entries one dict insert at a time.
+        stamped with the version it was built at), so the fast-path sketch
+        kernels pay one CSR build per graph version.
         """
         cache = self._columnar_cache
         if cache is None or cache.version != self._version:

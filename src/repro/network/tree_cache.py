@@ -93,11 +93,11 @@ class TreeStructureCache:
 
         Dispatch is wall-clock-only (both builders produce identical
         structures); ``num_marked + 1`` bounds the size of the largest
-        maintained tree from above, so small-fragment rebuilds keep the
-        per-node path and skip the whole-graph CSR snapshot.
+        maintained tree from above, so while no tree can hold half the graph
+        rebuilds keep the dict BFS and skip the whole-graph CSR snapshot.
         """
         forest = self.forest
-        if fastpath.should_batch(forest.num_marked + 1, forest.graph.num_nodes):
+        if fastpath.covers_half(forest.num_marked + 1, forest.graph.num_nodes):
             return build_tree_structure_csr(forest, root)
         return build_tree_structure(forest, root)
 
@@ -146,7 +146,7 @@ class TreeStructureCache:
                 return False
             touched = touched or outcome
         if touched:
-            structure.invalidate_eccentricity()
+            structure.invalidate_memos()
         return True
 
     def _apply_mark(self, structure: TreeStructure, u: int, v: int) -> Optional[bool]:

@@ -1,12 +1,13 @@
-"""Batched columnar kernels == per-node kernels, word for word.
+"""Columnar row kernels == reference kernels, word for word.
 
-The dispatch in :func:`repro.fastpath.should_batch` is wall-clock-only, so
-every batched kernel (``*_words_all``, ``hp_products_all``) must return, for
-every node of the graph, exactly the word its per-node counterpart computes
-from that node's :class:`IncidentArrays` — over random graphs, random seeds,
-both weight orderings, and with the numpy tier both active and forced off
-(the tier gates in :mod:`repro.core.sketches` may only change wall clock,
-never a word).
+Every columnar kernel (``*_words_all``, ``hp_products_all``) must map the
+node of every row it is given to exactly the packed value its reference kernel
+(``local_range_parities``, ``local_prefix_parities``, ``local_xor_below``,
+``local_product``) computes from the node's incident edges — over
+random graphs, both weight orderings, row subsets on either side of the
+half-graph rule (:func:`repro.fastpath.covers_half`), and with the numpy tier
+both active and forced off.  The tier and the size rule may only change wall
+clock, never a word.
 """
 
 import random
@@ -14,25 +15,38 @@ import random
 import pytest
 
 import repro.accel as accel
+from repro import fastpath
 from repro.core.hashing import (
     OddHashFunction,
     PairwiseIndependentHash,
     random_odd_hash,
     random_pairwise_hash,
 )
+from repro.core.polynomial import local_product
 from repro.core.sketches import (
     hp_products_all,
+    local_prefix_parities,
+    local_range_parities,
+    local_xor_below,
+    pack_parity_word,
     prefix_flip_masks,
-    prefix_parity_word,
     prefix_parity_words_all,
-    range_parity_word,
     range_parity_words_all,
-    xor_below_from_numbers,
+    ranges_are_disjoint_sorted,
     xor_below_words_all,
 )
 from repro.network.columnar import ColumnarGraph
 from repro.network.errors import GraphError
 from repro.network.graph import Graph
+
+
+@pytest.fixture(params=["numpy", "stdlib"])
+def tier(request, monkeypatch):
+    """Run once with the numpy tier as imported and once forced off."""
+    if request.param == "stdlib":
+        # What REPRO_NUMPY=0 does at import time.
+        monkeypatch.setattr(accel, "_np", None)
+    return request.param
 
 
 def random_graph(seed: int, n: int = 24, ordering: str = "random") -> Graph:
@@ -74,91 +88,124 @@ def random_ranges(rng: random.Random, max_augmented: int, count: int):
     return lows, highs
 
 
-def assert_all_kernels_match(graph: Graph, rng: random.Random) -> None:
-    """Every batched kernel equals its per-node counterpart on ``graph``."""
+def range_cases(graph: Graph, rng: random.Random):
+    """(lows, highs) inputs: random spans, a narrow window, and open-ended."""
     cols = graph.columnar()
-    nodes = graph.nodes()
-    assert cols.ids == nodes
+    yield random_ranges(rng, cols.max_augmented, rng.randrange(1, 9))
+    # A narrow window between two of one node's weights (FindMin after a
+    # few narrowings) and TestOut's "any edge" range, whose 2^256 upper
+    # bound exceeds every column width.
+    busiest = max(graph.nodes(), key=graph.degree)
+    weights = sorted(
+        edge.augmented_weight(graph.id_bits) for edge in graph.incident_edges(busiest)
+    )
+    yield [weights[len(weights) // 4]], [weights[3 * len(weights) // 4]]
+    yield [0], [1 << 256]
 
+
+def row_subsets(n: int, rng: random.Random):
+    """Empty, one row, just under half, half, and all rows of an n-row graph."""
+    for size in (0, 1, (n - 1) // 2, (n + 1) // 2, n):
+        yield sorted(rng.sample(range(n), size))
+
+
+def numbers_of(graph: Graph, node: int):
+    return [edge.edge_number(graph.id_bits) for edge in graph.incident_edges(node)]
+
+
+def assert_all_kernels_match(graph: Graph, rng: random.Random) -> None:
+    """Every columnar kernel equals its reference kernel on ``graph``."""
+    cols = graph.columnar()
+    assert cols.ids == graph.nodes()
+    id_bits = graph.id_bits
     max_number = max(cols.max_number, 2)
-    odd_hash = random_odd_hash(max_number, rng)
-    lows, highs = random_ranges(rng, cols.max_augmented, rng.randrange(1, 9))
-    words = range_parity_words_all(cols, odd_hash, lows, highs)
-    for node in nodes:
-        arrays = graph.incident_arrays(node)
-        assert words[cols.pos[node]] == range_parity_word(
-            arrays.aug_sorted, arrays.numbers_by_aug, odd_hash, lows, highs
-        )
 
-    range_size = 1 << rng.randrange(2, 10)
-    pairwise = random_pairwise_hash(max_number, range_size, rng)
-    masks = prefix_flip_masks(pairwise.log_range)
-    words = prefix_parity_words_all(cols, pairwise, masks)
-    for node in nodes:
-        arrays = graph.incident_arrays(node)
-        assert words[cols.pos[node]] == prefix_parity_word(
-            arrays.numbers, pairwise, masks
-        )
+    for rows in row_subsets(cols.num_nodes, rng):
+        nodes = [cols.ids[row] for row in rows]
 
-    for prefix_exponent in (0, rng.randrange(0, pairwise.log_range + 1)):
-        words = xor_below_words_all(cols, pairwise, prefix_exponent)
+        odd_hash = random_odd_hash(max_number, rng)
+        for lows, highs in range_cases(graph, rng):
+            ranges = list(zip(lows, highs))
+            words = range_parity_words_all(cols, odd_hash, lows, highs, rows)
+            for node in nodes:
+                incident = [
+                    (edge.augmented_weight(id_bits), edge.edge_number(id_bits))
+                    for edge in graph.incident_edges(node)
+                ]
+                assert words[node] == pack_parity_word(
+                    local_range_parities(incident, odd_hash, ranges)
+                )
+
+        pairwise = random_pairwise_hash(max_number, 1 << rng.randrange(2, 10), rng)
+        masks = prefix_flip_masks(pairwise.log_range)
+        words = prefix_parity_words_all(cols, pairwise, masks, rows)
         for node in nodes:
-            arrays = graph.incident_arrays(node)
-            assert words[cols.pos[node]] == xor_below_from_numbers(
-                arrays.numbers, pairwise, prefix_exponent
+            assert words[node] == pack_parity_word(
+                local_prefix_parities(numbers_of(graph, node), pairwise)
             )
 
-    p = 2**31 - 1
-    alpha = rng.randrange(1, p)
-    low = rng.randrange(0, cols.max_augmented + 1)
-    high = rng.randrange(low, cols.max_augmented + 1)
-    products = hp_products_all(cols, alpha, p, low, high)
-    for node in nodes:
-        arrays = graph.incident_arrays(node)
-        up_product = down_product = 1
-        for weight, number, up in zip(
-            arrays.aug_sorted, arrays.numbers_by_aug, arrays.up_by_aug
-        ):
-            if low <= weight <= high:
-                if up:
-                    up_product = (up_product * (alpha - number)) % p
-                else:
-                    down_product = (down_product * (alpha - number)) % p
-        assert products[cols.pos[node]] == (up_product, down_product)
+        for prefix in range(pairwise.log_range + 1):
+            words = xor_below_words_all(cols, pairwise, prefix, rows)
+            for node in nodes:
+                assert words[node] == local_xor_below(
+                    numbers_of(graph, node), pairwise, prefix
+                )
+
+        p = 2**31 - 1
+        alpha = rng.randrange(1, p)
+        low = rng.randrange(0, cols.max_augmented + 1)
+        high = rng.randrange(low, cols.max_augmented + 1)
+        products = hp_products_all(cols, alpha, p, low, high, rows)
+        for node in nodes:
+            up, down = [], []
+            for edge in graph.incident_edges(node):
+                if low <= edge.augmented_weight(id_bits) <= high:
+                    side = up if node == edge.u else down
+                    side.append(edge.edge_number(id_bits))
+            assert products[node] == (
+                local_product(up, alpha, p),
+                local_product(down, alpha, p),
+            )
 
 
 class TestColumnarGraph:
-    def test_columns_match_incident_arrays(self):
+    def test_columns_match_incident_edges(self):
         graph = random_graph(seed=1)
+        id_bits = graph.id_bits
         cols = ColumnarGraph.from_graph(graph)
         assert cols.num_nodes == graph.num_nodes
         assert cols.num_slots == 2 * graph.num_edges
         assert cols.version == graph.version
         for node in graph.nodes():
-            arrays = graph.incident_arrays(node)
+            edges = graph.incident_edges(node)
+            numbers = [edge.edge_number(id_bits) for edge in edges]
+            augmented = [edge.augmented_weight(id_bits) for edge in edges]
+            up = [int(node == edge.u) for edge in edges]
+            by_aug = sorted(zip(augmented, numbers, up))
             start, stop = cols.slice_of(node)
             assert stop - start == cols.degree(node) == graph.degree(node)
-            assert tuple(cols.numbers[start:stop]) == arrays.numbers
-            assert tuple(cols.augmented[start:stop]) == arrays.augmented
-            assert tuple(cols.aug_sorted[start:stop]) == arrays.aug_sorted
-            assert tuple(cols.numbers_by_aug[start:stop]) == arrays.numbers_by_aug
-            assert (
-                tuple(bool(flag) for flag in cols.up[start:stop]) == arrays.up
-            )
-            assert (
-                tuple(bool(flag) for flag in cols.up_by_aug[start:stop])
-                == arrays.up_by_aug
-            )
+            assert list(cols.numbers[start:stop]) == numbers
+            assert list(cols.augmented[start:stop]) == augmented
+            assert list(cols.up[start:stop]) == up
+            assert list(cols.aug_sorted[start:stop]) == [a for a, _, _ in by_aug]
+            assert list(cols.numbers_by_aug[start:stop]) == [e for _, e, _ in by_aug]
+            assert list(cols.up_by_aug[start:stop]) == [u for _, _, u in by_aug]
             row = cols.pos[node]
-            assert cols.node_max_number[row] == arrays.max_number
-            assert cols.node_max_augmented[row] == arrays.max_augmented
-        assert cols.max_number == max(cols.node_max_number)
-        assert cols.max_augmented == max(cols.node_max_augmented)
+            assert cols.node_max_number[row] == max(numbers, default=0)
+            assert cols.node_max_augmented[row] == max(augmented, default=0)
+            view = graph.incident_arrays(node)
+            assert [list(column) for column in view] == [numbers, augmented, up]
+        assert cols.max_number == max(cols.node_max_number) == graph.max_edge_number()
+        assert cols.max_augmented == graph.max_augmented_weight()
+        assert cols.max_augmented >> (2 * id_bits) == graph.max_weight()
 
     def test_unknown_node_rejected(self):
-        cols = ColumnarGraph.from_graph(random_graph(seed=2))
+        graph = random_graph(seed=2)
+        cols = ColumnarGraph.from_graph(graph)
         with pytest.raises(GraphError):
             cols.slice_of(999)
+        with pytest.raises(GraphError):
+            graph.incident_arrays(999)
 
     def test_graph_accessor_caches_per_version(self):
         graph = random_graph(seed=3)
@@ -169,10 +216,10 @@ class TestColumnarGraph:
         fresh = graph.columnar()
         assert fresh is not cols and fresh.version == graph.version
 
-    def test_fits64_false_falls_back_to_lists(self):
+    def test_fits64_false_falls_back_to_lists(self, tier):
         # Default id_bits=32 pushes augmented weights past 64 bits: the
         # columns must degrade to plain lists and the numpy mirrors to None,
-        # with every kernel still matching the per-node path.
+        # with every kernel still matching the reference.
         graph = Graph(id_bits=32)
         rng = random.Random(11)
         for node in range(1, 13):
@@ -186,70 +233,57 @@ class TestColumnarGraph:
         assert_all_kernels_match(graph, rng)
 
 
-class TestBatchedKernelEquivalence:
+class TestRowKernels:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("ordering", ["random", "ascending", "descending"])
-    def test_batched_equals_per_node(self, seed, ordering):
+    def test_row_kernels_equal_reference(self, seed, ordering, tier):
         graph = random_graph(seed=seed, ordering=ordering)
         assert_all_kernels_match(graph, random.Random(seed + 100))
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_stdlib_tier_identical_words(self, seed, monkeypatch):
-        # Forcing the stdlib tier (as REPRO_NUMPY=0 does at import time)
-        # must not change a single word.
-        graph = random_graph(seed=seed)
-        rng_state = random.Random(seed + 200).getstate()
-        with_numpy = _kernel_words(graph, rng_state)
-        monkeypatch.setattr(accel, "_np", None)
-        graph._columnar_cache = None  # fresh snapshot without cached mirrors
-        without_numpy = _kernel_words(graph, rng_state)
-        assert with_numpy == without_numpy
+    def test_row_subsets_straddle_the_half_rule(self):
+        n = random_graph(seed=0).num_nodes
+        sizes = [len(rows) for rows in row_subsets(n, random.Random(0))]
+        sides = [fastpath.covers_half(size, n) for size in sizes]
+        assert sides == [False, False, False, True, True]
 
     def test_numpy_gates_fall_back_exactly(self):
         # Inputs outside every numpy gate (word_bits > 64, > 64 ranges, a
-        # pairwise hash whose products overflow int64) still match the
-        # per-node kernels bit for bit.
+        # pairwise hash whose products overflow int64) on a whole-graph row
+        # set still match the reference kernels bit for bit.
         graph = random_graph(seed=42)
         cols = graph.columnar()
+        rows = list(range(cols.num_nodes))
         wide = OddHashFunction(multiplier=(1 << 69) + 1, threshold=1 << 68, word_bits=70)
         lows = list(range(0, 140, 2))  # 70 ranges > the 64-bit word gate
         highs = [low + 1 for low in lows]
-        words = range_parity_words_all(cols, wide, lows, highs)
-        for node in graph.nodes():
-            arrays = graph.incident_arrays(node)
-            assert words[cols.pos[node]] == range_parity_word(
-                arrays.aug_sorted, arrays.numbers_by_aug, wide, lows, highs
+        words = range_parity_words_all(cols, wide, lows, highs, rows)
+        for node in cols.ids:
+            incident = [
+                (edge.augmented_weight(graph.id_bits), edge.edge_number(graph.id_bits))
+                for edge in graph.incident_edges(node)
+            ]
+            assert words[node] == pack_parity_word(
+                local_range_parities(incident, wide, list(zip(lows, highs)))
             )
 
         huge_p = 2**89 - 1  # a * max_number + b overflows int64
         pairwise = PairwiseIndependentHash(
             a=huge_p - 3, b=huge_p - 7, p=huge_p, range_size=64
         )
-        masks = prefix_flip_masks(pairwise.log_range)
-        words = prefix_parity_words_all(cols, pairwise, masks)
-        xor_words = xor_below_words_all(cols, pairwise, 3)
-        for node in graph.nodes():
-            arrays = graph.incident_arrays(node)
-            assert words[cols.pos[node]] == prefix_parity_word(
-                arrays.numbers, pairwise, masks
+        words = prefix_parity_words_all(
+            cols, pairwise, prefix_flip_masks(pairwise.log_range), rows
+        )
+        xor_words = xor_below_words_all(cols, pairwise, 3, rows)
+        for node in cols.ids:
+            numbers = numbers_of(graph, node)
+            assert words[node] == pack_parity_word(
+                local_prefix_parities(numbers, pairwise)
             )
-            assert xor_words[cols.pos[node]] == xor_below_from_numbers(
-                arrays.numbers, pairwise, 3
-            )
+            assert xor_words[node] == local_xor_below(numbers, pairwise, 3)
 
-
-def _kernel_words(graph: Graph, rng_state) -> tuple:
-    """A deterministic digest of every batched kernel's output on ``graph``."""
-    rng = random.Random()
-    rng.setstate(rng_state)
-    cols = graph.columnar()
-    odd_hash = random_odd_hash(max(cols.max_number, 2), rng)
-    lows, highs = random_ranges(rng, cols.max_augmented, 5)
-    pairwise = random_pairwise_hash(max(cols.max_number, 2), 256, rng)
-    masks = prefix_flip_masks(pairwise.log_range)
-    return (
-        range_parity_words_all(cols, odd_hash, lows, highs),
-        prefix_parity_words_all(cols, pairwise, masks),
-        xor_below_words_all(cols, pairwise, 4),
-        hp_products_all(cols, 12345, 2**31 - 1, 0, cols.max_augmented),
-    )
+    def test_ranges_are_disjoint_sorted(self):
+        assert ranges_are_disjoint_sorted([(0, 4), (5, 9), (10, 10)])
+        assert not ranges_are_disjoint_sorted([(0, 5), (5, 9)])
+        assert not ranges_are_disjoint_sorted([(5, 9), (0, 4)])
+        assert ranges_are_disjoint_sorted([(3, 7)])
+        assert ranges_are_disjoint_sorted([])

@@ -12,12 +12,7 @@ from repro.core.sketches import (
     local_range_parities,
     local_xor_below,
     pack_parity_word,
-    prefix_flip_masks,
-    prefix_parity_word,
-    range_parity_word,
-    ranges_are_disjoint_sorted,
     unpack_parity_word,
-    xor_below_from_numbers,
 )
 from repro.network.broadcast import XOR_REDUCER
 
@@ -138,74 +133,3 @@ class TestXorBelow:
             if len(selected) == 1:
                 assert local_xor_below(edges, h, prefix) == selected[0]
                 break
-
-
-class TestFastKernelsMatchReference:
-    """The one-pass word kernels must agree with the per-level reference."""
-
-    def _random_incidence(self, rng, count=40, max_weight=10 ** 6):
-        pairs = sorted(
-            (rng.randrange(0, max_weight), rng.randrange(1, 10 ** 5))
-            for _ in range(count)
-        )
-        weights = [w for w, _ in pairs]
-        numbers = [e for _, e in pairs]
-        return weights, numbers
-
-    def test_range_parity_word_matches_reference(self):
-        for seed in range(8):
-            rng = random.Random(seed)
-            h = random_odd_hash(10 ** 5, rng)
-            weights, numbers = self._random_incidence(rng)
-            cut = sorted(rng.sample(range(0, 10 ** 6), 6))
-            ranges = list(zip([0] + [c + 1 for c in cut], cut + [10 ** 6]))
-            ranges = [(low, high) for low, high in ranges if low <= high]
-            assert ranges_are_disjoint_sorted(ranges)
-            lows = [low for low, _ in ranges]
-            highs = [high for _, high in ranges]
-            word = range_parity_word(weights, numbers, h, lows, highs)
-            reference = local_range_parities(list(zip(weights, numbers)), h, ranges)
-            assert unpack_parity_word(word, len(ranges)) == reference
-
-    def test_range_parity_word_narrow_window(self):
-        rng = random.Random(99)
-        h = random_odd_hash(10 ** 5, rng)
-        weights, numbers = self._random_incidence(rng)
-        lo, hi = weights[10], weights[20]
-        word = range_parity_word(weights, numbers, h, [lo], [hi])
-        reference = local_range_parities(
-            list(zip(weights, numbers)), h, [(lo, hi)]
-        )
-        assert unpack_parity_word(word, 1) == reference
-
-    def test_ranges_are_disjoint_sorted(self):
-        assert ranges_are_disjoint_sorted([(0, 4), (5, 9), (10, 10)])
-        assert not ranges_are_disjoint_sorted([(0, 5), (5, 9)])
-        assert not ranges_are_disjoint_sorted([(5, 9), (0, 4)])
-        assert ranges_are_disjoint_sorted([(3, 7)])
-        assert ranges_are_disjoint_sorted([])
-
-    def test_prefix_parity_word_matches_reference(self):
-        for seed in range(8):
-            rng = random.Random(seed)
-            h = random_pairwise_hash(10 ** 5, 64, rng)
-            numbers = [rng.randrange(1, 10 ** 5) for _ in range(30)]
-            masks = prefix_flip_masks(h.log_range)
-            word = prefix_parity_word(numbers, h, masks)
-            assert unpack_parity_word(word, h.log_range + 1) == local_prefix_parities(
-                numbers, h
-            )
-
-    def test_prefix_parity_word_empty(self):
-        rng = random.Random(1)
-        h = random_pairwise_hash(1000, 16, rng)
-        assert prefix_parity_word([], h, prefix_flip_masks(h.log_range)) == 0
-
-    def test_xor_below_from_numbers_matches_reference(self):
-        rng = random.Random(13)
-        h = random_pairwise_hash(10 ** 5, 64, rng)
-        numbers = [rng.randrange(1, 10 ** 5) for _ in range(25)]
-        for prefix in range(h.log_range + 1):
-            assert xor_below_from_numbers(numbers, h, prefix) == local_xor_below(
-                numbers, h, prefix
-            )

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.testout as testout_module
 from repro.core.config import AlgorithmConfig
 from repro.core.testout import CutTester
 from repro.network.accounting import MessageAccountant
@@ -168,3 +169,39 @@ class TestTrueCutEdges:
             1, low=graph.augmented_weight(3, 4), high=graph.augmented_weight(3, 4)
         )
         assert [(e.u, e.v) for e in restricted] == [(3, 4)]
+
+
+class TestImplicitTree:
+    @pytest.mark.parametrize(
+        "procedure",
+        [
+            lambda t, tree: t.tree_statistics(1, tree=tree),
+            lambda t, tree: t.test_out(1, tree=tree),
+            lambda t, tree: t.test_out_word(1, [(0, 99), (100, None)], tree=tree),
+            lambda t, tree: t.hp_test_out(1, tree=tree),
+        ],
+        ids=["stats", "testout", "testout_word", "hp_testout"],
+    )
+    def test_without_tree_matches_explicit_tree(
+        self, procedure, two_fragment_graph, monkeypatch
+    ):
+        # Without ``tree=`` the tester roots T_x itself, so the columnar
+        # kernels still run and answers and counters match the explicit call.
+        kernel_calls = []
+        for name in ("range_parity_words_all", "hp_products_all"):
+            kernel = getattr(testout_module, name)
+
+            def counted(*args, _kernel=kernel, **kwargs):
+                kernel_calls.append(_kernel.__name__)
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(testout_module, name, counted)
+        outcomes = []
+        for explicit in (True, False):
+            graph, forest = two_fragment_graph(CUT_EDGES)
+            tester, acct = _tester(graph, forest, seed=5)
+            tree = forest.rooted_structure(1) if explicit else None
+            answers = [procedure(tester, tree) for _ in range(6)]
+            outcomes.append((answers, acct.snapshot(), sorted(kernel_calls)))
+            kernel_calls.clear()
+        assert outcomes[0] == outcomes[1]

@@ -60,12 +60,15 @@ class TestTreeStructure:
     def test_invalidate_eccentricity_recomputes(self):
         graph, forest = _tree_graph()
         tree = build_tree_structure(forest, root=1)
+        cols = graph.columnar()
         assert tree.eccentricity == 3
+        assert sorted(tree.rows(cols)) == [cols.pos[node] for node in tree.nodes]
         for leaf in (5, 6):  # drop the depth-3 leaves, as a patch would
             del tree.parent[leaf], tree.depth[leaf], tree.children[leaf]
         tree.children[4] = []
-        tree.invalidate_eccentricity()
+        tree.invalidate_memos()
         assert tree.eccentricity == 2
+        assert sorted(tree.rows(cols)) == [cols.pos[node] for node in tree.nodes]
 
     def test_path_from_root(self):
         graph, forest = _tree_graph()

@@ -195,78 +195,3 @@ class TestGraphStructure:
         graph.add_edge(1, 2, 3)
         graph.add_edge(2, 3, 4)
         assert graph.total_weight() == 7
-
-
-class TestIncidentCacheInvalidation:
-    """Single-edge mutations must only drop the touched nodes' entries.
-
-    A whole-cache flush per mutation made every repair step rebuild the
-    incident arrays of all n nodes; the fine-grained invalidation in
-    ``Graph._note_mutation`` keeps untouched nodes' tuples alive across a
-    one-edge change (checked by object identity, which is what makes repair
-    workloads O(degree) instead of O(n) per update on the fast path).
-    """
-
-    def build(self):
-        graph = Graph(id_bits=8)
-        for u, v, w in [(1, 2, 5), (2, 3, 6), (3, 4, 7), (4, 5, 8), (1, 5, 9)]:
-            graph.add_edge(u, v, w)
-        return graph
-
-    def test_single_edge_mutation_keeps_other_entries(self):
-        graph = self.build()
-        before = {node: graph.incident_arrays(node) for node in graph.nodes()}
-        graph.set_weight(2, 3, 60)  # remove + add: touches only nodes 2 and 3
-        for node in (1, 4, 5):
-            assert graph.incident_arrays(node) is before[node]
-        for node in (2, 3):
-            fresh = graph.incident_arrays(node)
-            assert fresh is not before[node]
-            assert 60 in {edge.weight for edge in fresh.edges}
-
-    def test_consecutive_mutations_each_evict_their_endpoints(self):
-        # _note_mutation keeps the cache version in sync, so a *sequence*
-        # of single-edge mutations still only evicts the union of the
-        # touched endpoints — node 5 is untouched by either removal.
-        graph = self.build()
-        before = {node: graph.incident_arrays(node) for node in graph.nodes()}
-        graph.remove_edge(1, 2)
-        graph.remove_edge(3, 4)
-        assert graph.incident_arrays(5) is before[5]
-        for node in (1, 2, 3, 4):
-            assert graph.incident_arrays(node) is not before[node]
-        assert len(graph.incident_arrays(1).edges) == 1
-
-    def test_version_skew_flushes_whole_cache(self):
-        # The safety net: a version bump that bypassed _note_mutation (a
-        # subclass, say) makes fine-grained eviction unsound, so the next
-        # notification must flush everything.
-        graph = self.build()
-        before = {node: graph.incident_arrays(node) for node in graph.nodes()}
-        graph._version += 2
-        graph._note_mutation(2, 3)
-        for node in graph.nodes():
-            assert graph.incident_arrays(node) is not before[node]
-
-    def test_remove_node_invalidates_only_its_neighborhood(self):
-        graph = self.build()
-        graph.add_edge(2, 4, 10)  # give node 4 a neighbor outside the cycle
-        before = {node: graph.incident_arrays(node) for node in graph.nodes()}
-        graph.remove_node(1)  # touches 1 and its neighbors 2, 5
-        for node in (3, 4):
-            assert graph.incident_arrays(node) is before[node]
-        for node in (2, 5):
-            assert graph.incident_arrays(node) is not before[node]
-
-    def test_cached_arrays_stay_correct_after_partial_drop(self):
-        graph = self.build()
-        for node in graph.nodes():
-            graph.incident_arrays(node)
-        graph.set_weight(4, 5, 80)
-        for node in graph.nodes():
-            arrays = graph.incident_arrays(node)
-            edges = graph.incident_edges(node)
-            assert arrays.edges == tuple(edges)
-            assert arrays.numbers == tuple(
-                edge.edge_number(graph.id_bits) for edge in edges
-            )

@@ -269,13 +269,18 @@ class TestCsrRebuild:
         row = pos[3]
         assert fresh[forest.marked_csr()[2][row]:forest.marked_csr()[2][row + 1]] == [2]
 
-    def test_batched_rebuild_dispatch_is_structure_invariant(self, monkeypatch):
-        # With the batch threshold forced down, _build takes the CSR path on
-        # covering forests; the resulting structure must be identical.
-        monkeypatch.setattr(fastpath, "_batch_min_nodes", 2)
+    def test_batched_rebuild_dispatch_is_structure_invariant(self):
+        # _build takes the CSR BFS once the marked edges could span half the
+        # graph (fastpath.covers_half) and the dict BFS below that; either
+        # way the structure must equal a fresh BFS.
         graph = random_connected_graph(16, 32, seed=9)
-        forest = random_spanning_tree_forest(graph, seed=10)
-        cache = TreeStructureCache(forest)
-        structure = cache.get(1)
-        assert cache.rebuilds == 1
-        assert_same_structure(structure, build_tree_structure(forest, 1))
+        tree_edges = sorted(random_spanning_tree_forest(graph, seed=10).marked_edges)
+        for marked, uses_csr in ((7, True), (6, False)):  # 8 / 7 of 16 nodes
+            forest = SpanningForest(graph, marked=tree_edges[:marked])
+            assert fastpath.covers_half(forest.num_marked + 1, 16) is uses_csr
+            cache = TreeStructureCache(forest)
+            for root in graph.nodes():
+                expected = build_tree_structure(forest, root)
+                assert_same_structure(cache.get(root), expected)
+            assert cache.rebuilds == 16
+            assert (forest._marked_csr is not None) is uses_csr
