@@ -50,17 +50,18 @@ def tier(request, monkeypatch):
 
 
 def random_graph(seed: int, n: int = 24, ordering: str = "random") -> Graph:
-    """A random graph with isolated nodes and a controlled weight ordering.
+    """A random graph on ``n`` nodes plus an edgeless last node ``n + 1``.
 
     ``ordering`` pins the relationship between edge-number order and
     weight order: "ascending" makes heavier edges have larger numbers,
     "descending" inverts it (the aug-sorted mirrors then reverse the slot
-    order), "random" decouples them.
+    order), "random" decouples them.  The edgeless node gives every sample
+    an empty last row (see :func:`row_subsets`).
     """
     rng = random.Random(seed)
     graph = Graph(id_bits=8)
-    for node in range(1, n + 1):
-        graph.add_node(node)  # keep some isolated nodes in every sample
+    for node in range(1, n + 2):
+        graph.add_node(node)
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     chosen = rng.sample(pairs, k=min(3 * n, len(pairs)))
     chosen.sort()
@@ -104,9 +105,14 @@ def range_cases(graph: Graph, rng: random.Random):
 
 
 def row_subsets(n: int, rng: random.Random):
-    """Empty, one row, just under half, half, and all rows of an n-row graph."""
-    for size in (0, 1, (n - 1) // 2, (n + 1) // 2, n):
-        yield sorted(rng.sample(range(n), size))
+    """Empty, one row, just under half, half, and all rows of an n-row graph.
+
+    Every non-empty subset holds the last row, which the test graphs leave
+    edgeless, so both sides of the half-graph rule meet an empty row.
+    """
+    yield []
+    for size in (1, (n - 1) // 2, (n + 1) // 2, n):
+        yield sorted(rng.sample(range(n - 1), size - 1)) + [n - 1]
 
 
 def numbers_of(graph: Graph, node: int):
@@ -117,10 +123,13 @@ def assert_all_kernels_match(graph: Graph, rng: random.Random) -> None:
     """Every columnar kernel equals its reference kernel on ``graph``."""
     cols = graph.columnar()
     assert cols.ids == graph.nodes()
+    assert graph.degree(cols.ids[-1]) == 0
     id_bits = graph.id_bits
     max_number = max(cols.max_number, 2)
 
+    sides = set()
     for rows in row_subsets(cols.num_nodes, rng):
+        sides.add(fastpath.covers_half(len(rows), cols.num_nodes))
         nodes = [cols.ids[row] for row in rows]
 
         odd_hash = random_odd_hash(max_number, rng)
@@ -166,6 +175,7 @@ def assert_all_kernels_match(graph: Graph, rng: random.Random) -> None:
                 local_product(up, alpha, p),
                 local_product(down, alpha, p),
             )
+    assert sides == {False, True}
 
 
 class TestColumnarGraph:
@@ -222,8 +232,8 @@ class TestColumnarGraph:
         # with every kernel still matching the reference.
         graph = Graph(id_bits=32)
         rng = random.Random(11)
-        for node in range(1, 13):
-            graph.add_node(node)
+        for node in range(1, 14):
+            graph.add_node(node)  # node 13 stays edgeless
         for u in range(1, 12):
             graph.add_edge(u, u + 1, weight=rng.randrange(1, 10**9))
         cols = graph.columnar()
@@ -239,12 +249,6 @@ class TestRowKernels:
     def test_row_kernels_equal_reference(self, seed, ordering, tier):
         graph = random_graph(seed=seed, ordering=ordering)
         assert_all_kernels_match(graph, random.Random(seed + 100))
-
-    def test_row_subsets_straddle_the_half_rule(self):
-        n = random_graph(seed=0).num_nodes
-        sizes = [len(rows) for rows in row_subsets(n, random.Random(0))]
-        sides = [fastpath.covers_half(size, n) for size in sizes]
-        assert sides == [False, False, False, True, True]
 
     def test_numpy_gates_fall_back_exactly(self):
         # Inputs outside every numpy gate (word_bits > 64, > 64 ranges, a
