@@ -1,16 +1,18 @@
 """Tests for the batched repair engine and the PR-10 bugfixes.
 
-Covers the batched==sequential final-forest contract, the wave edge cases
-(bridge delete+reinsert in one wave, a wave confined to one component,
-singleton-wave counter parity), the falsy-zero weight regression, the
-per-update RNG independence fix, and the forced-batching environment knob.
+Covers the batched==sequential final-forest contract, golden repair counters
+per workload, mode and wave size, the wave edge cases (bridge delete+reinsert
+in one wave, a wave confined to one component), the falsy-zero weight
+regression, the per-update RNG independence fix, and the forced-batching
+environment knob.
 """
 
 import pytest
 
-from repro.api import ExperimentSpec, GraphSpec, run
+from repro.api import ExperimentSpec, GraphSpec, WorkloadSpec, run
 from repro.baselines.recompute_repair import RecomputeMaintainer
 from repro.core.build_mst import BuildMST
+from repro.core.build_st import BuildST
 from repro.core.config import AlgorithmConfig
 from repro.dynamic.maintainer import TreeMaintainer
 from repro.dynamic.updates import EdgeUpdate
@@ -87,16 +89,77 @@ class TestBatchedEqualsSequential:
             assert legs[0] == legs[1]
 
 
-class TestWaveEdgeCases:
-    def test_k1_waves_are_counter_identical_to_sequential(self):
-        g1, f1, seq = _mst_scenario(seed=7)
-        g2, f2, bat = _mst_scenario(seed=7)
-        seq.apply_stream(tree_edge_deletions(g1, f1, count=4, seed=7))
-        bat.apply_stream(tree_edge_deletions(g2, f2, count=4, seed=7), batch_size=1)
-        assert seq.messages_per_update() == bat.messages_per_wave()
-        assert seq.total_messages() == bat.total_messages()
-        assert sorted(f1.marked_edges) == sorted(f2.marked_edges)
+# (messages, bits, rounds) of ``kkt-repair`` on a sparse n=32 graph with 12
+# updates, per registered workload x mode x repair_batch (0 = one update at a
+# time).  Recorded before sequential repair became a wave of one; both
+# kernel tiers must reproduce them bit for bit.
+GOLDEN_RUNS = {
+    ("churn", "mst", 0): (4287, 205400, 1906),
+    ("churn", "mst", 4): (2466, 109724, 1454),
+    ("churn", "st", 0): (1443, 35662, 506),
+    ("churn", "st", 4): (648, 12880, 266),
+    ("weight-ramp", "mst", 0): (4758, 253595, 2020),
+    ("weight-ramp", "mst", 4): (3827, 202744, 1293),
+    ("weight-ramp", "st", 0): (0, 0, 0),
+    ("weight-ramp", "st", 4): (0, 0, 0),
+    ("insert-heavy", "mst", 0): (808, 16392, 285),
+    ("insert-heavy", "mst", 4): (808, 16392, 285),
+    ("insert-heavy", "st", 0): (744, 15624, 274),
+    ("insert-heavy", "st", 4): (744, 15624, 274),
+    ("bridge-heavy", "mst", 0): (1446, 50472, 582),
+    ("bridge-heavy", "mst", 4): (183, 3816, 75),
+    ("bridge-heavy", "st", 0): (1086, 38772, 366),
+    ("bridge-heavy", "st", 4): (183, 3816, 63),
+    ("deletions-only", "mst", 0): (3887, 204128, 1440),
+    ("deletions-only", "mst", 4): (1733, 88209, 728),
+    ("deletions-only", "st", 0): (829, 18190, 306),
+    ("deletions-only", "st", 4): (289, 6807, 146),
+}
 
+# Per-update (messages, bits, rounds) of ``TreeMaintainer.apply`` over
+# ``weight_perturbations(graph, count=16, seed=5)`` on a random n=20, m=60
+# graph: the only pinned stream that exercises ``decrease_weight`` (both a
+# swap and a kept edge).  An ST ignores weights, so every update is free.
+_WEIGHT_STREAM_MST = [
+    (58, 884, 25), (0, 0, 0), (38, 684, 16), (970, 46658, 400),
+    (856, 42115, 457), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (1036, 52255, 553), (0, 0, 0), (58, 922, 19),
+    (38, 722, 16), (0, 0, 0), (0, 0, 0), (1276, 61890, 451),
+]
+GOLDEN_WEIGHT_STREAM = {"mst": _WEIGHT_STREAM_MST, "st": [(0, 0, 0)] * 16}
+
+
+class TestGoldenRepairCounters:
+    """Repair counters are pinned, not merely compared between two paths."""
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_RUNS), ids=lambda key: "-".join(map(str, key)))
+    def test_kkt_repair_counters(self, key):
+        workload, mode, batch = key
+        spec = ExperimentSpec(
+            graph=GraphSpec(nodes=32, density="sparse", seed=3),
+            workload=WorkloadSpec(name=workload),
+        )
+        result = run("kkt-repair", spec, updates=12, mode=mode, repair_batch=batch)
+        assert result.ok
+        assert (result.messages, result.bits, result.rounds) == GOLDEN_RUNS[key]
+
+    @pytest.mark.parametrize("mode", ["mst", "st"])
+    def test_per_update_weight_stream_counters(self, mode):
+        graph = random_connected_graph(20, 60, seed=5)
+        builder = BuildMST if mode == "mst" else BuildST
+        forest = builder(graph, config=AlgorithmConfig(n=20, seed=5)).run().forest
+        maintainer = TreeMaintainer(graph, forest, mode=mode, seed=5)
+        stream = weight_perturbations(graph, count=16, seed=5)
+        kinds = {update.kind.value for update in stream}
+        assert kinds == {"increase_weight", "decrease_weight"}
+        costs = []
+        for update in stream:
+            cost = maintainer.apply(update).report.cost
+            costs.append((cost.messages, cost.bits, cost.rounds))
+        assert costs == GOLDEN_WEIGHT_STREAM[mode]
+
+
+class TestWaveEdgeCases:
     def test_bridge_delete_and_reinsert_in_one_wave(self):
         # A path graph: every edge is a bridge.  Deleting one and
         # re-inserting it inside the same wave must end with the full
