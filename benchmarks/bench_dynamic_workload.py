@@ -23,7 +23,7 @@ from repro.api.scenario import get_workload
 from repro.baselines.recompute_repair import RecomputeMaintainer
 from repro.core.build_mst import BuildMST
 from repro.core.config import AlgorithmConfig
-from repro.dynamic import TreeMaintainer, UpdateKind
+from repro.dynamic import TreeMaintainer
 from repro.generators import random_connected_graph
 from repro.verify import is_minimum_spanning_forest
 
@@ -44,18 +44,11 @@ def _measure(n: int, m: int, seed: int = 19):
     stream = get_workload("churn")(graph, report.forest, count=2 * UPDATES, seed=seed)
     maintainer.apply_stream(stream)
     assert is_minimum_spanning_forest(report.forest)
-    impromptu_costs = [outcome.messages for outcome in maintainer.history]
+    impromptu_costs = maintainer.messages_per_wave()
 
     recompute_graph = random_connected_graph(n, m, seed=seed)
     recompute = RecomputeMaintainer(recompute_graph, mode="mst")
-    recompute_costs = []
-    for update in stream:
-        if update.kind is UpdateKind.DELETE:
-            recompute_costs.append(recompute.delete_edge(update.u, update.v).messages)
-        else:
-            recompute_costs.append(
-                recompute.insert_edge(update.u, update.v, update.weight or 1).messages
-            )
+    recompute_costs = [recompute.apply_batch([update]).messages for update in stream]
 
     impromptu_mean = summarize(impromptu_costs).mean
     recompute_mean = summarize(recompute_costs).mean

@@ -76,7 +76,7 @@ def main(argv: list[str]) -> int:
     print("Note: the KKT constructions are asymptotically o(m); on dense graphs the")
     print("ST construction crosses below flooding around n ~ 100 with this")
     print("implementation's constants, the MST construction at larger sizes")
-    print("(see benchmarks/bench_build_mst.py and EXPERIMENTS.md).")
+    print("(see benchmarks/bench_build_mst.py).")
     return 0
 
 

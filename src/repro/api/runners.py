@@ -52,7 +52,7 @@ Registered names
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .. import fastpath
 from ..baselines.flooding_st import flooding_spanning_tree
@@ -594,6 +594,19 @@ def _effective_repair_batch(repair_batch: Optional[int], schedule) -> int:
     return fastpath.repair_batch_size()
 
 
+def _wave_cost_extra(batch: int, costs: List[int]) -> Dict[str, Any]:
+    """Per-wave message extras: ``messages_per_wave_*`` plus the wave count
+    when batched (``batch`` ≥ 1), ``messages_per_update_*`` when sequential."""
+    extra: Dict[str, Any] = {}
+    unit = "update"
+    if batch >= 1:
+        extra = {"repair_batch": batch, "repair_waves": len(costs)}
+        unit = "wave"
+    extra[f"messages_per_{unit}_max"] = max(costs) if costs else 0
+    extra[f"messages_per_{unit}_mean"] = (sum(costs) / len(costs)) if costs else 0.0
+    return extra
+
+
 @register("kkt-repair", summary="KKT impromptu repair of an MST/ST under a registered workload")
 class KKTRepairRunner:
     """KKT impromptu repair: maintain an MST/ST through an update workload."""
@@ -627,14 +640,8 @@ class KKTRepairRunner:
             maintainer = TreeMaintainer(
                 graph, forest, mode=scenario.mode, seed=scenario.seed
             )
-            if batch >= 1:
-                outcomes = maintainer.apply_stream(stream, batch_size=batch)
-                fault_outcomes = maintainer.apply_stream(
-                    scenario.fault_stream, batch_size=batch
-                )
-            else:
-                outcomes = maintainer.apply_stream(stream)
-                fault_outcomes = maintainer.apply_stream(scenario.fault_stream)
+            outcomes = maintainer.apply_stream(stream, batch_size=batch)
+            fault_outcomes = maintainer.apply_stream(scenario.fault_stream, batch_size=batch)
         elapsed = time.perf_counter() - start
 
         checker = is_minimum_spanning_forest if scenario.mode == "mst" else is_spanning_forest
@@ -648,31 +655,13 @@ class KKTRepairRunner:
             ),
             "stream_fingerprint": stream_fingerprint(stream),
         }
+        # Batched mode accounts costs per wave — per-update attribution
+        # intentionally does not exist (the wave shares one repair round), so
+        # the per-update figure is amortized.
+        extra.update(_wave_cost_extra(batch, maintainer.messages_per_wave()))
         if batch >= 1:
-            # Batched mode: costs are accounted per wave — per-update
-            # attribution intentionally does not exist (the wave shares one
-            # repair round), so the per-update figure is amortized.
-            wave_costs = maintainer.messages_per_wave()
-            extra.update(
-                {
-                    "repair_batch": batch,
-                    "repair_waves": len(wave_costs),
-                    "batched_saved_queries": sum(
-                        o.report.skipped_candidates for o in maintainer.batch_history
-                    ),
-                    "messages_per_wave_max": max(wave_costs) if wave_costs else 0,
-                    "messages_per_wave_mean": (
-                        (sum(wave_costs) / len(wave_costs)) if wave_costs else 0.0
-                    ),
-                }
-            )
-        else:
-            costs = maintainer.messages_per_update()
-            extra.update(
-                {
-                    "messages_per_update_max": max(costs) if costs else 0,
-                    "messages_per_update_mean": (sum(costs) / len(costs)) if costs else 0.0,
-                }
+            extra["batched_saved_queries"] = sum(
+                outcome.report.skipped_candidates for outcome in maintainer.history
             )
         if substrate != "plain":
             extra["substrate"] = substrate
@@ -728,24 +717,14 @@ class RecomputeRepairRunner:
         baseline_graph = scenario.graph.copy()
         start = time.perf_counter()
         maintainer = RecomputeMaintainer(baseline_graph, mode=mode)
-        deltas = []
         events = list(stream) + list(scenario.fault_stream)
-        if batch >= 1:
-            # Batched baseline: apply the wave's mutations, then one rebuild.
-            for offset in range(0, len(events), batch):
-                deltas.append(maintainer.apply_batch(events[offset : offset + batch]))
-        else:
-            for update in events:
-                if update.kind is UpdateKind.DELETE:
-                    deltas.append(maintainer.delete_edge(update.u, update.v))
-                elif update.kind is UpdateKind.INSERT:
-                    deltas.append(
-                        maintainer.insert_edge(update.u, update.v, update.effective_weight)
-                    )
-                else:
-                    deltas.append(
-                        maintainer.change_weight(update.u, update.v, update.effective_weight)
-                    )
+        # Each wave applies its mutations, then one rebuild (a wave of one
+        # when sequential).
+        size = max(batch, 1)
+        deltas = [
+            maintainer.apply_batch(events[offset : offset + size])
+            for offset in range(0, len(events), size)
+        ]
         elapsed = time.perf_counter() - start
 
         checker = is_minimum_spanning_forest if mode == "mst" else is_spanning_forest
@@ -756,22 +735,7 @@ class RecomputeRepairRunner:
             "updates": len(stream),
             "stream_fingerprint": stream_fingerprint(stream),
         }
-        if batch >= 1:
-            extra.update(
-                {
-                    "repair_batch": batch,
-                    "repair_waves": len(deltas),
-                    "messages_per_wave_max": max(costs) if costs else 0,
-                    "messages_per_wave_mean": (sum(costs) / len(costs)) if costs else 0.0,
-                }
-            )
-        else:
-            extra.update(
-                {
-                    "messages_per_update_max": max(costs) if costs else 0,
-                    "messages_per_update_mean": (sum(costs) / len(costs)) if costs else 0.0,
-                }
-            )
+        extra.update(_wave_cost_extra(batch, costs))
         extra.update(scenario.fault_extra())
         if record_state:
             extra.update(final_state_extra(baseline_graph, maintainer.forest))

@@ -8,12 +8,13 @@ dynamic-workload benchmark (E11) compares the impromptu repairs against.
 
 Registered in the runner API as ``recompute-repair`` —
 ``repro.run("recompute-repair", spec, updates=...)`` drives a
-:class:`RecomputeMaintainer` through the standard churn workload.
+:class:`RecomputeMaintainer` through the standard churn workload, one wave
+(:meth:`RecomputeMaintainer.apply_batch`) at a time.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..network.accounting import CostDelta, MessageAccountant
 from ..network.errors import AlgorithmError
@@ -40,30 +41,11 @@ class RecomputeMaintainer:
     # ------------------------------------------------------------------ #
     # updates
     # ------------------------------------------------------------------ #
-    def insert_edge(self, u: int, v: int, weight: int = 1) -> CostDelta:
-        start = self.accountant.snapshot()
-        self.graph.add_edge(*edge_key(u, v), weight)
-        self._rebuild()
-        return self.accountant.since(start)
-
-    def delete_edge(self, u: int, v: int) -> CostDelta:
-        start = self.accountant.snapshot()
-        self.graph.remove_edge(*edge_key(u, v))
-        self._rebuild()
-        return self.accountant.since(start)
-
-    def change_weight(self, u: int, v: int, new_weight: int) -> CostDelta:
-        start = self.accountant.snapshot()
-        self.graph.set_weight(*edge_key(u, v), new_weight)
-        if self.mode == "mst":
-            self._rebuild()
-        return self.accountant.since(start)
-
     def apply_batch(self, updates) -> CostDelta:
         """Apply a wave of updates with a single rebuild at the end.
 
-        The batched analogue of per-update recomputation: all mutations of
-        the wave land first, then one flooding/GHS pass restores the tree —
+        A wave of one is per-update recomputation.  A larger wave lands all
+        its mutations first, then one flooding/GHS pass restores the tree —
         a trivial (but honest) k× amortization for the baseline, and the
         final forest is identical to sequential processing because the
         rebuild only depends on the final graph.  Waves that would not have

@@ -343,7 +343,7 @@ def _bench_repair_batched(n: int, density: str, seed: int) -> Tuple[Counters, in
     edges = 0
     for k in (4, 16, 64):
         legs: Dict[str, TreeMaintainer] = {}
-        for label, batch in (("seq", None), ("batched", k)):
+        for label, batch in (("seq", 1), ("batched", k)):
             graph = _graph(n, density, seed)
             config = AlgorithmConfig(n=n, seed=seed)
             report = BuildMST(graph, config=config).run()
@@ -364,7 +364,7 @@ def _bench_repair_batched(n: int, density: str, seed: int) -> Tuple[Counters, in
         )
         counters[f"saved_queries_k{k}"] = sum(
             outcome.report.skipped_candidates
-            for outcome in legs["batched"].batch_history
+            for outcome in legs["batched"].history
         )
     return counters, edges
 

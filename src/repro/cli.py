@@ -106,7 +106,7 @@ from .baselines import RecomputeMaintainer
 from .core.build_mst import BuildMST
 from .core.build_st import BuildST
 from .core.config import AlgorithmConfig
-from .dynamic import TreeMaintainer, UpdateKind, UpdateTrace
+from .dynamic import TreeMaintainer, UpdateTrace
 from .network.broadcast import list_substrates
 from .network.errors import AlgorithmError
 from .verify import is_minimum_spanning_forest, is_spanning_forest
@@ -745,7 +745,8 @@ def _command_repair(args: argparse.Namespace) -> int:
     report = builder.run()
     maintainer = TreeMaintainer(graph, report.forest, mode=args.mode, seed=args.seed)
     batch = args.repair_batch if args.repair_batch is not None else fastpath.repair_batch_size()
-    batch_size = batch if batch >= 1 else None
+    batched = batch >= 1
+    batch_size = max(batch, 1)
     workload = WorkloadSpec(name=args.workload, updates=args.updates).resolve_seed(spec.seed)
     stream = workload.build(graph, report.forest)
     maintainer.apply_stream(stream, batch_size=batch_size)
@@ -759,8 +760,7 @@ def _command_repair(args: argparse.Namespace) -> int:
 
     checker = is_minimum_spanning_forest if args.mode == "mst" else is_spanning_forest
     ok = checker(report.forest)
-    batched = batch_size is not None
-    costs = maintainer.messages_per_wave() if batched else maintainer.messages_per_update()
+    costs = maintainer.messages_per_wave()
     unit = "wave" if batched else "update"
     stats = summarize(costs)
     table = ExperimentTable(
@@ -769,15 +769,13 @@ def _command_repair(args: argparse.Namespace) -> int:
         ["quantity", "value"],
     )
     table.add_row("nodes / edges", f"{graph.num_nodes} / {graph.num_edges}")
+    table.add_row("updates processed", len(stream) + fault_events)
     if batched:
-        table.add_row("updates processed", len(stream) + fault_events)
         table.add_row(f"repair waves (batch={batch_size})", len(costs))
         table.add_row(
             "updates annihilated inside waves",
-            sum(o.report.skipped_candidates for o in maintainer.batch_history),
+            sum(o.report.skipped_candidates for o in maintainer.history),
         )
-    else:
-        table.add_row("updates processed", len(costs))
     if args.fault != "none":
         table.add_row(f"fault events ({args.fault})", fault_events)
     table.add_row("tree invariant holds", ok)
@@ -789,29 +787,11 @@ def _command_repair(args: argparse.Namespace) -> int:
             nodes=args.nodes, density=args.density, seed=args.seed
         ).build()
         baseline = RecomputeMaintainer(baseline_graph, mode=args.mode)
-        baseline_costs = []
         events = list(stream)
-        if batched:
-            for offset in range(0, len(events), batch_size):
-                baseline_costs.append(
-                    baseline.apply_batch(events[offset : offset + batch_size]).messages
-                )
-        else:
-            for update in events:
-                if update.kind is UpdateKind.DELETE:
-                    baseline_costs.append(baseline.delete_edge(update.u, update.v).messages)
-                elif update.kind is UpdateKind.INSERT:
-                    baseline_costs.append(
-                        baseline.insert_edge(
-                            update.u, update.v, update.effective_weight
-                        ).messages
-                    )
-                else:
-                    baseline_costs.append(
-                        baseline.change_weight(
-                            update.u, update.v, update.effective_weight
-                        ).messages
-                    )
+        baseline_costs = [
+            baseline.apply_batch(events[offset : offset + batch_size]).messages
+            for offset in range(0, len(events), batch_size)
+        ]
         table.add_row(
             f"recompute baseline per {unit} (mean)", round(summarize(baseline_costs).mean, 1)
         )

@@ -20,6 +20,9 @@ precomputed or stored.  Each update is processed as follows (Theorem 1.2):
   otherwise it replaces the heaviest path edge iff it is lighter.
   Deterministic, ``O(|T_u|)`` messages.
 
+One engine, :class:`TreeRepairer`, runs these procedures for a *wave* of
+updates; a sequential update is simply a wave of one.
+
 The asynchronous model of Theorem 1.2 is honoured because every step is a
 broadcast-and-echo (self-synchronizing) or a single point-to-point message;
 tests exercise the underlying primitive under adversarial schedulers.
@@ -28,289 +31,30 @@ tests exercise the underlying primitive under adversarial schedulers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..network.accounting import CostDelta, MessageAccountant
+from ..network.broadcast import BroadcastEchoExecutor
 from ..network.errors import AlgorithmError, GraphError
 from ..network.fragments import SpanningForest
 from ..network.graph import Edge, Graph, edge_key
 from .config import AlgorithmConfig
 from .findany import FindAny
-from .findmin import FindMin, FindResult
+from .findmin import FindMin
 
-__all__ = ["RepairReport", "TreeRepairer", "BatchRepairReport", "BatchRepairer"]
+__all__ = ["RepairReport", "TreeRepairer"]
 
 
 @dataclass
 class RepairReport:
-    """What a single update did to the maintained tree."""
+    """What one repair wave did to the maintained forest.
 
-    action: str
-    updated_edge: Tuple[int, int]
-    was_tree_edge: bool
-    replacement: Optional[Edge]
-    removed: Optional[Edge]
-    bridge: bool
-    cost: CostDelta
-
-    @property
-    def changed_tree(self) -> bool:
-        return self.replacement is not None or self.removed is not None or self.was_tree_edge
-
-
-class TreeRepairer:
-    """Impromptu repair driver for a maintained MST (``mode="mst"``) or ST."""
-
-    def __init__(
-        self,
-        graph: Graph,
-        forest: SpanningForest,
-        config: Optional[AlgorithmConfig] = None,
-        accountant: Optional[MessageAccountant] = None,
-        mode: str = "mst",
-    ) -> None:
-        if mode not in ("mst", "st"):
-            raise AlgorithmError("mode must be 'mst' or 'st'")
-        self.graph = graph
-        self.forest = forest
-        self.config = (
-            config if config is not None else AlgorithmConfig(n=max(graph.num_nodes, 1))
-        )
-        self.accountant = accountant if accountant is not None else MessageAccountant()
-        self.mode = mode
-        self._findmin = FindMin(graph, forest, self.config, self.accountant)
-        self._findany = FindAny(graph, forest, self.config, self.accountant)
-
-    # ------------------------------------------------------------------ #
-    # updates
-    # ------------------------------------------------------------------ #
-    def delete_edge(self, u: int, v: int) -> RepairReport:
-        """Process the deletion of the edge ``{u, v}`` (paper's Delete)."""
-        start = self.accountant.snapshot()
-        key = edge_key(u, v)
-        if not self.graph.has_edge(*key):
-            raise GraphError(f"cannot delete non-existent edge {key}")
-        was_tree_edge = self.forest.is_marked(*key)
-        self.graph.remove_edge(*key)
-        self.forest.unmark(*key)
-
-        if not was_tree_edge:
-            return self._report("delete", key, False, None, None, False, start)
-
-        initiator = key[0]  # the smaller-ID endpoint initiates (paper: u < v)
-        replacement, bridge = self._find_replacement(initiator)
-        return self._report("delete", key, True, replacement, None, bridge, start)
-
-    def insert_edge(self, u: int, v: int, weight: int = 1) -> RepairReport:
-        """Process the insertion of the edge ``{u, v}`` (paper's Insert)."""
-        start = self.accountant.snapshot()
-        key = edge_key(u, v)
-        self.graph.add_edge(key[0], key[1], weight)
-        _, replacement, removed = self._settle_candidate(key)
-        return self._report("insert", key, False, replacement, removed, False, start)
-
-    def increase_weight(self, u: int, v: int, new_weight: int) -> RepairReport:
-        """Weight increase: like a delete for tree edges, a no-op otherwise."""
-        start = self.accountant.snapshot()
-        key = edge_key(u, v)
-        edge = self.graph.get_edge(*key)
-        if new_weight < edge.weight:
-            raise AlgorithmError("increase_weight called with a smaller weight")
-        was_tree_edge = self.forest.is_marked(*key)
-        self.graph.set_weight(key[0], key[1], new_weight)
-
-        if not was_tree_edge or self.mode == "st":
-            # Non-tree edges only get heavier (still not needed); an ST does
-            # not care about weights at all.
-            return self._report("increase_weight", key, was_tree_edge, None, None, False, start)
-
-        # Temporarily drop the edge from the tree and look for the lightest
-        # edge across the cut it used to cover — possibly itself.
-        self.forest.unmark(*key)
-        initiator = key[0]
-        replacement, bridge = self._find_replacement(initiator)
-        if replacement is None and not bridge:
-            # The Monte Carlo search exhausted its budget; fall back to
-            # keeping the (now heavier) edge so the tree stays spanning.
-            self.forest.mark(*key)
-            replacement = self.graph.get_edge(*key)
-        removed = None if replacement == self.graph.get_edge(*key) else self.graph.get_edge(*key)
-        return self._report("increase_weight", key, True, replacement, removed, bridge, start)
-
-    def decrease_weight(self, u: int, v: int, new_weight: int) -> RepairReport:
-        """Weight decrease: like an insert for non-tree edges, a no-op otherwise."""
-        start = self.accountant.snapshot()
-        key = edge_key(u, v)
-        edge = self.graph.get_edge(*key)
-        if new_weight > edge.weight:
-            raise AlgorithmError("decrease_weight called with a larger weight")
-        was_tree_edge = self.forest.is_marked(*key)
-        self.graph.set_weight(key[0], key[1], new_weight)
-        if was_tree_edge or self.mode == "st":
-            # A tree edge that gets lighter stays in the MST; an ST ignores weights.
-            return self._report("decrease_weight", key, was_tree_edge, None, None, False, start)
-
-        initiator, other = key
-        in_same_tree, heaviest = self._path_query(initiator, other)
-        if not in_same_tree:
-            raise AlgorithmError(
-                "a non-tree edge with endpoints in different maintained trees "
-                "violates the spanning invariant"
-            )
-        assert heaviest is not None
-        new_edge = self.graph.get_edge(*key)
-        if heaviest.augmented_weight(self.graph.id_bits) > new_edge.augmented_weight(
-            self.graph.id_bits
-        ):
-            self._findmin.tester.executor.broadcast_only(
-                root=initiator, broadcast_bits=2 * self.graph.id_bits, kind="remove_edge"
-            )
-            self._charge_edge_message(key)
-            self.forest.unmark(heaviest.u, heaviest.v)
-            self.forest.mark(*key)
-            return self._report("decrease_weight", key, False, new_edge, heaviest, False, start)
-        return self._report("decrease_weight", key, False, None, None, False, start)
-
-    # ------------------------------------------------------------------ #
-    # building blocks
-    # ------------------------------------------------------------------ #
-    def _settle_candidate(self, key: Tuple[int, int]) -> Tuple[str, Optional[Edge], Optional[Edge]]:
-        """Path-query an unmarked existing edge and apply the cut/cycle rule.
-
-        Returns ``(action, replacement, removed)`` with ``action`` one of
-        ``"joined"`` (endpoints were in different trees; the edge joins the
-        forest), ``"swapped"`` (MST mode: the edge evicted the heaviest edge
-        on the tree cycle it closed), or ``"kept"`` (the forest is unchanged).
-        """
-        initiator, other = key
-        in_same_tree, heaviest = self._path_query(initiator, other)
-        if not in_same_tree:
-            # The edge joins two maintained trees; one message across it
-            # tells the other endpoint to mark.
-            self._charge_edge_message(key)
-            self.forest.mark(*key)
-            return "joined", self.graph.get_edge(*key), None
-
-        if self.mode == "st":
-            # A spanning tree ignores redundant edges.
-            return "kept", None, None
-
-        assert heaviest is not None
-        new_edge = self.graph.get_edge(*key)
-        if heaviest.augmented_weight(self.graph.id_bits) > new_edge.augmented_weight(
-            self.graph.id_bits
-        ):
-            # Swap: broadcast the removal of the heaviest path edge, mark the
-            # new one.
-            self._findmin.tester.executor.broadcast_only(
-                root=initiator, broadcast_bits=2 * self.graph.id_bits, kind="remove_edge"
-            )
-            self._charge_edge_message(key)
-            self.forest.unmark(heaviest.u, heaviest.v)
-            self.forest.mark(*key)
-            return "swapped", new_edge, heaviest
-        return "kept", None, None
-
-    def _find_replacement(self, initiator: int) -> Tuple[Optional[Edge], bool]:
-        """Search for the replacement edge across the cut (FindMin/FindAny).
-
-        Returns ``(edge_or_None, bridge)`` where ``bridge`` means the search
-        certified that no replacement exists.  On a budget-exhausted ∅ the
-        search is retried (FindMin / FindAny already retry internally with
-        w.h.p. guarantees; an extra outer retry keeps the maintained forest
-        spanning even in the astronomically unlikely total-failure case,
-        while charging the extra messages honestly).
-        """
-        for _ in range(3):
-            result = self._search(initiator)
-            if result.edge is not None:
-                self._announce_replacement(initiator, result.edge)
-                return result.edge, False
-            if result.verified_empty:
-                return None, True
-        return None, False
-
-    def _search(self, initiator: int) -> FindResult:
-        if self.mode == "mst":
-            return self._findmin.find_min(initiator)
-        return self._findany.find_any(initiator)
-
-    def _announce_replacement(self, initiator: int, edge: Edge) -> None:
-        """Broadcast the replacement over ``T_initiator`` and mark it."""
-        component_size = len(self.forest.component_of(initiator))
-        if component_size > 1:
-            self._findmin.tester.executor.broadcast_only(
-                root=initiator, broadcast_bits=2 * self.graph.id_bits, kind="add_edge"
-            )
-        self._charge_edge_message((edge.u, edge.v))
-        self.forest.mark(edge.u, edge.v)
-
-    def _path_query(self, root: int, target: int) -> Tuple[bool, Optional[Edge]]:
-        """One B&E over ``T_root``: is ``target`` there, and if so which is the
-        heaviest edge on the tree path from ``root`` to ``target``?"""
-        id_bits = self.graph.id_bits
-        executor = self._findmin.tester.executor
-        tree = self.forest.rooted_structure(root)
-
-        def propagate(parent_state, parent: int, child: int):
-            edge = self.graph.get_edge(parent, child)
-            if parent_state is None:
-                return edge
-            if edge.augmented_weight(id_bits) > parent_state.augmented_weight(id_bits):
-                return edge
-            return parent_state
-
-        answer = executor.broadcast_with_downward_state(
-            root=root,
-            target=target,
-            initial_state=None,
-            propagate=propagate,
-            broadcast_bits=2 * id_bits + self.graph.max_weight().bit_length() + 2,
-            echo_bits=2 * id_bits + self.graph.max_weight().bit_length() + 2,
-            # target == root leaves the path empty (a self-loop insert is
-            # rejected earlier): same tree, no path edge.
-            collect=lambda _node, heaviest: (True, heaviest),
-            tree=tree,
-            kind="path_query",
-        )
-        return answer if answer is not None else (False, None)
-
-    def _charge_edge_message(self, key: Tuple[int, int]) -> None:
-        self._findmin.tester.executor.point_to_point_along_edge(
-            key[0], key[1], size_bits=2 * self.graph.id_bits, kind="mark_edge"
-        )
-
-    def _report(
-        self,
-        action: str,
-        key: Tuple[int, int],
-        was_tree_edge: bool,
-        replacement: Optional[Edge],
-        removed: Optional[Edge],
-        bridge: bool,
-        start,
-    ) -> RepairReport:
-        return RepairReport(
-            action=action,
-            updated_edge=key,
-            was_tree_edge=was_tree_edge,
-            replacement=replacement,
-            removed=removed,
-            bridge=bridge,
-            cost=self.accountant.since(start),
-        )
-
-
-@dataclass
-class BatchRepairReport:
-    """What one coalesced repair round did for a whole wave of updates.
-
-    Per-update attribution intentionally does not exist in batched mode: the
-    wave shares one repair round, so costs are accounted *per wave* and the
-    per-update figure is the amortized ``cost.messages / size``.  The
-    correctness contract is final-forest equality with sequential processing
-    (exact in MST mode, where the distinct augmented weights make the
-    maintained forest the unique minimum spanning forest of the current
+    For a wave of one this is the update's own report.  A larger wave shares
+    one repair round, so costs are accounted *per wave* and the per-update
+    figure is the amortized ``cost.messages / size``.  The correctness
+    contract for larger waves is final-forest equality with sequential
+    processing (exact in MST mode, where the distinct augmented weights make
+    the maintained forest the unique minimum spanning forest of the current
     graph), not per-update counter equality.
     """
 
@@ -325,33 +69,37 @@ class BatchRepairReport:
     bridges: int
     joins: int
     swaps: int
+    #: Edges the repair marked, in order: hole replacements, joining and
+    #: swapped-in candidates.
+    marked: List[Edge]
+    #: Tree edges the wave unmarked, in order: deleted or weight-increased
+    #: tree edges, and the heaviest path edge each swap evicted.
+    unmarked: List[Edge]
     cost: CostDelta
 
-    @property
-    def saved_queries(self) -> int:
-        """Repair queries the wave avoided versus sequential processing."""
-        return self.skipped_candidates
 
-
-class BatchRepairer:
-    """One coalesced repair round for a wave of updates (Theorem 1.2, amortized).
+class TreeRepairer:
+    """Impromptu repair of a wave of updates (Theorem 1.2).
 
     Sequential impromptu repair pays the full FindMin/FindAny + path-query
-    machinery per event.  A wave of ``k`` events is instead processed in
-    three phases sharing the tree-structure cache, incident arrays and
-    columnar sketch columns at a single stable graph version:
+    machinery per event.  A wave of ``k`` events is processed in three
+    phases sharing the tree-structure cache and the columnar sketch columns
+    at a single stable graph version:
 
-    1. **Coalesce** — walk the wave in stream order (validating exactly like
-       sequential mode), applying removals and weight increases to the graph
-       and collecting their *holes* (tree edges lost — each remembers both
-       endpoints, either may initiate repair), while insertions and
-       weight decreases of non-tree edges are *deferred* as candidates;
-       insert+delete pairs annihilate on the spot, costing nothing.
-    2. **Reconnect** — repair the holes, smallest current fragment first;
-       each runs one FindMin (MST) / FindAny (ST) from its initiator's
-       fragment and marks the replacement.  With ``j`` holes in a component
-       that stays connected, each pop still sees at least two fragments, so
-       ``j`` pops provably restore spanning — no extra searches are needed.
+    1. **Coalesce** — walk the wave in stream order, validating each update,
+       applying removals and weight increases to the graph and collecting
+       their *holes* (tree edges lost — each remembers both endpoints,
+       either may initiate repair), while insertions and weight decreases
+       of non-tree edges are *deferred* as candidates; insert+delete pairs
+       annihilate on the spot, costing nothing.
+    2. **Reconnect** — repair the holes; each runs one FindMin (MST) /
+       FindAny (ST) from its initiator's fragment and marks the
+       replacement.  A wave of one follows the paper: the smaller-ID
+       endpoint initiates.  A larger wave pops the hole endpoint in the
+       smallest current fragment first.  With ``j`` holes in a component
+       that stays connected, each pop still sees at least two fragments,
+       so ``j`` pops provably restore spanning — no extra searches are
+       needed.
     3. **Settle** — replay the deferred candidates in stream order,
        path-querying each with the usual cut/cycle rule.
 
@@ -364,17 +112,17 @@ class BatchRepairer:
     replacement and skip the red-rule eviction its settle owes, stranding a
     stale non-MSF edge in the tree.
 
-    Each hole/candidate uses the per-update derived config of its original
-    stream position, so a wave of size 1 follows the sequential code path
-    with identical counters.  The ``make_repairer`` callback maps a 0-based
-    wave index to that update's fresh :class:`TreeRepairer`.
+    ``configs[i]`` is the config (and hence the randomness) of the wave's
+    ``i``-th update; every hole or candidate searches with the config of
+    the update that caused it, so each update keeps its own fresh coins
+    whatever wave it lands in.
     """
 
     def __init__(
         self,
         graph: Graph,
         forest: SpanningForest,
-        make_repairer: Callable[[int], TreeRepairer],
+        configs: Sequence[AlgorithmConfig],
         mode: str = "mst",
         accountant: Optional[MessageAccountant] = None,
     ) -> None:
@@ -382,17 +130,22 @@ class BatchRepairer:
             raise AlgorithmError("mode must be 'mst' or 'st'")
         self.graph = graph
         self.forest = forest
+        self.configs = configs
         self.mode = mode
-        self.make_repairer = make_repairer
         self.accountant = accountant if accountant is not None else MessageAccountant()
+        self._executor = BroadcastEchoExecutor(graph, forest, self.accountant)
 
-    def run(self, wave: Sequence) -> BatchRepairReport:
+    def run(self, wave: Sequence) -> RepairReport:
         """Apply a wave of :class:`~repro.dynamic.updates.EdgeUpdate`-likes."""
+        if len(wave) > len(self.configs):
+            raise AlgorithmError("the wave has more updates than configs")
         start = self.accountant.snapshot()
+        self._marked: List[Edge] = []
+        self._unmarked: List[Edge] = []
         holes, candidates, annihilated = self._coalesce(wave)
         replacements, bridges = self._reconnect(holes, sequential_initiators=len(wave) == 1)
         joins, swaps = self._settle(candidates)
-        return BatchRepairReport(
+        return RepairReport(
             size=len(wave),
             holes=len(holes),
             candidates=len(candidates),
@@ -401,6 +154,8 @@ class BatchRepairer:
             bridges=bridges,
             joins=joins,
             swaps=swaps,
+            marked=self._marked,
+            unmarked=self._unmarked,
             cost=self.accountant.since(start),
         )
 
@@ -411,8 +166,8 @@ class BatchRepairer:
         # holes: [wave_index, u, v, origin_key] — u < v are the endpoints of
         # the lost tree edge (either may initiate repair); origin_key is set
         # for weight-increase holes whose edge is still in the graph, so a
-        # budget-exhausted search can fall back to re-marking it (mirroring
-        # sequential increase_weight); cleared if the edge is later deleted.
+        # budget-exhausted search can fall back to re-marking it; cleared if
+        # the edge is later deleted.
         holes: List[List] = []
         # candidates: [wave_index, key, kind, weight] with kind "insert" or
         # "decrease".  Candidate mutations are NOT applied here: the settle
@@ -452,12 +207,13 @@ class BatchRepairer:
                 if not self.graph.has_edge(*key):
                     raise GraphError(f"cannot delete non-existent edge {key}")
                 was_tree_edge = self.forest.is_marked(*key)
-                self.graph.remove_edge(*key)
+                removed = self.graph.remove_edge(*key)
                 self.forest.unmark(*key)
                 for hole in holes:
                     if hole[3] == key:
                         hole[3] = None
                 if was_tree_edge:
+                    self._unmarked.append(removed)
                     holes.append([index, key[0], key[1], None])
             elif kind == "increase_weight":
                 if entry is not None:
@@ -481,11 +237,12 @@ class BatchRepairer:
                 if update.weight < edge.weight:
                     raise AlgorithmError("increase_weight called with a smaller weight")
                 was_tree_edge = self.forest.is_marked(*key)
-                self.graph.set_weight(key[0], key[1], update.weight)
+                heavier = self.graph.set_weight(key[0], key[1], update.weight)
                 if was_tree_edge and self.mode == "mst":
                     # Like a delete, except the (heavier) edge remains in the
                     # graph and may legitimately be re-picked by FindMin.
                     self.forest.unmark(*key)
+                    self._unmarked.append(heavier)
                     holes.append([index, key[0], key[1], key])
             elif kind == "decrease_weight":
                 if entry is not None:
@@ -517,9 +274,8 @@ class BatchRepairer:
         pending = list(holes)
         while pending:
             if sequential_initiators:
-                # Singleton wave: follow the sequential code path exactly
-                # (the smaller-ID endpoint initiates), so k=1 batches charge
-                # bit-identical counters to sequential processing.
+                # A wave of one is a sequential update: the smaller-ID
+                # endpoint initiates, as in the paper.
                 index, initiator, _, origin = pending.pop(0)
             else:
                 # Pop the hole endpoint that currently sits in the smallest
@@ -540,17 +296,16 @@ class BatchRepairer:
                 hole = pending.pop(best[3])
                 index, origin = hole[0], hole[3]
                 initiator = hole[best[2]]
-            repairer = self.make_repairer(index)
-            replacement, bridge = repairer._find_replacement(initiator)
+            replacement, bridge = self._find_replacement(initiator, self.configs[index])
             if replacement is not None:
                 replacements += 1
             elif bridge:
                 bridges += 1
             elif origin is not None and self.graph.has_edge(*origin) and not self.forest.is_marked(*origin):
                 # Monte Carlo total failure on a weight-increase hole: keep
-                # the heavier edge so the forest stays spanning (sequential
-                # increase_weight's fallback).
+                # the heavier edge so the forest stays spanning.
                 self.forest.mark(*origin)
+                self._marked.append(self.graph.get_edge(*origin))
         return replacements, bridges
 
     # ------------------------------------------------------------------ #
@@ -558,7 +313,7 @@ class BatchRepairer:
     # ------------------------------------------------------------------ #
     def _settle(self, candidates) -> Tuple[int, int]:
         joins = swaps = 0
-        for index, key, kind, weight in candidates:
+        for _, key, kind, weight in candidates:
             if kind == "insert":
                 self.graph.add_edge(key[0], key[1], weight)
             else:  # deferred decrease of an unmarked edge
@@ -568,10 +323,123 @@ class BatchRepairer:
                     # blue-rule choice that only improves as it gets
                     # lighter): a tree edge getting lighter stays put.
                     continue
-            repairer = self.make_repairer(index)
-            action, _, _ = repairer._settle_candidate(key)
+            action = self._settle_candidate(key)
             if action == "joined":
                 joins += 1
             elif action == "swapped":
                 swaps += 1
         return joins, swaps
+
+    # ------------------------------------------------------------------ #
+    # building blocks
+    # ------------------------------------------------------------------ #
+    def _settle_candidate(self, key: Tuple[int, int]) -> str:
+        """Path-query an unmarked existing edge and apply the cut/cycle rule.
+
+        Returns ``"joined"`` (endpoints were in different trees; the edge
+        joins the forest), ``"swapped"`` (MST mode: the edge evicted the
+        heaviest edge on the tree cycle it closed), or ``"kept"`` (the
+        forest is unchanged).
+        """
+        initiator, other = key
+        in_same_tree, heaviest = self._path_query(initiator, other)
+        new_edge = self.graph.get_edge(*key)
+        if not in_same_tree:
+            # The edge joins two maintained trees; one message across it
+            # tells the other endpoint to mark.
+            self._charge_edge_message(key)
+            self.forest.mark(*key)
+            self._marked.append(new_edge)
+            return "joined"
+
+        if self.mode == "st":
+            # A spanning tree ignores redundant edges.
+            return "kept"
+
+        assert heaviest is not None
+        id_bits = self.graph.id_bits
+        if heaviest.augmented_weight(id_bits) > new_edge.augmented_weight(id_bits):
+            # Swap: broadcast the removal of the heaviest path edge, mark the
+            # new one.
+            self._executor.broadcast_only(
+                root=initiator, broadcast_bits=2 * id_bits, kind="remove_edge"
+            )
+            self._charge_edge_message(key)
+            self.forest.unmark(heaviest.u, heaviest.v)
+            self.forest.mark(*key)
+            self._unmarked.append(heaviest)
+            self._marked.append(new_edge)
+            return "swapped"
+        return "kept"
+
+    def _find_replacement(
+        self, initiator: int, config: AlgorithmConfig
+    ) -> Tuple[Optional[Edge], bool]:
+        """Search for the replacement edge across the cut (FindMin/FindAny).
+
+        Returns ``(edge_or_None, bridge)`` where ``bridge`` means the search
+        certified that no replacement exists.  On a budget-exhausted ∅ the
+        search is retried (FindMin / FindAny already retry internally with
+        w.h.p. guarantees; an extra outer retry keeps the maintained forest
+        spanning even in the astronomically unlikely total-failure case,
+        while charging the extra messages honestly).
+        """
+        if self.mode == "mst":
+            search = FindMin(self.graph, self.forest, config, self.accountant).find_min
+        else:
+            search = FindAny(self.graph, self.forest, config, self.accountant).find_any
+        for _ in range(3):
+            result = search(initiator)
+            if result.edge is not None:
+                self._announce_replacement(initiator, result.edge)
+                return result.edge, False
+            if result.verified_empty:
+                return None, True
+        return None, False
+
+    def _announce_replacement(self, initiator: int, edge: Edge) -> None:
+        """Broadcast the replacement over ``T_initiator`` and mark it.
+
+        The initiator knows from its own marks (KT1) whether ``T_initiator``
+        has any other node to tell.
+        """
+        if self.forest.marked_degree(initiator) > 0:
+            self._executor.broadcast_only(
+                root=initiator, broadcast_bits=2 * self.graph.id_bits, kind="add_edge"
+            )
+        self._charge_edge_message((edge.u, edge.v))
+        self.forest.mark(edge.u, edge.v)
+        self._marked.append(edge)
+
+    def _path_query(self, root: int, target: int) -> Tuple[bool, Optional[Edge]]:
+        """One B&E over ``T_root``: is ``target`` there, and if so which is the
+        heaviest edge on the tree path from ``root`` to ``target``?"""
+        id_bits = self.graph.id_bits
+
+        def propagate(parent_state, parent: int, child: int):
+            edge = self.graph.get_edge(parent, child)
+            if parent_state is None:
+                return edge
+            if edge.augmented_weight(id_bits) > parent_state.augmented_weight(id_bits):
+                return edge
+            return parent_state
+
+        answer = self._executor.broadcast_with_downward_state(
+            root=root,
+            target=target,
+            initial_state=None,
+            propagate=propagate,
+            broadcast_bits=2 * id_bits + self.graph.max_weight().bit_length() + 2,
+            echo_bits=2 * id_bits + self.graph.max_weight().bit_length() + 2,
+            # target == root leaves the path empty (a self-loop update is
+            # rejected when the update is built): same tree, no path edge.
+            collect=lambda _node, heaviest: (True, heaviest),
+            tree=self.forest.rooted_structure(root),
+            kind="path_query",
+        )
+        return answer if answer is not None else (False, None)
+
+    def _charge_edge_message(self, key: Tuple[int, int]) -> None:
+        self._executor.point_to_point_along_edge(
+            key[0], key[1], size_bits=2 * self.graph.id_bits, kind="mark_edge"
+        )

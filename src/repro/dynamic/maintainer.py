@@ -1,17 +1,17 @@
 """Impromptu maintainers: apply update streams with the paper's repairs.
 
-:class:`TreeMaintainer` owns a graph and its maintained forest, dispatches
-each :class:`~repro.dynamic.updates.EdgeUpdate` to the corresponding
-:class:`~repro.core.repair.TreeRepairer` operation, records per-update costs,
-and — crucially for the *impromptu* claim — constructs a **fresh** repairer
-for every update, so no Python object state can leak information between
-updates.  The only state that survives is the graph (each node's incident
-edges and weights) and the marked-edge set, exactly the knowledge the paper
-allows a node to keep.
+:class:`TreeMaintainer` owns a graph and its maintained forest and hands each
+wave of updates (:class:`~repro.dynamic.updates.EdgeUpdate`) to the one
+repair engine, :class:`~repro.core.repair.TreeRepairer`.  A sequential update
+(:meth:`TreeMaintainer.apply`, the paper's Theorem 1.2 mode) is a wave of
+one.  Crucially for the *impromptu* claim, every wave gets a **fresh**
+repairer and every update its own derived config, so no Python object state
+can leak information between updates.  The only state that survives is the
+graph (each node's incident edges and weights) and the marked-edge set,
+exactly the knowledge the paper allows a node to keep.
 
-:meth:`TreeMaintainer.apply_batch` is the batched mode: a wave of ``k``
-updates is coalesced into one shared repair round
-(:class:`~repro.core.repair.BatchRepairer`): holes are repaired smallest
+:meth:`TreeMaintainer.apply_batch` with ``k`` > 1 updates is the batched
+mode: the wave shares one repair round in which holes are repaired smallest
 fragment first, deferred candidates settle afterwards, and a churn wave's
 insert+delete pairs annihilate without any repair work at all.  Costs are
 accounted per wave; the correctness contract versus sequential processing is
@@ -23,37 +23,31 @@ graph).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from ..core.config import AlgorithmConfig
-from ..core.repair import BatchRepairer, BatchRepairReport, RepairReport, TreeRepairer
+from ..core.repair import RepairReport, TreeRepairer
 from ..network.accounting import MessageAccountant
 from ..network.errors import AlgorithmError
 from ..network.fragments import SpanningForest
 from ..network.graph import Graph
-from .updates import EdgeUpdate, UpdateKind, UpdateStream
+from .updates import EdgeUpdate, UpdateStream
 
-__all__ = ["UpdateOutcome", "BatchOutcome", "TreeMaintainer"]
+__all__ = ["UpdateOutcome", "TreeMaintainer"]
 
 
 @dataclass
 class UpdateOutcome:
-    """One processed update together with its repair report."""
+    """One processed wave (a single update in sequential mode) and its report."""
 
-    update: EdgeUpdate
+    updates: List[EdgeUpdate]
     report: RepairReport
 
     @property
-    def messages(self) -> int:
-        return self.report.cost.messages
-
-
-@dataclass
-class BatchOutcome:
-    """One processed wave together with its batched repair report."""
-
-    updates: List[EdgeUpdate]
-    report: BatchRepairReport
+    def update(self) -> EdgeUpdate:
+        """The update of a wave of one (sequential mode)."""
+        (update,) = self.updates
+        return update
 
     @property
     def messages(self) -> int:
@@ -84,81 +78,58 @@ class TreeMaintainer:
         self._seed = seed
         self._update_counter = 0
         self.history: List[UpdateOutcome] = []
-        self.batch_history: List[BatchOutcome] = []
 
     # ------------------------------------------------------------------ #
     # applying updates
     # ------------------------------------------------------------------ #
     def apply(self, update: EdgeUpdate) -> UpdateOutcome:
-        """Process one update impromptu and return its outcome."""
-        repairer = self._fresh_repairer()
-        if update.kind == UpdateKind.INSERT:
-            report = repairer.insert_edge(update.u, update.v, update.effective_weight)
-        elif update.kind == UpdateKind.DELETE:
-            report = repairer.delete_edge(update.u, update.v)
-        elif update.kind == UpdateKind.INCREASE_WEIGHT:
-            assert update.weight is not None
-            report = repairer.increase_weight(update.u, update.v, update.weight)
-        elif update.kind == UpdateKind.DECREASE_WEIGHT:
-            assert update.weight is not None
-            report = repairer.decrease_weight(update.u, update.v, update.weight)
-        else:  # pragma: no cover - exhaustive enum
-            raise AlgorithmError(f"unknown update kind {update.kind!r}")
-        outcome = UpdateOutcome(update=update, report=report)
-        self.history.append(outcome)
-        return outcome
+        """Process one update impromptu: a wave of one."""
+        return self.apply_batch([update])
 
-    def apply_batch(self, updates: Sequence[EdgeUpdate]) -> BatchOutcome:
-        """Coalesce a wave of updates into one shared repair round.
+    def apply_batch(self, updates: Sequence[EdgeUpdate]) -> UpdateOutcome:
+        """Repair a wave of updates in one round and return its outcome.
 
-        Every update in the wave still consumes its own slot of the
-        per-update derived randomness, so a wave of size 1 follows the
-        sequential code path with bit-identical counters.
+        Every update in the wave consumes its own slot of the per-update
+        derived randomness, wherever the wave boundaries fall.
         """
         wave = list(updates)
         base = self._update_counter
         self._update_counter += len(wave)
-        engine = BatchRepairer(
+        repairer = TreeRepairer(
             self.graph,
             self.forest,
-            make_repairer=lambda index: self._repairer_for(base + index + 1),
+            [self._derived_config(base + index + 1) for index in range(len(wave))],
             mode=self.mode,
             accountant=self.accountant,
         )
-        outcome = BatchOutcome(updates=wave, report=engine.run(wave))
-        self.batch_history.append(outcome)
+        outcome = UpdateOutcome(updates=wave, report=repairer.run(wave))
+        self.history.append(outcome)
         return outcome
 
     def apply_stream(
         self, stream: UpdateStream, batch_size: Optional[int] = None
-    ) -> Union[List[UpdateOutcome], List[BatchOutcome]]:
-        """Process every update of ``stream`` in order.
+    ) -> List[UpdateOutcome]:
+        """Process every update of ``stream`` in order, in waves of ``batch_size``.
 
-        With ``batch_size`` ≥ 1 the stream is chunked into waves of that size
-        and each wave goes through :meth:`apply_batch`; otherwise updates are
-        processed one at a time (the sequential Theorem 1.2 mode).
+        Without a ``batch_size`` ≥ 1 the waves hold one update each: the
+        sequential Theorem 1.2 mode.
         """
-        if batch_size is None or batch_size < 1:
-            return [self.apply(update) for update in stream]
+        size = batch_size if batch_size is not None and batch_size >= 1 else 1
         updates = list(stream)
         return [
-            self.apply_batch(updates[start : start + batch_size])
-            for start in range(0, len(updates), batch_size)
+            self.apply_batch(updates[start : start + size])
+            for start in range(0, len(updates), size)
         ]
 
     # ------------------------------------------------------------------ #
     # accounting helpers
     # ------------------------------------------------------------------ #
     def total_messages(self) -> int:
-        return sum(outcome.messages for outcome in self.history) + sum(
-            outcome.messages for outcome in self.batch_history
-        )
-
-    def messages_per_update(self) -> List[int]:
-        return [outcome.messages for outcome in self.history]
+        return sum(outcome.messages for outcome in self.history)
 
     def messages_per_wave(self) -> List[int]:
-        return [outcome.messages for outcome in self.batch_history]
+        """Messages of each wave so far (of each update, in sequential mode)."""
+        return [outcome.messages for outcome in self.history]
 
     # ------------------------------------------------------------------ #
     # internals
@@ -177,22 +148,3 @@ class TreeMaintainer:
             return replace(self._base_config, seed=derived_seed)
         derived_seed = None if self._seed is None else self._seed + 7919 * counter
         return AlgorithmConfig(n=max(self.graph.num_nodes, 1), seed=derived_seed)
-
-    def _repairer_for(self, counter: int) -> TreeRepairer:
-        return TreeRepairer(
-            self.graph,
-            self.forest,
-            config=self._derived_config(counter),
-            accountant=self.accountant,
-            mode=self.mode,
-        )
-
-    def _fresh_repairer(self) -> TreeRepairer:
-        """A brand-new repairer per update: nothing persists in between.
-
-        The config (and hence the RNG) is re-derived from the seed and the
-        update counter so runs stay reproducible while each update's
-        randomness is independent.
-        """
-        self._update_counter += 1
-        return self._repairer_for(self._update_counter)

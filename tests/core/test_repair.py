@@ -1,4 +1,9 @@
-"""Tests for the impromptu repair operations (Theorem 1.2)."""
+"""Tests for the impromptu repair operations (Theorem 1.2).
+
+Every update goes through the one repair engine as a wave of one
+(:meth:`TreeMaintainer.apply`); the report names the edges the update's
+repair marked and unmarked.
+"""
 
 import pytest
 
@@ -6,6 +11,7 @@ from repro.baselines.sequential import kruskal_mst, mst_edge_keys
 from repro.core.build_mst import BuildMST
 from repro.core.config import AlgorithmConfig
 from repro.core.repair import TreeRepairer
+from repro.dynamic import EdgeUpdate, TreeMaintainer
 from repro.generators import random_connected_graph
 from repro.network.errors import AlgorithmError, GraphError
 from repro.network.fragments import SpanningForest
@@ -17,29 +23,34 @@ def _mst_setup(n=20, m=60, seed=0):
     graph = random_connected_graph(n, m, seed=seed)
     config = AlgorithmConfig(n=n, seed=seed)
     report = BuildMST(graph, config=config).run()
-    repairer = TreeRepairer(
-        graph, report.forest, AlgorithmConfig(n=n, seed=seed + 1), mode="mst"
+    return graph, report.forest, _maintainer(graph, report.forest, n, seed + 1, mode="mst")
+
+
+def _maintainer(graph, forest, n, seed, mode="mst", c=1.0):
+    return TreeMaintainer(
+        graph, forest, mode=mode, config=AlgorithmConfig(n=n, seed=seed, c=c)
     )
-    return graph, report.forest, repairer
 
 
 class TestDeleteMST:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_delete_tree_edge_restores_mst(self, seed):
-        graph, forest, repairer = _mst_setup(seed=seed)
+        graph, forest, maintainer = _mst_setup(seed=seed)
         key = sorted(forest.marked_edges)[seed]
-        report = repairer.delete_edge(*key)
-        assert report.was_tree_edge
+        report = maintainer.apply(EdgeUpdate.delete(*key)).report
+        assert report.holes == 1
+        assert [edge.endpoints for edge in report.unmarked] == [key]
         assert is_minimum_spanning_forest(forest)
         assert report.cost.messages >= 0
 
     def test_delete_non_tree_edge_is_free(self):
-        graph, forest, repairer = _mst_setup(seed=3)
+        graph, forest, maintainer = _mst_setup(seed=3)
         non_tree = next(
             (e.u, e.v) for e in graph.edges() if (e.u, e.v) not in forest.marked_edges
         )
-        report = repairer.delete_edge(*non_tree)
-        assert not report.was_tree_edge
+        report = maintainer.apply(EdgeUpdate.delete(*non_tree)).report
+        assert report.holes == 0
+        assert report.unmarked == []
         assert report.cost.messages == 0
         assert is_minimum_spanning_forest(forest)
 
@@ -50,24 +61,24 @@ class TestDeleteMST:
         graph.add_edge(1, 3, 3)
         graph.add_edge(3, 4, 5)   # bridge
         forest = SpanningForest(graph, marked=[(1, 2), (2, 3), (3, 4)])
-        repairer = TreeRepairer(graph, forest, AlgorithmConfig(n=4, seed=1), mode="mst")
-        report = repairer.delete_edge(3, 4)
-        assert report.was_tree_edge
-        assert report.bridge
-        assert report.replacement is None
+        maintainer = _maintainer(graph, forest, 4, 1)
+        report = maintainer.apply(EdgeUpdate.delete(3, 4)).report
+        assert report.holes == 1
+        assert report.bridges == 1
+        assert report.marked == []
         # The forest now has two components {1,2,3} and {4}, each spanning.
         assert is_minimum_spanning_forest(forest)
 
     def test_delete_missing_edge_rejected(self):
-        graph, forest, repairer = _mst_setup(seed=4)
+        graph, forest, maintainer = _mst_setup(seed=4)
         with pytest.raises(GraphError):
-            repairer.delete_edge(1, 1 + graph.num_nodes + 100)
+            maintainer.apply(EdgeUpdate.delete(1, 1 + graph.num_nodes + 100))
 
     def test_sequence_of_deletions_keeps_mst(self):
-        graph, forest, repairer = _mst_setup(n=18, m=70, seed=5)
+        graph, forest, maintainer = _mst_setup(n=18, m=70, seed=5)
         for _ in range(6):
             key = sorted(forest.marked_edges)[0]
-            repairer.delete_edge(*key)
+            maintainer.apply(EdgeUpdate.delete(*key))
             assert is_minimum_spanning_forest(forest)
 
 
@@ -78,10 +89,11 @@ class TestInsertMST:
         graph.add_edge(2, 3, 9)
         graph.add_edge(3, 4, 2)
         forest = SpanningForest(graph, marked=[(1, 2), (2, 3), (3, 4)])
-        repairer = TreeRepairer(graph, forest, AlgorithmConfig(n=4, seed=2), mode="mst")
-        report = repairer.insert_edge(1, 4, weight=3)
-        assert report.replacement is not None
-        assert report.removed.endpoints == (2, 3)
+        maintainer = _maintainer(graph, forest, 4, 2)
+        report = maintainer.apply(EdgeUpdate.insert(1, 4, weight=3)).report
+        assert report.swaps == 1
+        assert [edge.endpoints for edge in report.marked] == [(1, 4)]
+        assert [edge.endpoints for edge in report.unmarked] == [(2, 3)]
         assert forest.is_marked(1, 4)
         assert not forest.is_marked(2, 3)
         assert is_minimum_spanning_forest(forest)
@@ -91,9 +103,10 @@ class TestInsertMST:
         graph.add_edge(1, 2, 1)
         graph.add_edge(2, 3, 2)
         forest = SpanningForest(graph, marked=[(1, 2), (2, 3)])
-        repairer = TreeRepairer(graph, forest, AlgorithmConfig(n=3, seed=3), mode="mst")
-        report = repairer.insert_edge(1, 3, weight=50)
-        assert report.replacement is None
+        maintainer = _maintainer(graph, forest, 3, 3)
+        report = maintainer.apply(EdgeUpdate.insert(1, 3, weight=50)).report
+        assert report.marked == []
+        assert report.unmarked == []
         assert not forest.is_marked(1, 3)
         assert is_minimum_spanning_forest(forest)
 
@@ -102,22 +115,23 @@ class TestInsertMST:
         graph.add_edge(1, 2, 1)
         graph.add_edge(3, 4, 2)
         forest = SpanningForest(graph, marked=[(1, 2), (3, 4)])
-        repairer = TreeRepairer(graph, forest, AlgorithmConfig(n=4, seed=4), mode="mst")
-        report = repairer.insert_edge(2, 3, weight=7)
+        maintainer = _maintainer(graph, forest, 4, 4)
+        report = maintainer.apply(EdgeUpdate.insert(2, 3, weight=7)).report
         assert forest.is_marked(2, 3)
         assert is_minimum_spanning_forest(forest)
-        assert not report.was_tree_edge
+        assert report.joins == 1
+        assert report.holes == 0
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_insertions_keep_mst(self, seed):
-        graph, forest, repairer = _mst_setup(n=16, m=40, seed=seed + 6)
+        graph, forest, maintainer = _mst_setup(n=16, m=40, seed=seed + 6)
         nodes = graph.nodes()
         added = 0
         weight = 0  # very light edges: likely to enter the MST
         for u in nodes:
             for v in nodes:
                 if u < v and not graph.has_edge(u, v):
-                    repairer.insert_edge(u, v, weight=weight)
+                    maintainer.apply(EdgeUpdate.insert(u, v, weight=weight))
                     weight += 1
                     added += 1
                     assert is_minimum_spanning_forest(forest)
@@ -127,12 +141,14 @@ class TestInsertMST:
 
 class TestWeightChangesMST:
     def test_increase_non_tree_edge_weight_is_noop(self):
-        graph, forest, repairer = _mst_setup(seed=8)
+        graph, forest, maintainer = _mst_setup(seed=8)
         non_tree = next(
             (e.u, e.v) for e in graph.edges() if (e.u, e.v) not in forest.marked_edges
         )
         old = graph.get_edge(*non_tree).weight
-        report = repairer.increase_weight(non_tree[0], non_tree[1], old + 100)
+        report = maintainer.apply(
+            EdgeUpdate.increase_weight(non_tree[0], non_tree[1], old + 100)
+        ).report
         assert report.cost.messages == 0
         assert is_minimum_spanning_forest(forest)
 
@@ -142,8 +158,8 @@ class TestWeightChangesMST:
         graph.add_edge(2, 3, 2)
         graph.add_edge(1, 3, 5)
         forest = SpanningForest(graph, marked=[(1, 2), (2, 3)])
-        repairer = TreeRepairer(graph, forest, AlgorithmConfig(n=3, seed=9, c=2), mode="mst")
-        repairer.increase_weight(2, 3, 50)
+        maintainer = _maintainer(graph, forest, 3, 9, c=2)
+        maintainer.apply(EdgeUpdate.increase_weight(2, 3, 50))
         assert is_minimum_spanning_forest(forest)
         assert forest.is_marked(1, 3)
         assert not forest.is_marked(2, 3)
@@ -154,16 +170,17 @@ class TestWeightChangesMST:
         graph.add_edge(2, 3, 2)
         graph.add_edge(1, 3, 100)
         forest = SpanningForest(graph, marked=[(1, 2), (2, 3)])
-        repairer = TreeRepairer(graph, forest, AlgorithmConfig(n=3, seed=10, c=2), mode="mst")
-        repairer.increase_weight(2, 3, 50)
+        maintainer = _maintainer(graph, forest, 3, 10, c=2)
+        maintainer.apply(EdgeUpdate.increase_weight(2, 3, 50))
         assert is_minimum_spanning_forest(forest)
         assert forest.is_marked(2, 3)
 
     def test_decrease_tree_edge_weight_is_noop(self):
-        graph, forest, repairer = _mst_setup(seed=11)
+        graph, forest, maintainer = _mst_setup(seed=11)
         key = sorted(forest.marked_edges)[0]
         old = graph.get_edge(*key).weight
-        report = repairer.decrease_weight(key[0], key[1], max(old - 1, 0))
+        update = EdgeUpdate.decrease_weight(key[0], key[1], max(old - 1, 0))
+        report = maintainer.apply(update).report
         assert report.cost.messages == 0
         assert is_minimum_spanning_forest(forest)
 
@@ -173,20 +190,35 @@ class TestWeightChangesMST:
         graph.add_edge(2, 3, 9)
         graph.add_edge(1, 3, 20)
         forest = SpanningForest(graph, marked=[(1, 2), (2, 3)])
-        repairer = TreeRepairer(graph, forest, AlgorithmConfig(n=3, seed=12), mode="mst")
-        repairer.decrease_weight(1, 3, 2)
+        maintainer = _maintainer(graph, forest, 3, 12)
+        maintainer.apply(EdgeUpdate.decrease_weight(1, 3, 2))
         assert forest.is_marked(1, 3)
         assert not forest.is_marked(2, 3)
         assert is_minimum_spanning_forest(forest)
 
     def test_wrong_direction_rejected(self):
-        graph, forest, repairer = _mst_setup(seed=13)
+        graph, forest, maintainer = _mst_setup(seed=13)
         key = sorted(forest.marked_edges)[0]
         weight = graph.get_edge(*key).weight
         with pytest.raises(AlgorithmError):
-            repairer.increase_weight(key[0], key[1], weight - 1)
+            maintainer.apply(EdgeUpdate.increase_weight(key[0], key[1], weight - 1))
         with pytest.raises(AlgorithmError):
-            repairer.decrease_weight(key[0], key[1], weight + 1)
+            maintainer.apply(EdgeUpdate.decrease_weight(key[0], key[1], weight + 1))
+
+    def test_decrease_across_trees_joins_them(self):
+        # A spanning forest never has a non-tree edge between two of its
+        # trees, but a Monte Carlo total failure can leave one: the
+        # decreased edge then joins the trees, restoring spanning.
+        graph = Graph(id_bits=4)
+        graph.add_edge(1, 2, 1)
+        graph.add_edge(3, 4, 2)
+        graph.add_edge(2, 3, 9)
+        forest = SpanningForest(graph, marked=[(1, 2), (3, 4)])
+        maintainer = _maintainer(graph, forest, 4, 16)
+        report = maintainer.apply(EdgeUpdate.decrease_weight(2, 3, 5)).report
+        assert report.joins == 1
+        assert forest.is_marked(2, 3)
+        assert is_minimum_spanning_forest(forest)
 
 
 class TestRepairST:
@@ -195,20 +227,17 @@ class TestRepairST:
         from repro.generators import random_spanning_tree_forest
 
         forest = random_spanning_tree_forest(graph, seed=seed)
-        repairer = TreeRepairer(
-            graph, forest, AlgorithmConfig(n=18, seed=seed + 1), mode="st"
-        )
-        return graph, forest, repairer
+        return graph, forest, _maintainer(graph, forest, 18, seed + 1, mode="st")
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_delete_tree_edge_restores_spanning(self, seed):
-        graph, forest, repairer = self._st_setup(seed=seed)
+        graph, forest, maintainer = self._st_setup(seed=seed)
         key = sorted(forest.marked_edges)[seed]
-        repairer.delete_edge(*key)
+        maintainer.apply(EdgeUpdate.delete(*key))
         assert is_spanning_forest(forest)
 
     def test_st_insert_redundant_edge_noop(self):
-        graph, forest, repairer = self._st_setup(seed=3)
+        graph, forest, maintainer = self._st_setup(seed=3)
         # Find an absent pair within the (single) component.
         nodes = graph.nodes()
         pair = next(
@@ -217,15 +246,15 @@ class TestRepairST:
             for v in nodes
             if u < v and not graph.has_edge(u, v)
         )
-        report = repairer.insert_edge(*pair, weight=1)
-        assert report.replacement is None
+        report = maintainer.apply(EdgeUpdate.insert(*pair, weight=1)).report
+        assert report.marked == []
         assert is_spanning_forest(forest)
 
     def test_st_weight_change_noop(self):
-        graph, forest, repairer = self._st_setup(seed=4)
+        graph, forest, maintainer = self._st_setup(seed=4)
         key = sorted(forest.marked_edges)[0]
         old = graph.get_edge(*key).weight
-        report = repairer.increase_weight(key[0], key[1], old + 5)
+        report = maintainer.apply(EdgeUpdate.increase_weight(key[0], key[1], old + 5)).report
         assert report.cost.messages == 0
         assert is_spanning_forest(forest)
 
@@ -234,14 +263,22 @@ class TestRepairST:
         graph.add_edge(1, 2, 1)
         forest = SpanningForest(graph)
         with pytest.raises(AlgorithmError):
-            TreeRepairer(graph, forest, mode="other")
+            TreeRepairer(graph, forest, [], mode="other")
+
+    def test_wave_needs_a_config_per_update(self):
+        graph = Graph()
+        graph.add_edge(1, 2, 1)
+        forest = SpanningForest(graph, marked=[(1, 2)])
+        with pytest.raises(AlgorithmError, match="more updates than configs"):
+            TreeRepairer(graph, forest, []).run([EdgeUpdate.delete(1, 2)])
+        assert graph.has_edge(1, 2)
 
 
 class TestRepairCostShape:
     def test_delete_repair_cost_proportional_to_component(self):
-        graph, forest, repairer = _mst_setup(n=24, m=90, seed=14)
+        graph, forest, maintainer = _mst_setup(n=24, m=90, seed=14)
         key = sorted(forest.marked_edges)[3]
-        report = repairer.delete_edge(*key)
+        report = maintainer.apply(EdgeUpdate.delete(*key)).report
         n = graph.num_nodes
         # The search runs over one side of the split tree (< n nodes), each
         # B&E costs at most 2(n-1) messages.
@@ -249,11 +286,11 @@ class TestRepairCostShape:
         assert report.cost.messages <= 2 * (n - 1) * max(be_count, 1) + 2
 
     def test_insert_repair_constant_broadcast_echoes(self):
-        graph, forest, repairer = _mst_setup(n=24, m=60, seed=15)
+        graph, forest, maintainer = _mst_setup(n=24, m=60, seed=15)
         nodes = graph.nodes()
         pair = next(
             (u, v) for u in nodes for v in nodes if u < v and not graph.has_edge(u, v)
         )
-        report = repairer.insert_edge(*pair, weight=1)
+        report = maintainer.apply(EdgeUpdate.insert(*pair, weight=1)).report
         # Insert is deterministic: one path query B&E (+ announcement).
         assert report.cost.broadcast_echoes <= 2

@@ -78,13 +78,7 @@ class TestBatchedEqualsSequential:
                     maintainer.apply_batch(events[4:])
                 else:
                     for update in events:
-                        kind = update.kind.value
-                        if kind == "insert":
-                            maintainer.insert_edge(update.u, update.v, update.effective_weight)
-                        elif kind == "delete":
-                            maintainer.delete_edge(update.u, update.v)
-                        else:
-                            maintainer.change_weight(update.u, update.v, update.effective_weight)
+                        maintainer.apply_batch([update])
                 legs.append(sorted(maintainer.forest.marked_edges))
             assert legs[0] == legs[1]
 
@@ -262,6 +256,18 @@ class TestWeightZeroRegression:
         maintainer.apply_batch([EdgeUpdate.insert(u, v, weight=0)])
         assert graph.get_edge(u, v).weight == 0
         assert maintainer.forest.is_marked(u, v)
+
+    def test_impromptu_and_recompute_agree_on_a_zero_weight_insert(self):
+        # The impromptu leg and the recompute baseline must run on the same
+        # graph: an explicit weight 0 may not become 1 on either side.
+        g, f, maintainer = _mst_scenario(seed=24)
+        baseline = RecomputeMaintainer(g.copy(), mode="mst")
+        u, v = self._missing_edge(g)
+        update = EdgeUpdate.insert(u, v, weight=0)
+        maintainer.apply(update)
+        baseline.apply_batch([update])
+        assert g.get_edge(u, v).weight == baseline.graph.get_edge(u, v).weight == 0
+        assert f.marked_edges == baseline.forest.marked_edges
 
     def test_validate_against_round_trips_zero(self):
         from repro.dynamic.updates import UpdateStream

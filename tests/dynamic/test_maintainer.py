@@ -46,15 +46,15 @@ class TestMSTMaintainer:
         stream = tree_edge_deletions(graph, forest, count=3, seed=4)
         maintainer.apply_stream(stream)
         assert len(maintainer.history) == len(stream)
-        assert maintainer.total_messages() == sum(maintainer.messages_per_update())
-        assert all(messages >= 0 for messages in maintainer.messages_per_update())
+        assert maintainer.total_messages() == sum(maintainer.messages_per_wave())
+        assert all(messages >= 0 for messages in maintainer.messages_per_wave())
 
     def test_single_update_report(self):
         graph, forest, maintainer = _mst_maintainer(seed=5)
         key = sorted(forest.marked_edges)[1]
         outcome = maintainer.apply(EdgeUpdate.delete(*key))
         assert outcome.update.key == key
-        assert outcome.report.was_tree_edge
+        assert outcome.report.holes == 1
         assert is_minimum_spanning_forest(forest)
 
     def test_seed_reproducibility(self):
@@ -63,7 +63,7 @@ class TestMSTMaintainer:
             graph, forest, maintainer = _mst_maintainer(seed=6)
             stream = tree_edge_deletions(graph, forest, count=4, seed=6)
             maintainer.apply_stream(stream)
-            costs.append(maintainer.messages_per_update())
+            costs.append(maintainer.messages_per_wave())
         assert costs[0] == costs[1]
 
     def test_forest_must_share_graph(self):

@@ -118,7 +118,7 @@ class TestAgainstBaselines:
 
         graph_b = random_connected_graph(n, m, seed=9)
         recompute = RecomputeMaintainer(graph_b, mode="st")
-        recompute_cost = recompute.delete_edge(*key)
+        recompute_cost = recompute.apply_batch([EdgeUpdate.delete(*key)])
 
         assert outcome.report.cost.messages < recompute_cost.messages
 
@@ -135,7 +135,7 @@ class TestAgainstBaselines:
 
         graph_b = random_connected_graph(n, m, seed=9)
         recompute = RecomputeMaintainer(graph_b, mode="mst")
-        recompute_cost = recompute.delete_edge(*key)
+        recompute_cost = recompute.apply_batch([EdgeUpdate.delete(*key)])
 
         assert outcome.report.cost.messages < recompute_cost.messages
 

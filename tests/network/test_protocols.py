@@ -5,8 +5,8 @@ import pytest
 from repro.core.config import AlgorithmConfig
 from repro.core.hashing import random_odd_hash
 from repro.core.primes import prime_for_field
-from repro.core.repair import TreeRepairer
 from repro.core.testout import CutTester
+from repro.dynamic import EdgeUpdate, TreeMaintainer
 from repro.generators import random_connected_graph, random_spanning_tree_forest
 from repro.network.accounting import MessageAccountant
 from repro.network.protocols import (
@@ -154,7 +154,7 @@ class TestPathMaxProtocol:
         assert heaviest is None
 
     def test_agrees_with_repairer_insert_decision(self):
-        """The message-level query justifies TreeRepairer's fragment-level one."""
+        """The message-level query justifies the repair engine's fragment-level one."""
         graph = random_connected_graph(16, 40, seed=16)
         forest = random_spanning_tree_forest(graph, seed=17)
         nodes = graph.nodes()
@@ -165,10 +165,10 @@ class TestPathMaxProtocol:
         assert found
         heaviest = graph.get_edge(*heaviest_key)
 
-        repairer = TreeRepairer(
-            graph, forest, AlgorithmConfig(n=16, seed=18), mode="mst"
+        maintainer = TreeMaintainer(
+            graph, forest, mode="mst", config=AlgorithmConfig(n=16, seed=18)
         )
-        # Insert an edge lighter than the heaviest path edge: the repairer
+        # Insert an edge lighter than the heaviest path edge: the repair
         # must remove exactly that heaviest edge.
-        report = repairer.insert_edge(pair[0], pair[1], weight=0)
-        assert report.removed == heaviest
+        report = maintainer.apply(EdgeUpdate.insert(pair[0], pair[1], weight=0)).report
+        assert report.unmarked == [heaviest]
