@@ -6,8 +6,9 @@ Each ``bench_*.py`` module is both
   representative configuration of every experiment and attaches the measured
   message counts to the benchmark's ``extra_info``;
 * a printable experiment: ``python -m benchmarks.bench_<name>`` sweeps the
-  full parameter grid and prints the experiment table that EXPERIMENTS.md
-  records (measured counts next to the paper's bound and the baselines).
+  full parameter grid and prints its experiment table (measured counts next
+  to the paper's bound and the baselines).
 
-See DESIGN.md §3 for the experiment index.
+``examples/message_complexity_study.py`` maps the experiment IDs to modules
+and prints every table in one run.
 """

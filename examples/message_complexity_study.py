@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Message-complexity study: regenerate every experiment table (E1-E12).
 
-This is the driver used to fill in EXPERIMENTS.md: it runs the full sweep of
-every benchmark module's experiment and prints the tables one after another.
+It runs the full sweep of every benchmark module's experiment and prints
+the tables one after another, so the whole set regenerates in one command.
 Expect a few minutes of runtime for the complete set; pass experiment IDs to
 run a subset.
 

@@ -5,9 +5,10 @@ The benchmark modules under ``benchmarks/`` own the experiment *definitions*
 
 * :class:`MeasurementSeries` — a size-indexed series of measurements with
   normalisation against the bounds of :mod:`repro.analysis.complexity`;
-* :func:`run_construction_measurement` — one (n, density) construction run of
-  KKT MST/ST plus the matching baseline, returning all the counters the
-  experiment tables report;
+* :func:`run_construction_measurement` — one (n, density) construction row:
+  the ``kkt-mst``/``kkt-st`` registry run plus the matching baseline run
+  (``ghs``/``flooding``) on the same graph spec, reduced to the counters the
+  ``build-*`` and ``sweep --kind`` tables print;
 * :func:`estimate_crossover` — given two measured series (e.g. Build-ST and
   flooding), estimate the input size at which the first drops below the
   second by log-log extrapolation — used to report "where the o(m) crossover
@@ -20,12 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..api.spec import GraphSpec
-from ..baselines.flooding_st import flooding_spanning_tree
-from ..baselines.ghs import GHSBuildMST
-from ..core.build_mst import BuildMST
-from ..core.build_st import BuildST
-from ..core.config import AlgorithmConfig
+from ..api import GraphSpec, run
 from ..network.errors import AlgorithmError
 from .complexity import bound_value
 
@@ -123,28 +119,16 @@ def run_construction_measurement(
     if kind not in ("mst", "st"):
         raise AlgorithmError("kind must be 'mst' or 'st'")
     spec = GraphSpec(nodes=n, density=density, seed=seed)
-    graph = spec.build()
-    config = AlgorithmConfig(n=n, seed=seed, c=c)
-    builder = BuildMST(graph, config=config) if kind == "mst" else BuildST(graph, config=config)
-    report = builder.run()
-
-    baseline_graph = spec.build()
-    if kind == "mst":
-        baseline_messages = GHSBuildMST(baseline_graph).run().messages
-        baseline_name = "ghs"
-    else:
-        _, acct = flooding_spanning_tree(baseline_graph)
-        baseline_messages = acct.messages
-        baseline_name = "flooding"
-
+    kkt = run(f"kkt-{kind}", spec, c=c)
+    baseline_name = "ghs" if kind == "mst" else "flooding"
     return ConstructionMeasurement(
-        n=n,
-        m=graph.num_edges,
-        kkt_messages=report.messages,
-        kkt_bits=report.bits,
-        kkt_rounds=report.rounds_parallel,
-        kkt_phases=report.phases,
-        baseline_messages=baseline_messages,
+        n=kkt.n,
+        m=kkt.m,
+        kkt_messages=kkt.messages,
+        kkt_bits=kkt.bits,
+        kkt_rounds=kkt.rounds,
+        kkt_phases=kkt.phases,
+        baseline_messages=run(baseline_name, spec).messages,
         baseline_name=baseline_name,
     )
 

@@ -1,8 +1,9 @@
 """ASCII table rendering for the experiment harness.
 
-Every benchmark prints a table in the same format so EXPERIMENTS.md can be
-assembled mechanically: a title line, a header row, aligned columns, and an
-optional notes block tying the measured columns back to the paper's bound.
+Every benchmark and CLI report prints a table in the same format, so tables
+from different runs can be compared and collected mechanically: a title line,
+a header row, aligned columns, and an optional notes block tying the measured
+columns back to the paper's bound.
 """
 
 from __future__ import annotations

@@ -1,13 +1,25 @@
 """Registry adapters wrapping the existing algorithm implementations.
 
-Each runner is a thin adapter: it builds the scenario from an
-:class:`~repro.api.scenario.ExperimentSpec` (a bare
-:class:`~repro.api.spec.GraphSpec` is accepted and coerced), drives the
-underlying implementation (KKT Build-MST/ST, GHS, flooding, impromptu repair,
-recompute-from-scratch), runs the relevant validity checks and packs
-everything into a uniform :class:`~repro.api.result.RunResult` carrying the
-workload/schedule provenance.  The implementations themselves are untouched —
-the adapters only translate shapes.
+Every registered runner shares one run skeleton, :meth:`_Runner._run`:
+scenario → execute → verify → record.
+
+* **scenario** — the :class:`~repro.api.scenario.ExperimentSpec` (a bare
+  :class:`~repro.api.spec.GraphSpec` is accepted and coerced) is resolved
+  into a :class:`_ConstructionScenario` or the shared
+  :class:`_RepairScenario`;
+* **execute** — the runner's own step drives the underlying implementation
+  (KKT Build-MST/ST, GHS, flooding, impromptu repair, recompute-from-scratch)
+  and returns its counters, final tree and runner-specific extras.  Only
+  this step is timed (``wall_time_s``), optionally under a hardened delivery
+  substrate;
+* **verify** — the runner's validity checks on the final tree, plus the
+  ``delivery`` check when a schedule is set;
+* **record** — the shared extras (``substrate``, scenario and fault
+  provenance, the ``record_state`` snapshot, delivery cost) and the uniform
+  :class:`~repro.api.result.RunResult`.
+
+The implementations themselves are untouched — the adapters only translate
+shapes.
 
 Scenario semantics
 ------------------
@@ -52,7 +64,9 @@ Registered names
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import fastpath
 from ..baselines.flooding_st import flooding_spanning_tree
@@ -77,17 +91,10 @@ from ..verify import (
     is_minimum_weight_forest,
     is_spanning_forest,
 )
-from .faults import FaultProgram, FaultSpec
+from .faults import FaultProgram
 from .registry import register
 from .result import RunResult
-from .scenario import (
-    ExperimentSpec,
-    ScheduleSpec,
-    WorkloadSpec,
-    _trace_stream,
-    stream_fingerprint,
-)
-from .spec import GraphSpec
+from .scenario import ExperimentSpec, ScheduleSpec, _trace_stream, stream_fingerprint
 
 __all__ = [
     "final_state_extra",
@@ -98,39 +105,6 @@ __all__ = [
     "KKTRepairRunner",
     "RecomputeRepairRunner",
 ]
-
-
-def _result(
-    algorithm: str,
-    experiment: ExperimentSpec,
-    graph: Graph,
-    messages: int,
-    bits: int,
-    rounds: int,
-    phases: int,
-    wall_time_s: float,
-    checks: Dict[str, bool],
-    extra: Optional[Dict[str, Any]] = None,
-    workload: Optional[WorkloadSpec] = None,
-    schedule: Optional[ScheduleSpec] = None,
-    faults: Optional[FaultSpec] = None,
-) -> RunResult:
-    return RunResult(
-        algorithm=algorithm,
-        spec=experiment.graph,
-        n=graph.num_nodes,
-        m=graph.num_edges,
-        messages=messages,
-        bits=bits,
-        rounds=rounds,
-        phases=phases,
-        wall_time_s=wall_time_s,
-        checks=checks,
-        extra=extra or {},
-        workload=workload,
-        schedule=schedule,
-        faults=faults,
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -172,33 +146,21 @@ def _apply_to_graph(graph: Graph, stream: UpdateStream) -> None:
             graph.set_weight(update.u, update.v, update.effective_weight)
 
 
-def _fault_program(
-    experiment: ExperimentSpec, graph: Graph, forest: Optional[SpanningForest] = None
-) -> Tuple[Optional[FaultSpec], Optional[FaultProgram]]:
-    """The resolved fault spec and its materialised program, if any.
+def _fault_extra(program: Optional[FaultProgram]) -> Dict[str, Any]:
+    """Fault provenance rows for the result's ``extra`` payload.
 
-    The program is built against the *current* state of ``graph`` (i.e.
-    after any workload pre-churn), so its topology stream is applicable to
-    it in order.  A missing or ``none`` spec yields no program; the ``none``
-    spec is still returned for provenance.
+    Read after execution: a program's injector records drops and duplicates
+    live while a kernel-level run (``flooding``) is in flight.
     """
-    fault = experiment.resolved_faults()
-    if fault is None or fault.is_none:
-        return fault, None
-    if forest is None:
-        forest = _reference_forest(graph)
-    return fault, fault.build(graph, forest)
+    if program is None:
+        return {}
+    return {
+        "fault_updates_applied": len(program.stream),
+        "fault_events": program.event_log(),
+    }
 
 
-def _scenario_graph(
-    experiment: ExperimentSpec,
-) -> Tuple[
-    Graph,
-    Optional[WorkloadSpec],
-    Optional[FaultSpec],
-    Optional[FaultProgram],
-    Dict[str, Any],
-]:
+class _ConstructionScenario:
     """The input graph for a *construction* run.
 
     Without a workload this is just ``experiment.graph.build()``.  With one,
@@ -207,48 +169,131 @@ def _scenario_graph(
     ``trace-replay`` the trace's own initial graph is the starting point.
     A fault program then *pre-damages* the result: its link failures and
     healings are applied on top, so the construction runs on the network the
-    faults left behind (the returned program also carries the kernel-level
-    injector for runners that execute on the simulators).
+    faults left behind (the program also carries the kernel-level injector
+    for runners that execute on the simulators).  The program is built
+    against the post-churn graph, so its topology stream applies in order.
+
+    ``seed`` drives the algorithm's coins: the graph seed unless
+    ``algorithm_seed`` reseeds them without touching the graph.
     """
-    extra: Dict[str, Any] = {}
-    if experiment.workload is None:
-        graph, workload = experiment.graph.build(), None
-    else:
-        workload = experiment.resolved_workload()
-        trace_state = workload.trace_state()
-        if trace_state is not None:
-            graph, forest, trace = trace_state
-            stream = _trace_stream(trace, workload.updates)
+
+    def __init__(
+        self, experiment: ExperimentSpec, algorithm_seed: Optional[int] = None
+    ) -> None:
+        self.schedule = experiment.resolved_schedule()
+        self.seed = experiment.graph.seed if algorithm_seed is None else algorithm_seed
+        self._workload_extra: Dict[str, Any] = {}
+        if experiment.workload is None:
+            self.graph, self.workload = experiment.graph.build(), None
         else:
-            graph = experiment.graph.build()
-            forest = _reference_forest(graph)
-            stream = workload.build(graph, forest)
-        _apply_to_graph(graph, stream)
-        extra = {
-            "workload_updates_applied": len(stream),
-            "stream_fingerprint": stream_fingerprint(stream),
-        }
-    fault, program = _fault_program(experiment, graph)
-    if program is not None:
-        _apply_to_graph(graph, program.stream)
-        extra["fault_updates_applied"] = len(program.stream)
-        extra["fault_events"] = program.event_log()
-    return graph, workload, fault, program, extra
+            self.workload = experiment.resolved_workload()
+            trace_state = self.workload.trace_state()
+            if trace_state is not None:
+                self.graph, _forest, trace = trace_state
+                stream = _trace_stream(trace, self.workload.updates)
+            else:
+                self.graph = experiment.graph.build()
+                stream = self.workload.build(self.graph, _reference_forest(self.graph))
+            _apply_to_graph(self.graph, stream)
+            self._workload_extra = {
+                "workload_updates_applied": len(stream),
+                "stream_fingerprint": stream_fingerprint(stream),
+            }
+        self.fault = experiment.resolved_faults()
+        self.fault_program: Optional[FaultProgram] = None
+        if self.fault is not None and not self.fault.is_none:
+            self.fault_program = self.fault.build(
+                self.graph, _reference_forest(self.graph)
+            )
+            _apply_to_graph(self.graph, self.fault_program.stream)
+
+    def provenance(self) -> Dict[str, Any]:
+        """Workload and fault provenance rows for ``extra``."""
+        return {**self._workload_extra, **_fault_extra(self.fault_program)}
 
 
-def _minimum_check(graph: Graph, pre_churned: bool):
-    """The right minimality check for a (possibly pre-churned) graph.
+def _repair_mode(mode: Optional[str]) -> str:
+    mode = mode or "mst"
+    if mode not in ("mst", "st"):
+        raise AlgorithmError("mode must be 'mst' or 'st'")
+    return mode
 
-    Generated graphs carry distinct weights, so the unique augmented MSF must
-    match exactly.  A workload may have inserted random-weight edges that
-    break the distinctness assumption; there the minimum forest is no longer
-    unique and correctness means matching Kruskal's total weight.
+
+class _RepairScenario:
+    """The shared repair setup: one workload, consumed by both repair runners.
+
+    Holds the graph, the maintained forest (freshly built, or rebuilt from a
+    trace), the update stream generated by the *registered* workload — both
+    runners build this, so their update sequences are identical by
+    construction — plus the effective mode/seed (a replayed trace pins its
+    own: replaying an ST trace recorded with seed 5 must not silently run an
+    MST maintainer seeded from the graph spec) and the build report (``None``
+    on the trace path).  ``c`` is the error exponent of the initial build.
+
+    The fault program — whose link failures/healings are the *extra* update
+    events both repair runners must process after the workload (Theorem 1.2:
+    deletions arrive from the network, not from a benign generator) — is
+    generated against a shadow copy of the post-workload graph with a
+    reference forest, so both runners see the bit-identical fault stream no
+    matter how their own maintained forests evolved.
     """
-    return is_minimum_weight_forest if pre_churned else is_minimum_spanning_forest
+
+    def __init__(
+        self,
+        experiment: ExperimentSpec,
+        updates: int,
+        mode: Optional[str],
+        algorithm_seed: Optional[int] = None,
+        c: float = 1.0,
+    ) -> None:
+        self.mode = _repair_mode(mode)
+        self.schedule = experiment.resolved_schedule()
+        self.workload = experiment.resolved_workload(default_updates=updates)
+        trace_state = self.workload.trace_state()
+        if trace_state is not None:
+            self.graph, self.forest, trace = trace_state
+            self.stream = _trace_stream(trace, self.workload.updates)
+            self.mode = _repair_mode(trace.mode)
+            # A replayed trace pins its own seed; an algorithm_seed override
+            # would break bit-for-bit replay, so it is ignored here.
+            self.seed = trace.seed
+            self.build_report: Optional[BuildReport] = None
+        else:
+            self.seed = (
+                experiment.graph.seed if algorithm_seed is None else algorithm_seed
+            )
+            self.graph = experiment.graph.build()
+            config = AlgorithmConfig(n=self.graph.num_nodes, seed=self.seed, c=c)
+            builder = BuildMST if self.mode == "mst" else BuildST
+            self.build_report = builder(self.graph, config=config).run()
+            self.forest = self.build_report.forest
+            self.stream = self.workload.build(self.graph, self.forest)
+        self.fault = experiment.resolved_faults()
+        self.fault_program: Optional[FaultProgram] = None
+        if self.fault is not None and not self.fault.is_none:
+            shadow = self.graph.copy()
+            _apply_to_graph(shadow, self.stream)
+            self.fault_program = self.fault.build(shadow, _reference_forest(shadow))
+
+    @property
+    def fault_stream(self) -> UpdateStream:
+        """The fault program's update events (empty without a program)."""
+        if self.fault_program is None:
+            return UpdateStream()
+        return self.fault_program.stream
+
+    def provenance(self) -> Dict[str, Any]:
+        """Mode, workload and fault provenance rows for ``extra``."""
+        return {
+            "mode": self.mode,
+            "updates": len(self.stream),
+            "stream_fingerprint": stream_fingerprint(self.stream),
+            **_fault_extra(self.fault_program),
+        }
 
 
 def _delivery_check(
-    graph: Graph, forest: SpanningForest, schedule: ScheduleSpec
+    forest: SpanningForest, schedule: ScheduleSpec
 ) -> Tuple[bool, Dict[str, Any]]:
     """Validate the final tree under the adversarial delivery schedule.
 
@@ -258,6 +303,7 @@ def _delivery_check(
     The verification cost is reported separately so the main counters stay
     comparable across schedules.
     """
+    graph = forest.graph
     if graph.num_nodes == 0:
         return True, {}
     root = min(graph.nodes())
@@ -279,7 +325,141 @@ def _delivery_check(
     }
 
 
-class _KKTConstructionRunner:
+# ---------------------------------------------------------------------- #
+# the run skeleton
+# ---------------------------------------------------------------------- #
+@dataclass
+class _Execution:
+    """What a runner's execute step hands back: counters, tree, own extras."""
+
+    forest: SpanningForest
+    messages: int
+    bits: int
+    rounds: int
+    phases: int
+    extra: Dict[str, Any] = field(default_factory=dict)
+
+    @classmethod
+    def of_report(cls, report: Any, **extra: Any) -> "_Execution":
+        """From a construction report (KKT :class:`BuildReport` or GHS)."""
+        return cls(
+            forest=report.forest,
+            messages=report.messages,
+            bits=report.bits,
+            rounds=report.rounds_parallel,
+            phases=report.phases,
+            extra=extra,
+        )
+
+
+class _Runner:
+    """The one run skeleton: scenario → execute → verify → record."""
+
+    name: str
+    _scenario_cls: type
+    # False for runners whose execute step consumes the schedule itself.
+    _checks_delivery = True
+
+    def _checks(self, scenario: Any, forest: SpanningForest) -> Dict[str, bool]:
+        raise NotImplementedError
+
+    def _run(
+        self,
+        spec: ExperimentSpec,
+        execute: Callable[[Any], _Execution],
+        record_state: bool = False,
+        substrate: Optional[str] = None,
+        **scenario_options: Any,
+    ) -> RunResult:
+        experiment = ExperimentSpec.coerce(spec)
+        scenario = self._scenario_cls(experiment, **scenario_options)
+        start = time.perf_counter()
+        hardening = (
+            nullcontext()
+            if substrate is None
+            else delivery_substrate(
+                make_substrate(substrate, n=max(scenario.graph.num_nodes, 1))
+            )
+        )
+        with hardening:
+            execution = execute(scenario)
+        elapsed = time.perf_counter() - start
+
+        forest = execution.forest
+        graph = forest.graph
+        checks = self._checks(scenario, forest)
+        extra = scenario.provenance()
+        extra.update(execution.extra)
+        if substrate not in (None, "plain"):
+            extra["substrate"] = substrate
+        if record_state:
+            extra.update(final_state_extra(graph, forest))
+        if scenario.schedule is not None and self._checks_delivery:
+            checks["delivery"], delivery_extra = _delivery_check(
+                forest, scenario.schedule
+            )
+            extra.update(delivery_extra)
+        return RunResult(
+            algorithm=self.name,
+            spec=experiment.graph,
+            n=graph.num_nodes,
+            m=graph.num_edges,
+            messages=execution.messages,
+            bits=execution.bits,
+            rounds=execution.rounds,
+            phases=execution.phases,
+            wall_time_s=elapsed,
+            checks=checks,
+            extra=extra,
+            workload=scenario.workload,
+            schedule=scenario.schedule,
+            faults=scenario.fault,
+        )
+
+
+class _ConstructionRunner(_Runner):
+    """Construction runners: a spanning tree, minimal when ``invariant`` says so.
+
+    Generated graphs carry distinct weights, so the unique augmented MSF must
+    match exactly.  A pre-churn workload may have inserted random-weight
+    edges that break the distinctness assumption; there the minimum forest is
+    no longer unique and correctness means matching Kruskal's total weight.
+    """
+
+    _scenario_cls = _ConstructionScenario
+    invariant = "spanning"
+
+    def _checks(
+        self, scenario: _ConstructionScenario, forest: SpanningForest
+    ) -> Dict[str, bool]:
+        checks = {"spanning": is_spanning_forest(forest)}
+        if self.invariant == "minimum":
+            minimum = (
+                is_minimum_weight_forest
+                if scenario.workload is not None
+                else is_minimum_spanning_forest
+            )
+            checks["minimum"] = minimum(forest)
+        return checks
+
+
+class _RepairRunner(_Runner):
+    """Repair runners: the maintained tree keeps the mode's invariant."""
+
+    _scenario_cls = _RepairScenario
+    invariant = "minimum"
+
+    def _checks(self, scenario: _RepairScenario, forest: SpanningForest) -> Dict[str, bool]:
+        checker = (
+            is_minimum_spanning_forest if scenario.mode == "mst" else is_spanning_forest
+        )
+        return {"invariant": checker(forest)}
+
+
+# ---------------------------------------------------------------------- #
+# constructions
+# ---------------------------------------------------------------------- #
+class _KKTConstructionRunner(_ConstructionRunner):
     """Shared adapter for the two KKT constructions.
 
     The constructions are Monte Carlo (failure probability ``<= n^-c`` over
@@ -288,8 +468,7 @@ class _KKTConstructionRunner:
     allowed random failure from a persistent bug.
     """
 
-    _builder_cls = BuildMST
-    _check_minimum = True
+    _builder_cls: type
     invariant = "minimum"
     monte_carlo = True
     # The constructions never route their protocol through the attacked
@@ -308,7 +487,7 @@ class _KKTConstructionRunner:
         """Run on an existing graph, returning the raw :class:`BuildReport`.
 
         This is what the ``repro.build_mst`` / ``repro.build_st``
-        compatibility shims delegate to.
+        compatibility shims and ``repro trace record`` delegate to.
         """
         config = AlgorithmConfig(
             n=max(graph.num_nodes, 1), c=c, seed=seed, phase_policy=phase_policy
@@ -324,49 +503,23 @@ class _KKTConstructionRunner:
         algorithm_seed: Optional[int] = None,
         substrate: str = "plain",
     ) -> RunResult:
-        experiment = ExperimentSpec.coerce(spec)
-        graph, workload, fault, _program, extra = _scenario_graph(experiment)
-        seed = experiment.graph.seed if algorithm_seed is None else algorithm_seed
-        start = time.perf_counter()
-        with delivery_substrate(make_substrate(substrate, n=max(graph.num_nodes, 1))):
+        def execute(scenario: _ConstructionScenario) -> _Execution:
             report = self.build_report(
-                graph, seed=seed, c=c, phase_policy=phase_policy
+                scenario.graph, seed=scenario.seed, c=c, phase_policy=phase_policy
             )
-        elapsed = time.perf_counter() - start
-        checks = {"spanning": is_spanning_forest(report.forest)}
-        if self._check_minimum:
-            checks["minimum"] = _minimum_check(graph, workload is not None)(report.forest)
-        schedule = experiment.resolved_schedule()
-        extra.update(
-            {
-                "broadcast_echoes": report.broadcast_echoes,
-                "phase_policy": phase_policy,
-                "c": c,
-            }
-        )
-        if substrate != "plain":
-            extra["substrate"] = substrate
-        if record_state:
-            extra.update(final_state_extra(graph, report.forest))
-        if schedule is not None:
-            checks["delivery"], delivery_extra = _delivery_check(
-                graph, report.forest, schedule
+            return _Execution.of_report(
+                report,
+                broadcast_echoes=report.broadcast_echoes,
+                phase_policy=phase_policy,
+                c=c,
             )
-            extra.update(delivery_extra)
-        return _result(
-            self.name,
-            experiment,
-            graph,
-            messages=report.messages,
-            bits=report.bits,
-            rounds=report.rounds_parallel,
-            phases=report.phases,
-            wall_time_s=elapsed,
-            checks=checks,
-            extra=extra,
-            workload=workload,
-            schedule=schedule,
-            faults=fault,
+
+        return self._run(
+            spec,
+            execute,
+            record_state=record_state,
+            substrate=substrate,
+            algorithm_seed=algorithm_seed,
         )
 
 
@@ -375,7 +528,6 @@ class KKTMSTRunner(_KKTConstructionRunner):
     """KKT Build-MST: o(m)-message MST construction (Theorem 1.1)."""
 
     _builder_cls = BuildMST
-    _check_minimum = True
 
 
 @register("kkt-st", summary="KKT Build-ST: o(m)-message spanning-tree construction")
@@ -383,12 +535,11 @@ class KKTSTRunner(_KKTConstructionRunner):
     """KKT Build-ST: o(m)-message spanning-tree construction."""
 
     _builder_cls = BuildST
-    _check_minimum = False
     invariant = "spanning"
 
 
 @register("ghs", summary="GHS baseline: classic distributed MST, Theta(m + n log n) messages")
-class GHSRunner:
+class GHSRunner(_ConstructionRunner):
     """GHS baseline: classic distributed MST with Θ(m + n log n) messages."""
 
     invariant = "minimum"
@@ -402,42 +553,16 @@ class GHSRunner:
         max_phases: Optional[int] = None,
         record_state: bool = False,
     ) -> RunResult:
-        experiment = ExperimentSpec.coerce(spec)
-        graph, workload, fault, _program, extra = _scenario_graph(experiment)
-        start = time.perf_counter()
-        report = GHSBuildMST(graph, max_phases=max_phases).run()
-        elapsed = time.perf_counter() - start
-        checks = {
-            "spanning": is_spanning_forest(report.forest),
-            "minimum": _minimum_check(graph, workload is not None)(report.forest),
-        }
-        if record_state:
-            extra.update(final_state_extra(graph, report.forest))
-        schedule = experiment.resolved_schedule()
-        if schedule is not None:
-            checks["delivery"], delivery_extra = _delivery_check(
-                graph, report.forest, schedule
+        def execute(scenario: _ConstructionScenario) -> _Execution:
+            return _Execution.of_report(
+                GHSBuildMST(scenario.graph, max_phases=max_phases).run()
             )
-            extra.update(delivery_extra)
-        return _result(
-            self.name,
-            experiment,
-            graph,
-            messages=report.messages,
-            bits=report.bits,
-            rounds=report.rounds_parallel,
-            phases=report.phases,
-            wall_time_s=elapsed,
-            checks=checks,
-            extra=extra,
-            workload=workload,
-            schedule=schedule,
-            faults=fault,
-        )
+
+        return self._run(spec, execute, record_state=record_state)
 
 
 @register("flooding", summary="Flooding baseline: Theta(m)-message broadcast-tree construction")
-class FloodingRunner:
+class FloodingRunner(_ConstructionRunner):
     """Flooding baseline: Θ(m)-message broadcast-tree construction.
 
     With a :class:`~repro.api.scenario.ScheduleSpec` the protocol runs
@@ -453,130 +578,34 @@ class FloodingRunner:
 
     invariant = "spanning"
     may_fail_under_faults = True
+    _checks_delivery = False
 
     def run(
         self, spec: ExperimentSpec, engine: str = "sync", record_state: bool = False
     ) -> RunResult:
-        experiment = ExperimentSpec.coerce(spec)
-        graph, workload, fault, program, extra = _scenario_graph(experiment)
-        schedule = experiment.resolved_schedule()
-        scheduler = None
-        if schedule is not None:
-            engine = "async"
-            scheduler = schedule.build()
-            extra["delivery_scheduler"] = schedule.scheduler
-        injector = None if program is None else program.injector
-        start = time.perf_counter()
-        forest, acct = flooding_spanning_tree(
-            graph, engine=engine, scheduler=scheduler, faults=injector
-        )
-        elapsed = time.perf_counter() - start
-        extra["engine"] = engine
-        if record_state:
-            extra.update(final_state_extra(graph, forest))
-        if program is not None:
-            # Re-read the log: the injector records drops/duplicates live.
-            extra["fault_events"] = program.event_log()
-        return _result(
-            self.name,
-            experiment,
-            graph,
-            messages=acct.messages,
-            bits=acct.bits,
-            rounds=acct.rounds,
-            phases=len(acct.phases),
-            wall_time_s=elapsed,
-            checks={"spanning": is_spanning_forest(forest)},
-            extra=extra,
-            workload=workload,
-            schedule=schedule,
-            faults=fault,
-        )
-
-
-class _RepairScenario:
-    """The shared repair setup: one workload, consumed by both repair runners.
-
-    Holds the graph, the maintained forest (freshly built, or rebuilt from a
-    trace), the update stream generated by the *registered* workload — both
-    runners build this, so their update sequences are identical by
-    construction — plus the effective mode/seed (a replayed trace pins its
-    own: replaying an ST trace recorded with seed 5 must not silently run an
-    MST maintainer seeded from the graph spec) and the build report (``None``
-    on the trace path).
-
-    The fault program — whose link failures/healings are the *extra* update
-    events both repair runners must process after the workload (Theorem 1.2:
-    deletions arrive from the network, not from a benign generator) — is
-    generated against a shadow copy of the post-workload graph with a
-    reference forest, so both runners see the bit-identical fault stream no
-    matter how their own maintained forests evolved.
-    """
-
-    def __init__(
-        self,
-        experiment: ExperimentSpec,
-        updates: int,
-        mode: str,
-        algorithm_seed: Optional[int] = None,
-    ) -> None:
-        self.workload = experiment.resolved_workload(default_updates=updates)
-        trace_state = self.workload.trace_state()
-        if trace_state is not None:
-            self.graph, self.forest, trace = trace_state
-            self.stream = _trace_stream(trace, self.workload.updates)
-            self.mode = _repair_mode(trace.mode)
-            # A replayed trace pins its own seed; an algorithm_seed override
-            # would break bit-for-bit replay, so it is ignored here.
-            self.seed = trace.seed
-            self.build_report: Optional[BuildReport] = None
-        else:
-            self.mode = mode
-            self.seed = (
-                experiment.graph.seed if algorithm_seed is None else algorithm_seed
+        def execute(scenario: _ConstructionScenario) -> _Execution:
+            run_engine, scheduler, extra = engine, None, {}
+            if scenario.schedule is not None:
+                run_engine, scheduler = "async", scenario.schedule.build()
+                extra["delivery_scheduler"] = scenario.schedule.scheduler
+            program = scenario.fault_program
+            forest, acct = flooding_spanning_tree(
+                scenario.graph,
+                engine=run_engine,
+                scheduler=scheduler,
+                faults=None if program is None else program.injector,
             )
-            self.graph = experiment.graph.build()
-            config = AlgorithmConfig(n=self.graph.num_nodes, seed=self.seed)
-            builder = (
-                BuildMST(self.graph, config=config)
-                if mode == "mst"
-                else BuildST(self.graph, config=config)
+            extra["engine"] = run_engine
+            return _Execution(
+                forest, acct.messages, acct.bits, acct.rounds, len(acct.phases), extra
             )
-            self.build_report = builder.run()
-            self.forest = self.build_report.forest
-            self.stream = self.workload.build(self.graph, self.forest)
-        fault = experiment.resolved_faults()
-        self.fault = fault
-        self.fault_program: Optional[FaultProgram] = None
-        if fault is not None and not fault.is_none:
-            shadow = self.graph.copy()
-            _apply_to_graph(shadow, self.stream)
-            self.fault_program = fault.build(shadow, _reference_forest(shadow))
 
-    @property
-    def fault_stream(self) -> UpdateStream:
-        """The fault program's update events (empty without a program)."""
-        if self.fault_program is None:
-            return UpdateStream()
-        return self.fault_program.stream
-
-    def fault_extra(self) -> Dict[str, Any]:
-        """Fault provenance rows for the result's ``extra`` payload."""
-        if self.fault_program is None:
-            return {}
-        return {
-            "fault_updates_applied": len(self.fault_program.stream),
-            "fault_events": self.fault_program.event_log(),
-        }
+        return self._run(spec, execute, record_state=record_state)
 
 
-def _repair_mode(mode: Optional[str]) -> str:
-    mode = mode or "mst"
-    if mode not in ("mst", "st"):
-        raise AlgorithmError("mode must be 'mst' or 'st'")
-    return mode
-
-
+# ---------------------------------------------------------------------- #
+# repair
+# ---------------------------------------------------------------------- #
 def _effective_repair_batch(repair_batch: Optional[int], schedule) -> int:
     """The wave size a repair runner should use (0 = sequential).
 
@@ -608,11 +637,9 @@ def _wave_cost_extra(batch: int, costs: List[int]) -> Dict[str, Any]:
 
 
 @register("kkt-repair", summary="KKT impromptu repair of an MST/ST under a registered workload")
-class KKTRepairRunner:
+class KKTRepairRunner(_RepairRunner):
     """KKT impromptu repair: maintain an MST/ST through an update workload."""
 
-    _mode_default = "mst"
-    invariant = "minimum"
     monte_carlo = True
     # Repair runs its broadcast-and-echo fabric off the attacked kernel
     # boundary and can be hardened with ``substrate="bracha"``.
@@ -627,72 +654,53 @@ class KKTRepairRunner:
         algorithm_seed: Optional[int] = None,
         substrate: str = "plain",
         repair_batch: Optional[int] = None,
+        c: float = 1.0,
     ) -> RunResult:
-        mode = _repair_mode(mode or self._mode_default)
-        experiment = ExperimentSpec.coerce(spec)
-        scenario = _RepairScenario(experiment, updates, mode, algorithm_seed=algorithm_seed)
-        graph, forest, stream = scenario.graph, scenario.forest, scenario.stream
-        schedule = experiment.resolved_schedule()
-        batch = _effective_repair_batch(repair_batch, schedule)
-
-        start = time.perf_counter()
-        with delivery_substrate(make_substrate(substrate, n=max(graph.num_nodes, 1))):
+        def execute(scenario: _RepairScenario) -> _Execution:
+            batch = _effective_repair_batch(repair_batch, scenario.schedule)
             maintainer = TreeMaintainer(
-                graph, forest, mode=scenario.mode, seed=scenario.seed
+                scenario.graph, scenario.forest, mode=scenario.mode, seed=scenario.seed
             )
-            outcomes = maintainer.apply_stream(stream, batch_size=batch)
-            fault_outcomes = maintainer.apply_stream(scenario.fault_stream, batch_size=batch)
-        elapsed = time.perf_counter() - start
+            outcomes = maintainer.apply_stream(scenario.stream, batch_size=batch)
+            fault_outcomes = maintainer.apply_stream(
+                scenario.fault_stream, batch_size=batch
+            )
+            report = scenario.build_report
+            extra = {"build_messages": 0 if report is None else report.messages}
+            # Batched mode accounts costs per wave — per-update attribution
+            # intentionally does not exist (the wave shares one repair
+            # round), so the per-update figure is amortized.
+            extra.update(_wave_cost_extra(batch, maintainer.messages_per_wave()))
+            if batch >= 1:
+                extra["batched_saved_queries"] = sum(
+                    outcome.report.skipped_candidates for outcome in maintainer.history
+                )
+            acct = maintainer.accountant
+            return _Execution(
+                scenario.forest,
+                acct.messages,
+                acct.bits,
+                acct.rounds,
+                len(outcomes) + len(fault_outcomes),
+                extra,
+            )
 
-        checker = is_minimum_spanning_forest if scenario.mode == "mst" else is_spanning_forest
-        checks = {"invariant": checker(forest)}
-        acct = maintainer.accountant
-        extra = {
-            "mode": scenario.mode,
-            "updates": len(stream),
-            "build_messages": (
-                0 if scenario.build_report is None else scenario.build_report.messages
-            ),
-            "stream_fingerprint": stream_fingerprint(stream),
-        }
-        # Batched mode accounts costs per wave — per-update attribution
-        # intentionally does not exist (the wave shares one repair round), so
-        # the per-update figure is amortized.
-        extra.update(_wave_cost_extra(batch, maintainer.messages_per_wave()))
-        if batch >= 1:
-            extra["batched_saved_queries"] = sum(
-                outcome.report.skipped_candidates for outcome in maintainer.history
-            )
-        if substrate != "plain":
-            extra["substrate"] = substrate
-        extra.update(scenario.fault_extra())
-        if record_state:
-            extra.update(final_state_extra(graph, forest))
-        if schedule is not None:
-            checks["delivery"], delivery_extra = _delivery_check(graph, forest, schedule)
-            extra.update(delivery_extra)
-        return _result(
-            self.name,
-            experiment,
-            graph,
-            messages=acct.messages,
-            bits=acct.bits,
-            rounds=acct.rounds,
-            phases=len(outcomes) + len(fault_outcomes),
-            wall_time_s=elapsed,
-            checks=checks,
-            extra=extra,
-            workload=scenario.workload,
-            schedule=schedule,
-            faults=scenario.fault,
+        return self._run(
+            spec,
+            execute,
+            record_state=record_state,
+            substrate=substrate,
+            updates=updates,
+            mode=mode,
+            algorithm_seed=algorithm_seed,
+            c=c,
         )
 
 
 @register("recompute-repair", summary="Recompute baseline: rebuild the tree from scratch per update")
-class RecomputeRepairRunner:
+class RecomputeRepairRunner(_RepairRunner):
     """Recompute baseline: rebuild the MST/ST from scratch after every update."""
 
-    invariant = "minimum"
     # Sequential recomputation: no kernel messages for an adversary to touch.
     byzantine_tolerant = True
 
@@ -704,58 +712,30 @@ class RecomputeRepairRunner:
         record_state: bool = False,
         repair_batch: Optional[int] = None,
     ) -> RunResult:
-        mode = _repair_mode(mode)
-        experiment = ExperimentSpec.coerce(spec)
         # The workload is generated against the same initial tree as for
-        # ``kkt-repair`` (one shared code path), so the two runners process
-        # the identical stream; the baseline then replays it on its own copy.
-        scenario = _RepairScenario(experiment, updates, mode)
-        mode, stream = scenario.mode, scenario.stream
-        schedule = experiment.resolved_schedule()
-        batch = _effective_repair_batch(repair_batch, schedule)
-
-        baseline_graph = scenario.graph.copy()
-        start = time.perf_counter()
-        maintainer = RecomputeMaintainer(baseline_graph, mode=mode)
-        events = list(stream) + list(scenario.fault_stream)
-        # Each wave applies its mutations, then one rebuild (a wave of one
-        # when sequential).
-        size = max(batch, 1)
-        deltas = [
-            maintainer.apply_batch(events[offset : offset + size])
-            for offset in range(0, len(events), size)
-        ]
-        elapsed = time.perf_counter() - start
-
-        checker = is_minimum_spanning_forest if mode == "mst" else is_spanning_forest
-        checks = {"invariant": checker(maintainer.forest)}
-        costs = [delta.messages for delta in deltas]
-        extra = {
-            "mode": mode,
-            "updates": len(stream),
-            "stream_fingerprint": stream_fingerprint(stream),
-        }
-        extra.update(_wave_cost_extra(batch, costs))
-        extra.update(scenario.fault_extra())
-        if record_state:
-            extra.update(final_state_extra(baseline_graph, maintainer.forest))
-        if schedule is not None:
-            checks["delivery"], delivery_extra = _delivery_check(
-                baseline_graph, maintainer.forest, schedule
+        # ``kkt-repair`` (one shared scenario), so the two runners process
+        # the identical stream; the baseline replays it on its own copy.
+        def execute(scenario: _RepairScenario) -> _Execution:
+            batch = _effective_repair_batch(repair_batch, scenario.schedule)
+            maintainer = RecomputeMaintainer(scenario.graph.copy(), mode=scenario.mode)
+            events = list(scenario.stream) + list(scenario.fault_stream)
+            # Each wave applies its mutations, then one rebuild (a wave of
+            # one when sequential).
+            size = max(batch, 1)
+            deltas = [
+                maintainer.apply_batch(events[offset : offset + size])
+                for offset in range(0, len(events), size)
+            ]
+            costs = [delta.messages for delta in deltas]
+            return _Execution(
+                maintainer.forest,
+                sum(costs),
+                sum(delta.bits for delta in deltas),
+                sum(delta.rounds for delta in deltas),
+                len(deltas),
+                _wave_cost_extra(batch, costs),
             )
-            extra.update(delivery_extra)
-        return _result(
-            self.name,
-            experiment,
-            baseline_graph,
-            messages=sum(costs),
-            bits=sum(delta.bits for delta in deltas),
-            rounds=sum(delta.rounds for delta in deltas),
-            phases=len(deltas),
-            wall_time_s=elapsed,
-            checks=checks,
-            extra=extra,
-            workload=scenario.workload,
-            schedule=schedule,
-            faults=scenario.fault,
+
+        return self._run(
+            spec, execute, record_state=record_state, updates=updates, mode=mode
         )

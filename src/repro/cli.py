@@ -11,16 +11,18 @@ worker processes.
   broadcast;
 * ``compare <algo> <algo> ...`` — head-to-head on the *same* graph spec;
 * ``sweep`` — size sweep; ``--algorithms ... --jobs N`` runs the registry
-  grid in parallel, the legacy ``--kind`` form prints the normalised table;
+  grid in parallel, the legacy ``--kind`` form prints the normalised table
+  over the same registry runs as ``build-*``;
 * ``suite`` — the full scenario grid: graph sizes × algorithms × workloads
   × schedules × faults, in parallel, with full provenance per record;
 * ``algorithms`` — list the registry;
 * ``workloads`` — list the registered workloads and delivery schedulers;
 * ``faults`` — list the registered fault programs;
-* ``build-mst`` / ``build-st`` — construct a tree and print the cost report
-  next to the relevant baseline;
-* ``repair`` — build an MST/ST, apply a churn workload impromptu and print
-  per-update costs;
+* ``build-mst`` / ``build-st`` — a cost-report view over the ``kkt-mst`` /
+  ``kkt-st`` registry run next to its ``ghs`` / ``flooding`` baseline run;
+* ``repair`` — a table view over the ``kkt-repair`` registry run (workload
+  plus optional fault program); ``--compare-recompute`` adds the
+  ``recompute-repair`` run on the same spec;
 * ``trace record`` / ``trace replay`` — save a workload run as a JSON trace
   and replay it bit-for-bit later;
 * ``bench`` — time the registered micro-benchmarks on the fast path *and*
@@ -80,8 +82,7 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from . import fastpath
-from .analysis import ExperimentTable, run_construction_measurement, summarize
+from .analysis import ExperimentTable, run_construction_measurement
 from .api import (
     DENSITY_PROFILES,
     ExperimentEngine,
@@ -102,10 +103,6 @@ from .api import (
     workload_summaries,
 )
 from .api.scenario import _load_trace, list_workloads
-from .baselines import RecomputeMaintainer
-from .core.build_mst import BuildMST
-from .core.build_st import BuildST
-from .core.config import AlgorithmConfig
 from .dynamic import TreeMaintainer, UpdateTrace
 from .network.broadcast import list_substrates
 from .network.errors import AlgorithmError
@@ -660,9 +657,9 @@ def _command_trace(args: argparse.Namespace) -> int:
 def _command_trace_record(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     graph = spec.build()
-    config = AlgorithmConfig(n=graph.num_nodes, seed=args.seed, c=args.error_exponent)
-    builder = BuildMST(graph, config=config) if args.mode == "mst" else BuildST(graph, config=config)
-    report = builder.run()
+    report = get_runner(f"kkt-{args.mode}").build_report(
+        graph, seed=spec.seed, c=args.error_exponent
+    )
     workload = WorkloadSpec(
         name=args.workload, updates=args.updates
     ).resolve_seed(spec.seed)
@@ -738,65 +735,40 @@ def _command_build(kind: str, args: argparse.Namespace) -> int:
 
 
 def _command_repair(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    graph = spec.build()
-    config = AlgorithmConfig(n=args.nodes, seed=args.seed, c=args.error_exponent)
-    builder = BuildMST(graph, config=config) if args.mode == "mst" else BuildST(graph, config=config)
-    report = builder.run()
-    maintainer = TreeMaintainer(graph, report.forest, mode=args.mode, seed=args.seed)
-    batch = args.repair_batch if args.repair_batch is not None else fastpath.repair_batch_size()
-    batched = batch >= 1
-    batch_size = max(batch, 1)
-    workload = WorkloadSpec(name=args.workload, updates=args.updates).resolve_seed(spec.seed)
-    stream = workload.build(graph, report.forest)
-    maintainer.apply_stream(stream, batch_size=batch_size)
-    fault_events = 0
-    if args.fault != "none":
-        program = FaultSpec(name=args.fault).resolve_seed(spec.seed).build(
-            graph, report.forest
-        )
-        maintainer.apply_stream(program.stream, batch_size=batch_size)
-        fault_events = len(program.stream)
-
-    checker = is_minimum_spanning_forest if args.mode == "mst" else is_spanning_forest
-    ok = checker(report.forest)
-    costs = maintainer.messages_per_wave()
-    unit = "wave" if batched else "update"
-    stats = summarize(costs)
+    spec = ExperimentSpec(
+        graph=_spec_from_args(args),
+        workload=WorkloadSpec(name=args.workload, updates=args.updates),
+        faults=None if args.fault == "none" else FaultSpec(name=args.fault),
+    )
+    options = {"mode": args.mode, "repair_batch": args.repair_batch}
+    result = run_algorithm("kkt-repair", spec, c=args.error_exponent, **options)
+    extra = result.extra
+    unit = "wave" if "repair_waves" in extra else "update"
     table = ExperimentTable(
         "repair",
         f"Impromptu {args.mode.upper()} repair under {args.workload}",
         ["quantity", "value"],
     )
-    table.add_row("nodes / edges", f"{graph.num_nodes} / {graph.num_edges}")
-    table.add_row("updates processed", len(stream) + fault_events)
-    if batched:
-        table.add_row(f"repair waves (batch={batch_size})", len(costs))
-        table.add_row(
-            "updates annihilated inside waves",
-            sum(o.report.skipped_candidates for o in maintainer.history),
-        )
+    table.add_row("nodes / edges", f"{result.n} / {result.m}")
+    table.add_row(
+        "updates processed", extra["updates"] + extra.get("fault_updates_applied", 0)
+    )
+    if unit == "wave":
+        table.add_row(f"repair waves (batch={extra['repair_batch']})", extra["repair_waves"])
+        table.add_row("updates annihilated inside waves", extra["batched_saved_queries"])
     if args.fault != "none":
-        table.add_row(f"fault events ({args.fault})", fault_events)
-    table.add_row("tree invariant holds", ok)
-    table.add_row(f"messages per {unit} (mean)", round(stats.mean, 1))
-    table.add_row(f"messages per {unit} (median)", round(stats.median, 1))
-    table.add_row(f"messages per {unit} (max)", round(stats.maximum, 1))
+        table.add_row(f"fault events ({args.fault})", extra["fault_updates_applied"])
+    table.add_row("tree invariant holds", result.ok)
+    table.add_row(f"messages per {unit} (mean)", round(extra[f"messages_per_{unit}_mean"], 1))
+    table.add_row(f"messages per {unit} (max)", extra[f"messages_per_{unit}_max"])
     if args.compare_recompute:
-        baseline_graph = GraphSpec(
-            nodes=args.nodes, density=args.density, seed=args.seed
-        ).build()
-        baseline = RecomputeMaintainer(baseline_graph, mode=args.mode)
-        events = list(stream)
-        baseline_costs = [
-            baseline.apply_batch(events[offset : offset + batch_size]).messages
-            for offset in range(0, len(events), batch_size)
-        ]
+        baseline = run_algorithm("recompute-repair", spec, **options)
         table.add_row(
-            f"recompute baseline per {unit} (mean)", round(summarize(baseline_costs).mean, 1)
+            f"recompute baseline per {unit} (mean)",
+            round(baseline.extra[f"messages_per_{unit}_mean"], 1),
         )
     print(table.render())
-    return 0 if ok else 1
+    return 0 if result.ok else 1
 
 
 def _command_sweep(args: argparse.Namespace) -> int:

@@ -5,7 +5,8 @@ import json
 import pytest
 
 import repro
-from repro.api import RunResult
+from repro.analysis import format_cell
+from repro.api import ExperimentSpec, FaultSpec, GraphSpec, RunResult, WorkloadSpec, run
 from repro.cli import build_parser, main
 
 
@@ -306,6 +307,63 @@ class TestFaultsCli:
             return records
 
         assert strip(parallel) == strip(serial)
+
+
+class TestRepairView:
+    """`repro repair` renders registry runs: its rows are RunResult fields."""
+
+    GRAPH = ["--nodes", "32", "--density", "dense", "--seed", "3"]
+
+    @staticmethod
+    def _rows(out):
+        rows = {}
+        for line in out.splitlines():
+            label, sep, value = line.rpartition("|")
+            if sep and not label.startswith("-"):
+                rows[label.strip()] = value.strip()
+        return rows
+
+    @staticmethod
+    def _spec(fault):
+        return ExperimentSpec(
+            graph=GraphSpec(nodes=32, density="dense", seed=3),
+            workload=WorkloadSpec(name="churn", updates=12),
+            faults=FaultSpec(name=fault),
+        )
+
+    def test_fault_stream_matches_the_runner(self, capsys):
+        code = main(["repair", *self.GRAPH, "--updates", "12", "--repair-batch", "0",
+                     "--mode", "st", "--fault", "crash-leaves"])
+        rows = self._rows(capsys.readouterr().out)
+        assert code == 0
+        result = run("kkt-repair", self._spec("crash-leaves"), mode="st", repair_batch=0)
+        processed = result.extra["updates"] + result.extra["fault_updates_applied"]
+        assert rows["updates processed"] == str(processed)
+        assert rows["messages per update (mean)"] == format_cell(
+            round(result.extra["messages_per_update_mean"], 1)
+        )
+
+    def test_recompute_baseline_includes_fault_events(self, capsys):
+        code = main(["repair", *self.GRAPH, "--updates", "12", "--repair-batch", "0",
+                     "--fault", "link-storm", "--compare-recompute"])
+        rows = self._rows(capsys.readouterr().out)
+        assert code == 0
+        baseline = run("recompute-repair", self._spec("link-storm"), repair_batch=0)
+        assert baseline.phases == baseline.extra["updates"] + baseline.extra[
+            "fault_updates_applied"
+        ]
+        assert rows["recompute baseline per update (mean)"] == format_cell(
+            round(baseline.extra["messages_per_update_mean"], 1)
+        )
+
+    def test_run_forwards_error_exponent_to_repair_build(self, capsys):
+        code = main(["run", "kkt-repair", *self.GRAPH, "-c", "3", "--json"])
+        (result,) = parse_json_lines(capsys.readouterr().out)
+        assert code == 0
+        kkt = run("kkt-mst", GraphSpec(nodes=32, density="dense", seed=3), c=3)
+        assert result.extra["build_messages"] == kkt.messages
+        default = run("kkt-mst", GraphSpec(nodes=32, density="dense", seed=3))
+        assert kkt.messages != default.messages
 
 
 class TestBenchBaseline:
