@@ -28,7 +28,7 @@ worst-case ``O(|T_x|)`` and its success probability at least ``1/16``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from .. import fastpath
 from ..network.accounting import MessageAccountant
@@ -131,14 +131,19 @@ class FindAny:
 
         # Step 3(a-c): prefix-parity vector, XORed up the tree as one parity
         # word per node (bit i = prefix parity i).  On the fast path one
-        # columnar pass over the tree's rows hashes each incident edge once
-        # and derives all prefixes from its bit length.
+        # fused columnar pass hashes each edge once, derives all prefixes
+        # from its bit length and returns the tree's word.
+        echo: Dict[str, Any]
         if fast:
             cols = self.graph.columnar()
             rows = tree.rows(cols)
-            local_word = prefix_parity_words_all(
-                cols, pairwise, prefix_flip_masks(pairwise.log_range), rows
-            ).__getitem__
+            row_mask = tree.row_mask(cols)
+            masks = prefix_flip_masks(pairwise.log_range)
+            echo = {
+                "aggregate": prefix_parity_words_all(
+                    cols, pairwise, masks, rows, row_mask
+                )
+            }
 
         else:
 
@@ -148,14 +153,15 @@ class FindAny:
                 ]
                 return pack_parity_word(local_prefix_parities(numbers, pairwise))
 
+            echo = {"local_value": local_word, "reducer": XOR_REDUCER}
+
         word = self.tester.executor.broadcast_and_echo(
             root=root,
-            local_value=local_word,
-            reducer=XOR_REDUCER,
             broadcast_bits=pairwise.description_bits(),
             echo_bits=pairwise.log_range + 1,
             tree=tree,
             kind="findany:vector",
+            **echo,
         )
         vector: List[int] = unpack_parity_word(word, pairwise.log_range + 1)
         min_prefix = next((i for i, bit in enumerate(vector) if bit), None)
@@ -164,8 +170,11 @@ class FindAny:
 
         # Step 3(d): XOR of edge numbers hashing below 2^min.
         if fast:
-            xor_words = xor_below_words_all(cols, pairwise, min_prefix, rows)
-            local_xor = xor_words.__getitem__
+            echo = {
+                "aggregate": xor_below_words_all(
+                    cols, pairwise, min_prefix, rows, row_mask
+                )
+            }
 
         else:
 
@@ -175,25 +184,30 @@ class FindAny:
                 ]
                 return local_xor_below(numbers, pairwise, min_prefix)
 
+            echo = {"local_value": local_xor, "reducer": XOR_REDUCER}
+
         candidate = self.tester.executor.broadcast_and_echo(
             root=root,
-            local_value=local_xor,
-            reducer=XOR_REDUCER,
             broadcast_bits=max(pairwise.log_range.bit_length(), 1),
             echo_bits=2 * id_bits,
             tree=tree,
             kind="findany:xor",
+            **echo,
         )
         if candidate == 0:
             return None
 
         # Step 4: the Test — count endpoints in T incident to the candidate.
+        # Only the edge the candidate number decodes to (if the graph has
+        # it) is incident to it, so on the fast path the count is how many
+        # of its two endpoints the tree holds.
+        edge = self.graph.edge_from_number(candidate)
         if fast:
-            pos, indptr, numbers = cols.pos, cols.indptr, cols.numbers
-
-            def local_count(node: int) -> int:
-                row = pos[node]
-                return numbers[indptr[row] : indptr[row + 1]].count(candidate)
+            echo = {
+                "aggregate": 0
+                if edge is None
+                else row_mask[cols.pos[edge.u]] + row_mask[cols.pos[edge.v]]
+            }
 
         else:
 
@@ -204,18 +218,17 @@ class FindAny:
                     if e.edge_number(id_bits) == candidate
                 )
 
+            echo = {"local_value": local_count, "reducer": SUM_REDUCER}
+
         endpoint_count = self.tester.executor.broadcast_and_echo(
             root=root,
-            local_value=local_count,
-            reducer=SUM_REDUCER,
             broadcast_bits=2 * id_bits,
             echo_bits=2,
             tree=tree,
             kind="findany:test",
+            **echo,
         )
-        if endpoint_count != 1:
-            return None
-        return self.graph.edge_from_number(candidate)
+        return edge if endpoint_count == 1 else None
 
     # ------------------------------------------------------------------ #
     # helpers

@@ -424,13 +424,15 @@ class TreeRepairer:
                 return edge
             return parent_state
 
+        # One O(m) scan of the graph serves both widths.
+        width = 2 * id_bits + self.graph.max_weight().bit_length() + 2
         answer = self._executor.broadcast_with_downward_state(
             root=root,
             target=target,
             initial_state=None,
             propagate=propagate,
-            broadcast_bits=2 * id_bits + self.graph.max_weight().bit_length() + 2,
-            echo_bits=2 * id_bits + self.graph.max_weight().bit_length() + 2,
+            broadcast_bits=width,
+            echo_bits=width,
             # target == root leaves the path empty (a self-loop update is
             # rejected when the update is built): same tree, no path edge.
             collect=lambda _node, heaviest: (True, heaviest),

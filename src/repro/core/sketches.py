@@ -23,31 +23,46 @@ Each kernel has two implementations, one per tier of :mod:`repro.fastpath`:
 
 * the **reference** form (the ``local_*`` functions below) — one call per
   node, re-hashing every incident edge once per prefix level / weight range
-  and returning parity *lists*;
-* the **columnar** form (``*_words_all``, ``hp_products_all``) — one call per
-  broadcast-and-echo, reading the tree's rows of the graph's
+  and returning parity *lists*; the broadcast-and-echo executor folds them
+  node by node;
+* the **columnar** form (``*_words_all``, ``hp_products_all``) — one fused
+  call per broadcast-and-echo that returns the tree's *aggregate*, the value
+  the echo delivers at the root, read from the graph's
   :class:`~repro.network.columnar.ColumnarGraph` snapshot.  It hashes each
-  incident edge exactly once, derives every prefix parity from
-  ``h(e).bit_length()`` (``h(e) < 2^i`` iff ``i ≥ bitlen(h(e))``, so one XOR
-  with a precomputed mask flips all the prefixes an edge belongs to), bisects
-  each row's weight-sorted slots to the tested window, and packs the parities
-  of a node into a single int word.
+  edge exactly once, derives every prefix parity from ``h(e).bit_length()``
+  (``h(e) < 2^i`` iff ``i ≥ bitlen(h(e))``, so one XOR with a precomputed
+  mask flips all the prefixes an edge belongs to), and packs parities into
+  a single int word.
 
-A columnar kernel maps the node of every row it is given to the packed
-reference value of that node, word for word (pinned by
-``tests/core/test_columnar_kernels.py``).  Its stdlib loop visits only the
-given rows.  When numpy is importable (:mod:`repro.accel`) and the tree
-holds at least half the graph (:func:`repro.fastpath.covers_half`), it
-instead vectorises one pass over every row — but only where exact: uint64
-wrap-around multiplication for the odd hash, and the Carter–Wegman hash only
-when its products fit int64; otherwise the stdlib loop runs.  Either way the
-words are identical, so the choice is wall-clock-only.
+A columnar kernel's aggregate equals the reference fold over the rows it is
+given, bit for bit (pinned by ``tests/core/test_columnar_kernels.py``).  It
+reaches it by one of two passes, chosen by the half-graph rule
+(:func:`repro.fastpath.covers_half`) on the number of rows:
+
+* a **row pass** for smaller trees: each row bisects its weight-sorted slots
+  to the tested window and folds them straight into the aggregate;
+* an **edge-window pass** for trees holding at least half the graph: one
+  bisection of the graph-wide weight-sorted edge column finds the window,
+  and the tree's row mask says which endpoints of each in-window edge the
+  tree holds.  The XOR kernels keep only edges with exactly one endpoint in
+  the tree — an edge with both is counted twice and cancels, whatever the
+  row set — so TestOut and FindAny hash only cut edges; HP-TestOut
+  multiplies ``(α − #e)`` into ``up`` if the tree holds ``u`` and into
+  ``down`` if it holds ``v``.
+
+When numpy is importable (:mod:`repro.accel`) and the window holds at least
+half the graph's edges (the same rule, on edge counts), the XOR kernels
+vectorise the window pass — but only where exact: uint64 wrap-around
+multiplication for the odd hash, and the Carter–Wegman hash only when its
+products fit int64; otherwise the stdlib loop runs.  Either way the
+aggregate is identical, so the choice is wall-clock-only.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .. import fastpath
 from ..accel import numpy_or_none
@@ -161,25 +176,70 @@ def prefix_flip_masks(log_range: int) -> List[int]:
     return [full & ~((1 << b) - 1) for b in range(log_range + 1)]
 
 
-def _xor_segments(np, values, cols: ColumnarGraph) -> Dict[int, int]:
-    """Per-row XOR of the slot ``values``, keyed by node ID (numpy tier).
+def _row_windows(
+    cols: ColumnarGraph, rows: Sequence[int], low: int, high: int
+) -> Iterator[Tuple[int, int]]:
+    """Row pass: each given row's non-empty ``[start, stop)`` of weight-sorted
+    slots with augmented weight in ``[low, high]``, found by bisection."""
+    indptr = cols.indptr
+    aug_sorted = cols.aug_sorted
+    for row in rows:
+        begin, end = indptr[row], indptr[row + 1]
+        start = bisect_left(aug_sorted, low, begin, end)
+        stop = bisect_right(aug_sorted, high, start, end)
+        if start < stop:
+            yield start, stop
 
-    ``reduceat`` mis-handles empty segments two ways: an empty row's result
-    is ``values[start]`` rather than the identity, and an out-of-bounds
-    start (a trailing empty row has ``start == len(values)``) cannot simply
-    be clipped — a clipped start steals the last slot from the *previous*
-    row's segment.  Reducing only at the non-empty rows' starts (strictly
-    increasing, always in bounds) sidesteps both: empty rows between them
-    contribute no slots, so each non-empty segment still ends exactly at
-    its own stop.
+
+def _row_numbers(cols: ColumnarGraph, rows: Sequence[int]) -> Iterator[int]:
+    """Row pass: the edge number of every slot of the given rows."""
+    indptr = cols.indptr
+    numbers = cols.numbers
+    return chain.from_iterable(
+        numbers[indptr[row] : indptr[row + 1]] for row in rows
+    )
+
+
+def _edge_window(cols: ColumnarGraph, low: int, high: int) -> Tuple[int, int]:
+    """Window pass: the ``[lo, hi)`` of ``edge_aug`` inside ``[low, high]``."""
+    lo = bisect_left(cols.edge_aug, low)
+    return lo, bisect_right(cols.edge_aug, high, lo)
+
+
+def _cut_edges(
+    cols: ColumnarGraph, row_mask: bytearray, lo: int, hi: int
+) -> List[int]:
+    """Window pass: the edges in ``[lo, hi)`` with one endpoint in ``row_mask``.
+
+    These are the only edges an XOR aggregate over the masked rows sees:
+    an edge with both endpoints inside contributes the same value at each
+    and cancels, and one with neither contributes nothing.
     """
-    indptr = cols.numpy_columns().indptr
-    out = np.zeros(cols.num_nodes, dtype=values.dtype)
-    if values.size:
-        starts = indptr[:-1]
-        nonempty = starts < indptr[1:]
-        out[nonempty] = np.bitwise_xor.reduceat(values, starts[nonempty])
-    return dict(zip(cols.ids, out.tolist()))
+    urow = cols.edge_urow
+    vrow = cols.edge_vrow
+    return [
+        edge for edge in range(lo, hi) if row_mask[urow[edge]] != row_mask[vrow[edge]]
+    ]
+
+
+def _window_numpy(cols: ColumnarGraph, lo: int, hi: int) -> Optional[Any]:
+    """numpy when the window ``[lo, hi)`` holds at least half the graph's edges."""
+    np = numpy_or_none()
+    if np is None or not cols.fits64:
+        return None
+    return np if fastpath.covers_half(hi - lo, cols.num_edges) else None
+
+
+def _numpy_cut(np, cols: ColumnarGraph, row_mask: bytearray, lo: int, hi: int):
+    """:func:`_cut_edges` as a boolean selector over the window (numpy tier)."""
+    npc = cols.numpy_columns()
+    inside = np.frombuffer(row_mask, dtype=np.bool_)
+    return inside[npc.edge_urow[lo:hi]] != inside[npc.edge_vrow[lo:hi]]
+
+
+def _numpy_xor(np, values) -> int:
+    """XOR of a uint64 vector as a Python int (0 when empty)."""
+    return int(np.bitwise_xor.reduce(values, initial=np.uint64(0)))
 
 
 def _pairwise_fits_int64(pairwise: PairwiseIndependentHash, max_number: int) -> bool:
@@ -187,12 +247,12 @@ def _pairwise_fits_int64(pairwise: PairwiseIndependentHash, max_number: int) -> 
     return pairwise.a * max_number + pairwise.b < (1 << 63)
 
 
-def _whole_graph_numpy(cols: ColumnarGraph, rows: Sequence[int]) -> Optional[Any]:
-    """numpy when a vectorised whole-graph pass should replace the row loop."""
-    np = numpy_or_none()
-    if np is None or not cols.fits64:
-        return None
-    return np if fastpath.covers_half(len(rows), cols.num_nodes) else None
+def _numpy_pairwise(np, pairwise: PairwiseIndependentHash, numbers):
+    """``pairwise`` over uint64 edge numbers (exact if :func:`_pairwise_fits_int64`)."""
+    signed = numbers.astype(np.int64)
+    return ((np.int64(pairwise.a) * signed + np.int64(pairwise.b)) % np.int64(
+        pairwise.p
+    )) % np.int64(pairwise.range_size)
 
 
 def range_parity_words_all(
@@ -201,67 +261,71 @@ def range_parity_words_all(
     lows: Sequence[int],
     highs: Sequence[int],
     rows: Sequence[int],
-) -> Dict[int, int]:
-    """FindMin's parallel TestOut parity words for the given rows.
+    row_mask: bytearray,
+) -> int:
+    """FindMin's parallel TestOut parity word, aggregated over the given rows.
 
-    Maps the node of each row to its word: bit ``i`` is
-    ``local_range_parities(...)[i]`` over the node's incident edges, for
-    the ranges ``[lows[i], highs[i]]`` (sorted and disjoint, see
-    :func:`ranges_are_disjoint_sorted`).  Each row bisects straight to its
-    slots inside ``[lows[0], highs[-1]]`` — after a few FindMin narrowings a
-    tiny fraction of the degree — hashes each exactly once and finds its
-    containing range by a second bisection.
+    Returns the XOR over the rows' nodes of the word whose bit ``i`` is
+    ``local_range_parities(...)[i]`` for the ranges ``[lows[i], highs[i]]``
+    (sorted and disjoint, see :func:`ranges_are_disjoint_sorted`).  Each
+    edge inside ``[lows[0], highs[-1]]`` is hashed once and finds its
+    containing range by bisection.  ``row_mask`` is the rows' membership mask
+    (:meth:`~repro.network.broadcast.TreeStructure.row_mask`).
     """
-    np = _whole_graph_numpy(cols, rows)
-    if np is not None and odd_hash.word_bits <= 64 and len(lows) <= 64:
-        # Highs clamp to the graph maximum (value-identical: no weight can
-        # exceed it), which brings FindMin's open upper bound 2^256 back
-        # into uint64 territory.
-        bounded_highs = [min(high, cols.max_augmented) for high in highs]
-        if all(low <= _UINT64_MAX for low in lows) and all(
-            high <= _UINT64_MAX for high in bounded_highs
+    low, high = lows[0], highs[-1]
+    if fastpath.covers_half(len(rows), cols.num_nodes):
+        lo, hi = _edge_window(cols, low, high)
+        if lo == hi:
+            return 0
+        np = _window_numpy(cols, lo, hi)
+        if (
+            np is not None
+            and odd_hash.word_bits <= 64
+            and len(lows) <= 64
+            and all(bound <= _UINT64_MAX for bound in lows)
         ):
+            # Highs clamp to the graph maximum (value-identical: no weight
+            # can exceed it), which brings FindMin's open upper bound 2^256
+            # back into uint64 territory.
+            bounded_highs = [min(bound, cols.max_augmented) for bound in highs]
             npc = cols.numpy_columns()
-            weights = npc.aug_sorted
-            hashed = (np.uint64(odd_hash.multiplier) * npc.numbers_by_aug) & np.uint64(
-                (1 << odd_hash.word_bits) - 1
+            cut = _numpy_cut(np, cols, row_mask, lo, hi)
+            weights = npc.edge_aug[lo:hi][cut]
+            hashed = (
+                np.uint64(odd_hash.multiplier) * npc.edge_numbers[lo:hi][cut]
+            ) & np.uint64((1 << odd_hash.word_bits) - 1)
+            # Every window weight is >= lows[0], so the index is >= 0.
+            index = np.searchsorted(
+                np.asarray(lows, dtype=np.uint64), weights, side="right"
+            ) - 1
+            valid = (hashed <= np.uint64(odd_hash.threshold)) & (
+                weights <= np.asarray(bounded_highs, dtype=np.uint64)[index]
             )
-            ok = hashed <= np.uint64(odd_hash.threshold)
-            lows_arr = np.asarray(lows, dtype=np.uint64)
-            highs_arr = np.asarray(bounded_highs, dtype=np.uint64)
-            index = np.searchsorted(lows_arr, weights, side="right").astype(np.int64) - 1
-            clipped = np.maximum(index, 0)
-            valid = ok & (index >= 0) & (weights <= highs_arr[clipped])
-            contrib = np.where(
-                valid, np.uint64(1) << clipped.astype(np.uint64), np.uint64(0)
-            )
-            return _xor_segments(np, contrib, cols)
+            return _numpy_xor(np, np.uint64(1) << index[valid].astype(np.uint64))
+        edge_aug = cols.edge_aug
+        edge_numbers = cols.edge_numbers
+        cut = _cut_edges(cols, row_mask, lo, hi)
+        pairs: Iterable[Tuple[int, int]] = zip(
+            map(edge_aug.__getitem__, cut), map(edge_numbers.__getitem__, cut)
+        )
+    else:
+        aug_sorted = cols.aug_sorted
+        numbers = cols.numbers_by_aug
+        pairs = chain.from_iterable(
+            zip(aug_sorted[start:stop], numbers[start:stop])
+            for start, stop in _row_windows(cols, rows, low, high)
+        )
 
-    indptr = cols.indptr
-    aug_sorted = cols.aug_sorted
-    numbers = cols.numbers_by_aug
     multiplier = odd_hash.multiplier
     threshold = odd_hash.threshold
-    mask = (1 << odd_hash.word_bits) - 1
-    low0 = lows[0]
-    high_last = highs[-1]
-    ids = cols.ids
-    words = dict.fromkeys(map(ids.__getitem__, rows), 0)
-    for row in rows:
-        begin, end = indptr[row], indptr[row + 1]
-        start = bisect_left(aug_sorted, low0, begin, end)
-        stop = bisect_right(aug_sorted, high_last, start, end)
-        if start == stop:
-            continue
-        word = 0
-        for slot in range(start, stop):
-            if (multiplier * numbers[slot]) & mask <= threshold:
-                weight = aug_sorted[slot]
-                index = bisect_right(lows, weight) - 1
-                if weight <= highs[index]:
-                    word ^= 1 << index
-        words[ids[row]] = word
-    return words
+    word_mask = (1 << odd_hash.word_bits) - 1
+    word = 0
+    for weight, number in pairs:
+        if (multiplier * number) & word_mask <= threshold:
+            index = bisect_right(lows, weight) - 1
+            if weight <= highs[index]:
+                word ^= 1 << index
+    return word
 
 
 def prefix_parity_words_all(
@@ -269,47 +333,47 @@ def prefix_parity_words_all(
     pairwise: PairwiseIndependentHash,
     masks: Sequence[int],
     rows: Sequence[int],
-) -> Dict[int, int]:
-    """FindAny's prefix-parity words for the given rows.
+    row_mask: bytearray,
+) -> int:
+    """FindAny's prefix-parity word, aggregated over the given rows.
 
-    Maps the node of each row to its word: bit ``i`` is
+    Returns the XOR over the rows' nodes of the word whose bit ``i`` is
     ``local_prefix_parities(...)[i]``, the parity of the node's incident
     edges hashing into ``[2^i]``; ``masks`` comes from
-    :func:`prefix_flip_masks`.
+    :func:`prefix_flip_masks` and ``row_mask`` is the rows' membership mask.
     """
-    np = _whole_graph_numpy(cols, rows)
-    log_range = pairwise.log_range
-    if (
-        np is not None
-        and log_range + 1 <= 63
-        and _pairwise_fits_int64(pairwise, cols.max_number)
-    ):
-        npc = cols.numpy_columns()
-        numbers = npc.numbers.astype(np.int64)
-        hashed = ((np.int64(pairwise.a) * numbers + np.int64(pairwise.b)) % np.int64(
-            pairwise.p
-        )) % np.int64(pairwise.range_size)
-        # bit_length(h) == #{powers of two <= h} for the powers below the
-        # range, which searchsorted counts directly.
-        powers = np.left_shift(
-            np.int64(1), np.arange(max(log_range, 1), dtype=np.int64)
+    if fastpath.covers_half(len(rows), cols.num_nodes):
+        num_edges = cols.num_edges
+        np = _window_numpy(cols, 0, num_edges)
+        log_range = pairwise.log_range
+        if (
+            np is not None
+            and log_range + 1 <= 63
+            and _pairwise_fits_int64(pairwise, cols.max_number)
+        ):
+            cut = _numpy_cut(np, cols, row_mask, 0, num_edges)
+            numbers_np = cols.numpy_columns().edge_numbers[cut]
+            hashed = _numpy_pairwise(np, pairwise, numbers_np)
+            # bit_length(h) == #{powers of two <= h} for the powers below the
+            # range, which searchsorted counts directly.
+            powers = np.left_shift(
+                np.int64(1), np.arange(max(log_range, 1), dtype=np.int64)
+            )
+            bitlens = np.searchsorted(powers, hashed, side="right")
+            return _numpy_xor(np, np.asarray(masks, dtype=np.uint64)[bitlens])
+        edge_numbers = cols.edge_numbers
+        numbers: Iterable[int] = map(
+            edge_numbers.__getitem__, _cut_edges(cols, row_mask, 0, num_edges)
         )
-        bitlens = np.searchsorted(powers, hashed, side="right")
-        flips = np.asarray(masks, dtype=np.uint64)[bitlens]
-        return _xor_segments(np, flips, cols)
+    else:
+        numbers = _row_numbers(cols, rows)
 
     a, b, p = pairwise.a, pairwise.b, pairwise.p
     range_size = pairwise.range_size
-    indptr = cols.indptr
-    numbers = cols.numbers
-    ids = cols.ids
-    words: Dict[int, int] = {}
-    for row in rows:
-        word = 0
-        for slot in range(indptr[row], indptr[row + 1]):
-            word ^= masks[(((a * numbers[slot] + b) % p) % range_size).bit_length()]
-        words[ids[row]] = word
-    return words
+    word = 0
+    for number in numbers:
+        word ^= masks[(((a * number + b) % p) % range_size).bit_length()]
+    return word
 
 
 def xor_below_words_all(
@@ -317,38 +381,36 @@ def xor_below_words_all(
     pairwise: PairwiseIndependentHash,
     prefix_exponent: int,
     rows: Sequence[int],
-) -> Dict[int, int]:
-    """FindAny's XOR of edge numbers hashing below ``2^prefix`` for the given rows.
+    row_mask: bytearray,
+) -> int:
+    """FindAny's XOR of edge numbers hashing below ``2^prefix``, over the given rows.
 
-    Maps the node of each row to ``local_xor_below(...)`` over its incident
-    edges.
+    Returns the XOR over the rows' nodes of ``local_xor_below(...)``;
+    ``row_mask`` is the rows' membership mask.
     """
-    np = _whole_graph_numpy(cols, rows)
-    if np is not None and _pairwise_fits_int64(pairwise, cols.max_number):
-        npc = cols.numpy_columns()
-        numbers = npc.numbers.astype(np.int64)
-        hashed = ((np.int64(pairwise.a) * numbers + np.int64(pairwise.b)) % np.int64(
-            pairwise.p
-        )) % np.int64(pairwise.range_size)
-        below = hashed < np.int64(1 << prefix_exponent)
-        contrib = np.where(below, npc.numbers, np.uint64(0))
-        return _xor_segments(np, contrib, cols)
+    limit = 1 << prefix_exponent
+    if fastpath.covers_half(len(rows), cols.num_nodes):
+        num_edges = cols.num_edges
+        np = _window_numpy(cols, 0, num_edges)
+        if np is not None and _pairwise_fits_int64(pairwise, cols.max_number):
+            cut = _numpy_cut(np, cols, row_mask, 0, num_edges)
+            candidates = cols.numpy_columns().edge_numbers[cut]
+            below = _numpy_pairwise(np, pairwise, candidates) < np.int64(limit)
+            return _numpy_xor(np, candidates[below])
+        edge_numbers = cols.edge_numbers
+        numbers: Iterable[int] = map(
+            edge_numbers.__getitem__, _cut_edges(cols, row_mask, 0, num_edges)
+        )
+    else:
+        numbers = _row_numbers(cols, rows)
 
     a, b, p = pairwise.a, pairwise.b, pairwise.p
     range_size = pairwise.range_size
-    limit = 1 << prefix_exponent
-    indptr = cols.indptr
-    numbers = cols.numbers
-    ids = cols.ids
-    words: Dict[int, int] = {}
-    for row in rows:
-        result = 0
-        for slot in range(indptr[row], indptr[row + 1]):
-            number = numbers[slot]
-            if ((a * number + b) % p) % range_size < limit:
-                result ^= number
-        words[ids[row]] = result
-    return words
+    result = 0
+    for number in numbers:
+        if ((a * number + b) % p) % range_size < limit:
+            result ^= number
+    return result
 
 
 def hp_products_all(
@@ -358,36 +420,41 @@ def hp_products_all(
     low: int,
     high: int,
     rows: Sequence[int],
-) -> Dict[int, Tuple[int, int]]:
-    """HP-TestOut's per-node ``(up, down)`` products for the given rows.
+    row_mask: bytearray,
+) -> Tuple[int, int]:
+    """HP-TestOut's ``(up, down)`` products, aggregated over the given rows.
 
-    Maps the node of each row to the pair of Schwartz–Zippel products
-    ``local_product`` computes over its "up" and "down" incident edges
-    with augmented weight in ``[low, high]``.  Always the stdlib row loop:
-    the mod-``p`` product chain has no exact vectorised form (intermediate
-    products overflow any fixed width), and multiplication mod ``p`` being
-    commutative makes the weight-sorted slot order harmless.
+    Returns the componentwise product mod ``p`` of the pairs
+    ``local_product`` computes over each node's "up" and "down" incident
+    edges with augmented weight in ``[low, high]``: ``(α − #e)`` joins
+    ``up`` once if the edge's smaller endpoint is a given row and ``down``
+    once if its larger one is (``row_mask`` is the rows' membership mask).
+    Always stdlib: the mod-``p`` product chain has no exact vectorised form
+    (intermediate products overflow any fixed width), and multiplication
+    mod ``p`` being commutative makes any visiting order harmless.
     """
-    indptr = cols.indptr
-    aug_sorted = cols.aug_sorted
+    up_product = down_product = 1
+    if fastpath.covers_half(len(rows), cols.num_nodes):
+        lo, hi = _edge_window(cols, low, high)
+        edge_numbers = cols.edge_numbers
+        urow = cols.edge_urow
+        vrow = cols.edge_vrow
+        for edge in range(lo, hi):
+            if row_mask[urow[edge]]:
+                up_product = up_product * (alpha - edge_numbers[edge]) % p
+            if row_mask[vrow[edge]]:
+                down_product = down_product * (alpha - edge_numbers[edge]) % p
+        return up_product, down_product
+
     numbers = cols.numbers_by_aug
     up = cols.up_by_aug
-    ids = cols.ids
-    products = dict.fromkeys(map(ids.__getitem__, rows), (1, 1))
-    for row in rows:
-        begin, end = indptr[row], indptr[row + 1]
-        start = bisect_left(aug_sorted, low, begin, end)
-        stop = bisect_right(aug_sorted, high, start, end)
-        if start == stop:
-            continue
-        up_product = down_product = 1
+    for start, stop in _row_windows(cols, rows, low, high):
         for slot in range(start, stop):
             if up[slot]:
-                up_product = (up_product * (alpha - numbers[slot])) % p
+                up_product = up_product * (alpha - numbers[slot]) % p
             else:
-                down_product = (down_product * (alpha - numbers[slot])) % p
-        products[ids[row]] = (up_product, down_product)
-    return products
+                down_product = down_product * (alpha - numbers[slot]) % p
+    return up_product, down_product
 
 
 def pack_parity_word(parities: Sequence[int]) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import fastpath
 from ..network.accounting import MessageAccountant
@@ -230,17 +230,22 @@ class CutTester:
             for (low, high) in ranges
         ]
 
+        echo: Dict[str, Any]
         if fast and ranges_are_disjoint_sorted(resolved_ranges):
-            # Columnar kernel over the tree's rows: hash each incident edge
-            # once, locate its weight range by bisection, one parity word.
+            # Fused columnar kernel: the tree's parity word in one pass,
+            # hashing each in-window edge once and locating its weight range
+            # by bisection.
             cols = self.graph.columnar()
-            local = range_parity_words_all(
-                cols,
-                hash_fn,
-                [low for low, _ in resolved_ranges],
-                [high for _, high in resolved_ranges],
-                tree.rows(cols),
-            ).__getitem__
+            echo = {
+                "aggregate": range_parity_words_all(
+                    cols,
+                    hash_fn,
+                    [low for low, _ in resolved_ranges],
+                    [high for _, high in resolved_ranges],
+                    tree.rows(cols),
+                    tree.row_mask(cols),
+                )
+            }
 
         else:
 
@@ -252,6 +257,8 @@ class CutTester:
                 parities = local_range_parities(incident, hash_fn, resolved_ranges)
                 return pack_parity_word(parities)
 
+            echo = {"local_value": local, "reducer": XOR_REDUCER}
+
         range_bits = 2 * max(
             (high.bit_length() for _, high in resolved_ranges if high), default=1
         )
@@ -259,12 +266,11 @@ class CutTester:
         echo_bits = len(ranges)
         return self.executor.broadcast_and_echo(
             root=root,
-            local_value=local,
-            reducer=XOR_REDUCER,
             broadcast_bits=broadcast_bits,
             echo_bits=echo_bits,
             tree=tree,
             kind="testout",
+            **echo,
         )
 
     # ------------------------------------------------------------------ #
@@ -309,11 +315,16 @@ class CutTester:
 
         # Each node's echo value is its (up, down) pair of Schwartz–Zippel
         # products; the pairs multiply up the tree componentwise mod p.
+        echo: Dict[str, Any]
         if fastpath.is_enabled():
+            # Fused columnar kernel: the tree's pair in one pass.
             cols = self.graph.columnar()
-            local = hp_products_all(
-                cols, alpha, p, low_bound, high_bound, tree.rows(cols)
-            ).__getitem__
+            rows, row_mask = tree.rows(cols), tree.row_mask(cols)
+            echo = {
+                "aggregate": hp_products_all(
+                    cols, alpha, p, low_bound, high_bound, rows, row_mask
+                )
+            }
 
         else:
 
@@ -333,15 +344,16 @@ class CutTester:
                     down_numbers, alpha, p
                 )
 
+            echo = {"local_value": local, "reducer": product_pair_reducer(p)}
+
         payload_bits = 2 * p.bit_length()
         up, down = self.executor.broadcast_and_echo(
             root=root,
-            local_value=local,
-            reducer=product_pair_reducer(p),
             broadcast_bits=p.bit_length() + min(4 * id_bits + 64, 256),
             echo_bits=payload_bits,
             tree=tree,
             kind="hp_testout",
+            **echo,
         )
         return not SetEqualitySketch(up, down, alpha, p).sides_equal
 

@@ -4,11 +4,13 @@ The simulation has two execution paths through the sketch/broadcast stack:
 
 * the **fast path** (default) — rooted tree structures are cached on the
   :class:`~repro.network.fragments.SpanningForest` and incrementally patched
-  on single-edge attach/detach, and every node-local echo value is read from
-  the tree's rows of the graph's columnar snapshot
-  (:meth:`~repro.network.graph.Graph.columnar`): the kernels in
-  :mod:`repro.core.sketches` hash each incident edge exactly once and derive
-  all prefix / range parities with single-int word operations;
+  on single-edge attach/detach, and every sketch echo is one fused kernel
+  call in :mod:`repro.core.sketches` that returns the tree's aggregate
+  straight from the graph's columnar snapshot
+  (:meth:`~repro.network.graph.Graph.columnar`), hashing each edge exactly
+  once and deriving all prefix / range parities with single-int word
+  operations; the broadcast-and-echo executor takes that aggregate and
+  only charges;
 
 * the **reference path** — the original straight-line implementations: the
   rooted structure is rebuilt from the forest for every procedure call, and
@@ -23,8 +25,10 @@ reference path exists so the equivalence can be checked and the speedup
 measured honestly; everything else should leave the fast path on.
 
 Within the fast path one fixed size rule, :func:`covers_half`, picks the
-whole-graph passes (numpy kernels, CSR tree rebuilds) over the per-tree ones;
-it is wall-clock-only and has no knob.
+whole-graph passes over the per-tree ones: a tree holding at least half the
+nodes gets the kernels' edge-window pass (and the CSR tree rebuild), and a
+window holding at least half the edges gets the numpy form of that pass when
+numpy is importable.  It is wall-clock-only and has no knob.
 
 The switch is process-global (not thread-local): flipping it mid-simulation
 is only meant for benchmarks and tests, which use the context managers::
@@ -77,15 +81,18 @@ def repair_batch_size() -> int:
         return 0
 
 
-def covers_half(tree_size: int, graph_nodes: int) -> bool:
-    """Whether a tree is large enough for a whole-graph pass.
+def covers_half(part: int, whole: int) -> bool:
+    """Whether ``part`` is at least half of ``whole``.
 
-    A whole-graph pass (the numpy sketch kernels, the CSR tree rebuild)
-    touches every node, so it pays off only when the tree holds at least
-    half of them; smaller trees loop over their own rows.  Wall-clock-only:
-    both sides compute identical values, so counters never depend on it.
+    A whole-graph pass reads the graph's columns rather than a tree's own
+    rows, so it pays off only for a large part: the sketch kernels' edge-window
+    pass and the CSR tree rebuild run for trees holding at least half the
+    nodes (smaller trees loop over their own rows), and the numpy form of
+    the window pass for windows holding at least half the edges.
+    Wall-clock-only: both sides compute identical values, so counters never
+    depend on it.
     """
-    return 2 * tree_size >= graph_nodes
+    return 2 * part >= whole
 
 
 def set_enabled(value: bool) -> bool:

@@ -17,7 +17,10 @@ are provided:
   because each ``local_value`` is still computed from node-local knowledge
   only (a node sees its own ID, its incident edges and the broadcast
   payload), and the reducer's operation ignores order and grouping, so
-  folding the values in any order gives the value the echo delivers.
+  folding the values in any order gives the value the echo delivers.  A
+  caller that already holds that reduction — the fused sketch kernels of
+  :mod:`repro.core.sketches`, which fold it straight from the columnar
+  snapshot — hands it over as ``aggregate=`` and the executor only charges.
 
 * :class:`BroadcastEchoProtocolNode` — a genuine per-node protocol for the
   message-level engines.  Tests run the same aggregation through both paths
@@ -75,6 +78,10 @@ __all__ = [
 # algorithms in repro.core honour this contract.
 LocalValueFn = Callable[[int], Any]
 
+# Marks an omitted ``aggregate=`` (no aggregate is ever None, but the
+# sentinel keeps "not given" unambiguous).
+_NO_AGGREGATE: Any = object()
+
 
 class Reducer(NamedTuple):
     """How an echo aggregates: a binary operation and its identity.
@@ -105,8 +112,8 @@ class TreeStructure:
     On the fast path (see :mod:`repro.fastpath`) structures live across many
     broadcast-and-echoes via the
     :class:`~repro.network.tree_cache.TreeStructureCache`, so the
-    eccentricity and the tree's columnar rows are memoised; the cache calls
-    :meth:`invalidate_memos` whenever it patches the structure.
+    eccentricity and the tree's columnar rows and row mask are memoised; the
+    cache calls :meth:`invalidate_memos` whenever it patches the structure.
     """
 
     def __init__(
@@ -123,6 +130,7 @@ class TreeStructure:
         self._eccentricity: Optional[int] = None
         self._rows: Optional[List[int]] = None
         self._rows_version = -1
+        self._mask: Optional[bytearray] = None
 
     @property
     def nodes(self) -> List[int]:
@@ -157,12 +165,28 @@ class TreeStructure:
             pos = cols.pos
             self._rows = [pos[node] for node in self.parent]
             self._rows_version = cols.version
+            self._mask = None
         return self._rows
 
+    def row_mask(self, cols: ColumnarGraph) -> bytearray:
+        """``mask[row]`` is 1 iff the node of ``row`` in ``cols`` is in the tree.
+
+        Memoised alongside :meth:`rows`: the sketch kernels' edge-window
+        pass reads it to tell which endpoints of an edge the tree holds.
+        """
+        rows = self.rows(cols)
+        if self._mask is None:
+            mask = bytearray(cols.num_nodes)
+            for row in rows:
+                mask[row] = 1
+            self._mask = mask
+        return self._mask
+
     def invalidate_memos(self) -> None:
-        """Forget the memoised eccentricity and rows after a patch."""
+        """Forget the memoised eccentricity, rows and row mask after a patch."""
         self._eccentricity = None
         self._rows = None
+        self._mask = None
 
     def path_from_root(self, node: int) -> List[int]:
         """The tree path root -> ... -> node."""
@@ -370,22 +394,35 @@ class BroadcastEchoExecutor:
     def broadcast_and_echo(
         self,
         root: int,
-        local_value: LocalValueFn,
-        reducer: Reducer,
+        local_value: Optional[LocalValueFn] = None,
+        reducer: Optional[Reducer] = None,
+        *,
         broadcast_bits: int,
         echo_bits: int,
         tree: Optional[TreeStructure] = None,
         kind: str = "b&e",
+        aggregate: Any = _NO_AGGREGATE,
     ) -> Any:
         """One broadcast-and-echo rooted at ``root``; returns the aggregate.
 
         The aggregate is ``reducer`` folded over ``local_value(node)`` for
-        every node of the tree.  Charges ``num_edges`` broadcast messages of
-        ``broadcast_bits`` bits, ``num_edges`` echo messages of ``echo_bits``
-        bits, and ``2 × eccentricity`` rounds (the paper's time for one B&E).
+        every node of the tree — or, when the caller has already folded it
+        (the fused sketch kernels), the given ``aggregate``; exactly one of
+        the two forms is allowed.  Either way charges ``num_edges``
+        broadcast messages of ``broadcast_bits`` bits, ``num_edges`` echo
+        messages of ``echo_bits`` bits, and ``2 × eccentricity`` rounds (the
+        paper's time for one B&E).
         """
+        folds = aggregate is _NO_AGGREGATE
+        if (local_value is not None, reducer is not None) != (folds, folds):
+            raise ProtocolError(
+                "broadcast_and_echo takes either local_value and reducer, "
+                "or aggregate="
+            )
         structure = tree if tree is not None else self.forest.rooted_structure(root)
         self._charge(structure, broadcast_bits, echo_bits, kind)
+        if not folds:
+            return aggregate
         return reduce(reducer.op, map(local_value, structure.parent), reducer.identity)
 
     def broadcast_only(

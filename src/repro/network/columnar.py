@@ -3,26 +3,36 @@
 Every TestOut, HP-TestOut and FindAny echo value is a pure function of one
 node's incident edges plus the broadcast parameters, so one incidence layout
 serves every tree whatever its size.  This module stores the *whole graph's*
-incidence structure once, in CSR form, and the fast-path kernels in
-:mod:`repro.core.sketches` read the rows of the tree they echo over:
+incidence structure once, and the fast-path kernels in
+:mod:`repro.core.sketches` fold a tree's aggregate from it in one of two
+passes:
 
-* ``ids`` — the node IDs in sorted order; ``pos`` maps an ID to its row.
-* ``indptr`` — ``indptr[i]:indptr[i+1]`` is node ``ids[i]``'s slot range.
-* ``numbers`` / ``augmented`` / ``up`` — flat slot columns, one entry per
-  (node, incident edge) pair, in :meth:`Graph.incident_edges` order (sorted
-  by the other endpoint's ID).  ``up[slot]`` is 1 iff the node is the smaller
-  endpoint, i.e. the edge counts towards the paper's ``E↑``.
-* ``aug_sorted`` / ``numbers_by_aug`` / ``up_by_aug`` — the same slots
-  re-sorted by augmented weight *within each node's slice*, so
-  weight-windowed kernels bisect instead of scanning the degree.
+* a **row pass** over the tree's rows of the CSR incidence columns:
+
+  * ``ids`` — the node IDs in sorted order; ``pos`` maps an ID to its row.
+  * ``indptr`` — ``indptr[i]:indptr[i+1]`` is node ``ids[i]``'s slot range.
+  * ``numbers`` / ``augmented`` / ``up`` — flat slot columns, one entry per
+    (node, incident edge) pair, in :meth:`Graph.incident_edges` order
+    (sorted by the other endpoint's ID).  ``up[slot]`` is 1 iff the node is
+    the smaller endpoint, i.e. the edge counts towards the paper's ``E↑``.
+  * ``aug_sorted`` / ``numbers_by_aug`` / ``up_by_aug`` — the same slots
+    re-sorted by augmented weight *within each node's slice*, so
+    weight-windowed kernels bisect instead of scanning the degree;
+
+* an **edge-window pass** over the graph-wide edge columns ``edge_aug`` /
+  ``edge_numbers`` / ``edge_urow`` / ``edge_vrow`` — one entry per edge,
+  sorted by augmented weight, with the rows of its smaller (``u``) and
+  larger (``v``) endpoint.  A weight window is one bisection of
+  ``edge_aug``, and a tree's row mask says which endpoints of each
+  in-window edge the tree holds.
 
 Columns are ``array('Q')`` when every value fits 64 bits and plain Python
 lists otherwise (the default ``id_bits=32`` pushes augmented weights past 64
 bits, so both representations are first-class).  When numpy is available
-(:mod:`repro.accel`) and the 64-bit representation applies, ``uint64``
-mirrors are materialised lazily for the kernels' whole-graph passes; the
-mirrors are a wall-clock tier only — every kernel has a stdlib loop over the
-same rows producing identical words.
+(:mod:`repro.accel`) and the 64-bit representation applies, numpy mirrors
+of the edge columns are materialised lazily for the window pass's
+vectorised form; the mirrors are a wall-clock tier only — the stdlib loop
+over the same window produces the identical aggregate.
 
 Instances are immutable snapshots of one graph version; :meth:`Graph.columnar`
 caches the snapshot against :attr:`Graph.version` so a repair step pays the
@@ -48,32 +58,24 @@ def _freeze(values: List[int], fits64: bool) -> Sequence[int]:
 
 
 class _NumpyColumns:
-    """Lazily-built uint64 mirrors of the flat columns (numpy tier only)."""
+    """Lazily-built numpy mirrors of the edge columns (numpy tier only)."""
 
-    __slots__ = (
-        "numbers",
-        "aug_sorted",
-        "numbers_by_aug",
-        "up",
-        "up_by_aug",
-        "indptr",
-    )
+    __slots__ = ("edge_aug", "edge_numbers", "edge_urow", "edge_vrow")
 
     def __init__(self, np: Any, cols: "ColumnarGraph") -> None:
-        self.numbers = np.asarray(cols.numbers, dtype=np.uint64)
-        self.aug_sorted = np.asarray(cols.aug_sorted, dtype=np.uint64)
-        self.numbers_by_aug = np.asarray(cols.numbers_by_aug, dtype=np.uint64)
-        self.up = np.frombuffer(cols.up, dtype=np.uint8)
-        self.up_by_aug = np.frombuffer(cols.up_by_aug, dtype=np.uint8)
-        self.indptr = np.asarray(cols.indptr, dtype=np.int64)
+        self.edge_aug = np.asarray(cols.edge_aug, dtype=np.uint64)
+        self.edge_numbers = np.asarray(cols.edge_numbers, dtype=np.uint64)
+        self.edge_urow = np.asarray(cols.edge_urow, dtype=np.intp)
+        self.edge_vrow = np.asarray(cols.edge_vrow, dtype=np.intp)
 
 
 class ColumnarGraph:
-    """An immutable CSR snapshot of a graph's incidence structure.
+    """An immutable snapshot of a graph's incidence structure.
 
     Built via :meth:`from_graph` (or, with caching, :meth:`Graph.columnar`).
-    All columns are parallel over *slots*; a node's slots are
-    ``indptr[pos[node]] : indptr[pos[node] + 1]``.
+    The CSR columns are parallel over *slots*; a node's slots are
+    ``indptr[pos[node]] : indptr[pos[node] + 1]``.  The ``edge_*`` columns
+    are parallel over edges, in ascending augmented weight.
     """
 
     __slots__ = (
@@ -88,6 +90,10 @@ class ColumnarGraph:
         "aug_sorted",
         "numbers_by_aug",
         "up_by_aug",
+        "edge_aug",
+        "edge_numbers",
+        "edge_urow",
+        "edge_vrow",
         "node_max_number",
         "node_max_augmented",
         "max_number",
@@ -109,6 +115,10 @@ class ColumnarGraph:
         aug_sorted: Sequence[int],
         numbers_by_aug: Sequence[int],
         up_by_aug: bytearray,
+        edge_aug: Sequence[int],
+        edge_numbers: Sequence[int],
+        edge_urow: "array[int]",
+        edge_vrow: "array[int]",
         node_max_number: Sequence[int],
         node_max_augmented: Sequence[int],
         max_number: int,
@@ -126,6 +136,10 @@ class ColumnarGraph:
         self.aug_sorted = aug_sorted
         self.numbers_by_aug = numbers_by_aug
         self.up_by_aug = up_by_aug
+        self.edge_aug = edge_aug
+        self.edge_numbers = edge_numbers
+        self.edge_urow = edge_urow
+        self.edge_vrow = edge_vrow
         self.node_max_number = node_max_number
         self.node_max_augmented = node_max_augmented
         self.max_number = max_number
@@ -138,11 +152,12 @@ class ColumnarGraph:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_graph(cls, graph: Any) -> "ColumnarGraph":
-        """Build the CSR snapshot for ``graph`` at its current version."""
+        """Build the snapshot for ``graph`` at its current version."""
         adj: Dict[int, Dict[int, Any]] = graph._adj
         id_bits = graph.id_bits
         shift = 2 * id_bits
         ids = sorted(adj)
+        pos = {node: row for row, node in enumerate(ids)}
         indptr = array("l", [0] * (len(ids) + 1))
         numbers: List[int] = []
         augmented: List[int] = []
@@ -150,10 +165,10 @@ class ColumnarGraph:
         aug_sorted: List[int] = []
         numbers_by_aug: List[int] = []
         up_by_aug = bytearray()
+        # Each edge's augmented weight, taken at its smaller endpoint.
+        edge_aug: List[int] = []
         node_max_number: List[int] = []
         node_max_augmented: List[int] = []
-        max_number = 0
-        max_augmented = 0
         slot = 0
         for row, node in enumerate(ids):
             nbrs = adj[node]
@@ -164,25 +179,26 @@ class ColumnarGraph:
                 aug = (edge.weight << shift) | number
                 numbers.append(number)
                 augmented.append(aug)
-                up.append(1 if node == edge.u else 0)
+                if node == edge.u:
+                    up.append(1)
+                    edge_aug.append(aug)
+                else:
+                    up.append(0)
                 slot += 1
             indptr[row + 1] = slot
-            if slot > start:
-                local_max_num = max(numbers[start:slot])
-                local_max_aug = max(augmented[start:slot])
-            else:
-                local_max_num = local_max_aug = 0
-            node_max_number.append(local_max_num)
-            node_max_augmented.append(local_max_aug)
-            if local_max_num > max_number:
-                max_number = local_max_num
-            if local_max_aug > max_augmented:
-                max_augmented = local_max_aug
             order = sorted(range(start, slot), key=augmented.__getitem__)
             for j in order:
                 aug_sorted.append(augmented[j])
                 numbers_by_aug.append(numbers[j])
                 up_by_aug.append(up[j])
+            node_max_augmented.append(aug_sorted[-1] if slot > start else 0)
+            node_max_number.append(max(numbers[start:slot], default=0))
+        # An augmented weight ends in its edge number, u then v, so the
+        # sorted weights alone give every other edge column.
+        edge_aug.sort()
+        edge_numbers = [aug & ((1 << shift) - 1) for aug in edge_aug]
+        id_mask = (1 << id_bits) - 1
+        max_augmented = max(node_max_augmented, default=0)
         fits64 = max_augmented <= _UINT64_MAX
         return cls(
             id_bits=id_bits,
@@ -195,9 +211,13 @@ class ColumnarGraph:
             aug_sorted=_freeze(aug_sorted, fits64),
             numbers_by_aug=_freeze(numbers_by_aug, fits64),
             up_by_aug=up_by_aug,
+            edge_aug=_freeze(edge_aug, fits64),
+            edge_numbers=_freeze(edge_numbers, fits64),
+            edge_urow=array("l", [pos[number >> id_bits] for number in edge_numbers]),
+            edge_vrow=array("l", [pos[number & id_mask] for number in edge_numbers]),
             node_max_number=_freeze(node_max_number, fits64),
             node_max_augmented=_freeze(node_max_augmented, fits64),
-            max_number=max_number,
+            max_number=max(node_max_number, default=0),
             max_augmented=max_augmented,
             fits64=fits64,
         )
@@ -214,6 +234,10 @@ class ColumnarGraph:
         """Total slot count (= 2 * num_edges)."""
         return len(self.numbers)
 
+    @property
+    def num_edges(self) -> int:
+        return len(self.edge_aug)
+
     def slice_of(self, node: int) -> Tuple[int, int]:
         """The ``[start, stop)`` slot range of ``node``'s incident edges."""
         try:
@@ -227,12 +251,12 @@ class ColumnarGraph:
         return stop - start
 
     def numpy_columns(self) -> Optional[_NumpyColumns]:
-        """uint64 mirrors of the columns, or ``None`` outside the numpy tier.
+        """numpy mirrors of the edge columns, or ``None`` outside the numpy tier.
 
         Only available when every value fits 64 bits (``fits64``) — the
-        mirrors exist purely so the kernels' whole-graph passes can
-        vectorise; callers
-        must fall back to the stdlib columns when this returns ``None``.
+        mirrors exist purely so the kernels' edge-window pass can vectorise;
+        callers must fall back to the stdlib columns when this returns
+        ``None``.
         """
         if not self.fits64:
             return None

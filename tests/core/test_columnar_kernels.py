@@ -1,20 +1,29 @@
-"""Columnar row kernels == reference kernels, word for word.
+"""Fused columnar kernels == the reference fold, aggregate for aggregate.
 
-Every columnar kernel (``*_words_all``, ``hp_products_all``) must map the
-node of every row it is given to exactly the packed value its reference kernel
-(``local_range_parities``, ``local_prefix_parities``, ``local_xor_below``,
-``local_product``) computes from the node's incident edges — over
-random graphs, both weight orderings, row subsets on either side of the
-half-graph rule (:func:`repro.fastpath.covers_half`), and with the numpy tier
-both active and forced off.  The tier and the size rule may only change wall
-clock, never a word.
+Every columnar kernel (``*_words_all``, ``hp_products_all``) returns the
+aggregate of a set of rows: it must equal ``reduce(op, values, identity)``
+over the packed value its reference kernel (``local_range_parities``,
+``local_prefix_parities``, ``local_xor_below``, ``local_product``) computes
+from each row's node — XOR for the parity words and edge-number XORs,
+componentwise product mod ``p`` for HP-TestOut's pairs.  The row sets are
+arbitrary subsets, not only trees (an edge with both endpoints in the set
+cancels from an XOR whatever the set is), on both sides of the half-graph
+rule (:func:`repro.fastpath.covers_half`: row pass below it, edge-window
+pass at or above it), with the numpy tier both active and forced off, over
+empty, single-edge, narrow and full weight windows, an edgeless row, and
+both column representations (``fits64``).  The tier, the pass and the size
+rule may only change wall clock, never an aggregate.
 """
 
+import operator
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.accel as accel
+import repro.core.sketches as sketches
 from repro import fastpath
 from repro.core.hashing import (
     OddHashFunction,
@@ -22,7 +31,7 @@ from repro.core.hashing import (
     random_odd_hash,
     random_pairwise_hash,
 )
-from repro.core.polynomial import local_product
+from repro.core.polynomial import local_product, product_pair_reducer
 from repro.core.sketches import (
     hp_products_all,
     local_prefix_parities,
@@ -42,11 +51,25 @@ from repro.network.graph import Graph
 
 @pytest.fixture(params=["numpy", "stdlib"])
 def tier(request, monkeypatch):
-    """Run once with the numpy tier as imported and once forced off."""
+    """Run once with the numpy tier as imported and once forced off.
+
+    Yields the list of numpy window passes the kernels ran, so a test can
+    check the tier it asked for really was exercised.
+    """
     if request.param == "stdlib":
         # What REPRO_NUMPY=0 does at import time.
         monkeypatch.setattr(accel, "_np", None)
-    return request.param
+    numpy_passes = []
+    original = sketches._numpy_cut
+
+    def spy(*args, **kwargs):
+        numpy_passes.append(args[3:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sketches, "_numpy_cut", spy)
+    yield request.param, numpy_passes
+    if request.param == "stdlib" or accel.numpy_or_none() is None:
+        assert not numpy_passes
 
 
 def random_graph(seed: int, n: int = 24, ordering: str = "random") -> Graph:
@@ -89,18 +112,24 @@ def random_ranges(rng: random.Random, max_augmented: int, count: int):
     return lows, highs
 
 
-def range_cases(graph: Graph, rng: random.Random):
-    """(lows, highs) inputs: random spans, a narrow window, and open-ended."""
+def windows(graph: Graph, rng: random.Random):
+    """(lows, highs) inputs: random spans, then the named windows.
+
+    The named ones are a narrow window between two of one node's weights
+    (FindMin after a few narrowings), a window holding exactly one edge, an
+    empty window past the heaviest edge, and TestOut's "any edge" window,
+    whose 2^256 upper bound exceeds every column width.
+    """
     cols = graph.columnar()
     yield random_ranges(rng, cols.max_augmented, rng.randrange(1, 9))
-    # A narrow window between two of one node's weights (FindMin after a
-    # few narrowings) and TestOut's "any edge" range, whose 2^256 upper
-    # bound exceeds every column width.
     busiest = max(graph.nodes(), key=graph.degree)
     weights = sorted(
         edge.augmented_weight(graph.id_bits) for edge in graph.incident_edges(busiest)
     )
     yield [weights[len(weights) // 4]], [weights[3 * len(weights) // 4]]
+    single = rng.choice(weights)
+    yield [single], [single]
+    yield [cols.max_augmented + 1], [1 << 256]
     yield [0], [1 << 256]
 
 
@@ -108,73 +137,89 @@ def row_subsets(n: int, rng: random.Random):
     """Empty, one row, just under half, half, and all rows of an n-row graph.
 
     Every non-empty subset holds the last row, which the test graphs leave
-    edgeless, so both sides of the half-graph rule meet an empty row.
+    edgeless, so both sides of the half-graph rule meet an empty row.  The
+    subsets are arbitrary node sets, so they need not span a tree.
     """
     yield []
     for size in (1, (n - 1) // 2, (n + 1) // 2, n):
         yield sorted(rng.sample(range(n - 1), size - 1)) + [n - 1]
 
 
+def mask_of(rows, num_nodes: int) -> bytearray:
+    """The membership mask of ``rows``, as ``TreeStructure.row_mask`` builds it."""
+    mask = bytearray(num_nodes)
+    for row in rows:
+        mask[row] = 1
+    return mask
+
+
 def numbers_of(graph: Graph, node: int):
     return [edge.edge_number(graph.id_bits) for edge in graph.incident_edges(node)]
 
 
+def xor_of(values) -> int:
+    return reduce(operator.xor, values, 0)
+
+
 def assert_all_kernels_match(graph: Graph, rng: random.Random) -> None:
-    """Every columnar kernel equals its reference kernel on ``graph``."""
+    """Every columnar kernel's aggregate equals the reference fold on ``graph``."""
     cols = graph.columnar()
     assert cols.ids == graph.nodes()
     assert graph.degree(cols.ids[-1]) == 0
     id_bits = graph.id_bits
     max_number = max(cols.max_number, 2)
 
+    def incident(node):
+        return [
+            (edge.augmented_weight(id_bits), edge.edge_number(id_bits))
+            for edge in graph.incident_edges(node)
+        ]
+
     sides = set()
     for rows in row_subsets(cols.num_nodes, rng):
         sides.add(fastpath.covers_half(len(rows), cols.num_nodes))
+        mask = mask_of(rows, cols.num_nodes)
         nodes = [cols.ids[row] for row in rows]
 
         odd_hash = random_odd_hash(max_number, rng)
-        for lows, highs in range_cases(graph, rng):
+        for lows, highs in windows(graph, rng):
             ranges = list(zip(lows, highs))
-            words = range_parity_words_all(cols, odd_hash, lows, highs, rows)
-            for node in nodes:
-                incident = [
-                    (edge.augmented_weight(id_bits), edge.edge_number(id_bits))
-                    for edge in graph.incident_edges(node)
-                ]
-                assert words[node] == pack_parity_word(
-                    local_range_parities(incident, odd_hash, ranges)
-                )
+            word = range_parity_words_all(cols, odd_hash, lows, highs, rows, mask)
+            assert word == xor_of(
+                pack_parity_word(local_range_parities(incident(node), odd_hash, ranges))
+                for node in nodes
+            )
 
         pairwise = random_pairwise_hash(max_number, 1 << rng.randrange(2, 10), rng)
         masks = prefix_flip_masks(pairwise.log_range)
-        words = prefix_parity_words_all(cols, pairwise, masks, rows)
-        for node in nodes:
-            assert words[node] == pack_parity_word(
-                local_prefix_parities(numbers_of(graph, node), pairwise)
-            )
+        word = prefix_parity_words_all(cols, pairwise, masks, rows, mask)
+        assert word == xor_of(
+            pack_parity_word(local_prefix_parities(numbers_of(graph, node), pairwise))
+            for node in nodes
+        )
 
         for prefix in range(pairwise.log_range + 1):
-            words = xor_below_words_all(cols, pairwise, prefix, rows)
-            for node in nodes:
-                assert words[node] == local_xor_below(
-                    numbers_of(graph, node), pairwise, prefix
-                )
+            word = xor_below_words_all(cols, pairwise, prefix, rows, mask)
+            assert word == xor_of(
+                local_xor_below(numbers_of(graph, node), pairwise, prefix)
+                for node in nodes
+            )
 
         p = 2**31 - 1
+        reducer = product_pair_reducer(p)
         alpha = rng.randrange(1, p)
-        low = rng.randrange(0, cols.max_augmented + 1)
-        high = rng.randrange(low, cols.max_augmented + 1)
-        products = hp_products_all(cols, alpha, p, low, high, rows)
-        for node in nodes:
-            up, down = [], []
-            for edge in graph.incident_edges(node):
-                if low <= edge.augmented_weight(id_bits) <= high:
-                    side = up if node == edge.u else down
-                    side.append(edge.edge_number(id_bits))
-            assert products[node] == (
-                local_product(up, alpha, p),
-                local_product(down, alpha, p),
-            )
+        for lows, highs in windows(graph, rng):
+            low, high = lows[0], highs[-1]
+            pairs = []
+            for node in nodes:
+                up, down = [], []
+                for edge in graph.incident_edges(node):
+                    if low <= edge.augmented_weight(id_bits) <= high:
+                        side = up if node == edge.u else down
+                        side.append(edge.edge_number(id_bits))
+                pairs.append((local_product(up, alpha, p), local_product(down, alpha, p)))
+            products = hp_products_all(cols, alpha, p, low, high, rows, mask)
+            assert products == reduce(reducer.op, pairs, reducer.identity)
     assert sides == {False, True}
 
 
@@ -184,7 +229,7 @@ class TestColumnarGraph:
         id_bits = graph.id_bits
         cols = ColumnarGraph.from_graph(graph)
         assert cols.num_nodes == graph.num_nodes
-        assert cols.num_slots == 2 * graph.num_edges
+        assert cols.num_slots == 2 * graph.num_edges == 2 * cols.num_edges
         assert cols.version == graph.version
         for node in graph.nodes():
             edges = graph.incident_edges(node)
@@ -208,6 +253,50 @@ class TestColumnarGraph:
         assert cols.max_number == max(cols.node_max_number) == graph.max_edge_number()
         assert cols.max_augmented == graph.max_augmented_weight()
         assert cols.max_augmented >> (2 * id_bits) == graph.max_weight()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        id_bits=st.sampled_from([5, 32]),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["add", "remove", "set_weight"]),
+                st.integers(1, 12),
+                st.integers(1, 12),
+                st.integers(1, 1 << 20),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_edge_columns_equal_sorted_edges(self, id_bits, ops):
+        # After any mutation sequence, the edge columns are graph.edges()
+        # sorted by augmented weight, with the rows of both endpoints.
+        graph = Graph(id_bits=id_bits)
+        for node in range(1, 13):
+            graph.add_node(node)
+        for op, u, v, weight in ops:
+            if u == v:
+                continue
+            if op == "add" and not graph.has_edge(u, v):
+                graph.add_edge(u, v, weight=weight)
+            elif op == "remove" and graph.has_edge(u, v):
+                graph.remove_edge(u, v)
+            elif op == "set_weight" and graph.has_edge(u, v):
+                graph.set_weight(u, v, weight=weight)
+            cols = graph.columnar()
+            expected = sorted(
+                (
+                    edge.augmented_weight(id_bits),
+                    edge.edge_number(id_bits),
+                    cols.pos[edge.u],
+                    cols.pos[edge.v],
+                )
+                for edge in graph.edges()
+            )
+            got = list(
+                zip(cols.edge_aug, cols.edge_numbers, cols.edge_urow, cols.edge_vrow)
+            )
+            assert got == expected
+            assert cols.num_edges == graph.num_edges
 
     def test_unknown_node_rejected(self):
         graph = random_graph(seed=2)
@@ -239,51 +328,78 @@ class TestColumnarGraph:
         cols = graph.columnar()
         assert not cols.fits64
         assert isinstance(cols.numbers, list)
+        assert isinstance(cols.edge_aug, list)
         assert cols.numpy_columns() is None
         assert_all_kernels_match(graph, rng)
+        assert not tier[1]
 
 
-class TestRowKernels:
+class TestFusedKernels:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("ordering", ["random", "ascending", "descending"])
-    def test_row_kernels_equal_reference(self, seed, ordering, tier):
+    def test_aggregates_equal_reference_fold(self, seed, ordering, tier):
         graph = random_graph(seed=seed, ordering=ordering)
         assert_all_kernels_match(graph, random.Random(seed + 100))
+        name, numpy_passes = tier
+        if name == "numpy" and accel.numpy_or_none() is not None:
+            assert numpy_passes  # the full windows vectorised
+
+    def test_edgeless_graph_aggregates_are_identities(self, tier):
+        graph = Graph(id_bits=8)
+        for node in range(1, 5):
+            graph.add_node(node)
+        cols = graph.columnar()
+        odd_hash = OddHashFunction(multiplier=3, threshold=1, word_bits=2)
+        pairwise = PairwiseIndependentHash(a=3, b=5, p=65537, range_size=8)
+        masks = prefix_flip_masks(pairwise.log_range)
+        for rows in ([], [0], [0, 1, 2, 3]):
+            mask = mask_of(rows, cols.num_nodes)
+            assert range_parity_words_all(cols, odd_hash, [0], [1 << 256], rows, mask) == 0
+            assert prefix_parity_words_all(cols, pairwise, masks, rows, mask) == 0
+            assert xor_below_words_all(cols, pairwise, 2, rows, mask) == 0
+            assert hp_products_all(cols, 7, 11, 0, 1 << 256, rows, mask) == (1, 1)
 
     def test_numpy_gates_fall_back_exactly(self):
         # Inputs outside every numpy gate (word_bits > 64, > 64 ranges, a
-        # pairwise hash whose products overflow int64) on a whole-graph row
-        # set still match the reference kernels bit for bit.
+        # pairwise hash whose products overflow int64) over a whole-graph
+        # row set still match the reference fold bit for bit.
         graph = random_graph(seed=42)
         cols = graph.columnar()
         rows = list(range(cols.num_nodes))
+        mask = mask_of(rows, cols.num_nodes)
         wide = OddHashFunction(multiplier=(1 << 69) + 1, threshold=1 << 68, word_bits=70)
         lows = list(range(0, 140, 2))  # 70 ranges > the 64-bit word gate
         highs = [low + 1 for low in lows]
-        words = range_parity_words_all(cols, wide, lows, highs, rows)
-        for node in cols.ids:
-            incident = [
-                (edge.augmented_weight(graph.id_bits), edge.edge_number(graph.id_bits))
-                for edge in graph.incident_edges(node)
-            ]
-            assert words[node] == pack_parity_word(
-                local_range_parities(incident, wide, list(zip(lows, highs)))
+        word = range_parity_words_all(cols, wide, lows, highs, rows, mask)
+        assert word == xor_of(
+            pack_parity_word(
+                local_range_parities(
+                    [
+                        (edge.augmented_weight(graph.id_bits), edge.edge_number(graph.id_bits))
+                        for edge in graph.incident_edges(node)
+                    ],
+                    wide,
+                    list(zip(lows, highs)),
+                )
             )
+            for node in cols.ids
+        )
 
         huge_p = 2**89 - 1  # a * max_number + b overflows int64
         pairwise = PairwiseIndependentHash(
             a=huge_p - 3, b=huge_p - 7, p=huge_p, range_size=64
         )
-        words = prefix_parity_words_all(
-            cols, pairwise, prefix_flip_masks(pairwise.log_range), rows
+        word = prefix_parity_words_all(
+            cols, pairwise, prefix_flip_masks(pairwise.log_range), rows, mask
         )
-        xor_words = xor_below_words_all(cols, pairwise, 3, rows)
-        for node in cols.ids:
-            numbers = numbers_of(graph, node)
-            assert words[node] == pack_parity_word(
-                local_prefix_parities(numbers, pairwise)
-            )
-            assert xor_words[node] == local_xor_below(numbers, pairwise, 3)
+        xor_word = xor_below_words_all(cols, pairwise, 3, rows, mask)
+        assert word == xor_of(
+            pack_parity_word(local_prefix_parities(numbers_of(graph, node), pairwise))
+            for node in cols.ids
+        )
+        assert xor_word == xor_of(
+            local_xor_below(numbers_of(graph, node), pairwise, 3) for node in cols.ids
+        )
 
     def test_ranges_are_disjoint_sorted(self):
         assert ranges_are_disjoint_sorted([(0, 4), (5, 9), (10, 10)])

@@ -185,15 +185,19 @@ class TestImplicitTree:
     def test_without_tree_matches_explicit_tree(
         self, procedure, two_fragment_graph, monkeypatch
     ):
-        # Without ``tree=`` the tester roots T_x itself, so the columnar
-        # kernels still run and answers and counters match the explicit call.
+        # Without ``tree=`` the tester roots T_x itself, so the fused
+        # columnar kernels still run, return the same tree aggregates, and
+        # answers and counters match the explicit call.
         kernel_calls = []
         for name in ("range_parity_words_all", "hp_products_all"):
             kernel = getattr(testout_module, name)
 
             def counted(*args, _kernel=kernel, **kwargs):
-                kernel_calls.append(_kernel.__name__)
-                return _kernel(*args, **kwargs)
+                aggregate = _kernel(*args, **kwargs)
+                # A parity word, or HP-TestOut's (up, down) pair.
+                assert isinstance(aggregate, (int, tuple))
+                kernel_calls.append((_kernel.__name__, aggregate))
+                return aggregate
 
             monkeypatch.setattr(testout_module, name, counted)
         outcomes = []

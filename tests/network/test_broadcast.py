@@ -70,6 +70,21 @@ class TestTreeStructure:
         assert tree.eccentricity == 2
         assert sorted(tree.rows(cols)) == [cols.pos[node] for node in tree.nodes]
 
+    def test_row_mask_follows_rows_and_graph_version(self):
+        graph, forest = _tree_graph()
+        tree = build_tree_structure(forest, root=2)
+        cols = graph.columnar()
+        mask = tree.row_mask(cols)
+        assert tree.row_mask(cols) is mask  # memoised per version
+        assert [row for row, bit in enumerate(mask) if bit] == sorted(tree.rows(cols))
+        del tree.parent[5], tree.depth[5]
+        tree.children[4] = []
+        tree.invalidate_memos()
+        assert not tree.row_mask(cols)[cols.pos[5]]
+        graph.add_node(8)  # a new version: the mask is rebuilt at its size
+        fresh = graph.columnar()
+        assert len(tree.row_mask(fresh)) == fresh.num_nodes == 8
+
     def test_path_from_root(self):
         graph, forest = _tree_graph()
         tree = build_tree_structure(forest, root=1)
@@ -139,6 +154,42 @@ class TestExecutorAccounting:
         assert acct.bits == 6 * 10 + 6 * 3
         assert acct.rounds == 2 * 3  # twice the eccentricity
         assert acct.broadcast_echoes == 1
+
+    @pytest.mark.parametrize("case", sorted(REDUCER_CASES))
+    def test_aggregate_charges_like_the_fold(self, case):
+        # A pre-folded aggregate is returned as given and charged exactly
+        # like the fold it replaces.
+        graph, forest = _tree_graph()
+        reducer = REDUCER_CASES[case][0]
+        values = local_values_for(case, graph)
+        accountants = [MessageAccountant(), MessageAccountant()]
+        folded = BroadcastEchoExecutor(graph, forest, accountants[0]).broadcast_and_echo(
+            2, values.__getitem__, reducer, broadcast_bits=10, echo_bits=3, kind=case
+        )
+        given_back = BroadcastEchoExecutor(
+            graph, forest, accountants[1]
+        ).broadcast_and_echo(
+            2, broadcast_bits=10, echo_bits=3, kind=case, aggregate=folded
+        )
+        assert given_back == folded
+        assert accountants[0].snapshot() == accountants[1].snapshot()
+        assert accountants[0].summary() == accountants[1].summary()
+
+    def test_exactly_one_of_fold_and_aggregate(self):
+        graph, forest = _tree_graph()
+        acct = MessageAccountant()
+        executor = BroadcastEchoExecutor(graph, forest, acct)
+        bad_calls = [
+            {},
+            {"local_value": lambda node: 1},
+            {"reducer": SUM_REDUCER},
+            {"local_value": lambda node: 1, "reducer": SUM_REDUCER, "aggregate": 7},
+            {"reducer": SUM_REDUCER, "aggregate": 7},
+        ]
+        for kwargs in bad_calls:
+            with pytest.raises(ProtocolError):
+                executor.broadcast_and_echo(1, broadcast_bits=1, echo_bits=1, **kwargs)
+        assert acct.messages == 0 and acct.broadcast_echoes == 0
 
     def test_sum_counts_tree_size(self):
         graph, forest = _tree_graph()
