@@ -56,6 +56,9 @@ class GHSBuildMST:
         self.graph = graph
         self.accountant = accountant if accountant is not None else MessageAccountant()
         self.forest = SpanningForest(graph)
+        # The graph is static during a construction, so the REPORT payload
+        # width (an augmented weight plus slack) is fixed for the whole run.
+        self._weight_bits = 2 * graph.id_bits + graph.max_weight().bit_length() + 2
         self.max_phases = max_phases if max_phases is not None else 4 * max(graph.num_nodes, 2).bit_length() + 8
         # Per-node set of permanently rejected incident edges (same fragment).
         self._rejected: Dict[int, Set[Tuple[int, int]]] = {
@@ -135,8 +138,7 @@ class GHSBuildMST:
 
             # Convergecast of per-node minima to the leader.
             if size > 1:
-                weight_bits = 2 * id_bits + self.graph.max_weight().bit_length() + 2
-                self.accountant.record_messages(size - 1, weight_bits, kind="ghs:report")
+                self.accountant.record_messages(size - 1, self._weight_bits, kind="ghs:report")
                 self.accountant.record_rounds(self._diameter_bound(size))
 
             if best is not None:

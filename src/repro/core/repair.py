@@ -424,7 +424,8 @@ class TreeRepairer:
                 return edge
             return parent_state
 
-        # One O(m) scan of the graph serves both widths.
+        # One read of the graph's max weight (O(1) while the columnar
+        # snapshot is current) serves both widths.
         width = 2 * id_bits + self.graph.max_weight().bit_length() + 2
         answer = self._executor.broadcast_with_downward_state(
             root=root,

@@ -113,10 +113,8 @@ class CutTester:
 
         if fastpath.is_enabled():
             # O(1) per node: the maxima and degrees are columns of the
-            # snapshot, as is the graph's max weight (the top bits of its
-            # max augmented weight).
+            # snapshot (which also makes the graph's max weight O(1)).
             cols = self.graph.columnar()
-            max_weight = cols.max_augmented >> (2 * id_bits)
             pos = cols.pos
             indptr = cols.indptr
             node_max_number = cols.node_max_number
@@ -132,8 +130,6 @@ class CutTester:
                 )
 
         else:
-            max_weight = self.graph.max_weight()
-
             def local(node: int) -> Tuple[int, int, int, int]:
                 edges = self.graph.incident_edges(node)
                 max_edge_number = max(
@@ -144,7 +140,7 @@ class CutTester:
                 )
                 return (1, max_edge_number, max_augmented, len(edges))
 
-        payload_bits = max(8, 2 * id_bits + max_weight.bit_length() + 4)
+        payload_bits = max(8, 2 * id_bits + self.graph.max_weight().bit_length() + 4)
         size, max_en, max_aw, endpoints = self.executor.broadcast_and_echo(
             root=root,
             local_value=local,
@@ -212,14 +208,13 @@ class CutTester:
                 f"{len(ranges)} parallel ranges exceed the word size"
             )
         id_bits = self.graph.id_bits
-        fast = fastpath.is_enabled()
         if tree is None:
             tree = self.forest.rooted_structure(root)
+        # On the fast path the snapshot is read first, so the graph's
+        # maxima below are O(1).
+        cols = self.graph.columnar() if fastpath.is_enabled() else None
         if max_edge_number is None:
-            graph_max = (
-                self.graph.columnar().max_number if fast else self.graph.max_edge_number()
-            )
-            max_edge_number = max(graph_max, 1)
+            max_edge_number = max(self.graph.max_edge_number(), 1)
         hash_fn = (
             odd_hash
             if odd_hash is not None
@@ -231,11 +226,10 @@ class CutTester:
         ]
 
         echo: Dict[str, Any]
-        if fast and ranges_are_disjoint_sorted(resolved_ranges):
+        if cols is not None and ranges_are_disjoint_sorted(resolved_ranges):
             # Fused columnar kernel: the tree's parity word in one pass,
             # hashing each in-window edge once and locating its weight range
             # by bisection.
-            cols = self.graph.columnar()
             echo = {
                 "aggregate": range_parity_words_all(
                     cols,

@@ -34,14 +34,22 @@ of the edge columns are materialised lazily for the window pass's
 vectorised form; the mirrors are a wall-clock tier only — the stdlib loop
 over the same window produces the identical aggregate.
 
-Instances are immutable snapshots of one graph version; :meth:`Graph.columnar`
-caches the snapshot against :attr:`Graph.version` so a repair step pays the
-build once between mutations; the reference tier never builds one.
+Instances are immutable snapshots of one graph version.  :meth:`Graph.columnar`
+builds one with :meth:`ColumnarGraph.from_graph` on first use and caches it
+against :attr:`Graph.version`; from then on every edge insertion or deletion
+replaces the cached snapshot with :meth:`ColumnarGraph.spliced`, a
+copy-on-write successor that bisects the edge into (or out of) its two rows
+and the edge columns, so a repair never rebuilds the columns.  The layout a
+splice produces is exactly the one :meth:`from_graph` builds.  Adding or
+removing a node, or a splice that would move the snapshot between the two
+column representations (``fits64``), drops the cache instead, and the next
+read rebuilds it.  The reference tier never builds one.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..accel import numpy_or_none
@@ -55,6 +63,22 @@ _UINT64_MAX = (1 << 64) - 1
 def _freeze(values: List[int], fits64: bool) -> Sequence[int]:
     """An ``array('Q')`` copy when every value fits 64 bits, else the list."""
     return array("Q", values) if fits64 else values
+
+
+def _splice(column: Any, edits: Tuple[Tuple[int, int], ...], insert: bool) -> Any:
+    """A copy of ``column`` with every ``(slot, value)`` of ``edits`` applied.
+
+    Inserting puts ``value`` before ``slot``; deleting drops ``slot``.  The
+    slots index the old column, largest first, so no edit moves the slot of
+    a later one.  Works on ``array``, ``list`` and ``bytearray``.
+    """
+    column = column[:]
+    for slot, value in edits:
+        if insert:
+            column.insert(slot, value)
+        else:
+            del column[slot]
+    return column
 
 
 class _NumpyColumns:
@@ -108,6 +132,7 @@ class ColumnarGraph:
         id_bits: int,
         version: int,
         ids: List[int],
+        pos: Dict[int, int],
         indptr: "array[int]",
         numbers: Sequence[int],
         augmented: Sequence[int],
@@ -128,7 +153,7 @@ class ColumnarGraph:
         self.id_bits = id_bits
         self.version = version
         self.ids = ids
-        self.pos: Dict[int, int] = {node: i for i, node in enumerate(ids)}
+        self.pos = pos
         self.indptr = indptr
         self.numbers = numbers
         self.augmented = augmented
@@ -204,6 +229,7 @@ class ColumnarGraph:
             id_bits=id_bits,
             version=graph.version,
             ids=ids,
+            pos=pos,
             indptr=indptr,
             numbers=_freeze(numbers, fits64),
             augmented=_freeze(augmented, fits64),
@@ -220,6 +246,84 @@ class ColumnarGraph:
             max_number=max(node_max_number, default=0),
             max_augmented=max_augmented,
             fits64=fits64,
+        )
+
+    def spliced(self, edge: Any, version: int, insert: bool) -> Optional["ColumnarGraph"]:
+        """The snapshot one edge insertion (or deletion) later, or ``None``.
+
+        ``edge`` (an :class:`~repro.network.graph.Edge` between two nodes of
+        this snapshot) is inserted when ``insert`` is true and deleted
+        otherwise.  Copy-on-write: the successor, stamped ``version``,
+        shares ``ids`` and ``pos`` with this snapshot and holds fresh copies
+        of every other column, with the edge bisected into (or out of) its
+        two rows of the CSR columns and of the aug-sorted mirrors and into
+        (or out of) the edge columns; ``indptr`` is shifted and the two
+        rows' maxima and the global maxima recomputed.  The result equals
+        :meth:`from_graph` on the mutated graph, column for column.
+
+        Returns ``None`` when the mutation would change ``fits64`` (the
+        columns would change representation); the caller then rebuilds.
+        """
+        id_bits = self.id_bits
+        number = (edge.u << id_bits) | edge.v
+        aug = (edge.weight << (2 * id_bits)) | number
+        edge_aug = self.edge_aug
+        k = bisect_left(edge_aug, aug)
+        if insert:
+            max_augmented = max(self.max_augmented, aug)
+        elif k + 1 < len(edge_aug):
+            max_augmented = self.max_augmented
+        else:
+            max_augmented = edge_aug[k - 1] if k else 0
+        if (max_augmented <= _UINT64_MAX) != self.fits64:
+            return None
+
+        # The edge's smaller endpoint u has the smaller row, so its slots
+        # come first in every CSR column.  A row's slots are ordered by the
+        # other endpoint's ID, which orders their edge numbers too.
+        pos, indptr = self.pos, self.indptr
+        urow, vrow = pos[edge.u], pos[edge.v]
+        u_start, u_stop = indptr[urow], indptr[urow + 1]
+        v_start, v_stop = indptr[vrow], indptr[vrow + 1]
+        numbers, aug_sorted = self.numbers, self.aug_sorted
+        i = bisect_left(numbers, number, u_start, u_stop)
+        j = bisect_left(numbers, number, v_start, v_stop)
+        ia = bisect_left(aug_sorted, aug, u_start, u_stop)
+        ja = bisect_left(aug_sorted, aug, v_start, v_stop)
+
+        step = 1 if insert else -1
+        new_indptr = indptr[: urow + 1]
+        new_indptr.extend([p + step for p in indptr[urow + 1 : vrow + 1]])
+        new_indptr.extend([p + 2 * step for p in indptr[vrow + 1 :]])
+        new_numbers = _splice(numbers, ((j, number), (i, number)), insert)
+        new_aug_sorted = _splice(aug_sorted, ((ja, aug), (ia, aug)), insert)
+        node_max_number = self.node_max_number[:]
+        node_max_augmented = self.node_max_augmented[:]
+        for row in (urow, vrow):
+            start, stop = new_indptr[row], new_indptr[row + 1]
+            node_max_number[row] = new_numbers[stop - 1] if stop > start else 0
+            node_max_augmented[row] = new_aug_sorted[stop - 1] if stop > start else 0
+        return ColumnarGraph(
+            id_bits=id_bits,
+            version=version,
+            ids=self.ids,
+            pos=pos,
+            indptr=new_indptr,
+            numbers=new_numbers,
+            augmented=_splice(self.augmented, ((j, aug), (i, aug)), insert),
+            up=_splice(self.up, ((j, 0), (i, 1)), insert),
+            aug_sorted=new_aug_sorted,
+            numbers_by_aug=_splice(self.numbers_by_aug, ((ja, number), (ia, number)), insert),
+            up_by_aug=_splice(self.up_by_aug, ((ja, 0), (ia, 1)), insert),
+            edge_aug=_splice(edge_aug, ((k, aug),), insert),
+            edge_numbers=_splice(self.edge_numbers, ((k, number),), insert),
+            edge_urow=_splice(self.edge_urow, ((k, urow),), insert),
+            edge_vrow=_splice(self.edge_vrow, ((k, vrow),), insert),
+            node_max_number=node_max_number,
+            node_max_augmented=node_max_augmented,
+            max_number=max(node_max_number, default=0),
+            max_augmented=max_augmented,
+            fits64=self.fits64,
         )
 
     # ------------------------------------------------------------------ #

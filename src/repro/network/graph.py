@@ -24,8 +24,14 @@ primitive.
 Those views serve the two tiers of :mod:`repro.fastpath`: the reference
 tier reads :meth:`Graph.incident_edges` node by node, and the columnar tier
 reads the rows of one version-stamped CSR snapshot of the same incidence
-data, :meth:`Graph.columnar` (:mod:`repro.network.columnar`).  The graph
-keeps no other derived cache.
+data, :meth:`Graph.columnar` (:mod:`repro.network.columnar`).  The snapshot
+is built once, on first read; after that every edge insertion or deletion
+(and so every weight change) splices itself into a copy-on-write successor
+snapshot, and only :meth:`Graph.add_node` / :meth:`Graph.remove_node`, or a
+splice that would change the columns' representation, drop it for the next
+read to rebuild.  While the snapshot is current it also answers the global
+maxima (:meth:`Graph.max_weight` and friends) in O(1).  The graph keeps no
+other derived cache.
 """
 
 from __future__ import annotations
@@ -127,8 +133,8 @@ class Graph:
             raise GraphError("id_bits must be positive")
         self._id_bits = id_bits
         self._adj: Dict[int, Dict[int, Edge]] = {}
-        # Version stamp: bumped on every topology/weight mutation, so the
-        # fast path can cache the columnar snapshot against it.
+        # Version stamp: bumped on every topology/weight mutation; the
+        # columnar snapshot, when cached, is always at the current version.
         self._version = 0
         self._columnar_cache: Optional[ColumnarGraph] = None
 
@@ -150,6 +156,7 @@ class Graph:
         if node not in self._adj:
             self._adj[node] = {}
             self._version += 1
+            self._columnar_cache = None
 
     def add_edge(self, u: int, v: int, weight: int = 1) -> Edge:
         """Insert the edge ``{u, v}`` with the given weight.
@@ -167,7 +174,7 @@ class Graph:
         edge = Edge(a, b, weight)
         self._adj[a][b] = edge
         self._adj[b][a] = edge
-        self._version += 1
+        self._splice(edge, insert=True)
         return edge
 
     def remove_edge(self, u: int, v: int) -> Edge:
@@ -178,13 +185,15 @@ class Graph:
             del self._adj[b][a]
         except KeyError as exc:
             raise GraphError(f"edge ({a}, {b}) not present") from exc
-        self._version += 1
+        self._splice(edge, insert=False)
         return edge
 
     def remove_node(self, node: int) -> None:
         """Delete ``node`` and all its incident edges."""
         if node not in self._adj:
             raise GraphError(f"node {node} not present")
+        # Dropped first, so the edge deletions below do not splice.
+        self._columnar_cache = None
         for other in list(self._adj[node]):
             self.remove_edge(node, other)
         del self._adj[node]
@@ -292,16 +301,29 @@ class Graph:
             return None
         return edge
 
+    # The global maxima are O(1) reads of the current snapshot when one is
+    # cached, and an O(m) scan otherwise (the reference tier never builds
+    # one).
     def max_edge_number(self) -> int:
         """``maxEdgeNum`` over the whole graph (0 for an edgeless graph)."""
+        cols = self._columnar_cache
+        if cols is not None:
+            return cols.max_number
         return max((e.edge_number(self._id_bits) for e in self.edges()), default=0)
 
     def max_weight(self) -> int:
         """Maximum raw edge weight (0 for an edgeless graph)."""
+        cols = self._columnar_cache
+        if cols is not None:
+            # The weight is the top bits of the heaviest augmented weight.
+            return cols.max_augmented >> (2 * self._id_bits)
         return max((e.weight for e in self.edges()), default=0)
 
     def max_augmented_weight(self) -> int:
         """Maximum augmented weight (0 for an edgeless graph)."""
+        cols = self._columnar_cache
+        if cols is not None:
+            return cols.max_augmented
         return max(
             (e.augmented_weight(self._id_bits) for e in self.edges()), default=0
         )
@@ -322,14 +344,17 @@ class Graph:
         )
 
     def columnar(self) -> ColumnarGraph:
-        """Cached :class:`~repro.network.columnar.ColumnarGraph` snapshot.
+        """The :class:`~repro.network.columnar.ColumnarGraph` snapshot at :attr:`version`.
 
-        Rebuilt lazily after any mutation (the snapshot is immutable and
-        stamped with the version it was built at), so the fast-path sketch
-        kernels pay one CSR build per graph version.
+        Built by :meth:`ColumnarGraph.from_graph` on the first read and
+        cached.  Each later edge insertion or deletion replaces the cache
+        with :meth:`ColumnarGraph.spliced`, a new immutable snapshot stamped
+        with the new version, so a repair's reads never rebuild.  A node
+        insertion or deletion, or a splice that would flip ``fits64``,
+        drops the cache and the next read rebuilds it.
         """
         cache = self._columnar_cache
-        if cache is None or cache.version != self._version:
+        if cache is None:
             cache = ColumnarGraph.from_graph(self)
             self._columnar_cache = cache
         return cache
@@ -396,6 +421,13 @@ class Graph:
     # ------------------------------------------------------------------ #
     # internal helpers
     # ------------------------------------------------------------------ #
+    def _splice(self, edge: Edge, insert: bool) -> None:
+        """Bump the version and splice ``edge`` into the cached snapshot, if any."""
+        self._version += 1
+        cache = self._columnar_cache
+        if cache is not None:
+            self._columnar_cache = cache.spliced(edge, self._version, insert)
+
     def _check_id(self, node: int) -> None:
         if not isinstance(node, int):
             raise GraphError(f"node IDs must be integers, got {node!r}")

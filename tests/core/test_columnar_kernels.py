@@ -17,6 +17,7 @@ rule may only change wall clock, never an aggregate.
 
 import operator
 import random
+from array import array
 from functools import reduce
 
 import pytest
@@ -97,6 +98,37 @@ def random_graph(seed: int, n: int = 24, ordering: str = "random") -> Graph:
             weight = rng.randrange(1, 1 << 10)
         graph.add_edge(u, v, weight=weight)
     return graph
+
+
+def snapshot_columns(cols: ColumnarGraph):
+    """Every slot of ``cols`` but the numpy mirrors, with column types.
+
+    An ``array`` column is tagged with its typecode, so a snapshot whose
+    columns changed representation (``fits64``) compares unequal.
+    """
+    return {
+        name: (
+            type(value).__name__,
+            getattr(value, "typecode", None),
+            list(value) if isinstance(value, (array, bytearray, list)) else value,
+        )
+        for name in ColumnarGraph.__slots__
+        if name != "_np_cols"
+        for value in [getattr(cols, name)]
+    }
+
+
+def assert_maxima_match_scan(graph: Graph) -> None:
+    """The graph's O(1) maxima equal a scan over its edges."""
+    id_bits = graph.id_bits
+    edges = graph.edges()
+    assert graph.max_weight() == max((e.weight for e in edges), default=0)
+    assert graph.max_edge_number() == max(
+        (e.edge_number(id_bits) for e in edges), default=0
+    )
+    assert graph.max_augmented_weight() == max(
+        (e.augmented_weight(id_bits) for e in edges), default=0
+    )
 
 
 def random_ranges(rng: random.Random, max_augmented: int, count: int):
@@ -256,33 +288,51 @@ class TestColumnarGraph:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        id_bits=st.sampled_from([5, 32]),
+        id_bits=st.sampled_from([9, 32]),
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["add", "remove", "set_weight"]),
-                st.integers(1, 12),
-                st.integers(1, 12),
-                st.integers(1, 1 << 20),
+                st.sampled_from(
+                    ["add", "remove", "set_weight", "add_node", "remove_node"]
+                ),
+                st.integers(1, 14),
+                st.integers(1, 14),
+                # 2^47 pushes an augmented weight past 64 bits at id_bits 9.
+                st.one_of(st.integers(0, 1 << 20), st.just(1 << 47)),
             ),
             max_size=60,
         ),
     )
     def test_edge_columns_equal_sorted_edges(self, id_bits, ops):
-        # After any mutation sequence, the edge columns are graph.edges()
-        # sorted by augmented weight, with the rows of both endpoints.
+        # After every op the cached snapshot (spliced, or rebuilt after a
+        # node op or a fits64 flip) equals a fresh build, its edge columns
+        # are graph.edges() sorted by augmented weight with the rows of
+        # both endpoints, the graph's maxima match a scan, and a snapshot
+        # held across the op is unchanged.
         graph = Graph(id_bits=id_bits)
         for node in range(1, 13):
             graph.add_node(node)
         for op, u, v, weight in ops:
-            if u == v:
+            held = graph.columnar()
+            held.numpy_columns()  # export the buffers a splice must not resize
+            before = snapshot_columns(held)
+            if op == "add_node":
+                graph.add_node(u)
+            elif op == "remove_node":
+                if graph.has_node(u):
+                    graph.remove_node(u)
+            elif u == v or not (graph.has_node(u) and graph.has_node(v)):
                 continue
-            if op == "add" and not graph.has_edge(u, v):
+            elif op == "add" and not graph.has_edge(u, v):
                 graph.add_edge(u, v, weight=weight)
             elif op == "remove" and graph.has_edge(u, v):
                 graph.remove_edge(u, v)
             elif op == "set_weight" and graph.has_edge(u, v):
                 graph.set_weight(u, v, weight=weight)
+            assert snapshot_columns(held) == before
             cols = graph.columnar()
+            assert snapshot_columns(cols) == snapshot_columns(
+                ColumnarGraph.from_graph(graph)
+            )
             expected = sorted(
                 (
                     edge.augmented_weight(id_bits),
@@ -297,6 +347,32 @@ class TestColumnarGraph:
             )
             assert got == expected
             assert cols.num_edges == graph.num_edges
+            assert_maxima_match_scan(graph)
+
+    @pytest.mark.parametrize("id_bits", [9, 32])
+    def test_splice_across_the_64_bit_boundary(self, id_bits):
+        # A weight change that pushes the heaviest augmented weight past
+        # 2^64 moves the columns to lists; deleting that edge brings them
+        # back to array('Q').  At id_bits 32 every edge is past 2^64, so
+        # only the edgeless graph fits.
+        graph = Graph(id_bits=id_bits)
+        for node in range(1, 6):
+            graph.add_node(node)
+        if id_bits == 9:
+            graph.add_edge(1, 2, weight=5)
+        assert graph.columnar().fits64
+        graph.add_edge(3, 4, weight=7)
+        graph.set_weight(3, 4, weight=1 << 47)
+        heavy = graph.columnar()
+        assert not heavy.fits64 and isinstance(heavy.edge_aug, list)
+        assert snapshot_columns(heavy) == snapshot_columns(ColumnarGraph.from_graph(graph))
+        assert_maxima_match_scan(graph)
+        graph.remove_edge(3, 4)
+        light = graph.columnar()
+        assert light.fits64 and isinstance(light.edge_aug, array)
+        assert snapshot_columns(light) == snapshot_columns(ColumnarGraph.from_graph(graph))
+        assert_maxima_match_scan(graph)
+        assert not heavy.fits64  # the held snapshot kept its representation
 
     def test_unknown_node_rejected(self):
         graph = random_graph(seed=2)

@@ -12,7 +12,9 @@ from repro.core.build_mst import BuildMST
 from repro.core.config import AlgorithmConfig
 from repro.core.repair import TreeRepairer
 from repro.dynamic import EdgeUpdate, TreeMaintainer
+from repro.fastpath import fast_path
 from repro.generators import random_connected_graph
+from repro.network.columnar import ColumnarGraph
 from repro.network.errors import AlgorithmError, GraphError
 from repro.network.fragments import SpanningForest
 from repro.network.graph import Graph
@@ -294,3 +296,40 @@ class TestRepairCostShape:
         report = maintainer.apply(EdgeUpdate.insert(*pair, weight=1)).report
         # Insert is deterministic: one path query B&E (+ announcement).
         assert report.cost.broadcast_echoes <= 2
+
+
+class TestColumnarSplice:
+    def test_delete_then_reinsert_never_rebuilds_the_snapshot(self, monkeypatch):
+        # Once the columnar snapshot is built, every edge mutation splices
+        # it: a delete-then-reinsert of an MST edge, search for the
+        # replacement included, makes no ColumnarGraph.from_graph call.
+        graph, forest, maintainer = _mst_setup(seed=4)
+
+        def has_replacement(key):
+            rest = graph.copy()
+            rest.remove_edge(*key)
+            return rest.is_connected()
+
+        first, second = [k for k in sorted(forest.marked_edges) if has_replacement(k)][:2]
+
+        def delete_then_reinsert(key):
+            weight = graph.get_edge(*key).weight
+            report = maintainer.apply(EdgeUpdate.delete(*key)).report
+            maintainer.apply(EdgeUpdate.insert(*key, weight))
+            return report
+
+        builds = []
+        original = ColumnarGraph.from_graph
+
+        def counting(target):
+            builds.append(target.version)
+            return original(target)
+
+        with fast_path():
+            delete_then_reinsert(first)  # warm-up: builds the snapshot once
+            monkeypatch.setattr(ColumnarGraph, "from_graph", staticmethod(counting))
+            report = delete_then_reinsert(second)
+        assert report.marked  # the search found a replacement
+        assert builds == []
+        assert graph.columnar().version == graph.version
+        assert is_minimum_spanning_forest(forest)
