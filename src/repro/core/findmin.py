@@ -28,7 +28,6 @@ either the correct edge or ∅ w.h.p.).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -199,7 +198,7 @@ class FindMin:
         if low > high:
             raise AlgorithmError(f"invalid range [{low}, {high}]")
         span = high - low + 1
-        chunk = max(1, math.ceil(span / word_size))
+        chunk = max(1, -(-span // word_size))
         ranges: List[Tuple[int, int]] = []
         start = low
         while start <= high:

@@ -1,6 +1,7 @@
 """Tests for FindMin / FindMin-C (Lemma 2)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import AlgorithmConfig
 from repro.core.findmin import FindMin
@@ -138,6 +139,24 @@ class TestRangeSplitting:
     def test_split_range_smaller_than_word(self):
         ranges = FindMin._split_range(10, 13, 8)
         assert ranges == [(10, 10), (11, 11), (12, 12), (13, 13)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bounds=st.tuples(
+            st.integers(0, (1 << 256) - 1), st.integers(0, (1 << 256) - 1)
+        ).map(sorted),
+        word_size=st.integers(2, 64),
+    )
+    def test_split_has_at_most_word_size_contiguous_ranges(self, bounds, word_size):
+        # Spans beyond 2^53 must be sized in integer arithmetic: a float
+        # chunk rounds down and leaves a (w+1)-th sub-range.
+        low, high = bounds
+        ranges = FindMin._split_range(low, high, word_size)
+        assert len(ranges) <= word_size
+        assert ranges[0][0] == low and ranges[-1][1] == high
+        assert all(a <= b for a, b in ranges)
+        for (_, b), (c, _) in zip(ranges, ranges[1:]):
+            assert b + 1 == c
 
     def test_split_rejects_inverted_range(self):
         from repro.network.errors import AlgorithmError
