@@ -209,10 +209,9 @@ class FindMin:
 
     @staticmethod
     def _lowest_set_bit(word: int, width: int) -> Optional[int]:
-        for index in range(width):
-            if (word >> index) & 1:
-                return index
-        return None
+        """Index of the lowest set bit among ``word``'s low ``width`` bits."""
+        word &= (1 << width) - 1
+        return (word & -word).bit_length() - 1 if word else None
 
     def _result(
         self,

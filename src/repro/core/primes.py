@@ -15,6 +15,7 @@ anyway).
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Iterable, Optional
 
@@ -95,13 +96,14 @@ def prime_at_least(n: int) -> int:
     return next_prime(n)
 
 
+@functools.lru_cache(maxsize=1024)
 def prime_for_field(max_edge_number: int, num_endpoints: int, epsilon: float) -> int:
     """The prime ``p`` used by HP-TestOut (Section 2.2).
 
     ``p`` must exceed both ``maxEdgeNum(T)`` (so edge numbers are distinct
     field elements) and ``B / ε(n)`` (so the Schwartz–Zippel error is at most
     ``ε(n)``), where ``B`` is the number of edge endpoints incident to nodes
-    of the tree.
+    of the tree.  Pure, so memoised (a raised error is not cached).
     """
     if epsilon <= 0 or epsilon >= 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")

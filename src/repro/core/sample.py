@@ -129,9 +129,7 @@ class SuperpolyFindMin:
                 max_edge_number=stats.max_edge_number,
                 tree=tree,
             )
-            min_index = next(
-                (i for i in range(len(ranges)) if (word >> i) & 1), None
-            )
+            min_index = FindMin._lowest_set_bit(word, len(ranges))
             if min_index is None:
                 if not self.tester.hp_test_out(
                     root, low, high, field_prime=field_prime, tree=tree

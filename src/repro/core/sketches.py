@@ -79,7 +79,6 @@ __all__ = [
     "prefix_parity_words_all",
     "xor_below_words_all",
     "hp_products_all",
-    "ranges_are_disjoint_sorted",
     "pack_parity_word",
     "unpack_parity_word",
 ]
@@ -153,18 +152,6 @@ def local_xor_below(
 # ---------------------------------------------------------------------- #
 # columnar kernels over the tree's rows (see repro.fastpath)
 # ---------------------------------------------------------------------- #
-def ranges_are_disjoint_sorted(ranges: Sequence[Tuple[int, int]]) -> bool:
-    """True iff the ranges are sorted ascending and pairwise disjoint.
-
-    ``FindMin``'s ``w``-wise splits and ``Sample``'s pivot intervals always
-    are; the bisection kernel below requires it (an edge flips exactly one
-    range bit), so callers fall back to the reference kernel otherwise.
-    """
-    return all(
-        ranges[i][1] < ranges[i + 1][0] for i in range(len(ranges) - 1)
-    )
-
-
 def prefix_flip_masks(log_range: int) -> List[int]:
     """``masks[b]`` flips every prefix parity an edge with bit-length ``b`` joins.
 
@@ -174,21 +161,6 @@ def prefix_flip_masks(log_range: int) -> List[int]:
     """
     full = (1 << (log_range + 1)) - 1
     return [full & ~((1 << b) - 1) for b in range(log_range + 1)]
-
-
-def _row_windows(
-    cols: ColumnarGraph, rows: Sequence[int], low: int, high: int
-) -> Iterator[Tuple[int, int]]:
-    """Row pass: each given row's non-empty ``[start, stop)`` of weight-sorted
-    slots with augmented weight in ``[low, high]``, found by bisection."""
-    indptr = cols.indptr
-    aug_sorted = cols.aug_sorted
-    for row in rows:
-        begin, end = indptr[row], indptr[row + 1]
-        start = bisect_left(aug_sorted, low, begin, end)
-        stop = bisect_right(aug_sorted, high, start, end)
-        if start < stop:
-            yield start, stop
 
 
 def _row_numbers(cols: ColumnarGraph, rows: Sequence[int]) -> Iterator[int]:
@@ -266,13 +238,19 @@ def range_parity_words_all(
     """FindMin's parallel TestOut parity word, aggregated over the given rows.
 
     Returns the XOR over the rows' nodes of the word whose bit ``i`` is
-    ``local_range_parities(...)[i]`` for the ranges ``[lows[i], highs[i]]``
-    (sorted and disjoint, see :func:`ranges_are_disjoint_sorted`).  Each
-    edge inside ``[lows[0], highs[-1]]`` is hashed once and finds its
-    containing range by bisection.  ``row_mask`` is the rows' membership mask
+    ``local_range_parities(...)[i]`` for the ranges ``[lows[i], highs[i]]``,
+    which must be sorted and disjoint (``highs[i] < lows[i + 1]``) so that an
+    edge flips exactly one range bit; ``FindMin``'s ``w``-wise splits and
+    ``Sample``'s pivot intervals always are.  Each edge inside
+    ``[lows[0], highs[-1]]`` is hashed once and finds its containing range by
+    bisection.  ``row_mask`` is the rows' membership mask
     (:meth:`~repro.network.broadcast.TreeStructure.row_mask`).
     """
     low, high = lows[0], highs[-1]
+    multiplier = odd_hash.multiplier
+    threshold = odd_hash.threshold
+    word_mask = (1 << odd_hash.word_bits) - 1
+    word = 0
     if fastpath.covers_half(len(rows), cols.num_nodes):
         lo, hi = _edge_window(cols, low, high)
         if lo == hi:
@@ -304,27 +282,27 @@ def range_parity_words_all(
             return _numpy_xor(np, np.uint64(1) << index[valid].astype(np.uint64))
         edge_aug = cols.edge_aug
         edge_numbers = cols.edge_numbers
-        cut = _cut_edges(cols, row_mask, lo, hi)
-        pairs: Iterable[Tuple[int, int]] = zip(
-            map(edge_aug.__getitem__, cut), map(edge_numbers.__getitem__, cut)
-        )
-    else:
-        aug_sorted = cols.aug_sorted
-        numbers = cols.numbers_by_aug
-        pairs = chain.from_iterable(
-            zip(aug_sorted[start:stop], numbers[start:stop])
-            for start, stop in _row_windows(cols, rows, low, high)
-        )
+        for edge in _cut_edges(cols, row_mask, lo, hi):
+            if (multiplier * edge_numbers[edge]) & word_mask <= threshold:
+                weight = edge_aug[edge]
+                index = bisect_right(lows, weight) - 1
+                if weight <= highs[index]:
+                    word ^= 1 << index
+        return word
 
-    multiplier = odd_hash.multiplier
-    threshold = odd_hash.threshold
-    word_mask = (1 << odd_hash.word_bits) - 1
-    word = 0
-    for weight, number in pairs:
-        if (multiplier * number) & word_mask <= threshold:
-            index = bisect_right(lows, weight) - 1
-            if weight <= highs[index]:
-                word ^= 1 << index
+    # Row pass: bisect each row's weight-sorted slots to the window.
+    indptr = cols.indptr
+    aug_sorted = cols.aug_sorted
+    numbers = cols.numbers_by_aug
+    for row in rows:
+        end = indptr[row + 1]
+        start = bisect_left(aug_sorted, low, indptr[row], end)
+        for slot in range(start, bisect_right(aug_sorted, high, start, end)):
+            if (multiplier * numbers[slot]) & word_mask <= threshold:
+                weight = aug_sorted[slot]
+                index = bisect_right(lows, weight) - 1
+                if weight <= highs[index]:
+                    word ^= 1 << index
     return word
 
 
@@ -446,10 +424,14 @@ def hp_products_all(
                 down_product = down_product * (alpha - edge_numbers[edge]) % p
         return up_product, down_product
 
+    indptr = cols.indptr
+    aug_sorted = cols.aug_sorted
     numbers = cols.numbers_by_aug
     up = cols.up_by_aug
-    for start, stop in _row_windows(cols, rows, low, high):
-        for slot in range(start, stop):
+    for row in rows:
+        end = indptr[row + 1]
+        start = bisect_left(aug_sorted, low, indptr[row], end)
+        for slot in range(start, bisect_right(aug_sorted, high, start, end)):
             if up[slot]:
                 up_product = up_product * (alpha - numbers[slot]) % p
             else:

@@ -27,9 +27,9 @@ which is exactly the paper's device for making weights distinct.
 
 from __future__ import annotations
 
-import random
+import operator
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .. import fastpath
 from ..network.accounting import MessageAccountant
@@ -46,11 +46,12 @@ from .sketches import (
     local_range_parities,
     pack_parity_word,
     range_parity_words_all,
-    ranges_are_disjoint_sorted,
-    unpack_parity_word,
 )
 
 __all__ = ["TreeStatistics", "CutTester", "STATS_REDUCER"]
+
+#: The upper bound of an open weight range: above every augmented weight.
+_OPEN_HIGH = 1 << 256
 
 
 @dataclass(frozen=True)
@@ -220,51 +221,44 @@ class CutTester:
             if odd_hash is not None
             else random_odd_hash(max_edge_number, self.config.rng)
         )
-        resolved_ranges = [
-            (low if low is not None else 0, high if high is not None else (1 << 256))
-            for (low, high) in ranges
-        ]
-
-        echo: Dict[str, Any]
-        if cols is not None and ranges_are_disjoint_sorted(resolved_ranges):
-            # Fused columnar kernel: the tree's parity word in one pass,
-            # hashing each in-window edge once and locating its weight range
-            # by bisection.
-            echo = {
-                "aggregate": range_parity_words_all(
-                    cols,
-                    hash_fn,
-                    [low for low, _ in resolved_ranges],
-                    [high for _, high in resolved_ranges],
-                    tree.rows(cols),
-                    tree.row_mask(cols),
-                )
-            }
-
-        else:
-
-            def local(node: int) -> int:
-                incident = [
-                    (e.augmented_weight(id_bits), e.edge_number(id_bits))
-                    for e in self.graph.incident_edges(node)
-                ]
-                parities = local_range_parities(incident, hash_fn, resolved_ranges)
-                return pack_parity_word(parities)
-
-            echo = {"local_value": local, "reducer": XOR_REDUCER}
-
-        range_bits = 2 * max(
-            (high.bit_length() for _, high in resolved_ranges if high), default=1
-        )
+        lows = [0 if low is None else low for low, _ in ranges]
+        highs = [_OPEN_HIGH if high is None else high for _, high in ranges]
+        range_bits = 2 * max(max(map(int.bit_length, highs)), 1)
         broadcast_bits = hash_fn.description_bits() + min(range_bits, 4 * id_bits + 64)
-        echo_bits = len(ranges)
+
+        # Fused columnar kernel when the ranges are sorted and disjoint (the
+        # bisection needs it): the tree's parity word in one pass, hashing
+        # each in-window edge once and locating its weight range by bisection.
+        if cols is not None and all(map(operator.lt, highs, lows[1:])):
+            return self.executor.broadcast_and_echo(
+                root=root,
+                broadcast_bits=broadcast_bits,
+                echo_bits=len(ranges),
+                tree=tree,
+                kind="testout",
+                aggregate=range_parity_words_all(
+                    cols, hash_fn, lows, highs, tree.rows(cols), tree.row_mask(cols)
+                ),
+            )
+
+        resolved_ranges = list(zip(lows, highs))
+
+        def local(node: int) -> int:
+            incident = [
+                (e.augmented_weight(id_bits), e.edge_number(id_bits))
+                for e in self.graph.incident_edges(node)
+            ]
+            parities = local_range_parities(incident, hash_fn, resolved_ranges)
+            return pack_parity_word(parities)
+
         return self.executor.broadcast_and_echo(
             root=root,
+            local_value=local,
+            reducer=XOR_REDUCER,
             broadcast_bits=broadcast_bits,
-            echo_bits=echo_bits,
+            echo_bits=len(ranges),
             tree=tree,
             kind="testout",
-            **echo,
         )
 
     # ------------------------------------------------------------------ #
@@ -305,20 +299,26 @@ class CutTester:
         alpha = self.config.rng.randrange(0, p)
         id_bits = self.graph.id_bits
         low_bound = low if low is not None else 0
-        high_bound = high if high is not None else (1 << 256)
+        high_bound = high if high is not None else _OPEN_HIGH
+        broadcast_bits = p.bit_length() + min(4 * id_bits + 64, 256)
+        echo_bits = 2 * p.bit_length()
 
         # Each node's echo value is its (up, down) pair of Schwartz–Zippel
         # products; the pairs multiply up the tree componentwise mod p.
-        echo: Dict[str, Any]
         if fastpath.is_enabled():
             # Fused columnar kernel: the tree's pair in one pass.
             cols = self.graph.columnar()
             rows, row_mask = tree.rows(cols), tree.row_mask(cols)
-            echo = {
-                "aggregate": hp_products_all(
+            up, down = self.executor.broadcast_and_echo(
+                root=root,
+                broadcast_bits=broadcast_bits,
+                echo_bits=echo_bits,
+                tree=tree,
+                kind="hp_testout",
+                aggregate=hp_products_all(
                     cols, alpha, p, low_bound, high_bound, rows, row_mask
-                )
-            }
+                ),
+            )
 
         else:
 
@@ -338,17 +338,16 @@ class CutTester:
                     down_numbers, alpha, p
                 )
 
-            echo = {"local_value": local, "reducer": product_pair_reducer(p)}
+            up, down = self.executor.broadcast_and_echo(
+                root=root,
+                local_value=local,
+                reducer=product_pair_reducer(p),
+                broadcast_bits=broadcast_bits,
+                echo_bits=echo_bits,
+                tree=tree,
+                kind="hp_testout",
+            )
 
-        payload_bits = 2 * p.bit_length()
-        up, down = self.executor.broadcast_and_echo(
-            root=root,
-            broadcast_bits=p.bit_length() + min(4 * id_bits + 64, 256),
-            echo_bits=payload_bits,
-            tree=tree,
-            kind="hp_testout",
-            **echo,
-        )
         return not SetEqualitySketch(up, down, alpha, p).sides_equal
 
     # ------------------------------------------------------------------ #
@@ -365,7 +364,7 @@ class CutTester:
         component = self.forest.component_of(root)
         id_bits = self.graph.id_bits
         low_bound = low if low is not None else 0
-        high_bound = high if high is not None else (1 << 256)
+        high_bound = high if high is not None else _OPEN_HIGH
         result = []
         for edge in self.forest.outgoing_edges(component):
             weight = edge.augmented_weight(id_bits)

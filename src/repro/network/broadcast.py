@@ -78,6 +78,9 @@ __all__ = [
 # algorithms in repro.core honour this contract.
 LocalValueFn = Callable[[int], Any]
 
+#: Each B&E kind's ``(kind:bcast, kind:echo)`` accounting labels, built once.
+_CHARGE_LABELS: Dict[str, Tuple[str, str]] = {}
+
 # Marks an omitted ``aggregate=`` (no aggregate is ever None, but the
 # sentinel keeps "not given" unambiguous).
 _NO_AGGREGATE: Any = object()
@@ -499,21 +502,22 @@ class BroadcastEchoExecutor:
     def _charge(
         self, structure: TreeStructure, broadcast_bits: int, echo_bits: int, kind: str
     ) -> None:
-        self.accountant.record_broadcast_echo()
+        accountant = self.accountant
+        accountant.record_broadcast_echo()
         edges = structure.num_edges
+        labels = _CHARGE_LABELS.get(kind)
+        if labels is None:
+            labels = _CHARGE_LABELS[kind] = (f"{kind}:bcast", f"{kind}:echo")
+        bcast, echo = labels
         substrate = self._substrate()
         if substrate is None:
-            self.accountant.record_messages(edges, broadcast_bits, kind=f"{kind}:bcast")
-            self.accountant.record_messages(edges, echo_bits, kind=f"{kind}:echo")
-            self.accountant.record_rounds(2 * structure.eccentricity)
+            accountant.record_messages(edges, broadcast_bits, kind=bcast)
+            accountant.record_messages(edges, echo_bits, kind=echo)
+            accountant.record_rounds(2 * structure.eccentricity)
         else:
-            substrate.charge_messages(
-                self.accountant, edges, broadcast_bits, f"{kind}:bcast"
-            )
-            substrate.charge_messages(self.accountant, edges, echo_bits, f"{kind}:echo")
-            self.accountant.record_rounds(
-                substrate.rounds_per_hop * 2 * structure.eccentricity
-            )
+            substrate.charge_messages(accountant, edges, broadcast_bits, bcast)
+            substrate.charge_messages(accountant, edges, echo_bits, echo)
+            accountant.record_rounds(substrate.rounds_per_hop * 2 * structure.eccentricity)
 
 
 # ---------------------------------------------------------------------- #

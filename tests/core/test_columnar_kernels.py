@@ -42,7 +42,6 @@ from repro.core.sketches import (
     prefix_flip_masks,
     prefix_parity_words_all,
     range_parity_words_all,
-    ranges_are_disjoint_sorted,
     xor_below_words_all,
 )
 from repro.network.columnar import ColumnarGraph
@@ -476,10 +475,3 @@ class TestFusedKernels:
         assert xor_word == xor_of(
             local_xor_below(numbers_of(graph, node), pairwise, 3) for node in cols.ids
         )
-
-    def test_ranges_are_disjoint_sorted(self):
-        assert ranges_are_disjoint_sorted([(0, 4), (5, 9), (10, 10)])
-        assert not ranges_are_disjoint_sorted([(0, 5), (5, 9)])
-        assert not ranges_are_disjoint_sorted([(5, 9), (0, 4)])
-        assert ranges_are_disjoint_sorted([(3, 7)])
-        assert ranges_are_disjoint_sorted([])

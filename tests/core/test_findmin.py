@@ -3,10 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import fastpath
 from repro.core.config import AlgorithmConfig
 from repro.core.findmin import FindMin
+from repro.core.sample import SuperpolyFindMin
 from repro.generators import random_connected_graph, random_spanning_tree_forest
 from repro.network.accounting import MessageAccountant
+from repro.network.broadcast import BroadcastEchoExecutor
 from repro.network.fragments import SpanningForest
 from repro.network.graph import Graph
 
@@ -168,3 +171,89 @@ class TestRangeSplitting:
         assert FindMin._lowest_set_bit(0b0, 4) is None
         assert FindMin._lowest_set_bit(0b1000, 4) == 3
         assert FindMin._lowest_set_bit(0b0110, 4) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(word=st.integers(0, (1 << 80) - 1), width=st.integers(0, 72))
+    def test_lowest_set_bit_matches_naive_scan(self, word, width):
+        # Bits at or above ``width`` must be ignored, as the scan does.
+        naive = next((i for i in range(width) if (word >> i) & 1), None)
+        assert FindMin._lowest_set_bit(word, width) == naive
+        assert FindMin._lowest_set_bit(word | (1 << width), width) == naive
+
+
+def _wide_weight_setup(weight_bits, seed, nodes=64):
+    """The E10 instance (``benchmarks/bench_superpoly.py``): a random graph
+    whose weights are stretched to ``weight_bits`` bits, and a spanning tree
+    split in two."""
+    graph = random_connected_graph(nodes, 3 * nodes, seed=seed)
+    for index, edge in enumerate(graph.edges()):
+        graph.set_weight(edge.u, edge.v, (edge.weight << max(weight_bits - 14, 0)) + index)
+    forest = random_spanning_tree_forest(graph, seed=seed + 1)
+    key = sorted(forest.marked_edges)[nodes // 3]
+    forest.unmark(*key)
+    root = max(key, key=lambda node: len(forest.component_of(node)))
+    return graph, forest, root
+
+
+def _word_bound(config):
+    return config.word_size
+
+
+def _pivot_bound(config):
+    # Sample's s = max(2, w // 2) pivots induce up to 2s + 1 intervals, one
+    # more than w for even w (an open ROADMAP item); pin that bound here.
+    return 2 * max(2, config.word_size // 2) + 1
+
+
+class TestWideWeightTiers:
+    """Searches past 2^53: both tiers agree and TestOut words stay bounded."""
+
+    @staticmethod
+    def _search(searcher, word_bound, weight_bits, seed):
+        graph, forest, root = _wide_weight_setup(weight_bits, seed)
+        config = AlgorithmConfig(n=graph.num_nodes, seed=seed)
+        testout_echo_bits = []
+        original = BroadcastEchoExecutor.broadcast_and_echo
+
+        def recording(self, *args, **kwargs):
+            if kwargs.get("kind") == "testout":
+                testout_echo_bits.append(kwargs["echo_bits"])
+            return original(self, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BroadcastEchoExecutor, "broadcast_and_echo", recording)
+            result = searcher(graph, forest, config, root)
+        assert testout_echo_bits
+        assert max(testout_echo_bits) <= word_bound(config)
+        cut = forest.outgoing_edges(forest.component_of(root))
+        assert result.edge == min(cut, key=lambda e: e.augmented_weight(graph.id_bits))
+        return (
+            result.edge.endpoints,
+            result.cost.messages,
+            result.cost.bits,
+            result.cost.rounds,
+            result.broadcast_echoes,
+        )
+
+    @pytest.mark.parametrize(
+        "searcher, word_bound",
+        [
+            (
+                lambda g, f, c, r: FindMin(g, f, c, MessageAccountant()).find_min(r),
+                _word_bound,
+            ),
+            (
+                lambda g, f, c, r: SuperpolyFindMin(g, f, c, MessageAccountant()).run(r),
+                _pivot_bound,
+            ),
+        ],
+        ids=["findmin", "superpoly"],
+    )
+    @pytest.mark.parametrize("weight_bits", [96, 192])
+    def test_tiers_agree(self, searcher, word_bound, weight_bits):
+        args = (searcher, word_bound, weight_bits, 17)
+        with fastpath.fast_path():
+            fast = self._search(*args)
+        with fastpath.reference_path():
+            reference = self._search(*args)
+        assert fast == reference

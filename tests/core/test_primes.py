@@ -74,3 +74,11 @@ class TestPrimeForField:
             prime_for_field(100, 10, epsilon=0.0)
         with pytest.raises(ValueError):
             prime_for_field(100, 10, epsilon=1.5)
+
+    def test_memoised_with_a_fixed_bound_and_errors_not_cached(self):
+        first = prime_for_field(100, 10, 0.01)
+        assert prime_for_field(100, 10, 0.01) == first == next_prime(1001)
+        assert prime_for_field.cache_info().maxsize is not None
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                prime_for_field(100, 10, 0.0)

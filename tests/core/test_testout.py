@@ -3,6 +3,7 @@
 import pytest
 
 import repro.core.testout as testout_module
+from repro import fastpath
 from repro.core.config import AlgorithmConfig
 from repro.core.testout import CutTester
 from repro.network.accounting import MessageAccountant
@@ -99,6 +100,36 @@ class TestTestOut:
         delta = acct.since(before)
         assert delta.broadcast_echoes == 1
         assert 0 <= word < 2 ** len(ranges)
+
+    @pytest.mark.parametrize(
+        "ranges, fused",
+        [
+            ([(0, 10), (11, 10 ** 6), (10 ** 6 + 1, None)], True),
+            ([(0, 10), (11, 10 ** 6), (None, None)], False),  # overlapping
+            ([(11, 10 ** 6), (0, 10)], False),  # unsorted
+        ],
+    )
+    def test_word_kernel_only_on_sorted_disjoint_ranges(
+        self, ranges, fused, two_fragment_graph, monkeypatch
+    ):
+        # The bisection kernel needs sorted, disjoint ranges; any other list
+        # falls back to the reference fold, with the same word and charge.
+        kernel = testout_module.range_parity_words_all
+        calls = []
+        monkeypatch.setattr(
+            testout_module,
+            "range_parity_words_all",
+            lambda *args: calls.append(args) or kernel(*args),
+        )
+        outcomes = []
+        for tier in (fastpath.fast_path, fastpath.reference_path):
+            graph, forest = two_fragment_graph(CUT_EDGES)
+            tester, acct = _tester(graph, forest, seed=5)
+            with tier():
+                words = [tester.test_out_word(1, ranges=ranges) for _ in range(12)]
+            outcomes.append((words, acct.snapshot(), acct.per_kind()))
+        assert outcomes[0] == outcomes[1]
+        assert len(calls) == (12 if fused else 0)
 
     def test_singleton_tree_with_incident_edges(self, two_fragment_graph):
         graph, forest = two_fragment_graph(CUT_EDGES)
