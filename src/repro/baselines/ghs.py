@@ -25,7 +25,8 @@ per phase, per fragment —
 
 Every TEST/ACCEPT/REJECT/REPORT/CONNECT message is charged individually, so
 the measured counts follow ``m + n log n`` — the benchmark in
-``benchmarks/bench_build_mst.py`` plots both implementations side by side.
+``benchmarks/bench_build_mst.py`` prints both implementations side by side
+in one table.
 """
 
 from __future__ import annotations

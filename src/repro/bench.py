@@ -1,34 +1,26 @@
-"""Benchmark trajectory harness: fast path vs reference, counters pinned.
+"""Counter-equivalence harness: fast path vs reference, counters exact.
 
 ``repro bench`` runs each registered micro-benchmark twice — once with the
 reference implementations (:func:`repro.fastpath.reference_path`, i.e. the
 pre-fast-path code) and once with the fast path (cached tree structures,
-columnar sketch kernels) — records the wall-clock of both, **asserts that
-every observable counter (messages, bits, rounds, broadcast-and-echoes,
-phases) is bit-identical**, and emits a
-machine-readable JSON record (``BENCH_PR9.json`` by default) so the
-repository accumulates a perf trajectory across PRs.
-:func:`compare_to_baseline` turns two such reports into per-benchmark
-speedup deltas (``repro bench --baseline BENCH_PR7.json`` prints them and
-exits non-zero on a >25% regression); speedups — the reference/fast
-wall-clock *ratio* — are compared rather than raw wall seconds, so the gate
-is meaningful across machines of different speeds.
+columnar sketch kernels) — and **asserts that every observable counter
+(messages, bits, rounds, broadcast-and-echoes, phases) is bit-identical**.
+The report it writes holds counters only, so two runs with the same
+arguments produce byte-identical files.  Seconds are measured elsewhere:
+``perfbench/`` owns the wall clock (set-up/body split, repeats,
+CPU-calibrated absolute times).
 
 ``--profile large`` appends each benchmark's large-n scaling sizes
 (currently ``bench_sketch_pass`` at n=10^4 / 10^5 and a sparse n=10^6
 smoke).  Above a benchmark's ``reference_cutoff`` the reference pass would
 take hours, so only the fast path runs and the record carries
-``wall_s_reference = speedup = null`` — the counters of such rows are
-unchecked by construction, which is why every cutoff sits *above* at least
-one size where both paths still run and are compared.  ``--mem``
-additionally records the ``tracemalloc`` peak of each pass (tracing is
-symmetric on both paths, so the speedup ratio stays fair; expect ~2x wall
-overhead).
+``counters_equal: null`` — such rows are not compared, which is why every
+benchmark with a cutoff also has a size at or below it where both paths
+run and are compared.
 
 Each benchmark builds its scenario from a :class:`~repro.api.spec.GraphSpec`
-with a fixed seed; only the algorithm under measurement is inside the timed
-region.  A counter divergence makes the run fail (non-zero exit from the
-CLI), which is what the CI benchmark smoke job keys off.
+with a fixed seed.  A counter divergence makes the run fail (non-zero exit
+from the CLI), which is what the CI benchmark smoke job keys off.
 
 Registered benchmarks
 ---------------------
@@ -40,6 +32,8 @@ Registered benchmarks
     A volley of TestOut / HP-TestOut calls over one cut.
 ``bench_repair``
     Impromptu repair under the registered ``churn`` workload.
+``bench_repair_batched``
+    Sequential and batched repair legs over the same churn stream.
 ``bench_broadcast_byzantine`` / ``bench_broadcast_byzantine_sparse``
     The same B&E volley on the plain and the Bracha reliable-broadcast
     substrates; the counters quantify the hardening overhead (the
@@ -49,8 +43,7 @@ Registered benchmarks
     over one persistent store: the reference pass is *cold* (every request
     runs), the fast pass is *warm* (every request answered from the
     content-addressed store).  Counter equality asserts the served results
-    are identical to the computed ones; the speedup is the measured value
-    of result caching.
+    are identical to the computed ones.
 ``bench_sketch_pass``
     One whole-graph sketch volley (statistics + TestOut + HP-TestOut +
     FindAny) on a sparse broken spanning tree — the workload the columnar
@@ -60,12 +53,8 @@ Registered benchmarks
 
 from __future__ import annotations
 
-import gc
 import json
-import math
 import platform
-import time
-import tracemalloc
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -90,20 +79,17 @@ from .network.graph import Graph
 __all__ = [
     "BENCHMARKS",
     "BenchRecord",
-    "REGRESSION_THRESHOLD",
-    "compare_to_baseline",
     "list_benchmarks",
-    "load_report",
     "run_benchmark",
     "run_benchmarks",
     "write_report",
 ]
 
 #: Schema tag written into every report, bumped on breaking format changes.
-#: v2: nullable ``wall_s_reference`` / ``speedup`` on rows above a
-#: benchmark's ``reference_cutoff``, optional ``peak_kb_*`` memory fields,
-#: top-level ``profile`` / ``mem`` / ``numpy`` provenance.
-SCHEMA = "repro-bench/2"
+#: v3: counters only — no timing, memory or creation-time fields;
+#: ``counters_equal`` is ``null`` on rows above a benchmark's
+#: ``reference_cutoff``.
+SCHEMA = "repro-bench/3"
 
 Counters = Dict[str, int]
 #: A benchmark body: (n, density, seed) -> (counters, num_edges).
@@ -126,11 +112,10 @@ class _Benchmark:
 
 @dataclass
 class BenchRecord:
-    """One benchmark size, measured on both paths.
+    """One benchmark size, run on both paths.
 
-    Rows above the benchmark's ``reference_cutoff`` are fast-path-only:
-    ``wall_s_reference`` and ``speedup`` are ``None`` and
-    ``counters_equal`` is vacuously true (there is nothing to compare).
+    ``counters_equal`` is ``None`` on rows above the benchmark's
+    ``reference_cutoff``: only the fast path ran, so nothing was compared.
     """
 
     benchmark: str
@@ -139,21 +124,13 @@ class BenchRecord:
     density: str
     seed: int
     counters: Counters
-    wall_s_reference: Optional[float]
-    wall_s_fast: float
-    speedup: Optional[float]
-    counters_equal: bool
+    counters_equal: Optional[bool]
     reference_counters: Optional[Counters] = None  # only kept on divergence
-    peak_kb_fast: Optional[int] = None  # tracemalloc peaks, --mem only
-    peak_kb_reference: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
         payload = asdict(self)
-        if self.counters_equal:
+        if self.counters_equal is not False:
             payload.pop("reference_counters")
-        if self.peak_kb_fast is None:
-            payload.pop("peak_kb_fast")
-            payload.pop("peak_kb_reference")
         return payload
 
 
@@ -222,7 +199,7 @@ def _accountant_counters(accountant: MessageAccountant) -> Counters:
 
 
 # ---------------------------------------------------------------------- #
-# benchmark bodies (the timed region is the algorithm only)
+# benchmark bodies
 # ---------------------------------------------------------------------- #
 @_register(
     "bench_build_mst",
@@ -274,7 +251,7 @@ def _bench_findmin(n: int, density: str, seed: int) -> Tuple[Counters, int]:
 def _bench_findany(n: int, density: str, seed: int) -> Tuple[Counters, int]:
     graph, forest, root = _broken_tree(n, density, seed)
     accountant = MessageAccountant()
-    # A handful of independent calls so the timed region is not dominated by
+    # A handful of independent calls so the counters are not dominated by
     # a single lucky attempt (each call re-derives its hashes from the seed).
     for repeat in range(4):
         finder = FindAny(
@@ -451,9 +428,8 @@ def _bench_sketch_pass(n: int, density: str, seed: int) -> Tuple[Counters, int]:
 
     Each call in the volley reads the rows of the broken tree — which holds
     most of the graph — from the columnar snapshot on the fast path, and
-    runs per node on the reference path, so this benchmark is the direct
-    measure of the columnar tier.  The
-    n=10^5 / 10^6 rows only exist under ``--profile large`` and run
+    runs per node on the reference path, so this benchmark's equality check
+    covers the columnar tier.  The n=10^5 / 10^6 rows only exist under ``--profile large`` and run
     fast-path-only (``reference_cutoff``): at those sizes the reference
     per-node Python loops take hours, while equality is already pinned at
     every size up to 10^4.
@@ -540,54 +516,31 @@ def _bench_service_throughput(n: int, density: str, seed: int) -> Tuple[Counters
 # ---------------------------------------------------------------------- #
 # driver
 # ---------------------------------------------------------------------- #
-def _timed_pass(bench: _Benchmark, n: int, seed: int, mem: bool):
-    """One body call: (counters, m, wall_s, peak_kb-or-None)."""
-    # Collect before timing: garbage left by earlier benchmarks (the service
-    # suite in particular) slows the allocation-heavy reference pass by 2-3x,
-    # which would make a row's speedup depend on suite position and break
-    # comparisons against isolated reruns (the bench-large-smoke CI job).
-    gc.collect()
-    if mem:
-        tracemalloc.start()
-    start = time.perf_counter()
-    counters, m = bench.fn(n, bench.density, seed)
-    wall = time.perf_counter() - start
-    peak_kb = None
-    if mem:
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        peak_kb = peak // 1024
-    return counters, m, wall, peak_kb
-
-
-def run_benchmark(name: str, n: int, seed: int = 2015, mem: bool = False) -> BenchRecord:
-    """Run one benchmark size on both paths and compare.
-
-    Above the benchmark's ``reference_cutoff`` only the fast path runs;
-    ``mem`` traces both passes with :mod:`tracemalloc` (symmetric, so the
-    speedup ratio is unaffected by the tracing overhead).
-    """
+def _lookup(name: str) -> _Benchmark:
     try:
-        bench = BENCHMARKS[name]
+        return BENCHMARKS[name]
     except KeyError:
         known = ", ".join(list_benchmarks())
         raise AlgorithmError(
             f"unknown benchmark {name!r}; registered benchmarks: {known}"
         ) from None
 
-    run_reference = bench.reference_cutoff is None or n <= bench.reference_cutoff
-    reference_counters: Optional[Counters] = None
-    wall_reference: Optional[float] = None
-    peak_reference: Optional[int] = None
-    if run_reference:
-        with fastpath.reference_path():
-            reference_counters, _, wall_reference, peak_reference = _timed_pass(
-                bench, n, seed, mem
-            )
-    with fastpath.fast_path():
-        fast_counters, m, wall_fast, peak_fast = _timed_pass(bench, n, seed, mem)
 
-    equal = (not run_reference) or fast_counters == reference_counters
+def run_benchmark(name: str, n: int, seed: int = 2015) -> BenchRecord:
+    """Run one benchmark size on both paths and compare the counters.
+
+    Above the benchmark's ``reference_cutoff`` only the fast path runs and
+    the record's ``counters_equal`` is ``None`` (not compared).
+    """
+    bench = _lookup(name)
+    reference_counters: Optional[Counters] = None
+    if bench.reference_cutoff is None or n <= bench.reference_cutoff:
+        with fastpath.reference_path():
+            reference_counters, _ = bench.fn(n, bench.density, seed)
+    with fastpath.fast_path():
+        fast_counters, m = bench.fn(n, bench.density, seed)
+
+    equal = None if reference_counters is None else fast_counters == reference_counters
     return BenchRecord(
         benchmark=name,
         n=n,
@@ -595,15 +548,8 @@ def run_benchmark(name: str, n: int, seed: int = 2015, mem: bool = False) -> Ben
         density=bench.density,
         seed=seed,
         counters=fast_counters,
-        wall_s_reference=None if wall_reference is None else round(wall_reference, 4),
-        wall_s_fast=round(wall_fast, 4),
-        speedup=None
-        if wall_reference is None
-        else round(wall_reference / max(wall_fast, 1e-9), 2),
         counters_equal=equal,
-        reference_counters=None if equal else reference_counters,
-        peak_kb_fast=peak_fast,
-        peak_kb_reference=peak_reference,
+        reference_counters=reference_counters if equal is False else None,
     )
 
 
@@ -614,14 +560,15 @@ def run_benchmarks(
     seed: int = 2015,
     progress: Optional[Callable[[str], None]] = None,
     profile: str = "default",
-    mem: bool = False,
 ) -> Dict[str, Any]:
     """Run the selected benchmarks; returns the JSON-ready report dict.
 
     ``sizes`` overrides every benchmark's size list (used by tests and for
     quick local iteration); otherwise ``quick`` selects the smaller
     per-benchmark size lists and ``profile="large"`` appends each
-    benchmark's large-n scaling sizes.  ``mem`` records tracemalloc peaks.
+    benchmark's large-n scaling sizes.  The report depends only on the
+    arguments, the Python version and whether numpy is importable, so two
+    runs with the same arguments write byte-identical files.
     """
     if profile not in ("default", "large"):
         raise AlgorithmError(
@@ -629,14 +576,8 @@ def run_benchmarks(
         )
     selected = list(names) if names else list_benchmarks()
     records: List[BenchRecord] = []
-    warmed = False
     for name in selected:
-        if name not in BENCHMARKS:
-            known = ", ".join(list_benchmarks())
-            raise AlgorithmError(
-                f"unknown benchmark {name!r}; registered benchmarks: {known}"
-            )
-        bench = BENCHMARKS[name]
+        bench = _lookup(name)
         if sizes:
             bench_sizes = tuple(sizes)
         else:
@@ -645,28 +586,21 @@ def run_benchmarks(
                 bench_sizes += (
                     bench.large_quick_sizes if quick else bench.large_sizes
                 )
-        if not warmed and bench_sizes and bench_sizes[0] <= 4096:
-            # One untimed run of the first (small) row: the process's first
-            # pass otherwise absorbs allocator/import warmup into whichever
-            # benchmark happens to run first — a 3 ms row can read 8x slow,
-            # which poisons that row's speedup in the committed trajectory.
-            with fastpath.fast_path():
-                bench.fn(bench_sizes[0], bench.density, seed)
-            warmed = True
         for n in bench_sizes:
             if progress is not None:
                 progress(f"{name} n={n} ({bench.density}) ...")
-            records.append(run_benchmark(name, n, seed=seed, mem=mem))
+            records.append(run_benchmark(name, n, seed=seed))
     return {
         "schema": SCHEMA,
-        "created_unix": round(time.time(), 1),
         "python": platform.python_version(),
         "quick": quick,
         "profile": profile,
-        "mem": mem,
         "numpy": HAVE_NUMPY,
         "seed": seed,
-        "counters_equal": all(record.counters_equal for record in records),
+        # AND over the compared rows; fast-path-only rows (None) are skipped.
+        "counters_equal": all(
+            record.counters_equal is not False for record in records
+        ),
         "results": [record.to_dict() for record in records],
     }
 
@@ -677,120 +611,3 @@ def write_report(report: Dict[str, Any], path: str) -> str:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-# ---------------------------------------------------------------------- #
-# trajectory comparison (`repro bench --baseline`)
-# ---------------------------------------------------------------------- #
-#: The trajectory "regresses" when the geometric mean of the per-benchmark
-#: speedup ratios falls below this fraction (0.75 = the >25% gate of the CLI).
-REGRESSION_THRESHOLD = 0.75
-
-#: A single benchmark additionally fails the gate when its own speedup falls
-#: below this fraction of its baseline.  One wall-clock sample per row has
-#: roughly +/-30% machine noise (the same commit can score 3.0x or 4.3x on
-#: findany@1024 depending on load), so the per-row floor only catches genuine
-#: craters while the tighter threshold above judges the aggregate, where the
-#: noise averages out.
-ROW_FLOOR = 0.5
-
-
-def load_report(path: str) -> Dict[str, Any]:
-    """Load a committed trajectory report, with the CLI error contract."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    except FileNotFoundError:
-        raise AlgorithmError(f"baseline report not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise AlgorithmError(f"invalid baseline report {path}: {exc}") from exc
-    if not isinstance(report, dict) or "results" not in report:
-        raise AlgorithmError(f"baseline report {path} has no 'results' section")
-    return report
-
-
-def compare_to_baseline(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    threshold: float = REGRESSION_THRESHOLD,
-    row_floor: float = ROW_FLOOR,
-) -> Dict[str, Any]:
-    """Per-benchmark speedup deltas of ``current`` against ``baseline``.
-
-    Records are matched on ``(benchmark, n)``.  The compared quantity is the
-    *speedup* (reference wall / fast wall), not raw wall seconds, so reports
-    recorded on different machines stay comparable.  Two gates apply: the
-    geometric mean of the per-row speedup ratios must stay above
-    ``threshold`` (the trajectory gate — single rows are one-sample noisy,
-    the aggregate is not), and every individual row must stay above
-    ``row_floor``× its baseline speedup (the crater gate).  Returns
-    ``{"rows", "regressions", "aggregate_ratio", "aggregate_regressed",
-    "missing", "uncompared"}``: ``missing`` lists current results with no
-    baseline record, ``uncompared`` baseline records the current run never
-    measured (so a partial run cannot silently pass the gate as a full
-    comparison).
-    """
-    recorded = {
-        (record["benchmark"], record["n"]): record for record in baseline["results"]
-    }
-    rows: List[Dict[str, Any]] = []
-    regressions: List[str] = []
-    missing: List[str] = []
-    ratios: List[float] = []
-    compared = set()
-    for record in current["results"]:
-        key = (record["benchmark"], record["n"])
-        base = recorded.get(key)
-        label = f"{key[0]}@n={key[1]}"
-        if base is None:
-            missing.append(label)
-            continue
-        compared.add(key)
-        base_speedup = base.get("speedup")
-        speedup = record.get("speedup")
-        if base_speedup is None or speedup is None:
-            # A fast-path-only row (above the reference cutoff) on either
-            # side: nothing to gate, but keep the row visible.
-            rows.append(
-                {
-                    "benchmark": key[0],
-                    "n": key[1],
-                    "baseline_speedup": base_speedup,
-                    "current_speedup": speedup,
-                    "delta_pct": None,
-                    "regressed": False,
-                }
-            )
-            continue
-        delta_pct = 100.0 * (speedup / base_speedup - 1.0) if base_speedup else 0.0
-        regressed = bool(base_speedup) and speedup < row_floor * base_speedup
-        if base_speedup and speedup:
-            ratios.append(speedup / base_speedup)
-        rows.append(
-            {
-                "benchmark": key[0],
-                "n": key[1],
-                "baseline_speedup": base_speedup,
-                "current_speedup": speedup,
-                "delta_pct": round(delta_pct, 1),
-                "regressed": regressed,
-            }
-        )
-        if regressed:
-            regressions.append(label)
-    aggregate_ratio = (
-        math.exp(sum(math.log(ratio) for ratio in ratios) / len(ratios))
-        if ratios
-        else 1.0
-    )
-    uncompared = sorted(
-        f"{name}@n={n}" for name, n in set(recorded) - compared
-    )
-    return {
-        "rows": rows,
-        "regressions": regressions,
-        "aggregate_ratio": round(aggregate_ratio, 4),
-        "aggregate_regressed": aggregate_ratio < threshold,
-        "missing": missing,
-        "uncompared": uncompared,
-    }

@@ -25,12 +25,11 @@ worker processes.
   ``recompute-repair`` run on the same spec;
 * ``trace record`` / ``trace replay`` — save a workload run as a JSON trace
   and replay it bit-for-bit later;
-* ``bench`` — time the registered micro-benchmarks on the fast path *and*
-  the reference path, assert counter equality and write ``BENCH_PR10.json``;
-  ``--baseline PATH`` additionally compares the speedups against a committed
-  trajectory report and fails on a >25% regression; ``--profile large``
-  appends the n=10^4..10^6 scaling rows, ``--mem`` records tracemalloc
-  peaks;
+* ``bench`` — run the registered micro-benchmarks on the fast path *and*
+  the reference path and assert their counters are equal (``--out PATH``
+  writes the deterministic report); ``--profile large`` appends the
+  n=10^4..10^6 scaling rows, which run fast-path-only above each
+  benchmark's reference cutoff;
 * ``fuzz run`` — a seeded differential-fuzzing campaign over random
   experiment specs (non-zero exit on any oracle violation; failing specs are
   delta-debugged to minimal reproducers and written to a JSON corpus);
@@ -265,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser(
         "bench",
-        help="time the micro-benchmarks: fast path vs reference, counters pinned",
+        help="check the micro-benchmarks' counters: fast path vs reference",
     )
     bench.add_argument("--quick", action="store_true",
                        help="run the smaller per-benchmark size lists")
@@ -279,18 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="size profile: 'large' appends the n=10^4..10^6 "
                             "scaling rows (fast-path-only above each "
                             "benchmark's reference cutoff)")
-    bench.add_argument("--mem", action="store_true",
-                       help="record the tracemalloc peak of every pass "
-                            "(symmetric on both paths; ~2x wall overhead)")
     bench.add_argument("--seed", type=int, default=2015)
     bench.add_argument("--json", action="store_true",
                        help="print the report JSON to stdout instead of a table")
-    bench.add_argument("--out", metavar="PATH", default="BENCH_PR10.json",
-                       help="where to write the JSON report "
-                            "(default: %(default)s; '-' disables the file)")
-    bench.add_argument("--baseline", metavar="PATH",
-                       help="committed trajectory report to compare speedups "
-                            "against (non-zero exit on a >25%% regression)")
+    bench.add_argument("--out", metavar="PATH",
+                       help="write the JSON report to PATH "
+                            "(default and '-': no file)")
 
     from .fuzz import ORACLE_FACTORIES
 
@@ -815,7 +808,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_bench(args: argparse.Namespace) -> int:
-    from .bench import compare_to_baseline, load_report, run_benchmarks, write_report
+    from .bench import run_benchmarks, write_report
 
     progress = None if args.json else lambda line: print(f"bench: {line}", flush=True)
     report = run_benchmarks(
@@ -825,92 +818,37 @@ def _command_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         progress=progress,
         profile=args.profile,
-        mem=args.mem,
     )
-    if args.out and args.out != "-":
+    written = args.out not in (None, "-")
+    if written:
         write_report(report, args.out)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        columns = ["benchmark", "n", "m", "msgs", "ref s", "fast s", "speedup",
-                   "counters =="]
-        if args.mem:
-            columns.append("peak KiB")
         table = ExperimentTable(
             "bench",
             "Fast path vs reference (counters must be bit-identical)",
-            columns,
+            ["benchmark", "n", "m", "msgs", "counters =="],
         )
         for record in report["results"]:
-            row = [
+            table.add_row(
                 record["benchmark"],
                 record["n"],
                 record["m"],
                 record["counters"].get("messages", "-"),
-                "-" if record["wall_s_reference"] is None
-                else record["wall_s_reference"],
-                record["wall_s_fast"],
-                "-" if record["speedup"] is None else record["speedup"],
-                record["counters_equal"],
-            ]
-            if args.mem:
-                row.append(record.get("peak_kb_fast", "-"))
-            table.add_row(*row)
-        if any(record["speedup"] is None for record in report["results"]):
+                "-" if record["counters_equal"] is None else record["counters_equal"],
+            )
+        if any(record["counters_equal"] is None for record in report["results"]):
             table.add_note(
                 "'-' rows ran fast-path-only (above the reference cutoff)"
             )
-        if args.out and args.out != "-":
+        if written:
             table.add_note(f"report written to {args.out}")
         print(table.render())
     if not report["counters_equal"]:
         print("repro: error: fast-path counters diverged from the reference path",
               file=sys.stderr)
         return 1
-    if args.baseline:
-        baseline = load_report(args.baseline)
-        comparison = compare_to_baseline(report, baseline)
-        table = ExperimentTable(
-            "bench-baseline",
-            f"Speedup trajectory vs {args.baseline}",
-            ["benchmark", "n", "baseline x", "current x", "delta", "regressed"],
-        )
-        for row in comparison["rows"]:
-            table.add_row(
-                row["benchmark"],
-                row["n"],
-                "-" if row["baseline_speedup"] is None else row["baseline_speedup"],
-                "-" if row["current_speedup"] is None else row["current_speedup"],
-                "-" if row["delta_pct"] is None else f"{row['delta_pct']:+.1f}%",
-                row["regressed"],
-            )
-        if comparison["missing"]:
-            table.add_note(
-                f"not in baseline (skipped): {', '.join(comparison['missing'])}"
-            )
-        if comparison["uncompared"]:
-            table.add_note(
-                "in baseline but not in this run (unchecked): "
-                + ", ".join(comparison["uncompared"])
-            )
-        table.add_note(
-            f"aggregate speedup ratio (geomean): {comparison['aggregate_ratio']:.3f}x"
-        )
-        print(table.render())
-        if comparison["aggregate_regressed"]:
-            print(
-                "repro: error: aggregate speedup regressed by more than 25% "
-                f"vs baseline (geomean ratio {comparison['aggregate_ratio']:.3f})",
-                file=sys.stderr,
-            )
-            return 1
-        if comparison["regressions"]:
-            print(
-                "repro: error: speedup regressed by more than 50% on: "
-                + ", ".join(comparison["regressions"]),
-                file=sys.stderr,
-            )
-            return 1
     return 0
 
 

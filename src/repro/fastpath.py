@@ -21,8 +21,8 @@ Both paths are *observably identical*: messages, bits, rounds and
 broadcast-and-echo counts are bit-for-bit equal (the equivalence suite in
 ``tests/integration/test_fastpath_equivalence.py`` pins this for every
 registered algorithm, and ``repro bench`` asserts it on every run).  The
-reference path exists so the equivalence can be checked and the speedup
-measured honestly; everything else should leave the fast path on.
+reference path exists as the executable spec the fast path is checked
+against; everything else should leave the fast path on.
 
 Within the fast path one fixed size rule, :func:`covers_half`, picks the
 whole-graph passes over the per-tree ones: a tree holding at least half the

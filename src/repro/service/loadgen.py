@@ -12,8 +12,7 @@ sessions can be replayed against the service too.
 ``rounds`` passes and reports per-round throughput.  Against a fresh store
 the first round is *cold* (every request runs) and later rounds are *warm*
 (every request is answered from the content-addressed store), so the
-``warm_vs_cold_speedup`` figure is the measured value of result caching —
-the number BENCH_PR7's ``bench_service_throughput`` pins as a trajectory.
+``warm_vs_cold_speedup`` figure is the measured value of result caching.
 """
 
 from __future__ import annotations

@@ -104,25 +104,6 @@ class TestCliErrorPaths:
         assert code == 2
         assert "bellman-ford" in captured.err
 
-    def test_corrupt_bench_baseline(self, capsys, tmp_path):
-        path = tmp_path / "corrupt.json"
-        path.write_text("{not valid json", encoding="utf-8")
-        code = main(["bench", "--benchmarks", "bench_testout", "--sizes", "20",
-                     "--out", "-", "--baseline", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "invalid baseline report" in captured.err
-        assert str(path) in captured.err
-
-    def test_baseline_without_results_section(self, capsys, tmp_path):
-        path = tmp_path / "empty.json"
-        path.write_text("{}", encoding="utf-8")
-        code = main(["bench", "--benchmarks", "bench_testout", "--sizes", "20",
-                     "--out", "-", "--baseline", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "no 'results' section" in captured.err
-
 
 class TestCompareCommand:
     def test_compare_json(self, capsys):
@@ -364,48 +345,6 @@ class TestRepairView:
         assert result.extra["build_messages"] == kkt.messages
         default = run("kkt-mst", GraphSpec(nodes=32, density="dense", seed=3))
         assert kkt.messages != default.messages
-
-
-class TestBenchBaseline:
-    def test_baseline_comparison_passes_with_headroom(self, capsys, tmp_path):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--benchmarks", "bench_testout", "--sizes", "20",
-                     "--out", str(out)]) == 0
-        capsys.readouterr()
-        # Two back-to-back single-sample timings of a millisecond benchmark
-        # can wobble past the gate's crater floor on a loaded machine, so
-        # deflate the recorded trajectory: the gate outcome is then
-        # deterministic while the full compare/render path still runs.
-        report = json.loads(out.read_text())
-        for record in report["results"]:
-            record["speedup"] = record["speedup"] / 4
-        out.write_text(json.dumps(report))
-        code = main(["bench", "--benchmarks", "bench_testout", "--sizes", "20",
-                     "--out", "-", "--baseline", str(out)])
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "Speedup trajectory" in output
-
-    def test_missing_baseline_errors(self, capsys, tmp_path):
-        code = main(["bench", "--benchmarks", "bench_testout", "--sizes", "20",
-                     "--out", "-", "--baseline", str(tmp_path / "nope.json")])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "baseline report not found" in captured.err
-
-    def test_regression_gate_fires(self, capsys, tmp_path):
-        from repro.bench import run_benchmarks, write_report
-
-        report = run_benchmarks(names=["bench_testout"], sizes=[20])
-        # Pretend the committed trajectory was 100x faster than reality.
-        for record in report["results"]:
-            record["speedup"] = record["speedup"] * 100 + 100
-        path = write_report(report, str(tmp_path / "inflated.json"))
-        code = main(["bench", "--benchmarks", "bench_testout", "--sizes", "20",
-                     "--out", "-", "--baseline", path])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "regressed by more than 25%" in captured.err
 
 
 class TestSweepCommand:

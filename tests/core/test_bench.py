@@ -1,12 +1,14 @@
-"""Tests for the benchmark trajectory harness (``repro bench``)."""
+"""Tests for the counter-equivalence harness (``repro bench``)."""
 
 import json
+import tempfile
 
 import pytest
 
+from repro import fastpath
 from repro.bench import (
+    BENCHMARKS,
     SCHEMA,
-    compare_to_baseline,
     list_benchmarks,
     run_benchmark,
     run_benchmarks,
@@ -14,6 +16,11 @@ from repro.bench import (
 )
 from repro.cli import build_parser, main
 from repro.network.errors import AlgorithmError
+
+
+def _path_dependent_body(n, density, seed):
+    """A benchmark body whose counters differ between the two paths."""
+    return {"messages": n + fastpath.is_enabled()}, n
 
 
 class TestRegistry:
@@ -45,7 +52,6 @@ class TestRunBenchmark:
         assert record.counters_equal
         assert record.reference_counters is None
         assert record.n == 32 and record.m > 0
-        assert record.wall_s_fast > 0 and record.wall_s_reference > 0
         assert set(record.counters) == {
             "messages",
             "bits",
@@ -72,39 +78,33 @@ class TestRunBenchmark:
         report = run_benchmarks(names=["bench_build_st"], sizes=[16, 20])
         assert [r["n"] for r in report["results"]] == [16, 20]
 
-    def test_mem_flag_records_tracemalloc_peaks(self):
-        record = run_benchmark("bench_testout", 20, seed=1, mem=True)
-        assert record.counters_equal
-        assert record.peak_kb_fast is not None and record.peak_kb_fast > 0
-        assert record.peak_kb_reference is not None
-        payload = record.to_dict()
-        assert payload["peak_kb_fast"] == record.peak_kb_fast
-        # Without --mem the memory fields stay out of the report entirely.
-        lean = run_benchmark("bench_testout", 20, seed=1).to_dict()
-        assert "peak_kb_fast" not in lean and "peak_kb_reference" not in lean
-
     def test_reference_cutoff_skips_reference_pass(self, monkeypatch):
-        from repro.bench import BENCHMARKS
-
         monkeypatch.setattr(BENCHMARKS["bench_sketch_pass"], "reference_cutoff", 16)
         record = run_benchmark("bench_sketch_pass", 24, seed=4)
-        assert record.wall_s_reference is None
-        assert record.speedup is None
-        assert record.counters_equal  # vacuous: nothing to compare
+        assert record.counters_equal is None  # not compared
         payload = record.to_dict()
-        assert payload["speedup"] is None and payload["wall_s_reference"] is None
+        assert payload["counters_equal"] is None
+        assert "reference_counters" not in payload
+
+    def test_divergence_keeps_reference_counters(self, monkeypatch):
+        monkeypatch.setattr(BENCHMARKS["bench_testout"], "fn", _path_dependent_body)
+        report = run_benchmarks(names=["bench_testout"], sizes=[20])
+        assert report["counters_equal"] is False
+        (row,) = report["results"]
+        assert row["counters_equal"] is False
+        assert row["counters"] == {"messages": 21}
+        assert row["reference_counters"] == {"messages": 20}
 
     def test_large_profile_appends_scaling_sizes(self, monkeypatch):
-        from repro.bench import BENCHMARKS
-
         bench = BENCHMARKS["bench_sketch_pass"]
         monkeypatch.setattr(bench, "sizes", (16,))
         monkeypatch.setattr(bench, "large_sizes", (24,))
         monkeypatch.setattr(bench, "reference_cutoff", 16)
         report = run_benchmarks(names=["bench_sketch_pass"], profile="large")
         assert [r["n"] for r in report["results"]] == [16, 24]
-        assert report["results"][0]["speedup"] is not None
-        assert report["results"][1]["speedup"] is None
+        assert report["results"][0]["counters_equal"] is True
+        assert report["results"][1]["counters_equal"] is None
+        assert report["counters_equal"] is True  # AND over compared rows
         assert report["profile"] == "large"
         with pytest.raises(AlgorithmError):
             run_benchmarks(names=["bench_sketch_pass"], profile="huge")
@@ -119,71 +119,41 @@ class TestRunBenchmark:
         assert all(isinstance(value, int) for value in counters.values())
 
 
-def _report(*rows):
-    return {
-        "schema": SCHEMA,
-        "results": [
-            {"benchmark": name, "n": n, "speedup": speedup}
-            for name, n, speedup in rows
-        ],
-    }
+class TestServiceBenchmark:
+    def test_cold_then_warm_leaves_no_store(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        from repro.bench import _SERVICE_WARM_STORES
+
+        report = run_benchmarks(names=["bench_service_throughput"], sizes=[16])
+        assert report["counters_equal"] is True
+        assert list(tmp_path.glob("repro-bench-service-*")) == []
+        assert _SERVICE_WARM_STORES == {}
 
 
-class TestCompareToBaseline:
-    def test_single_row_noise_within_floor_passes(self):
-        # A one-sample -31% wobble on one benchmark (the same commit scores
-        # 3.0x or 4.3x on a loaded machine) must not fail the gate while the
-        # aggregate trajectory is healthy.
-        baseline = _report(("a", 64, 4.32), ("b", 64, 10.0), ("c", 64, 2.0))
-        current = _report(("a", 64, 3.0), ("b", 64, 10.5), ("c", 64, 2.1))
-        comparison = compare_to_baseline(current, baseline)
-        assert comparison["regressions"] == []
-        assert not comparison["aggregate_regressed"]
-        flagged = [r["benchmark"] for r in comparison["rows"] if r["regressed"]]
-        assert flagged == []
-
-    def test_aggregate_decline_fails(self):
-        baseline = _report(("a", 64, 4.0), ("b", 64, 10.0), ("c", 64, 2.0))
-        current = _report(("a", 64, 2.8), ("b", 64, 7.0), ("c", 64, 1.4))
-        comparison = compare_to_baseline(current, baseline)
-        assert comparison["aggregate_regressed"]
-        assert comparison["aggregate_ratio"] == 0.7
-
-    def test_single_crater_fails_even_with_healthy_aggregate(self):
-        baseline = _report(("a", 64, 10.0), ("b", 64, 2.0), ("c", 64, 2.0))
-        current = _report(("a", 64, 3.0), ("b", 64, 4.0), ("c", 64, 4.0))
-        comparison = compare_to_baseline(current, baseline)
-        assert not comparison["aggregate_regressed"]
-        assert comparison["regressions"] == ["a@n=64"]
-
-    def test_partial_run_is_reported_not_silently_passed(self):
-        baseline = _report(("a", 64, 4.0), ("b", 64, 2.0))
-        current = _report(("a", 64, 4.0), ("z", 64, 1.0))
-        comparison = compare_to_baseline(current, baseline)
-        assert comparison["missing"] == ["z@n=64"]
-        assert comparison["uncompared"] == ["b@n=64"]
-
-    def test_fast_only_rows_are_visible_but_ungated(self):
-        # Rows above the reference cutoff carry speedup=None on either side;
-        # they must neither crash the comparison nor count as regressions.
-        baseline = _report(("a", 64, 4.0), ("big", 100_000, None))
-        current = _report(("a", 64, 4.0), ("big", 100_000, None))
-        comparison = compare_to_baseline(current, baseline)
-        assert comparison["regressions"] == []
-        assert not comparison["aggregate_regressed"]
-        big = next(r for r in comparison["rows"] if r["benchmark"] == "big")
-        assert big["delta_pct"] is None and big["regressed"] is False
+class TestDeterministicReport:
+    def test_two_runs_write_identical_bytes(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(BENCHMARKS["bench_sketch_pass"], "reference_cutoff", 16)
+        paths = []
+        for index in range(2):
+            report = run_benchmarks(
+                names=["bench_testout", "bench_sketch_pass"], sizes=[24], seed=3
+            )
+            paths.append(write_report(report, str(tmp_path / f"bench{index}.json")))
+        first, second = (open(path, "rb").read() for path in paths)
+        assert first == second
+        rows = {row["benchmark"]: row for row in json.loads(first)["results"]}
+        assert rows["bench_testout"]["counters_equal"] is True
+        assert rows["bench_sketch_pass"]["counters_equal"] is None
 
 
 class TestBenchCli:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["bench", "--quick"])
         assert args.quick is True
-        assert args.out == "BENCH_PR10.json"
+        assert args.out is None
         assert args.benchmarks is None
-        assert args.baseline is None
         assert args.profile == "default"
-        assert args.mem is False
+        assert not hasattr(args, "mem") and not hasattr(args, "baseline")
 
     def test_bench_command_json(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -211,7 +181,23 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "bench_testout" in out
-        assert "speedup" in out
+        assert "counters ==" in out
+        assert "speedup" not in out
+
+    def test_bench_command_writes_no_file_without_out(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(["bench", "--benchmarks", "bench_testout", "--sizes", "20"])
+        capsys.readouterr()
+        assert code == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bench_command_exits_1_on_divergence(self, monkeypatch, capsys):
+        monkeypatch.setattr(BENCHMARKS["bench_testout"], "fn", _path_dependent_body)
+        code = main(["bench", "--benchmarks", "bench_testout", "--sizes", "20"])
+        assert code == 1
+        assert "counters diverged" in capsys.readouterr().err
 
     def test_bench_table_renders_substrate_counters(self, capsys):
         # The byzantine benchmarks carry plain_*/bracha_* counters with no

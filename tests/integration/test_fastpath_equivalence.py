@@ -5,7 +5,7 @@ sketch kernels, per-node incident arrays) must be *observably invisible*:
 for every registered algorithm, every density profile and every seed, the
 messages / bits / rounds / phases reported by a run with the fast path on
 must be bit-identical to a run with the reference implementations.  This is
-the contract ``repro bench`` relies on when it reports speedups.
+the contract ``repro bench`` checks on its micro-benchmarks.
 """
 
 import pytest
