@@ -1,6 +1,9 @@
 """Tests for the counter-equivalence harness (``repro bench``)."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -95,6 +98,47 @@ class TestRunBenchmark:
         assert row["counters"] == {"messages": 21}
         assert row["reference_counters"] == {"messages": 20}
 
+    def test_fast_only_row_never_fails_the_report(self, monkeypatch):
+        monkeypatch.setattr(BENCHMARKS["bench_testout"], "fn", _path_dependent_body)
+        monkeypatch.setattr(BENCHMARKS["bench_testout"], "reference_cutoff", 16)
+        report = run_benchmarks(names=["bench_testout"], sizes=[20])
+        (row,) = report["results"]
+        assert row["counters_equal"] is None
+        assert "reference_counters" not in row
+        assert report["counters_equal"] is True
+
+    def test_divergent_compared_row_fails_beside_fast_only_row(self, monkeypatch):
+        monkeypatch.setattr(BENCHMARKS["bench_testout"], "fn", _path_dependent_body)
+        monkeypatch.setattr(BENCHMARKS["bench_testout"], "reference_cutoff", 16)
+        report = run_benchmarks(names=["bench_testout"], sizes=[12, 20])
+        assert [row["counters_equal"] for row in report["results"]] == [False, None]
+        assert report["counters_equal"] is False
+
+    def test_quick_selects_quick_sizes(self, monkeypatch):
+        bench = BENCHMARKS["bench_sketch_pass"]
+        monkeypatch.setattr(bench, "sizes", (28,))
+        monkeypatch.setattr(bench, "quick_sizes", (16,))
+        monkeypatch.setattr(bench, "large_sizes", (32,))
+        monkeypatch.setattr(bench, "large_quick_sizes", (20,))
+        quick = run_benchmarks(names=["bench_sketch_pass"], quick=True)
+        assert [r["n"] for r in quick["results"]] == [16]
+        assert quick["quick"] is True
+        large = run_benchmarks(
+            names=["bench_sketch_pass"], quick=True, profile="large"
+        )
+        assert [r["n"] for r in large["results"]] == [16, 20]
+
+    def test_progress_reports_every_row(self):
+        lines = []
+        report = run_benchmarks(
+            names=["bench_testout", "bench_build_st"],
+            sizes=[16, 20],
+            progress=lines.append,
+        )
+        assert len(lines) == len(report["results"]) == 4
+        assert lines[0].startswith("bench_testout n=16")
+        assert lines[-1].startswith("bench_build_st n=20")
+
     def test_large_profile_appends_scaling_sizes(self, monkeypatch):
         bench = BENCHMARKS["bench_sketch_pass"]
         monkeypatch.setattr(bench, "sizes", (16,))
@@ -130,6 +174,48 @@ class TestServiceBenchmark:
         assert _SERVICE_WARM_STORES == {}
 
 
+class TestReportSchema:
+    def test_report_carries_no_timing_or_memory_keys(self):
+        report = run_benchmarks(names=["bench_testout"], sizes=[20], seed=9)
+        assert SCHEMA == "repro-bench/3"
+        assert set(report) == {
+            "schema",
+            "python",
+            "quick",
+            "profile",
+            "numpy",
+            "seed",
+            "counters_equal",
+            "results",
+        }
+        (row,) = report["results"]
+        assert set(row) == {
+            "benchmark",
+            "n",
+            "m",
+            "density",
+            "seed",
+            "counters",
+            "counters_equal",
+        }
+        assert report["seed"] == row["seed"] == 9
+
+    def test_repro_package_imports_neither_bench_nor_cli(self):
+        code = (
+            "import sys, repro\n"
+            "print(sorted(m for m in ('repro.bench', 'repro.cli')"
+            " if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.stdout.strip() == "[]"
+
+
 class TestDeterministicReport:
     def test_two_runs_write_identical_bytes(self, monkeypatch, tmp_path):
         monkeypatch.setattr(BENCHMARKS["bench_sketch_pass"], "reference_cutoff", 16)
@@ -154,6 +240,28 @@ class TestBenchCli:
         assert args.benchmarks is None
         assert args.profile == "default"
         assert not hasattr(args, "mem") and not hasattr(args, "baseline")
+
+    @pytest.mark.parametrize("removed", [["--mem"], ["--baseline", "old.json"]])
+    def test_removed_timing_flags_are_rejected(self, removed, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["bench", "--quick", *removed])
+        assert excinfo.value.code == 2
+        assert removed[0] in capsys.readouterr().err
+
+    def test_json_stdout_matches_written_file_bytes(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["bench", "--benchmarks", "bench_testout", "--sizes", "20"]
+        assert main([*argv, "--json", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+    def test_table_marks_fast_only_rows(self, monkeypatch, capsys):
+        monkeypatch.setattr(BENCHMARKS["bench_sketch_pass"], "reference_cutoff", 16)
+        code = main(
+            ["bench", "--benchmarks", "bench_sketch_pass", "--sizes", "24"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "fast-path-only" in out
 
     def test_bench_command_json(self, tmp_path, capsys):
         out = tmp_path / "report.json"
