@@ -59,7 +59,6 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import fastpath
-from .accel import HAVE_NUMPY
 from .api.scenario import WorkloadSpec
 from .api.spec import GraphSpec
 from .core.build_mst import BuildMST
@@ -88,8 +87,8 @@ __all__ = [
 #: Schema tag written into every report, bumped on breaking format changes.
 #: v3: counters only — no timing, memory or creation-time fields;
 #: ``counters_equal`` is ``null`` on rows above a benchmark's
-#: ``reference_cutoff``.
-SCHEMA = "repro-bench/3"
+#: ``reference_cutoff``.  v4: no ``numpy`` field (the kernels are stdlib-only).
+SCHEMA = "repro-bench/4"
 
 Counters = Dict[str, int]
 #: A benchmark body: (n, density, seed) -> (counters, num_edges).
@@ -426,9 +425,9 @@ def _bench_broadcast_byzantine_sparse(
 def _bench_sketch_pass(n: int, density: str, seed: int) -> Tuple[Counters, int]:
     """The columnar-kernel workload: one volley of every columnar sketch.
 
-    Each call in the volley reads the rows of the broken tree — which holds
-    most of the graph — from the columnar snapshot on the fast path, and
-    runs per node on the reference path, so this benchmark's equality check
+    Each call in the volley reads the broken tree — which holds most of
+    the graph — through its memoised cut column on the fast path, and runs
+    per node on the reference path, so this benchmark's equality check
     covers the columnar tier.  The n=10^5 / 10^6 rows only exist under ``--profile large`` and run
     fast-path-only (``reference_cutoff``): at those sizes the reference
     per-node Python loops take hours, while equality is already pinned at
@@ -567,8 +566,8 @@ def run_benchmarks(
     quick local iteration); otherwise ``quick`` selects the smaller
     per-benchmark size lists and ``profile="large"`` appends each
     benchmark's large-n scaling sizes.  The report depends only on the
-    arguments, the Python version and whether numpy is importable, so two
-    runs with the same arguments write byte-identical files.
+    arguments and the Python version, so two runs with the same arguments
+    write byte-identical files.
     """
     if profile not in ("default", "large"):
         raise AlgorithmError(
@@ -595,7 +594,6 @@ def run_benchmarks(
         "python": platform.python_version(),
         "quick": quick,
         "profile": profile,
-        "numpy": HAVE_NUMPY,
         "seed": seed,
         # AND over the compared rows; fast-path-only rows (None) are skipped.
         "counters_equal": all(

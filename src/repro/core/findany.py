@@ -137,12 +137,10 @@ class FindAny:
         if fast:
             cols = self.graph.columnar()
             rows = tree.rows(cols)
-            row_mask = tree.row_mask(cols)
+            cut = tree.cut_column(cols)
             masks = prefix_flip_masks(pairwise.log_range)
             echo = {
-                "aggregate": prefix_parity_words_all(
-                    cols, pairwise, masks, rows, row_mask
-                )
+                "aggregate": prefix_parity_words_all(cols, pairwise, masks, rows, cut)
             }
 
         else:
@@ -172,7 +170,7 @@ class FindAny:
         if fast:
             echo = {
                 "aggregate": xor_below_words_all(
-                    cols, pairwise, min_prefix, rows, row_mask
+                    cols, pairwise, min_prefix, rows, cut
                 )
             }
 
@@ -203,6 +201,7 @@ class FindAny:
         # of its two endpoints the tree holds.
         edge = self.graph.edge_from_number(candidate)
         if fast:
+            row_mask = tree.row_mask(cols)
             echo = {
                 "aggregate": 0
                 if edge is None

@@ -27,7 +27,8 @@ Each kernel has two implementations, one per tier of :mod:`repro.fastpath`:
   node by node;
 * the **columnar** form (``*_words_all``, ``hp_products_all``) — one fused
   call per broadcast-and-echo that returns the tree's *aggregate*, the value
-  the echo delivers at the root, read from the graph's
+  the echo delivers at the root (HP-TestOut's: the answer its aggregate
+  gives), read from the graph's
   :class:`~repro.network.columnar.ColumnarGraph` snapshot.  It hashes each
   edge exactly once, derives every prefix parity from ``h(e).bit_length()``
   (``h(e) < 2^i`` iff ``i ≥ bitlen(h(e))``, so one XOR with a precomputed
@@ -36,37 +37,37 @@ Each kernel has two implementations, one per tier of :mod:`repro.fastpath`:
 
 A columnar kernel's aggregate equals the reference fold over the rows it is
 given, bit for bit (pinned by ``tests/core/test_columnar_kernels.py``).  It
-reaches it by one of two passes, chosen by the half-graph rule
-(:func:`repro.fastpath.covers_half`) on the number of rows:
+reaches it by one of two passes, chosen by whether the caller hands it the
+rows' cut column (:class:`~repro.network.columnar.CutColumn`, which
+:meth:`~repro.network.broadcast.TreeStructure.cut_column` memoises for trees
+holding at least half the graph, :func:`repro.fastpath.covers_half`):
 
-* a **row pass** for smaller trees: each row bisects its weight-sorted slots
-  to the tested window and folds them straight into the aggregate;
-* an **edge-window pass** for trees holding at least half the graph: one
-  bisection of the graph-wide weight-sorted edge column finds the window,
-  and the tree's row mask says which endpoints of each in-window edge the
-  tree holds.  The XOR kernels keep only edges with exactly one endpoint in
-  the tree — an edge with both is counted twice and cancels, whatever the
-  row set — so TestOut and FindAny hash only cut edges; HP-TestOut
-  multiplies ``(α − #e)`` into ``up`` if the tree holds ``u`` and into
-  ``down`` if it holds ``v``.
+* a **row pass** without one: each row bisects its weight-sorted slots to
+  the tested window and folds them straight into the aggregate;
+* a **cut pass** with one: one bisection of the cut column finds the
+  window.  An edge with both endpoints in the rows adds the same value at
+  each end of an XOR and cancels, so the XOR kernels see only cut edges
+  either way.  HP-TestOut's internal edges multiply the same factor ``I``
+  into both products instead — ``up = I·C↑`` and ``down = I·C↓`` over the
+  cut edges' products ``C↑`` and ``C↓`` — so over a prime field
+  ``up ≡ down`` iff ``C↑ ≡ C↓`` or ``I ≡ 0``, and ``I ≡ 0`` iff some
+  in-window internal edge has ``#e ≡ α (mod p)``.  The kernel looks the
+  edge numbers ``α, α + p, …`` up to the graph's largest up in the
+  snapshot — only ``α`` when ``p`` exceeds every edge number, and
+  :func:`~repro.core.primes.prime_for_field` makes it exceed the tree's —
+  so it returns the reference fold's *answer* exactly, though not its
+  pair of products.
 
-When numpy is importable (:mod:`repro.accel`) and the window holds at least
-half the graph's edges (the same rule, on edge counts), the XOR kernels
-vectorise the window pass — but only where exact: uint64 wrap-around
-multiplication for the odd hash, and the Carter–Wegman hash only when its
-products fit int64; otherwise the stdlib loop runs.  Either way the
-aggregate is identical, so the choice is wall-clock-only.
+Both passes give identical answers, so the choice is wall-clock-only.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import chain
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .. import fastpath
-from ..accel import numpy_or_none
-from ..network.columnar import ColumnarGraph
+from ..network.columnar import ColumnarGraph, CutColumn
 from .hashing import OddHashFunction, PairwiseIndependentHash
 
 __all__ = [
@@ -82,9 +83,6 @@ __all__ = [
     "pack_parity_word",
     "unpack_parity_word",
 ]
-
-_UINT64_MAX = (1 << 64) - 1
-
 
 def local_parity(
     edge_numbers: Iterable[int],
@@ -172,59 +170,32 @@ def _row_numbers(cols: ColumnarGraph, rows: Sequence[int]) -> Iterator[int]:
     )
 
 
-def _edge_window(cols: ColumnarGraph, low: int, high: int) -> Tuple[int, int]:
-    """Window pass: the ``[lo, hi)`` of ``edge_aug`` inside ``[low, high]``."""
-    lo = bisect_left(cols.edge_aug, low)
-    return lo, bisect_right(cols.edge_aug, high, lo)
+def _windows(
+    cols: ColumnarGraph,
+    rows: Sequence[int],
+    cut: Optional[CutColumn],
+    low: int,
+    high: int,
+) -> Iterator[Tuple[Sequence[int], Sequence[int], Sequence[int], int, int]]:
+    """The ``(aug, numbers, up, start, stop)`` spans of the window ``[low, high]``.
 
-
-def _cut_edges(
-    cols: ColumnarGraph, row_mask: bytearray, lo: int, hi: int
-) -> List[int]:
-    """Window pass: the edges in ``[lo, hi)`` with one endpoint in ``row_mask``.
-
-    These are the only edges an XOR aggregate over the masked rows sees:
-    an edge with both endpoints inside contributes the same value at each
-    and cancels, and one with neither contributes nothing.
+    Slots ``start:stop`` of the three parallel columns hold edges with
+    augmented weight in the window, ``up`` marking those in ``E↑``: one
+    span of the cut column in the cut pass, one per row of the aug-sorted
+    slot columns in the row pass.
     """
-    urow = cols.edge_urow
-    vrow = cols.edge_vrow
-    return [
-        edge for edge in range(lo, hi) if row_mask[urow[edge]] != row_mask[vrow[edge]]
-    ]
-
-
-def _window_numpy(cols: ColumnarGraph, lo: int, hi: int) -> Optional[Any]:
-    """numpy when the window ``[lo, hi)`` holds at least half the graph's edges."""
-    np = numpy_or_none()
-    if np is None or not cols.fits64:
-        return None
-    return np if fastpath.covers_half(hi - lo, cols.num_edges) else None
-
-
-def _numpy_cut(np, cols: ColumnarGraph, row_mask: bytearray, lo: int, hi: int):
-    """:func:`_cut_edges` as a boolean selector over the window (numpy tier)."""
-    npc = cols.numpy_columns()
-    inside = np.frombuffer(row_mask, dtype=np.bool_)
-    return inside[npc.edge_urow[lo:hi]] != inside[npc.edge_vrow[lo:hi]]
-
-
-def _numpy_xor(np, values) -> int:
-    """XOR of a uint64 vector as a Python int (0 when empty)."""
-    return int(np.bitwise_xor.reduce(values, initial=np.uint64(0)))
-
-
-def _pairwise_fits_int64(pairwise: PairwiseIndependentHash, max_number: int) -> bool:
-    """True iff ``a * x + b`` stays below 2^63 for every edge number."""
-    return pairwise.a * max_number + pairwise.b < (1 << 63)
-
-
-def _numpy_pairwise(np, pairwise: PairwiseIndependentHash, numbers):
-    """``pairwise`` over uint64 edge numbers (exact if :func:`_pairwise_fits_int64`)."""
-    signed = numbers.astype(np.int64)
-    return ((np.int64(pairwise.a) * signed + np.int64(pairwise.b)) % np.int64(
-        pairwise.p
-    )) % np.int64(pairwise.range_size)
+    if cut is not None:
+        start = bisect_left(cut.aug, low)
+        yield cut.aug, cut.numbers, cut.up, start, bisect_right(cut.aug, high, start)
+        return
+    indptr = cols.indptr
+    aug_sorted = cols.aug_sorted
+    numbers = cols.numbers_by_aug
+    up = cols.up_by_aug
+    for row in rows:
+        end = indptr[row + 1]
+        start = bisect_left(aug_sorted, low, indptr[row], end)
+        yield aug_sorted, numbers, up, start, bisect_right(aug_sorted, high, start, end)
 
 
 def range_parity_words_all(
@@ -233,7 +204,7 @@ def range_parity_words_all(
     lows: Sequence[int],
     highs: Sequence[int],
     rows: Sequence[int],
-    row_mask: bytearray,
+    cut: Optional[CutColumn],
 ) -> int:
     """FindMin's parallel TestOut parity word, aggregated over the given rows.
 
@@ -243,63 +214,17 @@ def range_parity_words_all(
     edge flips exactly one range bit; ``FindMin``'s ``w``-wise splits and
     ``Sample``'s pivot intervals always are.  Each edge inside
     ``[lows[0], highs[-1]]`` is hashed once and finds its containing range by
-    bisection.  ``row_mask`` is the rows' membership mask
-    (:meth:`~repro.network.broadcast.TreeStructure.row_mask`).
+    bisection.  ``cut`` is the rows' cut column for the cut pass, or
+    ``None`` for the row pass.
     """
-    low, high = lows[0], highs[-1]
     multiplier = odd_hash.multiplier
     threshold = odd_hash.threshold
     word_mask = (1 << odd_hash.word_bits) - 1
     word = 0
-    if fastpath.covers_half(len(rows), cols.num_nodes):
-        lo, hi = _edge_window(cols, low, high)
-        if lo == hi:
-            return 0
-        np = _window_numpy(cols, lo, hi)
-        if (
-            np is not None
-            and odd_hash.word_bits <= 64
-            and len(lows) <= 64
-            and all(bound <= _UINT64_MAX for bound in lows)
-        ):
-            # Highs clamp to the graph maximum (value-identical: no weight
-            # can exceed it), which brings FindMin's open upper bound 2^256
-            # back into uint64 territory.
-            bounded_highs = [min(bound, cols.max_augmented) for bound in highs]
-            npc = cols.numpy_columns()
-            cut = _numpy_cut(np, cols, row_mask, lo, hi)
-            weights = npc.edge_aug[lo:hi][cut]
-            hashed = (
-                np.uint64(odd_hash.multiplier) * npc.edge_numbers[lo:hi][cut]
-            ) & np.uint64((1 << odd_hash.word_bits) - 1)
-            # Every window weight is >= lows[0], so the index is >= 0.
-            index = np.searchsorted(
-                np.asarray(lows, dtype=np.uint64), weights, side="right"
-            ) - 1
-            valid = (hashed <= np.uint64(odd_hash.threshold)) & (
-                weights <= np.asarray(bounded_highs, dtype=np.uint64)[index]
-            )
-            return _numpy_xor(np, np.uint64(1) << index[valid].astype(np.uint64))
-        edge_aug = cols.edge_aug
-        edge_numbers = cols.edge_numbers
-        for edge in _cut_edges(cols, row_mask, lo, hi):
-            if (multiplier * edge_numbers[edge]) & word_mask <= threshold:
-                weight = edge_aug[edge]
-                index = bisect_right(lows, weight) - 1
-                if weight <= highs[index]:
-                    word ^= 1 << index
-        return word
-
-    # Row pass: bisect each row's weight-sorted slots to the window.
-    indptr = cols.indptr
-    aug_sorted = cols.aug_sorted
-    numbers = cols.numbers_by_aug
-    for row in rows:
-        end = indptr[row + 1]
-        start = bisect_left(aug_sorted, low, indptr[row], end)
-        for slot in range(start, bisect_right(aug_sorted, high, start, end)):
+    for aug, numbers, _, start, stop in _windows(cols, rows, cut, lows[0], highs[-1]):
+        for slot in range(start, stop):
             if (multiplier * numbers[slot]) & word_mask <= threshold:
-                weight = aug_sorted[slot]
+                weight = aug[slot]
                 index = bisect_right(lows, weight) - 1
                 if weight <= highs[index]:
                     word ^= 1 << index
@@ -311,45 +236,20 @@ def prefix_parity_words_all(
     pairwise: PairwiseIndependentHash,
     masks: Sequence[int],
     rows: Sequence[int],
-    row_mask: bytearray,
+    cut: Optional[CutColumn],
 ) -> int:
     """FindAny's prefix-parity word, aggregated over the given rows.
 
     Returns the XOR over the rows' nodes of the word whose bit ``i`` is
     ``local_prefix_parities(...)[i]``, the parity of the node's incident
     edges hashing into ``[2^i]``; ``masks`` comes from
-    :func:`prefix_flip_masks` and ``row_mask`` is the rows' membership mask.
+    :func:`prefix_flip_masks` and ``cut`` is the rows' cut column for the
+    cut pass, or ``None`` for the row pass.
     """
-    if fastpath.covers_half(len(rows), cols.num_nodes):
-        num_edges = cols.num_edges
-        np = _window_numpy(cols, 0, num_edges)
-        log_range = pairwise.log_range
-        if (
-            np is not None
-            and log_range + 1 <= 63
-            and _pairwise_fits_int64(pairwise, cols.max_number)
-        ):
-            cut = _numpy_cut(np, cols, row_mask, 0, num_edges)
-            numbers_np = cols.numpy_columns().edge_numbers[cut]
-            hashed = _numpy_pairwise(np, pairwise, numbers_np)
-            # bit_length(h) == #{powers of two <= h} for the powers below the
-            # range, which searchsorted counts directly.
-            powers = np.left_shift(
-                np.int64(1), np.arange(max(log_range, 1), dtype=np.int64)
-            )
-            bitlens = np.searchsorted(powers, hashed, side="right")
-            return _numpy_xor(np, np.asarray(masks, dtype=np.uint64)[bitlens])
-        edge_numbers = cols.edge_numbers
-        numbers: Iterable[int] = map(
-            edge_numbers.__getitem__, _cut_edges(cols, row_mask, 0, num_edges)
-        )
-    else:
-        numbers = _row_numbers(cols, rows)
-
     a, b, p = pairwise.a, pairwise.b, pairwise.p
     range_size = pairwise.range_size
     word = 0
-    for number in numbers:
+    for number in cut.numbers if cut is not None else _row_numbers(cols, rows):
         word ^= masks[(((a * number + b) % p) % range_size).bit_length()]
     return word
 
@@ -359,36 +259,52 @@ def xor_below_words_all(
     pairwise: PairwiseIndependentHash,
     prefix_exponent: int,
     rows: Sequence[int],
-    row_mask: bytearray,
+    cut: Optional[CutColumn],
 ) -> int:
     """FindAny's XOR of edge numbers hashing below ``2^prefix``, over the given rows.
 
     Returns the XOR over the rows' nodes of ``local_xor_below(...)``;
-    ``row_mask`` is the rows' membership mask.
+    ``cut`` is the rows' cut column for the cut pass, or ``None`` for the
+    row pass.
     """
     limit = 1 << prefix_exponent
-    if fastpath.covers_half(len(rows), cols.num_nodes):
-        num_edges = cols.num_edges
-        np = _window_numpy(cols, 0, num_edges)
-        if np is not None and _pairwise_fits_int64(pairwise, cols.max_number):
-            cut = _numpy_cut(np, cols, row_mask, 0, num_edges)
-            candidates = cols.numpy_columns().edge_numbers[cut]
-            below = _numpy_pairwise(np, pairwise, candidates) < np.int64(limit)
-            return _numpy_xor(np, candidates[below])
-        edge_numbers = cols.edge_numbers
-        numbers: Iterable[int] = map(
-            edge_numbers.__getitem__, _cut_edges(cols, row_mask, 0, num_edges)
-        )
-    else:
-        numbers = _row_numbers(cols, rows)
-
     a, b, p = pairwise.a, pairwise.b, pairwise.p
     range_size = pairwise.range_size
     result = 0
-    for number in numbers:
+    for number in cut.numbers if cut is not None else _row_numbers(cols, rows):
         if ((a * number + b) % p) % range_size < limit:
             result ^= number
     return result
+
+
+def _internal_factor_vanishes(
+    cols: ColumnarGraph,
+    alpha: int,
+    p: int,
+    low: int,
+    high: int,
+    row_mask: bytearray,
+) -> bool:
+    """Whether an in-window edge inside ``row_mask`` has ``#e ≡ α (mod p)``.
+
+    Walks the edge numbers ``α, α + p, …`` up to the graph's largest,
+    decodes each to its endpoints ``(u, v)`` and bisects ``u``'s row (whose
+    slots are sorted by edge number) for it.
+    """
+    id_bits = cols.id_bits
+    id_mask = (1 << id_bits) - 1
+    pos, indptr = cols.pos, cols.indptr
+    numbers, augmented = cols.numbers, cols.augmented
+    for number in range(alpha % p, cols.max_number + 1, p):
+        urow = pos.get(number >> id_bits)
+        vrow = pos.get(number & id_mask)
+        if urow is None or vrow is None or not (row_mask[urow] and row_mask[vrow]):
+            continue
+        stop = indptr[urow + 1]
+        slot = bisect_left(numbers, number, indptr[urow], stop)
+        if slot < stop and numbers[slot] == number and low <= augmented[slot] <= high:
+            return True
+    return False
 
 
 def hp_products_all(
@@ -399,44 +315,32 @@ def hp_products_all(
     high: int,
     rows: Sequence[int],
     row_mask: bytearray,
-) -> Tuple[int, int]:
-    """HP-TestOut's ``(up, down)`` products, aggregated over the given rows.
+    cut: Optional[CutColumn],
+) -> bool:
+    """HP-TestOut's answer over the given rows: do its two products differ?
 
-    Returns the componentwise product mod ``p`` of the pairs
+    The reference echo is the componentwise product mod ``p`` of the pairs
     ``local_product`` computes over each node's "up" and "down" incident
     edges with augmented weight in ``[low, high]``: ``(α − #e)`` joins
     ``up`` once if the edge's smaller endpoint is a given row and ``down``
-    once if its larger one is (``row_mask`` is the rows' membership mask).
-    Always stdlib: the mod-``p`` product chain has no exact vectorised form
-    (intermediate products overflow any fixed width), and multiplication
-    mod ``p`` being commutative makes any visiting order harmless.
+    once if its larger one is.  Returns ``up != down``, which is exact for
+    a prime ``p``: the row pass multiplies both products out, and the cut
+    pass multiplies only the cut edges' and asks
+    :func:`_internal_factor_vanishes` whether the internal edges' common
+    factor vanishes (see the module docstring).  ``row_mask`` is the rows'
+    membership mask and ``cut`` their cut column for the cut pass, or
+    ``None`` for the row pass.
     """
     up_product = down_product = 1
-    if fastpath.covers_half(len(rows), cols.num_nodes):
-        lo, hi = _edge_window(cols, low, high)
-        edge_numbers = cols.edge_numbers
-        urow = cols.edge_urow
-        vrow = cols.edge_vrow
-        for edge in range(lo, hi):
-            if row_mask[urow[edge]]:
-                up_product = up_product * (alpha - edge_numbers[edge]) % p
-            if row_mask[vrow[edge]]:
-                down_product = down_product * (alpha - edge_numbers[edge]) % p
-        return up_product, down_product
-
-    indptr = cols.indptr
-    aug_sorted = cols.aug_sorted
-    numbers = cols.numbers_by_aug
-    up = cols.up_by_aug
-    for row in rows:
-        end = indptr[row + 1]
-        start = bisect_left(aug_sorted, low, indptr[row], end)
-        for slot in range(start, bisect_right(aug_sorted, high, start, end)):
+    for _, numbers, up, start, stop in _windows(cols, rows, cut, low, high):
+        for slot in range(start, stop):
             if up[slot]:
                 up_product = up_product * (alpha - numbers[slot]) % p
             else:
                 down_product = down_product * (alpha - numbers[slot]) % p
-    return up_product, down_product
+    if up_product == down_product:
+        return False
+    return cut is None or not _internal_factor_vanishes(cols, alpha, p, low, high, row_mask)
 
 
 def pack_parity_word(parities: Sequence[int]) -> int:

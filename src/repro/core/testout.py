@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import fastpath
 from ..network.accounting import MessageAccountant
@@ -112,25 +112,13 @@ class CutTester:
         if tree is None:
             tree = self.forest.rooted_structure(root)
 
+        echo: Dict[str, Any]
         if fastpath.is_enabled():
-            # O(1) per node: the maxima and degrees are columns of the
-            # snapshot (which also makes the graph's max weight O(1)).
-            cols = self.graph.columnar()
-            pos = cols.pos
-            indptr = cols.indptr
-            node_max_number = cols.node_max_number
-            node_max_augmented = cols.node_max_augmented
-
-            def local(node: int) -> Tuple[int, int, int, int]:
-                row = pos[node]
-                return (
-                    1,
-                    node_max_number[row],
-                    node_max_augmented[row],
-                    indptr[row + 1] - indptr[row],
-                )
-
+            # The tree memoises its fold of the snapshot's per-row maxima
+            # and degrees (which also makes the graph's max weight O(1)).
+            echo = {"aggregate": tree.statistics(self.graph.columnar())}
         else:
+
             def local(node: int) -> Tuple[int, int, int, int]:
                 edges = self.graph.incident_edges(node)
                 max_edge_number = max(
@@ -141,15 +129,16 @@ class CutTester:
                 )
                 return (1, max_edge_number, max_augmented, len(edges))
 
+            echo = {"local_value": local, "reducer": STATS_REDUCER}
+
         payload_bits = max(8, 2 * id_bits + self.graph.max_weight().bit_length() + 4)
         size, max_en, max_aw, endpoints = self.executor.broadcast_and_echo(
             root=root,
-            local_value=local,
-            reducer=STATS_REDUCER,
             broadcast_bits=8,
             echo_bits=payload_bits,
             tree=tree,
             kind="stats",
+            **echo,
         )
         return TreeStatistics(
             size=size,
@@ -237,7 +226,7 @@ class CutTester:
                 tree=tree,
                 kind="testout",
                 aggregate=range_parity_words_all(
-                    cols, hash_fn, lows, highs, tree.rows(cols), tree.row_mask(cols)
+                    cols, hash_fn, lows, highs, tree.rows(cols), tree.cut_column(cols)
                 ),
             )
 
@@ -306,17 +295,24 @@ class CutTester:
         # Each node's echo value is its (up, down) pair of Schwartz–Zippel
         # products; the pairs multiply up the tree componentwise mod p.
         if fastpath.is_enabled():
-            # Fused columnar kernel: the tree's pair in one pass.
+            # Fused columnar kernel: the answer the tree's pair gives, in
+            # one pass.
             cols = self.graph.columnar()
-            rows, row_mask = tree.rows(cols), tree.row_mask(cols)
-            up, down = self.executor.broadcast_and_echo(
+            return self.executor.broadcast_and_echo(
                 root=root,
                 broadcast_bits=broadcast_bits,
                 echo_bits=echo_bits,
                 tree=tree,
                 kind="hp_testout",
                 aggregate=hp_products_all(
-                    cols, alpha, p, low_bound, high_bound, rows, row_mask
+                    cols,
+                    alpha,
+                    p,
+                    low_bound,
+                    high_bound,
+                    tree.rows(cols),
+                    tree.row_mask(cols),
+                    tree.cut_column(cols),
                 ),
             )
 

@@ -26,9 +26,8 @@ against; everything else should leave the fast path on.
 
 Within the fast path one fixed size rule, :func:`covers_half`, picks the
 whole-graph passes over the per-tree ones: a tree holding at least half the
-nodes gets the kernels' edge-window pass (and the CSR tree rebuild), and a
-window holding at least half the edges gets the numpy form of that pass when
-numpy is importable.  It is wall-clock-only and has no knob.
+nodes memoises its cut column and gets the kernels' cut pass over it (and
+the CSR tree rebuild).  It is wall-clock-only and has no knob.
 
 The switch is process-global (not thread-local): flipping it mid-simulation
 is only meant for benchmarks and tests, which use the context managers::
@@ -85,12 +84,12 @@ def covers_half(part: int, whole: int) -> bool:
     """Whether ``part`` is at least half of ``whole``.
 
     A whole-graph pass reads the graph's columns rather than a tree's own
-    rows, so it pays off only for a large part: the sketch kernels' edge-window
-    pass and the CSR tree rebuild run for trees holding at least half the
-    nodes (smaller trees loop over their own rows), and the numpy form of
-    the window pass for windows holding at least half the edges.
-    Wall-clock-only: both sides compute identical values, so counters never
-    depend on it.
+    rows, so it pays off only for a large part: trees holding at least half
+    the nodes build their cut column in one pass over the graph's edge
+    columns (:meth:`~repro.network.broadcast.TreeStructure.cut_column`),
+    and the CSR tree rebuild runs when a tree may be that large; smaller
+    trees loop over their own rows.  Wall-clock-only: both sides compute
+    identical answers, so counters never depend on it.
     """
     return 2 * part >= whole
 

@@ -48,7 +48,7 @@ from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Se
 
 from .. import fastpath
 from .accounting import MessageAccountant
-from .columnar import ColumnarGraph
+from .columnar import ColumnarGraph, CutColumn
 from .errors import ProtocolError, SimulationError
 from .fragments import SpanningForest
 from .graph import Graph
@@ -114,9 +114,13 @@ class TreeStructure:
 
     On the fast path (see :mod:`repro.fastpath`) structures live across many
     broadcast-and-echoes via the
-    :class:`~repro.network.tree_cache.TreeStructureCache`, so the
-    eccentricity and the tree's columnar rows and row mask are memoised; the
-    cache calls :meth:`invalidate_memos` whenever it patches the structure.
+    :class:`~repro.network.tree_cache.TreeStructureCache`, so everything a
+    sketch reads from the graph's columnar snapshot is memoised: the tree's
+    rows and row mask, its statistics tuple and, for a tree holding at least
+    half the graph, its cut column.  These memos live for one graph version
+    (:meth:`rows` drops them when the snapshot's version moves on), and the
+    cache calls :meth:`invalidate_memos` whenever it patches the structure,
+    which also forgets the eccentricity.
     """
 
     def __init__(
@@ -133,7 +137,7 @@ class TreeStructure:
         self._eccentricity: Optional[int] = None
         self._rows: Optional[List[int]] = None
         self._rows_version = -1
-        self._mask: Optional[bytearray] = None
+        self._forget_row_memos()
 
     @property
     def nodes(self) -> List[int]:
@@ -162,20 +166,22 @@ class TreeStructure:
 
         Memoised per graph version: the fast-path sketch kernels read only
         these rows, and a tree typically serves many broadcast-and-echoes
-        between two graph mutations.
+        between two graph mutations.  A new version also drops the row
+        mask, statistics and cut column.
         """
         if self._rows is None or self._rows_version != cols.version:
             pos = cols.pos
             self._rows = [pos[node] for node in self.parent]
             self._rows_version = cols.version
-            self._mask = None
+            self._forget_row_memos()
         return self._rows
 
     def row_mask(self, cols: ColumnarGraph) -> bytearray:
         """``mask[row]`` is 1 iff the node of ``row`` in ``cols`` is in the tree.
 
-        Memoised alongside :meth:`rows`: the sketch kernels' edge-window
-        pass reads it to tell which endpoints of an edge the tree holds.
+        Memoised alongside :meth:`rows`: the cut column is built from it,
+        and HP-TestOut and FindAny's Test read it to tell which endpoints
+        of an edge the tree holds.
         """
         rows = self.rows(cols)
         if self._mask is None:
@@ -185,11 +191,52 @@ class TreeStructure:
             self._mask = mask
         return self._mask
 
+    def statistics(self, cols: ColumnarGraph) -> Tuple[int, int, int, int]:
+        """The statistics echo ``(size, maxEdgeNum, maxWt, B)`` of the tree.
+
+        The fold of the per-node ``(1, max edge number, max augmented
+        weight, degree)`` under ``(sum, max, max, sum)``, read from the
+        snapshot's per-row columns; memoised alongside :meth:`rows`.
+        """
+        rows = self.rows(cols)
+        if self._stats is None:
+            indptr = cols.indptr
+            self._stats = (
+                len(rows),
+                max(map(cols.node_max_number.__getitem__, rows), default=0),
+                max(map(cols.node_max_augmented.__getitem__, rows), default=0),
+                sum(indptr[row + 1] - indptr[row] for row in rows),
+            )
+        return self._stats
+
+    def cut_column(self, cols: ColumnarGraph) -> Optional[CutColumn]:
+        """The tree's cut column, or ``None`` for a tree under half the graph.
+
+        Trees holding at least half the nodes
+        (:func:`~repro.fastpath.covers_half`) take the sketch kernels' cut
+        pass over :meth:`ColumnarGraph.cut_column`, memoised alongside
+        :meth:`rows`; smaller trees take the row pass and build none.
+        """
+        rows = self.rows(cols)
+        if not fastpath.covers_half(len(rows), cols.num_nodes):
+            return None
+        if self._cut is None:
+            self._cut = cols.cut_column(self.row_mask(cols))
+        return self._cut
+
     def invalidate_memos(self) -> None:
-        """Forget the memoised eccentricity, rows and row mask after a patch."""
+        """Forget every memo after a patch of the structure.
+
+        Dropping the rows makes the next :meth:`rows` call rebuild them and
+        drop the memos built on them.
+        """
         self._eccentricity = None
         self._rows = None
-        self._mask = None
+
+    def _forget_row_memos(self) -> None:
+        self._mask: Optional[bytearray] = None
+        self._stats: Optional[Tuple[int, int, int, int]] = None
+        self._cut: Optional[CutColumn] = None
 
     def path_from_root(self, node: int) -> List[int]:
         """The tree path root -> ... -> node."""

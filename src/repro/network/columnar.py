@@ -19,20 +19,19 @@ passes:
     re-sorted by augmented weight *within each node's slice*, so
     weight-windowed kernels bisect instead of scanning the degree;
 
-* an **edge-window pass** over the graph-wide edge columns ``edge_aug`` /
+* a **cut pass** for trees holding at least half the graph, over the
+  tree's :class:`CutColumn`: the edges with exactly one endpoint in the
+  tree, sorted by augmented weight.  :meth:`ColumnarGraph.cut_column`
+  builds it in one pass over the graph-wide edge columns ``edge_aug`` /
   ``edge_numbers`` / ``edge_urow`` / ``edge_vrow`` — one entry per edge,
   sorted by augmented weight, with the rows of its smaller (``u``) and
-  larger (``v``) endpoint.  A weight window is one bisection of
-  ``edge_aug``, and a tree's row mask says which endpoints of each
-  in-window edge the tree holds.
+  larger (``v``) endpoint — and the tree memoises it
+  (:meth:`~repro.network.broadcast.TreeStructure.cut_column`), so a weight
+  window is one bisection of the cut rather than of every edge.
 
 Columns are ``array('Q')`` when every value fits 64 bits and plain Python
 lists otherwise (the default ``id_bits=32`` pushes augmented weights past 64
-bits, so both representations are first-class).  When numpy is available
-(:mod:`repro.accel`) and the 64-bit representation applies, numpy mirrors
-of the edge columns are materialised lazily for the window pass's
-vectorised form; the mirrors are a wall-clock tier only — the stdlib loop
-over the same window produces the identical aggregate.
+bits, so both representations are first-class).
 
 Instances are immutable snapshots of one graph version.  :meth:`Graph.columnar`
 builds one with :meth:`ColumnarGraph.from_graph` on first use and caches it
@@ -48,14 +47,15 @@ read rebuilds it.  The reference tier never builds one.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..accel import numpy_or_none
 from .errors import GraphError
 
-__all__ = ["ColumnarGraph"]
+__all__ = ["ColumnarGraph", "CutColumn"]
 
 _UINT64_MAX = (1 << 64) - 1
 
@@ -81,16 +81,19 @@ def _splice(column: Any, edits: Tuple[Tuple[int, int], ...], insert: bool) -> An
     return column
 
 
-class _NumpyColumns:
-    """Lazily-built numpy mirrors of the edge columns (numpy tier only)."""
+class CutColumn(NamedTuple):
+    """The edges with exactly one endpoint in a row set, by augmented weight.
 
-    __slots__ = ("edge_aug", "edge_numbers", "edge_urow", "edge_vrow")
+    Parallel columns: ``aug`` (ascending), ``numbers`` and ``up``, where
+    ``up[i]`` is 1 iff the set holds the edge's smaller endpoint ``u`` (the
+    edge is in the set's ``E↑``) and 0 iff it holds ``v`` (``E↓``).  These
+    are the only edges an XOR echo over the set sees: an edge with both
+    endpoints inside contributes the same value at each and cancels.
+    """
 
-    def __init__(self, np: Any, cols: "ColumnarGraph") -> None:
-        self.edge_aug = np.asarray(cols.edge_aug, dtype=np.uint64)
-        self.edge_numbers = np.asarray(cols.edge_numbers, dtype=np.uint64)
-        self.edge_urow = np.asarray(cols.edge_urow, dtype=np.intp)
-        self.edge_vrow = np.asarray(cols.edge_vrow, dtype=np.intp)
+    aug: List[int]
+    numbers: List[int]
+    up: bytes
 
 
 class ColumnarGraph:
@@ -123,7 +126,6 @@ class ColumnarGraph:
         "max_number",
         "max_augmented",
         "fits64",
-        "_np_cols",
     )
 
     def __init__(
@@ -170,7 +172,6 @@ class ColumnarGraph:
         self.max_number = max_number
         self.max_augmented = max_augmented
         self.fits64 = fits64
-        self._np_cols: Optional[_NumpyColumns] = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -354,22 +355,22 @@ class ColumnarGraph:
         start, stop = self.slice_of(node)
         return stop - start
 
-    def numpy_columns(self) -> Optional[_NumpyColumns]:
-        """numpy mirrors of the edge columns, or ``None`` outside the numpy tier.
+    def cut_column(self, row_mask: bytearray) -> CutColumn:
+        """The :class:`CutColumn` of the rows ``row_mask`` marks.
 
-        Only available when every value fits 64 bits (``fits64``) — the
-        mirrors exist purely so the kernels' edge-window pass can vectorise;
-        callers must fall back to the stdlib columns when this returns
-        ``None``.
+        One pass over the edge columns: an edge is cut when the mask holds
+        exactly one of its two rows.  The edge columns are sorted by
+        augmented weight, so the cut is too.
         """
-        if not self.fits64:
-            return None
-        if self._np_cols is None:
-            np = numpy_or_none()
-            if np is None:
-                return None
-            self._np_cols = _NumpyColumns(np, self)
-        return self._np_cols
+        holds_u = bytes(map(row_mask.__getitem__, self.edge_urow))
+        cut = bytes(
+            map(operator.ne, holds_u, map(row_mask.__getitem__, self.edge_vrow))
+        )
+        return CutColumn(
+            aug=list(compress(self.edge_aug, cut)),
+            numbers=list(compress(self.edge_numbers, cut)),
+            up=bytes(compress(holds_u, cut)),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -177,13 +177,12 @@ class TestServiceBenchmark:
 class TestReportSchema:
     def test_report_carries_no_timing_or_memory_keys(self):
         report = run_benchmarks(names=["bench_testout"], sizes=[20], seed=9)
-        assert SCHEMA == "repro-bench/3"
+        assert SCHEMA == "repro-bench/4"
         assert set(report) == {
             "schema",
             "python",
             "quick",
             "profile",
-            "numpy",
             "seed",
             "counters_equal",
             "results",

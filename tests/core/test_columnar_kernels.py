@@ -1,18 +1,18 @@
 """Fused columnar kernels == the reference fold, aggregate for aggregate.
 
-Every columnar kernel (``*_words_all``, ``hp_products_all``) returns the
-aggregate of a set of rows: it must equal ``reduce(op, values, identity)``
-over the packed value its reference kernel (``local_range_parities``,
-``local_prefix_parities``, ``local_xor_below``, ``local_product``) computes
-from each row's node — XOR for the parity words and edge-number XORs,
-componentwise product mod ``p`` for HP-TestOut's pairs.  The row sets are
-arbitrary subsets, not only trees (an edge with both endpoints in the set
-cancels from an XOR whatever the set is), on both sides of the half-graph
-rule (:func:`repro.fastpath.covers_half`: row pass below it, edge-window
-pass at or above it), with the numpy tier both active and forced off, over
-empty, single-edge, narrow and full weight windows, an edgeless row, and
-both column representations (``fits64``).  The tier, the pass and the size
-rule may only change wall clock, never an aggregate.
+Every columnar kernel (``*_words_all``, ``hp_products_all``) folds a set of
+rows: an XOR kernel must return ``reduce(op, values, identity)`` over the
+packed value its reference kernel (``local_range_parities``,
+``local_prefix_parities``, ``local_xor_below``) computes from each row's
+node, and HP-TestOut's must return the answer (``up != down``) that the
+componentwise product mod ``p`` of the nodes' ``local_product`` pairs
+gives.  The row sets are arbitrary subsets, not only trees (an edge with
+both endpoints in the set cancels from an XOR whatever the set is), and
+every kernel runs both passes on each: the row pass (no cut column) and
+the cut pass (the set's :meth:`ColumnarGraph.cut_column`), over empty,
+single-edge, narrow and full weight windows, an edgeless row, and both
+column representations (``fits64``).  The pass may only change wall clock,
+never an answer.
 """
 
 import operator
@@ -23,9 +23,6 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.accel as accel
-import repro.core.sketches as sketches
-from repro import fastpath
 from repro.core.hashing import (
     OddHashFunction,
     PairwiseIndependentHash,
@@ -44,32 +41,9 @@ from repro.core.sketches import (
     range_parity_words_all,
     xor_below_words_all,
 )
-from repro.network.columnar import ColumnarGraph
+from repro.network.columnar import ColumnarGraph, CutColumn
 from repro.network.errors import GraphError
 from repro.network.graph import Graph
-
-
-@pytest.fixture(params=["numpy", "stdlib"])
-def tier(request, monkeypatch):
-    """Run once with the numpy tier as imported and once forced off.
-
-    Yields the list of numpy window passes the kernels ran, so a test can
-    check the tier it asked for really was exercised.
-    """
-    if request.param == "stdlib":
-        # What REPRO_NUMPY=0 does at import time.
-        monkeypatch.setattr(accel, "_np", None)
-    numpy_passes = []
-    original = sketches._numpy_cut
-
-    def spy(*args, **kwargs):
-        numpy_passes.append(args[3:])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(sketches, "_numpy_cut", spy)
-    yield request.param, numpy_passes
-    if request.param == "stdlib" or accel.numpy_or_none() is None:
-        assert not numpy_passes
 
 
 def random_graph(seed: int, n: int = 24, ordering: str = "random") -> Graph:
@@ -100,7 +74,7 @@ def random_graph(seed: int, n: int = 24, ordering: str = "random") -> Graph:
 
 
 def snapshot_columns(cols: ColumnarGraph):
-    """Every slot of ``cols`` but the numpy mirrors, with column types.
+    """Every slot of ``cols``, with column types.
 
     An ``array`` column is tagged with its typecode, so a snapshot whose
     columns changed representation (``fits64``) compares unequal.
@@ -112,7 +86,6 @@ def snapshot_columns(cols: ColumnarGraph):
             list(value) if isinstance(value, (array, bytearray, list)) else value,
         )
         for name in ColumnarGraph.__slots__
-        if name != "_np_cols"
         for value in [getattr(cols, name)]
     }
 
@@ -168,8 +141,8 @@ def row_subsets(n: int, rng: random.Random):
     """Empty, one row, just under half, half, and all rows of an n-row graph.
 
     Every non-empty subset holds the last row, which the test graphs leave
-    edgeless, so both sides of the half-graph rule meet an empty row.  The
-    subsets are arbitrary node sets, so they need not span a tree.
+    edgeless, so both passes meet an empty row.  The subsets are arbitrary
+    node sets, so they need not span a tree.
     """
     yield []
     for size in (1, (n - 1) // 2, (n + 1) // 2, n):
@@ -184,6 +157,22 @@ def mask_of(rows, num_nodes: int) -> bytearray:
     return mask
 
 
+def brute_cut(graph: Graph, nodes) -> CutColumn:
+    """The cut column of ``nodes``, from the graph's edge list."""
+    id_bits = graph.id_bits
+    inside = set(nodes)
+    cut = sorted(
+        (edge.augmented_weight(id_bits), edge.edge_number(id_bits), int(edge.u in inside))
+        for edge in graph.edges()
+        if (edge.u in inside) != (edge.v in inside)
+    )
+    return CutColumn(
+        aug=[aug for aug, _, _ in cut],
+        numbers=[number for _, number, _ in cut],
+        up=bytes(up for _, _, up in cut),
+    )
+
+
 def numbers_of(graph: Graph, node: int):
     return [edge.edge_number(graph.id_bits) for edge in graph.incident_edges(node)]
 
@@ -192,8 +181,32 @@ def xor_of(values) -> int:
     return reduce(operator.xor, values, 0)
 
 
+def reference_hp_pair(graph: Graph, nodes, alpha: int, p: int, low: int, high: int):
+    """The reference echo of HP-TestOut over ``nodes``: the ``(up, down)`` pair."""
+    id_bits = graph.id_bits
+    reducer = product_pair_reducer(p)
+    pairs = []
+    for node in nodes:
+        up, down = [], []
+        for edge in graph.incident_edges(node):
+            if low <= edge.augmented_weight(id_bits) <= high:
+                side = up if node == edge.u else down
+                side.append(edge.edge_number(id_bits))
+        pairs.append((local_product(up, alpha, p), local_product(down, alpha, p)))
+    return reduce(reducer.op, pairs, reducer.identity)
+
+
+def assert_hp_answers_match(graph: Graph, rows, alpha: int, p: int, low: int, high: int):
+    """Both passes of ``hp_products_all`` give the reference answer."""
+    cols = graph.columnar()
+    mask = mask_of(rows, cols.num_nodes)
+    up, down = reference_hp_pair(graph, [cols.ids[row] for row in rows], alpha, p, low, high)
+    for cut in (None, cols.cut_column(mask)):
+        assert hp_products_all(cols, alpha, p, low, high, rows, mask, cut) == (up != down)
+
+
 def assert_all_kernels_match(graph: Graph, rng: random.Random) -> None:
-    """Every columnar kernel's aggregate equals the reference fold on ``graph``."""
+    """Every columnar kernel's answer equals the reference fold on ``graph``."""
     cols = graph.columnar()
     assert cols.ids == graph.nodes()
     assert graph.degree(cols.ids[-1]) == 0
@@ -206,52 +219,44 @@ def assert_all_kernels_match(graph: Graph, rng: random.Random) -> None:
             for edge in graph.incident_edges(node)
         ]
 
-    sides = set()
     for rows in row_subsets(cols.num_nodes, rng):
-        sides.add(fastpath.covers_half(len(rows), cols.num_nodes))
         mask = mask_of(rows, cols.num_nodes)
         nodes = [cols.ids[row] for row in rows]
+        cut_column = cols.cut_column(mask)
+        assert cut_column == brute_cut(graph, nodes)
+        passes = (None, cut_column)
 
         odd_hash = random_odd_hash(max_number, rng)
         for lows, highs in windows(graph, rng):
             ranges = list(zip(lows, highs))
-            word = range_parity_words_all(cols, odd_hash, lows, highs, rows, mask)
-            assert word == xor_of(
+            expected = xor_of(
                 pack_parity_word(local_range_parities(incident(node), odd_hash, ranges))
                 for node in nodes
             )
+            for cut in passes:
+                assert range_parity_words_all(cols, odd_hash, lows, highs, rows, cut) == expected
 
         pairwise = random_pairwise_hash(max_number, 1 << rng.randrange(2, 10), rng)
         masks = prefix_flip_masks(pairwise.log_range)
-        word = prefix_parity_words_all(cols, pairwise, masks, rows, mask)
-        assert word == xor_of(
+        expected = xor_of(
             pack_parity_word(local_prefix_parities(numbers_of(graph, node), pairwise))
             for node in nodes
         )
+        for cut in passes:
+            assert prefix_parity_words_all(cols, pairwise, masks, rows, cut) == expected
 
         for prefix in range(pairwise.log_range + 1):
-            word = xor_below_words_all(cols, pairwise, prefix, rows, mask)
-            assert word == xor_of(
+            expected = xor_of(
                 local_xor_below(numbers_of(graph, node), pairwise, prefix)
                 for node in nodes
             )
+            for cut in passes:
+                assert xor_below_words_all(cols, pairwise, prefix, rows, cut) == expected
 
         p = 2**31 - 1
-        reducer = product_pair_reducer(p)
         alpha = rng.randrange(1, p)
         for lows, highs in windows(graph, rng):
-            low, high = lows[0], highs[-1]
-            pairs = []
-            for node in nodes:
-                up, down = [], []
-                for edge in graph.incident_edges(node):
-                    if low <= edge.augmented_weight(id_bits) <= high:
-                        side = up if node == edge.u else down
-                        side.append(edge.edge_number(id_bits))
-                pairs.append((local_product(up, alpha, p), local_product(down, alpha, p)))
-            products = hp_products_all(cols, alpha, p, low, high, rows, mask)
-            assert products == reduce(reducer.op, pairs, reducer.identity)
-    assert sides == {False, True}
+            assert_hp_answers_match(graph, rows, alpha, p, lows[0], highs[-1])
 
 
 class TestColumnarGraph:
@@ -312,7 +317,6 @@ class TestColumnarGraph:
             graph.add_node(node)
         for op, u, v, weight in ops:
             held = graph.columnar()
-            held.numpy_columns()  # export the buffers a splice must not resize
             before = snapshot_columns(held)
             if op == "add_node":
                 graph.add_node(u)
@@ -390,10 +394,10 @@ class TestColumnarGraph:
         fresh = graph.columnar()
         assert fresh is not cols and fresh.version == graph.version
 
-    def test_fits64_false_falls_back_to_lists(self, tier):
+    def test_fits64_false_falls_back_to_lists(self):
         # Default id_bits=32 pushes augmented weights past 64 bits: the
-        # columns must degrade to plain lists and the numpy mirrors to None,
-        # with every kernel still matching the reference.
+        # columns must degrade to plain lists, with every kernel still
+        # matching the reference.
         graph = Graph(id_bits=32)
         rng = random.Random(11)
         for node in range(1, 14):
@@ -404,22 +408,17 @@ class TestColumnarGraph:
         assert not cols.fits64
         assert isinstance(cols.numbers, list)
         assert isinstance(cols.edge_aug, list)
-        assert cols.numpy_columns() is None
         assert_all_kernels_match(graph, rng)
-        assert not tier[1]
 
 
 class TestFusedKernels:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("ordering", ["random", "ascending", "descending"])
-    def test_aggregates_equal_reference_fold(self, seed, ordering, tier):
+    def test_aggregates_equal_reference_fold(self, seed, ordering):
         graph = random_graph(seed=seed, ordering=ordering)
         assert_all_kernels_match(graph, random.Random(seed + 100))
-        name, numpy_passes = tier
-        if name == "numpy" and accel.numpy_or_none() is not None:
-            assert numpy_passes  # the full windows vectorised
 
-    def test_edgeless_graph_aggregates_are_identities(self, tier):
+    def test_edgeless_graph_aggregates_are_identities(self):
         graph = Graph(id_bits=8)
         for node in range(1, 5):
             graph.add_node(node)
@@ -429,49 +428,99 @@ class TestFusedKernels:
         masks = prefix_flip_masks(pairwise.log_range)
         for rows in ([], [0], [0, 1, 2, 3]):
             mask = mask_of(rows, cols.num_nodes)
-            assert range_parity_words_all(cols, odd_hash, [0], [1 << 256], rows, mask) == 0
-            assert prefix_parity_words_all(cols, pairwise, masks, rows, mask) == 0
-            assert xor_below_words_all(cols, pairwise, 2, rows, mask) == 0
-            assert hp_products_all(cols, 7, 11, 0, 1 << 256, rows, mask) == (1, 1)
+            for cut in (None, cols.cut_column(mask)):
+                assert range_parity_words_all(cols, odd_hash, [0], [1 << 256], rows, cut) == 0
+                assert prefix_parity_words_all(cols, pairwise, masks, rows, cut) == 0
+                assert xor_below_words_all(cols, pairwise, 2, rows, cut) == 0
+                assert not hp_products_all(cols, 7, 11, 0, 1 << 256, rows, mask, cut)
 
-    def test_numpy_gates_fall_back_exactly(self):
-        # Inputs outside every numpy gate (word_bits > 64, > 64 ranges, a
-        # pairwise hash whose products overflow int64) over a whole-graph
-        # row set still match the reference fold bit for bit.
-        graph = random_graph(seed=42)
+
+def cut_products(cut: CutColumn, alpha: int, p: int, low: int, high: int):
+    """``(C↑, C↓)``: HP-TestOut's products over the in-window cut edges only."""
+    up = [n for a, n, u in zip(*cut) if low <= a <= high and u]
+    down = [n for a, n, u in zip(*cut) if low <= a <= high and not u]
+    return local_product(up, alpha, p), local_product(down, alpha, p)
+
+
+class TestHpTestOutCutPass:
+    """The cut pass's internal-edge check, where ``I ≡ 0`` decides the answer."""
+
+    def internal_and_rows(self, graph: Graph, seed: int):
+        """A covering row set, its cut, and an in-window internal edge."""
+        cols = graph.columnar()
+        rng = random.Random(seed)
+        rows = sorted(rng.sample(range(cols.num_nodes - 1), cols.num_nodes // 2))
+        mask = mask_of(rows, cols.num_nodes)
+        cut = cols.cut_column(mask)
+        internal = [
+            edge
+            for edge in graph.edges()
+            if mask[cols.pos[edge.u]] and mask[cols.pos[edge.v]]
+        ]
+        assert cut.numbers and internal
+        return cols, rows, mask, cut, rng.choice(internal)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_alpha_at_an_internal_edge_means_sides_equal(self, seed):
+        # α = #e of an in-window internal edge zeroes both products, so the
+        # reference says "sides equal" although the cut products differ.
+        graph = random_graph(seed=seed)
+        cols, rows, mask, cut, edge = self.internal_and_rows(graph, seed)
+        p = 2**31 - 1
+        alpha = edge.edge_number(graph.id_bits)
+        low, high = 0, 1 << 256
+        assert reference_hp_pair(graph, [cols.ids[r] for r in rows], alpha, p, low, high) == (0, 0)
+        c_up, c_down = cut_products(cut, alpha, p, low, high)
+        assert c_up != c_down
+        assert hp_products_all(cols, alpha, p, low, high, rows, mask, cut) is False
+        assert_hp_answers_match(graph, rows, alpha, p, low, high)
+        # The same edge outside the window no longer zeroes anything.
+        aug = edge.augmented_weight(graph.id_bits)
+        assert_hp_answers_match(graph, rows, alpha, p, aug + 1, high)
+        assert_hp_answers_match(graph, rows, alpha, p, 0, aug - 1)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_small_prime_walks_several_candidates(self, seed):
+        # p ≤ max_number: α, α + p, ... all decode to candidate edges.  An
+        # internal edge whose number is α plus a few p is found past the
+        # first candidate; every other α matches the reference too.
+        graph = random_graph(seed=seed)
+        cols, rows, mask, cut, edge = self.internal_and_rows(graph, seed)
+        p = 101
+        number = edge.edge_number(graph.id_bits)
+        assert number > p and cols.max_number > 3 * p
+        alpha = number % p
+        c_up, c_down = cut_products(cut, alpha, p, 0, 1 << 256)
+        assert c_up != c_down
+        assert hp_products_all(cols, alpha, p, 0, 1 << 256, rows, mask, cut) is False
+        for alpha in range(p):
+            assert_hp_answers_match(graph, rows, alpha, p, 0, 1 << 256)
+
+    def test_empty_window(self):
+        graph = random_graph(seed=7)
+        cols = graph.columnar()
+        rows = list(range(0, cols.num_nodes, 2))
+        for alpha in (0, 5, 2**31 - 2):
+            assert_hp_answers_match(graph, rows, alpha, 2**31 - 1, cols.max_augmented + 1, 1 << 256)
+            mask = mask_of(rows, cols.num_nodes)
+            cut = cols.cut_column(mask)
+            assert not hp_products_all(
+                cols, alpha, 2**31 - 1, cols.max_augmented + 1, 1 << 256, rows, mask, cut
+            )
+
+    def test_empty_cut(self):
+        # Every row (and so every edge) inside: the cut column is empty and
+        # both sides hold every in-window edge once.
+        graph = random_graph(seed=8)
         cols = graph.columnar()
         rows = list(range(cols.num_nodes))
         mask = mask_of(rows, cols.num_nodes)
-        wide = OddHashFunction(multiplier=(1 << 69) + 1, threshold=1 << 68, word_bits=70)
-        lows = list(range(0, 140, 2))  # 70 ranges > the 64-bit word gate
-        highs = [low + 1 for low in lows]
-        word = range_parity_words_all(cols, wide, lows, highs, rows, mask)
-        assert word == xor_of(
-            pack_parity_word(
-                local_range_parities(
-                    [
-                        (edge.augmented_weight(graph.id_bits), edge.edge_number(graph.id_bits))
-                        for edge in graph.incident_edges(node)
-                    ],
-                    wide,
-                    list(zip(lows, highs)),
+        assert cols.cut_column(mask) == CutColumn([], [], b"")
+        rng = random.Random(8)
+        for p in (101, 2**31 - 1):
+            for _ in range(20):
+                alpha = rng.randrange(p)
+                assert_hp_answers_match(graph, rows, alpha, p, 0, 1 << 256)
+                assert not hp_products_all(
+                    cols, alpha, p, 0, 1 << 256, rows, mask, cols.cut_column(mask)
                 )
-            )
-            for node in cols.ids
-        )
-
-        huge_p = 2**89 - 1  # a * max_number + b overflows int64
-        pairwise = PairwiseIndependentHash(
-            a=huge_p - 3, b=huge_p - 7, p=huge_p, range_size=64
-        )
-        word = prefix_parity_words_all(
-            cols, pairwise, prefix_flip_masks(pairwise.log_range), rows, mask
-        )
-        xor_word = xor_below_words_all(cols, pairwise, 3, rows, mask)
-        assert word == xor_of(
-            pack_parity_word(local_prefix_parities(numbers_of(graph, node), pairwise))
-            for node in cols.ids
-        )
-        assert xor_word == xor_of(
-            local_xor_below(numbers_of(graph, node), pairwise, 3) for node in cols.ids
-        )

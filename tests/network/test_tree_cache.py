@@ -9,12 +9,15 @@ path.
 """
 
 import random
+from functools import reduce
 
 import pytest
 
 from repro import fastpath
+from repro.core.testout import STATS_REDUCER
 from repro.generators import random_connected_graph, random_spanning_tree_forest
 from repro.network.broadcast import TreeStructure, build_tree_structure
+from repro.network.columnar import CutColumn
 from repro.network.fragments import SpanningForest
 from repro.network.graph import Graph
 from repro.network.tree_cache import TreeStructureCache, rooted_tree
@@ -142,6 +145,86 @@ class TestPatching:
         with fastpath.fast_path():
             third = rooted_tree(forest, 1)
             assert rooted_tree(forest, 1) is third
+
+
+class TestSketchMemos:
+    """The statistics tuple and cut column a tree memoises for the sketches."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_statistics_equal_the_reference_fold(self, seed):
+        graph = random_connected_graph(20, 50, seed=seed)
+        forest = random_spanning_tree_forest(graph, seed=seed + 1)
+        forest.unmark(*sorted(forest.marked_edges)[seed])
+        for root in graph.nodes():
+            structure = build_tree_structure(forest, root)
+            local = {
+                node: (
+                    1,
+                    max(e.edge_number(graph.id_bits) for e in graph.incident_edges(node)),
+                    max(e.augmented_weight(graph.id_bits) for e in graph.incident_edges(node)),
+                    graph.degree(node),
+                )
+                for node in structure.parent
+            }
+            expected = reduce(STATS_REDUCER.op, local.values(), STATS_REDUCER.identity)
+            assert structure.statistics(graph.columnar()) == expected
+
+    def test_cut_column_only_for_trees_holding_half_the_graph(self):
+        graph, forest = path_forest(10)
+        forest.unmark(5, 6)
+        forest.unmark(6, 7)
+        cols = graph.columnar()
+        for root, size in ((6, 1), (7, 4)):
+            below_half = forest.rooted_structure(root)
+            assert below_half.size == size
+            assert below_half.cut_column(cols) is None
+        half = forest.rooted_structure(1)
+        assert half.size == 5
+        cut = half.cut_column(cols)
+        # The path 1-...-5 leaves by its one edge (5, 6), from its u side.
+        assert cut == CutColumn(
+            [graph.augmented_weight(5, 6)], [graph.edge_number(5, 6)], b"\x01"
+        )
+        assert half.cut_column(cols) is cut
+
+    def test_unrelated_tree_change_keeps_the_memos(self):
+        graph, forest = path_forest(10)
+        forest.unmark(7, 8)
+        structure = forest.rooted_structure(1)
+        cols = graph.columnar()
+        cut, stats = structure.cut_column(cols), structure.statistics(cols)
+        forest.unmark(8, 9)  # another component: the patch touches nothing
+        assert forest.rooted_structure(1) is structure
+        assert structure.cut_column(cols) is cut
+        assert structure.statistics(cols) is stats
+
+    def test_graph_change_rebuilds_the_memos(self):
+        graph, forest = path_forest(10)
+        graph.add_edge(1, 9, weight=3)
+        forest.unmark(8, 9)
+        structure = forest.rooted_structure(1)
+        cut = structure.cut_column(graph.columnar())
+        assert cut.numbers == [graph.edge_number(1, 9), graph.edge_number(8, 9)]
+        graph.set_weight(1, 9, weight=50)
+        cols = graph.columnar()
+        assert forest.rooted_structure(1) is structure
+        assert structure.cut_column(cols).numbers == [
+            graph.edge_number(8, 9),
+            graph.edge_number(1, 9),
+        ]
+        assert structure.statistics(cols)[2] == graph.augmented_weight(1, 9)
+
+    def test_patch_rebuilds_the_memos(self):
+        graph, forest = path_forest(10)
+        forest.unmark(8, 9)
+        structure = forest.rooted_structure(1)
+        cols = graph.columnar()
+        assert structure.statistics(cols)[0] == 8
+        assert structure.cut_column(cols).numbers == [graph.edge_number(8, 9)]
+        forest.mark(8, 9)  # graft 9 and 10 back on
+        assert forest.rooted_structure(1) is structure
+        assert structure.statistics(cols)[0] == 10
+        assert structure.cut_column(cols) == CutColumn([], [], b"")
 
 
 class TestFuzzAgainstRebuild:
