@@ -136,12 +136,9 @@ class FindAny:
         echo: Dict[str, Any]
         if fast:
             cols = self.graph.columnar()
-            rows = tree.rows(cols)
             cut = tree.cut_column(cols)
             masks = prefix_flip_masks(pairwise.log_range)
-            echo = {
-                "aggregate": prefix_parity_words_all(cols, pairwise, masks, rows, cut)
-            }
+            echo = {"aggregate": prefix_parity_words_all(pairwise, masks, cut)}
 
         else:
 
@@ -168,11 +165,7 @@ class FindAny:
 
         # Step 3(d): XOR of edge numbers hashing below 2^min.
         if fast:
-            echo = {
-                "aggregate": xor_below_words_all(
-                    cols, pairwise, min_prefix, rows, cut
-                )
-            }
+            echo = {"aggregate": xor_below_words_all(pairwise, min_prefix, cut)}
 
         else:
 

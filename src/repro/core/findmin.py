@@ -125,17 +125,18 @@ class FindMin:
             else self.config.findmin_budget(max(high, 2))
         )
         word_size = self.config.word_size
+        rng = self.config.rng
+        universe = max(stats.max_edge_number, 1)
 
         iterations = 0
         while iterations < budget:
             iterations += 1
             # Steps 4-5: one B&E answering w TestOuts in parallel.
             ranges = self._split_range(low, high, word_size)
-            odd_hash = random_odd_hash(max(stats.max_edge_number, 1), self.config.rng)
             word = self.tester.test_out_word(
                 root=root,
                 ranges=ranges,
-                odd_hash=odd_hash,
+                odd_hash=random_odd_hash(universe, rng),
                 max_edge_number=stats.max_edge_number,
                 tree=tree,
             )
@@ -197,14 +198,9 @@ class FindMin:
         """Split [low, high] into at most ``word_size`` contiguous sub-ranges."""
         if low > high:
             raise AlgorithmError(f"invalid range [{low}, {high}]")
-        span = high - low + 1
-        chunk = max(1, -(-span // word_size))
-        ranges: List[Tuple[int, int]] = []
-        start = low
-        while start <= high:
-            end = min(high, start + chunk - 1)
-            ranges.append((start, end))
-            start = end + 1
+        chunk = max(1, -(-(high - low + 1) // word_size))
+        ranges = [(start, start + chunk - 1) for start in range(low, high + 1, chunk)]
+        ranges[-1] = (ranges[-1][0], high)
         return ranges
 
     @staticmethod

@@ -41,23 +41,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+_set_field = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class OddHashFunction:
-    """The multiply-threshold 1/8-odd hash ``h(x) = [a·x mod 2^w ≤ t]``."""
+    """The multiply-threshold 1/8-odd hash ``h(x) = [a·x mod 2^w ≤ t]``.
+
+    FindMin draws one per iteration, so the constructor checks the
+    arguments and sets the frozen fields directly rather than going through
+    the generated ``__init__`` and ``__post_init__``.
+    """
 
     multiplier: int
     threshold: int
     word_bits: int
 
-    def __post_init__(self) -> None:
-        if self.word_bits < 1:
+    def __init__(self, multiplier: int, threshold: int, word_bits: int) -> None:
+        if word_bits < 1:
             raise AlgorithmError("word_bits must be positive")
-        if self.multiplier % 2 == 0:
+        if multiplier % 2 == 0:
             raise AlgorithmError("the multiplier of an odd hash must be odd")
-        if not (1 <= self.multiplier < (1 << self.word_bits)):
+        size = 1 << word_bits
+        if not (1 <= multiplier < size):
             raise AlgorithmError("multiplier out of range [1, 2^w)")
-        if not (1 <= self.threshold <= (1 << self.word_bits)):
+        if not (1 <= threshold <= size):
             raise AlgorithmError("threshold out of range [1, 2^w]")
+        _set_field(self, "multiplier", multiplier)
+        _set_field(self, "threshold", threshold)
+        _set_field(self, "word_bits", word_bits)
 
     def __call__(self, x: int) -> int:
         """Hash a non-negative integer to {0, 1}."""

@@ -28,44 +28,35 @@ Each kernel has two implementations, one per tier of :mod:`repro.fastpath`:
 * the **columnar** form (``*_words_all``, ``hp_products_all``) — one fused
   call per broadcast-and-echo that returns the tree's *aggregate*, the value
   the echo delivers at the root (HP-TestOut's: the answer its aggregate
-  gives), read from the graph's
+  gives), read from the tree's cut column of the graph's
   :class:`~repro.network.columnar.ColumnarGraph` snapshot.  It hashes each
-  edge exactly once, derives every prefix parity from ``h(e).bit_length()``
+  cut edge exactly once, derives every prefix parity from ``h(e).bit_length()``
   (``h(e) < 2^i`` iff ``i ≥ bitlen(h(e))``, so one XOR with a precomputed
   mask flips all the prefixes an edge belongs to), and packs parities into
   a single int word.
 
-A columnar kernel's aggregate equals the reference fold over the rows it is
-given, bit for bit (pinned by ``tests/core/test_columnar_kernels.py``).  It
-reaches it by one of two passes, chosen by whether the caller hands it the
-rows' cut column (:class:`~repro.network.columnar.CutColumn`, which
-:meth:`~repro.network.broadcast.TreeStructure.cut_column` memoises for trees
-holding at least half the graph, :func:`repro.fastpath.covers_half`):
-
-* a **row pass** without one: each row bisects its weight-sorted slots to
-  the tested window and folds them straight into the aggregate;
-* a **cut pass** with one: one bisection of the cut column finds the
-  window.  An edge with both endpoints in the rows adds the same value at
-  each end of an XOR and cancels, so the XOR kernels see only cut edges
-  either way.  HP-TestOut's internal edges multiply the same factor ``I``
-  into both products instead — ``up = I·C↑`` and ``down = I·C↓`` over the
-  cut edges' products ``C↑`` and ``C↓`` — so over a prime field
-  ``up ≡ down`` iff ``C↑ ≡ C↓`` or ``I ≡ 0``, and ``I ≡ 0`` iff some
-  in-window internal edge has ``#e ≡ α (mod p)``.  The kernel looks the
-  edge numbers ``α, α + p, …`` up to the graph's largest up in the
-  snapshot — only ``α`` when ``p`` exceeds every edge number, and
-  :func:`~repro.core.primes.prime_for_field` makes it exceed the tree's —
-  so it returns the reference fold's *answer* exactly, though not its
-  pair of products.
-
-Both passes give identical answers, so the choice is wall-clock-only.
+A columnar kernel's aggregate equals the reference fold over the tree's
+rows, bit for bit (pinned by ``tests/core/test_columnar_kernels.py``), and
+it reads only the tree's cut column
+(:class:`~repro.network.columnar.CutColumn`, memoised per tree by
+:meth:`~repro.network.broadcast.TreeStructure.cut_column`): one bisection
+finds the tested window.  An edge with both endpoints in the tree adds the
+same value at each end of an XOR and cancels, so the XOR kernels see only
+cut edges anyway.  HP-TestOut's internal edges multiply the same factor
+``I`` into both products instead — ``up = I·C↑`` and ``down = I·C↓`` over
+the cut edges' products ``C↑`` and ``C↓`` — so over a prime field
+``up ≡ down`` iff ``C↑ ≡ C↓`` or ``I ≡ 0``, and ``I ≡ 0`` iff some in-window
+internal edge has ``#e ≡ α (mod p)``.  The kernel looks up the edge numbers
+``α, α + p, …`` up to the tree's largest edge number (its statistics echo's
+``maxEdgeNum``) — only ``α`` when ``p`` exceeds it, which
+:func:`~repro.core.primes.prime_for_field` guarantees — so it returns the
+reference fold's *answer* exactly, though not its pair of products.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from ..network.columnar import ColumnarGraph, CutColumn
 from .hashing import OddHashFunction, PairwiseIndependentHash
@@ -148,7 +139,7 @@ def local_xor_below(
 
 
 # ---------------------------------------------------------------------- #
-# columnar kernels over the tree's rows (see repro.fastpath)
+# columnar kernels over the tree's cut column (see repro.fastpath)
 # ---------------------------------------------------------------------- #
 def prefix_flip_masks(log_range: int) -> List[int]:
     """``masks[b]`` flips every prefix parity an edge with bit-length ``b`` joins.
@@ -161,117 +152,72 @@ def prefix_flip_masks(log_range: int) -> List[int]:
     return [full & ~((1 << b) - 1) for b in range(log_range + 1)]
 
 
-def _row_numbers(cols: ColumnarGraph, rows: Sequence[int]) -> Iterator[int]:
-    """Row pass: the edge number of every slot of the given rows."""
-    indptr = cols.indptr
-    numbers = cols.numbers
-    return chain.from_iterable(
-        numbers[indptr[row] : indptr[row + 1]] for row in rows
-    )
-
-
-def _windows(
-    cols: ColumnarGraph,
-    rows: Sequence[int],
-    cut: Optional[CutColumn],
-    low: int,
-    high: int,
-) -> Iterator[Tuple[Sequence[int], Sequence[int], Sequence[int], int, int]]:
-    """The ``(aug, numbers, up, start, stop)`` spans of the window ``[low, high]``.
-
-    Slots ``start:stop`` of the three parallel columns hold edges with
-    augmented weight in the window, ``up`` marking those in ``E↑``: one
-    span of the cut column in the cut pass, one per row of the aug-sorted
-    slot columns in the row pass.
-    """
-    if cut is not None:
-        start = bisect_left(cut.aug, low)
-        yield cut.aug, cut.numbers, cut.up, start, bisect_right(cut.aug, high, start)
-        return
-    indptr = cols.indptr
-    aug_sorted = cols.aug_sorted
-    numbers = cols.numbers_by_aug
-    up = cols.up_by_aug
-    for row in rows:
-        end = indptr[row + 1]
-        start = bisect_left(aug_sorted, low, indptr[row], end)
-        yield aug_sorted, numbers, up, start, bisect_right(aug_sorted, high, start, end)
-
-
 def range_parity_words_all(
-    cols: ColumnarGraph,
     odd_hash: OddHashFunction,
     lows: Sequence[int],
     highs: Sequence[int],
-    rows: Sequence[int],
-    cut: Optional[CutColumn],
+    cut: CutColumn,
 ) -> int:
-    """FindMin's parallel TestOut parity word, aggregated over the given rows.
+    """FindMin's parallel TestOut parity word, aggregated over a tree.
 
-    Returns the XOR over the rows' nodes of the word whose bit ``i`` is
+    Returns the XOR over the tree's nodes of the word whose bit ``i`` is
     ``local_range_parities(...)[i]`` for the ranges ``[lows[i], highs[i]]``,
     which must be sorted and disjoint (``highs[i] < lows[i + 1]``) so that an
     edge flips exactly one range bit; ``FindMin``'s ``w``-wise splits and
-    ``Sample``'s pivot intervals always are.  Each edge inside
-    ``[lows[0], highs[-1]]`` is hashed once and finds its containing range by
-    bisection.  ``cut`` is the rows' cut column for the cut pass, or
-    ``None`` for the row pass.
+    ``Sample``'s pivot intervals always are.  ``cut`` is the tree's cut
+    column; each of its edges inside ``[lows[0], highs[-1]]`` is hashed once
+    and finds its containing range by bisection.
     """
     multiplier = odd_hash.multiplier
     threshold = odd_hash.threshold
     word_mask = (1 << odd_hash.word_bits) - 1
+    aug = cut.aug
+    start = bisect_left(aug, lows[0])
+    stop = bisect_right(aug, highs[-1], start)
     word = 0
-    for aug, numbers, _, start, stop in _windows(cols, rows, cut, lows[0], highs[-1]):
-        for slot in range(start, stop):
-            if (multiplier * numbers[slot]) & word_mask <= threshold:
-                weight = aug[slot]
-                index = bisect_right(lows, weight) - 1
-                if weight <= highs[index]:
-                    word ^= 1 << index
+    for weight, number in zip(aug[start:stop], cut.numbers[start:stop]):
+        if (multiplier * number) & word_mask <= threshold:
+            index = bisect_right(lows, weight) - 1
+            if weight <= highs[index]:
+                word ^= 1 << index
     return word
 
 
 def prefix_parity_words_all(
-    cols: ColumnarGraph,
     pairwise: PairwiseIndependentHash,
     masks: Sequence[int],
-    rows: Sequence[int],
-    cut: Optional[CutColumn],
+    cut: CutColumn,
 ) -> int:
-    """FindAny's prefix-parity word, aggregated over the given rows.
+    """FindAny's prefix-parity word, aggregated over a tree.
 
-    Returns the XOR over the rows' nodes of the word whose bit ``i`` is
+    Returns the XOR over the tree's nodes of the word whose bit ``i`` is
     ``local_prefix_parities(...)[i]``, the parity of the node's incident
     edges hashing into ``[2^i]``; ``masks`` comes from
-    :func:`prefix_flip_masks` and ``cut`` is the rows' cut column for the
-    cut pass, or ``None`` for the row pass.
+    :func:`prefix_flip_masks` and ``cut`` is the tree's cut column.
     """
     a, b, p = pairwise.a, pairwise.b, pairwise.p
     range_size = pairwise.range_size
     word = 0
-    for number in cut.numbers if cut is not None else _row_numbers(cols, rows):
+    for number in cut.numbers:
         word ^= masks[(((a * number + b) % p) % range_size).bit_length()]
     return word
 
 
 def xor_below_words_all(
-    cols: ColumnarGraph,
     pairwise: PairwiseIndependentHash,
     prefix_exponent: int,
-    rows: Sequence[int],
-    cut: Optional[CutColumn],
+    cut: CutColumn,
 ) -> int:
-    """FindAny's XOR of edge numbers hashing below ``2^prefix``, over the given rows.
+    """FindAny's XOR of edge numbers hashing below ``2^prefix``, over a tree.
 
-    Returns the XOR over the rows' nodes of ``local_xor_below(...)``;
-    ``cut`` is the rows' cut column for the cut pass, or ``None`` for the
-    row pass.
+    Returns the XOR over the tree's nodes of ``local_xor_below(...)``;
+    ``cut`` is the tree's cut column.
     """
     limit = 1 << prefix_exponent
     a, b, p = pairwise.a, pairwise.b, pairwise.p
     range_size = pairwise.range_size
     result = 0
-    for number in cut.numbers if cut is not None else _row_numbers(cols, rows):
+    for number in cut.numbers:
         if ((a * number + b) % p) % range_size < limit:
             result ^= number
     return result
@@ -284,18 +230,20 @@ def _internal_factor_vanishes(
     low: int,
     high: int,
     row_mask: bytearray,
+    max_number: int,
 ) -> bool:
     """Whether an in-window edge inside ``row_mask`` has ``#e ≡ α (mod p)``.
 
-    Walks the edge numbers ``α, α + p, …`` up to the graph's largest,
-    decodes each to its endpoints ``(u, v)`` and bisects ``u``'s row (whose
-    slots are sorted by edge number) for it.
+    Walks the edge numbers ``α, α + p, …`` up to ``max_number``, the largest
+    edge number incident to the rows (no internal edge exceeds it), decodes
+    each to its endpoints ``(u, v)`` and bisects ``u``'s row (whose slots
+    are sorted by edge number) for it.
     """
     id_bits = cols.id_bits
     id_mask = (1 << id_bits) - 1
     pos, indptr = cols.pos, cols.indptr
     numbers, augmented = cols.numbers, cols.augmented
-    for number in range(alpha % p, cols.max_number + 1, p):
+    for number in range(alpha % p, max_number + 1, p):
         urow = pos.get(number >> id_bits)
         vrow = pos.get(number & id_mask)
         if urow is None or vrow is None or not (row_mask[urow] and row_mask[vrow]):
@@ -313,34 +261,35 @@ def hp_products_all(
     p: int,
     low: int,
     high: int,
-    rows: Sequence[int],
     row_mask: bytearray,
-    cut: Optional[CutColumn],
+    max_number: int,
+    cut: CutColumn,
 ) -> bool:
-    """HP-TestOut's answer over the given rows: do its two products differ?
+    """HP-TestOut's answer over a tree: do its two products differ?
 
     The reference echo is the componentwise product mod ``p`` of the pairs
     ``local_product`` computes over each node's "up" and "down" incident
     edges with augmented weight in ``[low, high]``: ``(α − #e)`` joins
-    ``up`` once if the edge's smaller endpoint is a given row and ``down``
+    ``up`` once if the edge's smaller endpoint is in the tree and ``down``
     once if its larger one is.  Returns ``up != down``, which is exact for
-    a prime ``p``: the row pass multiplies both products out, and the cut
-    pass multiplies only the cut edges' and asks
-    :func:`_internal_factor_vanishes` whether the internal edges' common
-    factor vanishes (see the module docstring).  ``row_mask`` is the rows'
-    membership mask and ``cut`` their cut column for the cut pass, or
-    ``None`` for the row pass.
+    a prime ``p``: the kernel multiplies only the cut edges' factors and
+    asks :func:`_internal_factor_vanishes` whether the internal edges'
+    common factor vanishes (see the module docstring).  ``row_mask`` is the
+    tree's row membership mask, ``max_number`` its largest incident edge
+    number and ``cut`` its cut column.
     """
+    aug = cut.aug
+    start = bisect_left(aug, low)
+    stop = bisect_right(aug, high, start)
     up_product = down_product = 1
-    for _, numbers, up, start, stop in _windows(cols, rows, cut, low, high):
-        for slot in range(start, stop):
-            if up[slot]:
-                up_product = up_product * (alpha - numbers[slot]) % p
-            else:
-                down_product = down_product * (alpha - numbers[slot]) % p
+    for number, up in zip(cut.numbers[start:stop], cut.up[start:stop]):
+        if up:
+            up_product = up_product * (alpha - number) % p
+        else:
+            down_product = down_product * (alpha - number) % p
     if up_product == down_product:
         return False
-    return cut is None or not _internal_factor_vanishes(cols, alpha, p, low, high, row_mask)
+    return not _internal_factor_vanishes(cols, alpha, p, low, high, row_mask, max_number)
 
 
 def pack_parity_word(parities: Sequence[int]) -> int:

@@ -191,12 +191,11 @@ class CutTester:
         ``w``-bit word.  Bit ``i`` of the returned word is the outcome of
         ``TestOut(x, ranges[i])``.
         """
-        if not ranges:
+        count = len(ranges)
+        if not count:
             raise AlgorithmError("at least one range is required")
-        if len(ranges) > max(self.config.word_size, 1) and len(ranges) > 64:
-            raise AlgorithmError(
-                f"{len(ranges)} parallel ranges exceed the word size"
-            )
+        if count > 64 and count > max(self.config.word_size, 1):
+            raise AlgorithmError(f"{count} parallel ranges exceed the word size")
         id_bits = self.graph.id_bits
         if tree is None:
             tree = self.forest.rooted_structure(root)
@@ -210,8 +209,11 @@ class CutTester:
             if odd_hash is not None
             else random_odd_hash(max_edge_number, self.config.rng)
         )
-        lows = [0 if low is None else low for low, _ in ranges]
-        highs = [_OPEN_HIGH if high is None else high for _, high in ranges]
+        lows, highs = zip(*ranges)
+        if None in lows:
+            lows = tuple(0 if low is None else low for low in lows)
+        if None in highs:
+            highs = tuple(_OPEN_HIGH if high is None else high for high in highs)
         range_bits = 2 * max(max(map(int.bit_length, highs)), 1)
         broadcast_bits = hash_fn.description_bits() + min(range_bits, 4 * id_bits + 64)
 
@@ -222,11 +224,11 @@ class CutTester:
             return self.executor.broadcast_and_echo(
                 root=root,
                 broadcast_bits=broadcast_bits,
-                echo_bits=len(ranges),
+                echo_bits=count,
                 tree=tree,
                 kind="testout",
                 aggregate=range_parity_words_all(
-                    cols, hash_fn, lows, highs, tree.rows(cols), tree.cut_column(cols)
+                    hash_fn, lows, highs, tree.cut_column(cols)
                 ),
             )
 
@@ -289,8 +291,9 @@ class CutTester:
         id_bits = self.graph.id_bits
         low_bound = low if low is not None else 0
         high_bound = high if high is not None else _OPEN_HIGH
-        broadcast_bits = p.bit_length() + min(4 * id_bits + 64, 256)
-        echo_bits = 2 * p.bit_length()
+        prime_bits = p.bit_length()
+        broadcast_bits = prime_bits + min(4 * id_bits + 64, 256)
+        echo_bits = 2 * prime_bits
 
         # Each node's echo value is its (up, down) pair of Schwartz–Zippel
         # products; the pairs multiply up the tree componentwise mod p.
@@ -310,8 +313,8 @@ class CutTester:
                     p,
                     low_bound,
                     high_bound,
-                    tree.rows(cols),
                     tree.row_mask(cols),
+                    tree.statistics(cols)[1],
                     tree.cut_column(cols),
                 ),
             )

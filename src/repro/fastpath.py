@@ -6,11 +6,11 @@ The simulation has two execution paths through the sketch/broadcast stack:
   :class:`~repro.network.fragments.SpanningForest` and incrementally patched
   on single-edge attach/detach, and every sketch echo is one fused kernel
   call in :mod:`repro.core.sketches` that returns the tree's aggregate
-  straight from the graph's columnar snapshot
-  (:meth:`~repro.network.graph.Graph.columnar`), hashing each edge exactly
-  once and deriving all prefix / range parities with single-int word
-  operations; the broadcast-and-echo executor takes that aggregate and
-  only charges;
+  from its memoised cut column of the graph's columnar snapshot
+  (:meth:`~repro.network.graph.Graph.columnar`), hashing each cut edge
+  exactly once and deriving all prefix / range parities with single-int
+  word operations; the broadcast-and-echo executor takes that aggregate
+  and charges it with one accountant call;
 
 * the **reference path** — the original straight-line implementations: the
   rooted structure is rebuilt from the forest for every procedure call, and
@@ -25,9 +25,10 @@ reference path exists as the executable spec the fast path is checked
 against; everything else should leave the fast path on.
 
 Within the fast path one fixed size rule, :func:`covers_half`, picks the
-whole-graph passes over the per-tree ones: a tree holding at least half the
-nodes memoises its cut column and gets the kernels' cut pass over it (and
-the CSR tree rebuild).  It is wall-clock-only and has no knob.
+whole-graph builds over the per-tree ones: a tree holding at least half the
+nodes builds its cut column from the graph's edge columns (and gets the
+CSR tree rebuild), a smaller one from its own rows.  It is wall-clock-only
+and has no knob.
 
 The switch is process-global (not thread-local): flipping it mid-simulation
 is only meant for benchmarks and tests, which use the context managers::
@@ -84,12 +85,14 @@ def covers_half(part: int, whole: int) -> bool:
     """Whether ``part`` is at least half of ``whole``.
 
     A whole-graph pass reads the graph's columns rather than a tree's own
-    rows, so it pays off only for a large part: trees holding at least half
-    the nodes build their cut column in one pass over the graph's edge
-    columns (:meth:`~repro.network.broadcast.TreeStructure.cut_column`),
-    and the CSR tree rebuild runs when a tree may be that large; smaller
-    trees loop over their own rows.  Wall-clock-only: both sides compute
-    identical answers, so counters never depend on it.
+    rows, so it pays off only for a large part.  It picks two things: the
+    builder of a tree's cut column
+    (:meth:`~repro.network.broadcast.TreeStructure.cut_column`) — one pass
+    over the graph's edge columns for a tree holding at least half the
+    nodes, a gather and sort of its own rows' cut slots otherwise — and
+    whether the CSR tree rebuild runs, which it does when a tree may be
+    that large.  Wall-clock-only: both sides compute identical answers, so
+    counters never depend on it.
     """
     return 2 * part >= whole
 

@@ -21,7 +21,7 @@ creating a new accountant:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .errors import AccountingError
 
@@ -115,6 +115,38 @@ class MessageAccountant:
     def record_broadcast_echo(self) -> None:
         """Record that one broadcast-and-echo primitive was invoked."""
         self._broadcast_echoes += 1
+
+    def record_broadcast_echo_cost(
+        self,
+        count: int,
+        bcast_bits: int,
+        echo_bits: int,
+        labels: Tuple[str, str],
+        rounds: int,
+    ) -> None:
+        """Charge one broadcast-and-echo over a tree with ``count`` edges.
+
+        Equal to :meth:`record_broadcast_echo`, then :meth:`record_messages`
+        of ``count`` broadcast and ``count`` echo messages under the
+        ``(bcast, echo)`` kinds of ``labels``, then :meth:`record_rounds`,
+        with the same checks (bit widths only when ``count`` is positive).
+        """
+        if count < 0:
+            raise AccountingError("cannot charge a negative number of messages")
+        if rounds < 0:
+            raise AccountingError("cannot advance time backwards")
+        self._broadcast_echoes += 1
+        self._rounds += rounds
+        if count == 0:
+            return
+        if bcast_bits < 1 or echo_bits < 1:
+            raise AccountingError("a message carries at least one bit")
+        self._messages += 2 * count
+        self._bits += count * (bcast_bits + echo_bits)
+        per_kind = self._per_kind
+        bcast, echo = labels
+        per_kind[bcast] = per_kind.get(bcast, 0) + count
+        per_kind[echo] = per_kind.get(echo, 0) + count
 
     def record_phase(self, record: PhaseRecord) -> None:
         self._phases.append(record)

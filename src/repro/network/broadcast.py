@@ -116,11 +116,10 @@ class TreeStructure:
     broadcast-and-echoes via the
     :class:`~repro.network.tree_cache.TreeStructureCache`, so everything a
     sketch reads from the graph's columnar snapshot is memoised: the tree's
-    rows and row mask, its statistics tuple and, for a tree holding at least
-    half the graph, its cut column.  These memos live for one graph version
-    (:meth:`rows` drops them when the snapshot's version moves on), and the
-    cache calls :meth:`invalidate_memos` whenever it patches the structure,
-    which also forgets the eccentricity.
+    rows and row mask, its statistics tuple and its cut column.  These memos
+    live for one graph version (:meth:`rows` drops them when the snapshot's
+    version moves on), and the cache calls :meth:`invalidate_memos` whenever
+    it patches the structure, which also forgets the eccentricity.
     """
 
     def __init__(
@@ -149,7 +148,7 @@ class TreeStructure:
 
     @property
     def num_edges(self) -> int:
-        return self.size - 1
+        return len(self.parent) - 1
 
     @property
     def eccentricity(self) -> int:
@@ -183,13 +182,14 @@ class TreeStructure:
         and HP-TestOut and FindAny's Test read it to tell which endpoints
         of an edge the tree holds.
         """
+        mask = self._mask
+        if mask is not None and self._rows_version == cols.version:
+            return mask
         rows = self.rows(cols)
-        if self._mask is None:
-            mask = bytearray(cols.num_nodes)
-            for row in rows:
-                mask[row] = 1
-            self._mask = mask
-        return self._mask
+        mask = self._mask = bytearray(cols.num_nodes)
+        for row in rows:
+            mask[row] = 1
+        return mask
 
     def statistics(self, cols: ColumnarGraph) -> Tuple[int, int, int, int]:
         """The statistics echo ``(size, maxEdgeNum, maxWt, B)`` of the tree.
@@ -198,40 +198,46 @@ class TreeStructure:
         weight, degree)`` under ``(sum, max, max, sum)``, read from the
         snapshot's per-row columns; memoised alongside :meth:`rows`.
         """
+        stats = self._stats
+        if stats is not None and self._rows_version == cols.version:
+            return stats
         rows = self.rows(cols)
-        if self._stats is None:
-            indptr = cols.indptr
-            self._stats = (
-                len(rows),
-                max(map(cols.node_max_number.__getitem__, rows), default=0),
-                max(map(cols.node_max_augmented.__getitem__, rows), default=0),
-                sum(indptr[row + 1] - indptr[row] for row in rows),
-            )
-        return self._stats
+        indptr = cols.indptr
+        stats = self._stats = (
+            len(rows),
+            max(map(cols.node_max_number.__getitem__, rows), default=0),
+            max(map(cols.node_max_augmented.__getitem__, rows), default=0),
+            sum(indptr[row + 1] - indptr[row] for row in rows),
+        )
+        return stats
 
-    def cut_column(self, cols: ColumnarGraph) -> Optional[CutColumn]:
-        """The tree's cut column, or ``None`` for a tree under half the graph.
+    def cut_column(self, cols: ColumnarGraph) -> CutColumn:
+        """The tree's cut column, the one input of the sketch kernels.
 
-        Trees holding at least half the nodes
-        (:func:`~repro.fastpath.covers_half`) take the sketch kernels' cut
-        pass over :meth:`ColumnarGraph.cut_column`, memoised alongside
-        :meth:`rows`; smaller trees take the row pass and build none.
+        Memoised alongside :meth:`rows`.  A tree holding at least half the
+        nodes (:func:`~repro.fastpath.covers_half`) builds it in one pass
+        over the graph's edge columns (:meth:`ColumnarGraph.cut_column`); a
+        smaller one from its own rows
+        (:meth:`ColumnarGraph.cut_column_of_rows`).  Both give the same
+        column.
         """
+        cut = self._cut
+        if cut is not None and self._rows_version == cols.version:
+            return cut
         rows = self.rows(cols)
-        if not fastpath.covers_half(len(rows), cols.num_nodes):
-            return None
-        if self._cut is None:
-            self._cut = cols.cut_column(self.row_mask(cols))
-        return self._cut
+        mask = self.row_mask(cols)
+        if fastpath.covers_half(len(rows), cols.num_nodes):
+            cut = cols.cut_column(mask)
+        else:
+            cut = cols.cut_column_of_rows(rows, mask)
+        self._cut = cut
+        return cut
 
     def invalidate_memos(self) -> None:
-        """Forget every memo after a patch of the structure.
-
-        Dropping the rows makes the next :meth:`rows` call rebuild them and
-        drop the memos built on them.
-        """
+        """Forget every memo after a patch of the structure."""
         self._eccentricity = None
         self._rows = None
+        self._forget_row_memos()
 
     def _forget_row_memos(self) -> None:
         self._mask: Optional[bytearray] = None
@@ -549,22 +555,26 @@ class BroadcastEchoExecutor:
     def _charge(
         self, structure: TreeStructure, broadcast_bits: int, echo_bits: int, kind: str
     ) -> None:
-        accountant = self.accountant
-        accountant.record_broadcast_echo()
-        edges = structure.num_edges
         labels = _CHARGE_LABELS.get(kind)
         if labels is None:
             labels = _CHARGE_LABELS[kind] = (f"{kind}:bcast", f"{kind}:echo")
-        bcast, echo = labels
         substrate = self._substrate()
         if substrate is None:
-            accountant.record_messages(edges, broadcast_bits, kind=bcast)
-            accountant.record_messages(edges, echo_bits, kind=echo)
-            accountant.record_rounds(2 * structure.eccentricity)
-        else:
-            substrate.charge_messages(accountant, edges, broadcast_bits, bcast)
-            substrate.charge_messages(accountant, edges, echo_bits, echo)
-            accountant.record_rounds(substrate.rounds_per_hop * 2 * structure.eccentricity)
+            self.accountant.record_broadcast_echo_cost(
+                structure.num_edges,
+                broadcast_bits,
+                echo_bits,
+                labels,
+                2 * structure.eccentricity,
+            )
+            return
+        accountant = self.accountant
+        accountant.record_broadcast_echo()
+        edges = structure.num_edges
+        bcast, echo = labels
+        substrate.charge_messages(accountant, edges, broadcast_bits, bcast)
+        substrate.charge_messages(accountant, edges, echo_bits, echo)
+        accountant.record_rounds(substrate.rounds_per_hop * 2 * structure.eccentricity)
 
 
 # ---------------------------------------------------------------------- #

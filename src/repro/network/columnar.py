@@ -3,31 +3,27 @@
 Every TestOut, HP-TestOut and FindAny echo value is a pure function of one
 node's incident edges plus the broadcast parameters, so one incidence layout
 serves every tree whatever its size.  This module stores the *whole graph's*
-incidence structure once, and the fast-path kernels in
-:mod:`repro.core.sketches` fold a tree's aggregate from it in one of two
-passes:
+incidence structure once:
 
-* a **row pass** over the tree's rows of the CSR incidence columns:
+* ``ids`` — the node IDs in sorted order; ``pos`` maps an ID to its row.
+* ``indptr`` — ``indptr[i]:indptr[i+1]`` is node ``ids[i]``'s slot range.
+* ``numbers`` / ``augmented`` / ``up`` — flat slot columns, one entry per
+  (node, incident edge) pair, in :meth:`Graph.incident_edges` order (sorted
+  by the other endpoint's ID).  ``up[slot]`` is 1 iff the node is the
+  smaller endpoint, i.e. the edge counts towards the paper's ``E↑``.
+* ``edge_aug`` / ``edge_numbers`` / ``edge_urow`` / ``edge_vrow`` — one
+  entry per edge, sorted by augmented weight, with the rows of its smaller
+  (``u``) and larger (``v``) endpoint.
 
-  * ``ids`` — the node IDs in sorted order; ``pos`` maps an ID to its row.
-  * ``indptr`` — ``indptr[i]:indptr[i+1]`` is node ``ids[i]``'s slot range.
-  * ``numbers`` / ``augmented`` / ``up`` — flat slot columns, one entry per
-    (node, incident edge) pair, in :meth:`Graph.incident_edges` order
-    (sorted by the other endpoint's ID).  ``up[slot]`` is 1 iff the node is
-    the smaller endpoint, i.e. the edge counts towards the paper's ``E↑``.
-  * ``aug_sorted`` / ``numbers_by_aug`` / ``up_by_aug`` — the same slots
-    re-sorted by augmented weight *within each node's slice*, so
-    weight-windowed kernels bisect instead of scanning the degree;
-
-* a **cut pass** for trees holding at least half the graph, over the
-  tree's :class:`CutColumn`: the edges with exactly one endpoint in the
-  tree, sorted by augmented weight.  :meth:`ColumnarGraph.cut_column`
-  builds it in one pass over the graph-wide edge columns ``edge_aug`` /
-  ``edge_numbers`` / ``edge_urow`` / ``edge_vrow`` — one entry per edge,
-  sorted by augmented weight, with the rows of its smaller (``u``) and
-  larger (``v``) endpoint — and the tree memoises it
-  (:meth:`~repro.network.broadcast.TreeStructure.cut_column`), so a weight
-  window is one bisection of the cut rather than of every edge.
+The fast-path kernels in :mod:`repro.core.sketches` read only a tree's
+:class:`CutColumn`: the edges with exactly one endpoint in the tree, sorted
+by augmented weight, so a weight window is one bisection of the cut.  The
+tree memoises it (:meth:`~repro.network.broadcast.TreeStructure.cut_column`)
+from one of two builders with equal results:
+:meth:`ColumnarGraph.cut_column`, one pass over the edge columns, for trees
+holding at least half the graph (:func:`repro.fastpath.covers_half`), and
+:meth:`ColumnarGraph.cut_column_of_rows`, which gathers the tree rows' cut
+slots and sorts them, for smaller ones.
 
 Columns are ``array('Q')`` when every value fits 64 bits and plain Python
 lists otherwise (the default ``id_bits=32`` pushes augmented weights past 64
@@ -114,9 +110,6 @@ class ColumnarGraph:
         "numbers",
         "augmented",
         "up",
-        "aug_sorted",
-        "numbers_by_aug",
-        "up_by_aug",
         "edge_aug",
         "edge_numbers",
         "edge_urow",
@@ -139,9 +132,6 @@ class ColumnarGraph:
         numbers: Sequence[int],
         augmented: Sequence[int],
         up: bytearray,
-        aug_sorted: Sequence[int],
-        numbers_by_aug: Sequence[int],
-        up_by_aug: bytearray,
         edge_aug: Sequence[int],
         edge_numbers: Sequence[int],
         edge_urow: "array[int]",
@@ -160,9 +150,6 @@ class ColumnarGraph:
         self.numbers = numbers
         self.augmented = augmented
         self.up = up
-        self.aug_sorted = aug_sorted
-        self.numbers_by_aug = numbers_by_aug
-        self.up_by_aug = up_by_aug
         self.edge_aug = edge_aug
         self.edge_numbers = edge_numbers
         self.edge_urow = edge_urow
@@ -188,9 +175,6 @@ class ColumnarGraph:
         numbers: List[int] = []
         augmented: List[int] = []
         up = bytearray()
-        aug_sorted: List[int] = []
-        numbers_by_aug: List[int] = []
-        up_by_aug = bytearray()
         # Each edge's augmented weight, taken at its smaller endpoint.
         edge_aug: List[int] = []
         node_max_number: List[int] = []
@@ -212,12 +196,7 @@ class ColumnarGraph:
                     up.append(0)
                 slot += 1
             indptr[row + 1] = slot
-            order = sorted(range(start, slot), key=augmented.__getitem__)
-            for j in order:
-                aug_sorted.append(augmented[j])
-                numbers_by_aug.append(numbers[j])
-                up_by_aug.append(up[j])
-            node_max_augmented.append(aug_sorted[-1] if slot > start else 0)
+            node_max_augmented.append(max(augmented[start:slot], default=0))
             node_max_number.append(max(numbers[start:slot], default=0))
         # An augmented weight ends in its edge number, u then v, so the
         # sorted weights alone give every other edge column.
@@ -235,9 +214,6 @@ class ColumnarGraph:
             numbers=_freeze(numbers, fits64),
             augmented=_freeze(augmented, fits64),
             up=up,
-            aug_sorted=_freeze(aug_sorted, fits64),
-            numbers_by_aug=_freeze(numbers_by_aug, fits64),
-            up_by_aug=up_by_aug,
             edge_aug=_freeze(edge_aug, fits64),
             edge_numbers=_freeze(edge_numbers, fits64),
             edge_urow=array("l", [pos[number >> id_bits] for number in edge_numbers]),
@@ -257,10 +233,10 @@ class ColumnarGraph:
         otherwise.  Copy-on-write: the successor, stamped ``version``,
         shares ``ids`` and ``pos`` with this snapshot and holds fresh copies
         of every other column, with the edge bisected into (or out of) its
-        two rows of the CSR columns and of the aug-sorted mirrors and into
-        (or out of) the edge columns; ``indptr`` is shifted and the two
-        rows' maxima and the global maxima recomputed.  The result equals
-        :meth:`from_graph` on the mutated graph, column for column.
+        two rows of the CSR columns and into (or out of) the edge columns;
+        ``indptr`` is shifted and the two rows' maxima and the global maxima
+        recomputed.  The result equals :meth:`from_graph` on the mutated
+        graph, column for column.
 
         Returns ``None`` when the mutation would change ``fits64`` (the
         columns would change representation); the caller then rebuilds.
@@ -286,24 +262,22 @@ class ColumnarGraph:
         urow, vrow = pos[edge.u], pos[edge.v]
         u_start, u_stop = indptr[urow], indptr[urow + 1]
         v_start, v_stop = indptr[vrow], indptr[vrow + 1]
-        numbers, aug_sorted = self.numbers, self.aug_sorted
+        numbers = self.numbers
         i = bisect_left(numbers, number, u_start, u_stop)
         j = bisect_left(numbers, number, v_start, v_stop)
-        ia = bisect_left(aug_sorted, aug, u_start, u_stop)
-        ja = bisect_left(aug_sorted, aug, v_start, v_stop)
 
         step = 1 if insert else -1
         new_indptr = indptr[: urow + 1]
         new_indptr.extend([p + step for p in indptr[urow + 1 : vrow + 1]])
         new_indptr.extend([p + 2 * step for p in indptr[vrow + 1 :]])
         new_numbers = _splice(numbers, ((j, number), (i, number)), insert)
-        new_aug_sorted = _splice(aug_sorted, ((ja, aug), (ia, aug)), insert)
+        new_augmented = _splice(self.augmented, ((j, aug), (i, aug)), insert)
         node_max_number = self.node_max_number[:]
         node_max_augmented = self.node_max_augmented[:]
         for row in (urow, vrow):
             start, stop = new_indptr[row], new_indptr[row + 1]
             node_max_number[row] = new_numbers[stop - 1] if stop > start else 0
-            node_max_augmented[row] = new_aug_sorted[stop - 1] if stop > start else 0
+            node_max_augmented[row] = max(new_augmented[start:stop], default=0)
         return ColumnarGraph(
             id_bits=id_bits,
             version=version,
@@ -311,11 +285,8 @@ class ColumnarGraph:
             pos=pos,
             indptr=new_indptr,
             numbers=new_numbers,
-            augmented=_splice(self.augmented, ((j, aug), (i, aug)), insert),
+            augmented=new_augmented,
             up=_splice(self.up, ((j, 0), (i, 1)), insert),
-            aug_sorted=new_aug_sorted,
-            numbers_by_aug=_splice(self.numbers_by_aug, ((ja, number), (ia, number)), insert),
-            up_by_aug=_splice(self.up_by_aug, ((ja, 0), (ia, 1)), insert),
             edge_aug=_splice(edge_aug, ((k, aug),), insert),
             edge_numbers=_splice(self.edge_numbers, ((k, number),), insert),
             edge_urow=_splice(self.edge_urow, ((k, urow),), insert),
@@ -370,6 +341,33 @@ class ColumnarGraph:
             aug=list(compress(self.edge_aug, cut)),
             numbers=list(compress(self.edge_numbers, cut)),
             up=bytes(compress(holds_u, cut)),
+        )
+
+    def cut_column_of_rows(self, rows: Sequence[int], row_mask: bytearray) -> CutColumn:
+        """:meth:`cut_column` of the rows ``row_mask`` marks, listed in ``rows``.
+
+        Gathers every slot of the rows whose other endpoint's row is outside
+        the mask, then sorts them by augmented weight: ``O(Σdeg · log)`` in
+        the rows' degree sum instead of one pass over every edge, which is
+        what a tree under half the graph wants.  Returns the column
+        :meth:`cut_column` builds.
+        """
+        id_bits = self.id_bits
+        id_mask = (1 << id_bits) - 1
+        pos, indptr = self.pos, self.indptr
+        numbers, augmented, up = self.numbers, self.augmented, self.up
+        slots = []
+        for row in rows:
+            for slot in range(indptr[row], indptr[row + 1]):
+                number = numbers[slot]
+                other = number & id_mask if up[slot] else number >> id_bits
+                if not row_mask[pos[other]]:
+                    slots.append(slot)
+        slots.sort(key=augmented.__getitem__)
+        return CutColumn(
+            aug=list(map(augmented.__getitem__, slots)),
+            numbers=list(map(numbers.__getitem__, slots)),
+            up=bytes(map(up.__getitem__, slots)),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

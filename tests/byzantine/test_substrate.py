@@ -90,6 +90,20 @@ class TestHardenedRuns:
         # strictly between the plain cost and a uniform tripling.
         assert plain.rounds < hardened.rounds <= 3 * plain.rounds
 
+    @pytest.mark.parametrize(
+        "algorithm, counters",
+        [
+            ("kkt-mst", {"messages": 5541505, "bits": 274303014, "rounds": 1509}),
+            ("kkt-st", {"messages": 1278259, "bits": 35364197, "rounds": 630}),
+        ],
+    )
+    def test_bracha_counters_are_pinned(self, algorithm, counters):
+        # A hardened run charges through the substrate, not the plain
+        # one-call charge, and its counters stay at these values.
+        spec = ExperimentSpec(graph=GraphSpec(nodes=24, density="sparse", seed=3))
+        hardened = get_runner(algorithm).run(spec, substrate="bracha")
+        assert {key: hardened.counters()[key] for key in counters} == counters
+
     def test_plain_substrate_is_bit_identical_to_the_default(self):
         spec = ExperimentSpec(graph=GraphSpec(nodes=24, density="sparse", seed=3))
         runner = get_runner("kkt-mst")

@@ -1,18 +1,18 @@
 """Fused columnar kernels == the reference fold, aggregate for aggregate.
 
 Every columnar kernel (``*_words_all``, ``hp_products_all``) folds a set of
-rows: an XOR kernel must return ``reduce(op, values, identity)`` over the
-packed value its reference kernel (``local_range_parities``,
-``local_prefix_parities``, ``local_xor_below``) computes from each row's
-node, and HP-TestOut's must return the answer (``up != down``) that the
-componentwise product mod ``p`` of the nodes' ``local_product`` pairs
-gives.  The row sets are arbitrary subsets, not only trees (an edge with
-both endpoints in the set cancels from an XOR whatever the set is), and
-every kernel runs both passes on each: the row pass (no cut column) and
-the cut pass (the set's :meth:`ColumnarGraph.cut_column`), over empty,
-single-edge, narrow and full weight windows, an edgeless row, and both
-column representations (``fits64``).  The pass may only change wall clock,
-never an answer.
+rows from the set's cut column: an XOR kernel must return
+``reduce(op, values, identity)`` over the packed value its reference kernel
+(``local_range_parities``, ``local_prefix_parities``, ``local_xor_below``)
+computes from each row's node, and HP-TestOut's must return the answer
+(``up != down``) that the componentwise product mod ``p`` of the nodes'
+``local_product`` pairs gives.  The row sets are arbitrary subsets, not
+only trees (an edge with both endpoints in the set cancels from an XOR
+whatever the set is), and both cut-column builders
+(:meth:`ColumnarGraph.cut_column` and
+:meth:`ColumnarGraph.cut_column_of_rows`) must give the brute-force cut on
+each, over empty, single-edge, narrow and full weight windows, an edgeless
+row, and both column representations (``fits64``).
 """
 
 import operator
@@ -51,8 +51,8 @@ def random_graph(seed: int, n: int = 24, ordering: str = "random") -> Graph:
 
     ``ordering`` pins the relationship between edge-number order and
     weight order: "ascending" makes heavier edges have larger numbers,
-    "descending" inverts it (the aug-sorted mirrors then reverse the slot
-    order), "random" decouples them.  The edgeless node gives every sample
+    "descending" inverts it (a row's slots, sorted by number, are then in
+    falling weight order), "random" decouples them.  The edgeless node gives every sample
     an empty last row (see :func:`row_subsets`).
     """
     rng = random.Random(seed)
@@ -173,6 +173,18 @@ def brute_cut(graph: Graph, nodes) -> CutColumn:
     )
 
 
+def max_number_of(cols: ColumnarGraph, rows) -> int:
+    """The largest edge number incident to ``rows`` (a tree's ``maxEdgeNum``)."""
+    return max(map(cols.node_max_number.__getitem__, rows), default=0)
+
+
+def cut_of(cols: ColumnarGraph, rows, mask) -> CutColumn:
+    """The rows' cut column, after checking that both builders agree on it."""
+    cut = cols.cut_column(mask)
+    assert cols.cut_column_of_rows(rows, mask) == cut
+    return cut
+
+
 def numbers_of(graph: Graph, node: int):
     return [edge.edge_number(graph.id_bits) for edge in graph.incident_edges(node)]
 
@@ -197,12 +209,14 @@ def reference_hp_pair(graph: Graph, nodes, alpha: int, p: int, low: int, high: i
 
 
 def assert_hp_answers_match(graph: Graph, rows, alpha: int, p: int, low: int, high: int):
-    """Both passes of ``hp_products_all`` give the reference answer."""
+    """``hp_products_all`` over the rows' cut gives the reference answer."""
     cols = graph.columnar()
     mask = mask_of(rows, cols.num_nodes)
     up, down = reference_hp_pair(graph, [cols.ids[row] for row in rows], alpha, p, low, high)
-    for cut in (None, cols.cut_column(mask)):
-        assert hp_products_all(cols, alpha, p, low, high, rows, mask, cut) == (up != down)
+    answer = hp_products_all(
+        cols, alpha, p, low, high, mask, max_number_of(cols, rows), cut_of(cols, rows, mask)
+    )
+    assert answer == (up != down)
 
 
 def assert_all_kernels_match(graph: Graph, rng: random.Random) -> None:
@@ -222,9 +236,8 @@ def assert_all_kernels_match(graph: Graph, rng: random.Random) -> None:
     for rows in row_subsets(cols.num_nodes, rng):
         mask = mask_of(rows, cols.num_nodes)
         nodes = [cols.ids[row] for row in rows]
-        cut_column = cols.cut_column(mask)
-        assert cut_column == brute_cut(graph, nodes)
-        passes = (None, cut_column)
+        cut = cut_of(cols, rows, mask)
+        assert cut == brute_cut(graph, nodes)
 
         odd_hash = random_odd_hash(max_number, rng)
         for lows, highs in windows(graph, rng):
@@ -233,8 +246,7 @@ def assert_all_kernels_match(graph: Graph, rng: random.Random) -> None:
                 pack_parity_word(local_range_parities(incident(node), odd_hash, ranges))
                 for node in nodes
             )
-            for cut in passes:
-                assert range_parity_words_all(cols, odd_hash, lows, highs, rows, cut) == expected
+            assert range_parity_words_all(odd_hash, lows, highs, cut) == expected
 
         pairwise = random_pairwise_hash(max_number, 1 << rng.randrange(2, 10), rng)
         masks = prefix_flip_masks(pairwise.log_range)
@@ -242,16 +254,14 @@ def assert_all_kernels_match(graph: Graph, rng: random.Random) -> None:
             pack_parity_word(local_prefix_parities(numbers_of(graph, node), pairwise))
             for node in nodes
         )
-        for cut in passes:
-            assert prefix_parity_words_all(cols, pairwise, masks, rows, cut) == expected
+        assert prefix_parity_words_all(pairwise, masks, cut) == expected
 
         for prefix in range(pairwise.log_range + 1):
             expected = xor_of(
                 local_xor_below(numbers_of(graph, node), pairwise, prefix)
                 for node in nodes
             )
-            for cut in passes:
-                assert xor_below_words_all(cols, pairwise, prefix, rows, cut) == expected
+            assert xor_below_words_all(pairwise, prefix, cut) == expected
 
         p = 2**31 - 1
         alpha = rng.randrange(1, p)
@@ -272,15 +282,11 @@ class TestColumnarGraph:
             numbers = [edge.edge_number(id_bits) for edge in edges]
             augmented = [edge.augmented_weight(id_bits) for edge in edges]
             up = [int(node == edge.u) for edge in edges]
-            by_aug = sorted(zip(augmented, numbers, up))
             start, stop = cols.slice_of(node)
             assert stop - start == cols.degree(node) == graph.degree(node)
             assert list(cols.numbers[start:stop]) == numbers
             assert list(cols.augmented[start:stop]) == augmented
             assert list(cols.up[start:stop]) == up
-            assert list(cols.aug_sorted[start:stop]) == [a for a, _, _ in by_aug]
-            assert list(cols.numbers_by_aug[start:stop]) == [e for _, e, _ in by_aug]
-            assert list(cols.up_by_aug[start:stop]) == [u for _, _, u in by_aug]
             row = cols.pos[node]
             assert cols.node_max_number[row] == max(numbers, default=0)
             assert cols.node_max_augmented[row] == max(augmented, default=0)
@@ -351,6 +357,50 @@ class TestColumnarGraph:
             assert got == expected
             assert cols.num_edges == graph.num_edges
             assert_maxima_match_scan(graph)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        id_bits=st.sampled_from([9, 32]),
+        edges=st.lists(
+            st.tuples(st.integers(1, 14), st.integers(1, 14), st.integers(0, 1 << 20)),
+            max_size=40,
+        ),
+        ops=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(1, 14),
+                st.integers(1, 14),
+                st.integers(0, 1 << 20),
+            ),
+            max_size=20,
+        ),
+        rows=st.sets(st.integers(0, 13)),
+    )
+    def test_cut_builders_agree_across_splices(self, id_bits, edges, ops, rows):
+        # The row builder equals the edge-column builder and the brute-force
+        # cut on a fresh snapshot and on every snapshot spliced from it by
+        # an edge insertion (True) or deletion (False).
+        graph = Graph(id_bits=id_bits)
+        for node in range(1, 15):
+            graph.add_node(node)
+        for u, v, weight in edges:
+            if u != v and not graph.has_edge(u, v):
+                graph.add_edge(u, v, weight=weight)
+        rows = sorted(rows)
+        for step in [None] + ops:
+            if step is not None:
+                insert, u, v, weight = step
+                if u == v:
+                    continue
+                if insert and not graph.has_edge(u, v):
+                    graph.add_edge(u, v, weight=weight)
+                elif not insert and graph.has_edge(u, v):
+                    graph.remove_edge(u, v)
+            cols = graph.columnar()
+            mask = mask_of(rows, cols.num_nodes)
+            cut = cols.cut_column_of_rows(rows, mask)
+            assert cut == cols.cut_column(mask)
+            assert cut == brute_cut(graph, [cols.ids[row] for row in rows])
 
     @pytest.mark.parametrize("id_bits", [9, 32])
     def test_splice_across_the_64_bit_boundary(self, id_bits):
@@ -428,11 +478,12 @@ class TestFusedKernels:
         masks = prefix_flip_masks(pairwise.log_range)
         for rows in ([], [0], [0, 1, 2, 3]):
             mask = mask_of(rows, cols.num_nodes)
-            for cut in (None, cols.cut_column(mask)):
-                assert range_parity_words_all(cols, odd_hash, [0], [1 << 256], rows, cut) == 0
-                assert prefix_parity_words_all(cols, pairwise, masks, rows, cut) == 0
-                assert xor_below_words_all(cols, pairwise, 2, rows, cut) == 0
-                assert not hp_products_all(cols, 7, 11, 0, 1 << 256, rows, mask, cut)
+            cut = cut_of(cols, rows, mask)
+            assert cut == CutColumn([], [], b"")
+            assert range_parity_words_all(odd_hash, [0], [1 << 256], cut) == 0
+            assert prefix_parity_words_all(pairwise, masks, cut) == 0
+            assert xor_below_words_all(pairwise, 2, cut) == 0
+            assert not hp_products_all(cols, 7, 11, 0, 1 << 256, mask, 0, cut)
 
 
 def cut_products(cut: CutColumn, alpha: int, p: int, low: int, high: int):
@@ -443,7 +494,7 @@ def cut_products(cut: CutColumn, alpha: int, p: int, low: int, high: int):
 
 
 class TestHpTestOutCutPass:
-    """The cut pass's internal-edge check, where ``I ≡ 0`` decides the answer."""
+    """The kernel's internal-edge check, where ``I ≡ 0`` decides the answer."""
 
     def internal_and_rows(self, graph: Graph, seed: int):
         """A covering row set, its cut, and an in-window internal edge."""
@@ -451,7 +502,7 @@ class TestHpTestOutCutPass:
         rng = random.Random(seed)
         rows = sorted(rng.sample(range(cols.num_nodes - 1), cols.num_nodes // 2))
         mask = mask_of(rows, cols.num_nodes)
-        cut = cols.cut_column(mask)
+        cut = cut_of(cols, rows, mask)
         internal = [
             edge
             for edge in graph.edges()
@@ -472,7 +523,8 @@ class TestHpTestOutCutPass:
         assert reference_hp_pair(graph, [cols.ids[r] for r in rows], alpha, p, low, high) == (0, 0)
         c_up, c_down = cut_products(cut, alpha, p, low, high)
         assert c_up != c_down
-        assert hp_products_all(cols, alpha, p, low, high, rows, mask, cut) is False
+        max_number = max_number_of(cols, rows)
+        assert hp_products_all(cols, alpha, p, low, high, mask, max_number, cut) is False
         assert_hp_answers_match(graph, rows, alpha, p, low, high)
         # The same edge outside the window no longer zeroes anything.
         aug = edge.augmented_weight(graph.id_bits)
@@ -481,18 +533,20 @@ class TestHpTestOutCutPass:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_small_prime_walks_several_candidates(self, seed):
-        # p ≤ max_number: α, α + p, ... all decode to candidate edges.  An
-        # internal edge whose number is α plus a few p is found past the
-        # first candidate; every other α matches the reference too.
+        # p ≤ the rows' largest edge number: α, α + p, ... all decode to
+        # candidate edges.  An internal edge whose number is α plus a few p
+        # is found past the first candidate; every other α matches the
+        # reference too.
         graph = random_graph(seed=seed)
         cols, rows, mask, cut, edge = self.internal_and_rows(graph, seed)
         p = 101
         number = edge.edge_number(graph.id_bits)
-        assert number > p and cols.max_number > 3 * p
+        max_number = max_number_of(cols, rows)
+        assert number > p and max_number > 3 * p
         alpha = number % p
         c_up, c_down = cut_products(cut, alpha, p, 0, 1 << 256)
         assert c_up != c_down
-        assert hp_products_all(cols, alpha, p, 0, 1 << 256, rows, mask, cut) is False
+        assert hp_products_all(cols, alpha, p, 0, 1 << 256, mask, max_number, cut) is False
         for alpha in range(p):
             assert_hp_answers_match(graph, rows, alpha, p, 0, 1 << 256)
 
@@ -503,9 +557,10 @@ class TestHpTestOutCutPass:
         for alpha in (0, 5, 2**31 - 2):
             assert_hp_answers_match(graph, rows, alpha, 2**31 - 1, cols.max_augmented + 1, 1 << 256)
             mask = mask_of(rows, cols.num_nodes)
-            cut = cols.cut_column(mask)
+            cut = cut_of(cols, rows, mask)
+            max_number = max_number_of(cols, rows)
             assert not hp_products_all(
-                cols, alpha, 2**31 - 1, cols.max_augmented + 1, 1 << 256, rows, mask, cut
+                cols, alpha, 2**31 - 1, cols.max_augmented + 1, 1 << 256, mask, max_number, cut
             )
 
     def test_empty_cut(self):
@@ -515,12 +570,13 @@ class TestHpTestOutCutPass:
         cols = graph.columnar()
         rows = list(range(cols.num_nodes))
         mask = mask_of(rows, cols.num_nodes)
-        assert cols.cut_column(mask) == CutColumn([], [], b"")
+        cut = cut_of(cols, rows, mask)
+        assert cut == CutColumn([], [], b"")
         rng = random.Random(8)
         for p in (101, 2**31 - 1):
             for _ in range(20):
                 alpha = rng.randrange(p)
                 assert_hp_answers_match(graph, rows, alpha, p, 0, 1 << 256)
                 assert not hp_products_all(
-                    cols, alpha, p, 0, 1 << 256, rows, mask, cols.cut_column(mask)
+                    cols, alpha, p, 0, 1 << 256, mask, cols.max_number, cut
                 )

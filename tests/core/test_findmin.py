@@ -257,3 +257,44 @@ class TestWideWeightTiers:
         with fastpath.reference_path():
             reference = self._search(*args)
         assert fast == reference
+
+
+def _wide_id_setup(small_tree):
+    """A path of IDs 1-10 beside two nodes with 32-bit IDs near ``2^31``.
+
+    The wide pair's edge number is about ``2^63``, far above every edge
+    number of the path, so HP-TestOut's prime (picked from the tree's
+    ``maxEdgeNum``) is tiny next to the graph's largest edge number.  Root
+    1's tree is the whole path (it covers the graph) or, with
+    ``small_tree``, only 1-2-3.
+    """
+    graph = Graph(id_bits=32)
+    wide_u, wide_v = 2**31 + 5, 2**31 + 9
+    for node in list(range(1, 11)) + [wide_u, wide_v]:
+        graph.add_node(node)
+    for node in range(1, 10):
+        graph.add_edge(node, node + 1, weight=node)
+    graph.add_edge(wide_u, wide_v, weight=3)
+    graph.add_edge(3, wide_u, weight=50)
+    graph.add_edge(7, wide_v, weight=40)
+    forest = SpanningForest(graph, marked=[(node, node + 1) for node in range(1, 10)])
+    if small_tree:
+        forest.unmark(3, 4)
+    return graph, forest
+
+
+class TestWideIds:
+    """HP-TestOut's internal-edge walk stops at the tree's largest edge number."""
+
+    @pytest.mark.parametrize("small_tree", [False, True], ids=["covering", "small"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fast_path_equals_reference(self, small_tree, seed):
+        outcomes = []
+        for tier in (fastpath.fast_path, fastpath.reference_path):
+            graph, forest = _wide_id_setup(small_tree)
+            with tier():
+                result = _finder(graph, forest, seed=seed).find_min(1)
+            outcomes.append((result.edge, result.iterations, result.cost))
+        assert outcomes[0] == outcomes[1]
+        expected = (3, 4) if small_tree else (7, 2**31 + 9)
+        assert outcomes[0][0].endpoints == expected

@@ -52,6 +52,37 @@ class TestRecording:
         assert acct.rounds == 3
         assert acct.broadcast_echoes == 2
 
+    @pytest.mark.parametrize(
+        "count, bcast_bits, echo_bits, rounds",
+        [(5, 8, 3, 6), (1, 1, 64, 2), (0, 8, 3, 0), (0, 0, 0, 0)],
+        ids=["tree", "one-edge", "single-node", "single-node-zero-bits"],
+    )
+    def test_broadcast_echo_cost_equals_the_three_calls(
+        self, count, bcast_bits, echo_bits, rounds
+    ):
+        # One call charges what record_broadcast_echo, two record_messages
+        # and record_rounds charge, kinds in the same order; a single-node
+        # tree (count 0) sends nothing, so its bit widths are never checked.
+        one, three = MessageAccountant(), MessageAccountant()
+        for acct in (one, three):
+            acct.record_messages(2, 4, kind="testout:echo")
+        one.record_broadcast_echo_cost(
+            count, bcast_bits, echo_bits, ("testout:bcast", "testout:echo"), rounds
+        )
+        three.record_broadcast_echo()
+        three.record_messages(count, bcast_bits, kind="testout:bcast")
+        three.record_messages(count, echo_bits, kind="testout:echo")
+        three.record_rounds(rounds)
+        assert one.summary() == three.summary()
+        assert list(one.per_kind().items()) == list(three.per_kind().items())
+
+    def test_broadcast_echo_cost_keeps_the_checks(self):
+        acct = MessageAccountant()
+        labels = ("b&e:bcast", "b&e:echo")
+        for args in ((-1, 8, 8, 0), (2, 0, 8, 0), (2, 8, 0, 0), (2, 8, 8, -1)):
+            with pytest.raises(AccountingError):
+                acct.record_broadcast_echo_cost(*args[:3], labels, args[3])
+
     def test_phase_records(self):
         acct = MessageAccountant()
         acct.record_phase(PhaseRecord("p0", messages=10, bits=100, rounds=4))

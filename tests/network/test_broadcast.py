@@ -208,7 +208,9 @@ class TestExecutorAccounting:
         assert acct.bits == 48
         assert acct.broadcast_echoes == 0
 
-    def test_singleton_tree_costs_nothing(self):
+    @pytest.mark.parametrize("bits", [8, 0])
+    def test_singleton_tree_costs_nothing(self, bits):
+        # No tree edge, so no message: the bit widths are never checked.
         graph = Graph()
         graph.add_node(1)
         forest = SpanningForest(graph)
@@ -218,11 +220,12 @@ class TestExecutorAccounting:
             root=1,
             local_value=lambda node: 5,
             reducer=SUM_REDUCER,
-            broadcast_bits=8,
-            echo_bits=8,
+            broadcast_bits=bits,
+            echo_bits=bits,
         )
         assert value == 5
-        assert acct.messages == 0
+        assert (acct.messages, acct.bits, acct.rounds, acct.broadcast_echoes) == (0, 0, 0, 1)
+        assert acct.per_kind() == {}
 
     def test_point_to_point_requires_edge(self):
         graph, forest = _tree_graph()

@@ -169,23 +169,34 @@ class TestSketchMemos:
             expected = reduce(STATS_REDUCER.op, local.values(), STATS_REDUCER.identity)
             assert structure.statistics(graph.columnar()) == expected
 
-    def test_cut_column_only_for_trees_holding_half_the_graph(self):
+    def test_every_tree_memoises_its_cut_column(self):
+        # Trees under half the graph build it from their rows, the tree
+        # holding half from the edge columns; each is memoised.
         graph, forest = path_forest(10)
         forest.unmark(5, 6)
         forest.unmark(6, 7)
         cols = graph.columnar()
-        for root, size in ((6, 1), (7, 4)):
-            below_half = forest.rooted_structure(root)
-            assert below_half.size == size
-            assert below_half.cut_column(cols) is None
-        half = forest.rooted_structure(1)
-        assert half.size == 5
-        cut = half.cut_column(cols)
-        # The path 1-...-5 leaves by its one edge (5, 6), from its u side.
-        assert cut == CutColumn(
-            [graph.augmented_weight(5, 6)], [graph.edge_number(5, 6)], b"\x01"
-        )
-        assert half.cut_column(cols) is cut
+
+        def column(*edges):
+            # Each (u, v, up) cut edge, up = 1 when the tree holds u.
+            return CutColumn(
+                [graph.augmented_weight(u, v) for u, v, _ in edges],
+                [graph.edge_number(u, v) for u, v, _ in edges],
+                bytes(up for _, _, up in edges),
+            )
+
+        expected = {
+            # Node 6 alone: (5, 6) from its v side, then the heavier (6, 7).
+            6: (1, column((5, 6, 0), (6, 7, 1))),
+            7: (4, column((6, 7, 0))),
+            1: (5, column((5, 6, 1))),
+        }
+        for root, (size, cut) in expected.items():
+            structure = forest.rooted_structure(root)
+            assert structure.size == size
+            memo = structure.cut_column(cols)
+            assert memo == cut
+            assert structure.cut_column(cols) is memo
 
     def test_unrelated_tree_change_keeps_the_memos(self):
         graph, forest = path_forest(10)
