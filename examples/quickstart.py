@@ -73,10 +73,9 @@ def main(argv: list[str]) -> int:
     print(format_table(["algorithm", "messages", "messages / m"], rows,
                        title="Construction cost comparison"))
     print()
-    print("Note: the KKT constructions are asymptotically o(m); on dense graphs the")
-    print("ST construction crosses below flooding around n ~ 100 with this")
-    print("implementation's constants, the MST construction at larger sizes")
-    print("(see benchmarks/bench_build_mst.py).")
+    print("Note: the KKT constructions are asymptotically o(m); on complete graphs")
+    print("Build-ST beats flooding from n = 64 and Build-MST overtakes GHS between")
+    print("n = 128 and 256 (the construction-crossover claim: python -m repro.claims).")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Fitting measured costs against the paper's asymptotic bounds.
 
-The benchmarks report, for each input size, both the measured message count
-and the value of the claimed bound (e.g. ``n log² n / log log n``); the
+The claims ledger (:mod:`repro.claims`) checks, for each input size, the
+measured message count against the value of the claimed bound (e.g. ``n log² n / log log n``); the
 functions here compute the implied constants and check whether the ratio
 *measured / bound* stays flat (the empirical signature of matching the
 asymptotic shape) while *measured / m* shrinks (the ``o(m)`` claim).

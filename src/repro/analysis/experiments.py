@@ -1,7 +1,7 @@
-"""Experiment-running utilities shared by the benchmark harness and the CLI.
+"""Experiment-running utilities for the CLI's table views.
 
-The benchmark modules under ``benchmarks/`` own the experiment *definitions*
-(which workload, which sweep); this module owns the reusable mechanics:
+The claims ledger (:mod:`repro.claims`) owns the pinned experiment
+definitions; this module owns reusable mechanics:
 
 * :class:`MeasurementSeries` — a size-indexed series of measurements with
   normalisation against the bounds of :mod:`repro.analysis.complexity`;

@@ -24,9 +24,9 @@ per phase, per fragment —
    messages).
 
 Every TEST/ACCEPT/REJECT/REPORT/CONNECT message is charged individually, so
-the measured counts follow ``m + n log n`` — the benchmark in
-``benchmarks/bench_build_mst.py`` prints both implementations side by side
-in one table.
+the measured counts follow ``m + n log n`` — the ``construction-crossover``
+claim of :mod:`repro.claims` pins them next to Build-MST's on complete
+graphs up to n=1024.
 """
 
 from __future__ import annotations

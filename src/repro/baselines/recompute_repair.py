@@ -4,7 +4,8 @@ Without the paper's machinery, the obvious way to keep a spanning tree or MST
 correct under edge updates is to rebuild it from scratch (flooding for an ST,
 GHS for an MST) whenever an update might have changed it.  The per-update
 message cost is then Θ(m) / Θ(m + n log n) — this is the baseline the
-dynamic-workload benchmark (E11) compares the impromptu repairs against.
+``repair-vs-recompute`` claim of :mod:`repro.claims` compares the impromptu
+repairs against.
 
 Registered in the runner API as ``recompute-repair`` —
 ``repro.run("recompute-repair", spec, updates=...)`` drives a

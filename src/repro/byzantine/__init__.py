@@ -15,7 +15,7 @@ mirror attack and defence:
   closed-form cost model as the ``"bracha"`` delivery substrate the
   broadcast-and-echo executor can charge through.
 
-The benchmark pair ``bench_broadcast_byzantine*`` measures what the
+The ``bracha-overhead`` claim of :mod:`repro.claims` pins what the
 hardening costs.
 """
 

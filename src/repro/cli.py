@@ -25,11 +25,6 @@ worker processes.
   ``recompute-repair`` run on the same spec;
 * ``trace record`` / ``trace replay`` — save a workload run as a JSON trace
   and replay it bit-for-bit later;
-* ``bench`` — run the registered micro-benchmarks on the fast path *and*
-  the reference path and assert their counters are equal (``--out PATH``
-  writes the deterministic report); ``--profile large`` appends the
-  n=10^4..10^6 scaling rows, which run fast-path-only above each
-  benchmark's reference cutoff;
 * ``fuzz run`` — a seeded differential-fuzzing campaign over random
   experiment specs (non-zero exit on any oracle violation; failing specs are
   delta-debugged to minimal reproducers and written to a JSON corpus);
@@ -44,8 +39,10 @@ worker processes.
 * ``selfcheck`` — run a quick end-to-end correctness pass.
 
 ``--json`` (on ``run``, ``compare``, ``sweep`` and ``suite``) emits one
-``RunResult`` JSON record per line, which is what the benchmark harness
-consumes.
+``RunResult`` JSON record per line, for scripts and the CI smoke jobs.
+
+The paper's claims are not a subcommand: ``python -m repro.claims`` prints
+the pinned claims ledger (:mod:`repro.claims`, committed as ``CLAIMS.json``).
 
 Examples
 --------
@@ -77,7 +74,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import sys
 from typing import List, Optional, Sequence
 
@@ -259,31 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
     sweep.add_argument("--json", action="store_true",
                        help="emit one RunResult JSON record per line")
-
-    from .bench import list_benchmarks
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="check the micro-benchmarks' counters: fast path vs reference",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="run the smaller per-benchmark size lists")
-    bench.add_argument("--benchmarks", nargs="+", metavar="benchmark",
-                       choices=list_benchmarks(),
-                       help="subset of benchmarks to run (default: all)")
-    bench.add_argument("--sizes", type=int, nargs="+",
-                       help="override every benchmark's node counts")
-    bench.add_argument("--profile", choices=["default", "large"],
-                       default="default",
-                       help="size profile: 'large' appends the n=10^4..10^6 "
-                            "scaling rows (fast-path-only above each "
-                            "benchmark's reference cutoff)")
-    bench.add_argument("--seed", type=int, default=2015)
-    bench.add_argument("--json", action="store_true",
-                       help="print the report JSON to stdout instead of a table")
-    bench.add_argument("--out", metavar="PATH",
-                       help="write the JSON report to PATH "
-                            "(default and '-': no file)")
 
     from .fuzz import ORACLE_FACTORIES
 
@@ -807,51 +778,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    from .bench import run_benchmarks, write_report
-
-    progress = None if args.json else lambda line: print(f"bench: {line}", flush=True)
-    report = run_benchmarks(
-        names=args.benchmarks,
-        quick=args.quick,
-        sizes=args.sizes,
-        seed=args.seed,
-        progress=progress,
-        profile=args.profile,
-    )
-    written = args.out not in (None, "-")
-    if written:
-        write_report(report, args.out)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        table = ExperimentTable(
-            "bench",
-            "Fast path vs reference (counters must be bit-identical)",
-            ["benchmark", "n", "m", "msgs", "counters =="],
-        )
-        for record in report["results"]:
-            table.add_row(
-                record["benchmark"],
-                record["n"],
-                record["m"],
-                record["counters"].get("messages", "-"),
-                "-" if record["counters_equal"] is None else record["counters_equal"],
-            )
-        if any(record["counters_equal"] is None for record in report["results"]):
-            table.add_note(
-                "'-' rows ran fast-path-only (above the reference cutoff)"
-            )
-        if written:
-            table.add_note(f"report written to {args.out}")
-        print(table.render())
-    if not report["counters_equal"]:
-        print("repro: error: fast-path counters diverged from the reference path",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _command_fuzz(args: argparse.Namespace) -> int:
     if args.fuzz_command == "run":
         return _command_fuzz_run(args)
@@ -1208,7 +1134,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(list(argv) if argv is not None else None)
     handlers = {
         "run": _command_run,
-        "bench": _command_bench,
         "fuzz": _command_fuzz,
         "compare": _command_compare,
         "algorithms": _command_algorithms,

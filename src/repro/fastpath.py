@@ -20,7 +20,8 @@ The simulation has two execution paths through the sketch/broadcast stack:
 Both paths are *observably identical*: messages, bits, rounds and
 broadcast-and-echo counts are bit-for-bit equal (the equivalence suite in
 ``tests/integration/test_fastpath_equivalence.py`` pins this for every
-registered algorithm, and ``repro bench`` asserts it on every run).  The
+registered algorithm, and the claims ledger, :mod:`repro.claims`, pins the
+same counters on both paths up to n=10^4).  The
 reference path exists as the executable spec the fast path is checked
 against; everything else should leave the fast path on.
 
@@ -39,7 +40,9 @@ is only meant for benchmarks and tests, which use the context managers::
         ...  # runs the original slow kernels
 
 Set the environment variable ``REPRO_FASTPATH=0`` to start with the
-reference path enabled (useful for A/B runs in CI).
+reference path enabled (useful for A/B runs in CI).  Any value other than
+``1``/``true``/``on`` or ``0``/``false``/``off`` raises
+:class:`~repro.network.errors.AlgorithmError` at import.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from typing import Iterator
+
+from .network.errors import AlgorithmError
 
 __all__ = [
     "is_enabled",
@@ -57,7 +62,20 @@ __all__ = [
     "repair_batch_size",
 ]
 
-_enabled = os.environ.get("REPRO_FASTPATH", "1") not in ("0", "false", "off")
+
+def _fastpath_from_env(value: str) -> bool:
+    """Parse ``REPRO_FASTPATH``; a typo must not silently keep the fast path."""
+    switch = value.strip().lower()
+    if switch in ("1", "true", "on"):
+        return True
+    if switch in ("0", "false", "off"):
+        return False
+    raise AlgorithmError(
+        f"REPRO_FASTPATH must be one of 1, true, on, 0, false, off; got {value!r}"
+    )
+
+
+_enabled = _fastpath_from_env(os.environ.get("REPRO_FASTPATH", "1"))
 
 
 def is_enabled() -> bool:
@@ -73,12 +91,20 @@ def repair_batch_size() -> int:
     differential oracles can force sequential runs even in forced-batching
     CI legs.  Unlike the kernel dispatch this is *not* wall-clock-only:
     batched repair trades per-update counter attribution for per-wave
-    amortized accounting (final-forest equality is the contract).
+    amortized accounting (final-forest equality is the contract).  Anything
+    but a non-negative integer raises :class:`AlgorithmError`, so a typo in a
+    forced-batching run cannot silently run sequentially.
     """
+    value = os.environ.get("REPRO_REPAIR_BATCH", "0")
     try:
-        return max(0, int(os.environ.get("REPRO_REPAIR_BATCH", "0")))
+        size = int(value)
     except ValueError:
-        return 0
+        size = -1
+    if size < 0:
+        raise AlgorithmError(
+            f"REPRO_REPAIR_BATCH must be a non-negative integer; got {value!r}"
+        )
+    return size
 
 
 def covers_half(part: int, whole: int) -> bool:

@@ -15,7 +15,6 @@ the only state that persists between updates.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import insort
 from collections import deque
@@ -40,23 +39,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = ["SpanningForest"]
 
-#: How many mutations the journal retains by default.  A structure cached
-#: longer ago than this many mutations is rebuilt instead of patched.
-#: Override per process with ``REPRO_JOURNAL_LIMIT``, or per forest with the
-#: ``journal_limit`` constructor argument; the
+#: How many mutations the journal retains unless the ``journal_limit``
+#: constructor argument says otherwise.  A structure cached longer ago than
+#: this many mutations is rebuilt instead of patched; the
 #: :meth:`~repro.network.tree_cache.TreeStructureCache.stats` hook reports
-#: how often an overrun forced a rebuild, so large-n runs can tune this
-#: instead of silently paying full BFS rebuilds.
+#: how often an overrun forced a rebuild.
 _JOURNAL_LIMIT = 1024
-
-
-def default_journal_limit() -> int:
-    """The journal bound from ``REPRO_JOURNAL_LIMIT`` (default 1024)."""
-    try:
-        value = int(os.environ.get("REPRO_JOURNAL_LIMIT", _JOURNAL_LIMIT))
-    except ValueError:
-        return _JOURNAL_LIMIT
-    return max(value, 1)
 
 
 class SpanningForest:
@@ -82,8 +70,8 @@ class SpanningForest:
         self._marked_adj: Dict[int, List[int]] = {}
         self._version = 0
         self._journal: deque = deque()
-        self._journal_limit = (
-            max(journal_limit, 1) if journal_limit is not None else default_journal_limit()
+        self._journal_limit = max(
+            _JOURNAL_LIMIT if journal_limit is None else journal_limit, 1
         )
         self._structures: Optional["TreeStructureCache"] = None
         self._marked_csr: Optional[Tuple[int, List[int], Dict[int, int], "array[int]", List[int]]] = None

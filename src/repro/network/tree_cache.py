@@ -110,9 +110,9 @@ class TreeStructureCache:
 
         ``journal_overruns`` counts patch attempts abandoned because the
         forest's bounded journal no longer reached back to the cached
-        version — persistent overruns mean ``REPRO_JOURNAL_LIMIT`` (or the
-        forest's ``journal_limit``) is too small for the workload and every
-        such lookup paid a full rebuild.
+        version — persistent overruns mean the forest's ``journal_limit``
+        (a constructor argument, default 1024) is too small for the workload
+        and every such lookup paid a full rebuild.
         """
         return {
             "hits": self.hits,

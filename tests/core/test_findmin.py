@@ -182,7 +182,7 @@ class TestRangeSplitting:
 
 
 def _wide_weight_setup(weight_bits, seed, nodes=64):
-    """The E10 instance (``benchmarks/bench_superpoly.py``): a random graph
+    """The ``superpoly`` claim's instance (:mod:`repro.claims`): a random graph
     whose weights are stretched to ``weight_bits`` bits, and a spanning tree
     split in two."""
     graph = random_connected_graph(nodes, 3 * nodes, seed=seed)

@@ -7,6 +7,8 @@ regression, the per-update RNG independence fix, and the forced-batching
 environment knob.
 """
 
+import re
+
 import pytest
 
 from repro.api import ExperimentSpec, GraphSpec, WorkloadSpec, run
@@ -22,6 +24,7 @@ from repro.dynamic.workloads import (
     weight_perturbations,
 )
 from repro.generators import random_connected_graph
+from repro.network.errors import AlgorithmError
 from repro.network.graph import Graph, edge_key
 from repro.verify import is_minimum_spanning_forest, is_spanning_forest
 
@@ -327,6 +330,14 @@ class TestForcedBatchingKnob:
         assert sequential.ok
         assert "messages_per_update_max" in sequential.extra
         assert "repair_batch" not in sequential.extra
+
+    @pytest.mark.parametrize("value", ["4x", "-3", ""])
+    def test_malformed_env_fails_loudly(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_REPAIR_BATCH", value)
+        spec = ExperimentSpec(graph=GraphSpec(nodes=16, density="sparse", seed=3))
+        message = f"REPRO_REPAIR_BATCH must be a non-negative integer; got {value!r}"
+        with pytest.raises(AlgorithmError, match=f"^{re.escape(message)}$"):
+            run("kkt-repair", spec, updates=6)
 
     def test_schedule_batch_size_reaches_the_runner(self):
         from repro.api import ScheduleSpec

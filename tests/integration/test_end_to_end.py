@@ -1,6 +1,6 @@
 """End-to-end integration: construct, then repair, across graph families.
 
-These tests exercise the whole stack the way the examples and benchmarks do:
+These tests exercise the whole stack the way the examples and claims do:
 generate a graph, build the tree with the paper's construction, verify it
 against the sequential ground truth, then push an update stream through the
 impromptu maintainer and verify again — comparing costs against the baselines

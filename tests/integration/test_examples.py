@@ -60,11 +60,6 @@ class TestExampleScripts:
         assert result.returncode == 0, result.stderr
         assert "sampled" in result.stdout
 
-    def test_message_complexity_study_rejects_unknown_experiment(self):
-        result = _run("message_complexity_study.py", "E99")
-        assert result.returncode == 1
-        assert "unknown experiment" in result.stdout
-
     def test_fault_scenarios(self):
         result = _run("fault_scenarios.py", "24", "4", "2")
         assert result.returncode == 0, result.stderr

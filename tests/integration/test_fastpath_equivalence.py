@@ -1,18 +1,24 @@
 """Equivalence suite: fast path counters == reference path counters.
 
-The fast-path machinery (cached tree structures, one-pass word-batched
-sketch kernels, per-node incident arrays) must be *observably invisible*:
-for every registered algorithm, every density profile and every seed, the
-messages / bits / rounds / phases reported by a run with the fast path on
-must be bit-identical to a run with the reference implementations.  This is
-the contract ``repro bench`` checks on its micro-benchmarks.
+The fast-path machinery (cached tree structures, fused sketch kernels over
+each tree's memoised cut column) must be *observably invisible*: for every
+registered algorithm, every density profile and every seed, the messages /
+bits / rounds / phases reported by a run with the fast path on must be
+bit-identical to a run with the reference implementations.  The claims
+ledger (``tests/test_claims.py``) pins the same contract at larger sizes:
+both tiers must reproduce the counters committed in ``CLAIMS.json``.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro import fastpath
 from repro.api import FaultSpec, GraphSpec, get_runner, list_algorithms
 from repro.api.scenario import ExperimentSpec, ScheduleSpec, WorkloadSpec
+from repro.network.errors import AlgorithmError
 
 ALGORITHMS = list_algorithms()
 DENSITIES = ["sparse", "dense"]
@@ -38,6 +44,27 @@ def _counters(result):
 
 def _run(algorithm, spec, **options):
     return _counters(get_runner(algorithm).run(spec, **options))
+
+
+@pytest.mark.parametrize("value", ["1", "true", "ON", "0", "false", "off"])
+def test_fastpath_switch_accepts_its_spellings(value):
+    assert fastpath._fastpath_from_env(value) is (value.lower() in ("1", "true", "on"))
+
+
+def test_unknown_fastpath_switch_fails_loudly_at_import():
+    with pytest.raises(
+        AlgorithmError,
+        match=r"^REPRO_FASTPATH must be one of 1, true, on, 0, false, off; got 'no'$",
+    ):
+        fastpath._fastpath_from_env("no")
+    result = subprocess.run(
+        [sys.executable, "-c", "import repro"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "REPRO_FASTPATH": "no", "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.returncode != 0
+    assert "AlgorithmError: REPRO_FASTPATH must be one of" in result.stderr
 
 
 def test_all_six_algorithms_are_covered():

@@ -272,17 +272,6 @@ class TestJournalLimitConfiguration:
             forest.unmark(1, 2)
         assert forest.journal_since(v0) is None  # 8 ops > limit 3
 
-    def test_env_override_applies_to_new_forests(self, triangle_graph, monkeypatch):
-        from repro.network import fragments
-
-        monkeypatch.setenv("REPRO_JOURNAL_LIMIT", "7")
-        assert fragments.default_journal_limit() == 7
-        assert SpanningForest(triangle_graph).journal_limit == 7
-        monkeypatch.setenv("REPRO_JOURNAL_LIMIT", "not-a-number")
-        assert fragments.default_journal_limit() == fragments._JOURNAL_LIMIT
-        monkeypatch.setenv("REPRO_JOURNAL_LIMIT", "0")
-        assert fragments.default_journal_limit() == 1  # clamped to >= 1
-
     def test_limit_floor_is_one(self, triangle_graph):
         assert SpanningForest(triangle_graph, journal_limit=-5).journal_limit == 1
 
