@@ -8,13 +8,7 @@ from .complexity import (
     is_sublinear_in,
     ratio_series,
 )
-from .experiments import (
-    ConstructionMeasurement,
-    MeasurementSeries,
-    estimate_crossover,
-    geometric_sizes,
-    run_construction_measurement,
-)
+from .experiments import ConstructionMeasurement, run_construction_measurement
 from .reporting import ExperimentTable, format_cell, format_table
 from .stats import Summary, mean, median, percentile, stdev, summarize
 
@@ -23,14 +17,11 @@ __all__ = [
     "ConstructionMeasurement",
     "ExperimentTable",
     "FitResult",
-    "MeasurementSeries",
     "Summary",
     "bound_value",
-    "estimate_crossover",
     "fit_constant",
     "format_cell",
     "format_table",
-    "geometric_sizes",
     "is_sublinear_in",
     "mean",
     "median",

@@ -26,10 +26,9 @@ reference path exists as the executable spec the fast path is checked
 against; everything else should leave the fast path on.
 
 Within the fast path one fixed size rule, :func:`covers_half`, picks the
-whole-graph builds over the per-tree ones: a tree holding at least half the
-nodes builds its cut column from the graph's edge columns (and gets the
-CSR tree rebuild), a smaller one from its own rows.  It is wall-clock-only
-and has no knob.
+whole-graph build over the per-tree one: a tree holding at least half the
+nodes builds its cut column from the graph's edge columns, a smaller one
+from its own rows.  It is wall-clock-only and has no knob.
 
 The switch is process-global (not thread-local): flipping it mid-simulation
 is only meant for benchmarks and tests, which use the context managers::
@@ -111,14 +110,13 @@ def covers_half(part: int, whole: int) -> bool:
     """Whether ``part`` is at least half of ``whole``.
 
     A whole-graph pass reads the graph's columns rather than a tree's own
-    rows, so it pays off only for a large part.  It picks two things: the
-    builder of a tree's cut column
-    (:meth:`~repro.network.broadcast.TreeStructure.cut_column`) — one pass
+    rows, so it pays off only for a large part.  It picks the builder of a
+    tree's cut column
+    (:meth:`~repro.network.broadcast.TreeStructure.cut_column`): one pass
     over the graph's edge columns for a tree holding at least half the
-    nodes, a gather and sort of its own rows' cut slots otherwise — and
-    whether the CSR tree rebuild runs, which it does when a tree may be
-    that large.  Wall-clock-only: both sides compute identical answers, so
-    counters never depend on it.
+    nodes, a gather and sort of its own rows' cut slots otherwise.
+    Wall-clock-only: both sides compute identical answers, so counters
+    never depend on it.
     """
     return 2 * part >= whole
 

@@ -61,7 +61,6 @@ __all__ = [
     "SUM_REDUCER",
     "TreeStructure",
     "build_tree_structure",
-    "build_tree_structure_csr",
     "BroadcastEchoExecutor",
     "BroadcastEchoProtocolNode",
     "run_reference_broadcast_echo",
@@ -153,12 +152,9 @@ class TreeStructure:
     @property
     def eccentricity(self) -> int:
         """Depth of the deepest node (the root's eccentricity in the tree)."""
-        if self._eccentricity is not None:
-            return self._eccentricity
-        value = max(self.depth.values(), default=0)
-        if fastpath.is_enabled():
-            self._eccentricity = value
-        return value
+        if self._eccentricity is None:
+            self._eccentricity = max(self.depth.values(), default=0)
+        return self._eccentricity
 
     def rows(self, cols: ColumnarGraph) -> List[int]:
         """The tree's row indices in ``cols``, the snapshot of its graph.
@@ -270,42 +266,6 @@ def build_tree_structure(forest: SpanningForest, root: int) -> TreeStructure:
             children[nbr] = []
             children[node].append(nbr)
             depth[nbr] = depth[node] + 1
-            queue.append(nbr)
-    return TreeStructure(root, parent, children, depth)
-
-
-def build_tree_structure_csr(forest: SpanningForest, root: int) -> TreeStructure:
-    """:func:`build_tree_structure` over the forest's flat marked columns.
-
-    Identical output (same BFS order, parents, sorted children, depths) —
-    the CSR rows preserve the sorted neighbour order — but reads the
-    version-stamped :meth:`~repro.network.fragments.SpanningForest.marked_csr`
-    snapshot instead of allocating one neighbour list per node, which is what
-    makes whole-graph rebuilds at n >= 10^5 affordable.  The
-    :class:`~repro.network.tree_cache.TreeStructureCache` dispatches here for
-    large covering forests; counters derived from either structure are
-    bit-identical.
-    """
-    if not forest.graph.has_node(root):
-        raise ProtocolError(f"root {root} is not a node of the graph")
-    ids, pos, indptr, neighbors = forest.marked_csr()
-    parent: Dict[int, Optional[int]] = {root: None}
-    children: Dict[int, List[int]] = {root: []}
-    depth: Dict[int, int] = {root: 0}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        row = pos[node]
-        node_depth = depth[node] + 1
-        kids = children[node]
-        for slot in range(indptr[row], indptr[row + 1]):
-            nbr = neighbors[slot]
-            if nbr in parent:
-                continue
-            parent[nbr] = node
-            children[nbr] = []
-            kids.append(nbr)
-            depth[nbr] = node_depth
             queue.append(nbr)
     return TreeStructure(root, parent, children, depth)
 

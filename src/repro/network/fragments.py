@@ -15,7 +15,6 @@ the only state that persists between updates.
 
 from __future__ import annotations
 
-from array import array
 from bisect import insort
 from collections import deque
 from typing import (
@@ -74,7 +73,6 @@ class SpanningForest:
             _JOURNAL_LIMIT if journal_limit is None else journal_limit, 1
         )
         self._structures: Optional["TreeStructureCache"] = None
-        self._marked_csr: Optional[Tuple[int, List[int], Dict[int, int], "array[int]", List[int]]] = None
         for u, v in marked or []:
             self.mark(u, v)
 
@@ -148,36 +146,6 @@ class SpanningForest:
         if not self._journal or self._journal[0][0] > version + 1:
             return None
         return [entry for entry in self._journal if entry[0] > version]
-
-    def marked_csr(self) -> Tuple[List[int], Dict[int, int], "array[int]", List[int]]:
-        """Flat CSR columns of the marked adjacency at the current version.
-
-        Returns ``(ids, pos, indptr, neighbors)``: ``ids`` is every graph
-        node sorted, ``pos`` maps a node to its row, and row ``i``'s marked
-        neighbours are ``neighbors[indptr[i]:indptr[i+1]]`` — in the same
-        sorted order :meth:`marked_neighbors` reports, so a BFS over the
-        columns visits nodes in exactly the order a BFS over the per-node
-        lists would.  Cached against :attr:`version`; the
-        :class:`~repro.network.tree_cache.TreeStructureCache` uses it for
-        whole-graph rebuilds instead of one list allocation per node.
-        """
-        cache = self._marked_csr
-        if cache is not None and cache[0] == self._version:
-            return cache[1], cache[2], cache[3], cache[4]
-        ids = self.graph.nodes()
-        pos = {node: i for i, node in enumerate(ids)}
-        indptr = array("l", [0] * (len(ids) + 1))
-        neighbors: List[int] = []
-        marked_adj = self._marked_adj
-        slot = 0
-        for i, node in enumerate(ids):
-            nbrs = marked_adj.get(node)
-            if nbrs:
-                neighbors.extend(nbrs)
-                slot += len(nbrs)
-            indptr[i + 1] = slot
-        self._marked_csr = (self._version, ids, pos, indptr, neighbors)
-        return ids, pos, indptr, neighbors
 
     @property
     def structures(self) -> "TreeStructureCache":
@@ -357,7 +325,9 @@ class SpanningForest:
         return sorted(node for node in adj if node not in removed)
 
     def copy(self) -> "SpanningForest":
-        return SpanningForest(self.graph, marked=self._marked)
+        return SpanningForest(
+            self.graph, marked=self._marked, journal_limit=self._journal_limit
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

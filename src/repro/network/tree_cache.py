@@ -17,7 +17,8 @@ and brings a stale one up to date by replaying the forest's mutation journal
 * anything that cannot be patched safely — a mark closing a cycle (Build-ST
   phases do this), an unmark of a non-structure cycle edge, a ``clear()``,
   or a journal that no longer reaches back far enough — falls back to a full
-  rebuild.
+  rebuild, the same :func:`~repro.network.broadcast.build_tree_structure`
+  BFS the reference path runs.
 
 Because a tree has unique paths, the patched structure is *identical* (same
 parents, sorted children lists, depths) to what a fresh BFS from the root
@@ -35,7 +36,7 @@ from collections import OrderedDict, deque
 from typing import Dict, List, Optional
 
 from .. import fastpath
-from .broadcast import TreeStructure, build_tree_structure, build_tree_structure_csr
+from .broadcast import TreeStructure, build_tree_structure
 from .fragments import SpanningForest
 
 __all__ = ["TreeStructureCache", "rooted_tree"]
@@ -89,21 +90,7 @@ class TreeStructureCache:
         return structure
 
     def _build(self, root: int) -> TreeStructure:
-        """Full rebuild: flat-column BFS when the forest covers the graph.
-
-        Dispatch is wall-clock-only (both builders produce identical
-        structures); ``num_marked + 1`` bounds the size of the largest
-        maintained tree from above, so while no tree can hold half the graph
-        rebuilds keep the dict BFS and skip the whole-graph CSR snapshot.
-        """
-        forest = self.forest
-        if fastpath.covers_half(forest.num_marked + 1, forest.graph.num_nodes):
-            return build_tree_structure_csr(forest, root)
-        return build_tree_structure(forest, root)
-
-    def invalidate(self) -> None:
-        """Drop every cached structure (used by tests)."""
-        self._entries.clear()
+        return build_tree_structure(self.forest, root)
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot for tuning large-n runs.

@@ -2,50 +2,8 @@
 
 import pytest
 
-from repro.analysis.experiments import (
-    ConstructionMeasurement,
-    MeasurementSeries,
-    estimate_crossover,
-    geometric_sizes,
-    run_construction_measurement,
-)
+from repro.analysis.experiments import run_construction_measurement
 from repro.network.errors import AlgorithmError
-
-
-class TestGeometricSizes:
-    def test_endpoints_included(self):
-        sizes = geometric_sizes(16, 128, factor=2.0)
-        assert sizes[0] == 16
-        assert sizes[-1] == 128
-        assert sizes == sorted(sizes)
-
-    def test_small_range(self):
-        assert geometric_sizes(10, 10) == [10]
-
-    def test_validation(self):
-        with pytest.raises(AlgorithmError):
-            geometric_sizes(10, 5)
-
-
-class TestMeasurementSeries:
-    def test_add_and_normalise(self):
-        series = MeasurementSeries("kkt")
-        series.add(64, 2016, 64 * 6 * 100)
-        series.add(128, 8128, 128 * 7 * 100)
-        normalised = series.normalised_by("n_log_n")
-        assert len(normalised) == 2
-        assert normalised[0] == pytest.approx(100, rel=0.01)
-
-    def test_ratio_to(self):
-        a = MeasurementSeries("a")
-        b = MeasurementSeries("b")
-        for n in (10, 20):
-            a.add(n, n, 2 * n)
-            b.add(n, n, n)
-        assert a.ratio_to(b) == [2.0, 2.0]
-        c = MeasurementSeries("c")
-        with pytest.raises(AlgorithmError):
-            a.ratio_to(c)
 
 
 class TestConstructionMeasurement:
@@ -71,43 +29,3 @@ class TestConstructionMeasurement:
     def test_density_validation(self):
         with pytest.raises(AlgorithmError):
             run_construction_measurement(16, density="ultra")
-
-
-class TestCrossoverEstimate:
-    def test_crossover_inside_range(self):
-        a = MeasurementSeries("a")
-        b = MeasurementSeries("b")
-        for n, (va, vb) in zip((10, 20, 40), ((100, 50), (150, 140), (200, 500))):
-            a.add(n, n, va)
-            b.add(n, n, vb)
-        assert estimate_crossover(a, b) == 40.0
-
-    def test_crossover_extrapolated(self):
-        a = MeasurementSeries("n_linear")
-        b = MeasurementSeries("n_squared")
-        for n in (10, 20, 40, 80):
-            a.add(n, n, 1000.0 * n)      # crosses n^2 at n = 1000
-            b.add(n, n, float(n * n))
-        estimate = estimate_crossover(a, b)
-        assert estimate is not None
-        assert estimate == pytest.approx(1000.0, rel=0.05)
-
-    def test_no_crossover(self):
-        a = MeasurementSeries("fast_growth")
-        b = MeasurementSeries("slow_growth")
-        for n in (10, 20, 40):
-            a.add(n, n, float(n * n))
-            b.add(n, n, float(n))
-        assert estimate_crossover(a, b) is None
-
-    def test_validation(self):
-        a = MeasurementSeries("a")
-        b = MeasurementSeries("b")
-        a.add(10, 10, 1.0)
-        b.add(10, 10, 2.0)
-        with pytest.raises(AlgorithmError):
-            estimate_crossover(a, b)  # only one point
-        a.add(20, 20, 1.0)
-        b.add(30, 30, 2.0)
-        with pytest.raises(AlgorithmError):
-            estimate_crossover(a, b)  # different sizes

@@ -275,6 +275,12 @@ class TestJournalLimitConfiguration:
     def test_limit_floor_is_one(self, triangle_graph):
         assert SpanningForest(triangle_graph, journal_limit=-5).journal_limit == 1
 
+    def test_copy_keeps_limit(self, triangle_graph):
+        forest = SpanningForest(triangle_graph, marked=[(1, 2)], journal_limit=2)
+        clone = forest.copy()
+        assert clone.journal_limit == forest.journal_limit == 2
+        assert clone.marked_edges == forest.marked_edges
+
 
 class TestCacheStats:
     def test_stats_snapshot_counts_hits_patches_rebuilds(self):
@@ -309,61 +315,15 @@ class TestCacheStats:
         assert_same_structure(structure, build_tree_structure(forest, 1))
 
 
-class TestCsrRebuild:
-    """The flat-column BFS builder must equal the per-node one exactly."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_csr_builder_matches_reference(self, seed):
-        from repro.network.broadcast import build_tree_structure_csr
-
-        rng = random.Random(seed)
-        n = 20
-        graph = random_connected_graph(n, 2 * n, seed=seed)
-        forest = random_spanning_tree_forest(graph, seed=seed + 1)
-        # Split into several components so non-tree rows and empty rows
-        # (isolated-in-forest nodes) appear in the CSR columns.
-        for key in sorted(forest.marked_edges)[:3]:
-            forest.unmark(*key)
-        for root in graph.nodes():
-            assert_same_structure(
-                build_tree_structure_csr(forest, root),
-                build_tree_structure(forest, root),
-            )
-
-    def test_csr_builder_rejects_missing_root(self):
-        from repro.network.broadcast import build_tree_structure_csr
-        from repro.network.errors import ProtocolError
-
-        graph, forest = path_forest(4)
-        with pytest.raises(ProtocolError):
-            build_tree_structure_csr(forest, 99)
-
-    def test_marked_csr_matches_neighbors_and_caches(self):
-        graph, forest = path_forest(6)
-        ids, pos, indptr, neighbors = forest.marked_csr()
-        assert ids == graph.nodes()
-        for i, node in enumerate(ids):
-            assert pos[node] == i
-            assert neighbors[indptr[i]:indptr[i + 1]] == forest.marked_neighbors(node)
-        assert forest.marked_csr()[3] is neighbors  # cached at this version
-        forest.unmark(3, 4)
-        fresh = forest.marked_csr()[3]
-        assert fresh is not neighbors
-        row = pos[3]
-        assert fresh[forest.marked_csr()[2][row]:forest.marked_csr()[2][row + 1]] == [2]
-
-    def test_batched_rebuild_dispatch_is_structure_invariant(self):
-        # _build takes the CSR BFS once the marked edges could span half the
-        # graph (fastpath.covers_half) and the dict BFS below that; either
-        # way the structure must equal a fresh BFS.
+class TestRebuild:
+    def test_rebuild_equals_fresh_bfs_with_and_without_covering_forest(self):
+        # One builder whatever the forest's size: with 7 marked edges a
+        # tree could hold half of the 16 nodes, with 6 none can.
         graph = random_connected_graph(16, 32, seed=9)
         tree_edges = sorted(random_spanning_tree_forest(graph, seed=10).marked_edges)
-        for marked, uses_csr in ((7, True), (6, False)):  # 8 / 7 of 16 nodes
+        for marked in (7, 6):
             forest = SpanningForest(graph, marked=tree_edges[:marked])
-            assert fastpath.covers_half(forest.num_marked + 1, 16) is uses_csr
             cache = TreeStructureCache(forest)
             for root in graph.nodes():
-                expected = build_tree_structure(forest, root)
-                assert_same_structure(cache.get(root), expected)
+                assert_same_structure(cache.get(root), build_tree_structure(forest, root))
             assert cache.rebuilds == 16
-            assert (forest._marked_csr is not None) is uses_csr
