@@ -67,6 +67,15 @@ def test_unknown_fastpath_switch_fails_loudly_at_import():
     assert "AlgorithmError: REPRO_FASTPATH must be one of" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "part, whole, expected",
+    [(8, 16, True), (7, 16, False), (5, 9, True), (4, 9, False), (16, 16, True), (1, 1, True)],
+)
+def test_covers_half_is_at_least_half(part, whole, expected):
+    # The cut-column builder's size rule: an odd whole rounds the half up.
+    assert fastpath.covers_half(part, whole) is expected
+
+
 def test_all_six_algorithms_are_covered():
     assert ALGORITHMS == [
         "flooding",

@@ -71,6 +71,16 @@ class TestVersioningAndJournal:
             forest.unmark(1, 2)
         assert forest.journal_since(v0) is None
 
+    def test_copy_has_its_own_journal_and_cache(self, triangle_graph):
+        forest = SpanningForest(triangle_graph, marked=[(1, 2)])
+        structure = forest.structures.get(1)
+        clone = forest.copy()
+        v0 = forest.version
+        clone.mark(2, 3)
+        assert forest.version == v0 and forest.journal_since(v0) == []
+        assert clone.structures.get(1).size == 3
+        assert forest.structures.get(1) is structure and structure.size == 2
+
 
 class TestPatching:
     def test_cache_hit_without_mutation(self, triangle_graph):
@@ -275,10 +285,11 @@ class TestJournalLimitConfiguration:
     def test_limit_floor_is_one(self, triangle_graph):
         assert SpanningForest(triangle_graph, journal_limit=-5).journal_limit == 1
 
-    def test_copy_keeps_limit(self, triangle_graph):
-        forest = SpanningForest(triangle_graph, marked=[(1, 2)], journal_limit=2)
+    @pytest.mark.parametrize("limit", [1, 2, 1024])
+    def test_copy_keeps_limit(self, triangle_graph, limit):
+        forest = SpanningForest(triangle_graph, marked=[(1, 2)], journal_limit=limit)
         clone = forest.copy()
-        assert clone.journal_limit == forest.journal_limit == 2
+        assert clone.journal_limit == forest.journal_limit == limit
         assert clone.marked_edges == forest.marked_edges
 
 
@@ -316,14 +327,27 @@ class TestCacheStats:
 
 
 class TestRebuild:
-    def test_rebuild_equals_fresh_bfs_with_and_without_covering_forest(self):
-        # One builder whatever the forest's size: with 7 marked edges a
-        # tree could hold half of the 16 nodes, with 6 none can.
-        graph = random_connected_graph(16, 32, seed=9)
-        tree_edges = sorted(random_spanning_tree_forest(graph, seed=10).marked_edges)
-        for marked in (7, 6):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rebuild_equals_fresh_bfs_with_and_without_covering_forest(self, seed):
+        # One builder whatever the forest's size: with 15 marked edges the
+        # tree spans all 16 nodes, with 7 a tree could hold half of them,
+        # with 6 none can.
+        graph = random_connected_graph(16, 32, seed=seed + 9)
+        tree_edges = sorted(random_spanning_tree_forest(graph, seed=seed + 10).marked_edges)
+        for marked in (15, 7, 6):
             forest = SpanningForest(graph, marked=tree_edges[:marked])
             cache = TreeStructureCache(forest)
             for root in graph.nodes():
                 assert_same_structure(cache.get(root), build_tree_structure(forest, root))
             assert cache.rebuilds == 16
+
+    @pytest.mark.parametrize("tier", ["fast", "reference"])
+    def test_eccentricity_is_memoised_on_both_tiers(self, tier):
+        graph, forest = path_forest(8)
+        with fastpath.fast_path() if tier == "fast" else fastpath.reference_path():
+            structure = rooted_tree(forest, 1)
+            assert structure.eccentricity == 7
+            structure.depth[8] = 99  # the memo, not the depths, answers
+            assert structure.eccentricity == 7
+            structure.invalidate_memos()
+            assert structure.eccentricity == 99
