@@ -58,6 +58,7 @@ from ..network.errors import AlgorithmError
 from ..network.faults import FaultInjector
 from ..network.fragments import SpanningForest
 from ..network.graph import Graph, edge_key
+from ..registry import Registry
 
 __all__ = [
     "FaultProgram",
@@ -118,7 +119,8 @@ class FaultProgram:
 #: A fault program builder: ``(graph, forest, seed, **params) -> FaultProgram``.
 FaultBuilder = Callable[..., FaultProgram]
 
-_FAULTS: Dict[str, FaultBuilder] = {}
+#: The fault registry; program builders are its entries.
+FAULT_REGISTRY = Registry("fault program", "fault programs", AlgorithmError)
 
 
 def register_fault(
@@ -143,42 +145,14 @@ def register_fault(
     ... def quiet(graph, forest, seed=None):
     ...     return FaultProgram("quiet")
     """
-    if not name or name != name.strip().lower():
-        raise AlgorithmError(f"fault names must be non-empty lowercase, got {name!r}")
-
-    def decorate(fn: FaultBuilder) -> FaultBuilder:
-        if name in _FAULTS and _FAULTS[name] is not fn:
-            raise AlgorithmError(f"fault program {name!r} is already registered")
-        doc_lines = (fn.__doc__ or "").strip().splitlines()
-        fn.fault_name = name
-        fn.summary = summary or (doc_lines[0] if doc_lines else name)
-        fn.required_params = tuple(requires)
-        fn.adversarial = bool(adversarial)
-        _FAULTS[name] = fn
-        return fn
-
-    return decorate
+    return FAULT_REGISTRY.register(
+        name, summary, requires=tuple(requires), adversarial=bool(adversarial)
+    )
 
 
-def get_fault(name: str) -> FaultBuilder:
-    """Look up the builder registered under ``name`` (fail with the list)."""
-    try:
-        return _FAULTS[name]
-    except KeyError:
-        known = ", ".join(list_faults()) or "<none>"
-        raise AlgorithmError(
-            f"unknown fault program {name!r}; registered fault programs: {known}"
-        ) from None
-
-
-def list_faults() -> List[str]:
-    """The registered fault program names, sorted."""
-    return sorted(_FAULTS)
-
-
-def fault_summaries() -> Dict[str, str]:
-    """Name -> one-line summary for every registered fault program."""
-    return {name: _FAULTS[name].summary for name in list_faults()}
+get_fault = FAULT_REGISTRY.get
+list_faults = FAULT_REGISTRY.names
+fault_summaries = FAULT_REGISTRY.summaries
 
 
 def fault_required_params(name: str) -> Tuple[str, ...]:
@@ -188,7 +162,7 @@ def fault_required_params(name: str) -> Tuple[str, ...]:
     spec generator includes every program runnable from ``(name, seed)``
     alone, so new fault registrations are fuzzed automatically.
     """
-    return tuple(getattr(get_fault(name), "required_params", ()))
+    return FAULT_REGISTRY.meta(name, "requires", ())
 
 
 def fault_adversarial(name: str) -> bool:
@@ -202,7 +176,7 @@ def fault_adversarial(name: str) -> bool:
     trait to decide whether a divergence under the program is an expected
     Byzantine casualty or a real bug.
     """
-    return bool(getattr(get_fault(name), "adversarial", False))
+    return FAULT_REGISTRY.meta(name, "adversarial", False)
 
 
 # ---------------------------------------------------------------------- #

@@ -10,9 +10,11 @@ benchmarks dispatch uniformly instead of special-casing each entry point.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, Type, Union, runtime_checkable
+from functools import partial
+from typing import Callable, Dict, Protocol, Type, Union, runtime_checkable
 
 from ..network.errors import AlgorithmError
+from ..registry import Registry
 from .result import RunResult
 from .scenario import ExperimentSpec
 from .spec import GraphSpec
@@ -49,54 +51,35 @@ class AlgorithmRunner(Protocol):
         ...
 
 
-_REGISTRY: Dict[str, Type] = {}
+#: The algorithm registry; runner classes are its entries.
+ALGORITHM_REGISTRY = Registry("algorithm", "algorithms", AlgorithmError)
 
 
 def register(name: str, summary: str = "") -> Callable[[Type], Type]:
     """Class decorator: publish a runner class under ``name``.
 
+    The class also gets ``name`` and ``summary`` class attributes.
+
     >>> @register("kkt-mst", summary="KKT Build-MST (Theorem 1.1)")
     ... class KKTMSTRunner: ...
     """
-    if not name or name != name.strip().lower():
-        raise AlgorithmError(f"algorithm names must be non-empty lowercase, got {name!r}")
+    publish = ALGORITHM_REGISTRY.register(name, summary)
 
     def decorate(cls: Type) -> Type:
-        if name in _REGISTRY and _REGISTRY[name] is not cls:
-            raise AlgorithmError(f"algorithm {name!r} is already registered")
-        cls.name = name
-        doc_lines = (cls.__doc__ or "").strip().splitlines()
-        cls.summary = summary or (doc_lines[0] if doc_lines else name)
-        _REGISTRY[name] = cls
+        publish(cls)
+        cls.name, cls.summary = name, ALGORITHM_REGISTRY.meta(name, "summary")
         return cls
 
     return decorate
 
 
 def get_runner(name: str) -> AlgorithmRunner:
-    """Instantiate the runner registered under ``name``.
-
-    Raises :class:`~repro.network.errors.AlgorithmError` with the list of
-    known algorithms when the name is unknown.
-    """
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(list_algorithms()) or "<none>"
-        raise AlgorithmError(
-            f"unknown algorithm {name!r}; registered algorithms: {known}"
-        ) from None
-    return cls()
+    """Instantiate the runner registered under ``name`` (fail with the list)."""
+    return ALGORITHM_REGISTRY.get(name)()
 
 
-def list_algorithms() -> List[str]:
-    """The registered algorithm names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def algorithm_summaries() -> Dict[str, str]:
-    """Name -> one-line summary for every registered algorithm."""
-    return {name: _REGISTRY[name].summary for name in list_algorithms()}
+list_algorithms = ALGORITHM_REGISTRY.names
+algorithm_summaries = ALGORITHM_REGISTRY.summaries
 
 
 def algorithm_traits(name: str) -> Dict[str, object]:
@@ -129,14 +112,12 @@ def algorithm_traits(name: str) -> Dict[str, object]:
       Byzantine adversary is assumed compromised, so the differential
       oracle flags rather than trusts its divergences.
     """
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        get_runner(name)  # raises with the list of known algorithms
+    trait = partial(ALGORITHM_REGISTRY.meta, name)
     return {
-        "invariant": getattr(cls, "invariant", "spanning"),
-        "may_fail_under_faults": bool(getattr(cls, "may_fail_under_faults", False)),
-        "monte_carlo": bool(getattr(cls, "monte_carlo", False)),
-        "byzantine_tolerant": bool(getattr(cls, "byzantine_tolerant", False)),
+        "invariant": trait("invariant", "spanning"),
+        "may_fail_under_faults": bool(trait("may_fail_under_faults", False)),
+        "monte_carlo": bool(trait("monte_carlo", False)),
+        "byzantine_tolerant": bool(trait("byzantine_tolerant", False)),
     }
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from ..dynamic import (
     UpdateStream,
@@ -53,10 +53,11 @@ from ..dynamic import (
     tree_edge_deletions,
     tree_weight_increases,
 )
-from ..network.errors import AlgorithmError
+from ..network.errors import AlgorithmError, SimulationError
 from ..network.fragments import SpanningForest
 from ..network.graph import Graph
-from ..network.scheduler import SCHEDULERS, Scheduler, make_scheduler
+from ..network.scheduler import SCHEDULER_REGISTRY, Scheduler, make_scheduler
+from ..registry import Registry
 from .faults import FaultSpec
 from .spec import GraphSpec
 
@@ -79,7 +80,8 @@ __all__ = [
 #: A workload generator: ``(graph, forest, count, seed, **params) -> stream``.
 WorkloadGenerator = Callable[..., UpdateStream]
 
-_WORKLOADS: Dict[str, WorkloadGenerator] = {}
+#: The workload registry; generator functions are its entries.
+WORKLOAD_REGISTRY = Registry("workload", "workloads", AlgorithmError)
 
 
 def register_workload(
@@ -99,41 +101,12 @@ def register_workload(
     ... def noop(graph, forest, count, seed=None):
     ...     return UpdateStream()
     """
-    if not name or name != name.strip().lower():
-        raise AlgorithmError(f"workload names must be non-empty lowercase, got {name!r}")
-
-    def decorate(fn: WorkloadGenerator) -> WorkloadGenerator:
-        if name in _WORKLOADS and _WORKLOADS[name] is not fn:
-            raise AlgorithmError(f"workload {name!r} is already registered")
-        doc_lines = (fn.__doc__ or "").strip().splitlines()
-        fn.workload_name = name
-        fn.summary = summary or (doc_lines[0] if doc_lines else name)
-        fn.required_params = tuple(requires)
-        _WORKLOADS[name] = fn
-        return fn
-
-    return decorate
+    return WORKLOAD_REGISTRY.register(name, summary, requires=tuple(requires))
 
 
-def get_workload(name: str) -> WorkloadGenerator:
-    """Look up the generator registered under ``name`` (fail with the list)."""
-    try:
-        return _WORKLOADS[name]
-    except KeyError:
-        known = ", ".join(list_workloads()) or "<none>"
-        raise AlgorithmError(
-            f"unknown workload {name!r}; registered workloads: {known}"
-        ) from None
-
-
-def list_workloads() -> List[str]:
-    """The registered workload names, sorted."""
-    return sorted(_WORKLOADS)
-
-
-def workload_summaries() -> Dict[str, str]:
-    """Name -> one-line summary for every registered workload."""
-    return {name: _WORKLOADS[name].summary for name in list_workloads()}
+get_workload = WORKLOAD_REGISTRY.get
+list_workloads = WORKLOAD_REGISTRY.names
+workload_summaries = WORKLOAD_REGISTRY.summaries
 
 
 def workload_required_params(name: str) -> Tuple[str, ...]:
@@ -143,7 +116,7 @@ def workload_required_params(name: str) -> Tuple[str, ...]:
     workload that is runnable from just ``(name, updates, seed)`` — a new
     workload registered without ``requires`` is fuzzed automatically.
     """
-    return tuple(getattr(get_workload(name), "required_params", ()))
+    return WORKLOAD_REGISTRY.meta(name, "requires", ())
 
 
 def stream_fingerprint(stream: UpdateStream) -> str:
@@ -302,11 +275,10 @@ class ScheduleSpec:
     batch_size: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.scheduler not in SCHEDULERS:
-            known = ", ".join(sorted(SCHEDULERS))
-            raise AlgorithmError(
-                f"unknown scheduler {self.scheduler!r}; registered schedulers: {known}"
-            )
+        try:
+            SCHEDULER_REGISTRY.get(self.scheduler)
+        except SimulationError as exc:
+            raise AlgorithmError(str(exc)) from None
         if self.seed is not None and self.scheduler != "random":
             raise AlgorithmError(
                 f"the {self.scheduler!r} scheduler is deterministic and takes no seed"

@@ -90,6 +90,7 @@ from .api import (
     algorithm_summaries,
     fault_adversarial,
     fault_summaries,
+    get_fault,
     get_runner,
     list_faults,
     list_schedulers,
@@ -143,13 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--updates", type=int, default=None,
                          help="workload stream length (default: 10 for generated "
                               "workloads, the full trace for trace-replay)")
-    run_cmd.add_argument("--workload", choices=sorted(list_workloads()),
+    run_cmd.add_argument("--workload", choices=list_workloads(),
                          help="run the scenario under a registered workload")
-    run_cmd.add_argument("--schedule", choices=sorted(list_schedulers()),
+    run_cmd.add_argument("--schedule", choices=list_schedulers(),
                          help="deliver messages under an adversarial scheduler")
-    run_cmd.add_argument("--fault", choices=sorted(list_faults()),
+    run_cmd.add_argument("--fault", choices=list_faults(),
                          help="run the scenario under a registered fault program")
-    run_cmd.add_argument("--substrate", choices=sorted(list_substrates()),
+    run_cmd.add_argument("--substrate", choices=list_substrates(),
                          default="plain",
                          help="delivery substrate for the broadcast-and-echo "
                               "fabric ('bracha' hardens every hop with "
@@ -183,9 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     suite.add_argument("--algorithms", nargs="+", metavar="algorithm", required=True)
     suite.add_argument("--workloads", nargs="+", metavar="workload",
-                       choices=sorted(list_workloads()), default=["churn"])
+                       choices=list_workloads(), default=["churn"])
     suite.add_argument("--schedules", nargs="+", metavar="schedule",
-                       choices=["none"] + sorted(list_schedulers()), default=["none"],
+                       choices=["none"] + list_schedulers(), default=["none"],
                        help="delivery schedules ('none' = default delivery)")
     suite.add_argument("--faults", nargs="+", metavar="fault", default=["none"],
                        help="fault programs (comma- or space-separated; "
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     repair.add_argument("--workload",
                         choices=sorted(set(list_workloads()) - {"trace-replay"}),
                         default="churn", help="a registered update workload")
-    repair.add_argument("--fault", choices=sorted(list_faults()), default="none",
+    repair.add_argument("--fault", choices=list_faults(), default="none",
                         help="apply a registered fault program after the workload")
     repair.add_argument("--repair-batch", type=int, default=None, metavar="K",
                         help="coalesce updates into waves of K events sharing "
@@ -331,11 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_arguments(submit)
     submit.add_argument("--updates", type=int, default=None,
                         help="workload stream length")
-    submit.add_argument("--workload", choices=sorted(list_workloads()),
+    submit.add_argument("--workload", choices=list_workloads(),
                         help="submit the scenario under a registered workload")
-    submit.add_argument("--schedule", choices=sorted(list_schedulers()),
+    submit.add_argument("--schedule", choices=list_schedulers(),
                         help="deliver messages under an adversarial scheduler")
-    submit.add_argument("--fault", choices=sorted(list_faults()),
+    submit.add_argument("--fault", choices=list_faults(),
                         help="run the scenario under a registered fault program")
     submit.add_argument("--trace", metavar="PATH",
                         help="trace file for the trace-replay workload")
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     lg_record.add_argument("--density", choices=_DENSITY_CHOICES, default="sparse")
     lg_record.add_argument("--seed", type=int, default=2015)
     lg_record.add_argument("--workloads", nargs="+", metavar="workload",
-                           choices=["none"] + sorted(list_workloads()),
+                           choices=["none"] + list_workloads(),
                            default=["none"],
                            help="workload mix ('none' = construction only)")
     lg_record.add_argument("--updates", type=int, default=None,
@@ -553,15 +554,9 @@ def _command_workloads(_args: argparse.Namespace) -> int:
 def _fault_names(raw: Sequence[str]) -> List[str]:
     """Flatten ``--faults`` values (space- and/or comma-separated) and check
     them against the registry."""
-    names: List[str] = []
-    for token in raw:
-        names.extend(part for part in token.split(",") if part)
-    known = {"none", *list_faults()}
+    names = [part for token in raw for part in token.split(",") if part]
     for name in names:
-        if name not in known:
-            raise AlgorithmError(
-                f"unknown fault program {name!r}; choose from {', '.join(sorted(known))}"
-            )
+        get_fault(name)
     return names
 
 

@@ -142,7 +142,7 @@ class SpecGenerator:
             for name in list_faults()
             if name != "none" and not fault_required_params(name)
         ]
-        self.schedulers: List[str] = sorted(list_schedulers())
+        self.schedulers: List[str] = list_schedulers()
 
     # ------------------------------------------------------------------ #
     # sampling

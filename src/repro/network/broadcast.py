@@ -47,6 +47,7 @@ from functools import reduce
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .. import fastpath
+from ..registry import Registry
 from .accounting import MessageAccountant
 from .columnar import ColumnarGraph, CutColumn
 from .errors import ProtocolError, SimulationError
@@ -298,51 +299,21 @@ class DeliverySubstrate:
         raise NotImplementedError
 
 
-#: A substrate builder: ``(n=..., **params) -> Optional[DeliverySubstrate]``.
-SubstrateBuilder = Callable[..., Optional[DeliverySubstrate]]
-
-_SUBSTRATES: Dict[str, SubstrateBuilder] = {}
+#: The substrate registry.  Its entries are builders that take keyword
+#: parameters (at least ``n``, the system size) and return a
+#: :class:`DeliverySubstrate` — or ``None`` for the plain direct-send
+#: substrate, which keeps the executor on its historical bit-identical path.
+SUBSTRATE_REGISTRY = Registry("delivery substrate", "substrates", ProtocolError)
+register_substrate = SUBSTRATE_REGISTRY.register
+list_substrates = SUBSTRATE_REGISTRY.names
 
 #: The process-wide default substrate installed by :func:`delivery_substrate`.
 _ACTIVE_SUBSTRATE: Optional[DeliverySubstrate] = None
 
 
-def register_substrate(name: str) -> Callable[[SubstrateBuilder], SubstrateBuilder]:
-    """Function decorator: publish a delivery-substrate builder under ``name``.
-
-    Mirrors the fault/workload registries: builders take keyword parameters
-    (at least ``n``, the system size) and return a
-    :class:`DeliverySubstrate` — or ``None`` for the plain direct-send
-    substrate, which keeps the executor on its historical bit-identical
-    code path.
-    """
-    if not name or name != name.strip().lower():
-        raise ProtocolError(f"substrate names must be non-empty lowercase, got {name!r}")
-
-    def decorate(fn: SubstrateBuilder) -> SubstrateBuilder:
-        if name in _SUBSTRATES and _SUBSTRATES[name] is not fn:
-            raise ProtocolError(f"delivery substrate {name!r} is already registered")
-        _SUBSTRATES[name] = fn
-        return fn
-
-    return decorate
-
-
-def list_substrates() -> List[str]:
-    """The registered delivery-substrate names, sorted."""
-    return sorted(_SUBSTRATES)
-
-
 def make_substrate(name: str, **params: Any) -> Optional[DeliverySubstrate]:
     """Build the substrate registered under ``name`` (``"plain"`` -> ``None``)."""
-    try:
-        builder = _SUBSTRATES[name]
-    except KeyError:
-        known = ", ".join(list_substrates()) or "<none>"
-        raise ProtocolError(
-            f"unknown delivery substrate {name!r}; registered substrates: {known}"
-        ) from None
-    return builder(**params)
+    return SUBSTRATE_REGISTRY.get(name)(**params)
 
 
 @register_substrate("plain")

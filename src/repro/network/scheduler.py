@@ -28,6 +28,7 @@ import heapq
 import random
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from ..registry import Registry
 from .errors import SimulationError
 from .graph import edge_key
 from .message import Message
@@ -42,6 +43,11 @@ __all__ = [
     "list_schedulers",
     "make_scheduler",
 ]
+
+
+#: The scheduler registry: each scheduler class registers under the short
+#: name that ``ScheduleSpec`` and the CLI use.
+SCHEDULER_REGISTRY = Registry("scheduler", "schedulers", SimulationError)
 
 
 def _reject_unknown(cls_name: str, params: Mapping[str, Any], known: Tuple[str, ...]) -> None:
@@ -75,6 +81,7 @@ class Scheduler:
         return cls()
 
 
+@SCHEDULER_REGISTRY.register("fifo")
 class FifoScheduler(Scheduler):
     """Deliver messages in the order they were submitted."""
 
@@ -100,6 +107,7 @@ class FifoScheduler(Scheduler):
         return len(self._queue) - self._head
 
 
+@SCHEDULER_REGISTRY.register("lifo")
 class LifoScheduler(Scheduler):
     """Always deliver the most recently submitted message first."""
 
@@ -118,6 +126,7 @@ class LifoScheduler(Scheduler):
         return len(self._stack)
 
 
+@SCHEDULER_REGISTRY.register("random")
 class RandomScheduler(Scheduler):
     """Deliver a uniformly random pending message at each step."""
 
@@ -149,6 +158,7 @@ class RandomScheduler(Scheduler):
         return len(self._pending)
 
 
+@SCHEDULER_REGISTRY.register("edge-delay")
 class EdgeDelayScheduler(Scheduler):
     """Deliver messages in order of (send sequence + fixed per-edge delay).
 
@@ -203,17 +213,9 @@ class EdgeDelayScheduler(Scheduler):
 # ---------------------------------------------------------------------- #
 # construction by name
 # ---------------------------------------------------------------------- #
-#: Registered scheduler names, as used by ``ScheduleSpec`` and the CLI.
-SCHEDULERS: Dict[str, type] = {
-    "fifo": FifoScheduler,
-    "lifo": LifoScheduler,
-    "random": RandomScheduler,
-    "edge-delay": EdgeDelayScheduler,
-}
-
-#: The registry is closed at import time, so the sorted name list is
-#: computed once here instead of on every list_schedulers()/CLI call.
-_SCHEDULER_NAMES: Tuple[str, ...] = tuple(sorted(SCHEDULERS))
+#: Name -> scheduler class (the registry's backing dict).
+SCHEDULERS: Dict[str, type] = SCHEDULER_REGISTRY.entries
+list_schedulers = SCHEDULER_REGISTRY.names
 
 
 def _decode_delays(
@@ -250,22 +252,10 @@ def _decode_delays(
     return decoded
 
 
-def list_schedulers() -> List[str]:
-    """The registered scheduler names, sorted."""
-    return list(_SCHEDULER_NAMES)
-
-
 def make_scheduler(name: str, **params: Any) -> Scheduler:
     """Build a scheduler by registered name from JSON-friendly parameters.
 
     >>> make_scheduler("random", seed=7)  # doctest: +ELLIPSIS
     <repro.network.scheduler.RandomScheduler object at ...>
     """
-    try:
-        cls = SCHEDULERS[name]
-    except KeyError:
-        known = ", ".join(list_schedulers())
-        raise SimulationError(
-            f"unknown scheduler {name!r}; registered schedulers: {known}"
-        ) from None
-    return cls.from_params(**params)
+    return SCHEDULER_REGISTRY.get(name).from_params(**params)

@@ -16,7 +16,7 @@ from repro.api import (
     WorkloadSpec,
     error_result,
 )
-from repro.api.registry import _REGISTRY, register
+from repro.api.registry import ALGORITHM_REGISTRY, register
 from repro.network.errors import AlgorithmError
 from repro.service.store import canonical_result
 
@@ -35,7 +35,7 @@ def failing_runner():
     try:
         yield "zz-always-fails"
     finally:
-        _REGISTRY.pop("zz-always-fails", None)
+        ALGORITHM_REGISTRY.entries.pop("zz-always-fails", None)
 
 
 class TestOnErrorModes:

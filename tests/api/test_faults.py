@@ -26,11 +26,9 @@ from repro.api import (
     fault_summaries,
     get_fault,
     list_faults,
-    register_fault,
     run,
     scenario_grid,
 )
-from repro.api.faults import FaultProgram
 from repro.api.runners import _reference_forest
 from repro.api.scenario import stream_fingerprint
 from repro.dynamic import UpdateKind
@@ -68,14 +66,6 @@ class TestRegistry:
         with pytest.raises(AlgorithmError, match="registered fault programs"):
             get_fault("meteor-strike")
 
-    def test_register_rejects_bad_names_and_duplicates(self):
-        with pytest.raises(AlgorithmError):
-            register_fault("Not Lower")(lambda graph, forest, seed=None: None)
-        with pytest.raises(AlgorithmError):
-
-            @register_fault("none")
-            def other_none(graph, forest, seed=None):  # pragma: no cover
-                return FaultProgram("none")
 
 
 class TestFaultSpec:

@@ -45,23 +45,11 @@ class TestRegistryLookup:
 
 
 class TestRegisterDecorator:
-    def test_rejects_duplicate_names(self):
-        with pytest.raises(AlgorithmError, match="already registered"):
-
-            @register("kkt-mst")
-            class Impostor:
-                """Not the real thing."""
-
-    def test_rejects_uppercase_names(self):
-        with pytest.raises(AlgorithmError, match="lowercase"):
-            register("KKT-MST")
-
-    def test_rejects_empty_names(self):
-        with pytest.raises(AlgorithmError):
-            register("")
+    # Name checks, duplicates and lookups are the shared registry contract,
+    # checked for every registry in tests/test_name_registry.py.
 
     def test_docstring_less_class_falls_back_to_name(self):
-        from repro.api.registry import _REGISTRY
+        from repro.api.registry import ALGORITHM_REGISTRY
 
         try:
             @register("zz-test-noop")
@@ -74,7 +62,7 @@ class TestRegisterDecorator:
         finally:
             # Leaking the dummy would make every later registry consumer
             # (the fuzz campaign, notably) trip over it.
-            _REGISTRY.pop("zz-test-noop", None)
+            ALGORITHM_REGISTRY.entries.pop("zz-test-noop", None)
 
 
 class TestRunFacade:

@@ -373,7 +373,7 @@ class TestSpecsAreHashable:
 class TestPR1StyleRunnersSurviveScenarioGrids:
     def test_bare_scenario_is_unwrapped_for_graph_only_runners(self):
         from repro.api import ExperimentEngine, register, scenario_grid
-        from repro.api.registry import _REGISTRY
+        from repro.api.registry import ALGORITHM_REGISTRY
 
         @register("pr1-style-test", summary="graph-only runner from the PR-1 docs")
         class PR1StyleRunner:
@@ -390,7 +390,7 @@ class TestPR1StyleRunnersSurviveScenarioGrids:
             results = ExperimentEngine().run_suite(jobs)
             assert results[0].ok
         finally:
-            _REGISTRY.pop("pr1-style-test", None)
+            ALGORITHM_REGISTRY.entries.pop("pr1-style-test", None)
 
 
 class TestConstructionPreChurn:

@@ -56,7 +56,8 @@ class TestRegistryWiring:
 
     def test_unknown_byzantine_name_from_the_cli(self):
         with pytest.raises(
-            AlgorithmError, match="unknown fault program 'byz-bribe'; choose from"
+            AlgorithmError,
+            match="unknown fault program 'byz-bribe'; registered fault programs: ",
         ):
             _fault_names(["none,byz-bribe"])
 

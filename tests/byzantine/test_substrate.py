@@ -13,7 +13,6 @@ from repro.network.broadcast import (
     delivery_substrate,
     list_substrates,
     make_substrate,
-    register_substrate,
 )
 from repro.network.errors import AlgorithmError, ProtocolError
 
@@ -40,12 +39,6 @@ class TestRegistry:
         with pytest.raises(ProtocolError, match="registered substrates"):
             make_substrate("pigeon")
 
-    def test_duplicate_registration_is_rejected(self):
-        with pytest.raises(ProtocolError, match="already registered"):
-
-            @register_substrate("bracha")
-            def impostor(**params):  # pragma: no cover
-                return None
 
 
 class TestClosedFormCrossValidation:

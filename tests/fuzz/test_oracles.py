@@ -99,7 +99,7 @@ def broken_algorithm():
             )
 
     yield "broken-mst"
-    registry_module._REGISTRY.pop("broken-mst", None)
+    registry_module.ALGORITHM_REGISTRY.entries.pop("broken-mst", None)
 
 
 class TestDifferentialOracle:
@@ -266,7 +266,7 @@ def fragile_algorithm():
             )
 
     yield "fragile"
-    registry_module._REGISTRY.pop("fragile", None)
+    registry_module.ALGORITHM_REGISTRY.entries.pop("fragile", None)
 
 
 class TestByzantineFlagNotFail:

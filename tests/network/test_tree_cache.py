@@ -160,6 +160,13 @@ class TestPatching:
 class TestSketchMemos:
     """The statistics tuple and cut column a tree memoises for the sketches."""
 
+    @pytest.fixture
+    def fast_path(self):
+        # Keeping a memo across lookups needs the cached, patched structure
+        # of the fast path; the reference tier builds a fresh one each time.
+        with fastpath.fast_path():
+            yield
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_statistics_equal_the_reference_fold(self, seed):
         graph = random_connected_graph(20, 50, seed=seed)
@@ -208,6 +215,7 @@ class TestSketchMemos:
             assert memo == cut
             assert structure.cut_column(cols) is memo
 
+    @pytest.mark.usefixtures("fast_path")
     def test_unrelated_tree_change_keeps_the_memos(self):
         graph, forest = path_forest(10)
         forest.unmark(7, 8)
@@ -219,6 +227,7 @@ class TestSketchMemos:
         assert structure.cut_column(cols) is cut
         assert structure.statistics(cols) is stats
 
+    @pytest.mark.usefixtures("fast_path")
     def test_graph_change_rebuilds_the_memos(self):
         graph, forest = path_forest(10)
         graph.add_edge(1, 9, weight=3)
@@ -235,6 +244,7 @@ class TestSketchMemos:
         ]
         assert structure.statistics(cols)[2] == graph.augmented_weight(1, 9)
 
+    @pytest.mark.usefixtures("fast_path")
     def test_patch_rebuilds_the_memos(self):
         graph, forest = path_forest(10)
         forest.unmark(8, 9)
