@@ -8,13 +8,11 @@ from .complexity import (
     is_sublinear_in,
     ratio_series,
 )
-from .experiments import ConstructionMeasurement, run_construction_measurement
 from .reporting import ExperimentTable, format_cell, format_table
 from .stats import Summary, mean, median, percentile, stdev, summarize
 
 __all__ = [
     "BOUNDS",
-    "ConstructionMeasurement",
     "ExperimentTable",
     "FitResult",
     "Summary",
@@ -27,7 +25,6 @@ __all__ = [
     "median",
     "percentile",
     "ratio_series",
-    "run_construction_measurement",
     "stdev",
     "summarize",
 ]

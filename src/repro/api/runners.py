@@ -68,7 +68,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .. import fastpath
 from ..baselines.flooding_st import flooding_spanning_tree
 from ..baselines.ghs import GHSBuildMST
 from ..baselines.recompute_repair import RecomputeMaintainer
@@ -610,9 +609,7 @@ def _effective_repair_batch(repair_batch: Optional[int], schedule) -> int:
     """The wave size a repair runner should use (0 = sequential).
 
     Precedence: an explicit ``repair_batch`` argument beats the schedule's
-    ``batch_size``, which beats the ``REPRO_REPAIR_BATCH`` environment knob.
-    Passing ``repair_batch=0`` therefore forces sequential processing even
-    inside a forced-batching CI leg — the differential oracle relies on it.
+    ``batch_size``; with neither, the runner repairs sequentially.
     """
     if repair_batch is not None:
         if repair_batch < 0:
@@ -620,7 +617,7 @@ def _effective_repair_batch(repair_batch: Optional[int], schedule) -> int:
         return repair_batch
     if schedule is not None and schedule.batch_size is not None:
         return schedule.batch_size
-    return fastpath.repair_batch_size()
+    return 0
 
 
 def _wave_cost_extra(batch: int, costs: List[int]) -> Dict[str, Any]:

@@ -266,7 +266,7 @@ class ScheduleSpec:
         the update stream into waves of this many events and coalesce each
         wave into one shared repair round.  ``None`` (the default, and what
         every pre-existing payload deserializes to) keeps sequential
-        per-update processing unless ``REPRO_REPAIR_BATCH`` overrides it.
+        per-update processing; a runner's ``repair_batch`` option beats it.
     """
 
     scheduler: str = "fifo"

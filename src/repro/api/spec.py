@@ -43,8 +43,8 @@ WEIGHT_MODELS = ("default", "uniform", "adversarial")
 def edge_budget(nodes: int, density: str) -> int:
     """Edge count for a density profile, clamped to [n-1, n(n-1)/2].
 
-    This is the one definition of the clamping rule that used to be
-    copy-pasted across ``cli.py`` and ``analysis/experiments.py``.
+    This is the one definition of the clamping rule; :attr:`GraphSpec.edges`
+    reads it.
     """
     try:
         profile = DENSITY_PROFILES[density]

@@ -5,24 +5,27 @@ algorithm in the registry is runnable by name, results are uniform
 :class:`~repro.api.result.RunResult` records, and sweeps fan out across
 worker processes.
 
-* ``run <algorithm>`` — run any registered algorithm on a generated graph,
-  optionally under ``--workload`` / ``--schedule`` / ``--fault``, and (for
-  the KKT runners) over a hardened ``--substrate`` such as Bracha reliable
-  broadcast;
-* ``compare <algo> <algo> ...`` — head-to-head on the *same* graph spec;
-* ``sweep`` — size sweep; ``--algorithms ... --jobs N`` runs the registry
-  grid in parallel, the legacy ``--kind`` form prints the normalised table
-  over the same registry runs as ``build-*``;
+``run``, ``compare`` and ``submit`` share one request shape: the graph
+flags plus ``--updates --workload --schedule --fault --trace --mode
+--substrate --repair-batch`` become one ``(spec, options)`` pair, with each
+runner receiving only the options its ``run`` accepts.  The three commands
+therefore report the same counters for the same flags.
+
+* ``run <algorithm>`` — execute one request: any registered algorithm on a
+  generated graph, optionally under ``--workload`` / ``--schedule`` /
+  ``--fault``, over a hardened ``--substrate`` such as Bracha reliable
+  broadcast (KKT runners), or as an ``--mode st`` / ``--repair-batch K``
+  repair;
+* ``compare <algo> <algo> ...`` — the same request for several algorithms
+  head-to-head (``compare kkt-mst ghs`` is the Build-MST cost report,
+  ``compare kkt-repair recompute-repair`` the repair baseline);
+* ``sweep --algorithms ...`` — size sweep of the registry grid, in parallel
+  with ``--jobs N``;
 * ``suite`` — the full scenario grid: graph sizes × algorithms × workloads
   × schedules × faults, in parallel, with full provenance per record;
 * ``algorithms`` — list the registry;
 * ``workloads`` — list the registered workloads and delivery schedulers;
 * ``faults`` — list the registered fault programs;
-* ``build-mst`` / ``build-st`` — a cost-report view over the ``kkt-mst`` /
-  ``kkt-st`` registry run next to its ``ghs`` / ``flooding`` baseline run;
-* ``repair`` — a table view over the ``kkt-repair`` registry run (workload
-  plus optional fault program); ``--compare-recompute`` adds the
-  ``recompute-repair`` run on the same spec;
 * ``trace record`` / ``trace replay`` — save a workload run as a JSON trace
   and replay it bit-for-bit later;
 * ``fuzz run`` — a seeded differential-fuzzing campaign over random
@@ -32,8 +35,8 @@ worker processes.
 * ``serve`` — the long-lived experiment service: an asyncio HTTP/JSON-lines
   daemon with an async job queue, a supervised worker pool and a
   content-addressed result store (repeat submissions are cache hits);
-* ``submit`` — send one spec to a running ``repro serve`` and print the
-  (byte-identical-to-local) result;
+* ``submit`` — send one request to a running ``repro serve`` and print the
+  (byte-identical-to-``run``) result;
 * ``loadgen`` — record a spec trace and replay it against the service at
   configurable concurrency, reporting cold-vs-warm throughput;
 * ``selfcheck`` — run a quick end-to-end correctness pass.
@@ -54,6 +57,7 @@ Examples
     python -m repro run flooding --nodes 24 --fault byz-equivocate
     python -m repro run kkt-mst --nodes 64 --substrate bracha
     python -m repro compare kkt-mst ghs --nodes 64 --seed 1
+    python -m repro compare kkt-repair recompute-repair --nodes 64 --mode st --fault crash-leaves
     python -m repro sweep --algorithms kkt-st flooding --sizes 32 64 96 --jobs 4 --json
     python -m repro suite --algorithms kkt-repair recompute-repair \
         --workloads churn deletions-only insert-heavy --schedules none random --jobs 4 --json
@@ -75,12 +79,13 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .analysis import ExperimentTable, run_construction_measurement
+from .analysis import ExperimentTable
 from .api import (
     DENSITY_PROFILES,
     ExperimentEngine,
+    ExperimentJob,
     ExperimentSpec,
     FaultSpec,
     GraphSpec,
@@ -112,6 +117,47 @@ _DENSITY_CHOICES = sorted(DENSITY_PROFILES)
 # ---------------------------------------------------------------------- #
 # argument parsing
 # ---------------------------------------------------------------------- #
+def _add_graph_arguments(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--nodes", "-n", type=int, default=64, help="number of nodes")
+    sub.add_argument(
+        "--density",
+        choices=_DENSITY_CHOICES,
+        default="dense",
+        help="edge-density profile",
+    )
+    sub.add_argument("--seed", type=int, default=2015, help="random seed")
+    sub.add_argument("--error-exponent", "-c", type=float, default=1.0,
+                     help="success probability exponent c (failure <= n^-c)")
+
+
+def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
+    """The flags of one run request, shared by ``run``, ``compare`` and
+    ``submit``; :func:`_request_from_args` turns them into (spec, options)."""
+    _add_graph_arguments(sub)
+    sub.add_argument("--updates", type=int, default=None,
+                     help="workload stream length (default: 10 for generated "
+                          "workloads, the full trace for trace-replay)")
+    sub.add_argument("--workload", choices=list_workloads(),
+                     help="run the scenario under a registered workload")
+    sub.add_argument("--schedule", choices=list_schedulers(),
+                     help="deliver messages under an adversarial scheduler")
+    sub.add_argument("--fault", choices=list_faults(),
+                     help="run the scenario under a registered fault program")
+    sub.add_argument("--trace", metavar="PATH",
+                     help="trace file for the trace-replay workload")
+    sub.add_argument("--mode", choices=["mst", "st"], default=None,
+                     help="forest the repair runners maintain (default: mst)")
+    sub.add_argument("--substrate", choices=list_substrates(), default="plain",
+                     help="delivery substrate for the broadcast-and-echo "
+                          "fabric ('bracha' hardens every hop with "
+                          "reliable broadcast; KKT runners only)")
+    sub.add_argument("--repair-batch", type=int, default=None, metavar="K",
+                     help="coalesce repair updates into waves of K events "
+                          "sharing one repair round (repair runners only; "
+                          "default: the schedule's batch size, else 0 = "
+                          "sequential)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
 
@@ -124,51 +170,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_graph_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--nodes", "-n", type=int, default=64, help="number of nodes")
-        sub.add_argument(
-            "--density",
-            choices=_DENSITY_CHOICES,
-            default="dense",
-            help="edge-density profile",
-        )
-        sub.add_argument("--seed", type=int, default=2015, help="random seed")
-        sub.add_argument("--error-exponent", "-c", type=float, default=1.0,
-                         help="success probability exponent c (failure <= n^-c)")
-
     run_cmd = subparsers.add_parser(
         "run", help="run any registered algorithm on a generated graph"
     )
     run_cmd.add_argument("algorithm", help="a registered algorithm name (see `algorithms`)")
-    add_graph_arguments(run_cmd)
-    run_cmd.add_argument("--updates", type=int, default=None,
-                         help="workload stream length (default: 10 for generated "
-                              "workloads, the full trace for trace-replay)")
-    run_cmd.add_argument("--workload", choices=list_workloads(),
-                         help="run the scenario under a registered workload")
-    run_cmd.add_argument("--schedule", choices=list_schedulers(),
-                         help="deliver messages under an adversarial scheduler")
-    run_cmd.add_argument("--fault", choices=list_faults(),
-                         help="run the scenario under a registered fault program")
-    run_cmd.add_argument("--substrate", choices=list_substrates(),
-                         default="plain",
-                         help="delivery substrate for the broadcast-and-echo "
-                              "fabric ('bracha' hardens every hop with "
-                              "reliable broadcast; KKT runners only)")
-    run_cmd.add_argument("--trace", metavar="PATH",
-                         help="trace file for the trace-replay workload")
-    run_cmd.add_argument("--repair-batch", type=int, default=None, metavar="K",
-                         help="coalesce repair updates into waves of K events "
-                              "sharing one repair round (repair runners only; "
-                              "0 forces sequential, overriding "
-                              "REPRO_REPAIR_BATCH and the schedule)")
+    _add_run_arguments(run_cmd)
     run_cmd.add_argument("--json", action="store_true", help="emit the RunResult as JSON")
 
     compare = subparsers.add_parser(
-        "compare", help="run several algorithms head-to-head on the same graph spec"
+        "compare", help="run several algorithms head-to-head on the same request"
     )
     compare.add_argument("algorithms", nargs="+", metavar="algorithm")
-    add_graph_arguments(compare)
+    _add_run_arguments(compare)
     compare.add_argument("--jobs", type=int, default=1, help="worker processes")
     compare.add_argument("--json", action="store_true",
                          help="emit one RunResult JSON record per line")
@@ -208,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     record = trace_sub.add_parser("record", help="run a workload and save it as a trace")
-    add_graph_arguments(record)
+    _add_graph_arguments(record)
     record.add_argument("--workload",
                         choices=sorted(set(list_workloads()) - {"trace-replay"}),
                         default="churn")
@@ -219,33 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     replay = trace_sub.add_parser("replay", help="replay a saved trace bit-for-bit")
     replay.add_argument("path", metavar="PATH", help="a trace written by `trace record`")
 
-    for kind in ("mst", "st"):
-        sub = subparsers.add_parser(
-            f"build-{kind}", help=f"construct a {'minimum spanning' if kind == 'mst' else 'spanning'} tree"
-        )
-        add_graph_arguments(sub)
-
-    repair = subparsers.add_parser("repair", help="apply an impromptu-repair update workload")
-    add_graph_arguments(repair)
-    repair.add_argument("--mode", choices=["mst", "st"], default="mst")
-    repair.add_argument("--updates", type=int, default=10)
-    repair.add_argument("--workload",
-                        choices=sorted(set(list_workloads()) - {"trace-replay"}),
-                        default="churn", help="a registered update workload")
-    repair.add_argument("--fault", choices=list_faults(), default="none",
-                        help="apply a registered fault program after the workload")
-    repair.add_argument("--repair-batch", type=int, default=None, metavar="K",
-                        help="coalesce updates into waves of K events sharing "
-                             "one repair round (default: REPRO_REPAIR_BATCH, "
-                             "else sequential; 0 forces sequential)")
-    repair.add_argument("--compare-recompute", action="store_true",
-                        help="also run the recompute-from-scratch baseline")
-
-    sweep = subparsers.add_parser("sweep", help="size sweep of a construction")
-    sweep.add_argument("--kind", choices=["mst", "st"], default="st",
-                       help="legacy construction selector (ignored with --algorithms)")
-    sweep.add_argument("--algorithms", nargs="+", metavar="algorithm",
-                       help="registry algorithms to sweep (enables the parallel engine)")
+    sweep = subparsers.add_parser("sweep", help="size sweep of registry algorithms")
+    sweep.add_argument("--algorithms", nargs="+", metavar="algorithm", required=True,
+                       help="registry algorithms to sweep")
     sweep.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 96])
     sweep.add_argument(
         "--density",
@@ -257,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--json", action="store_true",
                        help="emit one RunResult JSON record per line")
 
-    from .fuzz import ORACLE_FACTORIES
+    from .fuzz import ORACLE_REGISTRY
 
     fuzz = subparsers.add_parser(
         "fuzz", help="differential fuzzing: random scenario campaigns with oracles"
@@ -272,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_run.add_argument("--algorithms", nargs="+", metavar="algorithm",
                           help="algorithms to exercise (default: the whole registry)")
     fuzz_run.add_argument("--oracles", nargs="+", metavar="oracle",
-                          choices=sorted(ORACLE_FACTORIES),
+                          choices=ORACLE_REGISTRY.names(),
                           help="oracle subset (default: the full stack)")
     fuzz_run.add_argument("--max-nodes", type=int, default=None,
                           help="largest generated graph (default: 24)")
@@ -329,20 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit one spec to a running `repro serve` daemon"
     )
     submit.add_argument("algorithm", help="a registered algorithm name")
-    add_graph_arguments(submit)
-    submit.add_argument("--updates", type=int, default=None,
-                        help="workload stream length")
-    submit.add_argument("--workload", choices=list_workloads(),
-                        help="submit the scenario under a registered workload")
-    submit.add_argument("--schedule", choices=list_schedulers(),
-                        help="deliver messages under an adversarial scheduler")
-    submit.add_argument("--fault", choices=list_faults(),
-                        help="run the scenario under a registered fault program")
-    submit.add_argument("--trace", metavar="PATH",
-                        help="trace file for the trace-replay workload")
+    _add_run_arguments(submit)
     submit.add_argument("--spec-file", metavar="PATH",
                         help="submit this ExperimentSpec JSON file instead of "
-                             "building a spec from the graph flags")
+                             "building a spec from the graph and scenario "
+                             "flags (runner options still come from the flags)")
     submit.add_argument("--server", default="127.0.0.1:8765",
                         help="service address as host:port or http:// URL")
     submit.add_argument("--no-wait", action="store_true",
@@ -448,10 +428,6 @@ def _print_suite_table(title: str, results: Sequence[RunResult]) -> None:
     print(table.render())
 
 
-def _spec_from_args(args: argparse.Namespace) -> GraphSpec:
-    return GraphSpec(nodes=args.nodes, density=args.density, seed=args.seed)
-
-
 def _workload_from_args(
     name: str, updates: Optional[int], trace: Optional[str]
 ) -> WorkloadSpec:
@@ -474,9 +450,10 @@ def _runner_options(runner, args: argparse.Namespace) -> dict:
     """
     candidates = {
         "c": args.error_exponent,
-        "updates": getattr(args, "updates", None),
-        "substrate": getattr(args, "substrate", None),
-        "repair_batch": getattr(args, "repair_batch", None),
+        "updates": args.updates,
+        "mode": args.mode,
+        "substrate": args.substrate,
+        "repair_batch": args.repair_batch,
     }
     accepted = inspect.signature(runner.run).parameters
     return {
@@ -486,46 +463,66 @@ def _runner_options(runner, args: argparse.Namespace) -> dict:
     }
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    scenario = args.workload or args.schedule or (args.fault and args.fault != "none")
-    if scenario:
-        workload = (
-            _workload_from_args(args.workload, args.updates, args.trace)
-            if args.workload
-            else None
-        )
-        schedule = ScheduleSpec(scheduler=args.schedule) if args.schedule else None
-        fault = (
-            FaultSpec(name=args.fault)
-            if args.fault and args.fault != "none"
-            else None
-        )
+def _request_from_args(
+    args: argparse.Namespace, algorithm: str
+) -> Tuple[Union[GraphSpec, ExperimentSpec], dict]:
+    """The one flags -> (spec, runner options) translation.
+
+    ``run`` executes the request, ``compare`` executes one per algorithm
+    and ``submit`` sends it to the service, so all three agree on every
+    counter.  The spec stays a bare :class:`GraphSpec` unless a workload,
+    schedule or fault is given.
+    """
+    spec: Union[GraphSpec, ExperimentSpec] = GraphSpec(
+        nodes=args.nodes, density=args.density, seed=args.seed
+    )
+    fault = args.fault if args.fault != "none" else None
+    if args.workload or args.schedule or fault:
         spec = ExperimentSpec(
-            graph=spec, workload=workload, schedule=schedule, faults=fault
+            graph=spec,
+            workload=(
+                _workload_from_args(args.workload, args.updates, args.trace)
+                if args.workload
+                else None
+            ),
+            schedule=ScheduleSpec(scheduler=args.schedule) if args.schedule else None,
+            faults=FaultSpec(name=fault) if fault else None,
         )
-    runner = get_runner(args.algorithm)
-    result = runner.run(spec, **_runner_options(runner, args))
+    return spec, _runner_options(get_runner(algorithm), args)
+
+
+def _print_results(
+    args: argparse.Namespace,
+    spec: Union[GraphSpec, ExperimentSpec],
+    title: str,
+    results: Sequence[RunResult],
+) -> None:
     if args.json:
-        _print_results_json([result])
-    elif scenario:
-        _print_suite_table(f"{args.algorithm} on a {args.density} graph", [result])
+        _print_results_json(results)
+    elif isinstance(spec, ExperimentSpec):
+        _print_suite_table(title, results)
     else:
-        _print_results_table(f"{args.algorithm} on a {args.density} graph", [result])
+        _print_results_table(title, results)
+
+
+def _command_run(args: argparse.Namespace) -> int:
+    spec, options = _request_from_args(args, args.algorithm)
+    result = get_runner(args.algorithm).run(spec, **options)
+    _print_results(args, spec, f"{args.algorithm} on a {args.density} graph", [result])
     return 0 if result.ok else 1
 
 
 def _command_compare(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    engine = ExperimentEngine(jobs=args.jobs, base_seed=args.seed)
-    results = engine.compare(args.algorithms, spec)
-    if args.json:
-        _print_results_json(results)
-    else:
-        _print_results_table(
-            f"Head-to-head on a {args.density} graph (n={args.nodes}, seed={args.seed})",
-            results,
-        )
+    jobs = [
+        ExperimentJob(name, *_request_from_args(args, name)) for name in args.algorithms
+    ]
+    results = ExperimentEngine(jobs=args.jobs, base_seed=args.seed).run(jobs)
+    _print_results(
+        args,
+        jobs[0].spec,
+        f"Head-to-head on a {args.density} graph (n={args.nodes}, seed={args.seed})",
+        results,
+    )
     return 0 if all(result.ok for result in results) else 1
 
 
@@ -614,7 +611,7 @@ def _command_trace(args: argparse.Namespace) -> int:
 
 
 def _command_trace_record(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
+    spec = GraphSpec(nodes=args.nodes, density=args.density, seed=args.seed)
     graph = spec.build()
     report = get_runner(f"kkt-{args.mode}").build_report(
         graph, seed=spec.seed, c=args.error_exponent
@@ -673,104 +670,17 @@ def _command_trace_replay(args: argparse.Namespace) -> int:
     return 0 if ok and reproduced else 1
 
 
-def _command_build(kind: str, args: argparse.Namespace) -> int:
-    measurement = run_construction_measurement(
-        args.nodes, kind=kind, density=args.density, seed=args.seed, c=args.error_exponent
-    )
-    table = ExperimentTable(
-        "build", f"Build-{kind.upper()} on a {args.density} graph", ["quantity", "value"]
-    )
-    table.add_row("nodes (n)", measurement.n)
-    table.add_row("edges (m)", measurement.m)
-    table.add_row(f"KKT Build-{kind.upper()} messages", measurement.kkt_messages)
-    table.add_row(f"{measurement.baseline_name} baseline messages", measurement.baseline_messages)
-    table.add_row("KKT messages / m", round(measurement.kkt_over_m, 3))
-    table.add_row("baseline messages / m", round(measurement.baseline_over_m, 3))
-    table.add_row("KKT bits", measurement.kkt_bits)
-    table.add_row("KKT rounds (parallel)", measurement.kkt_rounds)
-    table.add_row("phases", measurement.kkt_phases)
-    print(table.render())
-    return 0
-
-
-def _command_repair(args: argparse.Namespace) -> int:
-    spec = ExperimentSpec(
-        graph=_spec_from_args(args),
-        workload=WorkloadSpec(name=args.workload, updates=args.updates),
-        faults=None if args.fault == "none" else FaultSpec(name=args.fault),
-    )
-    options = {"mode": args.mode, "repair_batch": args.repair_batch}
-    result = run_algorithm("kkt-repair", spec, c=args.error_exponent, **options)
-    extra = result.extra
-    unit = "wave" if "repair_waves" in extra else "update"
-    table = ExperimentTable(
-        "repair",
-        f"Impromptu {args.mode.upper()} repair under {args.workload}",
-        ["quantity", "value"],
-    )
-    table.add_row("nodes / edges", f"{result.n} / {result.m}")
-    table.add_row(
-        "updates processed", extra["updates"] + extra.get("fault_updates_applied", 0)
-    )
-    if unit == "wave":
-        table.add_row(f"repair waves (batch={extra['repair_batch']})", extra["repair_waves"])
-        table.add_row("updates annihilated inside waves", extra["batched_saved_queries"])
-    if args.fault != "none":
-        table.add_row(f"fault events ({args.fault})", extra["fault_updates_applied"])
-    table.add_row("tree invariant holds", result.ok)
-    table.add_row(f"messages per {unit} (mean)", round(extra[f"messages_per_{unit}_mean"], 1))
-    table.add_row(f"messages per {unit} (max)", extra[f"messages_per_{unit}_max"])
-    if args.compare_recompute:
-        baseline = run_algorithm("recompute-repair", spec, **options)
-        table.add_row(
-            f"recompute baseline per {unit} (mean)",
-            round(baseline.extra[f"messages_per_{unit}_mean"], 1),
-        )
-    print(table.render())
-    return 0 if result.ok else 1
-
-
 def _command_sweep(args: argparse.Namespace) -> int:
-    if not args.algorithms and (args.json or args.jobs != 1):
-        raise AlgorithmError(
-            "--json and --jobs require --algorithms (the legacy --kind sweep "
-            "prints a normalised table serially)"
+    engine = ExperimentEngine(jobs=args.jobs, base_seed=args.seed)
+    results = engine.sweep(args.algorithms, args.sizes, density=args.density, seed=args.seed)
+    if args.json:
+        _print_results_json(results)
+    else:
+        _print_results_table(
+            f"Sweep over {args.density} graphs (seed={args.seed}, jobs={args.jobs})",
+            results,
         )
-    if args.algorithms:
-        engine = ExperimentEngine(jobs=args.jobs, base_seed=args.seed)
-        results = engine.sweep(
-            args.algorithms, args.sizes, density=args.density, seed=args.seed
-        )
-        if args.json:
-            _print_results_json(results)
-        else:
-            _print_results_table(
-                f"Sweep over {args.density} graphs (seed={args.seed}, jobs={args.jobs})",
-                results,
-            )
-        return 0 if all(result.ok for result in results) else 1
-
-    bound = "n_log2_n_over_loglog_n" if args.kind == "mst" else "n_log_n"
-    table = ExperimentTable(
-        "sweep",
-        f"Build-{args.kind.upper()} sweep ({args.density} graphs)",
-        ["n", "m", "KKT msgs", "baseline msgs", "KKT/m", "KKT/bound"],
-    )
-    for n in args.sizes:
-        measurement = run_construction_measurement(
-            n, kind=args.kind, density=args.density, seed=args.seed
-        )
-        table.add_row(
-            measurement.n,
-            measurement.m,
-            measurement.kkt_messages,
-            measurement.baseline_messages,
-            round(measurement.kkt_over_m, 3),
-            round(measurement.kkt_over_bound(bound), 3),
-        )
-    table.add_note(f"bound = {bound}")
-    print(table.render())
-    return 0
+    return 0 if all(result.ok for result in results) else 1
 
 
 def _command_fuzz(args: argparse.Namespace) -> int:
@@ -969,29 +879,14 @@ def _command_submit(args: argparse.Namespace) -> int:
             raise AlgorithmError(f"invalid spec file {args.spec_file}: {exc}") from exc
         if not isinstance(spec_payload, dict):
             raise AlgorithmError("a spec file must hold one JSON object")
+        options = _runner_options(get_runner(args.algorithm), args)
     else:
-        spec = _spec_from_args(args)
-        scenario = args.workload or args.schedule or (args.fault and args.fault != "none")
-        if scenario:
-            workload = (
-                _workload_from_args(args.workload, args.updates, args.trace)
-                if args.workload
-                else None
-            )
-            schedule = ScheduleSpec(scheduler=args.schedule) if args.schedule else None
-            fault = (
-                FaultSpec(name=args.fault)
-                if args.fault and args.fault != "none"
-                else None
-            )
-            spec = ExperimentSpec(
-                graph=spec, workload=workload, schedule=schedule, faults=fault
-            )
+        spec, options = _request_from_args(args, args.algorithm)
         spec_payload = spec.to_dict()
     host, port = _parse_server(args.server)
     client = ServiceClient(host=host, port=port)
     entry = client.submit_spec(
-        args.algorithm, spec_payload, wait=not args.no_wait
+        args.algorithm, spec_payload, options, wait=not args.no_wait
     )
     if args.json:
         print(json_module.dumps(entry, indent=2, sort_keys=True))
@@ -1108,18 +1003,14 @@ def _command_loadgen_run(args: argparse.Namespace) -> int:
 
 
 def _command_selfcheck(_args: argparse.Namespace) -> int:
-    checks = (
-        ("build-mst", "kkt-mst", {}),
-        ("build-st", "kkt-st", {}),
-        ("repair", "kkt-repair", {"updates": 6}),
-    )
+    checks = (("kkt-mst", {}), ("kkt-st", {}), ("kkt-repair", {"updates": 6}))
     all_ok = True
-    for label, algorithm, options in checks:
+    for algorithm, options in checks:
         result = run_algorithm(
             algorithm, GraphSpec(nodes=32, density="sparse", seed=3), **options
         )
         all_ok = all_ok and result.ok
-        print(f"{label:10s} {'OK' if result.ok else 'FAILED'}")
+        print(f"{algorithm:10s} {'OK' if result.ok else 'FAILED'}")
     return 0 if all_ok else 1
 
 
@@ -1134,7 +1025,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "algorithms": _command_algorithms,
         "workloads": _command_workloads,
         "faults": _command_faults,
-        "repair": _command_repair,
         "suite": _command_suite,
         "sweep": _command_sweep,
         "trace": _command_trace,
@@ -1143,10 +1033,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "loadgen": _command_loadgen,
         "selfcheck": _command_selfcheck,
     }
-    if args.command == "build-mst":
-        return _command_build("mst", args)
-    if args.command == "build-st":
-        return _command_build("st", args)
     handler = handlers.get(args.command)
     if handler is None:  # pragma: no cover
         parser.error(f"unknown command {args.command!r}")

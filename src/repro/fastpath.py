@@ -58,7 +58,6 @@ __all__ = [
     "fast_path",
     "reference_path",
     "covers_half",
-    "repair_batch_size",
 ]
 
 
@@ -80,30 +79,6 @@ _enabled = _fastpath_from_env(os.environ.get("REPRO_FASTPATH", "1"))
 def is_enabled() -> bool:
     """True iff the fast path (caches + columnar kernels) is active."""
     return _enabled
-
-
-def repair_batch_size() -> int:
-    """Default wave size for batched impromptu repair (0 = sequential).
-
-    Read from ``REPRO_REPAIR_BATCH``; an explicit ``repair_batch`` argument
-    or a ``ScheduleSpec.batch_size`` always wins over the environment, so
-    differential oracles can force sequential runs even in forced-batching
-    CI legs.  Unlike the kernel dispatch this is *not* wall-clock-only:
-    batched repair trades per-update counter attribution for per-wave
-    amortized accounting (final-forest equality is the contract).  Anything
-    but a non-negative integer raises :class:`AlgorithmError`, so a typo in a
-    forced-batching run cannot silently run sequentially.
-    """
-    value = os.environ.get("REPRO_REPAIR_BATCH", "0")
-    try:
-        size = int(value)
-    except ValueError:
-        size = -1
-    if size < 0:
-        raise AlgorithmError(
-            f"REPRO_REPAIR_BATCH must be a non-negative integer; got {value!r}"
-        )
-    return size
 
 
 def covers_half(part: int, whole: int) -> bool:

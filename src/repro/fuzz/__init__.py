@@ -36,7 +36,7 @@ The pieces
 from .corpus import CORPUS_VERSION, Corpus, CorpusEntry
 from .engine import REPORT_VERSION, FuzzCampaign, replay_entry, report_to_json
 from .oracles import (
-    ORACLE_FACTORIES,
+    ORACLE_REGISTRY,
     CaseContext,
     DeterminismOracle,
     DifferentialOracle,
@@ -61,7 +61,7 @@ __all__ = [
     "DifferentialOracle",
     "FastpathOracle",
     "FuzzCampaign",
-    "ORACLE_FACTORIES",
+    "ORACLE_REGISTRY",
     "ProvenanceOracle",
     "REPORT_VERSION",
     "ShrinkOutcome",

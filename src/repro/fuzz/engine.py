@@ -65,7 +65,7 @@ class FuzzCampaign:
     algorithms:
         Algorithms the oracles exercise (default: the whole registry).
     oracles:
-        Oracle names from :data:`~repro.fuzz.oracles.ORACLE_FACTORIES`
+        Oracle names from :data:`~repro.fuzz.oracles.ORACLE_REGISTRY`
         (default: the full stack).  Instantiated oracle objects are also
         accepted, which is how tests plant deliberately buggy oracles.
     space:

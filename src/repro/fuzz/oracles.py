@@ -65,6 +65,7 @@ from ..fastpath import reference_path
 from ..network.errors import AlgorithmError, ForestError
 from ..network.fragments import SpanningForest
 from ..network.graph import Graph
+from ..registry import Registry
 from ..verify import (
     check_mst_certificates,
     check_spanning_forest,
@@ -79,13 +80,17 @@ __all__ = [
     "FastpathOracle",
     "DeterminismOracle",
     "ProvenanceOracle",
-    "ORACLE_FACTORIES",
+    "ORACLE_REGISTRY",
     "default_algorithms",
     "default_oracles",
     "make_oracles",
     "restore_final_state",
     "run_recorded",
 ]
+
+
+#: name -> zero-argument oracle class, one entry per shipped oracle.
+ORACLE_REGISTRY = Registry("oracle", "oracles", AlgorithmError)
 
 
 @dataclass(frozen=True)
@@ -196,6 +201,7 @@ class CaseContext:
 # ---------------------------------------------------------------------- #
 # the oracles
 # ---------------------------------------------------------------------- #
+@ORACLE_REGISTRY.register("differential")
 class DifferentialOracle:
     """Cross-check every algorithm's tree against the sequential baseline.
 
@@ -298,9 +304,9 @@ class DifferentialOracle:
         Applies to every algorithm whose runner accepts both ``repair_batch``
         and ``record_state``.  The wave size is derived from the spec digest
         (2–4) so the whole fuzz grid exercises different wave geometries
-        deterministically.  Passing ``repair_batch=0`` explicitly forces the
-        sequential leg even when ``REPRO_REPAIR_BATCH`` is set, so this
-        check stays meaningful inside forced-batching CI legs.
+        deterministically.  The sequential leg passes ``repair_batch=0``
+        explicitly, so a spec whose schedule sets a ``batch_size`` still
+        compares batched against sequential.
         """
         violations: List[Violation] = []
         for algorithm in context.algorithms:
@@ -446,6 +452,7 @@ class DifferentialOracle:
         return None
 
 
+@ORACLE_REGISTRY.register("fastpath")
 class FastpathOracle:
     """Fast-path counters must be bit-identical to the reference path."""
 
@@ -492,6 +499,7 @@ class FastpathOracle:
         return violations
 
 
+@ORACLE_REGISTRY.register("determinism")
 class DeterminismOracle:
     """Same spec, same result — in-process, and (sampled) across processes."""
 
@@ -530,6 +538,7 @@ class DeterminismOracle:
         return []
 
 
+@ORACLE_REGISTRY.register("provenance")
 class ProvenanceOracle:
     """Specs round-trip and results record the scenario that produced them."""
 
@@ -572,32 +581,16 @@ class ProvenanceOracle:
         return None
 
 
-#: name -> zero-argument factory for the shipped oracle stack.
-ORACLE_FACTORIES = {
-    "differential": DifferentialOracle,
-    "fastpath": FastpathOracle,
-    "determinism": DeterminismOracle,
-    "provenance": ProvenanceOracle,
-}
-
-
 def default_oracles() -> List[Any]:
     """The full shipped stack, in deterministic order."""
-    return [ORACLE_FACTORIES[name]() for name in sorted(ORACLE_FACTORIES)]
+    return make_oracles(ORACLE_REGISTRY.names())
 
 
 def make_oracles(names: Optional[Sequence[str]]) -> List[Any]:
     """Instantiate a named subset of the stack (``None`` = all of it)."""
     if names is None:
         return default_oracles()
-    oracles = []
-    for name in names:
-        factory = ORACLE_FACTORIES.get(name)
-        if factory is None:
-            known = ", ".join(sorted(ORACLE_FACTORIES))
-            raise AlgorithmError(f"unknown oracle {name!r}; registered oracles: {known}")
-        oracles.append(factory())
-    return oracles
+    return [ORACLE_REGISTRY.get(name)() for name in names]
 
 
 def default_algorithms() -> List[str]:

@@ -5,7 +5,6 @@ import json
 import pytest
 
 import repro
-from repro.analysis import format_cell
 from repro.api import ExperimentSpec, FaultSpec, GraphSpec, RunResult, WorkloadSpec, run
 from repro.cli import build_parser, main
 
@@ -243,14 +242,14 @@ class TestFaultsCli:
         assert result.faults is not None and result.faults.name == "link-storm"
         assert result.extra["fault_updates_applied"] > 0
 
-    def test_repair_with_fault_flag(self, capsys):
+    def test_run_repair_with_fault_program_table(self, capsys):
         code = main(
-            ["repair", "--nodes", "16", "--density", "sparse", "--seed", "5",
+            ["run", "kkt-repair", "--nodes", "16", "--density", "sparse", "--seed", "5",
              "--updates", "3", "--fault", "partition-heal"]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "fault events (partition-heal)" in out
+        assert "partition-heal" in out
 
     def test_suite_faults_axis_comma_separated(self, capsys):
         code = main(
@@ -290,19 +289,27 @@ class TestFaultsCli:
         assert strip(parallel) == strip(serial)
 
 
-class TestRepairView:
-    """`repro repair` renders registry runs: its rows are RunResult fields."""
+def _records(out):
+    """``--json`` lines as dicts, with the one nondeterministic field dropped."""
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    for record in records:
+        record.pop("wall_time_s")
+    return records
+
+
+def _record(result):
+    """A ``RunResult`` as the dict ``_records`` yields for its ``--json`` line."""
+    record = result.to_dict()
+    record.pop("wall_time_s")
+    return record
+
+
+class TestRepairRequests:
+    """Repair runs are plain ``run``/``compare`` requests: their records are
+    the registry runs on the same spec and options."""
 
     GRAPH = ["--nodes", "32", "--density", "dense", "--seed", "3"]
-
-    @staticmethod
-    def _rows(out):
-        rows = {}
-        for line in out.splitlines():
-            label, sep, value = line.rpartition("|")
-            if sep and not label.startswith("-"):
-                rows[label.strip()] = value.strip()
-        return rows
+    SCENARIO = ["--workload", "churn", "--updates", "12", "--repair-batch", "0"]
 
     @staticmethod
     def _spec(fault):
@@ -312,30 +319,32 @@ class TestRepairView:
             faults=FaultSpec(name=fault),
         )
 
-    def test_fault_stream_matches_the_runner(self, capsys):
-        code = main(["repair", *self.GRAPH, "--updates", "12", "--repair-batch", "0",
-                     "--mode", "st", "--fault", "crash-leaves"])
-        rows = self._rows(capsys.readouterr().out)
+    def test_run_mode_st_matches_the_runner(self, capsys):
+        code = main(["run", "kkt-repair", *self.GRAPH, *self.SCENARIO,
+                     "--mode", "st", "--fault", "crash-leaves", "--json"])
+        (record,) = _records(capsys.readouterr().out)
         assert code == 0
         result = run("kkt-repair", self._spec("crash-leaves"), mode="st", repair_batch=0)
-        processed = result.extra["updates"] + result.extra["fault_updates_applied"]
-        assert rows["updates processed"] == str(processed)
-        assert rows["messages per update (mean)"] == format_cell(
-            round(result.extra["messages_per_update_mean"], 1)
-        )
+        assert record == _record(result)
+        assert record["extra"]["mode"] == "st"
+        assert record["extra"]["fault_updates_applied"] > 0
 
-    def test_recompute_baseline_includes_fault_events(self, capsys):
-        code = main(["repair", *self.GRAPH, "--updates", "12", "--repair-batch", "0",
-                     "--fault", "link-storm", "--compare-recompute"])
-        rows = self._rows(capsys.readouterr().out)
+    @pytest.mark.parametrize("fault, mode", [("crash-leaves", "st"), ("link-storm", None)])
+    def test_compare_with_recompute_matches_the_runners(self, capsys, fault, mode):
+        argv = ["compare", "kkt-repair", "recompute-repair", *self.GRAPH, *self.SCENARIO,
+                "--fault", fault, "--json"]
+        code = main(argv + (["--mode", mode] if mode else []))
+        records = _records(capsys.readouterr().out)
         assert code == 0
-        baseline = run("recompute-repair", self._spec("link-storm"), repair_batch=0)
+        options = {"mode": mode} if mode else {}
+        spec = self._spec(fault)
+        kkt = run("kkt-repair", spec, repair_batch=0, **options)
+        baseline = run("recompute-repair", spec, repair_batch=0, **options)
+        assert records == [_record(kkt), _record(baseline)]
+        # The baseline rebuilds once per update, fault events included.
         assert baseline.phases == baseline.extra["updates"] + baseline.extra[
             "fault_updates_applied"
         ]
-        assert rows["recompute baseline per update (mean)"] == format_cell(
-            round(baseline.extra["messages_per_update_mean"], 1)
-        )
 
     def test_run_forwards_error_exponent_to_repair_build(self, capsys):
         code = main(["run", "kkt-repair", *self.GRAPH, "-c", "3", "--json"])
@@ -345,6 +354,48 @@ class TestRepairView:
         assert result.extra["build_messages"] == kkt.messages
         default = run("kkt-mst", GraphSpec(nodes=32, density="dense", seed=3))
         assert kkt.messages != default.messages
+
+
+@pytest.fixture(scope="module")
+def service():
+    from repro.service import InProcessServer, ServiceConfig
+
+    with InProcessServer(ServiceConfig(executor="inline", workers=1)) as server:
+        yield server
+
+
+class TestOneRequestPath:
+    """``run``, ``submit`` and ``compare`` build the same (spec, options)
+    request from the same flags, so their records agree."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["kkt-repair", "--updates", "4"], ["kkt-mst", "-c", "3"]],
+        ids=["kkt-repair-updates", "kkt-mst-error-exponent"],
+    )
+    def test_run_submit_and_compare_agree(self, capsys, service, flags):
+        argv = [*flags, "--nodes", "16", "--density", "sparse", "--seed", "3", "--json"]
+        assert main(["run", *argv]) == 0
+        (ran,) = _records(capsys.readouterr().out)
+        assert main(["submit", *argv, "--server", f"127.0.0.1:{service.port}"]) == 0
+        submitted = json.loads(capsys.readouterr().out)["result"]
+        submitted.pop("wall_time_s")
+        assert main(["compare", *argv]) == 0
+        (compared,) = _records(capsys.readouterr().out)
+        assert ran == submitted == compared
+        if flags[0] == "kkt-repair":
+            assert ran["extra"]["updates"] == 4
+        else:
+            assert ran["extra"]["c"] == 3.0
+
+    def test_compare_gives_each_runner_its_own_options(self, capsys):
+        code = main(["compare", "kkt-mst", "ghs", "--nodes", "16", "--density", "sparse",
+                     "--seed", "3", "-c", "3", "--json"])
+        kkt, ghs = _records(capsys.readouterr().out)
+        assert code == 0
+        graph = GraphSpec(nodes=16, density="sparse", seed=3)
+        assert kkt == _record(run("kkt-mst", graph, c=3))
+        assert ghs == _record(run("ghs", graph))
 
 
 class TestSweepCommand:
@@ -385,16 +436,8 @@ class TestSweepCommand:
 
         assert strip_wall_time(parallel) == strip_wall_time(serial)
 
-    def test_legacy_kind_sweep_still_works(self, capsys):
-        code = main(
-            ["sweep", "--kind", "st", "--sizes", "16", "--density", "sparse", "--seed", "2"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Build-ST sweep" in out
-
-    def test_legacy_sweep_rejects_engine_flags(self, capsys):
-        code = main(["sweep", "--kind", "st", "--sizes", "16", "--json"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "--algorithms" in captured.err
+    def test_sweep_requires_algorithms(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--sizes", "16", "--json"])
+        assert excinfo.value.code == 2
+        assert "--algorithms" in capsys.readouterr().err

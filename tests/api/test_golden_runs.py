@@ -113,12 +113,6 @@ def _digest(cell):
     return content_hash(canonical_result(result.to_dict()))
 
 
-@pytest.fixture(autouse=True)
-def _sequential_repair(monkeypatch):
-    # The forced-batching knob would turn every repair cell into waves.
-    monkeypatch.delenv("REPRO_REPAIR_BATCH", raising=False)
-
-
 def test_grid_covers_the_registry():
     assert sorted(ALGORITHMS) == sorted(list_algorithms())
     assert sorted(GOLDEN) == sorted(_cell_id(cell) for cell in CELLS)

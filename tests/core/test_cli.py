@@ -10,22 +10,35 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_build_defaults(self):
-        args = build_parser().parse_args(["build-mst"])
+    def test_run_defaults(self):
+        args = build_parser().parse_args(["run", "kkt-mst"])
         assert args.nodes == 64
         assert args.density == "dense"
         assert args.error_exponent == 1.0
+        assert args.substrate == "plain"
+        assert args.mode is None and args.repair_batch is None and args.updates is None
 
-    def test_repair_arguments(self):
+    def test_run_repair_arguments(self):
         args = build_parser().parse_args(
-            ["repair", "--nodes", "24", "--mode", "st", "--updates", "4"]
+            ["run", "kkt-repair", "--nodes", "24", "--mode", "st", "--updates", "4"]
         )
         assert args.mode == "st"
         assert args.updates == 4
 
     def test_sweep_sizes(self):
-        args = build_parser().parse_args(["sweep", "--sizes", "16", "32"])
+        args = build_parser().parse_args(
+            ["sweep", "--algorithms", "kkt-st", "--sizes", "16", "32"]
+        )
         assert args.sizes == [16, 32]
+
+    def test_sweep_requires_algorithms(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--sizes", "16"])
+
+    @pytest.mark.parametrize("command", ["build-mst", "build-st", "repair"])
+    def test_removed_views_are_unknown_commands(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
 
     def test_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
@@ -33,52 +46,53 @@ class TestParser:
 
 
 class TestCommands:
-    def test_build_mst_command(self, capsys):
-        code = main(["build-mst", "--nodes", "20", "--density", "sparse", "--seed", "3"])
+    GRAPH = ["--nodes", "20", "--density", "sparse", "--seed", "3"]
+
+    def test_compare_kkt_mst_with_ghs(self, capsys):
+        code = main(["compare", "kkt-mst", "ghs", *self.GRAPH])
         out = capsys.readouterr().out
         assert code == 0
-        assert "Build-MST" in out
-        assert "KKT Build-MST messages" in out
-        assert "ghs baseline messages" in out
+        assert "Head-to-head" in out
+        assert "kkt-mst" in out and "ghs" in out
 
-    def test_build_st_command(self, capsys):
-        code = main(["build-st", "--nodes", "20", "--density", "sparse", "--seed", "3"])
+    def test_compare_kkt_st_with_flooding(self, capsys):
+        code = main(["compare", "kkt-st", "flooding", *self.GRAPH])
         out = capsys.readouterr().out
         assert code == 0
-        assert "Build-ST" in out
-        assert "flooding baseline messages" in out
+        assert "kkt-st" in out and "flooding" in out
 
-    def test_repair_command(self, capsys):
+    def test_run_repair_command(self, capsys):
         code = main(
-            ["repair", "--nodes", "20", "--density", "sparse", "--updates", "4", "--seed", "5"]
+            ["run", "kkt-repair", "--nodes", "20", "--density", "sparse", "--updates", "4",
+             "--seed", "5"]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "tree invariant holds" in out
+        assert "kkt-repair" in out
         assert "yes" in out
 
-    def test_repair_with_recompute_baseline(self, capsys):
+    def test_compare_repair_with_recompute_baseline(self, capsys):
         code = main(
             [
-                "repair",
+                "compare", "kkt-repair", "recompute-repair",
                 "--nodes", "16",
                 "--density", "sparse",
                 "--updates", "3",
                 "--seed", "6",
-                "--compare-recompute",
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "recompute baseline per update" in out
+        assert "recompute-repair" in out
 
     def test_sweep_command(self, capsys):
         code = main(
-            ["sweep", "--kind", "st", "--sizes", "16", "24", "--density", "sparse", "--seed", "2"]
+            ["sweep", "--algorithms", "kkt-st", "flooding", "--sizes", "16", "24",
+             "--density", "sparse", "--seed", "2"]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "Build-ST sweep" in out
+        assert "Sweep over sparse graphs" in out
         assert "16" in out and "24" in out
 
     def test_selfcheck_command(self, capsys):

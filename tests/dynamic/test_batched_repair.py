@@ -3,11 +3,9 @@
 Covers the batched==sequential final-forest contract, golden repair counters
 per workload, mode and wave size, the wave edge cases (bridge delete+reinsert
 in one wave, a wave confined to one component), the falsy-zero weight
-regression, the per-update RNG independence fix, and the forced-batching
-environment knob.
+regression, the per-update RNG independence fix, and how a runner picks its
+wave size (the ``repair_batch`` option, else the schedule's batch size).
 """
-
-import re
 
 import pytest
 
@@ -24,7 +22,6 @@ from repro.dynamic.workloads import (
     weight_perturbations,
 )
 from repro.generators import random_connected_graph
-from repro.network.errors import AlgorithmError
 from repro.network.graph import Graph, edge_key
 from repro.verify import is_minimum_spanning_forest, is_spanning_forest
 
@@ -318,27 +315,7 @@ class TestRNGIndependence:
         assert runs[0] == runs[1]
 
 
-class TestForcedBatchingKnob:
-    def test_env_forces_waves_and_explicit_zero_overrides(self, monkeypatch):
-        spec = ExperimentSpec(graph=GraphSpec(nodes=16, density="sparse", seed=3))
-        monkeypatch.setenv("REPRO_REPAIR_BATCH", "3")
-        batched = run("kkt-repair", spec, updates=6)
-        assert batched.ok
-        assert batched.extra["repair_batch"] == 3
-        assert "messages_per_wave_max" in batched.extra
-        sequential = run("kkt-repair", spec, updates=6, repair_batch=0)
-        assert sequential.ok
-        assert "messages_per_update_max" in sequential.extra
-        assert "repair_batch" not in sequential.extra
-
-    @pytest.mark.parametrize("value", ["4x", "-3", ""])
-    def test_malformed_env_fails_loudly(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_REPAIR_BATCH", value)
-        spec = ExperimentSpec(graph=GraphSpec(nodes=16, density="sparse", seed=3))
-        message = f"REPRO_REPAIR_BATCH must be a non-negative integer; got {value!r}"
-        with pytest.raises(AlgorithmError, match=f"^{re.escape(message)}$"):
-            run("kkt-repair", spec, updates=6)
-
+class TestWaveSizeSelection:
     def test_schedule_batch_size_reaches_the_runner(self):
         from repro.api import ScheduleSpec
 
@@ -350,10 +327,24 @@ class TestForcedBatchingKnob:
         assert result.ok
         assert result.extra["repair_batch"] == 2
 
-    def test_batched_and_sequential_runners_agree_on_the_forest(self):
-        spec = ExperimentSpec(graph=GraphSpec(nodes=20, density="sparse", seed=9))
-        sequential = run("kkt-repair", spec, updates=8, record_state=True, repair_batch=0)
-        batched = run("kkt-repair", spec, updates=8, record_state=True, repair_batch=3)
-        assert sorted(map(tuple, sequential.extra["tree_edges"])) == sorted(
-            map(tuple, batched.extra["tree_edges"])
+    @pytest.mark.parametrize(
+        "nodes, seed, updates, wave, waves",
+        [(20, 9, 8, 3, 3), (64, 0, 12, 4, 3)],
+        ids=["n20-wave3", "n64-churn12-wave4"],
+    )
+    def test_batched_and_sequential_runners_agree_on_the_forest(
+        self, nodes, seed, updates, wave, waves
+    ):
+        spec = ExperimentSpec(
+            graph=GraphSpec(nodes=nodes, density="sparse", seed=seed),
+            workload=WorkloadSpec(name="churn", updates=updates),
         )
+        sequential = run("kkt-repair", spec, record_state=True, repair_batch=0)
+        batched = run("kkt-repair", spec, record_state=True, repair_batch=wave)
+        assert sequential.ok and batched.ok
+        assert batched.extra["repair_batch"] == wave
+        assert batched.extra["repair_waves"] == waves  # ceil(updates / wave)
+        for key in ("graph_edges", "tree_edges"):
+            assert sorted(map(tuple, sequential.extra[key])) == sorted(
+                map(tuple, batched.extra[key])
+            ), key

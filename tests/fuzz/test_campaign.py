@@ -3,8 +3,8 @@
 import pytest
 
 from repro.fuzz import (
+    ORACLE_REGISTRY,
     FuzzCampaign,
-    ORACLE_FACTORIES,
     SpecSpace,
     Violation,
     replay_entry,
@@ -42,7 +42,7 @@ class TestCleanCampaign:
         assert report["violations"] == []
         assert len(campaign.corpus) == 0
         assert report["cases"] == 8
-        assert set(report["oracle_checks"]) == set(ORACLE_FACTORIES)
+        assert set(report["oracle_checks"]) == set(ORACLE_REGISTRY.names())
         assert all(count == 8 for count in report["oracle_checks"].values())
 
     def test_report_deterministic_across_runs(self):
@@ -155,7 +155,7 @@ class TestPlantedBug:
 
 class TestReplay:
     def test_replay_reproduces_and_detects_fixes(self, tmp_path):
-        ORACLE_FACTORIES["planted"] = PlantedBugOracle
+        ORACLE_REGISTRY.register("planted")(PlantedBugOracle)
         try:
             campaign = FuzzCampaign(
                 budget=1,
@@ -170,7 +170,7 @@ class TestReplay:
             assert entries
             assert replay_entry(entries[0])  # still fails: reproduced
         finally:
-            ORACLE_FACTORIES.pop("planted", None)
+            ORACLE_REGISTRY.entries.pop("planted", None)
 
     def test_replay_unknown_oracle_is_actionable(self):
         from repro.fuzz import CorpusEntry

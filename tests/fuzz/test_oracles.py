@@ -171,15 +171,6 @@ class TestDifferentialOracle:
         assert oracle.stats["batched_compared"] == 1
         assert oracle.stats["monte_carlo_blips"] == 1  # main loop absorbed it
 
-    def test_batched_check_runs_sequential_even_under_forced_batching(self, monkeypatch):
-        # The explicit repair_batch=0 leg must override REPRO_REPAIR_BATCH,
-        # otherwise forced-batching CI legs would compare batched to batched.
-        monkeypatch.setenv("REPRO_REPAIR_BATCH", "5")
-        spec = ExperimentSpec(graph=GraphSpec(nodes=12, density="sparse", seed=7))
-        oracle = DifferentialOracle()
-        assert oracle.examine(spec, _context(spec, ["kkt-repair"])) == []
-        assert oracle.stats["batched_compared"] == 1
-
 
 class TestFastpathOracle:
     def test_samples_deterministically(self):

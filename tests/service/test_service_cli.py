@@ -88,6 +88,18 @@ class TestSubmitCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["state"] == "done"
 
+    def test_submit_spec_file_keeps_the_option_flags(self, service, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(
+            json.dumps({"nodes": 12, "density": "sparse", "seed": 8})
+        )
+        code = main([
+            "submit", "kkt-mst", "--spec-file", str(spec_file), "-c", "3", "--json",
+            "--server", f"127.0.0.1:{service.port}",
+        ])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["result"]["extra"]["c"] == 3.0
+
     def test_submit_failure_exit_code(self, service, capsys):
         spec_file_error = main([
             "submit", "kkt-mst", "--spec-file", "/nonexistent.json",

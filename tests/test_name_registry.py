@@ -1,9 +1,9 @@
 """The one name registry contract, checked on every registry that uses it.
 
-Algorithms, workloads, fault programs, delivery substrates and schedulers
-each publish names through a :class:`repro.registry.Registry`; the rules
-below must hold for all five alike, through each axis's public decorator
-and lookup.
+Algorithms, workloads, fault programs, delivery substrates, schedulers and
+fuzz oracles each publish names through a :class:`repro.registry.Registry`;
+the rules below must hold for all six alike, through each axis's public
+decorator and lookup.
 """
 
 import pytest
@@ -19,6 +19,7 @@ from repro.api import (
 from repro.api.faults import FAULT_REGISTRY
 from repro.api.registry import ALGORITHM_REGISTRY
 from repro.api.scenario import WORKLOAD_REGISTRY
+from repro.fuzz import ORACLE_REGISTRY, make_oracles
 from repro.network.broadcast import SUBSTRATE_REGISTRY, make_substrate, register_substrate
 from repro.network.errors import AlgorithmError, ProtocolError, SimulationError
 from repro.network.scheduler import SCHEDULER_REGISTRY, make_scheduler
@@ -54,6 +55,10 @@ CASES = {
     "scheduler": (
         SCHEDULER_REGISTRY, SCHEDULER_REGISTRY.register, make_scheduler, SimulationError,
         "fifo", _class,
+    ),
+    "oracle": (
+        ORACLE_REGISTRY, ORACLE_REGISTRY.register, lambda name: make_oracles([name]),
+        AlgorithmError, "differential", _class,
     ),
 }
 
