@@ -40,7 +40,7 @@ def main() -> int:
 
     faults = [FaultSpec(name=name) for name in list_faults()]
     engine = ExperimentEngine(jobs=jobs, base_seed=seed)
-    results = engine.run_suite(
+    results = engine.run(
         scenario_grid(
             ALGORITHMS,
             [GraphSpec(nodes=nodes, density="sparse", seed=seed)],

@@ -14,7 +14,14 @@ from __future__ import annotations
 
 import sys
 
-from repro import ExperimentEngine, GraphSpec, RunResult, list_algorithms, run
+from repro import (
+    ExperimentEngine,
+    GraphSpec,
+    RunResult,
+    list_algorithms,
+    run,
+    scenario_grid,
+)
 
 
 def main() -> int:
@@ -38,11 +45,15 @@ def main() -> int:
     assert RunResult.from_json(result.to_json()) == result
     print("RunResult JSON round trip: ok")
 
-    # Parallel sweep with deterministic per-job seeding.
+    # Parallel size sweep (the algorithm x size grid) with deterministic
+    # per-job seeding.
     algorithms = ["kkt-st", "flooding"]
     sizes = [16, 24, 32]
-    parallel = ExperimentEngine(jobs=jobs).sweep(algorithms, sizes, density="sparse", seed=1)
-    serial = ExperimentEngine(jobs=1).sweep(algorithms, sizes, density="sparse", seed=1)
+    grid = scenario_grid(
+        algorithms, [GraphSpec(nodes=size, density="sparse", seed=1) for size in sizes]
+    )
+    parallel = ExperimentEngine(jobs=jobs).run(grid)
+    serial = ExperimentEngine(jobs=1).run(grid)
     identical = [r.counters() for r in parallel] == [r.counters() for r in serial]
     print(f"Sweep of {algorithms} over sizes {sizes} with jobs={jobs}:")
     for r in parallel:

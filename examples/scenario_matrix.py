@@ -60,7 +60,7 @@ def main() -> int:
     ]
 
     engine = ExperimentEngine(jobs=jobs, base_seed=seed)
-    results = engine.run_suite(
+    results = engine.run(
         scenario_grid(
             ALGORITHMS,
             [GraphSpec(nodes=nodes, density="sparse", seed=seed)],

@@ -21,12 +21,13 @@ True
 >>> result.counters()  # uniform counters, JSON-round-trippable via to_json()
 {'messages': ..., 'bits': ..., 'rounds': ..., 'phases': ...}
 
-Sweeps and head-to-head comparisons fan out across worker processes with
-deterministic per-job seeding:
+Size sweeps, head-to-head comparisons and scenario suites are all job
+grids, which fan out across worker processes with deterministic per-job
+seeding:
 
->>> from repro import ExperimentEngine
->>> engine = ExperimentEngine(jobs=4)
->>> results = engine.sweep(["kkt-st", "flooding"], sizes=[32, 64, 96])
+>>> from repro import ExperimentEngine, scenario_grid
+>>> graphs = [GraphSpec(nodes=n, density="complete") for n in (32, 64, 96)]
+>>> results = ExperimentEngine(jobs=4).run(scenario_grid(["kkt-st", "flooding"], graphs))
 
 The original object-level entry points remain available (and
 ``build_mst`` / ``build_st`` now delegate to the registry):

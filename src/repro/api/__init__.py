@@ -17,7 +17,7 @@ This package is the one public surface for *running* algorithms:
   axis of an :class:`ExperimentSpec`;
 * :class:`~repro.api.engine.ExperimentEngine` — deterministic serial or
   process-parallel execution of ``(algorithm, spec)`` job lists, including
-  full scenario grids via :func:`scenario_grid` / ``run_suite``.
+  full scenario grids built by :func:`scenario_grid`.
 
 >>> from repro.api import GraphSpec, run
 >>> run("kkt-mst", GraphSpec(nodes=32, density="sparse", seed=7)).ok

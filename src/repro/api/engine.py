@@ -14,16 +14,17 @@ of the same job list.  Results cross the process boundary as plain dicts
 (the ``RunResult.to_dict`` payload), so nothing non-picklable ever leaves a
 worker.
 
-Scenario sweeps (:meth:`ExperimentEngine.run_suite` /
-:func:`scenario_grid`) extend the PR-1 (algorithm × size) grid to the full
-(graph × algorithm × workload × schedule × fault) product.
+:meth:`ExperimentEngine.run` is the engine's one entry point: a size sweep,
+a head-to-head comparison and a full scenario suite are all job lists, the
+grids built by :func:`scenario_grid` as the (graph × workload × schedule ×
+fault × algorithm) product.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..network.errors import AlgorithmError
 from .faults import FaultSpec
@@ -37,7 +38,9 @@ __all__ = [
     "ExperimentEngine",
     "derive_seed",
     "error_result",
+    "execute_payload",
     "scenario_grid",
+    "spec_from_dict",
 ]
 
 
@@ -73,7 +76,6 @@ def scenario_grid(
     schedules: Sequence[Optional[Union[str, ScheduleSpec]]] = (None,),
     faults: Sequence[Optional[Union[str, FaultSpec]]] = (None,),
     updates: Optional[int] = None,
-    **options: Any,
 ) -> List[ExperimentJob]:
     """The full scenario product: graph × algorithm × workload × schedule
     × fault.
@@ -83,7 +85,8 @@ def scenario_grid(
     construction algorithms / ``churn`` for repair, default delivery, and a
     fault-free execution).  ``updates`` caps name-given workloads; left
     ``None``, each workload uses its natural length (the runner default, or
-    the full trace for ``trace-replay``).
+    the full trace for ``trace-replay``).  Every job starts with empty
+    options; callers set each job's runner options.
     """
     jobs: List[ExperimentJob] = []
     for graph in graphs:
@@ -103,7 +106,7 @@ def scenario_grid(
                         faults=fault,
                     )
                     for algorithm in algorithms:
-                        jobs.append(ExperimentJob(algorithm, spec, dict(options)))
+                        jobs.append(ExperimentJob(algorithm, spec))
     return jobs
 
 
@@ -138,21 +141,28 @@ def error_result(
     )
 
 
-def _execute_payload(
-    payload: Tuple[str, Dict[str, Any], Dict[str, Any], str]
-) -> Dict[str, Any]:
-    """Worker entry point: rebuild the job from plain data and run it.
+def spec_from_dict(payload: Mapping[str, Any]) -> Union[GraphSpec, ExperimentSpec]:
+    """Parse a spec payload: an :class:`ExperimentSpec` when it carries a
+    ``graph``, else a bare :class:`GraphSpec`."""
+    if "graph" in payload:
+        return ExperimentSpec.from_dict(payload)
+    return GraphSpec.from_dict(payload)
 
-    With ``on_error="record"`` a raising runner becomes an
-    :func:`error_result` record instead of propagating out of the worker and
-    killing the whole pool run; spec-construction errors are *not* absorbed —
-    a malformed payload is a caller bug either way.
+
+def execute_payload(
+    payload: Tuple[str, Mapping[str, Any], Mapping[str, Any], str]
+) -> Dict[str, Any]:
+    """Run one ``(algorithm, spec_dict, options, on_error)`` payload; returns
+    the ``RunResult.to_dict`` record.
+
+    The worker entry point of :meth:`ExperimentEngine.run` and of the
+    experiment service.  With ``on_error="record"`` a raising runner becomes
+    an :func:`error_result` record instead of propagating out of the worker
+    and killing the whole pool run; spec-construction errors are *not*
+    absorbed — a malformed payload is a caller bug either way.
     """
     algorithm, spec_dict, options, on_error = payload
-    if "graph" in spec_dict:
-        spec: Union[GraphSpec, ExperimentSpec] = ExperimentSpec.from_dict(spec_dict)
-    else:
-        spec = GraphSpec.from_dict(spec_dict)
+    spec = spec_from_dict(spec_dict)
     try:
         result = run(algorithm, spec, **options)
     except Exception as exc:
@@ -201,8 +211,8 @@ class ExperimentEngine:
         """Fill in deterministic seeds for specs that carry none.
 
         Jobs sharing an (unseeded) graph spec get the *same* derived seed, so
-        a ``compare`` or per-size sweep grid still runs every algorithm on
-        the same graph; distinct graph specs get distinct seeds.  For full
+        a head-to-head or per-size grid still runs every algorithm on the
+        same graph; distinct graph specs get distinct seeds.  For full
         :class:`ExperimentSpec` jobs only the graph seed is assigned —
         workload/schedule seeds left unset resolve against it deterministically
         inside the runner.
@@ -223,98 +233,33 @@ class ExperimentEngine:
             seeded.append(ExperimentJob(job.algorithm, spec, dict(job.options)))
         return seeded
 
-    @staticmethod
-    def sweep_jobs(
-        algorithms: Sequence[str],
-        sizes: Sequence[int],
-        density: str = "dense",
-        weight_model: str = "default",
-        seed: Optional[int] = None,
-        **options: Any,
-    ) -> List[ExperimentJob]:
-        """The standard grid: every algorithm at every size, same seed per size."""
-        return [
-            ExperimentJob(
-                algorithm,
-                GraphSpec(
-                    nodes=size, density=density, weight_model=weight_model, seed=seed
-                ),
-                dict(options),
-            )
-            for size in sizes
-            for algorithm in algorithms
-        ]
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
     def run(self, jobs: Iterable[ExperimentJob]) -> List[RunResult]:
-        """Run every job and return results in job order."""
-        job_list = self.seeded(list(jobs))
-        payloads = [
-            (job.algorithm, job.spec.to_dict(), dict(job.options), self.on_error)
-            for job in job_list
-        ]
-        if self.jobs == 1 or len(payloads) <= 1:
-            raw = [_execute_payload(payload) for payload in payloads]
-        else:
-            workers = min(self.jobs, len(payloads))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                raw = list(pool.map(_execute_payload, payloads))
-        return [RunResult.from_dict(record) for record in raw]
+        """Run every job and return results in job order.
 
-    def sweep(
-        self,
-        algorithms: Sequence[str],
-        sizes: Sequence[int],
-        density: str = "dense",
-        weight_model: str = "default",
-        seed: Optional[int] = None,
-        **options: Any,
-    ) -> List[RunResult]:
-        """Run the standard (algorithm x size) grid and return all results."""
-        return self.run(
-            self.sweep_jobs(
-                algorithms,
-                sizes,
-                density=density,
-                weight_model=weight_model,
-                seed=seed,
-                **options,
-            )
-        )
-
-    def compare(
-        self,
-        algorithms: Sequence[str],
-        spec: Union[GraphSpec, ExperimentSpec],
-        **options: Any,
-    ) -> List[RunResult]:
-        """Head-to-head: every algorithm on the *same* (scenario) spec."""
-        return self.run([ExperimentJob(name, spec, dict(options)) for name in algorithms])
-
-    def run_suite(
-        self,
-        specs: Iterable[Union[ExperimentJob, Tuple[str, Union[GraphSpec, ExperimentSpec]]]],
-    ) -> List[RunResult]:
-        """Run a scenario suite: jobs or ``(algorithm, spec)`` pairs.
-
-        This is :meth:`run` for scenario grids — typically fed by
-        :func:`scenario_grid` — with the same determinism guarantee:
-        parallel counters are bit-identical to a serial run of the same
-        suite.
+        Parallel counters are bit-identical to a serial run of the same job
+        list.
 
         >>> from repro.api import ExperimentEngine, GraphSpec, scenario_grid
         >>> engine = ExperimentEngine(jobs=2)
-        >>> results = engine.run_suite(scenario_grid(
+        >>> results = engine.run(scenario_grid(
         ...     ["kkt-repair"], [GraphSpec(nodes=24, density="sparse", seed=5)],
         ...     workloads=["churn", "insert-heavy"], schedules=[None, "random"],
         ... ))
         >>> len(results)
         4
         """
-        jobs = [
-            job if isinstance(job, ExperimentJob) else ExperimentJob(job[0], job[1])
-            for job in specs
+        job_list = self.seeded(list(jobs))
+        payloads = [
+            (job.algorithm, job.spec.to_dict(), dict(job.options), self.on_error)
+            for job in job_list
         ]
-        return self.run(jobs)
+        if self.jobs == 1 or len(payloads) <= 1:
+            raw = [execute_payload(payload) for payload in payloads]
+        else:
+            workers = min(self.jobs, len(payloads))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                raw = list(pool.map(execute_payload, payloads))
+        return [RunResult.from_dict(record) for record in raw]

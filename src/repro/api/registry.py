@@ -153,6 +153,6 @@ def run(
         # A scenario that adds nothing over its graph spec is handed to the
         # runner as the bare GraphSpec, so PR-1-style runners registered by
         # users (run(spec) calling spec.build()) keep working under plain
-        # scenario_grid/run_suite sweeps.
+        # scenario_grid sweeps.
         spec = spec.graph
     return get_runner(algorithm).run(spec, **options)

@@ -353,7 +353,7 @@ class ExperimentSpec:
     execution; specs serialised before the fault axis existed parse
     unchanged).  An :class:`ExperimentSpec` plus an algorithm name reproduces
     a run anywhere — that pair is exactly what
-    :meth:`ExperimentEngine.run_suite` fans out over worker processes.
+    :meth:`ExperimentEngine.run` fans out over worker processes.
     """
 
     graph: GraphSpec

@@ -2,14 +2,16 @@
 
 The CLI is built on the unified runner API (:mod:`repro.api`): every
 algorithm in the registry is runnable by name, results are uniform
-:class:`~repro.api.result.RunResult` records, and sweeps fan out across
+:class:`~repro.api.result.RunResult` records, and grids fan out across
 worker processes.
 
 ``run``, ``compare`` and ``submit`` share one request shape: the graph
-flags plus ``--updates --workload --schedule --fault --trace --mode
---substrate --repair-batch`` become one ``(spec, options)`` pair, with each
-runner receiving only the options its ``run`` accepts.  The three commands
-therefore report the same counters for the same flags.
+flags plus ``--updates --workload --schedule --fault --trace`` and the
+runner flags ``-c --mode --substrate --repair-batch`` become one ``(spec,
+options)`` pair, with each runner receiving only the options its ``run``
+accepts and differing from its own default.  The three commands therefore
+report the same counters for the same flags, and ``suite`` gives every job
+of its grid the same per-runner options.
 
 * ``run <algorithm>`` — execute one request: any registered algorithm on a
   generated graph, optionally under ``--workload`` / ``--schedule`` /
@@ -19,10 +21,11 @@ therefore report the same counters for the same flags.
 * ``compare <algo> <algo> ...`` — the same request for several algorithms
   head-to-head (``compare kkt-mst ghs`` is the Build-MST cost report,
   ``compare kkt-repair recompute-repair`` the repair baseline);
-* ``sweep --algorithms ...`` — size sweep of the registry grid, in parallel
-  with ``--jobs N``;
-* ``suite`` — the full scenario grid: graph sizes × algorithms × workloads
-  × schedules × faults, in parallel, with full provenance per record;
+* ``suite --algorithms ...`` — the one grid command: graph sizes ×
+  algorithms × workloads × schedules × faults, in parallel with ``--jobs N``,
+  with full provenance per record (``--workloads none`` is the plain size
+  sweep); ``--record PATH`` writes the grid as a spec trace for ``loadgen
+  run`` instead of running it;
 * ``algorithms`` — list the registry;
 * ``workloads`` — list the registered workloads and delivery schedulers;
 * ``faults`` — list the registered fault programs;
@@ -37,11 +40,11 @@ therefore report the same counters for the same flags.
   content-addressed result store (repeat submissions are cache hits);
 * ``submit`` — send one request to a running ``repro serve`` and print the
   (byte-identical-to-``run``) result;
-* ``loadgen`` — record a spec trace and replay it against the service at
+* ``loadgen run`` — replay a spec trace against the service at
   configurable concurrency, reporting cold-vs-warm throughput;
 * ``selfcheck`` — run a quick end-to-end correctness pass.
 
-``--json`` (on ``run``, ``compare``, ``sweep`` and ``suite``) emits one
+``--json`` (on ``run``, ``compare`` and ``suite``) emits one
 ``RunResult`` JSON record per line, for scripts and the CI smoke jobs.
 
 The paper's claims are not a subcommand: ``python -m repro.claims`` prints
@@ -58,7 +61,9 @@ Examples
     python -m repro run kkt-mst --nodes 64 --substrate bracha
     python -m repro compare kkt-mst ghs --nodes 64 --seed 1
     python -m repro compare kkt-repair recompute-repair --nodes 64 --mode st --fault crash-leaves
-    python -m repro sweep --algorithms kkt-st flooding --sizes 32 64 96 --jobs 4 --json
+    python -m repro suite --algorithms kkt-st flooding --workloads none \
+        --density complete --sizes 32 64 96 --jobs 4 --json
+    python -m repro suite --algorithms kkt-repair --mode st --repair-batch 4 --sizes 32 64
     python -m repro suite --algorithms kkt-repair recompute-repair \
         --workloads churn deletions-only insert-heavy --schedules none random --jobs 4 --json
     python -m repro suite --algorithms kkt-repair recompute-repair \
@@ -69,7 +74,8 @@ Examples
     python -m repro fuzz replay fuzz-corpus.json
     python -m repro serve --port 8765 --workers 4 --store results/
     python -m repro submit kkt-mst --nodes 64 --seed 7 --server 127.0.0.1:8765
-    python -m repro loadgen record --out mix.specs.jsonl --algorithms kkt-mst ghs --sizes 24 32
+    python -m repro suite --algorithms kkt-mst ghs --workloads none --sizes 24 32 \
+        --record mix.specs.jsonl
     python -m repro loadgen run mix.specs.jsonl --server 127.0.0.1:8765 --concurrency 8
     python -m repro selfcheck
 """
@@ -126,8 +132,28 @@ def _add_graph_arguments(sub: argparse.ArgumentParser) -> None:
         help="edge-density profile",
     )
     sub.add_argument("--seed", type=int, default=2015, help="random seed")
+
+
+def _add_error_exponent(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--error-exponent", "-c", type=float, default=1.0,
                      help="success probability exponent c (failure <= n^-c)")
+
+
+def _add_runner_arguments(sub: argparse.ArgumentParser) -> None:
+    """The runner option flags :func:`_runner_options` forwards (with
+    ``--updates``), shared by ``run``, ``compare``, ``submit`` and ``suite``."""
+    _add_error_exponent(sub)
+    sub.add_argument("--mode", choices=["mst", "st"], default=None,
+                     help="forest the repair runners maintain (default: mst)")
+    sub.add_argument("--substrate", choices=list_substrates(), default="plain",
+                     help="delivery substrate for the broadcast-and-echo "
+                          "fabric ('bracha' hardens every hop with "
+                          "reliable broadcast; KKT runners only)")
+    sub.add_argument("--repair-batch", type=int, default=None, metavar="K",
+                     help="coalesce repair updates into waves of K events "
+                          "sharing one repair round (repair runners only; "
+                          "default: the schedule's batch size, else 0 = "
+                          "sequential)")
 
 
 def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
@@ -145,17 +171,7 @@ def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
                      help="run the scenario under a registered fault program")
     sub.add_argument("--trace", metavar="PATH",
                      help="trace file for the trace-replay workload")
-    sub.add_argument("--mode", choices=["mst", "st"], default=None,
-                     help="forest the repair runners maintain (default: mst)")
-    sub.add_argument("--substrate", choices=list_substrates(), default="plain",
-                     help="delivery substrate for the broadcast-and-echo "
-                          "fabric ('bracha' hardens every hop with "
-                          "reliable broadcast; KKT runners only)")
-    sub.add_argument("--repair-batch", type=int, default=None, metavar="K",
-                     help="coalesce repair updates into waves of K events "
-                          "sharing one repair round (repair runners only; "
-                          "default: the schedule's batch size, else 0 = "
-                          "sequential)")
+    _add_runner_arguments(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,11 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("faults", help="list the registered fault programs")
 
     suite = subparsers.add_parser(
-        "suite", help="scenario grid: sizes x algorithms x workloads x schedules"
+        "suite", help="scenario grid: sizes x algorithms x workloads x schedules "
+                      "x faults"
     )
     suite.add_argument("--algorithms", nargs="+", metavar="algorithm", required=True)
     suite.add_argument("--workloads", nargs="+", metavar="workload",
-                       choices=list_workloads(), default=["churn"])
+                       choices=["none"] + list_workloads(), default=["churn"],
+                       help="update workloads ('none' = no workload: a "
+                            "construction run, the default churn for repair "
+                            "runners)")
     suite.add_argument("--schedules", nargs="+", metavar="schedule",
                        choices=["none"] + list_schedulers(), default=["none"],
                        help="delivery schedules ('none' = default delivery)")
@@ -212,9 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "workloads, the full trace for trace-replay)")
     suite.add_argument("--trace", metavar="PATH",
                        help="trace file for the trace-replay workload")
+    _add_runner_arguments(suite)
     suite.add_argument("--jobs", type=int, default=1, help="worker processes")
     suite.add_argument("--json", action="store_true",
                        help="emit one RunResult JSON record per line")
+    suite.add_argument("--record", metavar="PATH",
+                       help="write the grid as a JSON-lines spec trace for "
+                            "`loadgen run` instead of running it")
 
     trace = subparsers.add_parser(
         "trace", help="record / replay dynamic-workload traces"
@@ -222,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     record = trace_sub.add_parser("record", help="run a workload and save it as a trace")
     _add_graph_arguments(record)
+    _add_error_exponent(record)
     record.add_argument("--workload",
                         choices=sorted(set(list_workloads()) - {"trace-replay"}),
                         default="churn")
@@ -231,20 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="where to write the trace JSON")
     replay = trace_sub.add_parser("replay", help="replay a saved trace bit-for-bit")
     replay.add_argument("path", metavar="PATH", help="a trace written by `trace record`")
-
-    sweep = subparsers.add_parser("sweep", help="size sweep of registry algorithms")
-    sweep.add_argument("--algorithms", nargs="+", metavar="algorithm", required=True,
-                       help="registry algorithms to sweep")
-    sweep.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 96])
-    sweep.add_argument(
-        "--density",
-        choices=_DENSITY_CHOICES,
-        default="complete",
-    )
-    sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
-    sweep.add_argument("--json", action="store_true",
-                       help="emit one RunResult JSON record per line")
 
     from .fuzz import ORACLE_REGISTRY
 
@@ -331,33 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the response entry as JSON")
 
     loadgen = subparsers.add_parser(
-        "loadgen", help="record / replay service load (spec traces)"
+        "loadgen", help="replay service load (spec traces from `suite --record`)"
     )
     loadgen_sub = loadgen.add_subparsers(dest="loadgen_command", required=True)
-    lg_record = loadgen_sub.add_parser(
-        "record", help="record a spec trace (one submit request per line)"
-    )
-    lg_record.add_argument("--out", metavar="PATH", required=True,
-                           help="where to write the JSON-lines spec trace")
-    lg_record.add_argument("--algorithms", nargs="+", metavar="algorithm",
-                           default=["kkt-mst"], help="algorithm mix")
-    lg_record.add_argument("--sizes", type=int, nargs="+", default=[24, 32])
-    lg_record.add_argument("--density", choices=_DENSITY_CHOICES, default="sparse")
-    lg_record.add_argument("--seed", type=int, default=2015)
-    lg_record.add_argument("--workloads", nargs="+", metavar="workload",
-                           choices=["none"] + list_workloads(),
-                           default=["none"],
-                           help="workload mix ('none' = construction only)")
-    lg_record.add_argument("--updates", type=int, default=None,
-                           help="workload stream length")
-    lg_record.add_argument("--trace", metavar="PATH",
-                           help="also include a trace-replay workload over "
-                                "this recorded UpdateTrace file")
     lg_run = loadgen_sub.add_parser(
         "run", help="replay a spec trace against the service at concurrency"
     )
     lg_run.add_argument("path", metavar="TRACE",
-                        help="a spec trace written by `loadgen record`")
+                        help="a spec trace written by `suite --record`")
     lg_run.add_argument("--server", default=None,
                         help="service address as host:port or http:// URL "
                              "(default: start an in-process server)")
@@ -446,7 +438,10 @@ def _runner_options(runner, args: argparse.Namespace) -> dict:
     """Forward the CLI's per-algorithm flags to runners that accept them.
 
     Routing is by the runner's own ``run`` signature, so algorithms
-    registered outside this package pick up the flags too.
+    registered outside this package pick up the flags too.  A flag at that
+    signature's default is left out: the runner applies it anyway, and
+    leaving it out keeps the request (hence the service's store key) the
+    same whichever command built it.
     """
     candidates = {
         "c": args.error_exponent,
@@ -459,7 +454,7 @@ def _runner_options(runner, args: argparse.Namespace) -> dict:
     return {
         key: value
         for key, value in candidates.items()
-        if key in accepted and value is not None
+        if key in accepted and value not in (None, accepted[key].default)
     }
 
 
@@ -573,7 +568,8 @@ def _command_suite(args: argparse.Namespace) -> int:
         for size in args.sizes
     ]
     workloads = [
-        _workload_from_args(name, args.updates, args.trace) for name in args.workloads
+        None if name == "none" else _workload_from_args(name, args.updates, args.trace)
+        for name in args.workloads
     ]
     schedules = [
         None if name == "none" else ScheduleSpec(scheduler=name)
@@ -583,16 +579,14 @@ def _command_suite(args: argparse.Namespace) -> int:
         None if name == "none" else FaultSpec(name=name)
         for name in _fault_names(args.faults)
     ]
-    engine = ExperimentEngine(jobs=args.jobs, base_seed=args.seed)
-    results = engine.run_suite(
-        scenario_grid(
-            args.algorithms,
-            graphs,
-            workloads=workloads,
-            schedules=schedules,
-            faults=faults,
-        )
+    jobs = scenario_grid(
+        args.algorithms, graphs, workloads=workloads, schedules=schedules, faults=faults
     )
+    for job in jobs:
+        job.options = _runner_options(get_runner(job.algorithm), args)
+    if args.record:
+        return _record_suite(args, jobs)
+    results = ExperimentEngine(jobs=args.jobs, base_seed=args.seed).run(jobs)
     if args.json:
         _print_results_json(results)
     else:
@@ -602,6 +596,20 @@ def _command_suite(args: argparse.Namespace) -> int:
             results,
         )
     return 0 if all(result.ok for result in results) else 1
+
+
+def _record_suite(args: argparse.Namespace, jobs: List[ExperimentJob]) -> int:
+    from .service import record_spec_trace, requests_from_jobs
+
+    path = record_spec_trace(args.record, requests_from_jobs(jobs))
+    table = ExperimentTable(
+        "suite-record", f"Recorded spec trace -> {path}", ["quantity", "value"]
+    )
+    table.add_row("requests", len(jobs))
+    table.add_row("algorithms", " ".join(args.algorithms))
+    table.add_row("sizes", " ".join(str(size) for size in args.sizes))
+    print(table.render())
+    return 0
 
 
 def _command_trace(args: argparse.Namespace) -> int:
@@ -668,19 +676,6 @@ def _command_trace_replay(args: argparse.Namespace) -> int:
     )
     print(table.render())
     return 0 if ok and reproduced else 1
-
-
-def _command_sweep(args: argparse.Namespace) -> int:
-    engine = ExperimentEngine(jobs=args.jobs, base_seed=args.seed)
-    results = engine.sweep(args.algorithms, args.sizes, density=args.density, seed=args.seed)
-    if args.json:
-        _print_results_json(results)
-    else:
-        _print_results_table(
-            f"Sweep over {args.density} graphs (seed={args.seed}, jobs={args.jobs})",
-            results,
-        )
-    return 0 if all(result.ok for result in results) else 1
 
 
 def _command_fuzz(args: argparse.Namespace) -> int:
@@ -914,36 +909,6 @@ def _command_submit(args: argparse.Namespace) -> int:
 
 
 def _command_loadgen(args: argparse.Namespace) -> int:
-    if args.loadgen_command == "record":
-        return _command_loadgen_record(args)
-    return _command_loadgen_run(args)
-
-
-def _command_loadgen_record(args: argparse.Namespace) -> int:
-    from .service import record_spec_trace, spec_trace_requests
-
-    workloads = [None if name == "none" else name for name in args.workloads]
-    requests = spec_trace_requests(
-        algorithms=args.algorithms,
-        sizes=args.sizes,
-        density=args.density,
-        seed=args.seed,
-        workloads=workloads,
-        updates=args.updates,
-        trace=args.trace,
-    )
-    path = record_spec_trace(args.out, requests)
-    table = ExperimentTable(
-        "loadgen-record", f"Recorded spec trace -> {path}", ["quantity", "value"]
-    )
-    table.add_row("requests", len(requests))
-    table.add_row("algorithms", " ".join(args.algorithms))
-    table.add_row("sizes", " ".join(str(size) for size in args.sizes))
-    print(table.render())
-    return 0
-
-
-def _command_loadgen_run(args: argparse.Namespace) -> int:
     import json as json_module
 
     from .service import (
@@ -1026,7 +991,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "workloads": _command_workloads,
         "faults": _command_faults,
         "suite": _command_suite,
-        "sweep": _command_sweep,
         "trace": _command_trace,
         "serve": _command_serve,
         "submit": _command_submit,

@@ -10,8 +10,8 @@ daemon:
   :mod:`repro.api.canonical`);
 * :mod:`~repro.service.queue` — the async job queue (priorities, per-job
   timeout, bounded retry with backoff, graceful drain);
-* :mod:`~repro.service.worker` — the supervised pool wrapping the existing
-  :class:`~repro.api.engine.ExperimentEngine`;
+* :mod:`~repro.service.worker` — the supervised pool running the engine's
+  payload executor (:func:`~repro.api.engine.execute_payload`);
 * :mod:`~repro.service.server` — the HTTP/JSON-lines API
   (``/submit`` ``/status`` ``/result`` ``/stream`` ``/healthz``
   ``/metrics`` ``/shutdown``);
@@ -31,14 +31,14 @@ from .client import ServiceClient, ServiceError
 from .loadgen import (
     load_spec_trace,
     record_spec_trace,
+    requests_from_jobs,
     run_load,
-    spec_trace_requests,
 )
 from .metrics import LatencyHistogram, Metrics
 from .queue import Job, JobQueue, QueueClosed
 from .server import ExperimentServer, InProcessServer, ServiceConfig, normalize_request
 from .store import ResultStore, canonical_result, canonical_result_json, request_key
-from .worker import WorkerPool, execute_request
+from .worker import WorkerPool
 
 __all__ = [
     "ExperimentServer",
@@ -55,11 +55,10 @@ __all__ = [
     "WorkerPool",
     "canonical_result",
     "canonical_result_json",
-    "execute_request",
     "load_spec_trace",
     "normalize_request",
     "record_spec_trace",
     "request_key",
+    "requests_from_jobs",
     "run_load",
-    "spec_trace_requests",
 ]

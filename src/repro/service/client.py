@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from http.client import HTTPConnection
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterator, Mapping, Optional, Sequence
 
 from ..network.errors import AlgorithmError
 
@@ -145,20 +145,3 @@ class ServiceClient:
                 last = exc
                 time.sleep(delay)
         raise ServiceError(503, f"service at {self.host}:{self.port} never came up: {last}")
-
-
-def _collect_results(  # pragma: no cover - convenience for interactive use
-    client: ServiceClient, job_ids: List[str], poll_s: float = 0.1
-) -> List[Dict[str, Any]]:
-    """Poll ``/result`` until every job is terminal; returns the payloads."""
-    import time
-
-    results = []
-    for job_id in job_ids:
-        while True:
-            payload = client.result(job_id)
-            if payload.get("_status") != 202:
-                results.append(payload)
-                break
-            time.sleep(poll_s)
-    return results

@@ -1,12 +1,12 @@
 """The load-test harness: record a spec trace, replay it at concurrency.
 
-``repro loadgen record`` writes a *spec trace*: a JSON-lines file with one
-submit request per line (``{"algorithm", "spec", "options"?}``), built from
-the same :func:`~repro.api.engine.scenario_grid` machinery the suite runner
-uses — so a trace is a reproducible workload mix, not a one-off script.  A
-recorded :class:`~repro.dynamic.trace.UpdateTrace` (from ``repro trace
-record``) plugs in as a ``trace-replay`` workload, so real dynamic-update
-sessions can be replayed against the service too.
+``repro suite --record PATH`` writes a *spec trace*: a JSON-lines file with
+one submit request per line (``{"algorithm", "spec", "options"}``), one per
+job of the suite's :func:`~repro.api.engine.scenario_grid` grid (see
+:func:`requests_from_jobs`) — so a trace is a reproducible workload mix, not
+a one-off script.  A recorded :class:`~repro.dynamic.trace.UpdateTrace`
+(from ``repro trace record``) plugs in as a ``trace-replay`` workload, so
+real dynamic-update sessions can be replayed against the service too.
 
 ``repro loadgen run`` replays a trace at configurable concurrency for
 ``rounds`` passes and reports per-round throughput.  Against a fresh store
@@ -22,53 +22,26 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from ..api.engine import scenario_grid
-from ..api.spec import GraphSpec
+from ..api.engine import ExperimentJob
+from ..api.scenario import ExperimentSpec
 from ..network.errors import AlgorithmError
 from .client import ServiceClient, ServiceError
 
 __all__ = [
     "load_spec_trace",
     "record_spec_trace",
+    "requests_from_jobs",
     "run_load",
-    "spec_trace_requests",
 ]
 
 
-def spec_trace_requests(
-    algorithms: Sequence[str],
-    sizes: Sequence[int],
-    density: str = "sparse",
-    seed: int = 2015,
-    workloads: Sequence[Optional[str]] = (None,),
-    updates: Optional[int] = None,
-    trace: Optional[str] = None,
-    options: Optional[Mapping[str, Any]] = None,
-) -> List[Dict[str, Any]]:
-    """The request mix: one submit request per scenario-grid job.
-
-    ``trace`` names a saved :class:`~repro.dynamic.trace.UpdateTrace` file;
-    when given, a ``trace-replay`` workload over it joins the mix (that is
-    the ``repro trace record`` → ``repro loadgen`` hand-off).
-    """
-    graphs = [
-        GraphSpec(nodes=size, density=density, seed=seed) for size in sizes
-    ]
-    workload_axis: List[Optional[Any]] = list(workloads)
-    if trace is not None:
-        from ..api.scenario import WorkloadSpec
-
-        workload_axis.append(
-            WorkloadSpec(name="trace-replay", params={"path": trace})
-        )
-    jobs = scenario_grid(
-        list(algorithms), graphs, workloads=workload_axis, updates=updates
-    )
+def requests_from_jobs(jobs: Sequence[ExperimentJob]) -> List[Dict[str, Any]]:
+    """One submit request per experiment job, in job order."""
     return [
         {
             "algorithm": job.algorithm,
             "spec": _spec_payload(job.spec),
-            "options": dict(options or {}),
+            "options": dict(job.options),
         }
         for job in jobs
     ]
@@ -81,8 +54,6 @@ def _spec_payload(spec: Any) -> Dict[str, Any]:
     the trivial ones keeps trace entries content-identical to the plain
     ``repro submit`` form, so a trace warms the same store keys.
     """
-    from ..api.scenario import ExperimentSpec
-
     if (
         isinstance(spec, ExperimentSpec)
         and spec.workload is None

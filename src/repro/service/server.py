@@ -48,10 +48,9 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import urlsplit
 
 from ..api.canonical import canonical_json
-from ..api.engine import derive_seed
+from ..api.engine import derive_seed, spec_from_dict
 from ..api.registry import get_runner
 from ..api.scenario import ExperimentSpec
-from ..api.spec import GraphSpec
 from ..network.errors import AlgorithmError
 from .metrics import Metrics
 from .queue import Job, JobQueue, QueueClosed
@@ -110,17 +109,10 @@ def normalize_request(
     spec_payload = payload.get("spec")
     if not isinstance(spec_payload, Mapping):
         raise AlgorithmError("a submit request needs a 'spec' object")
-    if "graph" in spec_payload:
-        spec = ExperimentSpec.from_dict(spec_payload)
-        if spec.graph.seed is None:
-            seed = derive_seed(base_seed, int(spec.content_hash()[:12], 16))
-            spec = spec.with_seed(seed)
-    else:
-        graph = GraphSpec.from_dict(spec_payload)
-        if graph.seed is None:
-            seed = derive_seed(base_seed, int(graph.content_hash()[:12], 16))
-            graph = graph.with_seed(seed)
-        spec = graph
+    spec = spec_from_dict(spec_payload)
+    if ExperimentSpec.coerce(spec).graph.seed is None:
+        seed = derive_seed(base_seed, int(spec.content_hash()[:12], 16))
+        spec = spec.with_seed(seed)
     options = dict(payload.get("options") or {})
     return algorithm, spec.to_dict(), options
 

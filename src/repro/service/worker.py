@@ -2,11 +2,11 @@
 
 Each worker is an ``asyncio`` task in the server process; the actual runs
 execute in an executor (threads by default, processes or inline for
-special cases) through the *existing* engine machinery —
-:func:`execute_request` is a thin wrapper over
-``ExperimentEngine(on_error="record")``, so a runner that raises becomes a
-deterministic per-job error record instead of a crashed pool (the engine
-failure contract tested in ``tests/api/test_engine_failures.py``).
+special cases) through the engine's own payload executor,
+:func:`~repro.api.engine.execute_payload`, with ``on_error="record"``, so a
+runner that raises becomes a deterministic per-job error record instead of
+a crashed pool (the engine failure contract tested in
+``tests/api/test_engine_failures.py``).
 
 Supervision policy:
 
@@ -31,33 +31,12 @@ import asyncio
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..api.engine import ExperimentEngine, ExperimentJob
-from ..api.scenario import ExperimentSpec
-from ..api.spec import GraphSpec
+from ..api.engine import execute_payload
 from ..network.errors import AlgorithmError
 from .queue import Job, JobQueue
 from .store import ResultStore
 
-__all__ = ["WorkerPool", "execute_request", "make_executor"]
-
-
-def execute_request(payload: Tuple[str, Dict[str, Any], Dict[str, Any]]) -> Dict[str, Any]:
-    """Run one request through the engine; returns the result payload dict.
-
-    Runs serially inside the executor slot (the pool provides the
-    parallelism) with ``on_error="record"``: runner exceptions come back as
-    error-result payloads (``checks.completed == False``,
-    ``extra.error`` set) rather than raising.  Top-level so a process
-    executor can pickle it.
-    """
-    algorithm, spec_dict, options = payload
-    if "graph" in spec_dict:
-        spec = ExperimentSpec.from_dict(spec_dict)
-    else:
-        spec = GraphSpec.from_dict(spec_dict)
-    engine = ExperimentEngine(jobs=1, on_error="record")
-    result = engine.run([ExperimentJob(algorithm, spec, dict(options))])[0]
-    return result.to_dict()
+__all__ = ["WorkerPool", "make_executor"]
 
 
 def make_executor(kind: str, workers: int) -> Optional[Executor]:
@@ -94,8 +73,9 @@ class WorkerPool:
         ``thread`` (default) / ``process`` / ``inline`` — see
         :func:`make_executor`.
     execute:
-        The request runner; tests inject failing/flaky callables here to
-        drive the retry machinery.
+        The payload runner (default: the engine's
+        :func:`~repro.api.engine.execute_payload`); tests inject
+        failing/flaky callables here to drive the retry machinery.
     """
 
     def __init__(
@@ -104,7 +84,7 @@ class WorkerPool:
         store: ResultStore,
         workers: int = 2,
         executor: str = "thread",
-        execute: Callable[[Tuple[str, Dict[str, Any], Dict[str, Any]]], Dict[str, Any]] = execute_request,
+        execute: Callable[[Tuple[str, Dict[str, Any], Dict[str, Any], str]], Dict[str, Any]] = execute_payload,
     ) -> None:
         if workers < 1:
             raise AlgorithmError("the worker pool needs at least one worker")
@@ -167,7 +147,9 @@ class WorkerPool:
             self.queue.job_finished(job)
 
     async def _attempt(self, job: Job) -> Dict[str, Any]:
-        payload = (job.algorithm, dict(job.spec), dict(job.options))
+        # Runner exceptions come back as error-result records
+        # (``checks.completed == False``, ``extra.error`` set).
+        payload = (job.algorithm, dict(job.spec), dict(job.options), "record")
         if self._executor is None:
             return self._execute(payload)
         loop = asyncio.get_running_loop()

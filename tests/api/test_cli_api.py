@@ -1,4 +1,4 @@
-"""Tests for the registry-backed CLI commands (`run`, `compare`, `sweep --algorithms`)."""
+"""Tests for the registry-backed CLI commands (`run`, `compare`, `submit`, `suite`)."""
 
 import json
 
@@ -398,46 +398,70 @@ class TestOneRequestPath:
         assert ghs == _record(run("ghs", graph))
 
 
-class TestSweepCommand:
+class TestSizeGrid:
+    """``suite --workloads none`` is the plain (algorithm x size) grid."""
+
+    GRID = ["suite", "--algorithms", "kkt-st", "flooding", "--sizes", "12", "16",
+            "--workloads", "none", "--density", "sparse", "--seed", "2", "--json"]
+
     def test_parser_accepts_engine_flags(self):
         args = build_parser().parse_args(
-            ["sweep", "--algorithms", "kkt-st", "flooding", "--sizes", "16", "24",
-             "--jobs", "4", "--json"]
+            ["suite", "--algorithms", "kkt-st", "flooding", "--sizes", "16", "24",
+             "--workloads", "none", "--jobs", "4", "--json"]
         )
         assert args.algorithms == ["kkt-st", "flooding"]
+        assert args.workloads == ["none"]
         assert args.jobs == 4
         assert args.json
 
-    def test_sweep_algorithms_json(self, capsys):
-        code = main(
-            ["sweep", "--algorithms", "kkt-st", "flooding", "--sizes", "12", "16",
-             "--density", "sparse", "--seed", "2", "--json"]
-        )
+    def test_size_grid_json(self, capsys):
+        code = main(self.GRID)
         out = capsys.readouterr().out
         assert code == 0
         results = parse_json_lines(out)
         assert [(r.algorithm, r.n) for r in results] == [
             ("kkt-st", 12), ("flooding", 12), ("kkt-st", 16), ("flooding", 16),
         ]
+        assert all(r.workload is None for r in results)
+        graph = GraphSpec(nodes=12, density="sparse", seed=2)
+        assert _records(out)[0] == _record(run("kkt-st", graph))
 
-    def test_sweep_parallel_counters_match_serial(self, capsys):
-        argv = ["sweep", "--algorithms", "kkt-st", "flooding", "--sizes", "12", "16",
-                "--density", "sparse", "--seed", "2", "--json"]
-        assert main(argv + ["--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(argv + ["--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
+    def test_size_grid_parallel_counters_match_serial(self, capsys):
+        assert main(self.GRID + ["--jobs", "1"]) == 0
+        serial = _records(capsys.readouterr().out)
+        assert main(self.GRID + ["--jobs", "2"]) == 0
+        assert _records(capsys.readouterr().out) == serial
 
-        def strip_wall_time(out):
-            records = [json.loads(line) for line in out.strip().splitlines()]
-            for record in records:
-                record.pop("wall_time_s")
-            return records
-
-        assert strip_wall_time(parallel) == strip_wall_time(serial)
-
-    def test_sweep_requires_algorithms(self, capsys):
+    def test_suite_requires_algorithms(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--sizes", "16", "--json"])
+            main(["suite", "--sizes", "16", "--workloads", "none", "--json"])
         assert excinfo.value.code == 2
         assert "--algorithms" in capsys.readouterr().err
+
+
+class TestSuiteRunnerFlags:
+    def _suite(self, capsys, *flags):
+        assert main(["suite", "--sizes", "12", "--seed", "3", "--json", *flags]) == 0
+        return _records(capsys.readouterr().out)
+
+    def test_error_exponent_reaches_every_job(self, capsys):
+        records = self._suite(capsys, "--algorithms", "kkt-mst", "--workloads", "none",
+                              "-c", "3")
+        assert [record["extra"]["c"] for record in records] == [3.0]
+
+    def test_mode_st_reaches_the_repair_runner(self, capsys):
+        (record,) = self._suite(capsys, "--algorithms", "kkt-repair", "--mode", "st")
+        assert record["extra"]["mode"] == "st"
+
+    def test_each_runner_gets_its_own_options(self, capsys):
+        kkt, ghs = self._suite(capsys, "--algorithms", "kkt-mst", "ghs",
+                               "--workloads", "none", "-c", "3")
+        graph = GraphSpec(nodes=12, density="sparse", seed=3)
+        assert kkt == _record(run("kkt-mst", graph, c=3))
+        assert ghs == _record(run("ghs", graph))
+
+    def test_repair_batch_and_substrate(self, capsys):
+        (record,) = self._suite(capsys, "--algorithms", "kkt-repair", "--updates", "6",
+                                "--repair-batch", "3", "--substrate", "bracha")
+        assert record["extra"]["repair_batch"] == 3
+        assert record["extra"]["substrate"] == "bracha"

@@ -12,11 +12,16 @@ from repro.api import (
     derive_seed,
     scenario_grid,
 )
+from repro.api.engine import spec_from_dict
 from repro.network.errors import AlgorithmError
 
 
 def counters(results):
     return [(r.algorithm, r.spec, r.counters(), r.checks) for r in results]
+
+
+def graphs(sizes, seed=None):
+    return [GraphSpec(nodes=size, density="sparse", seed=seed) for size in sizes]
 
 
 class TestDeriveSeed:
@@ -49,13 +54,18 @@ class TestJobConstruction:
         with pytest.raises(AlgorithmError):
             engine.seeded([ExperimentJob("bogus", GraphSpec(nodes=8))])
 
-    def test_sweep_jobs_grid(self):
-        jobs = ExperimentEngine.sweep_jobs(
-            ["kkt-st", "flooding"], [16, 24], density="sparse", seed=1
-        )
-        assert [(job.algorithm, job.spec.nodes) for job in jobs] == [
+    def test_size_grid_order(self):
+        jobs = scenario_grid(["kkt-st", "flooding"], graphs([16, 24], seed=1))
+        assert [(job.algorithm, job.spec.graph.nodes) for job in jobs] == [
             ("kkt-st", 16), ("flooding", 16), ("kkt-st", 24), ("flooding", 24),
         ]
+        assert all(job.options == {} for job in jobs)
+
+    def test_spec_from_dict_parses_both_spec_kinds(self):
+        graph = GraphSpec(nodes=8, density="sparse", seed=1)
+        scenario = ExperimentSpec(graph=graph, workload=WorkloadSpec(name="churn", updates=2))
+        assert spec_from_dict(graph.to_dict()) == graph
+        assert spec_from_dict(scenario.to_dict()) == scenario
 
     def test_engine_validates_worker_count(self):
         with pytest.raises(AlgorithmError):
@@ -65,19 +75,16 @@ class TestJobConstruction:
 class TestExecution:
     def test_serial_results_in_job_order(self):
         engine = ExperimentEngine(jobs=1, base_seed=3)
-        results = engine.sweep(["flooding", "kkt-st"], [12, 16], density="sparse", seed=3)
+        results = engine.run(scenario_grid(["flooding", "kkt-st"], graphs([12, 16], seed=3)))
         assert [(r.algorithm, r.n) for r in results] == [
             ("flooding", 12), ("kkt-st", 12), ("flooding", 16), ("kkt-st", 16),
         ]
         assert all(r.ok for r in results)
 
     def test_parallel_matches_serial(self):
-        serial = ExperimentEngine(jobs=1, base_seed=5).sweep(
-            ["kkt-st", "flooding"], [12, 16], density="sparse", seed=2
-        )
-        parallel = ExperimentEngine(jobs=4, base_seed=5).sweep(
-            ["kkt-st", "flooding"], [12, 16], density="sparse", seed=2
-        )
+        jobs = scenario_grid(["kkt-st", "flooding"], graphs([12, 16], seed=2))
+        serial = ExperimentEngine(jobs=1, base_seed=5).run(jobs)
+        parallel = ExperimentEngine(jobs=4, base_seed=5).run(jobs)
         assert counters(parallel) == counters(serial)
 
     def test_parallel_derived_seeds_match_serial(self):
@@ -93,19 +100,19 @@ class TestExecution:
         expected = [derive_seed(11, 0), derive_seed(11, 0), derive_seed(11, 1), derive_seed(11, 1)]
         assert [r.spec.seed for r in serial] == expected
 
-    def test_unseeded_compare_shares_one_graph(self):
+    def test_unseeded_head_to_head_shares_one_graph(self):
         # A head-to-head without an explicit seed must still compare on the
         # SAME graph: all jobs share the unseeded spec, hence the seed.
-        results = ExperimentEngine(base_seed=9).compare(
-            ["kkt-mst", "ghs"], GraphSpec(nodes=16, density="sparse")
+        results = ExperimentEngine(base_seed=9).run(
+            scenario_grid(["kkt-mst", "ghs"], graphs([16]))
         )
         assert results[0].spec == results[1].spec
         assert results[0].spec.seed == derive_seed(9, 0)
         assert results[0].m == results[1].m
 
-    def test_compare_runs_same_spec(self):
+    def test_head_to_head_runs_same_spec(self):
         spec = GraphSpec(nodes=16, density="sparse", seed=4)
-        results = ExperimentEngine().compare(["kkt-mst", "ghs"], spec)
+        results = ExperimentEngine().run(scenario_grid(["kkt-mst", "ghs"], [spec]))
         assert [r.algorithm for r in results] == ["kkt-mst", "ghs"]
         assert all(r.spec == spec for r in results)
         assert all(r.ok for r in results)
@@ -153,7 +160,7 @@ class TestScenarioGrid:
         assert jobs[0].spec.schedule.scheduler == "lifo"
 
 
-class TestRunSuite:
+class TestScenarioSuite:
     GRID = dict(
         workloads=["churn", "deletions-only"],
         schedules=[None, "random"],
@@ -168,7 +175,7 @@ class TestRunSuite:
         )
 
     def test_suite_results_carry_provenance(self):
-        results = ExperimentEngine(base_seed=3).run_suite(self._jobs())
+        results = ExperimentEngine(base_seed=3).run(self._jobs())
         assert len(results) == 8
         assert all(r.ok for r in results)
         assert all(r.workload is not None for r in results)
@@ -176,16 +183,16 @@ class TestRunSuite:
         assert {r.schedule.scheduler for r in scheduled} == {"random"}
 
     def test_parallel_suite_matches_serial(self):
-        serial = ExperimentEngine(jobs=1, base_seed=3).run_suite(self._jobs())
-        parallel = ExperimentEngine(jobs=4, base_seed=3).run_suite(self._jobs())
+        serial = ExperimentEngine(jobs=1, base_seed=3).run(self._jobs())
+        parallel = ExperimentEngine(jobs=4, base_seed=3).run(self._jobs())
         assert suite_counters(parallel) == suite_counters(serial)
 
-    def test_accepts_algorithm_spec_pairs(self):
+    def test_runs_a_scenario_job(self):
         spec = ExperimentSpec(
             graph=GraphSpec(nodes=12, density="sparse", seed=2),
             workload=WorkloadSpec(name="churn", updates=4),
         )
-        results = ExperimentEngine().run_suite([("kkt-repair", spec)])
+        results = ExperimentEngine().run([ExperimentJob("kkt-repair", spec)])
         assert results[0].algorithm == "kkt-repair"
         assert results[0].workload.name == "churn"
 

@@ -232,8 +232,8 @@ class TestSchedulerFaultDeterminism:
             schedules=[ScheduleSpec(scheduler=scheduler)],
             faults=[FaultSpec(name="crash-leaves")],
         )
-        serial = ExperimentEngine(jobs=1).run_suite(jobs)
-        parallel = ExperimentEngine(jobs=2).run_suite(jobs)
+        serial = ExperimentEngine(jobs=1).run(jobs)
+        parallel = ExperimentEngine(jobs=2).run(jobs)
         assert [_strip_wall(r) for r in serial] == [_strip_wall(r) for r in parallel]
         assert all(r.faults is not None and r.faults.name == "crash-leaves" for r in serial)
         assert all("fault_events" in r.extra for r in serial)

@@ -387,7 +387,7 @@ class TestPR1StyleRunnersSurviveScenarioGrids:
             jobs = scenario_grid(
                 ["pr1-style-test"], [GraphSpec(nodes=8, density="sparse", seed=2)]
             )
-            results = ExperimentEngine().run_suite(jobs)
+            results = ExperimentEngine().run(jobs)
             assert results[0].ok
         finally:
             ALGORITHM_REGISTRY.entries.pop("pr1-style-test", None)

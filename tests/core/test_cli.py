@@ -25,17 +25,24 @@ class TestParser:
         assert args.mode == "st"
         assert args.updates == 4
 
-    def test_sweep_sizes(self):
+    def test_suite_sizes(self):
         args = build_parser().parse_args(
-            ["sweep", "--algorithms", "kkt-st", "--sizes", "16", "32"]
+            ["suite", "--algorithms", "kkt-st", "--sizes", "16", "32", "--workloads", "none"]
         )
         assert args.sizes == [16, 32]
+        assert args.workloads == ["none"]
 
-    def test_sweep_requires_algorithms(self):
+    def test_suite_requires_algorithms(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--sizes", "16"])
+            build_parser().parse_args(["suite", "--sizes", "16"])
 
-    @pytest.mark.parametrize("command", ["build-mst", "build-st", "repair"])
+    def test_suite_runner_flag_defaults(self):
+        args = build_parser().parse_args(["suite", "--algorithms", "kkt-mst"])
+        assert args.error_exponent == 1.0
+        assert args.substrate == "plain"
+        assert args.mode is None and args.repair_batch is None and args.record is None
+
+    @pytest.mark.parametrize("command", ["build-mst", "build-st", "repair", "sweep"])
     def test_removed_views_are_unknown_commands(self, command):
         with pytest.raises(SystemExit):
             build_parser().parse_args([command])
@@ -85,14 +92,14 @@ class TestCommands:
         assert code == 0
         assert "recompute-repair" in out
 
-    def test_sweep_command(self, capsys):
+    def test_suite_size_grid_command(self, capsys):
         code = main(
-            ["sweep", "--algorithms", "kkt-st", "flooding", "--sizes", "16", "24",
-             "--density", "sparse", "--seed", "2"]
+            ["suite", "--algorithms", "kkt-st", "flooding", "--sizes", "16", "24",
+             "--workloads", "none", "--density", "sparse", "--seed", "2"]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "Sweep over sparse graphs" in out
+        assert "Scenario suite over sparse graphs" in out
         assert "16" in out and "24" in out
 
     def test_selfcheck_command(self, capsys):

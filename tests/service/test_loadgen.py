@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import ExperimentJob, GraphSpec, WorkloadSpec, scenario_grid
 from repro.network.errors import AlgorithmError
 from repro.service import (
     InProcessServer,
@@ -11,22 +12,27 @@ from repro.service import (
     ServiceConfig,
     load_spec_trace,
     record_spec_trace,
+    requests_from_jobs,
     run_load,
-    spec_trace_requests,
 )
 
 
-class TestSpecTraceRequests:
+def grid_requests(algorithms, sizes, seed=2015, **axes):
+    graphs = [GraphSpec(nodes=size, density="sparse", seed=seed) for size in sizes]
+    return requests_from_jobs(scenario_grid(algorithms, graphs, **axes))
+
+
+class TestRequestsFromJobs:
     def test_mix_covers_algorithms_times_sizes(self):
-        requests = spec_trace_requests(["kkt-mst", "ghs"], [16, 24], seed=5)
+        requests = grid_requests(["kkt-mst", "ghs"], [16, 24], seed=5)
         assert len(requests) == 4
         assert {r["algorithm"] for r in requests} == {"kkt-mst", "ghs"}
         assert {r["spec"]["nodes"] for r in requests} == {16, 24}
         assert all(r["spec"]["seed"] == 5 for r in requests)
 
     def test_workload_axis_multiplies_the_mix(self):
-        plain = spec_trace_requests(["kkt-repair"], [16], workloads=(None,))
-        mixed = spec_trace_requests(
+        plain = grid_requests(["kkt-repair"], [16], workloads=(None,))
+        mixed = grid_requests(
             ["kkt-repair"], [16], workloads=(None, "churn"), updates=4
         )
         assert len(mixed) == 2 * len(plain)
@@ -34,9 +40,8 @@ class TestSpecTraceRequests:
         assert churn and churn[0]["spec"]["workload"]["name"] == "churn"
 
     def test_trace_file_joins_as_trace_replay_workload(self):
-        requests = spec_trace_requests(
-            ["kkt-repair"], [16], trace="updates.jsonl"
-        )
+        replay = WorkloadSpec(name="trace-replay", params={"path": "updates.jsonl"})
+        requests = grid_requests(["kkt-repair"], [16], workloads=(None, replay))
         replay = [
             r for r in requests
             if "graph" in r["spec"]
@@ -45,11 +50,20 @@ class TestSpecTraceRequests:
         assert replay
         assert replay[0]["spec"]["workload"]["params"]["path"] == "updates.jsonl"
 
+    def test_job_options_and_plain_graph_specs(self):
+        # Scenario-free specs flatten to the bare graph payload `submit`
+        # sends, and each request keeps its own job's options.
+        graph = GraphSpec(nodes=12, density="sparse", seed=1)
+        (request,) = requests_from_jobs([ExperimentJob("kkt-mst", graph, {"c": 3.0})])
+        assert request == {
+            "algorithm": "kkt-mst", "spec": graph.to_dict(), "options": {"c": 3.0},
+        }
+
 
 class TestTraceFiles:
     def test_record_load_round_trip(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        requests = spec_trace_requests(["kkt-mst"], [16, 24], seed=2)
+        requests = grid_requests(["kkt-mst"], [16, 24], seed=2)
         assert record_spec_trace(path, requests) == path
         loaded = load_spec_trace(path)
         assert loaded == [json.loads(json.dumps(r, sort_keys=True)) for r in requests]
@@ -83,7 +97,7 @@ class TestTraceFiles:
 
 class TestRunLoad:
     def test_cold_then_warm_rounds(self):
-        requests = spec_trace_requests(["kkt-mst", "ghs"], [12, 16], seed=9)
+        requests = grid_requests(["kkt-mst", "ghs"], [12, 16], seed=9)
         config = ServiceConfig(executor="inline", workers=1)
         lines = []
         with InProcessServer(config) as server:
@@ -102,7 +116,7 @@ class TestRunLoad:
         assert len(lines) == 2 and "round 0" in lines[0]
 
     def test_single_round_has_no_speedup(self):
-        requests = spec_trace_requests(["kkt-mst"], [12], seed=9)
+        requests = grid_requests(["kkt-mst"], [12], seed=9)
         with InProcessServer(ServiceConfig(executor="inline", workers=1)) as server:
             report = run_load(
                 ServiceClient(port=server.port), requests, concurrency=1, rounds=1

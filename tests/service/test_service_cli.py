@@ -23,9 +23,10 @@ class TestParsers:
         assert args.server == "127.0.0.1:8765"
         assert not args.no_wait and not args.json
 
-    def test_loadgen_record_requires_out(self):
+    def test_loadgen_record_is_an_unknown_command(self):
+        # `suite --record PATH` writes spec traces now.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["loadgen", "record"])
+            build_parser().parse_args(["loadgen", "record", "--out", "t.jsonl"])
 
     def test_parse_server(self):
         assert _parse_server("127.0.0.1:8080") == ("127.0.0.1", 8080)
@@ -108,13 +109,50 @@ class TestSubmitCommand:
         assert spec_file_error != 0
 
 
+#: The spec trace for kkt-mst at sizes 24 and 32 on sparse graphs with seed
+#: 2015 and no workload, byte for byte.
+DEFAULT_TRACE = (
+    '{"algorithm": "kkt-mst", "options": {}, "spec": {"density": "sparse", '
+    '"max_weight": null, "nodes": 24, "seed": 2015, "weight_model": "default"}}\n'
+    '{"algorithm": "kkt-mst", "options": {}, "spec": {"density": "sparse", '
+    '"max_weight": null, "nodes": 32, "seed": 2015, "weight_model": "default"}}\n'
+)
+
+
+def _record_suite(path, *flags):
+    return main(["suite", "--record", str(path), "--workloads", "none", *flags])
+
+
 class TestLoadgenCommand:
+    def test_suite_record_trace_bytes(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        assert _record_suite(trace, "--algorithms", "kkt-mst", "--sizes", "24", "32") == 0
+        assert trace.read_text() == DEFAULT_TRACE
+        assert "requests |" in capsys.readouterr().out
+
+    def test_suite_record_keeps_runner_options(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        assert _record_suite(trace, "--algorithms", "kkt-mst", "ghs", "--sizes", "12",
+                             "-c", "3") == 0
+        kkt, ghs = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert kkt["options"] == {"c": 3.0} and ghs["options"] == {}
+
+    def test_recorded_trace_warms_submit(self, service, tmp_path, capsys):
+        # A trace request and the same `submit` flags are one store key.
+        trace = tmp_path / "trace.jsonl"
+        graph = ["--density", "sparse", "--seed", "2016"]
+        assert _record_suite(trace, "--algorithms", "kkt-mst", "--sizes", "22", *graph) == 0
+        server = ["--server", f"127.0.0.1:{service.port}"]
+        assert main(["loadgen", "run", str(trace), "--rounds", "1", "--json", *server]) == 0
+        capsys.readouterr()
+        assert main(["submit", "kkt-mst", "--nodes", "22", *graph, *server]) == 0
+        assert "cache hit |              yes" in capsys.readouterr().out
+
     def test_record_then_run_in_process(self, tmp_path, capsys):
         trace = str(tmp_path / "trace.jsonl")
-        assert main([
-            "loadgen", "record", "--out", trace,
-            "--algorithms", "kkt-mst", "--sizes", "12", "16", "--seed", "3",
-        ]) == 0
+        assert _record_suite(
+            trace, "--algorithms", "kkt-mst", "--sizes", "12", "16", "--seed", "3"
+        ) == 0
         recorded = capsys.readouterr().out
         assert "requests |" in recorded
         code = main([
@@ -129,10 +167,7 @@ class TestLoadgenCommand:
 
     def test_run_against_running_server(self, service, tmp_path, capsys):
         trace = str(tmp_path / "trace.jsonl")
-        main([
-            "loadgen", "record", "--out", trace,
-            "--algorithms", "ghs", "--sizes", "12", "--seed", "31",
-        ])
+        _record_suite(trace, "--algorithms", "ghs", "--sizes", "12", "--seed", "31")
         capsys.readouterr()
         code = main([
             "loadgen", "run", trace, "--rounds", "2", "--json",

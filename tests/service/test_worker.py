@@ -8,7 +8,8 @@ import pytest
 from repro.network.errors import AlgorithmError
 from repro.service.queue import Job, JobQueue
 from repro.service.store import ResultStore, request_key
-from repro.service.worker import WorkerPool, execute_request, make_executor
+from repro.api.engine import execute_payload
+from repro.service.worker import WorkerPool, make_executor
 
 
 def _ok_result(messages=10):
@@ -50,14 +51,14 @@ class TestSuccessPath:
 
         asyncio.run(case())
 
-    def test_execute_request_runs_the_real_engine(self):
-        payload = ("kkt-mst", {"nodes": 12, "density": "sparse", "seed": 3}, {})
-        result = execute_request(payload)
+    def test_execute_payload_runs_the_real_engine(self):
+        payload = ("kkt-mst", {"nodes": 12, "density": "sparse", "seed": 3}, {}, "record")
+        result = execute_payload(payload)
         assert result["checks"] == {"spanning": True, "minimum": True}
 
-    def test_execute_request_records_runner_errors(self):
-        payload = ("kkt-mst", {"nodes": 12, "seed": 3}, {"phase_policy": "whenever"})
-        result = execute_request(payload)
+    def test_execute_payload_records_runner_errors(self):
+        payload = ("kkt-mst", {"nodes": 12, "seed": 3}, {"phase_policy": "whenever"}, "record")
+        result = execute_payload(payload)
         assert result["extra"]["error"]
         assert result["checks"] == {"completed": False}
 
