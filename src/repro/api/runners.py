@@ -63,6 +63,7 @@ Registered names
 
 from __future__ import annotations
 
+import inspect
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -96,6 +97,7 @@ from .result import RunResult
 from .scenario import ExperimentSpec, ScheduleSpec, _trace_stream, stream_fingerprint
 
 __all__ = [
+    "canonical_options",
     "final_state_extra",
     "KKTMSTRunner",
     "KKTSTRunner",
@@ -620,6 +622,28 @@ def _effective_repair_batch(repair_batch: Optional[int], schedule) -> int:
     return 0
 
 
+def canonical_options(runner: Any, spec: Any, options: Dict[str, Any]) -> Dict[str, Any]:
+    """``options`` without the entries that cannot change ``runner``'s run.
+
+    Drops an option equal to the default of the runner's ``run`` (the
+    flags the CLI never forwards) and a ``repair_batch`` equal to the wave
+    size the runner picks without one (the schedule's batch size, else 0),
+    so every spelling of one run is one request.  Options the runner does
+    not take are kept for it to reject.
+    """
+    accepted = inspect.signature(runner.run).parameters
+    implicit_batch = _effective_repair_batch(None, ExperimentSpec.coerce(spec).schedule)
+
+    def implied(key: str, value: Any) -> bool:
+        if key not in accepted:
+            return False
+        if key == "repair_batch" and value == implicit_batch:
+            return True
+        return value == accepted[key].default
+
+    return {key: value for key, value in options.items() if not implied(key, value)}
+
+
 def _wave_cost_extra(batch: int, costs: List[int]) -> Dict[str, Any]:
     """Per-wave message extras: ``messages_per_wave_*`` plus the wave count
     when batched (``batch`` ≥ 1), ``messages_per_update_*`` when sequential."""
@@ -646,7 +670,7 @@ class KKTRepairRunner(_RepairRunner):
         self,
         spec: ExperimentSpec,
         updates: int = 10,
-        mode: Optional[str] = None,
+        mode: str = "mst",
         record_state: bool = False,
         algorithm_seed: Optional[int] = None,
         substrate: str = "plain",
@@ -705,7 +729,7 @@ class RecomputeRepairRunner(_RepairRunner):
         self,
         spec: ExperimentSpec,
         updates: int = 10,
-        mode: Optional[str] = None,
+        mode: str = "mst",
         record_state: bool = False,
         repair_batch: Optional[int] = None,
     ) -> RunResult:

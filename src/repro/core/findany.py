@@ -28,27 +28,15 @@ worst-case ``O(|T_x|)`` and its success probability at least ``1/16``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Optional
 
-from .. import fastpath
 from ..network.accounting import MessageAccountant
-from ..network.broadcast import SUM_REDUCER, XOR_REDUCER, TreeStructure
 from ..network.fragments import SpanningForest
 from ..network.graph import Edge, Graph
 from .config import AlgorithmConfig
 from .findmin import FindResult
-from .hashing import PairwiseIndependentHash, random_pairwise_hash
-from .primes import prime_for_field
-from .sketches import (
-    local_prefix_parities,
-    local_xor_below,
-    pack_parity_word,
-    prefix_flip_masks,
-    prefix_parity_words_all,
-    unpack_parity_word,
-    xor_below_words_all,
-)
-from .testout import CutTester
+from .hashing import random_pairwise_hash
+from .testout import CutProbe, CutTester, TreeStatistics, lowest_set_bit
 
 __all__ = ["FindAny"]
 
@@ -74,32 +62,28 @@ class FindAny:
     # ------------------------------------------------------------------ #
     def run(self, root: int, capped: bool = False) -> FindResult:
         """Run FindAny (or FindAny-C when ``capped``) from ``root``."""
-        start = self.accountant.snapshot()
-        start_be = self.accountant.broadcast_echoes
+        accountant = self.accountant
+        start = accountant.snapshot()
         tree = self.forest.rooted_structure(root)
 
         # Statistics B&E: maxEdgeNum (hash universe), B (range size, prime).
         stats = self.tester.tree_statistics(root, tree=tree)
         if not stats.has_incident_edges:
-            return self._result(None, True, 0, start, start_be)
-        field_prime = prime_for_field(
-            max_edge_number=max(stats.max_edge_number, 2),
-            num_endpoints=max(stats.num_endpoints, 1),
-            epsilon=self.config.epsilon(),
-        )
+            return FindResult.since(accountant, start, None, True, 0)
+        probe = self.tester.probe(root, tree, stats)
 
         # Step 2: certify a non-empty cut w.h.p. before searching.
-        if not self.tester.hp_test_out(root, field_prime=field_prime, tree=tree):
-            return self._result(None, True, 0, start, start_be)
+        if not probe.hp():
+            return FindResult.since(accountant, start, None, True, 0)
 
         budget = 1 if capped else self.config.findany_budget()
         attempts = 0
         while attempts < budget:
             attempts += 1
-            edge = self._attempt(root, tree, stats.max_edge_number, stats.num_endpoints)
+            edge = self._attempt(probe, stats)
             if edge is not None:
-                return self._result(edge, False, attempts, start, start_be)
-        return self._result(None, False, attempts, start, start_be)
+                return FindResult.since(accountant, start, edge, False, attempts)
+        return FindResult.since(accountant, start, None, False, attempts)
 
     def find_any(self, root: int) -> FindResult:
         """``FindAny(x)`` — expected-constant broadcast-and-echoes (Lemma 5)."""
@@ -112,115 +96,24 @@ class FindAny:
     # ------------------------------------------------------------------ #
     # one attempt (steps 3-4 of the paper)
     # ------------------------------------------------------------------ #
-    def _attempt(
-        self,
-        root: int,
-        tree: TreeStructure,
-        max_edge_number: int,
-        num_endpoints: int,
-    ) -> Optional[Edge]:
-        id_bits = self.graph.id_bits
-        range_size = self._power_of_two_above(max(num_endpoints, 2))
+    def _attempt(self, probe: CutProbe, stats: TreeStatistics) -> Optional[Edge]:
         pairwise = random_pairwise_hash(
-            universe_max=max(max_edge_number, 2),
-            range_size=range_size,
+            universe_max=max(stats.max_edge_number, 2),
+            range_size=self._power_of_two_above(max(stats.num_endpoints, 2)),
             rng=self.config.rng,
         )
-
-        fast = fastpath.is_enabled()
-
-        # Step 3(a-c): prefix-parity vector, XORed up the tree as one parity
-        # word per node (bit i = prefix parity i).  On the fast path one
-        # fused columnar pass hashes each edge once, derives all prefixes
-        # from its bit length and returns the tree's word.
-        echo: Dict[str, Any]
-        if fast:
-            cols = self.graph.columnar()
-            cut = tree.cut_column(cols)
-            masks = prefix_flip_masks(pairwise.log_range)
-            echo = {"aggregate": prefix_parity_words_all(pairwise, masks, cut)}
-
-        else:
-
-            def local_word(node: int) -> int:
-                numbers = [
-                    e.edge_number(id_bits) for e in self.graph.incident_edges(node)
-                ]
-                return pack_parity_word(local_prefix_parities(numbers, pairwise))
-
-            echo = {"local_value": local_word, "reducer": XOR_REDUCER}
-
-        word = self.tester.executor.broadcast_and_echo(
-            root=root,
-            broadcast_bits=pairwise.description_bits(),
-            echo_bits=pairwise.log_range + 1,
-            tree=tree,
-            kind="findany:vector",
-            **echo,
-        )
-        vector: List[int] = unpack_parity_word(word, pairwise.log_range + 1)
-        min_prefix = next((i for i, bit in enumerate(vector) if bit), None)
+        # Step 3(a-c): bit i of the word is the parity of the cut edges
+        # hashing into [2^i]; the smallest odd prefix is ``min``.
+        word = probe.prefix_word(pairwise)
+        min_prefix = lowest_set_bit(word, pairwise.log_range + 1)
         if min_prefix is None:
             return None
-
-        # Step 3(d): XOR of edge numbers hashing below 2^min.
-        if fast:
-            echo = {"aggregate": xor_below_words_all(pairwise, min_prefix, cut)}
-
-        else:
-
-            def local_xor(node: int) -> int:
-                numbers = [
-                    e.edge_number(id_bits) for e in self.graph.incident_edges(node)
-                ]
-                return local_xor_below(numbers, pairwise, min_prefix)
-
-            echo = {"local_value": local_xor, "reducer": XOR_REDUCER}
-
-        candidate = self.tester.executor.broadcast_and_echo(
-            root=root,
-            broadcast_bits=max(pairwise.log_range.bit_length(), 1),
-            echo_bits=2 * id_bits,
-            tree=tree,
-            kind="findany:xor",
-            **echo,
-        )
+        # Step 3(d): XOR of the cut's edge numbers hashing below 2^min.
+        candidate = probe.xor_below(pairwise, min_prefix)
         if candidate == 0:
             return None
-
         # Step 4: the Test — count endpoints in T incident to the candidate.
-        # Only the edge the candidate number decodes to (if the graph has
-        # it) is incident to it, so on the fast path the count is how many
-        # of its two endpoints the tree holds.
-        edge = self.graph.edge_from_number(candidate)
-        if fast:
-            row_mask = tree.row_mask(cols)
-            echo = {
-                "aggregate": 0
-                if edge is None
-                else row_mask[cols.pos[edge.u]] + row_mask[cols.pos[edge.v]]
-            }
-
-        else:
-
-            def local_count(node: int) -> int:
-                return sum(
-                    1
-                    for e in self.graph.incident_edges(node)
-                    if e.edge_number(id_bits) == candidate
-                )
-
-            echo = {"local_value": local_count, "reducer": SUM_REDUCER}
-
-        endpoint_count = self.tester.executor.broadcast_and_echo(
-            root=root,
-            broadcast_bits=2 * id_bits,
-            echo_bits=2,
-            tree=tree,
-            kind="findany:test",
-            **echo,
-        )
-        return edge if endpoint_count == 1 else None
+        return probe.candidate_edge(candidate)
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -232,19 +125,3 @@ class FindAny:
         while power <= value:
             power <<= 1
         return max(power, 2)
-
-    def _result(
-        self,
-        edge: Optional[Edge],
-        verified_empty: bool,
-        iterations: int,
-        start_snapshot,
-        start_broadcast_echoes: int,
-    ) -> FindResult:
-        return FindResult(
-            edge=edge,
-            verified_empty=verified_empty,
-            iterations=iterations,
-            broadcast_echoes=self.accountant.broadcast_echoes - start_broadcast_echoes,
-            cost=self.accountant.since(start_snapshot),
-        )

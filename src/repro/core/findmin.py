@@ -12,7 +12,8 @@ weight range:
 3. the smallest sub-range reporting a ``1`` is verified with two
    ``HP-TestOut`` calls — no lighter edge was missed (``TestLow``) and the
    sub-range really contains a leaving edge (``TestInterval``) — and then
-   becomes the new range;
+   becomes the new range (:meth:`~repro.core.testout.CutProbe.narrow`,
+   shared with the sampled-pivot search of :mod:`repro.core.sample`);
 4. when the range is a single augmented weight, that weight *is* the edge
    (augmented weights are unique), and the search stops.
 
@@ -31,17 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..network.accounting import CostDelta, MessageAccountant
-from ..network.broadcast import TreeStructure
+from ..network.accounting import CostDelta, CostSnapshot, MessageAccountant
 from ..network.errors import AlgorithmError
 from ..network.fragments import SpanningForest
 from ..network.graph import Edge, Graph
 from .config import AlgorithmConfig
-from .hashing import random_odd_hash
-from .primes import prime_for_field
-from .testout import CutTester, TreeStatistics
+from .testout import CutTester
 
-__all__ = ["FindResult", "FindMin"]
+__all__ = ["FindResult", "FindMin", "split_range"]
 
 
 @dataclass
@@ -74,6 +72,34 @@ class FindResult:
     def found(self) -> bool:
         return self.edge is not None
 
+    @classmethod
+    def since(
+        cls,
+        accountant: MessageAccountant,
+        start: CostSnapshot,
+        edge: Optional[Edge],
+        verified_empty: bool,
+        iterations: int,
+    ) -> "FindResult":
+        """The result of a search that began at ``accountant``'s ``start``."""
+        cost = accountant.since(start)
+        return cls(edge, verified_empty, iterations, cost.broadcast_echoes, cost)
+
+
+def split_range(low: int, high: int, word_size: int) -> Tuple[List[int], List[int]]:
+    """Split [low, high] into at most ``word_size`` contiguous sub-ranges.
+
+    Returns the sub-ranges' ``(lows, highs)``: every one but the last spans
+    ``chunk`` weights, and the last ends at ``high``.
+    """
+    if low > high:
+        raise AlgorithmError(f"invalid range [{low}, {high}]")
+    chunk = max(1, -(-(high - low + 1) // word_size))
+    lows = list(range(low, high + 1, chunk))
+    highs = list(range(low + chunk - 1, high + chunk, chunk))
+    highs[-1] = high
+    return lows, highs
+
 
 class FindMin:
     """The FindMin / FindMin-C procedures over a maintained forest."""
@@ -101,8 +127,8 @@ class FindMin:
         edge leaving ``T_root`` (w.h.p. for FindMin, with probability
         ``≥ 2/3`` for FindMin-C), or ``None``.
         """
-        start = self.accountant.snapshot()
-        start_be = self.accountant.broadcast_echoes
+        accountant = self.accountant
+        start = accountant.snapshot()
         tree = self.forest.rooted_structure(root)
 
         # Step 2: one B&E for maxWt, maxEdgeNum and B; derive epsilon/p.
@@ -110,12 +136,8 @@ class FindMin:
         if not stats.has_incident_edges:
             # An isolated component with no incident edges at all: nothing
             # can leave it, and no randomness is needed to know that.
-            return self._result(None, True, 0, start, start_be)
-        field_prime = prime_for_field(
-            max_edge_number=max(stats.max_edge_number, 2),
-            num_endpoints=max(stats.num_endpoints, 1),
-            epsilon=self.config.epsilon(),
-        )
+            return FindResult.since(accountant, start, None, True, 0)
+        probe = self.tester.probe(root, tree, stats)
 
         low = 0
         high = stats.max_augmented_weight
@@ -125,61 +147,21 @@ class FindMin:
             else self.config.findmin_budget(max(high, 2))
         )
         word_size = self.config.word_size
-        rng = self.config.rng
-        universe = max(stats.max_edge_number, 1)
 
         iterations = 0
         while iterations < budget:
             iterations += 1
-            # Steps 4-5: one B&E answering w TestOuts in parallel.
-            ranges = self._split_range(low, high, word_size)
-            word = self.tester.test_out_word(
-                root=root,
-                ranges=ranges,
-                odd_hash=random_odd_hash(universe, rng),
-                max_edge_number=stats.max_edge_number,
-                tree=tree,
-            )
-            min_index = self._lowest_set_bit(word, len(ranges))
+            # Steps 4-7: one B&E answering w TestOuts in parallel, then the
+            # HP-TestOut checks of the lowest sub-range that fired.
+            lows, highs = split_range(low, high, word_size)
+            step = probe.narrow(low, high, lows, highs)
+            if step is None:
+                return FindResult.since(accountant, start, None, True, iterations)
+            low, high, edge = step
+            if edge is not None:
+                return FindResult.since(accountant, start, edge, False, iterations)
 
-            if min_index is None:
-                # No sub-range fired.  Either the cut (within [low, high]) is
-                # empty, or every TestOut failed this round; HP-TestOut
-                # distinguishes the two w.h.p.
-                any_left = self.tester.hp_test_out(
-                    root, low, high, field_prime=field_prime, tree=tree
-                )
-                if not any_left:
-                    return self._result(None, True, iterations, start, start_be)
-                continue
-
-            range_low, range_high = ranges[min_index]
-            # Step 6: verify with HP-TestOut that no lighter sub-range was
-            # missed and that the chosen sub-range really is non-empty.
-            test_low = False
-            if range_low > low:
-                test_low = self.tester.hp_test_out(
-                    root, low, range_low - 1, field_prime=field_prime, tree=tree
-                )
-            test_interval = self.tester.hp_test_out(
-                root, range_low, range_high, field_prime=field_prime, tree=tree
-            )
-
-            if test_low or not test_interval:
-                # Inconsistent evidence: repeat without narrowing (step 7/8).
-                continue
-
-            if range_low == range_high:
-                edge = self.graph.edge_from_augmented_weight(range_low)
-                if edge is None:
-                    # The sub-range is a single augmented weight that does
-                    # not correspond to an existing edge; treat as a failed
-                    # round (can only happen if HP-TestOut erred).
-                    continue
-                return self._result(edge, False, iterations, start, start_be)
-            low, high = range_low, range_high
-
-        return self._result(None, False, iterations, start, start_be)
+        return FindResult.since(accountant, start, None, False, iterations)
 
     # Convenience wrappers matching the paper's procedure names.
     def find_min(self, root: int) -> FindResult:
@@ -189,38 +171,3 @@ class FindMin:
     def find_min_capped(self, root: int) -> FindResult:
         """``FindMin-C(x)`` — worst-case-cost variant (Lemma 2)."""
         return self.run(root, capped=True)
-
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _split_range(low: int, high: int, word_size: int) -> List[Tuple[int, int]]:
-        """Split [low, high] into at most ``word_size`` contiguous sub-ranges."""
-        if low > high:
-            raise AlgorithmError(f"invalid range [{low}, {high}]")
-        chunk = max(1, -(-(high - low + 1) // word_size))
-        ranges = [(start, start + chunk - 1) for start in range(low, high + 1, chunk)]
-        ranges[-1] = (ranges[-1][0], high)
-        return ranges
-
-    @staticmethod
-    def _lowest_set_bit(word: int, width: int) -> Optional[int]:
-        """Index of the lowest set bit among ``word``'s low ``width`` bits."""
-        word &= (1 << width) - 1
-        return (word & -word).bit_length() - 1 if word else None
-
-    def _result(
-        self,
-        edge: Optional[Edge],
-        verified_empty: bool,
-        iterations: int,
-        start_snapshot,
-        start_broadcast_echoes: int,
-    ) -> FindResult:
-        return FindResult(
-            edge=edge,
-            verified_empty=verified_empty,
-            iterations=iterations,
-            broadcast_echoes=self.accountant.broadcast_echoes - start_broadcast_echoes,
-            cost=self.accountant.since(start_snapshot),
-        )

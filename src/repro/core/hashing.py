@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Iterable
 
 from ..network.errors import AlgorithmError
 from .primes import next_prime, prime_at_least
@@ -35,6 +35,8 @@ __all__ = [
     "OddHashFunction",
     "PairwiseIndependentHash",
     "KarpRabinFingerprint",
+    "draw_below",
+    "draw_odd_hash",
     "random_odd_hash",
     "random_pairwise_hash",
     "random_fingerprint",
@@ -48,9 +50,11 @@ _set_field = object.__setattr__
 class OddHashFunction:
     """The multiply-threshold 1/8-odd hash ``h(x) = [a·x mod 2^w ≤ t]``.
 
-    FindMin draws one per iteration, so the constructor checks the
-    arguments and sets the frozen fields directly rather than going through
-    the generated ``__init__`` and ``__post_init__``.
+    The constructor checks the arguments and sets the frozen fields
+    directly rather than going through the generated ``__init__`` and
+    ``__post_init__``.  FindMin draws one per iteration through
+    :func:`draw_odd_hash`, whose values are valid by construction, so a
+    drawn hash skips the checks too.
     """
 
     multiplier: int
@@ -102,16 +106,47 @@ class OddHashFunction:
         return 2 * self.word_bits
 
 
+def draw_below(getrandbits: Callable[[int], int], n: int) -> int:
+    """The value ``random.Random.randrange(n)`` returns, for ``n >= 1``.
+
+    CPython's ``randrange(start, stop)`` is ``start + _randbelow(stop -
+    start)``, and ``_randbelow`` draws ``getrandbits(n.bit_length())`` until
+    the draw is below ``n``.  This is that loop without ``randrange``'s
+    argument checks, so given a generator's ``getrandbits`` it consumes the
+    same bits and returns the same values
+    (``tests/core/test_hashing.py::TestDrawBelow`` pins it).  The per-search
+    probes of :mod:`repro.core.testout` draw every hash and ``α`` with it.
+    """
+    bits = n.bit_length()
+    value = getrandbits(bits)
+    while value >= n:
+        value = getrandbits(bits)
+    return value
+
+
+def draw_odd_hash(word_bits: int, getrandbits: Callable[[int], int]) -> OddHashFunction:
+    """Draw an odd hash over ``word_bits``-bit words from ``getrandbits``.
+
+    The multiplier is ``randrange(1, 2^w)`` made odd, the threshold
+    ``randrange(1, 2^w + 1)``, both via :func:`draw_below`; they lie in range
+    by construction, so the constructor's checks are skipped.
+    """
+    size = 1 << word_bits
+    multiplier = draw_below(getrandbits, size - 1) + 1
+    if not multiplier & 1:
+        multiplier -= 1
+    odd_hash = object.__new__(OddHashFunction)
+    _set_field(odd_hash, "multiplier", multiplier)
+    _set_field(odd_hash, "threshold", draw_below(getrandbits, size) + 1)
+    _set_field(odd_hash, "word_bits", word_bits)
+    return odd_hash
+
+
 def random_odd_hash(universe_max: int, rng: random.Random) -> OddHashFunction:
     """Draw an odd hash for the universe ``[1, universe_max]``."""
     if universe_max < 1:
         raise AlgorithmError("universe_max must be at least 1")
-    word_bits = max(universe_max.bit_length(), 1)
-    multiplier = rng.randrange(1, 1 << word_bits)
-    if multiplier % 2 == 0:
-        multiplier -= 1
-    threshold = rng.randrange(1, (1 << word_bits) + 1)
-    return OddHashFunction(multiplier=multiplier, threshold=threshold, word_bits=word_bits)
+    return draw_odd_hash(universe_max.bit_length(), rng.getrandbits)
 
 
 @dataclass(frozen=True)

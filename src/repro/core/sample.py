@@ -23,7 +23,8 @@ module implements its stated idea:
    singleton interval at each pivot) are tested with one parallel
    ``TestOut`` word, the lowest positive interval is verified with
    ``HP-TestOut`` (no lighter interval missed, chosen interval non-empty),
-   and the range narrows to it.
+   and the range narrows to it — FindMin's narrowing step,
+   :meth:`~repro.core.testout.CutProbe.narrow`, over the pivot intervals.
 3. When the range narrows to a single augmented weight, that weight *is* the
    minimum leaving edge.
 """
@@ -31,23 +32,24 @@ module implements its stated idea:
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .. import fastpath
 from ..network.accounting import MessageAccountant
 from ..network.broadcast import Reducer, TreeStructure
 from ..network.fragments import SpanningForest
-from ..network.graph import Edge, Graph
+from ..network.graph import Graph
 from .config import AlgorithmConfig
-from .findmin import FindMin, FindResult
-from .hashing import random_odd_hash
-from .primes import prime_for_field
-from .testout import CutTester
+from .findmin import FindResult
+from .testout import CutProbe, CutTester
 
 __all__ = ["SuperpolyFindMin", "k_smallest_reducer"]
 
 #: One sampled offer: (node-local random key, augmented weight).
 Offer = Tuple[float, int]
+
+#: ``qualifying(node, low, high)``: the node's incident non-tree edges'
+#: augmented weights inside ``[low, high]``.
+Qualifying = Callable[[int, int, int], Iterator[int]]
 
 
 def k_smallest_reducer(k: int) -> Reducer:
@@ -85,23 +87,19 @@ class SuperpolyFindMin:
     # ------------------------------------------------------------------ #
     def run(self, root: int, max_iterations: Optional[int] = None) -> FindResult:
         """Find the minimum-weight edge leaving ``T_root`` (∅ if none)."""
-        start = self.accountant.snapshot()
-        start_be = self.accountant.broadcast_echoes
+        accountant = self.accountant
+        start = accountant.snapshot()
         tree = self.forest.rooted_structure(root)
 
         stats = self.tester.tree_statistics(root, tree=tree)
         if not stats.has_incident_edges:
-            return self._result(None, True, 0, start, start_be)
-        field_prime = prime_for_field(
-            max_edge_number=max(stats.max_edge_number, 2),
-            num_endpoints=max(stats.num_endpoints, 1),
-            epsilon=self.config.epsilon(),
-        )
+            return FindResult.since(accountant, start, None, True, 0)
+        probe = self.tester.probe(root, tree, stats)
 
         low = 0
         high = stats.max_augmented_weight
-        if not self.tester.hp_test_out(root, low, high, field_prime=field_prime, tree=tree):
-            return self._result(None, True, 0, start, start_be)
+        if not probe.hp(low, high):
+            return FindResult.since(accountant, start, None, True, 0)
 
         budget = (
             max_iterations
@@ -109,88 +107,41 @@ class SuperpolyFindMin:
             else 8 * self.config.findmin_budget(max(stats.max_augmented_weight, 2))
         )
         num_pivots = max(2, self.config.word_size // 2)
+        qualifying = self._qualifying(probe)
 
         iterations = 0
         while iterations < budget:
             iterations += 1
             if low == high:
                 edge = self.graph.edge_from_augmented_weight(low)
-                if edge is not None:
-                    return self._result(edge, False, iterations, start, start_be)
-                return self._result(None, False, iterations, start, start_be)
+                return FindResult.since(accountant, start, edge, False, iterations)
 
-            pivots = self._sample_pivots(root, tree, low, high, num_pivots)
-            ranges = self._pivot_ranges(low, high, pivots)
-            odd_hash = random_odd_hash(max(stats.max_edge_number, 1), self.config.rng)
-            word = self.tester.test_out_word(
-                root=root,
-                ranges=ranges,
-                odd_hash=odd_hash,
-                max_edge_number=stats.max_edge_number,
-                tree=tree,
-            )
-            min_index = FindMin._lowest_set_bit(word, len(ranges))
-            if min_index is None:
-                if not self.tester.hp_test_out(
-                    root, low, high, field_prime=field_prime, tree=tree
-                ):
-                    return self._result(None, True, iterations, start, start_be)
-                continue
+            pivots = self._sample_pivots(root, tree, low, high, num_pivots, qualifying)
+            lows, highs = self._pivot_ranges(low, high, pivots)
+            step = probe.narrow(low, high, lows, highs)
+            if step is None:
+                return FindResult.since(accountant, start, None, True, iterations)
+            low, high, edge = step
+            if edge is not None:
+                return FindResult.since(accountant, start, edge, False, iterations)
 
-            range_low, range_high = ranges[min_index]
-            test_low = False
-            if range_low > low:
-                test_low = self.tester.hp_test_out(
-                    root, low, range_low - 1, field_prime=field_prime, tree=tree
-                )
-            test_interval = self.tester.hp_test_out(
-                root, range_low, range_high, field_prime=field_prime, tree=tree
-            )
-            if test_low or not test_interval:
-                continue
-
-            if range_low == range_high:
-                edge = self.graph.edge_from_augmented_weight(range_low)
-                if edge is not None:
-                    return self._result(edge, False, iterations, start, start_be)
-                continue
-            low, high = range_low, range_high
-
-        return self._result(None, False, iterations, start, start_be)
+        return FindResult.since(accountant, start, None, False, iterations)
 
     # ------------------------------------------------------------------ #
     # the Sample routine
     # ------------------------------------------------------------------ #
-    def _sample_pivots(
-        self,
-        root: int,
-        tree: TreeStructure,
-        low: int,
-        high: int,
-        count: int,
-    ) -> List[int]:
-        """One B&E drawing up to ``count`` random qualifying incident weights.
-
-        Each node locally attaches a random key to each of its qualifying
-        incident non-tree edges and offers its ``count`` smallest; the echo
-        keeps the ``count`` smallest keys overall, which yields a uniform
-        random subset of the qualifying multiset.  Messages carry ``count``
-        weight prefixes, i.e. ``O(w)`` bits, as in the appendix.
-        """
+    def _qualifying(self, probe: CutProbe) -> Qualifying:
+        """The candidate weights of a node, read on the probe's tier."""
         id_bits = self.graph.id_bits
-        # Per-iteration seed so that every node's "local randomness" is drawn
-        # from the run's reproducible stream but stays node-local.
-        iteration_seed = self._rng.getrandbits(64)
-
         is_marked = self.forest.is_marked
+        cols = probe.cols
 
-        if fastpath.is_enabled():
-            cols = self.graph.columnar()
+        if cols is not None:
             pos, indptr = cols.pos, cols.indptr
             numbers, augmented = cols.numbers, cols.augmented
             id_mask = (1 << id_bits) - 1
 
-            def qualifying(node: int) -> Iterator[int]:
+            def qualifying(node: int, low: int, high: int) -> Iterator[int]:
                 row = pos[node]
                 for slot in range(indptr[row], indptr[row + 1]):
                     number = numbers[slot]
@@ -201,18 +152,44 @@ class SuperpolyFindMin:
                         yield weight
 
         else:
+            incident_edges = self.graph.incident_edges
 
-            def qualifying(node: int) -> Iterator[int]:
-                for edge in self.graph.incident_edges(node):
+            def qualifying(node: int, low: int, high: int) -> Iterator[int]:
+                for edge in incident_edges(node):
                     if is_marked(edge.u, edge.v):
                         continue
                     weight = edge.augmented_weight(id_bits)
                     if low <= weight <= high:
                         yield weight
 
+        return qualifying
+
+    def _sample_pivots(
+        self,
+        root: int,
+        tree: TreeStructure,
+        low: int,
+        high: int,
+        count: int,
+        qualifying: Qualifying,
+    ) -> List[int]:
+        """One B&E drawing up to ``count`` random qualifying incident weights.
+
+        Each node locally attaches a random key to each of its qualifying
+        incident non-tree edges and offers its ``count`` smallest; the echo
+        keeps the ``count`` smallest keys overall, which yields a uniform
+        random subset of the qualifying multiset.  Messages carry ``count``
+        weight prefixes, i.e. ``O(w)`` bits, as in the appendix.
+        """
+        # Per-iteration seed so that every node's "local randomness" is drawn
+        # from the run's reproducible stream but stays node-local.
+        iteration_seed = self._rng.getrandbits(64)
+
         def local(node: int) -> List[Offer]:
             node_rng = random.Random((iteration_seed << 20) ^ node)
-            offers = sorted((node_rng.random(), weight) for weight in qualifying(node))
+            offers = sorted(
+                (node_rng.random(), weight) for weight in qualifying(node, low, high)
+            )
             return offers[:count]
 
         weight_bits = max(high.bit_length(), 1)
@@ -230,43 +207,26 @@ class SuperpolyFindMin:
     @staticmethod
     def _pivot_ranges(
         low: int, high: int, pivots: Sequence[int]
-    ) -> List[Tuple[int, int]]:
+    ) -> Tuple[List[int], List[int]]:
         """Intervals induced by the pivots, with a singleton at each pivot.
 
         For pivots ``p_1 < … < p_s`` inside ``[low, high]`` the intervals are
         ``[low, p_1−1], [p_1, p_1], [p_1+1, p_2−1], …, [p_s+1, high]`` with
-        empty intervals dropped.
+        empty intervals dropped; returns their ``(lows, highs)``.
         """
-        ranges: List[Tuple[int, int]] = []
+        lows: List[int] = []
+        highs: List[int] = []
         cursor = low
         for pivot in pivots:
             if pivot < low or pivot > high:
                 continue
             if cursor <= pivot - 1:
-                ranges.append((cursor, pivot - 1))
-            ranges.append((pivot, pivot))
+                lows.append(cursor)
+                highs.append(pivot - 1)
+            lows.append(pivot)
+            highs.append(pivot)
             cursor = pivot + 1
         if cursor <= high:
-            ranges.append((cursor, high))
-        if not ranges:
-            ranges.append((low, high))
-        return ranges
-
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    def _result(
-        self,
-        edge: Optional[Edge],
-        verified_empty: bool,
-        iterations: int,
-        start_snapshot,
-        start_broadcast_echoes: int,
-    ) -> FindResult:
-        return FindResult(
-            edge=edge,
-            verified_empty=verified_empty,
-            iterations=iterations,
-            broadcast_echoes=self.accountant.broadcast_echoes - start_broadcast_echoes,
-            cost=self.accountant.since(start_snapshot),
-        )
+            lows.append(cursor)
+            highs.append(high)
+        return lows, highs

@@ -19,7 +19,10 @@ These are pure functions of a node's incident edge list plus the broadcast
 parameters, matching the locality contract of the broadcast-and-echo
 executor.
 
-Each kernel has two implementations, one per tier of :mod:`repro.fastpath`:
+Each kernel has two implementations, one per tier of :mod:`repro.fastpath`.
+A search picks the tier once, when it builds its
+:class:`~repro.core.testout.CutProbe`, whose every broadcast-and-echo is
+then one columnar call or one reference fold:
 
 * the **reference** form (the ``local_*`` functions below) — one call per
   node, re-hashing every incident edge once per prefix level / weight range

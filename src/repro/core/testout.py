@@ -20,6 +20,15 @@ broadcast-and-echo:
   pairs multiply up the tree.  If no edge leaves, the two products are always
   equal; if some edge leaves they differ with probability ``≥ 1 − ε(n)``.
 
+A search (FindMin, Sample, FindAny) runs dozens of these over one fixed tree,
+so it binds them to the tree once: :meth:`CutTester.probe` returns a
+:class:`CutProbe` holding everything fixed for the search — the kernel tier,
+the tree, the odd hashes' word bits, HP-TestOut's prime and every echo width.
+Each of its echoes draws its randomness, computes the tree's aggregate (one
+columnar kernel call, or one reference fold) and is charged by one
+:meth:`~repro.network.broadcast.BroadcastEchoExecutor.broadcast_and_echo`.
+The :class:`CutTester` methods are thin wrappers over a one-off probe.
+
 Throughout this package, weight intervals refer to **augmented weights**
 (weight concatenated with the edge number, see :mod:`repro.network.graph`),
 which is exactly the paper's device for making weights distinct.
@@ -33,22 +42,39 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import fastpath
 from ..network.accounting import MessageAccountant
-from ..network.broadcast import XOR_REDUCER, BroadcastEchoExecutor, Reducer, TreeStructure
+from ..network.broadcast import (
+    SUM_REDUCER,
+    XOR_REDUCER,
+    BroadcastEchoExecutor,
+    Reducer,
+    TreeStructure,
+)
 from ..network.errors import AlgorithmError
 from ..network.fragments import SpanningForest
 from ..network.graph import Edge, Graph
 from .config import AlgorithmConfig
-from .hashing import OddHashFunction, random_odd_hash
+from .hashing import (
+    OddHashFunction,
+    PairwiseIndependentHash,
+    draw_below,
+    draw_odd_hash,
+    random_odd_hash,
+)
 from .polynomial import SetEqualitySketch, local_product, product_pair_reducer
 from .primes import prime_for_field
 from .sketches import (
     hp_products_all,
+    local_prefix_parities,
     local_range_parities,
+    local_xor_below,
     pack_parity_word,
+    prefix_flip_masks,
+    prefix_parity_words_all,
     range_parity_words_all,
+    xor_below_words_all,
 )
 
-__all__ = ["TreeStatistics", "CutTester", "STATS_REDUCER"]
+__all__ = ["TreeStatistics", "CutTester", "CutProbe", "STATS_REDUCER", "lowest_set_bit"]
 
 #: The upper bound of an open weight range: above every augmented weight.
 _OPEN_HIGH = 1 << 256
@@ -83,6 +109,358 @@ def _merge_stats(
 #: Echo of the statistics B&E: (size, maxEdgeNum, maxWt, B) merged as
 #: (sum, max, max, sum); every component is non-negative, so 0 is neutral.
 STATS_REDUCER = Reducer(_merge_stats, (0, 0, 0, 0))
+
+
+def lowest_set_bit(word: int, width: int) -> Optional[int]:
+    """Index of the lowest set bit among ``word``'s low ``width`` bits."""
+    word &= (1 << width) - 1
+    return (word & -word).bit_length() - 1 if word else None
+
+
+class CutProbe:
+    """The cut tests of one search, bound once to its tree ``T_x``.
+
+    Built by :meth:`CutTester.probe`, which picks the tier
+    (:class:`_ColumnarProbe` or :class:`_ReferenceProbe`) once.  Everything
+    fixed for the search is resolved here: the executor, the tree, the odd
+    hashes' word bits (from the statistics echo's ``maxEdgeNum``), the
+    TestOut range-bits cap ``4·id_bits + 64``, and HP-TestOut's prime and
+    broadcast and echo widths.  Each echo method draws its randomness
+    (through :func:`~repro.core.hashing.draw_below`, the same values
+    ``Random.randrange`` gives), computes the tree's aggregate and is
+    charged by one call of the executor's
+    :meth:`~repro.network.broadcast.BroadcastEchoExecutor.broadcast_and_echo`,
+    as every other echo is.  A probe built without statistics cannot draw
+    its own odd hash (:meth:`testout_word`), and one without a prime cannot
+    run :meth:`hp`.
+    """
+
+    def __init__(
+        self,
+        tester: "CutTester",
+        root: int,
+        tree: TreeStructure,
+        stats: Optional[TreeStatistics] = None,
+        field_prime: Optional[int] = None,
+    ) -> None:
+        graph = tester.graph
+        id_bits = graph.id_bits
+        self.graph = graph
+        self.executor = tester.executor
+        self.root = root
+        self.tree = tree
+        self.id_bits = id_bits
+        self._getrandbits = tester.config.rng.getrandbits
+        self._hash_bits = (
+            max(stats.max_edge_number, 1).bit_length() if stats is not None else None
+        )
+        self._range_bits_cap = 4 * id_bits + 64
+        self.field_prime = field_prime
+        if field_prime is not None:
+            prime_bits = field_prime.bit_length()
+            self._hp_broadcast_bits = prime_bits + min(4 * id_bits + 64, 256)
+            self._hp_echo_bits = 2 * prime_bits
+        self._bind()
+
+    def _bind(self) -> None:
+        """Resolve the tier's own state for the tree."""
+
+    # ------------------------------------------------------------------ #
+    # TestOut and the FindMin narrowing step
+    # ------------------------------------------------------------------ #
+    def testout_word(self, lows: Sequence[int], highs: Sequence[int]) -> int:
+        """Parallel TestOuts of ``[lows[i], highs[i]]`` under a fresh odd hash.
+
+        One broadcast-and-echo whose ``len(lows)``-bit echo word has bit
+        ``i`` set iff TestOut fired on range ``i``.  The ranges must be
+        sorted and disjoint (``highs[i] < lows[i + 1]``), as FindMin's
+        ``w``-wise splits and Sample's pivot intervals are.
+        """
+        return self.testout_word_with(
+            draw_odd_hash(self._hash_bits, self._getrandbits), lows, highs
+        )
+
+    def testout_word_with(
+        self, odd_hash: OddHashFunction, lows: Sequence[int], highs: Sequence[int]
+    ) -> int:
+        """:meth:`testout_word` under the given odd hash."""
+        raise NotImplementedError
+
+    def _testout_broadcast_bits(self, odd_hash: OddHashFunction, top: int) -> int:
+        """The hash's description plus the ranges, capped at ``4·id_bits + 64``."""
+        range_bits = 2 * max(top.bit_length(), 1)
+        return odd_hash.description_bits() + min(range_bits, self._range_bits_cap)
+
+    def narrow(
+        self, low: int, high: int, lows: List[int], highs: List[int]
+    ) -> Optional[Tuple[int, int, Optional[Edge]]]:
+        """One iteration of FindMin's steps 4–7 over the sub-ranges of ``[low, high]``.
+
+        One TestOut word over the sorted, disjoint sub-ranges
+        ``[lows[i], highs[i]]``; if none fires, HP-TestOut on ``[low, high]``
+        tells an empty cut from a round where every TestOut failed.
+        Otherwise the lowest firing sub-range is verified with HP-TestOut
+        twice — no lighter edge was missed (``TestLow``, only when the
+        sub-range is not the lowest) and the sub-range really holds a
+        leaving edge (``TestInterval``) — and becomes the range.  FindMin and
+        Sample share it.
+
+        Returns ``None`` when HP-TestOut certifies that no edge leaves the
+        tree within ``[low, high]``; otherwise ``(low, high, edge)``: the
+        range to search next (unchanged on inconsistent evidence) and, once
+        the verified sub-range is one augmented weight naming an edge, that
+        edge (augmented weights are unique).
+        """
+        index = lowest_set_bit(self.testout_word(lows, highs), len(lows))
+        if index is None:
+            return (low, high, None) if self.hp(low, high) else None
+        range_low, range_high = lows[index], highs[index]
+        test_low = range_low > low and self.hp(low, range_low - 1)
+        test_interval = self.hp(range_low, range_high)
+        if test_low or not test_interval:
+            return low, high, None
+        if range_low == range_high:
+            # None only if HP-TestOut erred: a failed round.
+            return low, high, self.graph.edge_from_augmented_weight(range_low)
+        return range_low, range_high, None
+
+    # ------------------------------------------------------------------ #
+    # HP-TestOut
+    # ------------------------------------------------------------------ #
+    def hp(self, low: int = 0, high: int = _OPEN_HIGH) -> bool:
+        """HP-TestOut on ``[low, high]`` under a fresh ``α``: one B&E.
+
+        ``True`` iff the two Schwartz–Zippel products differ, i.e. (w.h.p.)
+        some edge leaves the tree with augmented weight in the range.
+        """
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    # FindAny's echoes (Section 4.1, steps 3-4)
+    # ------------------------------------------------------------------ #
+    def prefix_word(self, pairwise: PairwiseIndependentHash) -> int:
+        """Step 3(a-c): the cut's prefix parities, bit ``i`` for ``[2^i]``."""
+        raise NotImplementedError
+
+    def xor_below(self, pairwise: PairwiseIndependentHash, prefix: int) -> int:
+        """Step 3(d): XOR of the cut's edge numbers hashing below ``2^prefix``."""
+        raise NotImplementedError
+
+    def candidate_edge(self, candidate: int) -> Optional[Edge]:
+        """Step 4, the Test: the edge numbered ``candidate`` if it leaves the tree.
+
+        The echo counts the tree's endpoints incident to the candidate; an
+        edge leaves iff exactly one endpoint is in the tree.
+        """
+        edge = self.graph.edge_from_number(candidate)
+        return edge if self._endpoint_count(candidate, edge) == 1 else None
+
+    def _endpoint_count(self, candidate: int, edge: Optional[Edge]) -> int:
+        raise NotImplementedError
+
+    def _vector_bits(self, pairwise: PairwiseIndependentHash) -> Tuple[int, int]:
+        return pairwise.description_bits(), pairwise.log_range + 1
+
+    def _xor_bits(self, pairwise: PairwiseIndependentHash) -> Tuple[int, int]:
+        return max(pairwise.log_range.bit_length(), 1), 2 * self.id_bits
+
+
+class _ColumnarProbe(CutProbe):
+    """Every echo is one fused kernel over the tree's memoised cut column.
+
+    Holds the snapshot, the tree's cut column and row mask, and its
+    ``maxEdgeNum`` (the bound of HP-TestOut's internal-factor lookup).
+    """
+
+    def _bind(self) -> None:
+        cols = self.cols = self.graph.columnar()
+        tree = self.tree
+        self._cut = tree.cut_column(cols)
+        self._row_mask = tree.row_mask(cols)
+        self._max_number = tree.statistics(cols)[1]
+
+    def testout_word_with(
+        self, odd_hash: OddHashFunction, lows: Sequence[int], highs: Sequence[int]
+    ) -> int:
+        return self.executor.broadcast_and_echo(
+            self.root,
+            broadcast_bits=self._testout_broadcast_bits(odd_hash, highs[-1]),
+            echo_bits=len(lows),
+            tree=self.tree,
+            kind="testout",
+            aggregate=range_parity_words_all(odd_hash, lows, highs, self._cut),
+        )
+
+    def hp(self, low: int = 0, high: int = _OPEN_HIGH) -> bool:
+        p = self.field_prime
+        alpha = draw_below(self._getrandbits, p)
+        return self.executor.broadcast_and_echo(
+            self.root,
+            broadcast_bits=self._hp_broadcast_bits,
+            echo_bits=self._hp_echo_bits,
+            tree=self.tree,
+            kind="hp_testout",
+            aggregate=hp_products_all(
+                self.cols, alpha, p, low, high, self._row_mask, self._max_number, self._cut
+            ),
+        )
+
+    def prefix_word(self, pairwise: PairwiseIndependentHash) -> int:
+        broadcast_bits, echo_bits = self._vector_bits(pairwise)
+        masks = prefix_flip_masks(pairwise.log_range)
+        return self.executor.broadcast_and_echo(
+            self.root,
+            broadcast_bits=broadcast_bits,
+            echo_bits=echo_bits,
+            tree=self.tree,
+            kind="findany:vector",
+            aggregate=prefix_parity_words_all(pairwise, masks, self._cut),
+        )
+
+    def xor_below(self, pairwise: PairwiseIndependentHash, prefix: int) -> int:
+        broadcast_bits, echo_bits = self._xor_bits(pairwise)
+        return self.executor.broadcast_and_echo(
+            self.root,
+            broadcast_bits=broadcast_bits,
+            echo_bits=echo_bits,
+            tree=self.tree,
+            kind="findany:xor",
+            aggregate=xor_below_words_all(pairwise, prefix, self._cut),
+        )
+
+    def _endpoint_count(self, candidate: int, edge: Optional[Edge]) -> int:
+        # Only the edge the candidate number decodes to (if the graph has
+        # it) is incident to it, so the count is how many of its two
+        # endpoints the tree holds.
+        count = 0
+        if edge is not None:
+            pos, mask = self.cols.pos, self._row_mask
+            count = mask[pos[edge.u]] + mask[pos[edge.v]]
+        return self.executor.broadcast_and_echo(
+            self.root,
+            broadcast_bits=2 * self.id_bits,
+            echo_bits=2,
+            tree=self.tree,
+            kind="findany:test",
+            aggregate=count,
+        )
+
+
+class _ReferenceProbe(CutProbe):
+    """Every echo folds node-local values through the executor (the spec)."""
+
+    cols = None
+
+    def _bind(self) -> None:
+        if self.field_prime is not None:
+            self._products = product_pair_reducer(self.field_prime)
+
+    def _incident_numbers(self, node: int) -> List[int]:
+        id_bits = self.id_bits
+        return [e.edge_number(id_bits) for e in self.graph.incident_edges(node)]
+
+    def testout_word_with(
+        self, odd_hash: OddHashFunction, lows: Sequence[int], highs: Sequence[int]
+    ) -> int:
+        graph, id_bits = self.graph, self.id_bits
+        ranges = list(zip(lows, highs))
+
+        def local(node: int) -> int:
+            incident = [
+                (e.augmented_weight(id_bits), e.edge_number(id_bits))
+                for e in graph.incident_edges(node)
+            ]
+            return pack_parity_word(local_range_parities(incident, odd_hash, ranges))
+
+        return self.executor.broadcast_and_echo(
+            self.root,
+            local_value=local,
+            reducer=XOR_REDUCER,
+            broadcast_bits=self._testout_broadcast_bits(odd_hash, max(highs)),
+            echo_bits=len(lows),
+            tree=self.tree,
+            kind="testout",
+        )
+
+    def hp(self, low: int = 0, high: int = _OPEN_HIGH) -> bool:
+        p = self.field_prime
+        alpha = draw_below(self._getrandbits, p)
+        graph, id_bits = self.graph, self.id_bits
+
+        # Each node's echo value is its (up, down) pair of Schwartz–Zippel
+        # products; the pairs multiply up the tree componentwise mod p.
+        def local(node: int) -> Tuple[int, int]:
+            up_numbers = []
+            down_numbers = []
+            for edge in graph.incident_edges(node):
+                if not (low <= edge.augmented_weight(id_bits) <= high):
+                    continue
+                number = edge.edge_number(id_bits)
+                if node == edge.u:
+                    up_numbers.append(number)
+                else:
+                    down_numbers.append(number)
+            return local_product(up_numbers, alpha, p), local_product(
+                down_numbers, alpha, p
+            )
+
+        up, down = self.executor.broadcast_and_echo(
+            self.root,
+            local_value=local,
+            reducer=self._products,
+            broadcast_bits=self._hp_broadcast_bits,
+            echo_bits=self._hp_echo_bits,
+            tree=self.tree,
+            kind="hp_testout",
+        )
+        return not SetEqualitySketch(up, down, alpha, p).sides_equal
+
+    def prefix_word(self, pairwise: PairwiseIndependentHash) -> int:
+        broadcast_bits, echo_bits = self._vector_bits(pairwise)
+
+        def local(node: int) -> int:
+            numbers = self._incident_numbers(node)
+            return pack_parity_word(local_prefix_parities(numbers, pairwise))
+
+        return self.executor.broadcast_and_echo(
+            self.root,
+            local_value=local,
+            reducer=XOR_REDUCER,
+            broadcast_bits=broadcast_bits,
+            echo_bits=echo_bits,
+            tree=self.tree,
+            kind="findany:vector",
+        )
+
+    def xor_below(self, pairwise: PairwiseIndependentHash, prefix: int) -> int:
+        broadcast_bits, echo_bits = self._xor_bits(pairwise)
+
+        def local(node: int) -> int:
+            return local_xor_below(self._incident_numbers(node), pairwise, prefix)
+
+        return self.executor.broadcast_and_echo(
+            self.root,
+            local_value=local,
+            reducer=XOR_REDUCER,
+            broadcast_bits=broadcast_bits,
+            echo_bits=echo_bits,
+            tree=self.tree,
+            kind="findany:xor",
+        )
+
+    def _endpoint_count(self, candidate: int, edge: Optional[Edge]) -> int:
+        def local(node: int) -> int:
+            return self._incident_numbers(node).count(candidate)
+
+        return self.executor.broadcast_and_echo(
+            self.root,
+            local_value=local,
+            reducer=SUM_REDUCER,
+            broadcast_bits=2 * self.id_bits,
+            echo_bits=2,
+            tree=self.tree,
+            kind="findany:test",
+        )
 
 
 class CutTester:
@@ -147,6 +525,37 @@ class CutTester:
             num_endpoints=endpoints,
         )
 
+    def field_prime(self, stats: TreeStatistics) -> int:
+        """HP-TestOut's prime for a tree with these statistics (Section 2.2)."""
+        return prime_for_field(
+            max_edge_number=max(stats.max_edge_number, 2),
+            num_endpoints=max(stats.num_endpoints, 1),
+            epsilon=self.config.epsilon(),
+        )
+
+    # ------------------------------------------------------------------ #
+    # the per-search probe
+    # ------------------------------------------------------------------ #
+    def probe(
+        self,
+        root: int,
+        tree: Optional[TreeStructure] = None,
+        stats: Optional[TreeStatistics] = None,
+        field_prime: Optional[int] = None,
+    ) -> CutProbe:
+        """A :class:`CutProbe` bound to ``T_root`` on the active tier.
+
+        ``stats`` is the tree's statistics echo: it sets the odd hashes'
+        universe and, unless ``field_prime`` is given, HP-TestOut's prime.
+        A search builds one probe right after its statistics B&E.
+        """
+        if tree is None:
+            tree = self.forest.rooted_structure(root)
+        if field_prime is None and stats is not None:
+            field_prime = self.field_prime(stats)
+        probe_type = _ColumnarProbe if fastpath.is_enabled() else _ReferenceProbe
+        return probe_type(self, root, tree, stats, field_prime)
+
     # ------------------------------------------------------------------ #
     # TestOut
     # ------------------------------------------------------------------ #
@@ -189,68 +598,32 @@ class CutTester:
         single bit and the same hash function is reused for every sub-range,
         ``w`` weight ranges can be tested with one B&E whose echo is a
         ``w``-bit word.  Bit ``i`` of the returned word is the outcome of
-        ``TestOut(x, ranges[i])``.
+        ``TestOut(x, ranges[i])``.  Without ``odd_hash`` one is drawn over
+        ``max_edge_number`` (default: the graph's ``maxEdgeNum``).
         """
         count = len(ranges)
         if not count:
             raise AlgorithmError("at least one range is required")
         if count > 64 and count > max(self.config.word_size, 1):
             raise AlgorithmError(f"{count} parallel ranges exceed the word size")
-        id_bits = self.graph.id_bits
         if tree is None:
             tree = self.forest.rooted_structure(root)
-        # On the fast path the snapshot is read first, so the graph's
-        # maxima below are O(1).
-        cols = self.graph.columnar() if fastpath.is_enabled() else None
-        if max_edge_number is None:
-            max_edge_number = max(self.graph.max_edge_number(), 1)
-        hash_fn = (
-            odd_hash
-            if odd_hash is not None
-            else random_odd_hash(max_edge_number, self.config.rng)
-        )
-        lows, highs = zip(*ranges)
-        if None in lows:
-            lows = tuple(0 if low is None else low for low in lows)
-        if None in highs:
-            highs = tuple(_OPEN_HIGH if high is None else high for high in highs)
-        range_bits = 2 * max(max(map(int.bit_length, highs)), 1)
-        broadcast_bits = hash_fn.description_bits() + min(range_bits, 4 * id_bits + 64)
-
-        # Fused columnar kernel when the ranges are sorted and disjoint (the
-        # bisection needs it): the tree's parity word in one pass, hashing
-        # each in-window edge once and locating its weight range by bisection.
-        if cols is not None and all(map(operator.lt, highs, lows[1:])):
-            return self.executor.broadcast_and_echo(
-                root=root,
-                broadcast_bits=broadcast_bits,
-                echo_bits=count,
-                tree=tree,
-                kind="testout",
-                aggregate=range_parity_words_all(
-                    hash_fn, lows, highs, tree.cut_column(cols)
-                ),
-            )
-
-        resolved_ranges = list(zip(lows, highs))
-
-        def local(node: int) -> int:
-            incident = [
-                (e.augmented_weight(id_bits), e.edge_number(id_bits))
-                for e in self.graph.incident_edges(node)
-            ]
-            parities = local_range_parities(incident, hash_fn, resolved_ranges)
-            return pack_parity_word(parities)
-
-        return self.executor.broadcast_and_echo(
-            root=root,
-            local_value=local,
-            reducer=XOR_REDUCER,
-            broadcast_bits=broadcast_bits,
-            echo_bits=len(ranges),
-            tree=tree,
-            kind="testout",
-        )
+        lows = [0 if low is None else low for low, _ in ranges]
+        highs = [_OPEN_HIGH if high is None else high for _, high in ranges]
+        # The columnar kernel locates an edge's range by bisection, which
+        # needs sorted, disjoint ranges; any other list takes the reference
+        # fold, with the same word and charge.
+        if all(map(operator.lt, highs, lows[1:])):
+            probe = self.probe(root, tree)
+        else:
+            probe = _ReferenceProbe(self, root, tree)
+        if odd_hash is None:
+            # A columnar probe has read the snapshot, which makes the
+            # graph's maximum O(1).
+            if max_edge_number is None:
+                max_edge_number = max(self.graph.max_edge_number(), 1)
+            odd_hash = random_odd_hash(max_edge_number, self.config.rng)
+        return probe.testout_word_with(odd_hash, lows, highs)
 
     # ------------------------------------------------------------------ #
     # HP-TestOut
@@ -281,73 +654,10 @@ class CutTester:
         if field_prime is None:
             if statistics is None:
                 statistics = self.tree_statistics(root, tree=tree)
-            field_prime = prime_for_field(
-                max_edge_number=max(statistics.max_edge_number, 2),
-                num_endpoints=max(statistics.num_endpoints, 1),
-                epsilon=self.config.epsilon(),
-            )
-        p = field_prime
-        alpha = self.config.rng.randrange(0, p)
-        id_bits = self.graph.id_bits
-        low_bound = low if low is not None else 0
-        high_bound = high if high is not None else _OPEN_HIGH
-        prime_bits = p.bit_length()
-        broadcast_bits = prime_bits + min(4 * id_bits + 64, 256)
-        echo_bits = 2 * prime_bits
-
-        # Each node's echo value is its (up, down) pair of Schwartz–Zippel
-        # products; the pairs multiply up the tree componentwise mod p.
-        if fastpath.is_enabled():
-            # Fused columnar kernel: the answer the tree's pair gives, in
-            # one pass.
-            cols = self.graph.columnar()
-            return self.executor.broadcast_and_echo(
-                root=root,
-                broadcast_bits=broadcast_bits,
-                echo_bits=echo_bits,
-                tree=tree,
-                kind="hp_testout",
-                aggregate=hp_products_all(
-                    cols,
-                    alpha,
-                    p,
-                    low_bound,
-                    high_bound,
-                    tree.row_mask(cols),
-                    tree.statistics(cols)[1],
-                    tree.cut_column(cols),
-                ),
-            )
-
-        else:
-
-            def local(node: int) -> Tuple[int, int]:
-                up_numbers = []
-                down_numbers = []
-                for edge in self.graph.incident_edges(node):
-                    weight = edge.augmented_weight(id_bits)
-                    if not (low_bound <= weight <= high_bound):
-                        continue
-                    number = edge.edge_number(id_bits)
-                    if node == edge.u:
-                        up_numbers.append(number)
-                    else:
-                        down_numbers.append(number)
-                return local_product(up_numbers, alpha, p), local_product(
-                    down_numbers, alpha, p
-                )
-
-            up, down = self.executor.broadcast_and_echo(
-                root=root,
-                local_value=local,
-                reducer=product_pair_reducer(p),
-                broadcast_bits=broadcast_bits,
-                echo_bits=echo_bits,
-                tree=tree,
-                kind="hp_testout",
-            )
-
-        return not SetEqualitySketch(up, down, alpha, p).sides_equal
+            field_prime = self.field_prime(statistics)
+        return self.probe(root, tree, field_prime=field_prime).hp(
+            0 if low is None else low, _OPEN_HIGH if high is None else high
+        )
 
     # ------------------------------------------------------------------ #
     # convenience for verification / experiments (God's-eye view)

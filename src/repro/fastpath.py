@@ -30,6 +30,10 @@ whole-graph build over the per-tree one: a tree holding at least half the
 nodes builds its cut column from the graph's edge columns, a smaller one
 from its own rows.  It is wall-clock-only and has no knob.
 
+A search reads the switch once: FindMin, Sample and FindAny each build one
+:class:`~repro.core.testout.CutProbe` per call, and the probe's class is
+the tier every TestOut, HP-TestOut and FindAny echo of that search runs on.
+
 The switch is process-global (not thread-local): flipping it mid-simulation
 is only meant for benchmarks and tests, which use the context managers::
 

@@ -50,6 +50,7 @@ from urllib.parse import urlsplit
 from ..api.canonical import canonical_json
 from ..api.engine import derive_seed, spec_from_dict
 from ..api.registry import get_runner
+from ..api.runners import canonical_options
 from ..api.scenario import ExperimentSpec
 from ..network.errors import AlgorithmError
 from .metrics import Metrics
@@ -86,14 +87,17 @@ class ServiceConfig:
 def normalize_request(
     payload: Mapping[str, Any], base_seed: int = 2015
 ) -> Tuple[str, Dict[str, Any], Dict[str, Any]]:
-    """Validate one submit request and pin its seed.
+    """Validate one submit request, pin its seed and drop implied options.
 
     Returns ``(algorithm, spec_dict, options)`` where ``spec_dict`` is the
-    canonical ``to_dict()`` rendering of the validated spec.  An unseeded
-    graph spec gets a seed derived from ``base_seed`` and the *content* of
-    the unseeded spec (not from arrival order, unlike the batch engine), so
-    the same submission always maps to the same seeded spec — the property
-    the content-addressed store is built on.
+    canonical ``to_dict()`` rendering of the validated spec and ``options``
+    leave out what cannot change the run
+    (:func:`~repro.api.runners.canonical_options`), so ``--mode mst`` or
+    ``--repair-batch 0`` key the same stored result as the bare request.
+    An unseeded graph spec gets a seed derived from ``base_seed`` and the
+    *content* of the unseeded spec (not from arrival order, unlike the batch
+    engine), so the same submission always maps to the same seeded spec —
+    the property the content-addressed store is built on.
     """
     if not isinstance(payload, Mapping):
         raise AlgorithmError("a submit request must be a JSON object")
@@ -105,7 +109,7 @@ def normalize_request(
     algorithm = payload.get("algorithm")
     if not isinstance(algorithm, str) or not algorithm:
         raise AlgorithmError("a submit request needs an 'algorithm' name")
-    get_runner(algorithm)  # fail fast with the registry's known-names message
+    runner = get_runner(algorithm)  # fail fast with the registry's known-names message
     spec_payload = payload.get("spec")
     if not isinstance(spec_payload, Mapping):
         raise AlgorithmError("a submit request needs a 'spec' object")
@@ -113,7 +117,7 @@ def normalize_request(
     if ExperimentSpec.coerce(spec).graph.seed is None:
         seed = derive_seed(base_seed, int(spec.content_hash()[:12], 16))
         spec = spec.with_seed(seed)
-    options = dict(payload.get("options") or {})
+    options = canonical_options(runner, spec, dict(payload.get("options") or {}))
     return algorithm, spec.to_dict(), options
 
 

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import fastpath
 from repro.core.config import AlgorithmConfig
-from repro.core.findmin import FindMin
+from repro.core.findmin import FindMin, split_range
 from repro.core.sample import SuperpolyFindMin
+from repro.core.testout import lowest_set_bit
 from repro.generators import random_connected_graph, random_spanning_tree_forest
 from repro.network.accounting import MessageAccountant
 from repro.network.broadcast import BroadcastEchoExecutor
@@ -129,19 +130,18 @@ class TestFindMinRandomGraphs:
 
 class TestRangeSplitting:
     def test_split_covers_range_without_overlap(self):
-        ranges = FindMin._split_range(0, 100, 8)
-        assert ranges[0][0] == 0
-        assert ranges[-1][1] == 100
-        for (a, b), (c, d) in zip(ranges, ranges[1:]):
+        lows, highs = split_range(0, 100, 8)
+        assert lows[0] == 0
+        assert highs[-1] == 100
+        for b, c in zip(highs, lows[1:]):
             assert b + 1 == c
-        assert len(ranges) <= 8
+        assert len(lows) == len(highs) <= 8
 
     def test_split_single_value(self):
-        assert FindMin._split_range(5, 5, 8) == [(5, 5)]
+        assert split_range(5, 5, 8) == ([5], [5])
 
     def test_split_range_smaller_than_word(self):
-        ranges = FindMin._split_range(10, 13, 8)
-        assert ranges == [(10, 10), (11, 11), (12, 12), (13, 13)]
+        assert split_range(10, 13, 8) == ([10, 11, 12, 13], [10, 11, 12, 13])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -154,31 +154,31 @@ class TestRangeSplitting:
         # Spans beyond 2^53 must be sized in integer arithmetic: a float
         # chunk rounds down and leaves a (w+1)-th sub-range.
         low, high = bounds
-        ranges = FindMin._split_range(low, high, word_size)
-        assert len(ranges) <= word_size
-        assert ranges[0][0] == low and ranges[-1][1] == high
-        assert all(a <= b for a, b in ranges)
-        for (_, b), (c, _) in zip(ranges, ranges[1:]):
+        lows, highs = split_range(low, high, word_size)
+        assert len(lows) == len(highs) <= word_size
+        assert lows[0] == low and highs[-1] == high
+        assert all(a <= b for a, b in zip(lows, highs))
+        for b, c in zip(highs, lows[1:]):
             assert b + 1 == c
 
     def test_split_rejects_inverted_range(self):
         from repro.network.errors import AlgorithmError
 
         with pytest.raises(AlgorithmError):
-            FindMin._split_range(10, 5, 4)
+            split_range(10, 5, 4)
 
     def test_lowest_set_bit(self):
-        assert FindMin._lowest_set_bit(0b0, 4) is None
-        assert FindMin._lowest_set_bit(0b1000, 4) == 3
-        assert FindMin._lowest_set_bit(0b0110, 4) == 1
+        assert lowest_set_bit(0b0, 4) is None
+        assert lowest_set_bit(0b1000, 4) == 3
+        assert lowest_set_bit(0b0110, 4) == 1
 
     @settings(max_examples=300, deadline=None)
     @given(word=st.integers(0, (1 << 80) - 1), width=st.integers(0, 72))
     def test_lowest_set_bit_matches_naive_scan(self, word, width):
         # Bits at or above ``width`` must be ignored, as the scan does.
         naive = next((i for i in range(width) if (word >> i) & 1), None)
-        assert FindMin._lowest_set_bit(word, width) == naive
-        assert FindMin._lowest_set_bit(word | (1 << width), width) == naive
+        assert lowest_set_bit(word, width) == naive
+        assert lowest_set_bit(word | (1 << width), width) == naive
 
 
 def _wide_weight_setup(weight_bits, seed, nodes=64):

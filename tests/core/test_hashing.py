@@ -8,11 +8,54 @@ from repro.core.hashing import (
     KarpRabinFingerprint,
     OddHashFunction,
     PairwiseIndependentHash,
+    draw_below,
+    draw_odd_hash,
     random_fingerprint,
     random_odd_hash,
     random_pairwise_hash,
 )
+from repro.core.primes import next_prime, prime_for_field
 from repro.network.errors import AlgorithmError
+
+
+#: Widths ``2^k - 1`` (no rejection), ``2^k`` (about half the draws
+#: rejected), ``2^k + 1``, and HP-TestOut field primes, small to huge.
+DRAW_WIDTHS = sorted(
+    {width for k in range(1, 80, 3) for width in (2 ** k - 1, 2 ** k, 2 ** k + 1)}
+    | {prime_for_field(m, b, 32.0 ** -2) for m, b in ((2, 1), (700, 90), (2 ** 40, 5000))}
+    | {next_prime(2 ** 61), next_prime(2 ** 200)}
+)
+
+
+class TestDrawBelow:
+    """The probes' draws equal ``Random.randrange`` on a twin generator.
+
+    Every hash and ``α`` a search draws goes through :func:`draw_below`, so
+    if CPython's ``randrange`` ever consumed bits differently, the counters
+    would move; this pins the equality on every Python CI runs.
+    """
+
+    @pytest.mark.parametrize("seed", range(0, 400, 7))
+    def test_matches_randrange(self, seed):
+        reference, twin = random.Random(seed), random.Random(seed)
+        for width in DRAW_WIDTHS:
+            for start in (0, 1):
+                expected = reference.randrange(start, start + width)
+                assert start + draw_below(twin.getrandbits, width) == expected
+        assert twin.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("seed", range(0, 400, 7))
+    def test_odd_hash_matches_randrange_draws(self, seed):
+        reference, twin = random.Random(seed), random.Random(seed)
+        for word_bits in (1, 2, 5, 8, 13, 32, 61, 64, 100):
+            size = 1 << word_bits
+            multiplier = reference.randrange(1, size)
+            if multiplier % 2 == 0:
+                multiplier -= 1
+            threshold = reference.randrange(1, size + 1)
+            expected = OddHashFunction(multiplier, threshold, word_bits)
+            assert draw_odd_hash(word_bits, twin.getrandbits) == expected
+        assert twin.getstate() == reference.getstate()
 
 
 class TestOddHashConstruction:

@@ -86,18 +86,23 @@ class TestSuperpolynomialWeights:
         assert big_result.broadcast_echoes <= 6 * max(small_result.broadcast_echoes, 4)
 
 
+def _pivot_ranges(low, high, pivots):
+    lows, highs = SuperpolyFindMin._pivot_ranges(low, high, pivots)
+    return list(zip(lows, highs))
+
+
 class TestPivotRanges:
     def test_ranges_partition_with_singletons(self):
-        ranges = SuperpolyFindMin._pivot_ranges(0, 100, [10, 50])
+        ranges = _pivot_ranges(0, 100, [10, 50])
         assert ranges == [(0, 9), (10, 10), (11, 49), (50, 50), (51, 100)]
 
     def test_pivot_at_boundary(self):
-        ranges = SuperpolyFindMin._pivot_ranges(10, 20, [10, 20])
+        ranges = _pivot_ranges(10, 20, [10, 20])
         assert ranges == [(10, 10), (11, 19), (20, 20)]
 
     def test_out_of_range_pivots_ignored(self):
-        ranges = SuperpolyFindMin._pivot_ranges(10, 20, [5, 30])
+        ranges = _pivot_ranges(10, 20, [5, 30])
         assert ranges == [(10, 20)]
 
     def test_no_pivots(self):
-        assert SuperpolyFindMin._pivot_ranges(3, 9, []) == [(3, 9)]
+        assert _pivot_ranges(3, 9, []) == [(3, 9)]

@@ -23,6 +23,7 @@ from repro.service import (
     canonical_result_json,
     normalize_request,
 )
+from repro.service.store import request_key
 
 SPEC = {"nodes": 20, "density": "sparse", "seed": 11}
 
@@ -75,6 +76,53 @@ class TestNormalizeRequest:
         _, spec_dict, _ = normalize_request(payload)
         assert spec_dict["graph"]["seed"] is not None
         assert spec_dict["workload"]["name"] == "churn"
+
+
+class TestImpliedOptions:
+    """Spelling out what a runner does anyway keys the same stored result."""
+
+    SPEC = {"nodes": 16, "density": "sparse", "seed": 2015}
+
+    @pytest.mark.parametrize("algorithm", ["kkt-repair", "recompute-repair"])
+    def test_default_mode_and_sequential_batch_key_like_the_bare_request(self, algorithm):
+        spellings = [{}, {"mode": "mst"}, {"repair_batch": 0}]
+        keys = set()
+        results = set()
+        for options in spellings:
+            normalized = normalize_request(
+                {"algorithm": algorithm, "spec": self.SPEC, "options": options}
+            )
+            assert normalized[2] == {}
+            keys.add(request_key(*normalized))
+            record = run(algorithm, GraphSpec(**self.SPEC), **options).to_dict()
+            record.pop("wall_time_s")
+            results.add(canonical_json(record))
+        assert len(keys) == 1
+        assert len(results) == 1
+
+    def test_batch_follows_the_schedule(self):
+        spec = {
+            "graph": self.SPEC,
+            "workload": {"name": "churn", "updates": 4},
+            "schedule": {"scheduler": "fifo", "batch_size": 3},
+        }
+
+        def options(batch):
+            request = {"algorithm": "kkt-repair", "spec": spec, "options": batch}
+            return normalize_request(request)[2]
+
+        # The schedule's batch size is what the runner uses without one;
+        # 0 overrides it (sequential repair), so it is a different run.
+        assert options({"repair_batch": 3}) == {}
+        assert options({"repair_batch": 0}) == {"repair_batch": 0}
+
+    def test_other_options_are_kept(self):
+        request = {
+            "algorithm": "kkt-repair",
+            "spec": self.SPEC,
+            "options": {"mode": "st", "updates": 4, "bogus": 1},
+        }
+        assert normalize_request(request)[2] == {"mode": "st", "updates": 4, "bogus": 1}
 
 
 class TestSubmitAndCache:
