@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Tuple
 
 from ..network.errors import AlgorithmError
 from .primes import next_prime, prime_at_least
@@ -37,6 +37,7 @@ __all__ = [
     "KarpRabinFingerprint",
     "draw_below",
     "draw_odd_hash",
+    "draw_odd_hash_pair",
     "random_odd_hash",
     "random_pairwise_hash",
     "random_fingerprint",
@@ -124,20 +125,31 @@ def draw_below(getrandbits: Callable[[int], int], n: int) -> int:
     return value
 
 
-def draw_odd_hash(word_bits: int, getrandbits: Callable[[int], int]) -> OddHashFunction:
-    """Draw an odd hash over ``word_bits``-bit words from ``getrandbits``.
+def draw_odd_hash_pair(word_bits: int, getrandbits: Callable[[int], int]) -> Tuple[int, int]:
+    """Draw an odd hash's ``(multiplier, threshold)`` from ``getrandbits``.
 
-    The multiplier is ``randrange(1, 2^w)`` made odd, the threshold
-    ``randrange(1, 2^w + 1)``, both via :func:`draw_below`; they lie in range
-    by construction, so the constructor's checks are skipped.
+    The multiplier is ``randrange(1, 2^w)`` made odd, then the threshold
+    ``randrange(1, 2^w + 1)``, both via :func:`draw_below`; both lie in
+    range by construction.  The columnar TestOut probe hands the pair
+    straight to its kernel; :func:`draw_odd_hash` wraps it in a hash.
     """
     size = 1 << word_bits
     multiplier = draw_below(getrandbits, size - 1) + 1
     if not multiplier & 1:
         multiplier -= 1
+    return multiplier, draw_below(getrandbits, size) + 1
+
+
+def draw_odd_hash(word_bits: int, getrandbits: Callable[[int], int]) -> OddHashFunction:
+    """Draw an odd hash over ``word_bits``-bit words from ``getrandbits``.
+
+    The fields come from :func:`draw_odd_hash_pair`; they lie in range by
+    construction, so the constructor's checks are skipped.
+    """
+    multiplier, threshold = draw_odd_hash_pair(word_bits, getrandbits)
     odd_hash = object.__new__(OddHashFunction)
     _set_field(odd_hash, "multiplier", multiplier)
-    _set_field(odd_hash, "threshold", draw_below(getrandbits, size) + 1)
+    _set_field(odd_hash, "threshold", threshold)
     _set_field(odd_hash, "word_bits", word_bits)
     return odd_hash
 

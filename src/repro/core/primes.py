@@ -73,8 +73,13 @@ def is_prime(n: int, rng: Optional[random.Random] = None) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=1024)
 def next_prime(n: int) -> int:
-    """The smallest prime strictly greater than ``n``."""
+    """The smallest prime strictly greater than ``n``.
+
+    Pure, so memoised: HP-TestOut asks for its field prime once per search
+    and FindAny's pairwise hash once per attempt, from a handful of bounds.
+    """
     candidate = max(n + 1, 2)
     if candidate <= 2:
         return 2
@@ -96,14 +101,15 @@ def prime_at_least(n: int) -> int:
     return next_prime(n)
 
 
-@functools.lru_cache(maxsize=1024)
 def prime_for_field(max_edge_number: int, num_endpoints: int, epsilon: float) -> int:
     """The prime ``p`` used by HP-TestOut (Section 2.2).
 
     ``p`` must exceed both ``maxEdgeNum(T)`` (so edge numbers are distinct
     field elements) and ``B / ε(n)`` (so the Schwartz–Zippel error is at most
     ``ε(n)``), where ``B`` is the number of edge endpoints incident to nodes
-    of the tree.  Pure, so memoised (a raised error is not cached).
+    of the tree.  The memo sits on :func:`next_prime`, keyed by the bound
+    alone, so every triple with the same bound shares one entry (a raised
+    error is never cached).
     """
     if epsilon <= 0 or epsilon >= 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")

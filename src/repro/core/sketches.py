@@ -156,13 +156,19 @@ def prefix_flip_masks(log_range: int) -> List[int]:
 
 
 def range_parity_words_all(
-    odd_hash: OddHashFunction,
+    multiplier: int,
+    threshold: int,
+    word_bits: int,
     lows: Sequence[int],
     highs: Sequence[int],
     cut: CutColumn,
 ) -> int:
     """FindMin's parallel TestOut parity word, aggregated over a tree.
 
+    The odd hash comes as its plain ints: an edge number ``x`` hashes to 1
+    iff ``multiplier · x mod 2^word_bits ≤ threshold`` (the
+    :class:`~repro.core.hashing.OddHashFunction` of those fields), so a
+    probe that draws the two ints itself never builds the hash object.
     Returns the XOR over the tree's nodes of the word whose bit ``i`` is
     ``local_range_parities(...)[i]`` for the ranges ``[lows[i], highs[i]]``,
     which must be sorted and disjoint (``highs[i] < lows[i + 1]``) so that an
@@ -171,9 +177,7 @@ def range_parity_words_all(
     column; each of its edges inside ``[lows[0], highs[-1]]`` is hashed once
     and finds its containing range by bisection.
     """
-    multiplier = odd_hash.multiplier
-    threshold = odd_hash.threshold
-    word_mask = (1 << odd_hash.word_bits) - 1
+    word_mask = (1 << word_bits) - 1
     aug = cut.aug
     start = bisect_left(aug, lows[0])
     stop = bisect_right(aug, highs[-1], start)

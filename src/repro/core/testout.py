@@ -58,6 +58,7 @@ from .hashing import (
     PairwiseIndependentHash,
     draw_below,
     draw_odd_hash,
+    draw_odd_hash_pair,
     random_odd_hash,
 )
 from .polynomial import SetEqualitySketch, local_product, product_pair_reducer
@@ -151,9 +152,10 @@ class CutProbe:
         self.tree = tree
         self.id_bits = id_bits
         self._getrandbits = tester.config.rng.getrandbits
-        self._hash_bits = (
-            max(stats.max_edge_number, 1).bit_length() if stats is not None else None
-        )
+        if stats is not None:
+            self._hash_bits = max(stats.max_edge_number, 1).bit_length()
+            # An odd hash's description: its multiplier and threshold.
+            self._hash_description_bits = 2 * self._hash_bits
         self._range_bits_cap = 4 * id_bits + 64
         self.field_prime = field_prime
         if field_prime is not None:
@@ -186,10 +188,10 @@ class CutProbe:
         """:meth:`testout_word` under the given odd hash."""
         raise NotImplementedError
 
-    def _testout_broadcast_bits(self, odd_hash: OddHashFunction, top: int) -> int:
+    def _testout_broadcast_bits(self, description_bits: int, top: int) -> int:
         """The hash's description plus the ranges, capped at ``4·id_bits + 64``."""
         range_bits = 2 * max(top.bit_length(), 1)
-        return odd_hash.description_bits() + min(range_bits, self._range_bits_cap)
+        return description_bits + min(range_bits, self._range_bits_cap)
 
     def narrow(
         self, low: int, high: int, lows: List[int], highs: List[int]
@@ -279,16 +281,44 @@ class _ColumnarProbe(CutProbe):
         self._row_mask = tree.row_mask(cols)
         self._max_number = tree.statistics(cols)[1]
 
+    def testout_word(self, lows: Sequence[int], highs: Sequence[int]) -> int:
+        # Two ints in draw_odd_hash's order: no hash object per echo.
+        word_bits = self._hash_bits
+        multiplier, threshold = draw_odd_hash_pair(word_bits, self._getrandbits)
+        return self._testout(
+            multiplier, threshold, word_bits, self._hash_description_bits, lows, highs
+        )
+
     def testout_word_with(
         self, odd_hash: OddHashFunction, lows: Sequence[int], highs: Sequence[int]
     ) -> int:
+        return self._testout(
+            odd_hash.multiplier,
+            odd_hash.threshold,
+            odd_hash.word_bits,
+            odd_hash.description_bits(),
+            lows,
+            highs,
+        )
+
+    def _testout(
+        self,
+        multiplier: int,
+        threshold: int,
+        word_bits: int,
+        description_bits: int,
+        lows: Sequence[int],
+        highs: Sequence[int],
+    ) -> int:
         return self.executor.broadcast_and_echo(
             self.root,
-            broadcast_bits=self._testout_broadcast_bits(odd_hash, highs[-1]),
+            broadcast_bits=self._testout_broadcast_bits(description_bits, highs[-1]),
             echo_bits=len(lows),
             tree=self.tree,
             kind="testout",
-            aggregate=range_parity_words_all(odd_hash, lows, highs, self._cut),
+            aggregate=range_parity_words_all(
+                multiplier, threshold, word_bits, lows, highs, self._cut
+            ),
         )
 
     def hp(self, low: int = 0, high: int = _OPEN_HIGH) -> bool:
@@ -376,7 +406,9 @@ class _ReferenceProbe(CutProbe):
             self.root,
             local_value=local,
             reducer=XOR_REDUCER,
-            broadcast_bits=self._testout_broadcast_bits(odd_hash, max(highs)),
+            broadcast_bits=self._testout_broadcast_bits(
+                odd_hash.description_bits(), max(highs)
+            ),
             echo_bits=len(lows),
             tree=self.tree,
             kind="testout",

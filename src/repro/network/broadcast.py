@@ -78,8 +78,16 @@ __all__ = [
 # algorithms in repro.core honour this contract.
 LocalValueFn = Callable[[int], Any]
 
-#: Each B&E kind's ``(kind:bcast, kind:echo)`` accounting labels, built once.
-_CHARGE_LABELS: Dict[str, Tuple[str, str]] = {}
+
+class _ChargeLabels(dict):
+    """Each B&E kind's ``(kind:bcast, kind:echo)`` accounting labels, built once."""
+
+    def __missing__(self, kind: str) -> Tuple[str, str]:
+        labels = self[kind] = (f"{kind}:bcast", f"{kind}:echo")
+        return labels
+
+
+_CHARGE_LABELS = _ChargeLabels()
 
 # Marks an omitted ``aggregate=`` (no aggregate is ever None, but the
 # sentinel keeps "not given" unambiguous).
@@ -407,7 +415,16 @@ class BroadcastEchoExecutor:
                 "or aggregate="
             )
         structure = tree if tree is not None else self.forest.rooted_structure(root)
-        self._charge(structure, broadcast_bits, echo_bits, kind)
+        if self.substrate is None and _ACTIVE_SUBSTRATE is None:
+            self.accountant.record_broadcast_echo_cost(
+                len(structure.parent) - 1,
+                broadcast_bits,
+                echo_bits,
+                _CHARGE_LABELS[kind],
+                2 * structure.eccentricity,
+            )
+        else:
+            self._charge(structure, broadcast_bits, echo_bits, kind)
         if not folds:
             return aggregate
         return reduce(reducer.op, map(local_value, structure.parent), reducer.identity)
@@ -459,7 +476,16 @@ class BroadcastEchoExecutor:
         The charge is the full broadcast-and-echo the protocol sends.
         """
         structure = tree if tree is not None else self.forest.rooted_structure(root)
-        self._charge(structure, broadcast_bits, echo_bits, kind)
+        if self.substrate is None and _ACTIVE_SUBSTRATE is None:
+            self.accountant.record_broadcast_echo_cost(
+                len(structure.parent) - 1,
+                broadcast_bits,
+                echo_bits,
+                _CHARGE_LABELS[kind],
+                2 * structure.eccentricity,
+            )
+        else:
+            self._charge(structure, broadcast_bits, echo_bits, kind)
         if target not in structure.parent:
             return None
         path = structure.path_from_root(target)
@@ -486,23 +512,17 @@ class BroadcastEchoExecutor:
     def _charge(
         self, structure: TreeStructure, broadcast_bits: int, echo_bits: int, kind: str
     ) -> None:
-        labels = _CHARGE_LABELS.get(kind)
-        if labels is None:
-            labels = _CHARGE_LABELS[kind] = (f"{kind}:bcast", f"{kind}:echo")
+        """Charge one B&E through a hardened substrate.
+
+        The plain substrate's charge is the accountant's one-call
+        :meth:`~repro.network.accounting.MessageAccountant.record_broadcast_echo_cost`,
+        made by the B&E methods themselves.
+        """
         substrate = self._substrate()
-        if substrate is None:
-            self.accountant.record_broadcast_echo_cost(
-                structure.num_edges,
-                broadcast_bits,
-                echo_bits,
-                labels,
-                2 * structure.eccentricity,
-            )
-            return
         accountant = self.accountant
         accountant.record_broadcast_echo()
         edges = structure.num_edges
-        bcast, echo = labels
+        bcast, echo = _CHARGE_LABELS[kind]
         substrate.charge_messages(accountant, edges, broadcast_bits, bcast)
         substrate.charge_messages(accountant, edges, echo_bits, echo)
         accountant.record_rounds(substrate.rounds_per_hop * 2 * structure.eccentricity)

@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.hashing import (
-    OddHashFunction,
     PairwiseIndependentHash,
     random_odd_hash,
     random_pairwise_hash,
@@ -246,7 +245,10 @@ def assert_all_kernels_match(graph: Graph, rng: random.Random) -> None:
                 pack_parity_word(local_range_parities(incident(node), odd_hash, ranges))
                 for node in nodes
             )
-            assert range_parity_words_all(odd_hash, lows, highs, cut) == expected
+            word = range_parity_words_all(
+                odd_hash.multiplier, odd_hash.threshold, odd_hash.word_bits, lows, highs, cut
+            )
+            assert word == expected
 
         pairwise = random_pairwise_hash(max_number, 1 << rng.randrange(2, 10), rng)
         masks = prefix_flip_masks(pairwise.log_range)
@@ -473,14 +475,13 @@ class TestFusedKernels:
         for node in range(1, 5):
             graph.add_node(node)
         cols = graph.columnar()
-        odd_hash = OddHashFunction(multiplier=3, threshold=1, word_bits=2)
         pairwise = PairwiseIndependentHash(a=3, b=5, p=65537, range_size=8)
         masks = prefix_flip_masks(pairwise.log_range)
         for rows in ([], [0], [0, 1, 2, 3]):
             mask = mask_of(rows, cols.num_nodes)
             cut = cut_of(cols, rows, mask)
             assert cut == CutColumn([], [], b"")
-            assert range_parity_words_all(odd_hash, [0], [1 << 256], cut) == 0
+            assert range_parity_words_all(3, 1, 2, [0], [1 << 256], cut) == 0
             assert prefix_parity_words_all(pairwise, masks, cut) == 0
             assert xor_below_words_all(pairwise, 2, cut) == 0
             assert not hp_products_all(cols, 7, 11, 0, 1 << 256, mask, 0, cut)

@@ -5,6 +5,7 @@ import pytest
 import repro.core.testout as testout_module
 from repro import fastpath
 from repro.core.config import AlgorithmConfig
+from repro.core.hashing import draw_odd_hash
 from repro.core.testout import CutTester
 from repro.network.accounting import MessageAccountant
 from repro.network.fragments import SpanningForest
@@ -140,6 +141,51 @@ class TestTestOut:
         hits = sum(tester.test_out(1) for _ in range(120))
         assert hits >= 8
         assert acct.messages == 0  # singleton tree: purely local computation
+
+
+class TestProbeDrawOrder:
+    """The columnar probe draws its odd hash as ints, as ``draw_odd_hash`` does.
+
+    ``_ColumnarProbe.testout_word`` draws the multiplier and then the
+    threshold and hands them straight to the kernel; if the order or the
+    word width drifted from :func:`draw_odd_hash`, FindMin's counters would
+    move.  Each run is compared against ``testout_word_with`` under a hash
+    drawn from a twin generator.
+    """
+
+    @pytest.mark.parametrize("seed", range(0, 200, 7))
+    def test_matches_testout_word_with_a_drawn_hash(self, seed, two_fragment_graph):
+        graph, forest = two_fragment_graph()
+        light, middle, heavy = sorted(
+            graph.augmented_weight(u, v) for u, v in ((3, 4), (2, 5), (1, 6))
+        )
+        open_high = testout_module._OPEN_HIGH
+        range_lists = [
+            ([0], [open_high]),
+            ([0, middle], [middle - 1, open_high]),
+            ([0, light + 1, heavy], [light, heavy - 1, heavy]),
+        ]
+        runs = []
+        for integer_draw in (True, False):
+            tester, acct = _tester(graph, forest, seed=seed)
+            with fastpath.fast_path():
+                stats = tester.tree_statistics(1)
+                probe = tester.probe(1, stats=stats)
+                assert type(probe).__name__ == "_ColumnarProbe"
+                word_bits = max(stats.max_edge_number, 1).bit_length()
+                getrandbits = tester.config.rng.getrandbits
+                words = []
+                for _ in range(4):
+                    for lows, highs in range_lists:
+                        if integer_draw:
+                            words.append(probe.testout_word(lows, highs))
+                        else:
+                            odd_hash = draw_odd_hash(word_bits, getrandbits)
+                            words.append(probe.testout_word_with(odd_hash, lows, highs))
+            runs.append(
+                (words, acct.snapshot(), acct.per_kind(), tester.config.rng.getstate())
+            )
+        assert runs[0] == runs[1]
 
 
 class TestHPTestOut:

@@ -24,9 +24,11 @@ from repro.network.broadcast import (
     XOR_REDUCER,
     BroadcastEchoExecutor,
     build_tree_structure,
+    delivery_substrate,
+    make_substrate,
     run_reference_broadcast_echo,
 )
-from repro.network.errors import ProtocolError
+from repro.network.errors import AccountingError, ProtocolError
 from repro.network.fragments import SpanningForest
 from repro.network.graph import Graph
 from repro.network.scheduler import LifoScheduler, RandomScheduler
@@ -155,25 +157,42 @@ class TestExecutorAccounting:
         assert acct.rounds == 2 * 3  # twice the eccentricity
         assert acct.broadcast_echoes == 1
 
+    @pytest.mark.parametrize("substrate", ["plain", "executor", "block"])
     @pytest.mark.parametrize("case", sorted(REDUCER_CASES))
-    def test_aggregate_charges_like_the_fold(self, case):
+    def test_aggregate_charges_like_the_fold(self, case, substrate):
         # A pre-folded aggregate is returned as given and charged exactly
-        # like the fold it replaces.
+        # like the fold it replaces, on the plain substrate's one-call
+        # charge and on a hardened one, whether the executor holds the
+        # substrate or a delivery_substrate block installs it.
         graph, forest = _tree_graph()
         reducer = REDUCER_CASES[case][0]
         values = local_values_for(case, graph)
+        bracha = make_substrate("bracha", n=graph.num_nodes)
+        held = bracha if substrate == "executor" else None
+        installed = bracha if substrate == "block" else None
         accountants = [MessageAccountant(), MessageAccountant()]
-        folded = BroadcastEchoExecutor(graph, forest, accountants[0]).broadcast_and_echo(
-            2, values.__getitem__, reducer, broadcast_bits=10, echo_bits=3, kind=case
-        )
-        given_back = BroadcastEchoExecutor(
-            graph, forest, accountants[1]
-        ).broadcast_and_echo(
-            2, broadcast_bits=10, echo_bits=3, kind=case, aggregate=folded
-        )
+        with delivery_substrate(installed):
+            folded = BroadcastEchoExecutor(
+                graph, forest, accountants[0], substrate=held
+            ).broadcast_and_echo(
+                2, values.__getitem__, reducer, broadcast_bits=10, echo_bits=3, kind=case
+            )
+            given_back = BroadcastEchoExecutor(
+                graph, forest, accountants[1], substrate=held
+            ).broadcast_and_echo(
+                2, broadcast_bits=10, echo_bits=3, kind=case, aggregate=folded
+            )
         assert given_back == folded
         assert accountants[0].snapshot() == accountants[1].snapshot()
         assert accountants[0].summary() == accountants[1].summary()
+        assert accountants[0].broadcast_echoes == 1
+        # Root 2 has eccentricity 2 in the 6-edge tree; a hardened hop
+        # costs more than the plain one message and one round.
+        hardened = substrate != "plain"
+        assert (accountants[0].messages > 12) == hardened
+        assert (accountants[0].rounds > 4) == hardened
+        label = f"{case}:bcast@brb-init" if hardened else f"{case}:bcast"
+        assert label in accountants[0].per_kind()
 
     def test_exactly_one_of_fold_and_aggregate(self):
         graph, forest = _tree_graph()
@@ -208,24 +227,48 @@ class TestExecutorAccounting:
         assert acct.bits == 48
         assert acct.broadcast_echoes == 0
 
+    @pytest.mark.parametrize("form", ["fold", "aggregate"])
     @pytest.mark.parametrize("bits", [8, 0])
-    def test_singleton_tree_costs_nothing(self, bits):
+    def test_singleton_tree_costs_nothing(self, bits, form):
         # No tree edge, so no message: the bit widths are never checked.
         graph = Graph()
         graph.add_node(1)
         forest = SpanningForest(graph)
         acct = MessageAccountant()
         executor = BroadcastEchoExecutor(graph, forest, acct)
+        if form == "fold":
+            echo = {"local_value": lambda node: 5, "reducer": SUM_REDUCER}
+        else:
+            echo = {"aggregate": 5}
         value = executor.broadcast_and_echo(
-            root=1,
-            local_value=lambda node: 5,
-            reducer=SUM_REDUCER,
-            broadcast_bits=bits,
-            echo_bits=bits,
+            root=1, broadcast_bits=bits, echo_bits=bits, **echo
         )
         assert value == 5
         assert (acct.messages, acct.bits, acct.rounds, acct.broadcast_echoes) == (0, 0, 0, 1)
         assert acct.per_kind() == {}
+
+    @pytest.mark.parametrize("form", ["fold", "aggregate", "path_query"])
+    @pytest.mark.parametrize("bits", [(0, 8), (8, 0)])
+    def test_zero_bit_messages_rejected(self, bits, form):
+        # A tree with edges sends messages, and each carries at least a bit.
+        graph, forest = _tree_graph()
+        executor = BroadcastEchoExecutor(graph, forest, MessageAccountant())
+        broadcast_bits, echo_bits = bits
+        with pytest.raises(AccountingError, match="a message carries at least one bit"):
+            if form == "path_query":
+                executor.broadcast_with_downward_state(
+                    1, 5, 0, lambda state, parent, child: state,
+                    broadcast_bits, echo_bits, lambda node, state: state,
+                )
+            elif form == "fold":
+                executor.broadcast_and_echo(
+                    1, lambda node: 1, SUM_REDUCER,
+                    broadcast_bits=broadcast_bits, echo_bits=echo_bits,
+                )
+            else:
+                executor.broadcast_and_echo(
+                    1, broadcast_bits=broadcast_bits, echo_bits=echo_bits, aggregate=1
+                )
 
     def test_point_to_point_requires_edge(self):
         graph, forest = _tree_graph()
