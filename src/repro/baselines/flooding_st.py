@@ -22,15 +22,14 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..network.accounting import MessageAccountant
-from ..network.async_simulator import AsynchronousSimulator
 from ..network.errors import AlgorithmError
 from ..network.faults import FaultInjector
 from ..network.fragments import SpanningForest
 from ..network.graph import Graph
+from ..network.kernel import run_protocol
 from ..network.message import Message
 from ..network.node import ProtocolNode
 from ..network.scheduler import Scheduler
-from ..network.sync_simulator import SynchronousSimulator
 
 __all__ = ["FloodingNode", "flooding_spanning_tree"]
 
@@ -109,27 +108,17 @@ def _flood_component(
     faults: Optional[FaultInjector],
 ) -> Tuple[SpanningForest, MessageAccountant]:
     """One flood from ``source``: marks exactly the reachable component."""
-    if engine == "sync":
-        sim = SynchronousSimulator(graph, accountant=acct, faults=faults)
-    elif engine == "async":
-        sim = AsynchronousSimulator(
-            graph, scheduler=scheduler, accountant=acct, faults=faults
-        )
-    else:
-        raise AlgorithmError(f"unknown engine {engine!r}")
-
     id_bits = graph.id_bits
-    protocol_nodes = []
-    for node_id in graph.nodes():
-        neighbors = {
-            nbr: graph.get_edge(node_id, nbr).weight for nbr in graph.neighbors(node_id)
-        }
-        protocol_nodes.append(
-            FloodingNode(node_id, neighbors, is_source=(node_id == source), id_bits=id_bits)
-        )
-    sim.register_all(protocol_nodes)
-    sim.run()
-
+    sim = run_protocol(
+        graph,
+        lambda node_id, neighbors: FloodingNode(
+            node_id, neighbors, is_source=(node_id == source), id_bits=id_bits
+        ),
+        engine=engine,
+        scheduler=scheduler,
+        faults=faults,
+        accountant=acct,
+    )
     forest = SpanningForest(graph)
     for node in sim.nodes.values():
         if node.parent is not None:

@@ -132,9 +132,6 @@ class ByzantineBehavior:
         self.at = int(at)
         self._rng = random.Random(self.seed)
 
-    def is_byzantine(self, node: int) -> bool:
-        return node in self.nodes
-
     def acts_on(self, message: Message, time: int) -> bool:
         """Does this adversary tamper with ``message`` delivered at ``time``?"""
         return time >= self.at and message.sender in self.nodes

@@ -40,14 +40,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
 from ..network.accounting import MessageAccountant
-from ..network.async_simulator import AsynchronousSimulator
-from ..network.errors import AlgorithmError, ProtocolError, SimulationError
+from ..network.errors import AlgorithmError, ProtocolError
 from ..network.faults import FaultInjector
 from ..network.graph import Graph
+from ..network.kernel import run_protocol
 from ..network.message import Message
 from ..network.node import ProtocolNode
 from ..network.scheduler import Scheduler
-from ..network.sync_simulator import SynchronousSimulator
 
 __all__ = [
     "TAG_BITS",
@@ -259,30 +258,21 @@ def run_bracha_broadcast(
     if not 1 <= sender <= n:
         raise AlgorithmError(f"sender {sender} is not one of the {n} group nodes")
     graph = complete_graph(n)
-    nodes = []
-    for node_id in graph.nodes():
-        neighbors = {
-            nbr: graph.get_edge(node_id, nbr).weight for nbr in graph.neighbors(node_id)
-        }
-        nodes.append(
-            BrachaNode(
-                node_id=node_id,
-                neighbors=neighbors,
-                config=config,
-                sender=sender,
-                value=value if node_id == sender else None,
-                value_bits=value_bits,
-            )
-        )
-    if engine == "sync":
-        simulator: Any = SynchronousSimulator(graph, faults=faults)
-    elif engine == "async":
-        simulator = AsynchronousSimulator(graph, scheduler=scheduler, faults=faults)
-    else:
-        raise SimulationError(f"unknown engine {engine!r}")
-    simulator.register_all(nodes)
-    simulator.run()
-    delivered = {node.node_id: node.accepted for node in nodes}
+    simulator = run_protocol(
+        graph,
+        lambda node_id, neighbors: BrachaNode(
+            node_id=node_id,
+            neighbors=neighbors,
+            config=config,
+            sender=sender,
+            value=value if node_id == sender else None,
+            value_bits=value_bits,
+        ),
+        engine=engine,
+        scheduler=scheduler,
+        faults=faults,
+    )
+    delivered = {node.node_id: node.accepted for node in simulator.nodes.values()}
     events = faults.event_log() if faults is not None else []
     return BrachaRun(
         config=config,

@@ -75,7 +75,15 @@ from .sketches import (
     xor_below_words_all,
 )
 
-__all__ = ["TreeStatistics", "CutTester", "CutProbe", "STATS_REDUCER", "lowest_set_bit"]
+__all__ = [
+    "TreeStatistics",
+    "CutTester",
+    "CutProbe",
+    "STATS_REDUCER",
+    "lowest_set_bit",
+    "testout_local_word",
+    "hp_local_pair",
+]
 
 #: The upper bound of an open weight range: above every augmented weight.
 _OPEN_HIGH = 1 << 256
@@ -110,6 +118,40 @@ def _merge_stats(
 #: Echo of the statistics B&E: (size, maxEdgeNum, maxWt, B) merged as
 #: (sum, max, max, sum); every component is non-negative, so 0 is neutral.
 STATS_REDUCER = Reducer(_merge_stats, (0, 0, 0, 0))
+
+
+def testout_local_word(
+    graph: Graph, node: int, odd_hash: OddHashFunction, ranges: Sequence[Tuple[int, int]]
+) -> int:
+    """``node``'s TestOut echo value: bit ``i`` is the parity of ``odd_hash``
+    over its incident edges whose augmented weight lies in ``ranges[i]``."""
+    id_bits = graph.id_bits
+    incident = [
+        (e.augmented_weight(id_bits), e.edge_number(id_bits))
+        for e in graph.incident_edges(node)
+    ]
+    return pack_parity_word(local_range_parities(incident, odd_hash, ranges))
+
+
+def hp_local_pair(
+    graph: Graph, node: int, alpha: int, p: int, low: int, high: int
+) -> Tuple[int, int]:
+    """``node``'s HP-TestOut echo value: the Schwartz–Zippel products at
+    ``alpha`` mod ``p`` of its up and down incident edge numbers (the edges
+    with augmented weight in ``[low, high]``, "up" when ``node`` is the
+    edge's ``u`` endpoint)."""
+    id_bits = graph.id_bits
+    up_numbers = []
+    down_numbers = []
+    for edge in graph.incident_edges(node):
+        if not (low <= edge.augmented_weight(id_bits) <= high):
+            continue
+        number = edge.edge_number(id_bits)
+        if node == edge.u:
+            up_numbers.append(number)
+        else:
+            down_numbers.append(number)
+    return local_product(up_numbers, alpha, p), local_product(down_numbers, alpha, p)
 
 
 def lowest_set_bit(word: int, width: int) -> Optional[int]:
@@ -392,19 +434,11 @@ class _ReferenceProbe(CutProbe):
     def testout_word_with(
         self, odd_hash: OddHashFunction, lows: Sequence[int], highs: Sequence[int]
     ) -> int:
-        graph, id_bits = self.graph, self.id_bits
+        graph = self.graph
         ranges = list(zip(lows, highs))
-
-        def local(node: int) -> int:
-            incident = [
-                (e.augmented_weight(id_bits), e.edge_number(id_bits))
-                for e in graph.incident_edges(node)
-            ]
-            return pack_parity_word(local_range_parities(incident, odd_hash, ranges))
-
         return self.executor.broadcast_and_echo(
             self.root,
-            local_value=local,
+            local_value=lambda node: testout_local_word(graph, node, odd_hash, ranges),
             reducer=XOR_REDUCER,
             broadcast_bits=self._testout_broadcast_bits(
                 odd_hash.description_bits(), max(highs)
@@ -417,28 +451,11 @@ class _ReferenceProbe(CutProbe):
     def hp(self, low: int = 0, high: int = _OPEN_HIGH) -> bool:
         p = self.field_prime
         alpha = draw_below(self._getrandbits, p)
-        graph, id_bits = self.graph, self.id_bits
-
-        # Each node's echo value is its (up, down) pair of Schwartz–Zippel
-        # products; the pairs multiply up the tree componentwise mod p.
-        def local(node: int) -> Tuple[int, int]:
-            up_numbers = []
-            down_numbers = []
-            for edge in graph.incident_edges(node):
-                if not (low <= edge.augmented_weight(id_bits) <= high):
-                    continue
-                number = edge.edge_number(id_bits)
-                if node == edge.u:
-                    up_numbers.append(number)
-                else:
-                    down_numbers.append(number)
-            return local_product(up_numbers, alpha, p), local_product(
-                down_numbers, alpha, p
-            )
-
+        graph = self.graph
+        # The (up, down) pairs multiply up the tree componentwise mod p.
         up, down = self.executor.broadcast_and_echo(
             self.root,
-            local_value=local,
+            local_value=lambda node: hp_local_pair(graph, node, alpha, p, low, high),
             reducer=self._products,
             broadcast_bits=self._hp_broadcast_bits,
             echo_bits=self._hp_echo_bits,

@@ -22,11 +22,16 @@ are provided:
   :mod:`repro.core.sketches`, which fold it straight from the columnar
   snapshot — hands it over as ``aggregate=`` and the executor only charges.
 
-* :class:`BroadcastEchoProtocolNode` — a genuine per-node protocol for the
-  message-level engines.  Tests run the same aggregation through both paths
-  and assert that message counts, bit counts and results agree
-  (``tests/network/test_broadcast.py``); this is what justifies using the
-  fast path for the large benchmark runs.
+* :class:`BroadcastEchoProtocolNode` — the one genuine per-node protocol for
+  the message-level engines, run by :func:`run_reference_broadcast_echo`
+  through the engine launcher :func:`~repro.network.kernel.run_protocol`.
+  Its broadcast may carry downward state (``propagate``) and each node's
+  value may be collected from that state (``collect``), so the Insert path
+  query and the per-node TestOut/HP-TestOut protocols of
+  :mod:`repro.network.protocols` are single runs of it.  Tests run the same
+  aggregation through both paths and assert that message counts, bit counts
+  and results agree (``tests/network/test_broadcast.py``); this is what
+  justifies using the fast path for the large benchmark runs.
 
 Both realisations assume reliable point-to-point delivery.  That assumption
 is itself pluggable: a registered :class:`DeliverySubstrate` (see
@@ -44,15 +49,29 @@ import operator
 from collections import deque
 from contextlib import contextmanager
 from functools import reduce
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .. import fastpath
 from ..registry import Registry
 from .accounting import MessageAccountant
 from .columnar import ColumnarGraph, CutColumn
-from .errors import ProtocolError, SimulationError
+from .errors import ProtocolError
 from .fragments import SpanningForest
 from .graph import Graph
+from .kernel import run_protocol
 from .message import Message
 from .node import ProtocolNode
 
@@ -532,14 +551,20 @@ class BroadcastEchoExecutor:
 # Reference per-node protocol
 # ---------------------------------------------------------------------- #
 class BroadcastEchoProtocolNode(ProtocolNode):
-    """Message-level broadcast-and-echo node (reference implementation).
+    """Message-level broadcast-and-echo node (the one reference implementation).
 
     Every node knows its tree neighbours (its marked incident edges).  The
     designated root starts the broadcast in ``on_start``.  A node receiving
     the broadcast designates the sender as its parent and forwards to its
     other tree neighbours; leaves echo immediately; an internal node echoes
-    once it has heard from all children, folding its local value with
-    theirs through ``reducer`` (:meth:`Reducer.combine`).
+    once it has heard from all children, folding its own value with theirs
+    through ``reducer`` (:meth:`Reducer.combine`).
+
+    The broadcast may carry downward state: the root's state is ``None`` and
+    each ``BCAST`` to ``child`` carries ``propagate(state, node, child)``
+    (without ``propagate`` the state is forwarded unchanged).  A node's own
+    value is the fixed ``local_value`` or, given ``collect``,
+    ``collect(node, state)`` evaluated when it echoes.
     """
 
     def __init__(
@@ -552,6 +577,8 @@ class BroadcastEchoProtocolNode(ProtocolNode):
         reducer: Reducer,
         broadcast_bits: int,
         echo_bits: int,
+        collect: Optional[Callable[[int, Any], Any]] = None,
+        propagate: Optional[Callable[[Any, int, int], Any]] = None,
     ) -> None:
         super().__init__(node_id, neighbors)
         self.tree_neighbors = list(tree_neighbors)
@@ -560,46 +587,58 @@ class BroadcastEchoProtocolNode(ProtocolNode):
         self.combine = reducer.combine
         self.broadcast_bits = broadcast_bits
         self.echo_bits = echo_bits
+        self.collect = collect
+        self.propagate = propagate
+        self.state: Any = None
         self.parent: Optional[int] = None
         self.pending_children: Set[int] = set()
         self.child_values: List[Any] = []
         self.result: Any = None
-        self.done = False
 
     def on_start(self) -> None:
         if self.is_root:
             self.pending_children = set(self.tree_neighbors)
             if not self.pending_children:
-                self.result = self.combine(self.local_value, [])
-                self.done = True
+                self.result = self._fold()
                 self.halt()
                 return
-            for nbr in self.tree_neighbors:
-                self.send(nbr, "BCAST", size_bits=self.broadcast_bits)
+            self._broadcast(self.tree_neighbors)
 
     def on_message(self, message: Message) -> None:
         if message.kind == "BCAST":
-            self._handle_broadcast(message.sender)
+            self._handle_broadcast(message.sender, message.payload)
         elif message.kind == "ECHO":
             self._handle_echo(message.sender, message.payload)
         else:
             raise ProtocolError(f"unexpected message kind {message.kind!r}")
 
-    def _handle_broadcast(self, sender: int) -> None:
+    def _broadcast(self, children: Iterable[int]) -> None:
+        for nbr in children:
+            payload = (
+                self.state
+                if self.propagate is None
+                else self.propagate(self.state, self.node_id, nbr)
+            )
+            self.send(nbr, "BCAST", payload=payload, size_bits=self.broadcast_bits)
+
+    def _fold(self) -> Any:
+        if self.collect is None:
+            return self.combine(self.local_value, self.child_values)
+        return self.combine(self.collect(self.node_id, self.state), self.child_values)
+
+    def _handle_broadcast(self, sender: int, state: Any) -> None:
         if self.parent is not None or self.is_root:
             raise ProtocolError(
                 f"node {self.node_id} received a second broadcast (not a tree?)"
             )
         self.parent = sender
+        self.state = state
         self.pending_children = set(self.tree_neighbors) - {sender}
         if not self.pending_children:
-            value = self.combine(self.local_value, [])
-            self.send(sender, "ECHO", payload=value, size_bits=self.echo_bits)
-            self.done = True
+            self.send(sender, "ECHO", payload=self._fold(), size_bits=self.echo_bits)
             self.halt()
             return
-        for nbr in sorted(self.pending_children):
-            self.send(nbr, "BCAST", size_bits=self.broadcast_bits)
+        self._broadcast(sorted(self.pending_children))
 
     def _handle_echo(self, sender: int, value: Any) -> None:
         if sender not in self.pending_children:
@@ -610,13 +649,12 @@ class BroadcastEchoProtocolNode(ProtocolNode):
         self.child_values.append(value)
         if self.pending_children:
             return
-        combined = self.combine(self.local_value, self.child_values)
+        combined = self._fold()
         if self.is_root:
             self.result = combined
         else:
             assert self.parent is not None
             self.send(self.parent, "ECHO", payload=combined, size_bits=self.echo_bits)
-        self.done = True
         self.halt()
 
 
@@ -624,46 +662,47 @@ def run_reference_broadcast_echo(
     graph: Graph,
     forest: SpanningForest,
     root: int,
-    local_values: Dict[int, Any],
+    local_values: Optional[Mapping[int, Any]],
     reducer: Reducer,
     broadcast_bits: int,
     echo_bits: int,
     engine: str = "sync",
     scheduler=None,
+    *,
+    collect: Optional[Callable[[int, Any], Any]] = None,
+    propagate: Optional[Callable[[Any, int, int], Any]] = None,
 ) -> Tuple[Any, MessageAccountant]:
     """Run the per-node reference protocol and return (root value, accountant).
 
-    ``engine`` is ``"sync"`` or ``"async"``.  Only the nodes of ``root``'s
-    component participate actively, but every node of the graph gets a
-    (possibly idle) protocol instance as both engines require full coverage.
+    Each node's value is ``local_values[node]`` (the reducer's identity when
+    absent) or, with ``local_values=None``, ``collect(node, state)`` of the
+    downward state the broadcast delivered (see
+    :class:`BroadcastEchoProtocolNode`).  ``engine`` is ``"sync"`` or
+    ``"async"`` (:func:`~repro.network.kernel.run_protocol`).  Only the
+    nodes of ``root``'s component participate actively, but every node of
+    the graph gets a (possibly idle) protocol instance as both engines
+    require full coverage.
     """
-    from .async_simulator import AsynchronousSimulator
-    from .sync_simulator import SynchronousSimulator
-
-    component = forest.component_of(root)
-    nodes = []
-    for node_id in graph.nodes():
-        neighbors = {nbr: graph.get_edge(node_id, nbr).weight for nbr in graph.neighbors(node_id)}
-        tree_neighbors = forest.marked_neighbors(node_id) if node_id in component else []
-        nodes.append(
-            BroadcastEchoProtocolNode(
-                node_id=node_id,
-                neighbors=neighbors,
-                tree_neighbors=tree_neighbors,
-                is_root=(node_id == root),
-                local_value=local_values.get(node_id, reducer.identity),
-                reducer=reducer,
-                broadcast_bits=broadcast_bits,
-                echo_bits=echo_bits,
-            )
+    if (local_values is None) == (collect is None):
+        raise ProtocolError(
+            "run_reference_broadcast_echo takes either local_values or collect="
         )
-    if engine == "sync":
-        sim: Any = SynchronousSimulator(graph)
-    elif engine == "async":
-        sim = AsynchronousSimulator(graph, scheduler=scheduler)
-    else:
-        raise SimulationError(f"unknown engine {engine!r}")
-    sim.register_all(nodes)
-    sim.run()
-    root_node = sim.nodes[root]
-    return root_node.result, sim.accountant
+    component = forest.component_of(root)
+    values = local_values if local_values is not None else {}
+
+    def make_node(node_id: int, neighbors: Dict[int, int]) -> BroadcastEchoProtocolNode:
+        return BroadcastEchoProtocolNode(
+            node_id=node_id,
+            neighbors=neighbors,
+            tree_neighbors=forest.marked_neighbors(node_id) if node_id in component else [],
+            is_root=(node_id == root),
+            local_value=values.get(node_id, reducer.identity),
+            reducer=reducer,
+            broadcast_bits=broadcast_bits,
+            echo_bits=echo_bits,
+            collect=collect,
+            propagate=propagate,
+        )
+
+    sim = run_protocol(graph, make_node, engine=engine, scheduler=scheduler)
+    return sim.nodes[root].result, sim.accountant

@@ -30,12 +30,17 @@ broadcast-and-echo, leader election — therefore sees the same fault model
 without knowing about it.  With no
 injector installed the kernel behaves bit-identically to the historical
 engines: same counters, same delivery orders, same error messages.
+
+:func:`run_protocol` is the one launcher of a message-level run: it builds
+one protocol node per graph node from its KT1 neighbour map, picks the engine
+by name, runs it to quiescence and returns it.  Broadcast-and-echo, the
+flooding baseline and Bracha's reliable broadcast all start through it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Iterable, List, Optional, Union, TYPE_CHECKING
 
 from .accounting import MessageAccountant
 from .errors import SimulationError
@@ -52,6 +57,7 @@ __all__ = [
     "SynchronyModel",
     "RoundSynchrony",
     "EventSynchrony",
+    "run_protocol",
 ]
 
 
@@ -332,9 +338,6 @@ class EventKernel:
             executed += 1
         return executed
 
-    def all_halted(self) -> bool:
-        return all(node.halted for node in self._nodes.values())
-
     # ------------------------------------------------------------------ #
     # the fault boundary
     # ------------------------------------------------------------------ #
@@ -372,3 +375,41 @@ class EventKernel:
             self.synchrony.stamp_duplicate(extra, message)
             self.accountant.record_message(extra.size_bits, kind=extra.kind)
         return True
+
+
+def run_protocol(
+    graph: Graph,
+    make_node: Callable[[int, Dict[int, int]], ProtocolNode],
+    engine: str = "sync",
+    scheduler: Optional[Scheduler] = None,
+    faults: Optional["FaultInjector"] = None,
+    accountant: Optional[MessageAccountant] = None,
+) -> EventKernel:
+    """Run one per-node protocol on every node of ``graph`` to quiescence.
+
+    ``make_node(node_id, neighbors)`` builds a node's protocol instance from
+    its KT1 knowledge (``neighbors`` maps each neighbour to the edge weight).
+    ``engine`` is ``"sync"`` (:class:`SynchronousSimulator`) or ``"async"``
+    (:class:`AsynchronousSimulator` under ``scheduler``), each with its own
+    safety valve.  Returns the engine, whose ``nodes`` and ``accountant``
+    hold the outcome.
+    """
+    from .async_simulator import AsynchronousSimulator  # local: facades import us
+    from .sync_simulator import SynchronousSimulator
+
+    simulator: Union[SynchronousSimulator, AsynchronousSimulator]
+    if engine == "sync":
+        simulator = SynchronousSimulator(graph, accountant=accountant, faults=faults)
+    elif engine == "async":
+        simulator = AsynchronousSimulator(
+            graph, scheduler=scheduler, accountant=accountant, faults=faults
+        )
+    else:
+        raise SimulationError(f"unknown engine {engine!r}")
+    for node_id in graph.nodes():
+        neighbors = {
+            nbr: graph.get_edge(node_id, nbr).weight for nbr in graph.neighbors(node_id)
+        }
+        simulator.register(make_node(node_id, neighbors))
+    simulator.run()
+    return simulator

@@ -23,6 +23,7 @@ from repro.network.broadcast import (
     SUM_REDUCER,
     XOR_REDUCER,
     BroadcastEchoExecutor,
+    Reducer,
     build_tree_structure,
     delivery_substrate,
     make_substrate,
@@ -315,6 +316,10 @@ def _heaviest_edge(graph):
     return propagate
 
 
+#: Only the target answers the path query: its echo is the one non-None value.
+_FIRST_ANSWER = Reducer(lambda a, b: a if a is not None else b, None)
+
+
 def _two_sweep_path_query(graph, forest, root, target, propagate):
     """The former implementation: carry state to every node, echo the target's."""
     state = {root: None}
@@ -326,6 +331,22 @@ def _two_sweep_path_query(graph, forest, root, target, propagate):
                 state[child] = propagate(state[node], node, child)
                 frontier.append(child)
     return (True, state[target]) if target in state else None
+
+
+@st.composite
+def forest_instances(draw):
+    """A random graph, a spanning forest with some tree edges cut, a root."""
+    n = draw(st.integers(min_value=1, max_value=18))
+    extra = draw(st.integers(min_value=0, max_value=n))
+    seed = draw(st.integers(min_value=0, max_value=10 ** 6))
+    graph = random_connected_graph(n, min(n - 1 + extra, n * (n - 1) // 2), seed=seed)
+    forest = random_spanning_tree_forest(graph, seed=seed + 1)
+    marked = sorted(forest.marked_edges)
+    cuts = draw(st.integers(min_value=0, max_value=len(marked)))
+    for key in random.Random(seed).sample(marked, cuts):
+        forest.unmark(*key)
+    root = draw(st.sampled_from(graph.nodes()))
+    return graph, forest, root, seed
 
 
 class TestPathWalk:
@@ -365,21 +386,36 @@ class TestPathWalk:
             assert acct.bits == tree.num_edges * (11 + 13)
             assert acct.rounds == 2 * tree.eccentricity
 
-
-@st.composite
-def forest_instances(draw):
-    """A random graph, a spanning forest with some tree edges cut, a root."""
-    n = draw(st.integers(min_value=1, max_value=18))
-    extra = draw(st.integers(min_value=0, max_value=n))
-    seed = draw(st.integers(min_value=0, max_value=10 ** 6))
-    graph = random_connected_graph(n, min(n - 1 + extra, n * (n - 1) // 2), seed=seed)
-    forest = random_spanning_tree_forest(graph, seed=seed + 1)
-    marked = sorted(forest.marked_edges)
-    cuts = draw(st.integers(min_value=0, max_value=len(marked)))
-    for key in random.Random(seed).sample(marked, cuts):
-        forest.unmark(*key)
-    root = draw(st.sampled_from(graph.nodes()))
-    return graph, forest, root, seed
+    @pytest.mark.parametrize("engine", ["sync", "async"])
+    @given(forest_instances())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_matches_message_level_twin(self, engine, instance):
+        """Every target (the root, inside the tree, outside it) on both engines."""
+        graph, forest, root, seed = instance
+        propagate = _heaviest_edge(graph)
+        tree = forest.rooted_structure(root)
+        for target in graph.nodes():
+            acct = MessageAccountant()
+            answer = BroadcastEchoExecutor(graph, forest, acct).broadcast_with_downward_state(
+                root=root,
+                target=target,
+                initial_state=None,
+                propagate=propagate,
+                broadcast_bits=11,
+                echo_bits=13,
+                collect=lambda _node, heaviest: (True, heaviest),
+                tree=tree,
+            )
+            expected, reference_acct = run_reference_broadcast_echo(
+                graph, forest, root, local_values=None, reducer=_FIRST_ANSWER,
+                broadcast_bits=11, echo_bits=13, engine=engine,
+                scheduler=RandomScheduler(seed=seed) if engine == "async" else None,
+                collect=lambda node, heaviest: (True, heaviest) if node == target else None,
+                propagate=propagate,
+            )
+            assert answer == expected
+            assert acct.messages == reference_acct.messages
+            assert acct.bits == reference_acct.bits
 
 
 def assert_executor_matches_reference(graph, forest, root, case, seed, engine):
@@ -477,3 +513,13 @@ class TestReferenceProtocolAgreement:
         )
         assert value == 4
         assert acct.messages == 2 * 3
+
+    @pytest.mark.parametrize("values", [None, {1: 1}])
+    def test_exactly_one_of_local_values_and_collect(self, values):
+        graph, forest = _tree_graph()
+        collect = None if values is None else (lambda node, state: 1)
+        with pytest.raises(ProtocolError, match="either local_values or collect="):
+            run_reference_broadcast_echo(
+                graph, forest, 1, values, SUM_REDUCER, broadcast_bits=1, echo_bits=1,
+                collect=collect,
+            )

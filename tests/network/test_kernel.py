@@ -9,14 +9,26 @@ fault injection at the delivery boundary on both engines.
 
 import pytest
 
+import repro
+from repro.baselines.flooding_st import flooding_spanning_tree
+from repro.byzantine import run_bracha_broadcast
+from repro.core.hashing import OddHashFunction
+from repro.generators import random_connected_graph, random_spanning_tree_forest
+from repro.network.accounting import MessageAccountant
 from repro.network.async_simulator import AsynchronousSimulator
+from repro.network.broadcast import SUM_REDUCER, run_reference_broadcast_echo
 from repro.network.errors import SimulationError
 from repro.network.faults import DELIVER, DROP, FaultEvent, FaultInjector
 from repro.network.graph import Graph
-from repro.network.kernel import EventKernel, EventSynchrony, RoundSynchrony
+from repro.network.kernel import EventKernel, EventSynchrony, RoundSynchrony, run_protocol
 from repro.network.message import Message
 from repro.network.node import ProtocolNode
-from repro.network.scheduler import RandomScheduler
+from repro.network.protocols import (
+    run_hp_testout_protocol,
+    run_path_max_protocol,
+    run_testout_protocol,
+)
+from repro.network.scheduler import LifoScheduler, RandomScheduler
 from repro.network.sync_simulator import SynchronousSimulator
 
 
@@ -272,3 +284,81 @@ class TestLossyLinks:
         sim.register_all(_pingers(graph))
         sim.run()
         assert sim.nodes[2].received == [("PING", 1)]
+
+
+def _tree_instance():
+    graph = random_connected_graph(8, 12, seed=2)
+    return graph, random_spanning_tree_forest(graph, seed=3)
+
+
+def _unknown_engine_calls():
+    """Every message-level entry point, each asked for engine 'warp'."""
+
+    def reference_bne(engine):
+        graph, forest = _tree_instance()
+        run_reference_broadcast_echo(
+            graph, forest, 1, {}, SUM_REDUCER, broadcast_bits=1, echo_bits=1, engine=engine
+        )
+
+    def testout(engine):
+        graph, forest = _tree_instance()
+        run_testout_protocol(graph, forest, 1, OddHashFunction(3, 1, 4), engine=engine)
+
+    def hp_testout(engine):
+        graph, forest = _tree_instance()
+        run_hp_testout_protocol(graph, forest, 1, alpha=2, field_prime=101, engine=engine)
+
+    def path_max(engine):
+        graph, forest = _tree_instance()
+        run_path_max_protocol(graph, forest, 1, 8, engine=engine)
+
+    def flooding(engine):
+        flooding_spanning_tree(_tree_instance()[0], engine=engine)
+
+    def bracha(engine):
+        run_bracha_broadcast(4, 1, value=7, engine=engine)
+
+    def flooding_runner(engine):
+        spec = repro.GraphSpec(nodes=8, density="sparse", seed=1)
+        repro.run("flooding", spec, engine=engine)
+
+    return [reference_bne, testout, hp_testout, path_max, flooding, bracha, flooding_runner]
+
+
+class TestRunProtocol:
+    @pytest.mark.parametrize(
+        "call", _unknown_engine_calls(), ids=lambda call: call.__name__
+    )
+    def test_unknown_engine_is_one_error(self, call):
+        with pytest.raises(SimulationError, match=r"^unknown engine 'warp'$"):
+            call("warp")
+
+    @pytest.mark.parametrize("engine", ["sync", "async"])
+    def test_builds_one_node_per_graph_node_and_runs_to_quiescence(self, engine):
+        graph = _star(5)
+        accountant = MessageAccountant()
+        seen = {}
+
+        def make_node(node_id, neighbors):
+            seen[node_id] = neighbors
+            return Pinger(node_id, neighbors, initiator=(node_id == 1))
+
+        sim = run_protocol(
+            graph,
+            make_node,
+            engine=engine,
+            scheduler=LifoScheduler(),
+            accountant=accountant,
+        )
+        facade = SynchronousSimulator if engine == "sync" else AsynchronousSimulator
+        assert isinstance(sim, facade)
+        assert sim.accountant is accountant
+        assert accountant.messages == 4
+        # Each node's KT1 map: its neighbours and the edge weights.
+        assert seen == {
+            node: {nbr: graph.get_edge(node, nbr).weight for nbr in graph.neighbors(node)}
+            for node in graph.nodes()
+        }
+        assert all(sim.nodes[leaf].received == [("PING", 1)] for leaf in range(2, 6))
+        if engine == "async":
+            assert isinstance(sim.scheduler, LifoScheduler)
