@@ -25,10 +25,11 @@ same counters on both paths up to n=10^4).  The
 reference path exists as the executable spec the fast path is checked
 against; everything else should leave the fast path on.
 
-Within the fast path one fixed size rule, :func:`covers_half`, picks the
-whole-graph build over the per-tree one: a tree holding at least half the
-nodes builds its cut column from the graph's edge columns, a smaller one
-from its own rows.  It is wall-clock-only and has no knob.
+Within the fast path a tree's cut column
+(:meth:`~repro.network.broadcast.TreeStructure.cut_column`) has one
+builder, which reads the smaller side of the cut: a tree under half the
+nodes gathers its own rows, a larger one the rows outside it.  The rule is
+wall-clock-only and has no knob.
 
 A search reads the switch once: FindMin, Sample and FindAny each build one
 :class:`~repro.core.testout.CutProbe` per call, and the probe's class is
@@ -61,7 +62,6 @@ __all__ = [
     "set_enabled",
     "fast_path",
     "reference_path",
-    "covers_half",
 ]
 
 
@@ -83,21 +83,6 @@ _enabled = _fastpath_from_env(os.environ.get("REPRO_FASTPATH", "1"))
 def is_enabled() -> bool:
     """True iff the fast path (caches + columnar kernels) is active."""
     return _enabled
-
-
-def covers_half(part: int, whole: int) -> bool:
-    """Whether ``part`` is at least half of ``whole``.
-
-    A whole-graph pass reads the graph's columns rather than a tree's own
-    rows, so it pays off only for a large part.  It picks the builder of a
-    tree's cut column
-    (:meth:`~repro.network.broadcast.TreeStructure.cut_column`): one pass
-    over the graph's edge columns for a tree holding at least half the
-    nodes, a gather and sort of its own rows' cut slots otherwise.
-    Wall-clock-only: both sides compute identical answers, so counters
-    never depend on it.
-    """
-    return 2 * part >= whole
 
 
 def set_enabled(value: bool) -> bool:

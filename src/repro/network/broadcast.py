@@ -46,9 +46,9 @@ every counter bit-identical.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from contextlib import contextmanager
 from functools import reduce
+from itertools import compress
 from typing import (
     Any,
     Callable,
@@ -64,7 +64,6 @@ from typing import (
     Tuple,
 )
 
-from .. import fastpath
 from ..registry import Registry
 from .accounting import MessageAccountant
 from .columnar import ColumnarGraph, CutColumn
@@ -112,6 +111,10 @@ _CHARGE_LABELS = _ChargeLabels()
 # sentinel keeps "not given" unambiguous).
 _NO_AGGREGATE: Any = object()
 
+# Swaps the bytes 0 and 1: a row mask's complement, or a cut's E↑/E↓ flags
+# seen from the other side.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
 
 class Reducer(NamedTuple):
     """How an echo aggregates: a binary operation and its identity.
@@ -137,10 +140,12 @@ SUM_REDUCER = Reducer(operator.add, 0)
 
 
 class TreeStructure:
-    """Rooted view of one maintained tree: parents, children, depths.
+    """Rooted view of one maintained tree: each node's parent and depth.
 
-    On the fast path (see :mod:`repro.fastpath`) structures live across many
-    broadcast-and-echoes via the
+    ``parent`` maps every node of the tree to its parent (the root to
+    ``None``), each node listed after its parent; :attr:`children` is
+    derived from it.  On the fast path (see :mod:`repro.fastpath`)
+    structures live across many broadcast-and-echoes via the
     :class:`~repro.network.tree_cache.TreeStructureCache`, so everything a
     sketch reads from the graph's columnar snapshot is memoised: the tree's
     rows and row mask, its statistics tuple and its cut column.  These memos
@@ -153,12 +158,10 @@ class TreeStructure:
         self,
         root: int,
         parent: Dict[int, Optional[int]],
-        children: Dict[int, List[int]],
         depth: Dict[int, int],
     ) -> None:
         self.root = root
         self.parent = parent
-        self.children = children
         self.depth = depth
         self._eccentricity: Optional[int] = None
         self._rows: Optional[List[int]] = None
@@ -172,6 +175,17 @@ class TreeStructure:
     @property
     def size(self) -> int:
         return len(self.parent)
+
+    @property
+    def children(self) -> Dict[int, List[int]]:
+        """Every node's children, sorted, derived from :attr:`parent` per read."""
+        children: Dict[int, List[int]] = {node: [] for node in self.parent}
+        for node, up in self.parent.items():
+            if up is not None:
+                children[up].append(node)
+        for kids in children.values():
+            kids.sort()
+        return children
 
     @property
     def num_edges(self) -> int:
@@ -238,11 +252,11 @@ class TreeStructure:
     def cut_column(self, cols: ColumnarGraph) -> CutColumn:
         """The tree's cut column, the one input of the sketch kernels.
 
-        Memoised alongside :meth:`rows`.  A tree holding at least half the
-        nodes (:func:`~repro.fastpath.covers_half`) builds it in one pass
-        over the graph's edge columns (:meth:`ColumnarGraph.cut_column`); a
-        smaller one from its own rows
-        (:meth:`ColumnarGraph.cut_column_of_rows`).  Both give the same
+        Memoised alongside :meth:`rows`, and built by
+        :meth:`ColumnarGraph.cut_column_of_rows` from the smaller side of
+        the cut: a tree under half the nodes gathers its own rows, a larger
+        one the rows outside it, whose cut is the same edges with ``E↑``
+        and ``E↓`` swapped.  Wall-clock-only: both sides give the same
         column.
         """
         cut = self._cut
@@ -250,10 +264,14 @@ class TreeStructure:
             return cut
         rows = self.rows(cols)
         mask = self.row_mask(cols)
-        if fastpath.covers_half(len(rows), cols.num_nodes):
-            cut = cols.cut_column(mask)
-        else:
+        if 2 * len(rows) < cols.num_nodes:
             cut = cols.cut_column_of_rows(rows, mask)
+        else:
+            outside = mask.translate(_FLIP)
+            aug, numbers, up = cols.cut_column_of_rows(
+                compress(range(cols.num_nodes), outside), outside
+            )
+            cut = CutColumn(aug, numbers, up.translate(_FLIP))
         self._cut = cut
         return cut
 
@@ -278,24 +296,29 @@ class TreeStructure:
 
 
 def build_tree_structure(forest: SpanningForest, root: int) -> TreeStructure:
-    """Root the maintained tree ``T_root`` at ``root`` via BFS over marked edges."""
+    """Root the maintained tree ``T_root`` at ``root`` via BFS over marked edges.
+
+    Level by level, each node's marked neighbours in ascending ID order, so
+    ``parent`` lists the nodes in FIFO-queue BFS order.
+    """
     if not forest.graph.has_node(root):
         raise ProtocolError(f"root {root} is not a node of the graph")
+    marked_adj = forest._marked_adj
     parent: Dict[int, Optional[int]] = {root: None}
-    children: Dict[int, List[int]] = {root: []}
     depth: Dict[int, int] = {root: 0}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for nbr in forest.marked_neighbors(node):
-            if nbr in parent:
-                continue
-            parent[nbr] = node
-            children[nbr] = []
-            children[node].append(nbr)
-            depth[nbr] = depth[node] + 1
-            queue.append(nbr)
-    return TreeStructure(root, parent, children, depth)
+    frontier = [root]
+    level = 0
+    while frontier:
+        level += 1
+        below: List[int] = []
+        for node in frontier:
+            for nbr in marked_adj.get(node, ()):
+                if nbr not in parent:
+                    parent[nbr] = node
+                    depth[nbr] = level
+                    below.append(nbr)
+        frontier = below
+    return TreeStructure(root, parent, depth)
 
 
 # ---------------------------------------------------------------------- #

@@ -11,19 +11,18 @@ incidence structure once:
   (node, incident edge) pair, in :meth:`Graph.incident_edges` order (sorted
   by the other endpoint's ID).  ``up[slot]`` is 1 iff the node is the
   smaller endpoint, i.e. the edge counts towards the paper's ``E↑``.
-* ``edge_aug`` / ``edge_numbers`` / ``edge_urow`` / ``edge_vrow`` — one
-  entry per edge, sorted by augmented weight, with the rows of its smaller
-  (``u``) and larger (``v``) endpoint.
+* ``edge_aug`` — every edge's augmented weight, ascending (the weights end
+  in the edge numbers, so they are distinct).
 
 The fast-path kernels in :mod:`repro.core.sketches` read only a tree's
 :class:`CutColumn`: the edges with exactly one endpoint in the tree, sorted
 by augmented weight, so a weight window is one bisection of the cut.  The
 tree memoises it (:meth:`~repro.network.broadcast.TreeStructure.cut_column`)
-from one of two builders with equal results:
-:meth:`ColumnarGraph.cut_column`, one pass over the edge columns, for trees
-holding at least half the graph (:func:`repro.fastpath.covers_half`), and
-:meth:`ColumnarGraph.cut_column_of_rows`, which gathers the tree rows' cut
-slots and sorts them, for smaller ones.
+from the one builder, :meth:`ColumnarGraph.cut_column_of_rows`, which
+gathers a row set's cut slots and sorts them.  The cut of a set is the cut
+of its complement with ``E↑`` and ``E↓`` swapped, so a tree holding at least
+half the nodes gathers the rows outside it instead of its own: either way
+the builder reads the smaller side of the cut.
 
 Columns are ``array('Q')`` when every value fits 64 bits and plain Python
 lists otherwise (the default ``id_bits=32`` pushes augmented weights past 64
@@ -34,7 +33,7 @@ builds one with :meth:`ColumnarGraph.from_graph` on first use and caches it
 against :attr:`Graph.version`; from then on every edge insertion or deletion
 replaces the cached snapshot with :meth:`ColumnarGraph.spliced`, a
 copy-on-write successor that bisects the edge into (or out of) its two rows
-and the edge columns, so a repair never rebuilds the columns.  The layout a
+and ``edge_aug``, so a repair never rebuilds the columns.  The layout a
 splice produces is exactly the one :meth:`from_graph` builds.  Adding or
 removing a node, or a splice that would move the snapshot between the two
 column representations (``fits64``), drops the cache instead, and the next
@@ -43,11 +42,9 @@ read rebuilds it.  The reference tier never builds one.
 
 from __future__ import annotations
 
-import operator
 from array import array
 from bisect import bisect_left
-from itertools import compress
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import GraphError
 
@@ -97,8 +94,8 @@ class ColumnarGraph:
 
     Built via :meth:`from_graph` (or, with caching, :meth:`Graph.columnar`).
     The CSR columns are parallel over *slots*; a node's slots are
-    ``indptr[pos[node]] : indptr[pos[node] + 1]``.  The ``edge_*`` columns
-    are parallel over edges, in ascending augmented weight.
+    ``indptr[pos[node]] : indptr[pos[node] + 1]``.  ``edge_aug`` holds one
+    entry per edge, in ascending augmented weight.
     """
 
     __slots__ = (
@@ -111,9 +108,6 @@ class ColumnarGraph:
         "augmented",
         "up",
         "edge_aug",
-        "edge_numbers",
-        "edge_urow",
-        "edge_vrow",
         "node_max_number",
         "node_max_augmented",
         "max_number",
@@ -133,9 +127,6 @@ class ColumnarGraph:
         augmented: Sequence[int],
         up: bytearray,
         edge_aug: Sequence[int],
-        edge_numbers: Sequence[int],
-        edge_urow: "array[int]",
-        edge_vrow: "array[int]",
         node_max_number: Sequence[int],
         node_max_augmented: Sequence[int],
         max_number: int,
@@ -151,9 +142,6 @@ class ColumnarGraph:
         self.augmented = augmented
         self.up = up
         self.edge_aug = edge_aug
-        self.edge_numbers = edge_numbers
-        self.edge_urow = edge_urow
-        self.edge_vrow = edge_vrow
         self.node_max_number = node_max_number
         self.node_max_augmented = node_max_augmented
         self.max_number = max_number
@@ -198,11 +186,7 @@ class ColumnarGraph:
             indptr[row + 1] = slot
             node_max_augmented.append(max(augmented[start:slot], default=0))
             node_max_number.append(max(numbers[start:slot], default=0))
-        # An augmented weight ends in its edge number, u then v, so the
-        # sorted weights alone give every other edge column.
         edge_aug.sort()
-        edge_numbers = [aug & ((1 << shift) - 1) for aug in edge_aug]
-        id_mask = (1 << id_bits) - 1
         max_augmented = max(node_max_augmented, default=0)
         fits64 = max_augmented <= _UINT64_MAX
         return cls(
@@ -215,9 +199,6 @@ class ColumnarGraph:
             augmented=_freeze(augmented, fits64),
             up=up,
             edge_aug=_freeze(edge_aug, fits64),
-            edge_numbers=_freeze(edge_numbers, fits64),
-            edge_urow=array("l", [pos[number >> id_bits] for number in edge_numbers]),
-            edge_vrow=array("l", [pos[number & id_mask] for number in edge_numbers]),
             node_max_number=_freeze(node_max_number, fits64),
             node_max_augmented=_freeze(node_max_augmented, fits64),
             max_number=max(node_max_number, default=0),
@@ -233,10 +214,11 @@ class ColumnarGraph:
         otherwise.  Copy-on-write: the successor, stamped ``version``,
         shares ``ids`` and ``pos`` with this snapshot and holds fresh copies
         of every other column, with the edge bisected into (or out of) its
-        two rows of the CSR columns and into (or out of) the edge columns;
-        ``indptr`` is shifted and the two rows' maxima and the global maxima
-        recomputed.  The result equals :meth:`from_graph` on the mutated
-        graph, column for column.
+        two rows of the CSR columns and into (or out of) ``edge_aug``;
+        ``indptr`` is shifted and the two rows' maxima recomputed.  The
+        largest edge number is rescanned only when the deleted edge held
+        it.  The result equals :meth:`from_graph` on the mutated graph,
+        column for column.
 
         Returns ``None`` when the mutation would change ``fits64`` (the
         columns would change representation); the caller then rebuilds.
@@ -278,6 +260,12 @@ class ColumnarGraph:
             start, stop = new_indptr[row], new_indptr[row + 1]
             node_max_number[row] = new_numbers[stop - 1] if stop > start else 0
             node_max_augmented[row] = max(new_augmented[start:stop], default=0)
+        if insert:
+            max_number = max(self.max_number, number)
+        elif number == self.max_number:
+            max_number = max(node_max_number, default=0)
+        else:
+            max_number = self.max_number
         return ColumnarGraph(
             id_bits=id_bits,
             version=version,
@@ -288,12 +276,9 @@ class ColumnarGraph:
             augmented=new_augmented,
             up=_splice(self.up, ((j, 0), (i, 1)), insert),
             edge_aug=_splice(edge_aug, ((k, aug),), insert),
-            edge_numbers=_splice(self.edge_numbers, ((k, number),), insert),
-            edge_urow=_splice(self.edge_urow, ((k, urow),), insert),
-            edge_vrow=_splice(self.edge_vrow, ((k, vrow),), insert),
             node_max_number=node_max_number,
             node_max_augmented=node_max_augmented,
-            max_number=max(node_max_number, default=0),
+            max_number=max_number,
             max_augmented=max_augmented,
             fits64=self.fits64,
         )
@@ -326,31 +311,12 @@ class ColumnarGraph:
         start, stop = self.slice_of(node)
         return stop - start
 
-    def cut_column(self, row_mask: bytearray) -> CutColumn:
-        """The :class:`CutColumn` of the rows ``row_mask`` marks.
-
-        One pass over the edge columns: an edge is cut when the mask holds
-        exactly one of its two rows.  The edge columns are sorted by
-        augmented weight, so the cut is too.
-        """
-        holds_u = bytes(map(row_mask.__getitem__, self.edge_urow))
-        cut = bytes(
-            map(operator.ne, holds_u, map(row_mask.__getitem__, self.edge_vrow))
-        )
-        return CutColumn(
-            aug=list(compress(self.edge_aug, cut)),
-            numbers=list(compress(self.edge_numbers, cut)),
-            up=bytes(compress(holds_u, cut)),
-        )
-
-    def cut_column_of_rows(self, rows: Sequence[int], row_mask: bytearray) -> CutColumn:
-        """:meth:`cut_column` of the rows ``row_mask`` marks, listed in ``rows``.
+    def cut_column_of_rows(self, rows: Iterable[int], row_mask: bytearray) -> CutColumn:
+        """The :class:`CutColumn` of the rows ``row_mask`` marks, listed in ``rows``.
 
         Gathers every slot of the rows whose other endpoint's row is outside
         the mask, then sorts them by augmented weight: ``O(Σdeg · log)`` in
-        the rows' degree sum instead of one pass over every edge, which is
-        what a tree under half the graph wants.  Returns the column
-        :meth:`cut_column` builds.
+        the rows' degree sum, never a pass over every edge.
         """
         id_bits = self.id_bits
         id_mask = (1 << id_bits) - 1

@@ -143,9 +143,12 @@ class SpanningForest:
         """
         if version == self._version:
             return []
-        if not self._journal or self._journal[0][0] > version + 1:
+        journal = self._journal
+        if not journal or journal[0][0] > version + 1:
             return None
-        return [entry for entry in self._journal if entry[0] > version]
+        # Versions are consecutive, so the wanted entries are the newest
+        # ``self._version - version``; index them from the right end.
+        return [journal[i] for i in range(version - self._version, 0)]
 
     @property
     def structures(self) -> "TreeStructureCache":

@@ -21,9 +21,11 @@ and brings a stale one up to date by replaying the forest's mutation journal
   BFS the reference path runs.
 
 Because a tree has unique paths, the patched structure is *identical* (same
-parents, sorted children lists, depths) to what a fresh BFS from the root
-would produce, so counters derived from it (edge count, eccentricity) are
-bit-for-bit the same as on the reference path.
+parent and depth maps) to what a fresh BFS from the root would produce, so
+counters derived from it (edge count, eccentricity) are bit-for-bit the same
+as on the reference path.  A structure stores no children lists, so a graft
+only adds parent and depth entries; a detach reads the subtree from the
+derived :attr:`~repro.network.broadcast.TreeStructure.children`.
 
 :func:`rooted_tree` is the front door: it returns a cached structure on the
 fast path and a fresh rebuild when :mod:`repro.fastpath` is disabled.
@@ -31,8 +33,7 @@ fast path and a fresh rebuild when :mod:`repro.fastpath` is disabled.
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from .. import fastpath
@@ -168,30 +169,29 @@ class TreeStructureCache:
     def _graft(self, structure: TreeStructure, anchor: int, start: int) -> Optional[bool]:
         """Attach ``start``'s marked component below ``anchor``.
 
-        BFS order and sorted children insertion mirror
-        :func:`build_tree_structure` exactly, so the patched structure equals
-        a rebuild.  Returns ``None`` (rebuild) if the BFS runs into a node
-        already present — a back-edge the journal will explain later, but
-        safe handling is to start over.
+        The BFS mirrors :func:`build_tree_structure`, so the patched
+        structure's parents and depths equal a rebuild's.  Returns ``None``
+        (rebuild) if the BFS runs into a node already present — a back-edge
+        the journal will explain later, but safe handling is to start over.
         """
-        parent, children, depth = structure.parent, structure.children, structure.depth
-        insort(children[anchor], start)
+        parent, depth = structure.parent, structure.depth
+        marked_adj = self.forest._marked_adj
         parent[start] = anchor
-        children[start] = []
         depth[start] = depth[anchor] + 1
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for nbr in self.forest.marked_neighbors(node):
-                if nbr == parent[node]:
-                    continue
-                if nbr in parent:
-                    return None
-                parent[nbr] = node
-                children[node].append(nbr)
-                children[nbr] = []
-                depth[nbr] = depth[node] + 1
-                queue.append(nbr)
+        frontier = [start]
+        while frontier:
+            below: List[int] = []
+            for node in frontier:
+                up, level = parent[node], depth[node] + 1
+                for nbr in marked_adj.get(node, ()):
+                    if nbr == up:
+                        continue
+                    if nbr in parent:
+                        return None
+                    parent[nbr] = node
+                    depth[nbr] = level
+                    below.append(nbr)
+            frontier = below
         return True
 
     def _detach(self, structure: TreeStructure, child: int) -> Optional[bool]:
@@ -204,8 +204,8 @@ class TreeStructureCache:
         marked later in the journal, which a subsequent replay op would
         otherwise have to reconcile.
         """
-        parent, children, depth = structure.parent, structure.children, structure.depth
-        children[parent[child]].remove(child)  # type: ignore[index]
+        parent, depth = structure.parent, structure.depth
+        children = structure.children
         removed: List[int] = []
         stack: List[int] = [child]
         while stack:
@@ -213,10 +213,10 @@ class TreeStructureCache:
             stack.extend(children[node])
             removed.append(node)
             del parent[node]
-            del children[node]
             del depth[node]
+        marked_adj = self.forest._marked_adj
         for node in removed:
-            for nbr in self.forest.marked_neighbors(node):
+            for nbr in marked_adj.get(node, ()):
                 if nbr in parent:
                     return None
         return True

@@ -8,11 +8,13 @@ computes from each row's node, and HP-TestOut's must return the answer
 (``up != down``) that the componentwise product mod ``p`` of the nodes'
 ``local_product`` pairs gives.  The row sets are arbitrary subsets, not
 only trees (an edge with both endpoints in the set cancels from an XOR
-whatever the set is), and both cut-column builders
-(:meth:`ColumnarGraph.cut_column` and
-:meth:`ColumnarGraph.cut_column_of_rows`) must give the brute-force cut on
-each, over empty, single-edge, narrow and full weight windows, an edgeless
-row, and both column representations (``fits64``).
+whatever the set is).  A tree's cut column
+(:meth:`~repro.network.broadcast.TreeStructure.cut_column`) comes from the
+one builder, :meth:`ColumnarGraph.cut_column_of_rows`, fed the tree's own
+rows below half the nodes and the rows outside it otherwise; both sides
+must give the brute-force cut on each set, over empty, single-edge, narrow
+and full weight windows, an edgeless row, a graph of several components,
+and both column representations (``fits64``).
 """
 
 import operator
@@ -40,8 +42,10 @@ from repro.core.sketches import (
     range_parity_words_all,
     xor_below_words_all,
 )
+from repro.network.broadcast import TreeStructure, build_tree_structure
 from repro.network.columnar import ColumnarGraph, CutColumn
 from repro.network.errors import GraphError
+from repro.network.fragments import SpanningForest
 from repro.network.graph import Graph
 
 
@@ -177,11 +181,27 @@ def max_number_of(cols: ColumnarGraph, rows) -> int:
     return max(map(cols.node_max_number.__getitem__, rows), default=0)
 
 
+def tree_over(cols: ColumnarGraph, rows) -> TreeStructure:
+    """A rooted structure holding the nodes of ``rows`` (a star at the first).
+
+    The cut column depends only on the node set, so the set need not span
+    a tree of the graph.
+    """
+    root, *rest = [cols.ids[row] for row in rows]
+    parent = {root: None, **{node: root for node in rest}}
+    return TreeStructure(root, parent, {node: int(node != root) for node in parent})
+
+
 def cut_of(cols: ColumnarGraph, rows, mask) -> CutColumn:
-    """The rows' cut column, after checking that both builders agree on it."""
-    cut = cols.cut_column(mask)
-    assert cols.cut_column_of_rows(rows, mask) == cut
-    return cut
+    """The rows' cut column as a tree over them memoises it.
+
+    Checked against the builder fed the rows themselves, so a set holding
+    at least half the nodes compares the two sides of its cut.
+    """
+    own = cols.cut_column_of_rows(rows, mask)
+    if rows:
+        assert tree_over(cols, rows).cut_column(cols) == own
+    return own
 
 
 def numbers_of(graph: Graph, node: int):
@@ -316,10 +336,10 @@ class TestColumnarGraph:
     )
     def test_edge_columns_equal_sorted_edges(self, id_bits, ops):
         # After every op the cached snapshot (spliced, or rebuilt after a
-        # node op or a fits64 flip) equals a fresh build, its edge columns
-        # are graph.edges() sorted by augmented weight with the rows of
-        # both endpoints, the graph's maxima match a scan, and a snapshot
-        # held across the op is unchanged.
+        # node op or a fits64 flip) equals a fresh build, its edge column
+        # is graph.edges()' augmented weights in ascending order, the
+        # graph's maxima match a scan, and a snapshot held across the op is
+        # unchanged.
         graph = Graph(id_bits=id_bits)
         for node in range(1, 13):
             graph.add_node(node)
@@ -344,19 +364,8 @@ class TestColumnarGraph:
             assert snapshot_columns(cols) == snapshot_columns(
                 ColumnarGraph.from_graph(graph)
             )
-            expected = sorted(
-                (
-                    edge.augmented_weight(id_bits),
-                    edge.edge_number(id_bits),
-                    cols.pos[edge.u],
-                    cols.pos[edge.v],
-                )
-                for edge in graph.edges()
-            )
-            got = list(
-                zip(cols.edge_aug, cols.edge_numbers, cols.edge_urow, cols.edge_vrow)
-            )
-            assert got == expected
+            expected = sorted(edge.augmented_weight(id_bits) for edge in graph.edges())
+            assert list(cols.edge_aug) == expected
             assert cols.num_edges == graph.num_edges
             assert_maxima_match_scan(graph)
 
@@ -379,9 +388,11 @@ class TestColumnarGraph:
         rows=st.sets(st.integers(0, 13)),
     )
     def test_cut_builders_agree_across_splices(self, id_bits, edges, ops, rows):
-        # The row builder equals the edge-column builder and the brute-force
-        # cut on a fresh snapshot and on every snapshot spliced from it by
-        # an edge insertion (True) or deletion (False).
+        # On a fresh snapshot and on every snapshot spliced from it by an
+        # edge insertion (True) or deletion (False): the splice equals a
+        # fresh build column for column, and a tree over the rows (its own
+        # rows below half the nodes, its complement otherwise) has the
+        # brute-force cut, as does the builder fed the rows themselves.
         graph = Graph(id_bits=id_bits)
         for node in range(1, 15):
             graph.add_node(node)
@@ -399,10 +410,83 @@ class TestColumnarGraph:
                 elif not insert and graph.has_edge(u, v):
                     graph.remove_edge(u, v)
             cols = graph.columnar()
+            assert snapshot_columns(cols) == snapshot_columns(
+                ColumnarGraph.from_graph(graph)
+            )
             mask = mask_of(rows, cols.num_nodes)
-            cut = cols.cut_column_of_rows(rows, mask)
-            assert cut == cols.cut_column(mask)
+            cut = cut_of(cols, rows, mask)
             assert cut == brute_cut(graph, [cols.ids[row] for row in rows])
+
+    @pytest.mark.parametrize("id_bits", [9, 32])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tree_cut_column_on_both_sides(self, id_bits, seed):
+        # Trees of a forest on three components plus two isolated nodes
+        # (20 nodes): each tree's cut column equals the brute-force cut
+        # while unmarking tree edges one by one shrinks the trees from
+        # whole components (empty cuts) through the >= half side (the
+        # 12-node component) to single nodes.  Then one spanning tree of a
+        # connected graph holds every node and has an empty cut.
+        rng = random.Random(seed)
+        graph = Graph(id_bits=id_bits)
+        for node in range(1, 21):
+            graph.add_node(node)
+        tree_edges = []
+        for members in (range(1, 13), range(13, 18), range(18, 19)):
+            members = list(members)
+            rng.shuffle(members)
+            for index in range(1, len(members)):
+                u, v = members[index], rng.choice(members[:index])
+                graph.add_edge(u, v, weight=rng.randrange(1, 1 << 20))
+                tree_edges.append((u, v))
+            for _ in range(len(members)):
+                u, v = rng.sample(members, 2) if len(members) > 1 else (0, 0)
+                if u and not graph.has_edge(u, v):
+                    graph.add_edge(u, v, weight=rng.randrange(1, 1 << 20))
+        forest = SpanningForest(graph, marked=tree_edges)
+        cols = graph.columnar()
+        assert cols.fits64 is (id_bits == 9)
+        # The 12-node component's last edge hangs a leaf, so unmarking it
+        # first leaves an 11-node tree with a non-empty cut.
+        order = tree_edges[:10] + tree_edges[11:]
+        rng.shuffle(order)
+        sizes, large_cuts = set(), 0
+        for cut_edge in [None, tree_edges[10]] + order:
+            if cut_edge is not None:
+                forest.unmark(*cut_edge)
+            for root in graph.nodes():
+                tree = build_tree_structure(forest, root)
+                sizes.add(tree.size)
+                cut = tree.cut_column(cols)
+                assert cut == brute_cut(graph, tree.nodes)
+                assert cut == cut_of(cols, sorted(tree.rows(cols)), tree.row_mask(cols))
+                large_cuts += bool(2 * tree.size >= cols.num_nodes and cut.aug)
+        assert min(sizes) == 1 and max(sizes) == 12 and large_cuts
+
+        joins = [(12, 13), (17, 18), (18, 19), (19, 20)]
+        for u, v in joins:
+            graph.add_edge(u, v, weight=1)
+        spanning = SpanningForest(graph, marked=tree_edges + joins)
+        cols = graph.columnar()
+        whole = build_tree_structure(spanning, 1)
+        assert whole.size == cols.num_nodes
+        assert whole.cut_column(cols) == CutColumn([], [], b"")
+
+    @pytest.mark.parametrize("id_bits", [9, 32])
+    def test_splice_rescans_max_number_only_for_its_edge(self, id_bits):
+        # Deleting (1, 2) keeps the largest edge number; deleting (4, 5),
+        # then (3, 5), deletes the edge holding it, so the splice must find
+        # the next one; a fresh build and a scan agree at every step.
+        graph = Graph(id_bits=id_bits)
+        for u, v in [(1, 2), (2, 3), (3, 5), (4, 5)]:
+            graph.add_edge(u, v, weight=u + v)
+        graph.columnar()
+        for u, v in [(1, 2), (4, 5), (3, 5), (2, 3)]:
+            graph.remove_edge(u, v)
+            cols = graph.columnar()
+            assert snapshot_columns(cols) == snapshot_columns(
+                ColumnarGraph.from_graph(graph)
+            )
+            assert_maxima_match_scan(graph)
 
     @pytest.mark.parametrize("id_bits", [9, 32])
     def test_splice_across_the_64_bit_boundary(self, id_bits):

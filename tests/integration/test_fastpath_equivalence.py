@@ -18,7 +18,11 @@ import pytest
 from repro import fastpath
 from repro.api import FaultSpec, GraphSpec, get_runner, list_algorithms
 from repro.api.scenario import ExperimentSpec, ScheduleSpec, WorkloadSpec
+from repro.network.broadcast import build_tree_structure
+from repro.network.columnar import ColumnarGraph, CutColumn
 from repro.network.errors import AlgorithmError
+from repro.network.fragments import SpanningForest
+from repro.network.graph import Graph
 
 ALGORITHMS = list_algorithms()
 DENSITIES = ["sparse", "dense"]
@@ -68,12 +72,41 @@ def test_unknown_fastpath_switch_fails_loudly_at_import():
 
 
 @pytest.mark.parametrize(
-    "part, whole, expected",
+    "part, whole, complement",
     [(8, 16, True), (7, 16, False), (5, 9, True), (4, 9, False), (16, 16, True), (1, 1, True)],
 )
-def test_covers_half_is_at_least_half(part, whole, expected):
-    # The cut-column builder's size rule: an odd whole rounds the half up.
-    assert fastpath.covers_half(part, whole) is expected
+def test_half_tree_gathers_only_its_complement_rows(monkeypatch, part, whole, complement):
+    # The cut-column builder's size rule: a tree holding at least half the
+    # nodes (an odd whole rounds the half up) hands the one builder only
+    # the rows outside it, a smaller one only its own rows.
+    graph = Graph(id_bits=8)
+    graph.add_node(1)
+    for node in range(1, whole):
+        graph.add_edge(node, node + 1, weight=node)
+    forest = SpanningForest(graph, marked=[(node, node + 1) for node in range(1, part)])
+    tree = build_tree_structure(forest, 1)
+    cols = graph.columnar()
+    passed = []
+    builder = ColumnarGraph.cut_column_of_rows
+
+    def spy(self, rows, mask):
+        rows = list(rows)
+        passed.append(sorted(rows))
+        return builder(self, rows, mask)
+
+    monkeypatch.setattr(ColumnarGraph, "cut_column_of_rows", spy)
+    cut = tree.cut_column(cols)
+    inside = [cols.pos[node] for node in range(1, part + 1)]
+    outside = [row for row in range(whole) if row not in inside]
+    assert passed == [outside if complement else inside]
+    # The tree holds the smaller endpoint of its one cut edge (part, part + 1).
+    if part == whole:
+        assert cut == CutColumn([], [], b"")
+    else:
+        edge = graph.get_edge(part, part + 1)
+        assert cut == CutColumn(
+            [edge.augmented_weight(8)], [edge.edge_number(8)], b"\x01"
+        )
 
 
 def test_all_six_algorithms_are_covered():

@@ -54,7 +54,8 @@ class TestTreeStructure:
         assert tree.root == 1
         assert tree.parent[1] is None
         assert tree.parent[3] == 2
-        assert set(tree.children[2]) == {3, 4}
+        assert tree.children[2] == [3, 4]
+        assert tree.children[3] == []
         assert tree.depth[5] == 3
         assert tree.size == 7
         assert tree.num_edges == 6
@@ -67,9 +68,9 @@ class TestTreeStructure:
         assert tree.eccentricity == 3
         assert sorted(tree.rows(cols)) == [cols.pos[node] for node in tree.nodes]
         for leaf in (5, 6):  # drop the depth-3 leaves, as a patch would
-            del tree.parent[leaf], tree.depth[leaf], tree.children[leaf]
-        tree.children[4] = []
+            del tree.parent[leaf], tree.depth[leaf]
         tree.invalidate_memos()
+        assert tree.children[4] == []
         assert tree.eccentricity == 2
         assert sorted(tree.rows(cols)) == [cols.pos[node] for node in tree.nodes]
 
@@ -81,7 +82,6 @@ class TestTreeStructure:
         assert tree.row_mask(cols) is mask  # memoised per version
         assert [row for row, bit in enumerate(mask) if bit] == sorted(tree.rows(cols))
         del tree.parent[5], tree.depth[5]
-        tree.children[4] = []
         tree.invalidate_memos()
         assert not tree.row_mask(cols)[cols.pos[5]]
         graph.add_node(8)  # a new version: the mask is rebuilt at its size

@@ -100,7 +100,8 @@ def apply(op, pick, graph, forest, tree):
         forest.mark(edge.u, edge.v)
     else:
         # Unmark the edge above a leaf: the leaf is detached.
-        leaves = [node for node, kids in tree.children.items() if not kids and node != tree.root]
+        inner = set(tree.parent.values())
+        leaves = [node for node in tree.parent if node not in inner and node != tree.root]
         if not leaves:
             return False
         leaf = pick(leaves)
@@ -122,7 +123,7 @@ def test_memos_follow_graph_and_tree_changes(n, extra, seed, ops, data):
     # Cut one leaf off so the root's tree covers the graph but has a cut.
     root = min(graph.nodes())
     tree = forest.rooted_structure(root)
-    leaf = max(node for node, kids in tree.children.items() if not kids)
+    leaf = max(set(tree.parent) - set(tree.parent.values()))
     forest.unmark(leaf, tree.parent[leaf])
 
     def pick(sequence):
