@@ -1,29 +1,50 @@
-"""The claims ledger: every paper claim the repo cites, as pinned counters.
+"""The claims ledger: every pinned counter of the repo, in one file.
 
 Each :class:`Claim` is a seeded sweep.  ``measure(param)`` returns one row
-of exact integers — sums and hit counts, never means or floats — and
-``check(rows)`` asserts the claim's shape on the rows of either tier (the
-crossover against GHS, a bound ratio inside its band, a closed-form cost).
-The *quick* tier runs in the tier-1 tests; the *full* tier adds the larger
-sizes.  Both tiers are committed in ``CLAIMS.json`` and compared exactly,
-on the fast path and on the reference path (``REPRO_FASTPATH=0``): the two
-kernel tiers must reproduce the same pinned counters.
+of exact integers — sums, hit counts and content hashes, never means or
+floats — and ``check(rows)`` asserts the claim's shape on the rows of either
+tier.  Two kinds of claim share the ledger:
 
-Re-pin with the one command (it takes no arguments, prints the ledger's
-canonical JSON and exits 1 if any check fails)::
+* the paper's claims (the crossover against GHS, a bound ratio inside its
+  band, a closed-form cost), measured over size sweeps;
+* regression pins: the golden ``RunResult`` grid, the repair counters per
+  workload, the churn baseline, each search's charges per kind and the
+  seed-0 fuzz campaign, whose shape check is that every run verifies.
+
+The *quick* tier runs in the tier-1 tests; the *full* tier adds the larger
+sizes and the slow rows.  Both tiers are committed in ``CLAIMS.json``, one
+key per line, and compared exactly, on the fast path and on the reference
+path (``REPRO_FASTPATH=0``): the two kernel tiers must reproduce the same
+pinned counters.
+
+Re-pin with the one command (it takes no arguments, prints the ledger and
+exits 1 if any check fails); ``git diff CLAIMS.json`` then lists every
+moved counter, old and new, on its own line::
 
     python -m repro.claims > CLAIMS.json
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
+from . import fastpath
 from .analysis.complexity import bound_value, fit_constant, is_sublinear_in
-from .api import GraphSpec, WorkloadSpec, run
-from .api.canonical import canonical_json
+from .api import (
+    ExperimentSpec,
+    FaultSpec,
+    GraphSpec,
+    RunResult,
+    ScheduleSpec,
+    WorkloadSpec,
+    list_algorithms,
+    run,
+)
+from .api.canonical import content_hash
 from .api.scenario import get_workload
 from .baselines.recompute_repair import RecomputeMaintainer
 from .core.build_mst import BuildMST
@@ -34,15 +55,22 @@ from .core.findmin import FindMin
 from .core.primes import prime_for_field
 from .core.sample import SuperpolyFindMin
 from .core.testout import CutTester
-from .dynamic import TreeMaintainer, tree_edge_deletions
+from .dynamic import TreeMaintainer, tree_edge_deletions, weight_perturbations
+from .fuzz import FuzzCampaign, report_to_json
 from .generators import random_connected_graph, random_spanning_tree_forest
 from .network.accounting import MessageAccountant
-from .network.broadcast import SUM_REDUCER, BroadcastEchoExecutor, make_substrate
+from .network.broadcast import (
+    SUM_REDUCER,
+    BroadcastEchoExecutor,
+    delivery_substrate,
+    make_substrate,
+)
 from .network.fragments import SpanningForest
 from .network.graph import Edge, Graph
+from .service.store import canonical_result
 from .verify import is_minimum_spanning_forest
 
-__all__ = ["CLAIMS", "Claim", "ClaimFailure", "TIERS", "ledger", "main"]
+__all__ = ["CLAIMS", "Claim", "ClaimFailure", "TIERS", "ledger", "main", "render"]
 
 Row = Dict[str, Any]
 TIERS = ("quick", "full")
@@ -84,9 +112,6 @@ class Claim:
     def params(self, tier: str) -> Tuple[Hashable, ...]:
         return self.quick if tier == "quick" else (self.full or self.quick)
 
-    def rows(self, tier: str = "quick") -> List[Row]:
-        return [self.measure(param) for param in self.params(tier)]
-
     def check(self, rows: List[Row]) -> None:
         """Raise :class:`ClaimFailure`, naming this claim, if the shape fails."""
         try:
@@ -94,17 +119,34 @@ class Claim:
         except ClaimFailure as exc:
             raise ClaimFailure(f"{self.name}: {exc}") from None
 
-    def verify(self, rows: List[Row], pinned: List[Row]) -> None:
-        """Check ``rows`` and require them equal to the ``pinned`` ledger rows."""
-        self.check(rows)
-        if len(rows) != len(pinned):
-            raise ClaimFailure(f"{self.name}: {len(rows)} rows, the ledger pins {len(pinned)}")
-        for index, (row, pinned_row) in enumerate(zip(rows, pinned)):
-            if row != pinned_row:
-                raise ClaimFailure(
-                    f"{self.name}: row {index} is {canonical_json(row)}, "
-                    f"the ledger pins {canonical_json(pinned_row)}"
-                )
+    def verify_row(self, index: int, row: Row, pinned: Row) -> None:
+        """Require row ``index`` equal to its ``pinned`` ledger row.
+
+        The failure names the claim, the row and every moved counter as
+        ``path pinned -> measured``.
+        """
+        if row != pinned:
+            new, old = _leaves(row), _leaves(pinned)
+            moved = ", ".join(
+                f"{path} {old.get(path)} -> {new.get(path)}"
+                for path in sorted(new.keys() | old.keys())
+                if new.get(path) != old.get(path)
+            )
+            raise ClaimFailure(f"{self.name}: row {index} moved: {moved}")
+
+
+def _leaves(value: Any, path: str = "") -> Dict[str, Any]:
+    """Every scalar of a row, keyed by its dotted path (``plain.bits``)."""
+    if isinstance(value, dict):
+        items: Any = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {path: value}
+    leaves: Dict[str, Any] = {}
+    for key, item in items:
+        leaves.update(_leaves(item, f"{path}.{key}" if path else str(key)))
+    return leaves
 
 
 # ---------------------------------------------------------------------- #
@@ -127,13 +169,18 @@ def _lightest_cut_edge(graph: Graph, forest: SpanningForest, root: int) -> Edge:
     return min(cut, key=lambda edge: edge.augmented_weight(graph.id_bits))
 
 
+def _counters(result: RunResult) -> Row:
+    """A registry run's counters and whether it verified."""
+    return {**result.counters(), "ok": int(result.ok)}
+
+
 def _runs(n: int, density: str, seed: int, algorithms: Tuple[str, ...]) -> Row:
     """One registry run per algorithm on the same spec: counters and ``ok``."""
     row: Row = {"n": n}
     for algorithm in algorithms:
         result = run(algorithm, GraphSpec(nodes=n, density=density, seed=seed))
         row["m"] = result.m
-        row[algorithm] = {**result.counters(), "ok": int(result.ok)}
+        row[algorithm] = _counters(result)
     return row
 
 
@@ -571,6 +618,209 @@ def _bracha_shape(rows: List[Row]) -> None:
                  f"a Bracha instance did not cost (n-1)(2n+1) messages ({row['density']})")
 
 
+# ---------------------------------------------------------------------- #
+# regression pins: registry runs, repairs, searches and the fuzz campaign
+# ---------------------------------------------------------------------- #
+GOLDEN_GRAPH = GraphSpec(nodes=16, density="sparse", seed=3)
+GOLDEN_SCENARIOS = {
+    "plain": GOLDEN_GRAPH,
+    "churn": ExperimentSpec(graph=GOLDEN_GRAPH, workload=WorkloadSpec(name="churn", updates=6)),
+    "random": ExperimentSpec(graph=GOLDEN_GRAPH, schedule=ScheduleSpec(scheduler="random")),
+    "crash-leaves": ExperimentSpec(graph=GOLDEN_GRAPH, faults=FaultSpec(name="crash-leaves")),
+    "link-storm": ExperimentSpec(graph=GOLDEN_GRAPH, faults=FaultSpec(name="link-storm")),
+}
+GOLDEN_ALGORITHMS = ("kkt-mst", "kkt-st", "ghs", "flooding", "kkt-repair", "recompute-repair")
+#: (algorithm, scenario, runner options): every algorithm under every
+#: scenario, then the runner options that reach the shared run skeleton.
+GOLDEN_CELLS = (
+    *((algorithm, scenario, ()) for algorithm in GOLDEN_ALGORITHMS for scenario in GOLDEN_SCENARIOS),
+    ("kkt-mst", "plain", (("substrate", "bracha"),)),
+    ("kkt-st", "plain", (("substrate", "bracha"),)),
+    ("kkt-repair", "plain", (("substrate", "bracha"),)),
+    *((algorithm, "plain", (("record_state", True),)) for algorithm in GOLDEN_ALGORITHMS),
+    ("kkt-repair", "churn", (("repair_batch", 4),)),
+    ("recompute-repair", "churn", (("repair_batch", 4),)),
+    ("kkt-repair", "plain", (("mode", "st"),)),
+)
+
+
+def _golden_row(cell: Tuple[str, str, Tuple[Tuple[str, Any], ...]]) -> Row:
+    """One cell's counters and the content hash of its canonical result.
+
+    The hash covers every counter, check, extra and provenance field, so
+    drift in how a runner resolves its scenario, verifies its tree or
+    records its result moves it even when no counter moves.
+    """
+    algorithm, scenario, options = cell
+    result = run(algorithm, GOLDEN_SCENARIOS[scenario], **dict(options))
+    return {
+        "cell": "-".join([algorithm, scenario, *(f"{key}={value}" for key, value in options)]),
+        **_counters(result),
+        "hash": content_hash(canonical_result(result.to_dict())),
+    }
+
+
+def _all_ok(rows: List[Row]) -> None:
+    for index, row in enumerate(rows):
+        _require(row["ok"] == 1, f"row {index} failed its checks")
+
+
+def _golden_shape(rows: List[Row]) -> None:
+    _all_ok(rows)
+    cells = {row["cell"] for row in rows}
+    for algorithm in list_algorithms():
+        for scenario in GOLDEN_SCENARIOS:
+            _require(f"{algorithm}-{scenario}" in cells,
+                     f"the grid has no {algorithm}-{scenario} cell")
+
+
+#: kkt-repair on a sparse n=32 graph with 12 updates, per registered
+#: workload x mode x wave size (0 = one update at a time).
+REPAIR_WORKLOAD_CELLS = tuple(
+    (workload, mode, batch)
+    for workload in ("churn", "weight-ramp", "insert-heavy", "bridge-heavy", "deletions-only")
+    for mode in ("mst", "st")
+    for batch in (0, 4)
+)
+
+
+def _repair_workload_row(cell: Tuple[str, str, int]) -> Row:
+    workload, mode, batch = cell
+    spec = ExperimentSpec(graph=GraphSpec(nodes=32, density="sparse", seed=3),
+                          workload=WorkloadSpec(name=workload))
+    result = run("kkt-repair", spec, updates=12, mode=mode, repair_batch=batch)
+    return {"workload": workload, "mode": mode, "repair_batch": batch, **_counters(result)}
+
+
+def _weight_stream_row(mode: str) -> Row:
+    """Per-update costs of 16 weight perturbations on a random n=20, m=60 graph.
+
+    The only pinned stream that lowers weights (both a swap and a kept
+    edge); an ST ignores weights, so every one of its updates is free.
+    """
+    graph = random_connected_graph(20, 60, seed=5)
+    builder = BuildMST if mode == "mst" else BuildST
+    forest = builder(graph, config=AlgorithmConfig(n=20, seed=5)).run().forest
+    maintainer = TreeMaintainer(graph, forest, mode=mode, seed=5)
+    updates = []
+    for update in weight_perturbations(graph, count=16, seed=5):
+        cost = maintainer.apply(update).report.cost
+        updates.append({"kind": update.kind.value, "messages": cost.messages,
+                        "bits": cost.bits, "rounds": cost.rounds})
+    return {"mode": mode, "updates": updates}
+
+
+def _weight_stream_shape(rows: List[Row]) -> None:
+    for row in rows:
+        mode, updates = row["mode"], row["updates"]
+        _require({update["kind"] for update in updates} == {"increase_weight", "decrease_weight"},
+                 f"the {mode} stream does not both raise and lower weights")
+        _require(mode == "mst" or not any(update["messages"] for update in updates),
+                 f"the {mode} tree paid for a weight change")
+
+
+#: (algorithm, n, density, seed, updates) of the implicit ``churn`` stream,
+#: pinned since before the stream became a registered workload.
+CHURN_BASELINE_CASES = (
+    ("kkt-repair", 32, "sparse", 3, 6),
+    ("kkt-repair", 24, "dense", 11, 9),
+    ("recompute-repair", 32, "sparse", 3, 6),
+    ("recompute-repair", 24, "dense", 11, 9),
+)
+
+
+def _churn_baseline_row(case: Tuple[str, int, str, int, int]) -> Row:
+    algorithm, n, density, seed, updates = case
+    result = run(algorithm, GraphSpec(nodes=n, density=density, seed=seed), updates=updates)
+    return {"algorithm": algorithm, "n": n, "density": density, "seed": seed,
+            "updates": updates, **_counters(result)}
+
+
+# Each search's charges per message kind.  ``FindResult.cost`` sums the
+# kinds and ``RunResult`` never sees them, so a charge that moved from one
+# kind to another (an HP-TestOut charged as a TestOut) would pass every
+# other check.  The Bracha ledger splits every kind into reliable-broadcast
+# phases, so its kinds are pinned by a digest.
+SEARCH_NODES = 64
+SEARCHES = {
+    "findmin": lambda g, f, c, a, r: FindMin(g, f, c, a).find_min(r),
+    "superpoly": lambda g, f, c, a, r: SuperpolyFindMin(g, f, c, a).run(r),
+    "findany": lambda g, f, c, a, r: FindAny(g, f, c, a).find_any(r),
+}
+PATH_TIERS = {"fast": fastpath.fast_path, "reference": fastpath.reference_path}
+
+
+def _search_charges(search: str, seed: int, substrate: str) -> Row:
+    """One search on a 64-node graph whose spanning tree lost one edge."""
+    graph = random_connected_graph(SEARCH_NODES, 3 * SEARCH_NODES, seed=seed)
+    forest, root = _broken_tree(graph, seed, SEARCH_NODES // 3)
+    accountant = MessageAccountant()
+    config = AlgorithmConfig(n=SEARCH_NODES, seed=seed)
+    with delivery_substrate(make_substrate(substrate, n=SEARCH_NODES)):
+        result = SEARCHES[search](graph, forest, config, accountant, root)
+    cost = result.cost
+    _require(cost.broadcast_echoes == result.broadcast_echoes,
+             f"{search} at seed {seed} charged another B&E count than it reports")
+    per_kind = accountant.per_kind()
+    return {
+        "edge": list(result.edge.endpoints),
+        "messages": cost.messages,
+        "bits": cost.bits,
+        "rounds": cost.rounds,
+        "broadcast_echoes": cost.broadcast_echoes,
+        **({"per_kind": per_kind} if substrate == "plain"
+           else {"per_kind_digest": content_hash(per_kind)[:16]}),
+    }
+
+
+def _search_charges_row(cell: Tuple[str, int, str]) -> Row:
+    search, seed, tier = cell
+    with PATH_TIERS[tier]():
+        return {"search": search, "seed": seed, "tier": tier,
+                "plain": _search_charges(search, seed, "plain"),
+                "bracha": _search_charges(search, seed, "bracha")}
+
+
+def _search_charges_shape(rows: List[Row]) -> None:
+    by_cell: Dict[Tuple[str, int], List[Row]] = {}
+    for row in rows:
+        cell = (row["search"], row["seed"])
+        _require(row["bracha"]["edge"] == row["plain"]["edge"],
+                 f"{cell[0]} at seed {cell[1]} returns another edge under Bracha")
+        by_cell.setdefault(cell, []).append({**row, "tier": None})
+    for (search, seed), legs in by_cell.items():
+        _require(all(leg == legs[0] for leg in legs),
+                 f"{search} at seed {seed} charges differently on the two kernel tiers")
+
+
+#: The campaign of ``repro fuzz run --budget 40 --seed 0``.
+FUZZ_BUDGET = 40
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _fuzz_row(seed: int) -> Row:
+    """The campaign's summary and the sha256 of the report and corpus files."""
+    campaign = FuzzCampaign(budget=FUZZ_BUDGET, seed=seed)
+    report = campaign.run()
+    return {
+        "seed": seed,
+        "budget": FUZZ_BUDGET,
+        "cases": report["cases"],
+        "violation_count": report["violation_count"],
+        "report_sha256": _sha256(report_to_json(report)),
+        "corpus_sha256": _sha256(campaign.corpus.to_json()),
+    }
+
+
+def _fuzz_shape(rows: List[Row]) -> None:
+    for row in rows:
+        _require(row["violation_count"] == 0,
+                 f"the seed-{row['seed']} campaign found {row['violation_count']} violations")
+
+
 CLAIMS: Dict[str, Claim] = {
     claim.name: claim
     for claim in (
@@ -589,6 +839,14 @@ CLAIMS: Dict[str, Claim] = {
         Claim("sketch-volley", _sketch_volley_row, _sketch_volley_shape, quick=(10_000,)),
         Claim("repair-churn", _repair_churn_row, _repair_churn_shape, quick=(1024,)),
         Claim("repair-waves", _repair_waves_row, _repair_waves_shape, quick=(256,), full=(256, 1024)),
+        Claim("golden-runs", _golden_row, _golden_shape, quick=GOLDEN_CELLS),
+        Claim("repair-workloads", _repair_workload_row, _all_ok, quick=REPAIR_WORKLOAD_CELLS),
+        Claim("weight-stream", _weight_stream_row, _weight_stream_shape, quick=("mst", "st")),
+        Claim("churn-baseline", _churn_baseline_row, _all_ok, quick=CHURN_BASELINE_CASES),
+        Claim("search-charges", _search_charges_row, _search_charges_shape,
+              quick=tuple((search, seed, tier) for search in SEARCHES for seed in range(3)
+                          for tier in PATH_TIERS)),
+        Claim("fuzz-seed0", _fuzz_row, _fuzz_shape, quick=(), full=(0,)),
     )
 }
 
@@ -601,6 +859,11 @@ def ledger() -> Dict[str, Dict[str, List[Row]]]:
         for tier in TIERS:
             tiers[tier][claim.name] = [measured[param] for param in claim.params(tier)]
     return tiers
+
+
+def render(tiers: Dict[str, Dict[str, List[Row]]]) -> str:
+    """The ledger as ``CLAIMS.json`` holds it: sorted keys, one key per line."""
+    return json.dumps(tiers, indent=2, sort_keys=True)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -616,7 +879,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 CLAIMS[name].check(rows)
             except ClaimFailure as exc:
                 failures.append(f"{tier} tier: {exc}")
-    print(canonical_json(pinned))
+    print(render(pinned))
     for failure in failures:
         print(f"repro.claims: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -221,10 +221,3 @@ class MessageAccountant:
             f"rounds={self._rounds}, b&e={self._broadcast_echoes})"
         )
 
-
-def merge_deltas(deltas: List[CostDelta]) -> CostDelta:
-    """Sum a list of :class:`CostDelta` (empty list sums to zero)."""
-    total = CostDelta.zero()
-    for delta in deltas:
-        total = total + delta
-    return total

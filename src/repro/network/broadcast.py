@@ -143,8 +143,7 @@ class TreeStructure:
     """Rooted view of one maintained tree: each node's parent and depth.
 
     ``parent`` maps every node of the tree to its parent (the root to
-    ``None``), each node listed after its parent; :attr:`children` is
-    derived from it.  On the fast path (see :mod:`repro.fastpath`)
+    ``None``), each node listed after its parent.  On the fast path (see :mod:`repro.fastpath`)
     structures live across many broadcast-and-echoes via the
     :class:`~repro.network.tree_cache.TreeStructureCache`, so everything a
     sketch reads from the graph's columnar snapshot is memoised: the tree's
@@ -175,17 +174,6 @@ class TreeStructure:
     @property
     def size(self) -> int:
         return len(self.parent)
-
-    @property
-    def children(self) -> Dict[int, List[int]]:
-        """Every node's children, sorted, derived from :attr:`parent` per read."""
-        children: Dict[int, List[int]] = {node: [] for node in self.parent}
-        for node, up in self.parent.items():
-            if up is not None:
-                children[up].append(node)
-        for kids in children.values():
-            kids.sort()
-        return children
 
     @property
     def num_edges(self) -> int:

@@ -24,8 +24,8 @@ Because a tree has unique paths, the patched structure is *identical* (same
 parent and depth maps) to what a fresh BFS from the root would produce, so
 counters derived from it (edge count, eccentricity) are bit-for-bit the same
 as on the reference path.  A structure stores no children lists, so a graft
-only adds parent and depth entries; a detach reads the subtree from the
-derived :attr:`~repro.network.broadcast.TreeStructure.children`.
+only adds parent and depth entries, and a detach finds the subtree in one
+pass over ``parent``, which lists every node after its parent.
 
 :func:`rooted_tree` is the front door: it returns a cached structure on the
 fast path and a fresh rebuild when :mod:`repro.fastpath` is disabled.
@@ -205,13 +205,13 @@ class TreeStructureCache:
         otherwise have to reconcile.
         """
         parent, depth = structure.parent, structure.depth
-        children = structure.children
-        removed: List[int] = []
-        stack: List[int] = [child]
-        while stack:
-            node = stack.pop()
-            stack.extend(children[node])
-            removed.append(node)
+        # ``parent`` lists every node after its parent, so one pass in that
+        # order collects the whole subtree below ``child``.
+        removed = {child}
+        for node, up in parent.items():
+            if up in removed:
+                removed.add(node)
+        for node in removed:
             del parent[node]
             del depth[node]
         marked_adj = self.forest._marked_adj

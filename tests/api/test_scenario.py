@@ -166,24 +166,11 @@ class TestExperimentSpec:
 
 
 class TestChurnReproducesPR1:
-    """The extracted ``churn`` workload must not drift from the PR-1 stream."""
+    """The registered ``churn`` workload is the runners' implicit stream.
 
-    # Counters captured from the PR-1 runners (commit 76eaace) before the
-    # workload extraction; any change here is silent workload drift.
-    BASELINE = [
-        ("kkt-repair", 32, "sparse", 3, 6, {"messages": 2476, "bits": 119619, "rounds": 949, "phases": 6}),
-        ("kkt-repair", 24, "dense", 11, 9, {"messages": 1812, "bits": 75992, "rounds": 884, "phases": 9}),
-        ("recompute-repair", 32, "sparse", 3, 6, {"messages": 4017, "bits": 44809, "rounds": 3780, "phases": 6}),
-        ("recompute-repair", 24, "dense", 11, 9, {"messages": 8380, "bits": 80595, "rounds": 7860, "phases": 9}),
-    ]
-
-    @pytest.mark.parametrize("algorithm,nodes,density,seed,updates,counters", BASELINE)
-    def test_counters_identical_to_pr1(self, algorithm, nodes, density, seed, updates, counters):
-        result = run(
-            algorithm, GraphSpec(nodes=nodes, density=density, seed=seed), updates=updates
-        )
-        assert result.counters() == counters
-        assert result.ok
+    Its counters are pinned in the claims ledger (``churn-baseline`` in
+    ``repro.claims``).
+    """
 
     def test_explicit_churn_workload_matches_implicit_default(self):
         graph = GraphSpec(nodes=24, density="sparse", seed=5)

@@ -6,7 +6,6 @@ from repro.network.accounting import (
     CostDelta,
     MessageAccountant,
     PhaseRecord,
-    merge_deltas,
 )
 from repro.network.errors import AccountingError
 
@@ -133,8 +132,3 @@ class TestCostDelta:
     def test_zero_identity(self):
         a = CostDelta(1, 10, 2, 1)
         assert a + CostDelta.zero() == a
-
-    def test_merge_deltas(self):
-        deltas = [CostDelta(1, 1, 1, 0), CostDelta(2, 2, 2, 1), CostDelta(3, 3, 3, 0)]
-        assert merge_deltas(deltas) == CostDelta(6, 6, 6, 1)
-        assert merge_deltas([]) == CostDelta.zero()

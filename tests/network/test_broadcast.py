@@ -54,8 +54,8 @@ class TestTreeStructure:
         assert tree.root == 1
         assert tree.parent[1] is None
         assert tree.parent[3] == 2
-        assert tree.children[2] == [3, 4]
-        assert tree.children[3] == []
+        assert sorted(node for node, up in tree.parent.items() if up == 2) == [3, 4]
+        assert 3 not in tree.parent.values()
         assert tree.depth[5] == 3
         assert tree.size == 7
         assert tree.num_edges == 6
@@ -70,7 +70,7 @@ class TestTreeStructure:
         for leaf in (5, 6):  # drop the depth-3 leaves, as a patch would
             del tree.parent[leaf], tree.depth[leaf]
         tree.invalidate_memos()
-        assert tree.children[4] == []
+        assert 4 not in tree.parent.values()
         assert tree.eccentricity == 2
         assert sorted(tree.rows(cols)) == [cols.pos[node] for node in tree.nodes]
 

@@ -114,6 +114,39 @@ class TestPatching:
         assert patched.size == 4
         assert_same_structure(patched, build_tree_structure(forest, 1))
 
+    def test_detach_below_a_graft_drops_exactly_the_subtree(self):
+        # A graft appends the joining part at the end of ``parent``, so a
+        # later detach inside it must find a subtree listed after the rest;
+        # every node still follows its parent once the patch is done.
+        graph = random_connected_graph(24, 72, seed=5)
+        forest = random_spanning_tree_forest(graph, seed=6)
+        root = graph.nodes()[0]
+        cache = forest.structures
+        structure = cache.get(root)
+
+        def top_of(node):
+            while structure.depth[node] > 1:
+                node = structure.parent[node]
+            return node
+
+        below = [node for node in structure.parent if structure.depth[node] > 1]
+        top = max(set(map(top_of, below)), key=lambda node: sum(top_of(n) == node for n in below))
+        inner = next(node for node in below
+                     if structure.parent[node] == top and node in structure.parent.values())
+        rebuilds = cache.rebuilds
+        forest.unmark(root, top)
+        assert cache.get(root) is structure
+        forest.mark(root, top)
+        assert cache.get(root) is structure
+        forest.unmark(top, inner)
+        assert cache.get(root) is structure
+        assert cache.rebuilds == rebuilds
+        assert_same_structure(structure, build_tree_structure(forest, root))
+        seen = set()
+        for node, up in structure.parent.items():
+            assert up is None or up in seen
+            seen.add(node)
+
     def test_cycle_mark_falls_back_to_rebuild(self):
         graph = Graph(id_bits=8)
         for u, v in [(1, 2), (2, 3), (3, 4), (1, 4)]:

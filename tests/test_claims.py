@@ -1,4 +1,4 @@
-"""The claims ledger: each claim's quick tier equals ``CLAIMS.json`` and holds.
+"""The claims ledger: each quick-tier row equals ``CLAIMS.json`` and holds.
 
 The same tests run on the reference tier (``REPRO_FASTPATH=0``), so both
 kernel tiers must reproduce the one pinned set of counters.
@@ -8,14 +8,19 @@ import copy
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from repro.claims import CLAIMS, TIERS, ClaimFailure, main
+from repro.claims import CLAIMS, TIERS, ClaimFailure, main, render
 
-LEDGER_PATH = pathlib.Path(__file__).resolve().parents[1] / "CLAIMS.json"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+LEDGER_PATH = ROOT / "CLAIMS.json"
+README_PATH = ROOT / "README.md"
+
+QUICK_ROWS = [(name, index) for name in sorted(CLAIMS) for index in range(len(CLAIMS[name].quick))]
 
 
 @pytest.fixture(scope="module")
@@ -23,19 +28,20 @@ def pinned():
     return json.loads(LEDGER_PATH.read_text())
 
 
-@pytest.mark.parametrize("name", sorted(CLAIMS))
-def test_quick_tier_matches_the_ledger(name, pinned):
+@pytest.mark.parametrize("name, index", QUICK_ROWS, ids=[f"{n}-{i}" for n, i in QUICK_ROWS])
+def test_quick_row_matches_the_ledger(name, index, pinned):
     claim = CLAIMS[name]
-    claim.verify(claim.rows("quick"), pinned["quick"][name])
+    claim.verify_row(index, claim.measure(claim.quick[index]), pinned["quick"][name][index])
 
 
 @pytest.mark.parametrize("name", sorted(CLAIMS))
-def test_pinned_full_tier_holds_and_contains_the_quick_rows(name, pinned):
+def test_pinned_tiers_hold_and_the_full_tier_contains_the_quick_rows(name, pinned):
     claim = CLAIMS[name]
-    full = pinned["full"][name]
-    claim.check(full)
-    assert len(full) == len(claim.params("full"))
-    assert all(row in full for row in pinned["quick"][name])
+    for tier in TIERS:
+        rows = pinned[tier][name]
+        claim.check(rows)
+        assert len(rows) == len(claim.params(tier))
+    assert all(row in pinned["full"][name] for row in pinned["quick"][name])
 
 
 def test_ledger_pins_every_claim_in_both_tiers(pinned):
@@ -44,16 +50,31 @@ def test_ledger_pins_every_claim_in_both_tiers(pinned):
         assert sorted(pinned[tier]) == sorted(CLAIMS)
 
 
+def test_ledger_is_written_one_key_per_line(pinned):
+    assert LEDGER_PATH.read_text() == render(pinned) + "\n"
+
+
+def _bump_first_counter(value, path=()):
+    """Add 1 to the first integer in a row; return its dotted path and old value."""
+    for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+        if isinstance(item, int):
+            value[key] += 1
+            return ".".join(map(str, path + (key,))), item
+        if isinstance(item, (dict, list)):
+            found = _bump_first_counter(item, path + (key,))
+            if found:
+                return found
+    return None
+
+
 @pytest.mark.parametrize("name", sorted(CLAIMS))
-def test_tampered_row_fails_and_names_the_claim(name, pinned):
-    rows = pinned["quick"][name]
-    tampered = copy.deepcopy(rows)
-    counter = next(key for key, value in tampered[-1].items() if isinstance(value, int))
-    tampered[-1][counter] += 1
-    with pytest.raises(ClaimFailure, match=f"^{name}: row {len(rows) - 1} "):
-        CLAIMS[name].verify(rows, tampered)
-    with pytest.raises(ClaimFailure, match=f"^{name}: {len(rows)} rows, the ledger pins 0$"):
-        CLAIMS[name].verify(rows, [])
+def test_moved_counter_fails_and_names_the_claim_row_and_counter(name, pinned):
+    rows = pinned["full"][name]
+    index = len(rows) - 1
+    moved = copy.deepcopy(rows[index])
+    path, old = _bump_first_counter(moved)
+    with pytest.raises(ClaimFailure, match=rf"^{name}: row {index} moved: {re.escape(path)} {old} -> {old + 1}$"):
+        CLAIMS[name].verify_row(index, moved, rows[index])
 
 
 def test_broken_shape_fails_and_names_the_claim(pinned):
@@ -61,11 +82,37 @@ def test_broken_shape_fails_and_names_the_claim(pinned):
     last = rows[-1]
     last["kkt-mst"]["messages"] = last["ghs"]["messages"]
     with pytest.raises(ClaimFailure, match="^construction-crossover: kkt-mst does not beat ghs at n=256"):
-        CLAIMS["construction-crossover"].verify(rows, rows)
+        CLAIMS["construction-crossover"].check(rows)
     rows = copy.deepcopy(pinned["quick"]["bracha-overhead"])
     rows[0]["plain"]["messages"] += 1
     with pytest.raises(ClaimFailure, match=r"^bracha-overhead: the plain volley sent 2289 != 18\(n-1\)\+2"):
         CLAIMS["bracha-overhead"].check(rows)
+    rows = copy.deepcopy(pinned["quick"]["golden-runs"])
+    rows[3]["ok"] = 0
+    with pytest.raises(ClaimFailure, match="^golden-runs: row 3 failed its checks$"):
+        CLAIMS["golden-runs"].check(rows)
+    with pytest.raises(ClaimFailure, match="^golden-runs: the grid has no ghs-churn cell$"):
+        CLAIMS["golden-runs"].check([row for row in pinned["quick"]["golden-runs"]
+                                     if row["cell"] != "ghs-churn"])
+
+
+def test_readme_crossover_table_matches_the_ledger(pinned):
+    rows = pinned["full"]["construction-crossover"]
+    lines = README_PATH.read_text().splitlines()
+    start = lines.index("| n | m | kkt-mst | ghs | kkt-st | flooding |") + 2
+    table = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        table.append([int(cell.replace(" ", "")) for cell in line.strip("|").split("|")])
+    assert table == [
+        [row["n"], row["m"], *(row[name]["messages"] for name in ("kkt-mst", "ghs", "kkt-st", "flooding"))]
+        for row in rows
+    ]
+    ratio, n = re.search(r"sends ([\d.]+)× fewer\s+messages at n=(\d+)", README_PATH.read_text()).groups()
+    largest = rows[-1]
+    assert int(n) == largest["n"]
+    assert ratio == f"{largest['ghs']['messages'] / largest['kkt-mst']['messages']:.1f}"
 
 
 def test_main_takes_no_arguments(capsys):
