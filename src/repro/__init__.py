@@ -170,29 +170,23 @@ def build_mst(
     graph: Graph,
     seed: Optional[int] = None,
     c: float = 1.0,
-    phase_policy: str = "adaptive",
 ) -> BuildReport:
     """Build a minimum spanning forest of ``graph`` (Theorem 1.1, MST).
 
     Compatibility shim: delegates to the ``kkt-mst`` runner in the algorithm
     registry (see :func:`repro.run` for the spec-based entry point).
     """
-    return get_runner("kkt-mst").build_report(
-        graph, seed=seed, c=c, phase_policy=phase_policy
-    )
+    return get_runner("kkt-mst").build_report(graph, seed=seed, c=c)
 
 
 def build_st(
     graph: Graph,
     seed: Optional[int] = None,
     c: float = 1.0,
-    phase_policy: str = "adaptive",
 ) -> BuildReport:
     """Build a spanning forest of ``graph`` (Theorem 1.1, ST).
 
     Compatibility shim: delegates to the ``kkt-st`` runner in the algorithm
     registry (see :func:`repro.run` for the spec-based entry point).
     """
-    return get_runner("kkt-st").build_report(
-        graph, seed=seed, c=c, phase_policy=phase_policy
-    )
+    return get_runner("kkt-st").build_report(graph, seed=seed, c=c)

@@ -35,7 +35,7 @@ from .engine import (
 from .faults import (
     FaultProgram,
     FaultSpec,
-    fault_adversarial,
+    fault_acts_on,
     fault_required_params,
     fault_summaries,
     get_fault,
@@ -46,6 +46,7 @@ from .registry import (
     AlgorithmRunner,
     algorithm_summaries,
     algorithm_traits,
+    check_fault_reach,
     get_runner,
     list_algorithms,
     register,
@@ -107,11 +108,12 @@ __all__ = [
     "algorithm_summaries",
     "algorithm_traits",
     "canonical_json",
+    "check_fault_reach",
     "content_hash",
     "derive_seed",
     "edge_budget",
     "error_result",
-    "fault_adversarial",
+    "fault_acts_on",
     "fault_required_params",
     "fault_summaries",
     "get_fault",

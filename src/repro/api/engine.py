@@ -28,7 +28,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..network.errors import AlgorithmError
 from .faults import FaultSpec
-from .registry import get_runner, run
+from .registry import check_fault_reach, get_runner, run
 from .result import RunResult
 from .scenario import ExperimentSpec, ScheduleSpec, WorkloadSpec
 from .spec import GraphSpec
@@ -86,9 +86,11 @@ def scenario_grid(
     fault-free execution).  ``updates`` caps name-given workloads; left
     ``None``, each workload uses its natural length (the runner default, or
     the full trace for ``trace-replay``).  Every job starts with empty
-    options; callers set each job's runner options.
+    options; callers set each job's runner options.  Cells rejected by
+    :func:`~repro.api.registry.check_fault_reach` are skipped (none left: raise).
     """
     jobs: List[ExperimentJob] = []
+    rejected: Optional[AlgorithmError] = None
     for graph in graphs:
         for workload in workloads:
             if isinstance(workload, str):
@@ -106,7 +108,14 @@ def scenario_grid(
                         faults=fault,
                     )
                     for algorithm in algorithms:
+                        try:
+                            check_fault_reach(algorithm, fault)
+                        except AlgorithmError as error:
+                            rejected = rejected or error
+                            continue
                         jobs.append(ExperimentJob(algorithm, spec))
+    if rejected is not None and not jobs:
+        raise rejected
     return jobs
 
 

@@ -40,10 +40,11 @@ Registered programs
 ``byz-corrupt`` / ``byz-equivocate`` / ``byz-replay`` / ``byz-silent``
     The Byzantine tier (registered by :mod:`repro.byzantine.programs`): a
     seed-chosen honest-majority subset of nodes lies, equivocates, replays
-    stale traffic or falls silent at the kernel's delivery boundary.  These
-    programs are *adversarial* (``fault_adversarial`` returns ``True``),
-    which is how the differential oracle knows that a non-tolerant
-    algorithm diverging under them is expected rather than a bug.
+    stale traffic or falls silent at the kernel's delivery boundary.
+
+Each program declares what it ``acts_on`` (:data:`FAULT_TARGETS`): its kernel
+injector's ``deliveries``, the ``updates`` the repair runners consume, or a
+lasting ``topology`` change (``partition-heal`` heals every cut, so none).
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ __all__ = [
     "list_faults",
     "fault_summaries",
     "fault_required_params",
-    "fault_adversarial",
+    "fault_acts_on",
+    "FAULT_TARGETS",
 ]
 
 
@@ -123,11 +125,15 @@ FaultBuilder = Callable[..., FaultProgram]
 FAULT_REGISTRY = Registry("fault program", "fault programs", AlgorithmError)
 
 
+#: What a fault program can act on.
+FAULT_TARGETS = ("deliveries", "updates", "topology")
+
+
 def register_fault(
     name: str,
     summary: str = "",
     requires: Tuple[str, ...] = (),
-    adversarial: bool = False,
+    acts_on: Tuple[str, ...] = (),
 ) -> Callable[[FaultBuilder], FaultBuilder]:
     """Function decorator: publish a fault program builder under ``name``.
 
@@ -137,16 +143,17 @@ def register_fault(
     ``graph`` in order.  ``requires`` names ``params`` keys the program
     cannot run without; spec generators consult
     :func:`fault_required_params` to know whether a program is runnable from
-    a bare name.  ``adversarial`` marks Byzantine programs — faults that
-    *lie* (tampered payloads, equivocation, replays) rather than merely
-    losing messages, which consumers query via :func:`fault_adversarial`.
+    a bare name.  ``acts_on`` names the :data:`FAULT_TARGETS` the program
+    changes, which decides the runners it may run on.
 
     >>> @register_fault("quiet", summary="no faults at all")
     ... def quiet(graph, forest, seed=None):
     ...     return FaultProgram("quiet")
     """
+    if not set(acts_on) <= set(FAULT_TARGETS):
+        raise AlgorithmError(f"fault program {name!r} acts on unknown targets {acts_on}")
     return FAULT_REGISTRY.register(
-        name, summary, requires=tuple(requires), adversarial=bool(adversarial)
+        name, summary, requires=tuple(requires), acts_on=tuple(acts_on)
     )
 
 
@@ -165,18 +172,9 @@ def fault_required_params(name: str) -> Tuple[str, ...]:
     return FAULT_REGISTRY.meta(name, "requires", ())
 
 
-def fault_adversarial(name: str) -> bool:
-    """Is the fault program Byzantine (it lies) rather than merely lossy?
-
-    Benign programs lose, delay or duplicate messages — any correct
-    algorithm either survives them or is honestly declared
-    ``may_fail_under_faults``.  Adversarial programs additionally *tamper*:
-    corrupted payloads, equivocation, stale replays.  The differential
-    oracle uses this flag together with the ``byzantine_tolerant`` algorithm
-    trait to decide whether a divergence under the program is an expected
-    Byzantine casualty or a real bug.
-    """
-    return FAULT_REGISTRY.meta(name, "adversarial", False)
+def fault_acts_on(name: str) -> Tuple[str, ...]:
+    """The :data:`FAULT_TARGETS` the fault program acts on (``()`` for none)."""
+    return FAULT_REGISTRY.meta(name, "acts_on", ())
 
 
 # ---------------------------------------------------------------------- #
@@ -266,6 +264,7 @@ def none_fault(
 @register_fault(
     "crash-leaves",
     summary="Crash-stop a fraction of the tree's leaves; their links fail too",
+    acts_on=FAULT_TARGETS,
 )
 def crash_leaves_fault(
     graph: Graph,
@@ -312,6 +311,7 @@ def crash_leaves_fault(
 @register_fault(
     "lossy-uniform",
     summary="Drop / duplicate every delivered message with fixed probabilities",
+    acts_on=("deliveries",),
 )
 def lossy_uniform_fault(
     graph: Graph,
@@ -325,9 +325,7 @@ def lossy_uniform_fault(
     Purely kernel-level: the topology never changes, but every message
     popped for delivery is lost with probability ``drop`` and duplicated
     with probability ``duplicate``.  The program plans no events of its own
-    — its event log is exactly the drops/duplicates the injector observes,
-    so a runner that never executes on the kernel reports an (honest) empty
-    fault history.
+    — its event log is exactly the drops/duplicates the injector observes.
     """
     injector = FaultInjector(drop=drop, duplicate=duplicate, seed=seed)
     return FaultProgram("lossy-uniform", injector=injector)
@@ -336,6 +334,7 @@ def lossy_uniform_fault(
 @register_fault(
     "partition-heal",
     summary="Cut every link between a node block and the rest, then heal them",
+    acts_on=("deliveries", "updates"),
 )
 def partition_heal_fault(
     graph: Graph,
@@ -388,6 +387,7 @@ def partition_heal_fault(
 @register_fault(
     "link-storm",
     summary="Fail-stop a burst of random links (deletion-heavy repair driver)",
+    acts_on=FAULT_TARGETS,
 )
 def link_storm_fault(
     graph: Graph,

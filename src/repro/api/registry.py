@@ -11,10 +11,11 @@ benchmarks dispatch uniformly instead of special-casing each entry point.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Protocol, Type, Union, runtime_checkable
+from typing import Callable, Dict, Optional, Protocol, Type, Union, runtime_checkable
 
 from ..network.errors import AlgorithmError
 from ..registry import Registry
+from .faults import FAULT_TARGETS, FaultSpec, fault_acts_on
 from .result import RunResult
 from .scenario import ExperimentSpec
 from .spec import GraphSpec
@@ -26,6 +27,7 @@ __all__ = [
     "list_algorithms",
     "algorithm_summaries",
     "algorithm_traits",
+    "check_fault_reach",
     "run",
 ]
 
@@ -85,7 +87,7 @@ algorithm_summaries = ALGORITHM_REGISTRY.summaries
 def algorithm_traits(name: str) -> Dict[str, object]:
     """Introspectable semantics of a registered algorithm.
 
-    Runner classes may declare two optional class attributes that external
+    Runner classes may declare optional class attributes that external
     verifiers (the fuzzing oracles, notably) consult instead of hard-coding
     algorithm names:
 
@@ -104,21 +106,31 @@ def algorithm_traits(name: str) -> Dict[str, object]:
       *persists* across independent algorithm seeds — such runners accept an
       ``algorithm_seed`` run option that reseeds the coins without changing
       the input graph.  Defaults to ``False`` (a failed check is a bug).
-    * ``byzantine_tolerant`` — ``True`` when the runner's results remain
-      trustworthy under an *adversarial* (Byzantine) fault program — because
-      its message fabric is hardenable by a reliable-broadcast substrate, or
-      because it never routes its protocol through the attacked kernel
-      boundary.  Defaults to ``False``: an unknown algorithm under a
-      Byzantine adversary is assumed compromised, so the differential
-      oracle flags rather than trusts its divergences.
+    * ``reads`` — the :data:`~repro.api.faults.FAULT_TARGETS` a fault
+      program must act on to reach the run (see :func:`check_fault_reach`).
+      Defaults to all of them, so an unknown runner is never rejected.
     """
     trait = partial(ALGORITHM_REGISTRY.meta, name)
     return {
         "invariant": trait("invariant", "spanning"),
         "may_fail_under_faults": bool(trait("may_fail_under_faults", False)),
         "monte_carlo": bool(trait("monte_carlo", False)),
-        "byzantine_tolerant": bool(trait("byzantine_tolerant", False)),
+        "reads": tuple(trait("reads", FAULT_TARGETS)),
     }
+
+
+def check_fault_reach(algorithm: str, faults: Optional[FaultSpec]) -> None:
+    """Raise :class:`AlgorithmError` if ``faults`` acts on nothing ``algorithm``
+    reads: the run would record a fault program that could not change it."""
+    if faults is None or faults.is_none:
+        return
+    acts_on = fault_acts_on(faults.name)
+    reads = algorithm_traits(algorithm)["reads"]
+    if not set(acts_on) & set(reads):
+        raise AlgorithmError(
+            f"{algorithm} cannot run under fault program {faults.name!r}: it acts "
+            f"on {' and '.join(acts_on)}, and {algorithm} reads only {' and '.join(reads)}"
+        )
 
 
 def run(

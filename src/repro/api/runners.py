@@ -41,6 +41,8 @@ Scenario semantics
   input graph of a construction run, and — for ``flooding``, which runs on
   the event kernel — installs the program's
   :class:`~repro.network.faults.FaultInjector` at the delivery boundary.
+  A program acting on nothing a runner ``reads`` is rejected
+  (:func:`~repro.api.registry.check_fault_reach`).
   The observed fault history is recorded in ``extra["fault_events"]``.
   The ``delivery`` check itself stays fault-free: it is a verification
   instrument, not a subject of the fault model.
@@ -92,7 +94,7 @@ from ..verify import (
     is_spanning_forest,
 )
 from .faults import FaultProgram
-from .registry import register
+from .registry import check_fault_reach, register
 from .result import RunResult
 from .scenario import ExperimentSpec, ScheduleSpec, _trace_stream, stream_fingerprint
 
@@ -358,8 +360,9 @@ class _Runner:
 
     name: str
     _scenario_cls: type
-    # False for runners whose execute step consumes the schedule itself.
-    _checks_delivery = True
+    # What of a fault program reaches the run; a runner that reads
+    # deliveries also consumes the schedule itself (no delivery check).
+    reads: Tuple[str, ...]
 
     def _checks(self, scenario: Any, forest: SpanningForest) -> Dict[str, bool]:
         raise NotImplementedError
@@ -373,6 +376,7 @@ class _Runner:
         **scenario_options: Any,
     ) -> RunResult:
         experiment = ExperimentSpec.coerce(spec)
+        check_fault_reach(self.name, experiment.faults)
         scenario = self._scenario_cls(experiment, **scenario_options)
         start = time.perf_counter()
         hardening = (
@@ -395,7 +399,7 @@ class _Runner:
             extra["substrate"] = substrate
         if record_state:
             extra.update(final_state_extra(graph, forest))
-        if scenario.schedule is not None and self._checks_delivery:
+        if scenario.schedule is not None and "deliveries" not in self.reads:
             checks["delivery"], delivery_extra = _delivery_check(
                 forest, scenario.schedule
             )
@@ -429,6 +433,7 @@ class _ConstructionRunner(_Runner):
 
     _scenario_cls = _ConstructionScenario
     invariant = "spanning"
+    reads = ("topology",)
 
     def _checks(
         self, scenario: _ConstructionScenario, forest: SpanningForest
@@ -449,6 +454,7 @@ class _RepairRunner(_Runner):
 
     _scenario_cls = _RepairScenario
     invariant = "minimum"
+    reads = ("updates",)
 
     def _checks(self, scenario: _RepairScenario, forest: SpanningForest) -> Dict[str, bool]:
         checker = (
@@ -472,47 +478,30 @@ class _KKTConstructionRunner(_ConstructionRunner):
     _builder_cls: type
     invariant = "minimum"
     monte_carlo = True
-    # The constructions never route their protocol through the attacked
-    # kernel boundary, and their broadcast-and-echo fabric is hardenable by
-    # the Bracha substrate (``substrate="bracha"``): results stay
-    # trustworthy under the honest-majority Byzantine programs.
-    byzantine_tolerant = True
 
     def build_report(
-        self,
-        graph: Graph,
-        seed: Optional[int] = None,
-        c: float = 1.0,
-        phase_policy: str = "adaptive",
+        self, graph: Graph, seed: Optional[int] = None, c: float = 1.0
     ) -> BuildReport:
         """Run on an existing graph, returning the raw :class:`BuildReport`.
 
         This is what the ``repro.build_mst`` / ``repro.build_st``
         compatibility shims and ``repro trace record`` delegate to.
         """
-        config = AlgorithmConfig(
-            n=max(graph.num_nodes, 1), c=c, seed=seed, phase_policy=phase_policy
-        )
+        config = AlgorithmConfig(n=max(graph.num_nodes, 1), c=c, seed=seed)
         return self._builder_cls(graph, config=config).run()
 
     def run(
         self,
         spec: ExperimentSpec,
         c: float = 1.0,
-        phase_policy: str = "adaptive",
         record_state: bool = False,
         algorithm_seed: Optional[int] = None,
         substrate: str = "plain",
     ) -> RunResult:
         def execute(scenario: _ConstructionScenario) -> _Execution:
-            report = self.build_report(
-                scenario.graph, seed=scenario.seed, c=c, phase_policy=phase_policy
-            )
+            report = self.build_report(scenario.graph, seed=scenario.seed, c=c)
             return _Execution.of_report(
-                report,
-                broadcast_echoes=report.broadcast_echoes,
-                phase_policy=phase_policy,
-                c=c,
+                report, broadcast_echoes=report.broadcast_echoes, c=c
             )
 
         return self._run(
@@ -544,9 +533,6 @@ class GHSRunner(_ConstructionRunner):
     """GHS baseline: classic distributed MST with Θ(m + n log n) messages."""
 
     invariant = "minimum"
-    # Executes centrally against the graph, never through the attacked
-    # kernel boundary: Byzantine programs cannot corrupt its result.
-    byzantine_tolerant = True
 
     def run(
         self,
@@ -579,7 +565,7 @@ class FloodingRunner(_ConstructionRunner):
 
     invariant = "spanning"
     may_fail_under_faults = True
-    _checks_delivery = False
+    reads = ("deliveries", "topology")
 
     def run(
         self, spec: ExperimentSpec, engine: str = "sync", record_state: bool = False
@@ -662,9 +648,6 @@ class KKTRepairRunner(_RepairRunner):
     """KKT impromptu repair: maintain an MST/ST through an update workload."""
 
     monte_carlo = True
-    # Repair runs its broadcast-and-echo fabric off the attacked kernel
-    # boundary and can be hardened with ``substrate="bracha"``.
-    byzantine_tolerant = True
 
     def run(
         self,
@@ -721,9 +704,6 @@ class KKTRepairRunner(_RepairRunner):
 @register("recompute-repair", summary="Recompute baseline: rebuild the tree from scratch per update")
 class RecomputeRepairRunner(_RepairRunner):
     """Recompute baseline: rebuild the MST/ST from scratch after every update."""
-
-    # Sequential recomputation: no kernel messages for an adversary to touch.
-    byzantine_tolerant = True
 
     def run(
         self,

@@ -5,14 +5,15 @@ Each program compromises a seed-chosen subset of nodes and runs one
 kernel's delivery boundary.  The subset size is **capped at the honest
 majority bound** ``(n - 1) // 3`` — the most Byzantine nodes a Bracha-style
 defence can survive — so every registered scenario stays in the regime
-where "tolerant algorithms keep working" is a meaningful claim.  On graphs
-too small to tolerate any Byzantine node (``n <= 3``) the programs degrade
-to an honest no-op with an empty compromised set.
+that defence is sound for.  On graphs too small to tolerate any Byzantine
+node (``n <= 3``) the programs degrade to an honest no-op with an empty
+compromised set.
 
 All four programs are runnable from ``(name, seed)`` alone
 (``requires=()``), so the fuzzing spec generator picks them up
-automatically, and all are registered ``adversarial=True`` so the
-differential oracle knows their divergences are attacks, not bugs.
+automatically.  All act only on deliveries (``acts_on=("deliveries",)``),
+so they run on the kernel-level runner (``flooding``) and are rejected on
+the runners that send nothing through the kernel.
 
 The compromised-node choice is part of provenance: each program plans one
 ``[at, "byz-<program>", node, None]`` row per compromised node, and every
@@ -85,7 +86,7 @@ def _byzantine_program(
 @register_fault(
     "byz-corrupt",
     summary="Compromised nodes flip bits in their outgoing payloads",
-    adversarial=True,
+    acts_on=("deliveries",),
 )
 def byz_corrupt_fault(
     graph: Graph,
@@ -102,7 +103,7 @@ def byz_corrupt_fault(
 @register_fault(
     "byz-equivocate",
     summary="Compromised nodes tell different neighbours different values",
-    adversarial=True,
+    acts_on=("deliveries",),
 )
 def byz_equivocate_fault(
     graph: Graph,
@@ -118,7 +119,7 @@ def byz_equivocate_fault(
 @register_fault(
     "byz-replay",
     summary="Compromised nodes re-inject stale copies of old messages",
-    adversarial=True,
+    acts_on=("deliveries",),
 )
 def byz_replay_fault(
     graph: Graph,
@@ -135,7 +136,7 @@ def byz_replay_fault(
 @register_fault(
     "byz-silent",
     summary="Compromised nodes receive and compute but never speak",
-    adversarial=True,
+    acts_on=("deliveries",),
 )
 def byz_silent_fault(
     graph: Graph,

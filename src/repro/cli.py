@@ -99,7 +99,7 @@ from .api import (
     ScheduleSpec,
     WorkloadSpec,
     algorithm_summaries,
-    fault_adversarial,
+    fault_acts_on,
     fault_summaries,
     get_fault,
     get_runner,
@@ -554,10 +554,10 @@ def _fault_names(raw: Sequence[str]) -> List[str]:
 
 def _command_faults(_args: argparse.Namespace) -> int:
     table = ExperimentTable(
-        "faults", "Registered fault programs", ["name", "adversarial", "summary"]
+        "faults", "Registered fault programs", ["name", "acts on", "summary"]
     )
     for name, summary in fault_summaries().items():
-        table.add_row(name, "yes" if fault_adversarial(name) else "-", summary)
+        table.add_row(name, " ".join(fault_acts_on(name)) or "-", summary)
     print(table.render())
     return 0
 

@@ -19,12 +19,13 @@ phases suffice w.h.p.  Each phase costs ``O(n log n / log log n)`` messages
 across all fragments, giving the ``O(n log² n / log log n)`` total of
 Theorem 1.1.
 
-Two phase policies are provided (see :class:`~repro.core.config.AlgorithmConfig`):
-the paper's fixed ``(40c/C)·lg n`` phase count, and an adaptive policy that
-stops as soon as every fragment's ``FindMin-C`` came back *verified empty*
-(the ∅ certified by ``HP-TestOut``), which is how a practical deployment
-would terminate.  In both policies a fragment that has been verified maximal
-is skipped in later phases.
+The construction stops as soon as every fragment's ``FindMin-C`` came back
+*verified empty* (the ∅ certified by ``HP-TestOut``), and never runs more
+than the paper's ``(40c/C)·lg n`` phases
+(:meth:`~repro.core.config.AlgorithmConfig.build_phase_budget`).  A phase
+without an added edge costs nothing but its own searches, so the paper's
+fixed phase count would add only empty phases.  A fragment that has been
+verified maximal is skipped in later phases.
 
 Time accounting: fragments operate in parallel inside a phase, so the round
 cost of a phase is the *maximum* over its fragments while messages add up.
@@ -116,7 +117,7 @@ class BuildMST:
                     fragments=fragments,
                 )
             )
-            if all_done and self.config.phase_policy == "adaptive":
+            if all_done:
                 break
 
         total = self.accountant.since(start)

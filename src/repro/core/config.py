@@ -53,17 +53,12 @@ class AlgorithmConfig:
     seed:
         Seed for the pseudo-random generator used by all hash-function and
         sampling choices, for reproducibility.
-    phase_policy:
-        ``"adaptive"`` (default) lets Build-MST/ST stop once every fragment's
-        emptiness has been verified; ``"paper"`` runs the fixed
-        ``(40c/C)·lg n`` phases of Section 3.3.
     """
 
     n: int
     c: float = 1.0
     word_size: Optional[int] = None
     seed: Optional[int] = None
-    phase_policy: str = "adaptive"
     rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -71,8 +66,6 @@ class AlgorithmConfig:
             raise AlgorithmError("the network size bound n must be at least 1")
         if self.c < 1:
             raise AlgorithmError("the paper assumes c >= 1")
-        if self.phase_policy not in ("adaptive", "paper"):
-            raise AlgorithmError("phase_policy must be 'adaptive' or 'paper'")
         if self.word_size is None:
             self.word_size = max(2, math.ceil(math.log2(max(self.n, 2))))
         if self.word_size < 2:
@@ -109,17 +102,13 @@ class AlgorithmConfig:
         return max(1, math.ceil(16.0 * math.log(1.0 / self.epsilon())))
 
     def build_phase_budget(self) -> int:
-        """Number of Borůvka phases to run.
+        """The cap on Borůvka phases: ``(40c/C)·lg n`` (Section 3.3).
 
-        ``"paper"`` policy: ``(40c/C)·lg n`` with ``C`` the FindMin-C success
-        probability (Section 3.3).  ``"adaptive"`` policy: a smaller cap —
-        termination normally happens much earlier via the verified-empty
-        test — but still a w.h.p.-sufficient ``8·lg n + 16`` phases.
+        ``C`` is the FindMin-C success probability.  Build-MST/ST stop
+        earlier, once every fragment's emptiness has been verified.
         """
-        if self.phase_policy == "paper":
-            big_c = 2.0 / 3.0  # FindMin-C success probability bound (Lemma 2)
-            return max(1, math.ceil((40 * self.c / big_c) * self.log_n))
-        return max(1, math.ceil(8 * self.log_n) + 16)
+        big_c = 2.0 / 3.0  # FindMin-C success probability bound (Lemma 2)
+        return max(1, math.ceil((40 * self.c / big_c) * self.log_n))
 
     def spawn(self) -> random.Random:
         """A new RNG derived from the config's stream (for sub-procedures)."""

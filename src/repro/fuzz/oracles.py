@@ -18,11 +18,7 @@ Shipped oracles
     agreement is relaxed to minimum total weight, mirroring the runners'
     documented semantics.  :func:`~repro.api.registry.algorithm_traits`
     supplies each algorithm's claimed invariant, so newly registered
-    algorithms are checked at exactly the strength they declare.  Under an
-    *adversarial* (Byzantine) fault program, algorithms without the
-    ``byzantine_tolerant`` trait are flagged-not-failed: their divergence is
-    the attack's expected outcome, counted in the oracle's stats rather than
-    reported as a violation, while tolerant algorithms stay fully checked.
+    algorithms are checked at exactly the strength they declare.
     Repair runners (those accepting ``repair_batch``) additionally run a
     forced-sequential and a batched-wave leg and must produce the same
     final forest — the batched-repair equality contract.
@@ -56,8 +52,8 @@ from ..api import (
     ExperimentSpec,
     RunResult,
     algorithm_traits,
+    check_fault_reach,
     derive_seed,
-    fault_adversarial,
     get_runner,
     list_algorithms,
 )
@@ -172,11 +168,20 @@ def _active_faults(spec: ExperimentSpec) -> bool:
     return spec.faults is not None and not spec.faults.is_none
 
 
+def _reached(algorithm: str, spec: ExperimentSpec) -> bool:
+    try:
+        check_fault_reach(algorithm, spec.faults)
+    except AlgorithmError:
+        return False
+    return True
+
+
 class CaseContext:
     """Shared per-case state: one state-recorded run of each algorithm.
 
     Oracles pull results through :meth:`result` so the expensive first
-    execution happens once no matter how many oracles inspect it.
+    execution happens once no matter how many oracles inspect it; it keeps
+    only the ``algorithms`` the case's fault program reaches.
     ``check_parallel`` is set by the campaign on the (sampled) cases where
     the determinism oracle should also spin up worker processes.
     """
@@ -188,7 +193,7 @@ class CaseContext:
         check_parallel: bool = False,
     ) -> None:
         self.spec = spec
-        self.algorithms = list(algorithms)
+        self.algorithms = [name for name in algorithms if _reached(name, spec)]
         self.check_parallel = check_parallel
         self._results: Dict[str, RunResult] = {}
 
@@ -235,7 +240,6 @@ class DifferentialOracle:
         self.stats: Dict[str, int] = {
             "monte_carlo_suspects": 0,
             "monte_carlo_blips": 0,
-            "byzantine_flagged": 0,
             "batched_compared": 0,
             "batched_blips": 0,
         }
@@ -243,20 +247,11 @@ class DifferentialOracle:
     def examine(self, spec: ExperimentSpec, context: CaseContext) -> List[Violation]:
         violations: List[Violation] = []
         faults_active = _active_faults(spec)
-        byzantine = faults_active and fault_adversarial(spec.faults.name)
         for algorithm in context.algorithms:
             traits = algorithm_traits(algorithm)
             if faults_active and traits["may_fail_under_faults"]:
                 # An incomplete tree under injected faults is the
                 # experiment's finding, not a bug — nothing to cross-check.
-                continue
-            if byzantine and not traits["byzantine_tolerant"]:
-                # Under an adversarial program a non-tolerant algorithm may
-                # legitimately diverge — that is the attack working.  Flag
-                # the casualty in stats; never trust it, never fail it.
-                result = context.result(algorithm)
-                if not all(result.checks.values()):
-                    self.stats["byzantine_flagged"] += 1
                 continue
             result = context.result(algorithm)
             failed = sorted(name for name, ok in result.checks.items() if not ok)
@@ -289,7 +284,7 @@ class DifferentialOracle:
             )
             if detail is not None:
                 violations.append(Violation(self.name, detail, algorithm))
-        violations.extend(self._check_batched(spec, context, faults_active, byzantine))
+        violations.extend(self._check_batched(spec, context, faults_active))
         return violations
 
     def _check_batched(
@@ -297,7 +292,6 @@ class DifferentialOracle:
         spec: ExperimentSpec,
         context: CaseContext,
         faults_active: bool,
-        byzantine: bool,
     ) -> List[Violation]:
         """Batched waves must reach the same final forest as sequential.
 
@@ -315,8 +309,6 @@ class DifferentialOracle:
                 continue
             traits = algorithm_traits(algorithm)
             if faults_active and traits["may_fail_under_faults"]:
-                continue
-            if byzantine and not traits["byzantine_tolerant"]:
                 continue
             base = _stable_digest(spec.to_json() + algorithm) & 0x7FFFFFFF
             wave = 2 + base % 3

@@ -14,6 +14,8 @@ and brings a stale one up to date by replaying the forest's mutation journal
 * ``mark(u, v)`` with exactly one endpoint in the structure **grafts** the
   other endpoint's component under it (a BFS of just the attached part);
 * ``unmark(u, v)`` of a structure edge **detaches** the child subtree;
+* ``unmark(u, v)`` directly followed by ``mark(u, v)``, or the reverse, is
+  **skipped**: the pair leaves the forest as it was;
 * anything that cannot be patched safely — a mark closing a cycle (Build-ST
   phases do this), an unmark of a non-structure cycle edge, a ``clear()``,
   or a journal that no longer reaches back far enough — falls back to a full
@@ -123,7 +125,13 @@ class TreeStructureCache:
             return False
         structure = entry.structure
         touched = False
-        for _, op, u, v in ops:
+        index = 0
+        while index < len(ops):
+            _, op, u, v = ops[index]
+            index += 1
+            if op != "clear" and index < len(ops) and ops[index][2:] == (u, v):
+                index += 1  # the next entry undoes this one: no-ops are not journaled
+                continue
             if op == "mark":
                 outcome = self._apply_mark(structure, u, v)
             elif op == "unmark":

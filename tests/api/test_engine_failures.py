@@ -107,7 +107,7 @@ class TestPartialFailureDeterminism:
             ExperimentJob(
                 "kkt-mst",
                 GraphSpec(nodes=16, density="sparse", seed=4),
-                {"phase_policy": "whenever"},
+                {"c": 0.5},
             ),
             ExperimentJob("ghs", GraphSpec(nodes=12, density="dense", seed=5)),
         ]

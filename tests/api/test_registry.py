@@ -98,11 +98,10 @@ class TestRunFacade:
 
     def test_run_forwards_options(self):
         spec = GraphSpec(nodes=16, density="sparse", seed=6)
-        result = run("kkt-mst", spec, phase_policy="paper", c=2.0)
-        assert result.extra["phase_policy"] == "paper"
+        result = run("kkt-mst", spec, c=2.0)
         assert result.extra["c"] == 2.0
         with pytest.raises(AlgorithmError):
-            run("kkt-mst", spec, phase_policy="whenever")
+            run("kkt-mst", spec, c=0.5)
 
     def test_acceptance_criterion_round_trip(self):
         # The ISSUE's acceptance example, verbatim.

@@ -8,7 +8,7 @@ from repro.api import (
     ExperimentSpec,
     FaultSpec,
     GraphSpec,
-    fault_adversarial,
+    fault_acts_on,
     get_fault,
     list_faults,
     register_fault,
@@ -33,12 +33,19 @@ class TestRegistryWiring:
         assert set(BYZ_PROGRAMS) <= set(list_faults())
 
     @pytest.mark.parametrize("name", BYZ_PROGRAMS)
-    def test_byzantine_programs_are_adversarial(self, name):
-        assert fault_adversarial(name) is True
+    def test_byzantine_programs_act_on_deliveries_only(self, name):
+        assert fault_acts_on(name) == ("deliveries",)
 
-    @pytest.mark.parametrize("name", ["none", "crash-leaves", "lossy-uniform"])
-    def test_benign_programs_are_not(self, name):
-        assert fault_adversarial(name) is False
+    @pytest.mark.parametrize(
+        "name, acts_on",
+        [
+            ("none", ()),
+            ("crash-leaves", ("deliveries", "updates", "topology")),
+            ("lossy-uniform", ("deliveries",)),
+        ],
+    )
+    def test_benign_programs_declare_what_they_act_on(self, name, acts_on):
+        assert fault_acts_on(name) == acts_on
 
     @pytest.mark.parametrize("name", BYZ_PROGRAMS)
     def test_duplicate_registration_is_rejected(self, name):

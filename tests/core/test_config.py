@@ -21,10 +21,6 @@ class TestValidation:
         with pytest.raises(AlgorithmError):
             AlgorithmConfig(n=10, c=0.5)
 
-    def test_rejects_unknown_phase_policy(self):
-        with pytest.raises(AlgorithmError):
-            AlgorithmConfig(n=10, phase_policy="bogus")
-
     def test_rejects_word_size_one(self):
         with pytest.raises(AlgorithmError):
             AlgorithmConfig(n=10, word_size=1)
@@ -60,11 +56,10 @@ class TestDerivedQuantities:
         expected = math.ceil(16 * math.log(1 / config.epsilon()))
         assert config.findany_budget() == expected
 
-    def test_phase_budget_policies(self):
-        adaptive = AlgorithmConfig(n=256, phase_policy="adaptive")
-        paper = AlgorithmConfig(n=256, phase_policy="paper")
-        assert paper.build_phase_budget() > adaptive.build_phase_budget()
-        assert adaptive.build_phase_budget() >= math.ceil(8 * math.log2(256))
+    def test_phase_budget_is_the_paper_cap(self):
+        # (40c/C)·lg n with C = 2/3, the FindMin-C success bound.
+        assert AlgorithmConfig(n=256).build_phase_budget() == 480
+        assert AlgorithmConfig(n=256, c=2).build_phase_budget() == 960
 
     def test_success_probability_constants(self):
         assert TESTOUT_SUCCESS_PROBABILITY == pytest.approx(1 / 8)

@@ -90,7 +90,6 @@ class TestCleanCampaign:
         assert differential.stats == {
             "monte_carlo_suspects": 0,
             "monte_carlo_blips": 0,
-            "byzantine_flagged": 0,
             "batched_compared": 0,
             "batched_blips": 0,
         }

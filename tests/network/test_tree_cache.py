@@ -147,6 +147,27 @@ class TestPatching:
             assert up is None or up in seen
             seen.add(node)
 
+    @pytest.mark.parametrize("unmark_first", [True, False])
+    def test_an_undone_mutation_is_skipped_not_rebuilt(self, unmark_first):
+        # unmark(u, v) then mark(u, v) (or mark then unmark) in one journal
+        # leaves the forest as it was: the pair patches to no change.
+        graph = random_connected_graph(24, 72, seed=5)
+        forest = random_spanning_tree_forest(graph, seed=6)
+        root = graph.nodes()[0]
+        if unmark_first:
+            u, v = sorted(forest.marked_edges)[3]
+        else:
+            u, v = next((e.u, e.v) for e in graph.edges() if not forest.is_marked(e.u, e.v))
+        cache = forest.structures
+        structure = cache.get(root)
+        rebuilds, patches = cache.rebuilds, cache.patches
+        first, second = (forest.unmark, forest.mark) if unmark_first else (forest.mark, forest.unmark)
+        first(u, v)
+        second(u, v)
+        assert cache.get(root) is structure
+        assert (cache.rebuilds, cache.patches) == (rebuilds, patches + 1)
+        assert_same_structure(structure, build_tree_structure(forest, root))
+
     def test_cycle_mark_falls_back_to_rebuild(self):
         graph = Graph(id_bits=8)
         for u, v in [(1, 2), (2, 3), (3, 4), (1, 4)]:

@@ -166,11 +166,11 @@ class TestSubmitAndCache:
         request = {
             "algorithm": "kkt-mst",
             "spec": SPEC,
-            "options": {"phase_policy": "whenever"},
+            "options": {"c": 0.5},
         }
         entry = client.submit([request], wait=True)["jobs"][0]
         assert entry["state"] == "failed"
-        assert "phase_policy" in entry["error"]
+        assert "c >= 1" in entry["error"]
         # A failure is never cached: resubmitting runs (and fails) again.
         again = client.submit([request], wait=True)["jobs"][0]
         assert not again["cached"] and again["state"] == "failed"

@@ -57,7 +57,7 @@ class TestSuccessPath:
         assert result["checks"] == {"spanning": True, "minimum": True}
 
     def test_execute_payload_records_runner_errors(self):
-        payload = ("kkt-mst", {"nodes": 12, "seed": 3}, {"phase_policy": "whenever"}, "record")
+        payload = ("kkt-mst", {"nodes": 12, "seed": 3}, {"c": 0.5}, "record")
         result = execute_payload(payload)
         assert result["extra"]["error"]
         assert result["checks"] == {"completed": False}

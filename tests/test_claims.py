@@ -115,6 +115,25 @@ def test_readme_crossover_table_matches_the_ledger(pinned):
     assert ratio == f"{largest['ghs']['messages'] / largest['kkt-mst']['messages']:.1f}"
 
 
+def test_readme_repair_waves_figures_match_the_ledger(pinned):
+    text = " ".join(README_PATH.read_text().split())
+    match = re.search(
+        r"at n=(\d+) sparse \(full tier\) it reports ~(\d+)× fewer messages for k=(\d+) and "
+        r"k=(\d+) waves \(`amortized_x100_k\*`: ([\d ]+) / ([\d ]+) sequential vs "
+        r"([\d ]+) / ([\d ]+) batched\)",
+        text,
+    )
+    assert match, "README lost its repair-waves sentence"
+    n, ratio, k1, k2, *figures = match.groups()
+    (row,) = [row for row in pinned["full"]["repair-waves"] if row["n"] == int(n)]
+    assert [int(figure.replace(" ", "")) for figure in figures] == [
+        row[f"seq_messages_k{k1}"], row[f"seq_messages_k{k2}"],
+        row[f"batched_messages_k{k1}"], row[f"batched_messages_k{k2}"],
+    ]
+    for k in (k1, k2):
+        assert round(row[f"amortized_x100_k{k}"] / 100) == int(ratio)
+
+
 def test_main_takes_no_arguments(capsys):
     assert main(["--quick"]) == 2
     assert "takes no arguments" in capsys.readouterr().err

@@ -107,17 +107,12 @@ class TestConvenienceWrappers:
         report = build_st(graph, seed=22)
         assert is_spanning_forest(report.forest)
 
-    def test_wrappers_accept_phase_policy(self):
-        graph = random_connected_graph(12, 24, seed=23)
-        report = build_mst(graph, seed=23, phase_policy="paper")
-        assert is_minimum_spanning_forest(report.forest)
-
-    def test_wrappers_reject_bad_policy(self):
+    def test_wrappers_reject_bad_c(self):
         from repro.network.errors import AlgorithmError
 
         graph = random_connected_graph(8, 12, seed=24)
         with pytest.raises(AlgorithmError):
-            build_mst(graph, phase_policy="whenever")
+            build_mst(graph, c=0.5)
 
 
 class TestDocstrings:
