@@ -46,7 +46,7 @@ from .registry import (
     AlgorithmRunner,
     algorithm_summaries,
     algorithm_traits,
-    check_fault_reach,
+    check_reach,
     get_runner,
     list_algorithms,
     register,
@@ -108,7 +108,7 @@ __all__ = [
     "algorithm_summaries",
     "algorithm_traits",
     "canonical_json",
-    "check_fault_reach",
+    "check_reach",
     "content_hash",
     "derive_seed",
     "edge_budget",

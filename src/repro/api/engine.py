@@ -28,7 +28,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..network.errors import AlgorithmError
 from .faults import FaultSpec
-from .registry import check_fault_reach, get_runner, run
+from .registry import check_reach, get_runner, run
 from .result import RunResult
 from .scenario import ExperimentSpec, ScheduleSpec, WorkloadSpec
 from .spec import GraphSpec
@@ -87,7 +87,7 @@ def scenario_grid(
     ``None``, each workload uses its natural length (the runner default, or
     the full trace for ``trace-replay``).  Every job starts with empty
     options; callers set each job's runner options.  Cells rejected by
-    :func:`~repro.api.registry.check_fault_reach` are skipped (none left: raise).
+    :func:`~repro.api.registry.check_reach` are skipped (none left: raise).
     """
     jobs: List[ExperimentJob] = []
     rejected: Optional[AlgorithmError] = None
@@ -109,7 +109,7 @@ def scenario_grid(
                     )
                     for algorithm in algorithms:
                         try:
-                            check_fault_reach(algorithm, fault)
+                            check_reach(algorithm, spec)
                         except AlgorithmError as error:
                             rejected = rejected or error
                             continue
@@ -254,8 +254,9 @@ class ExperimentEngine:
         >>> from repro.api import ExperimentEngine, GraphSpec, scenario_grid
         >>> engine = ExperimentEngine(jobs=2)
         >>> results = engine.run(scenario_grid(
-        ...     ["kkt-repair"], [GraphSpec(nodes=24, density="sparse", seed=5)],
-        ...     workloads=["churn", "insert-heavy"], schedules=[None, "random"],
+        ...     ["kkt-repair", "recompute-repair"],
+        ...     [GraphSpec(nodes=24, density="sparse", seed=5)],
+        ...     workloads=["churn", "insert-heavy"],
         ... ))
         >>> len(results)
         4

@@ -11,11 +11,11 @@ benchmarks dispatch uniformly instead of special-casing each entry point.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Optional, Protocol, Type, Union, runtime_checkable
+from typing import Callable, Dict, Protocol, Type, Union, runtime_checkable
 
 from ..network.errors import AlgorithmError
 from ..registry import Registry
-from .faults import FAULT_TARGETS, FaultSpec, fault_acts_on
+from .faults import FAULT_TARGETS, fault_acts_on
 from .result import RunResult
 from .scenario import ExperimentSpec
 from .spec import GraphSpec
@@ -27,7 +27,7 @@ __all__ = [
     "list_algorithms",
     "algorithm_summaries",
     "algorithm_traits",
-    "check_fault_reach",
+    "check_reach",
     "run",
 ]
 
@@ -107,8 +107,9 @@ def algorithm_traits(name: str) -> Dict[str, object]:
       ``algorithm_seed`` run option that reseeds the coins without changing
       the input graph.  Defaults to ``False`` (a failed check is a bug).
     * ``reads`` — the :data:`~repro.api.faults.FAULT_TARGETS` a fault
-      program must act on to reach the run (see :func:`check_fault_reach`).
-      Defaults to all of them, so an unknown runner is never rejected.
+      program or a schedule must act on to reach the run (see
+      :func:`check_reach`).  Defaults to all of them, so an unknown runner
+      is never rejected.
     """
     trait = partial(ALGORITHM_REGISTRY.meta, name)
     return {
@@ -119,18 +120,28 @@ def algorithm_traits(name: str) -> Dict[str, object]:
     }
 
 
-def check_fault_reach(algorithm: str, faults: Optional[FaultSpec]) -> None:
-    """Raise :class:`AlgorithmError` if ``faults`` acts on nothing ``algorithm``
-    reads: the run would record a fault program that could not change it."""
-    if faults is None or faults.is_none:
-        return
-    acts_on = fault_acts_on(faults.name)
-    reads = algorithm_traits(algorithm)["reads"]
-    if not set(acts_on) & set(reads):
-        raise AlgorithmError(
-            f"{algorithm} cannot run under fault program {faults.name!r}: it acts "
-            f"on {' and '.join(acts_on)}, and {algorithm} reads only {' and '.join(reads)}"
-        )
+def check_reach(algorithm: str, spec: Union[ExperimentSpec, GraphSpec]) -> None:
+    """Raise :class:`AlgorithmError` if an axis of ``spec`` acts on nothing
+    ``algorithm`` reads: the run would record an axis that could not change it.
+
+    Two axes act on a run: the fault program (on its declared
+    :func:`~repro.api.faults.fault_acts_on` targets; ``none`` on nothing)
+    and the delivery schedule (on ``deliveries``).
+    """
+    experiment = ExperimentSpec.coerce(spec)
+    axes = []
+    if experiment.faults is not None and not experiment.faults.is_none:
+        name = experiment.faults.name
+        axes.append(("fault program", name, fault_acts_on(name)))
+    if experiment.schedule is not None:
+        axes.append(("schedule", experiment.schedule.scheduler, ("deliveries",)))
+    for axis, name, acts_on in axes:
+        reads = algorithm_traits(algorithm)["reads"]
+        if not set(acts_on) & set(reads):
+            raise AlgorithmError(
+                f"{algorithm} cannot run under {axis} {name!r}: it acts on "
+                f"{' and '.join(acts_on)}, and {algorithm} reads only {' and '.join(reads)}"
+            )
 
 
 def run(
@@ -147,11 +158,10 @@ def run(
 
     Scenario runs pass a full :class:`~repro.api.scenario.ExperimentSpec`:
 
-    >>> from repro import ExperimentSpec, ScheduleSpec, WorkloadSpec
+    >>> from repro import ExperimentSpec, WorkloadSpec
     >>> spec = ExperimentSpec(
     ...     graph=GraphSpec(nodes=32, density="sparse", seed=7),
     ...     workload=WorkloadSpec(name="deletions-only", updates=6),
-    ...     schedule=ScheduleSpec(scheduler="random"),
     ... )
     >>> run("kkt-repair", spec).ok
     True

@@ -12,10 +12,9 @@ scenario → execute → verify → record.
   and returns its counters, final tree and runner-specific extras.  Only
   this step is timed (``wall_time_s``), optionally under a hardened delivery
   substrate;
-* **verify** — the runner's validity checks on the final tree, plus the
-  ``delivery`` check when a schedule is set;
+* **verify** — the runner's validity checks on the final tree;
 * **record** — the shared extras (``substrate``, scenario and fault
-  provenance, the ``record_state`` snapshot, delivery cost) and the uniform
+  provenance, the ``record_state`` snapshot) and the uniform
   :class:`~repro.api.result.RunResult`.
 
 The implementations themselves are untouched — the adapters only translate
@@ -29,12 +28,11 @@ Scenario semantics
 * For the construction runners a workload is a *pre-churn*: the update
   stream is applied to the graph topology first (against a reference forest),
   then the tree is built on what is left.
-* A schedule makes the run asynchronous-adversarial: ``flooding`` executes
-  its protocol directly on the scheduled asynchronous engine; for the other
-  algorithms — whose cost accounting is schedule-independent because every
-  step is a self-synchronising broadcast-and-echo — the final tree is
-  validated end-to-end by a reference broadcast-and-echo delivered under the
-  adversarial scheduler (the ``delivery`` check).
+* A schedule acts on deliveries, so only ``flooding``, which executes its
+  protocol on the scheduled asynchronous engine, accepts one.  The other
+  runners charge every step as a self-synchronising broadcast-and-echo,
+  whose cost does not depend on delivery order, so a schedule could not
+  change their run and is rejected (:func:`~repro.api.registry.check_reach`).
 * A fault model (:class:`~repro.api.faults.FaultSpec`) feeds the repair
   runners the fault program's link failures/healings as update events
   (applied through the maintainer after the workload), pre-damages the
@@ -42,10 +40,8 @@ Scenario semantics
   the event kernel — installs the program's
   :class:`~repro.network.faults.FaultInjector` at the delivery boundary.
   A program acting on nothing a runner ``reads`` is rejected
-  (:func:`~repro.api.registry.check_fault_reach`).
+  (:func:`~repro.api.registry.check_reach`).
   The observed fault history is recorded in ``extra["fault_events"]``.
-  The ``delivery`` check itself stays fault-free: it is a verification
-  instrument, not a subject of the fault model.
 * A delivery substrate (``substrate="bracha"`` on the KKT runners) hardens
   the broadcast-and-echo fabric against Byzantine senders: every logical
   tree-hop message is charged as a full Bracha reliable-broadcast instance
@@ -79,12 +75,7 @@ from ..core.build_mst import BuildMST, BuildReport
 from ..core.build_st import BuildST
 from ..core.config import AlgorithmConfig
 from ..dynamic import TreeMaintainer, UpdateKind, UpdateStream
-from ..network.broadcast import (
-    SUM_REDUCER,
-    delivery_substrate,
-    make_substrate,
-    run_reference_broadcast_echo,
-)
+from ..network.broadcast import delivery_substrate, make_substrate
 from ..network.errors import AlgorithmError
 from ..network.fragments import SpanningForest
 from ..network.graph import Graph
@@ -94,9 +85,9 @@ from ..verify import (
     is_spanning_forest,
 )
 from .faults import FaultProgram
-from .registry import check_fault_reach, register
+from .registry import check_reach, register
 from .result import RunResult
-from .scenario import ExperimentSpec, ScheduleSpec, _trace_stream, stream_fingerprint
+from .scenario import ExperimentSpec, _trace_stream, stream_fingerprint
 
 __all__ = [
     "canonical_options",
@@ -295,39 +286,6 @@ class _RepairScenario:
         }
 
 
-def _delivery_check(
-    forest: SpanningForest, schedule: ScheduleSpec
-) -> Tuple[bool, Dict[str, Any]]:
-    """Validate the final tree under the adversarial delivery schedule.
-
-    Runs a reference broadcast-and-echo (counting the nodes of the root's
-    component) on the asynchronous engine with the schedule's scheduler; the
-    echo must report the exact component size no matter the delivery order.
-    The verification cost is reported separately so the main counters stay
-    comparable across schedules.
-    """
-    graph = forest.graph
-    if graph.num_nodes == 0:
-        return True, {}
-    root = min(graph.nodes())
-    result, acct = run_reference_broadcast_echo(
-        graph,
-        forest,
-        root,
-        local_values={node: 1 for node in graph.nodes()},
-        reducer=SUM_REDUCER,
-        broadcast_bits=1,
-        echo_bits=graph.id_bits,
-        engine="async",
-        scheduler=schedule.build(),
-    )
-    expected = len(forest.component_of(root))
-    return result == expected, {
-        "delivery_scheduler": schedule.scheduler,
-        "delivery_echo_messages": acct.messages,
-    }
-
-
 # ---------------------------------------------------------------------- #
 # the run skeleton
 # ---------------------------------------------------------------------- #
@@ -360,8 +318,7 @@ class _Runner:
 
     name: str
     _scenario_cls: type
-    # What of a fault program reaches the run; a runner that reads
-    # deliveries also consumes the schedule itself (no delivery check).
+    # What of a fault program or a schedule reaches the run.
     reads: Tuple[str, ...]
 
     def _checks(self, scenario: Any, forest: SpanningForest) -> Dict[str, bool]:
@@ -376,7 +333,7 @@ class _Runner:
         **scenario_options: Any,
     ) -> RunResult:
         experiment = ExperimentSpec.coerce(spec)
-        check_fault_reach(self.name, experiment.faults)
+        check_reach(self.name, experiment)
         scenario = self._scenario_cls(experiment, **scenario_options)
         start = time.perf_counter()
         hardening = (
@@ -399,11 +356,6 @@ class _Runner:
             extra["substrate"] = substrate
         if record_state:
             extra.update(final_state_extra(graph, forest))
-        if scenario.schedule is not None and "deliveries" not in self.reads:
-            checks["delivery"], delivery_extra = _delivery_check(
-                forest, scenario.schedule
-            )
-            extra.update(delivery_extra)
         return RunResult(
             algorithm=self.name,
             spec=experiment.graph,
@@ -593,54 +545,36 @@ class FloodingRunner(_ConstructionRunner):
 # ---------------------------------------------------------------------- #
 # repair
 # ---------------------------------------------------------------------- #
-def _effective_repair_batch(repair_batch: Optional[int], schedule) -> int:
-    """The wave size a repair runner should use (0 = sequential).
-
-    Precedence: an explicit ``repair_batch`` argument beats the schedule's
-    ``batch_size``; with neither, the runner repairs sequentially.
-    """
-    if repair_batch is not None:
-        if repair_batch < 0:
-            raise AlgorithmError("repair_batch must be >= 0 (0 = sequential)")
-        return repair_batch
-    if schedule is not None and schedule.batch_size is not None:
-        return schedule.batch_size
-    return 0
-
-
-def canonical_options(runner: Any, spec: Any, options: Dict[str, Any]) -> Dict[str, Any]:
+def canonical_options(runner: Any, options: Dict[str, Any]) -> Dict[str, Any]:
     """``options`` without the entries that cannot change ``runner``'s run.
 
     Drops an option equal to the default of the runner's ``run`` (the
-    flags the CLI never forwards) and a ``repair_batch`` equal to the wave
-    size the runner picks without one (the schedule's batch size, else 0),
-    so every spelling of one run is one request.  Options the runner does
-    not take are kept for it to reject.
+    flags the CLI never forwards), so every spelling of one run is one
+    request.  Options the runner does not take are kept for it to reject.
     """
     accepted = inspect.signature(runner.run).parameters
-    implicit_batch = _effective_repair_batch(None, ExperimentSpec.coerce(spec).schedule)
+    return {
+        key: value
+        for key, value in options.items()
+        if key not in accepted or value != accepted[key].default
+    }
 
-    def implied(key: str, value: Any) -> bool:
-        if key not in accepted:
-            return False
-        if key == "repair_batch" and value == implicit_batch:
-            return True
-        return value == accepted[key].default
 
-    return {key: value for key, value in options.items() if not implied(key, value)}
+def _wave_size(repair_batch: int) -> int:
+    """The repair wave size: how many updates one repair handles together."""
+    if repair_batch < 1:
+        raise AlgorithmError("repair_batch must be >= 1 (1 = one update per wave)")
+    return repair_batch
 
 
 def _wave_cost_extra(batch: int, costs: List[int]) -> Dict[str, Any]:
-    """Per-wave message extras: ``messages_per_wave_*`` plus the wave count
-    when batched (``batch`` ≥ 1), ``messages_per_update_*`` when sequential."""
-    extra: Dict[str, Any] = {}
-    unit = "update"
-    if batch >= 1:
-        extra = {"repair_batch": batch, "repair_waves": len(costs)}
-        unit = "wave"
-    extra[f"messages_per_{unit}_max"] = max(costs) if costs else 0
-    extra[f"messages_per_{unit}_mean"] = (sum(costs) / len(costs)) if costs else 0.0
-    return extra
+    """The wave size, the wave count and the messages of a wave."""
+    return {
+        "repair_batch": batch,
+        "repair_waves": len(costs),
+        "messages_per_wave_max": max(costs, default=0),
+        "messages_per_wave_mean": sum(costs) / len(costs) if costs else 0.0,
+    }
 
 
 @register("kkt-repair", summary="KKT impromptu repair of an MST/ST under a registered workload")
@@ -657,28 +591,27 @@ class KKTRepairRunner(_RepairRunner):
         record_state: bool = False,
         algorithm_seed: Optional[int] = None,
         substrate: str = "plain",
-        repair_batch: Optional[int] = None,
+        repair_batch: int = 1,
         c: float = 1.0,
     ) -> RunResult:
+        batch = _wave_size(repair_batch)
+
         def execute(scenario: _RepairScenario) -> _Execution:
-            batch = _effective_repair_batch(repair_batch, scenario.schedule)
             maintainer = TreeMaintainer(
                 scenario.graph, scenario.forest, mode=scenario.mode, seed=scenario.seed
             )
-            outcomes = maintainer.apply_stream(scenario.stream, batch_size=batch)
-            fault_outcomes = maintainer.apply_stream(
-                scenario.fault_stream, batch_size=batch
-            )
+            outcomes = maintainer.apply_stream(scenario.stream, batch)
+            fault_outcomes = maintainer.apply_stream(scenario.fault_stream, batch)
             report = scenario.build_report
-            extra = {"build_messages": 0 if report is None else report.messages}
-            # Batched mode accounts costs per wave — per-update attribution
-            # intentionally does not exist (the wave shares one repair
-            # round), so the per-update figure is amortized.
-            extra.update(_wave_cost_extra(batch, maintainer.messages_per_wave()))
-            if batch >= 1:
-                extra["batched_saved_queries"] = sum(
+            # Costs are accounted per wave: the updates of a wave share one
+            # repair round, so there is no per-update attribution.
+            extra = {
+                "build_messages": 0 if report is None else report.messages,
+                **_wave_cost_extra(batch, maintainer.messages_per_wave()),
+                "batched_saved_queries": sum(
                     outcome.report.skipped_candidates for outcome in maintainer.history
-                )
+                ),
+            }
             acct = maintainer.accountant
             return _Execution(
                 scenario.forest,
@@ -711,21 +644,20 @@ class RecomputeRepairRunner(_RepairRunner):
         updates: int = 10,
         mode: str = "mst",
         record_state: bool = False,
-        repair_batch: Optional[int] = None,
+        repair_batch: int = 1,
     ) -> RunResult:
+        batch = _wave_size(repair_batch)
+
         # The workload is generated against the same initial tree as for
         # ``kkt-repair`` (one shared scenario), so the two runners process
         # the identical stream; the baseline replays it on its own copy.
         def execute(scenario: _RepairScenario) -> _Execution:
-            batch = _effective_repair_batch(repair_batch, scenario.schedule)
             maintainer = RecomputeMaintainer(scenario.graph.copy(), mode=scenario.mode)
             events = list(scenario.stream) + list(scenario.fault_stream)
-            # Each wave applies its mutations, then one rebuild (a wave of
-            # one when sequential).
-            size = max(batch, 1)
+            # Each wave applies its mutations, then one rebuild.
             deltas = [
-                maintainer.apply_batch(events[offset : offset + size])
-                for offset in range(0, len(events), size)
+                maintainer.apply_batch(events[offset : offset + batch])
+                for offset in range(0, len(events), batch)
             ]
             costs = [delta.messages for delta in deltas]
             return _Execution(

@@ -13,7 +13,8 @@ the workload and schedule axes (the fault axis lives in
 * :class:`ScheduleSpec` names one of the delivery schedulers of
   :mod:`repro.network.scheduler` (``fifo`` / ``lifo`` / ``random`` /
   ``edge-delay``) plus its parameters, so runs execute under an adversarial
-  delivery order;
+  delivery order (only a runner that reads deliveries accepts one, see
+  :func:`~repro.api.registry.check_reach`);
 * :class:`ExperimentSpec` bundles the axes — including an optional
   :class:`~repro.api.faults.FaultSpec` naming a registered fault program —
   into one serialisable description that round-trips through JSON, ships to
@@ -261,18 +262,11 @@ class ScheduleSpec:
     params:
         Extra scheduler parameters, JSON-friendly (``edge-delay`` takes
         ``default_delay`` and ``delays`` as ``{"u-v": d}`` or ``[[u,v,d]]``).
-    batch_size:
-        Wave size for batched impromptu repair: the repair runners chunk
-        the update stream into waves of this many events and coalesce each
-        wave into one shared repair round.  ``None`` (the default, and what
-        every pre-existing payload deserializes to) keeps sequential
-        per-update processing; a runner's ``repair_batch`` option beats it.
     """
 
     scheduler: str = "fifo"
     seed: Optional[int] = None
     params: Mapping[str, Any] = field(default_factory=dict)
-    batch_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         try:
@@ -283,10 +277,6 @@ class ScheduleSpec:
             raise AlgorithmError(
                 f"the {self.scheduler!r} scheduler is deterministic and takes no seed"
             )
-        if self.batch_size is not None and (
-            not isinstance(self.batch_size, int) or self.batch_size < 1
-        ):
-            raise AlgorithmError("ScheduleSpec.batch_size must be a positive integer")
         object.__setattr__(self, "params", dict(self.params))
 
     def __hash__(self) -> int:
@@ -313,20 +303,15 @@ class ScheduleSpec:
     # serialisation
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
+        return {
             "scheduler": self.scheduler,
             "seed": self.seed,
             "params": dict(self.params),
         }
-        # Only serialised when set, so pre-batching payloads (and their
-        # content hashes) are byte-identical to what older versions emit.
-        if self.batch_size is not None:
-            payload["batch_size"] = self.batch_size
-        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ScheduleSpec":
-        known = {"scheduler", "seed", "params", "batch_size"}
+        known = {"scheduler", "seed", "params"}
         unknown = set(payload) - known
         if unknown:
             raise AlgorithmError(f"unknown ScheduleSpec fields: {sorted(unknown)}")
@@ -334,7 +319,6 @@ class ScheduleSpec:
             scheduler=payload.get("scheduler", "fifo"),
             seed=payload.get("seed"),
             params=dict(payload.get("params", {})),
-            batch_size=payload.get("batch_size"),
         )
 
 

@@ -55,7 +55,8 @@ Examples
 ::
 
     python -m repro run kkt-mst --nodes 96 --density complete --seed 7
-    python -m repro run kkt-repair --nodes 48 --workload weight-ramp --schedule random
+    python -m repro run kkt-repair --nodes 48 --workload weight-ramp
+    python -m repro run flooding --nodes 48 --schedule random
     python -m repro run kkt-repair --nodes 48 --fault link-storm
     python -m repro run flooding --nodes 24 --fault byz-equivocate
     python -m repro run kkt-mst --nodes 64 --substrate bracha
@@ -65,7 +66,7 @@ Examples
         --density complete --sizes 32 64 96 --jobs 4 --json
     python -m repro suite --algorithms kkt-repair --mode st --repair-batch 4 --sizes 32 64
     python -m repro suite --algorithms kkt-repair recompute-repair \
-        --workloads churn deletions-only insert-heavy --schedules none random --jobs 4 --json
+        --workloads churn deletions-only insert-heavy --jobs 4 --json
     python -m repro suite --algorithms kkt-repair recompute-repair \
         --faults none,crash-leaves,link-storm --jobs 4 --json
     python -m repro trace record --nodes 32 --workload churn --out churn.trace.json
@@ -149,11 +150,10 @@ def _add_runner_arguments(sub: argparse.ArgumentParser) -> None:
                      help="delivery substrate for the broadcast-and-echo "
                           "fabric ('bracha' hardens every hop with "
                           "reliable broadcast; KKT runners only)")
-    sub.add_argument("--repair-batch", type=int, default=None, metavar="K",
+    sub.add_argument("--repair-batch", type=int, default=1, metavar="K",
                      help="coalesce repair updates into waves of K events "
                           "sharing one repair round (repair runners only; "
-                          "default: the schedule's batch size, else 0 = "
-                          "sequential)")
+                          "default: 1 = one update per wave)")
 
 
 def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
@@ -166,7 +166,8 @@ def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--workload", choices=list_workloads(),
                      help="run the scenario under a registered workload")
     sub.add_argument("--schedule", choices=list_schedulers(),
-                     help="deliver messages under an adversarial scheduler")
+                     help="deliver messages under an adversarial scheduler "
+                          "(runners that read deliveries only: flooding)")
     sub.add_argument("--fault", choices=list_faults(),
                      help="run the scenario under a registered fault program")
     sub.add_argument("--trace", metavar="PATH",
@@ -220,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "runners)")
     suite.add_argument("--schedules", nargs="+", metavar="schedule",
                        choices=["none"] + list_schedulers(), default=["none"],
-                       help="delivery schedules ('none' = default delivery)")
+                       help="delivery schedules ('none' = default delivery; "
+                            "a schedule runs only the runners that read "
+                            "deliveries)")
     suite.add_argument("--faults", nargs="+", metavar="fault", default=["none"],
                        help="fault programs (comma- or space-separated; "
                             "'none' = fault-free execution)")

@@ -107,18 +107,18 @@ class TreeMaintainer:
         return outcome
 
     def apply_stream(
-        self, stream: UpdateStream, batch_size: Optional[int] = None
+        self, stream: UpdateStream, batch_size: int = 1
     ) -> List[UpdateOutcome]:
         """Process every update of ``stream`` in order, in waves of ``batch_size``.
 
-        Without a ``batch_size`` ≥ 1 the waves hold one update each: the
-        sequential Theorem 1.2 mode.
+        The default waves of one update are the sequential Theorem 1.2 mode.
         """
-        size = batch_size if batch_size is not None and batch_size >= 1 else 1
+        if batch_size < 1:
+            raise AlgorithmError("batch_size must be >= 1 (1 = one update per wave)")
         updates = list(stream)
         return [
-            self.apply_batch(updates[start : start + size])
-            for start in range(0, len(updates), size)
+            self.apply_batch(updates[start : start + batch_size])
+            for start in range(0, len(updates), batch_size)
         ]
 
     # ------------------------------------------------------------------ #

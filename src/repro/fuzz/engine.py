@@ -214,6 +214,7 @@ class FuzzCampaign:
             "workloads": {},
             "schedulers": {},
             "faults": {},
+            "algorithms": {},
         }
         violation_records: List[Dict[str, Any]] = []
         for index in range(self.budget):
@@ -235,6 +236,8 @@ class FuzzCampaign:
                 self.parallel_every > 0 and (index + 1) % self.parallel_every == 0
             )
             context = CaseContext(spec, self.algorithms, check_parallel=check_parallel)
+            for algorithm in context.algorithms:
+                self._count(coverage["algorithms"], algorithm)
             for oracle in self.oracles:
                 found = _examine(oracle, spec, context)
                 oracle_checks[oracle.name] += 1

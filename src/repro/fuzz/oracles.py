@@ -52,7 +52,7 @@ from ..api import (
     ExperimentSpec,
     RunResult,
     algorithm_traits,
-    check_fault_reach,
+    check_reach,
     derive_seed,
     get_runner,
     list_algorithms,
@@ -170,7 +170,7 @@ def _active_faults(spec: ExperimentSpec) -> bool:
 
 def _reached(algorithm: str, spec: ExperimentSpec) -> bool:
     try:
-        check_fault_reach(algorithm, spec.faults)
+        check_reach(algorithm, spec)
     except AlgorithmError:
         return False
     return True
@@ -181,7 +181,7 @@ class CaseContext:
 
     Oracles pull results through :meth:`result` so the expensive first
     execution happens once no matter how many oracles inspect it; it keeps
-    only the ``algorithms`` the case's fault program reaches.
+    only the ``algorithms`` the case's fault program and schedule reach.
     ``check_parallel`` is set by the campaign on the (sampled) cases where
     the determinism oracle should also spin up worker processes.
     """
@@ -220,8 +220,8 @@ class DifferentialOracle:
     allowed failure mode actually fired.
 
     Runners that accept ``repair_batch`` are additionally run twice more —
-    once forced sequential (``repair_batch=0``) and once with a
-    spec-derived wave size — and must land on the *same final forest*.
+    once sequential (``repair_batch=1``) and once with a spec-derived wave
+    size — and must land on the *same final forest*.
     That is the batched-repair contract: per-update counters are replaced
     by per-wave amortized accounting, but in MST mode the maintained tree
     is the unique minimum spanning forest of the final graph (augmented
@@ -298,9 +298,7 @@ class DifferentialOracle:
         Applies to every algorithm whose runner accepts both ``repair_batch``
         and ``record_state``.  The wave size is derived from the spec digest
         (2–4) so the whole fuzz grid exercises different wave geometries
-        deterministically.  The sequential leg passes ``repair_batch=0``
-        explicitly, so a spec whose schedule sets a ``batch_size`` still
-        compares batched against sequential.
+        deterministically.
         """
         violations: List[Violation] = []
         for algorithm in context.algorithms:
@@ -362,7 +360,7 @@ class DifferentialOracle:
             # at tiny n the paper's n^-c bound is weak enough that unboosted
             # reseeds can all blip, misreporting chance as divergence.
             options["c"] = c
-        sequential = runner.run(spec, record_state=True, repair_batch=0, **options)
+        sequential = runner.run(spec, record_state=True, repair_batch=1, **options)
         batched = runner.run(spec, record_state=True, repair_batch=wave, **options)
         if not all(sequential.checks.values()):
             # The algorithm itself failed on this spec — a Monte Carlo
@@ -508,17 +506,22 @@ class DeterminismOracle:
                         self.name, "two serial runs produced different results", algorithm
                     )
                 )
-        if context.check_parallel and len(context.algorithms) > 1:
+        if context.check_parallel and context.algorithms:
             violations.extend(self._parallel_check(spec, context))
         return violations
 
     def _parallel_check(
         self, spec: ExperimentSpec, context: CaseContext
     ) -> List[Violation]:
-        jobs = [ExperimentJob(algorithm, spec) for algorithm in context.algorithms]
+        algorithms = list(context.algorithms)
+        if len(algorithms) == 1:
+            # The engine runs a lone job inline; a second copy of it sends
+            # the case through the worker processes.
+            algorithms *= 2
+        jobs = [ExperimentJob(algorithm, spec) for algorithm in algorithms]
         serial = ExperimentEngine(jobs=1).run(jobs)
         parallel = ExperimentEngine(jobs=2).run(jobs)
-        for algorithm, one, two in zip(context.algorithms, serial, parallel):
+        for algorithm, one, two in zip(algorithms, serial, parallel):
             if _canonical(one) != _canonical(two):
                 return [
                     Violation(

@@ -93,7 +93,7 @@ def normalize_request(
     canonical ``to_dict()`` rendering of the validated spec and ``options``
     leave out what cannot change the run
     (:func:`~repro.api.runners.canonical_options`), so ``--mode mst`` or
-    ``--repair-batch 0`` key the same stored result as the bare request.
+    ``--repair-batch 1`` key the same stored result as the bare request.
     An unseeded graph spec gets a seed derived from ``base_seed`` and the
     *content* of the unseeded spec (not from arrival order, unlike the batch
     engine), so the same submission always maps to the same seeded spec —
@@ -117,7 +117,7 @@ def normalize_request(
     if ExperimentSpec.coerce(spec).graph.seed is None:
         seed = derive_seed(base_seed, int(spec.content_hash()[:12], 16))
         spec = spec.with_seed(seed)
-    options = canonical_options(runner, spec, dict(payload.get("options") or {}))
+    options = canonical_options(runner, dict(payload.get("options") or {}))
     return algorithm, spec.to_dict(), options
 
 

@@ -139,7 +139,7 @@ class TestWorkloadsCommand:
 
 
 class TestSuiteCommand:
-    ARGS = ["suite", "--algorithms", "kkt-repair", "recompute-repair",
+    ARGS = ["suite", "--algorithms", "kkt-repair", "recompute-repair", "flooding",
             "--workloads", "churn", "insert-heavy", "--schedules", "none", "random",
             "--sizes", "12", "--density", "sparse", "--seed", "4", "--updates", "4"]
 
@@ -148,11 +148,14 @@ class TestSuiteCommand:
         out = capsys.readouterr().out
         assert code == 0
         results = parse_json_lines(out)
+        # Six unscheduled records; under `random` only flooding, the one
+        # runner that reads deliveries, runs.
         assert len(results) == 8
         assert {r.workload.name for r in results} == {"churn", "insert-heavy"}
         assert {None if r.schedule is None else r.schedule.scheduler for r in results} == {
             None, "random",
         }
+        assert {r.algorithm for r in results if r.schedule is not None} == {"flooding"}
 
     def test_suite_parallel_counters_match_serial(self, capsys):
         assert main(self.ARGS + ["--json", "--jobs", "1"]) == 0
@@ -213,14 +216,14 @@ class TestTraceCommands:
 
 class TestRunScenarioFlags:
     def test_run_with_workload_and_schedule(self, capsys):
-        code = main(["run", "kkt-repair", "--nodes", "16", "--density", "sparse",
+        code = main(["run", "flooding", "--nodes", "16", "--density", "sparse",
                      "--seed", "5", "--updates", "4", "--workload", "weight-ramp",
                      "--schedule", "random", "--json"])
         (result,) = parse_json_lines(capsys.readouterr().out)
         assert code == 0
         assert result.workload.name == "weight-ramp"
         assert result.schedule.scheduler == "random"
-        assert result.checks["delivery"] is True
+        assert result.extra["delivery_scheduler"] == "random"
 
 
 class TestFaultsCli:
@@ -309,7 +312,7 @@ class TestRepairRequests:
     the registry runs on the same spec and options."""
 
     GRAPH = ["--nodes", "32", "--density", "dense", "--seed", "3"]
-    SCENARIO = ["--workload", "churn", "--updates", "12", "--repair-batch", "0"]
+    SCENARIO = ["--workload", "churn", "--updates", "12"]
 
     @staticmethod
     def _spec(fault):
@@ -324,7 +327,7 @@ class TestRepairRequests:
                      "--mode", "st", "--fault", "crash-leaves", "--json"])
         (record,) = _records(capsys.readouterr().out)
         assert code == 0
-        result = run("kkt-repair", self._spec("crash-leaves"), mode="st", repair_batch=0)
+        result = run("kkt-repair", self._spec("crash-leaves"), mode="st")
         assert record == _record(result)
         assert record["extra"]["mode"] == "st"
         assert record["extra"]["fault_updates_applied"] > 0
@@ -338,8 +341,8 @@ class TestRepairRequests:
         assert code == 0
         options = {"mode": mode} if mode else {}
         spec = self._spec(fault)
-        kkt = run("kkt-repair", spec, repair_batch=0, **options)
-        baseline = run("recompute-repair", spec, repair_batch=0, **options)
+        kkt = run("kkt-repair", spec, **options)
+        baseline = run("recompute-repair", spec, **options)
         assert records == [_record(kkt), _record(baseline)]
         # The baseline rebuilds once per update, fault events included.
         assert baseline.phases == baseline.extra["updates"] + baseline.extra[

@@ -207,7 +207,10 @@ def _strip_wall(result):
 
 
 class TestSchedulerFaultDeterminism:
-    """Same spec (incl. FaultSpec) => identical counters and fault log."""
+    """Same spec (incl. FaultSpec) => identical counters and fault log.
+
+    A schedule reaches only flooding, the runner that reads deliveries.
+    """
 
     @pytest.mark.parametrize("scheduler", sorted(list_schedulers()))
     def test_repeated_serial_runs_identical(self, scheduler):
@@ -217,8 +220,8 @@ class TestSchedulerFaultDeterminism:
             schedule=ScheduleSpec(scheduler=scheduler),
             faults=FaultSpec(name="link-storm", params={"count": 3}),
         )
-        first = run("kkt-repair", spec)
-        second = run("kkt-repair", spec)
+        first = run("flooding", spec)
+        second = run("flooding", spec)
         assert _strip_wall(first) == _strip_wall(second)
         assert first.extra["fault_events"] == second.extra["fault_events"]
         assert first.extra["fault_events"]  # the log is non-trivial
@@ -226,12 +229,13 @@ class TestSchedulerFaultDeterminism:
     @pytest.mark.parametrize("scheduler", sorted(list_schedulers()))
     def test_parallel_engine_matches_serial(self, scheduler):
         jobs = scenario_grid(
-            ["kkt-repair", "recompute-repair"],
-            [GraphSpec(nodes=16, density="sparse", seed=2)],
+            ["kkt-repair", "recompute-repair", "flooding"],
+            [GraphSpec(nodes=16, density="sparse", seed=2), GraphSpec(nodes=20, seed=3)],
             workloads=[WorkloadSpec(name="churn", updates=3)],
             schedules=[ScheduleSpec(scheduler=scheduler)],
             faults=[FaultSpec(name="crash-leaves")],
         )
+        assert [job.algorithm for job in jobs] == ["flooding", "flooding"]
         serial = ExperimentEngine(jobs=1).run(jobs)
         parallel = ExperimentEngine(jobs=2).run(jobs)
         assert [_strip_wall(r) for r in serial] == [_strip_wall(r) for r in parallel]

@@ -115,24 +115,10 @@ class TestScheduleSpec:
         assert again == spec
         assert again.build() is not None
 
-    def test_batch_size_round_trips(self):
-        spec = ScheduleSpec(scheduler="fifo", batch_size=4)
-        payload = json.loads(json.dumps(spec.to_dict()))
-        assert payload["batch_size"] == 4
-        assert ScheduleSpec.from_dict(payload) == spec
-
-    def test_batch_size_validation(self):
-        with pytest.raises(AlgorithmError, match="batch_size"):
-            ScheduleSpec(scheduler="fifo", batch_size=0)
-        with pytest.raises(AlgorithmError, match="batch_size"):
-            ScheduleSpec(scheduler="fifo", batch_size="two")
-
-    def test_unset_batch_size_keeps_old_payloads_byte_identical(self):
-        # Pre-batching payloads must parse, and serializing a spec without
-        # a batch_size must not add the key (content hashes are stable).
-        spec = ScheduleSpec.from_dict({"scheduler": "fifo"})
-        assert spec.batch_size is None
-        assert "batch_size" not in spec.to_dict()
+    def test_the_wave_size_is_not_a_schedule_field(self):
+        # The repair wave size is the repair runners' ``repair_batch`` option.
+        with pytest.raises(AlgorithmError, match=r"unknown ScheduleSpec fields: \['batch_size'\]"):
+            ScheduleSpec.from_dict({"scheduler": "fifo", "batch_size": 3})
 
 
 class TestExperimentSpec:
@@ -213,19 +199,6 @@ class TestRepairRunnersShareOneStream:
 
 
 class TestSchedules:
-    @pytest.mark.parametrize("scheduler", ["fifo", "lifo", "random", "edge-delay"])
-    def test_repair_under_adversarial_delivery(self, scheduler):
-        spec = ExperimentSpec(
-            graph=GraphSpec(nodes=16, density="sparse", seed=6),
-            workload=WorkloadSpec(name="churn", updates=4),
-            schedule=ScheduleSpec(scheduler=scheduler),
-        )
-        result = run("kkt-repair", spec)
-        assert result.checks["delivery"] is True
-        assert result.extra["delivery_scheduler"] == scheduler
-        assert result.extra["delivery_echo_messages"] > 0
-        assert result.schedule is not None and result.schedule.scheduler == scheduler
-
     def test_flooding_runs_on_the_scheduled_async_engine(self):
         graph = GraphSpec(nodes=16, density="sparse", seed=6)
         scheduled = run(
@@ -234,16 +207,6 @@ class TestSchedules:
         )
         assert scheduled.extra["engine"] == "async"
         assert scheduled.ok
-
-    def test_schedule_does_not_change_repair_counters(self):
-        graph = GraphSpec(nodes=16, density="sparse", seed=6)
-        plain = run("kkt-repair", graph, updates=4)
-        scheduled = run(
-            "kkt-repair",
-            ExperimentSpec(graph=graph, schedule=ScheduleSpec(scheduler="random")),
-            updates=4,
-        )
-        assert scheduled.counters() == plain.counters()
 
 
 class TestTraceReplayWorkload:

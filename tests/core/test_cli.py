@@ -16,7 +16,7 @@ class TestParser:
         assert args.density == "dense"
         assert args.error_exponent == 1.0
         assert args.substrate == "plain"
-        assert args.mode is None and args.repair_batch is None and args.updates is None
+        assert args.mode is None and args.repair_batch == 1 and args.updates is None
 
     def test_run_repair_arguments(self):
         args = build_parser().parse_args(
@@ -40,7 +40,7 @@ class TestParser:
         args = build_parser().parse_args(["suite", "--algorithms", "kkt-mst"])
         assert args.error_exponent == 1.0
         assert args.substrate == "plain"
-        assert args.mode is None and args.repair_batch is None and args.record is None
+        assert args.mode is None and args.repair_batch == 1 and args.record is None
 
     @pytest.mark.parametrize("command", ["build-mst", "build-st", "repair", "sweep"])
     def test_removed_views_are_unknown_commands(self, command):

@@ -2,9 +2,8 @@
 
 Covers the batched==sequential final-forest contract, the wave edge cases
 (bridge delete+reinsert in one wave, a wave confined to one component), the
-falsy-zero weight regression, the per-update RNG independence fix, and how a
-runner picks its wave size (the ``repair_batch`` option, else the schedule's
-batch size).  The repair counters per workload, mode and wave size, and the
+falsy-zero weight regression, the per-update RNG independence fix, and the
+wave size, which only the ``repair_batch`` runner option sets.  The repair counters per workload, mode and wave size, and the
 per-update costs of a weight stream, are pinned in the claims ledger
 (``repair-workloads`` and ``weight-stream`` in ``repro.claims``).
 """
@@ -12,7 +11,9 @@ per-update costs of a weight stream, are pinned in the claims ledger
 import pytest
 
 from repro.api import ExperimentSpec, GraphSpec, WorkloadSpec, run
+from repro.api.canonical import canonical_json
 from repro.baselines.recompute_repair import RecomputeMaintainer
+from repro.cli import main
 from repro.core.build_mst import BuildMST
 from repro.core.config import AlgorithmConfig
 from repro.dynamic.maintainer import TreeMaintainer
@@ -23,6 +24,7 @@ from repro.dynamic.workloads import (
     weight_perturbations,
 )
 from repro.generators import random_connected_graph
+from repro.network.errors import AlgorithmError
 from repro.network.graph import Graph, edge_key
 from repro.verify import is_minimum_spanning_forest, is_spanning_forest
 
@@ -247,16 +249,35 @@ class TestRNGIndependence:
 
 
 class TestWaveSizeSelection:
-    def test_schedule_batch_size_reaches_the_runner(self):
-        from repro.api import ScheduleSpec
+    @pytest.mark.parametrize("algorithm", ["kkt-repair", "recompute-repair"])
+    @pytest.mark.parametrize("batch", [0, -2])
+    def test_a_wave_below_one_update_is_rejected(self, algorithm, batch):
+        with pytest.raises(AlgorithmError) as excinfo:
+            run(algorithm, GraphSpec(nodes=16, density="sparse", seed=3), repair_batch=batch)
+        assert str(excinfo.value) == "repair_batch must be >= 1 (1 = one update per wave)"
 
-        spec = ExperimentSpec(
-            graph=GraphSpec(nodes=16, density="sparse", seed=3),
-            schedule=ScheduleSpec(scheduler="fifo", batch_size=2),
+    def test_the_cli_rejects_a_zero_wave(self, capsys):
+        code = main(["run", "kkt-repair", "--nodes", "16", "--repair-batch", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "repro: error: repair_batch must be >= 1 (1 = one update per wave)\n"
         )
-        result = run("kkt-repair", spec, updates=6)
-        assert result.ok
-        assert result.extra["repair_batch"] == 2
+
+    def test_the_maintainer_rejects_a_zero_wave(self):
+        graph, forest, maintainer = _mst_scenario(seed=2)
+        with pytest.raises(AlgorithmError, match="batch_size must be >= 1"):
+            maintainer.apply_stream(random_churn(graph, count=4, seed=2), batch_size=0)
+
+    @pytest.mark.parametrize("algorithm", ["kkt-repair", "recompute-repair"])
+    def test_one_update_per_wave_is_the_default(self, algorithm):
+        spec = GraphSpec(nodes=16, density="sparse", seed=3)
+        plain = run(algorithm, spec, updates=6).to_dict()
+        explicit = run(algorithm, spec, updates=6, repair_batch=1).to_dict()
+        for record in (plain, explicit):
+            record.pop("wall_time_s")
+        assert canonical_json(plain) == canonical_json(explicit)
+        assert plain["extra"]["repair_batch"] == 1
+        assert plain["extra"]["repair_waves"] == plain["phases"]
 
     @pytest.mark.parametrize(
         "nodes, seed, updates, wave, waves",
@@ -270,7 +291,7 @@ class TestWaveSizeSelection:
             graph=GraphSpec(nodes=nodes, density="sparse", seed=seed),
             workload=WorkloadSpec(name="churn", updates=updates),
         )
-        sequential = run("kkt-repair", spec, record_state=True, repair_batch=0)
+        sequential = run("kkt-repair", spec, record_state=True)
         batched = run("kkt-repair", spec, record_state=True, repair_batch=wave)
         assert sequential.ok and batched.ok
         assert batched.extra["repair_batch"] == wave

@@ -4,7 +4,9 @@ import pytest
 
 from repro.fuzz import (
     ORACLE_REGISTRY,
+    CaseContext,
     FuzzCampaign,
+    SpecGenerator,
     SpecSpace,
     Violation,
     replay_entry,
@@ -44,6 +46,19 @@ class TestCleanCampaign:
         assert report["cases"] == 8
         assert set(report["oracle_checks"]) == set(ORACLE_REGISTRY.names())
         assert all(count == 8 for count in report["oracle_checks"].values())
+
+    def test_coverage_counts_the_algorithms_each_case_kept(self):
+        campaign = FuzzCampaign(budget=30, seed=1, space=SMALL_SPACE, oracles=[])
+        report = campaign.run()
+        kept = {}
+        for spec in SpecGenerator(seed=1, space=SMALL_SPACE).stream(30):
+            for algorithm in CaseContext(spec, campaign.algorithms).algorithms:
+                kept[algorithm] = kept.get(algorithm, 0) + 1
+        assert report["axis_coverage"]["algorithms"] == kept
+        # Flooding reads deliveries, which every fault program and schedule
+        # acts on, so every case keeps it; a scheduled case keeps it alone.
+        assert kept["flooding"] == 30
+        assert kept["kkt-mst"] < 30
 
     def test_report_deterministic_across_runs(self):
         make = lambda: FuzzCampaign(

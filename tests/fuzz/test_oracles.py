@@ -29,13 +29,18 @@ CLEAN_SPECS = [
     ExperimentSpec(
         graph=GraphSpec(nodes=14, density="medium", seed=5),
         workload=WorkloadSpec(name="churn", updates=4),
+    ),
+    # A schedule keeps flooding only: it is the one runner that reads deliveries.
+    ExperimentSpec(
+        graph=GraphSpec(nodes=14, density="medium", seed=5),
+        workload=WorkloadSpec(name="churn", updates=4),
         schedule=ScheduleSpec(scheduler="random"),
     ),
 ]
 
 
 class TestCleanSpecsPass:
-    @pytest.mark.parametrize("spec", CLEAN_SPECS, ids=["static", "scenario"])
+    @pytest.mark.parametrize("spec", CLEAN_SPECS, ids=["static", "scenario", "scheduled"])
     def test_full_stack_accepts(self, spec):
         context = _context(spec)
         for oracle in make_oracles(None):
@@ -200,6 +205,27 @@ class TestDeterminismOracle:
         oracle = DeterminismOracle()
         context = _context(spec, ["kkt-st", "flooding"], check_parallel=True)
         assert oracle.examine(spec, context) == []
+
+    def test_a_one_algorithm_case_reaches_the_worker_processes(self, monkeypatch):
+        import repro.api.engine as engine_module
+        from repro.api import FaultSpec
+
+        pools = []
+        pool_class = engine_module.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return pool_class(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", spy)
+        spec = ExperimentSpec(
+            graph=GraphSpec(nodes=10, density="sparse", seed=1),
+            faults=FaultSpec(name="lossy-uniform"),
+        )
+        context = _context(spec, check_parallel=True)
+        assert context.algorithms == ["flooding"]
+        assert DeterminismOracle().examine(spec, context) == []
+        assert pools == [2]
 
 
 class TestProvenanceOracle:

