@@ -60,10 +60,13 @@ ALGORITHM_REGISTRY = Registry("algorithm", "algorithms", AlgorithmError)
 def register(name: str, summary: str = "") -> Callable[[Type], Type]:
     """Class decorator: publish a runner class under ``name``.
 
-    The class also gets ``name`` and ``summary`` class attributes.
+    The class also gets ``name`` and ``summary`` class attributes, which
+    :func:`get_runner` hands back.  ``repro.api.runners`` publishes every
+    shipped runner this way (``@register("kkt-mst", summary=...)`` above
+    ``class KKTMSTRunner``); a taken name raises ``AlgorithmError``.
 
-    >>> @register("kkt-mst", summary="KKT Build-MST (Theorem 1.1)")
-    ... class KKTMSTRunner: ...
+    >>> get_runner("kkt-mst").summary
+    'KKT Build-MST: o(m)-message MST construction (Theorem 1.1)'
     """
     publish = ALGORITHM_REGISTRY.register(name, summary)
 

@@ -147,10 +147,21 @@ class TreeStructure:
     structures live across many broadcast-and-echoes via the
     :class:`~repro.network.tree_cache.TreeStructureCache`, so everything a
     sketch reads from the graph's columnar snapshot is memoised: the tree's
-    rows and row mask, its statistics tuple and its cut column.  These memos
-    live for one graph version (:meth:`rows` drops them when the snapshot's
-    version moves on), and the cache calls :meth:`invalidate_memos` whenever
-    it patches the structure, which also forgets the eccentricity.
+    row mask and rows, its statistics tuple and its cut column.  These memos
+    live for one graph version (:meth:`row_mask` drops them when the
+    snapshot's version moves on), and the cache calls
+    :meth:`invalidate_memos` whenever it patches the structure, which also
+    forgets the eccentricity.
+
+    Every memo reads the smaller side of the tree's cut.  A tree under half
+    the nodes gathers its own rows and folds them.  A tree holding at least
+    half builds its mask in one pass over the snapshot's IDs, gathers the
+    rows outside it once, and takes from those: its degree sum is every
+    slot minus theirs, its ``maxEdgeNum`` (``maxWt``) is the snapshot's when
+    the tree holds an endpoint of the edge that attains it and otherwise
+    the masked maximum of the per-row column, and its cut column is theirs
+    with ``E↑`` and ``E↓`` swapped.  Wall-clock-only: both sides give the
+    same values.
     """
 
     def __init__(
@@ -163,8 +174,6 @@ class TreeStructure:
         self.parent = parent
         self.depth = depth
         self._eccentricity: Optional[int] = None
-        self._rows: Optional[List[int]] = None
-        self._rows_version = -1
         self._forget_row_memos()
 
     @property
@@ -186,78 +195,112 @@ class TreeStructure:
             self._eccentricity = max(self.depth.values(), default=0)
         return self._eccentricity
 
-    def rows(self, cols: ColumnarGraph) -> List[int]:
-        """The tree's row indices in ``cols``, the snapshot of its graph.
-
-        Memoised per graph version: the fast-path sketch kernels read only
-        these rows, and a tree typically serves many broadcast-and-echoes
-        between two graph mutations.  A new version also drops the row
-        mask, statistics and cut column.
-        """
-        if self._rows is None or self._rows_version != cols.version:
-            pos = cols.pos
-            self._rows = [pos[node] for node in self.parent]
-            self._rows_version = cols.version
-            self._forget_row_memos()
-        return self._rows
-
     def row_mask(self, cols: ColumnarGraph) -> bytearray:
         """``mask[row]`` is 1 iff the node of ``row`` in ``cols`` is in the tree.
 
-        Memoised alongside :meth:`rows`: the cut column is built from it,
-        and HP-TestOut and FindAny's Test read it to tell which endpoints
-        of an edge the tree holds.
+        Memoised per graph version, and the first memo of a version: the
+        fast-path sketch kernels read only this tree's memos, and a tree
+        typically serves many broadcast-and-echoes between two graph
+        mutations.  A new version drops the rows, statistics and cut
+        column, and gathers the smaller side's rows again: the tree's own
+        under half the nodes, else the rows outside it.  HP-TestOut and
+        FindAny's Test read the mask to tell which endpoints of an edge
+        the tree holds.
         """
         mask = self._mask
-        if mask is not None and self._rows_version == cols.version:
+        if mask is not None and self._version == cols.version:
             return mask
-        rows = self.rows(cols)
-        mask = self._mask = bytearray(cols.num_nodes)
-        for row in rows:
-            mask[row] = 1
+        self._forget_row_memos()
+        parent = self.parent
+        if self._holds_half(cols):
+            mask = bytearray(map(parent.__contains__, cols.ids))
+            self._outside = list(compress(range(cols.num_nodes), mask.translate(_FLIP)))
+        else:
+            pos = cols.pos
+            rows = self._rows = [pos[node] for node in parent]
+            mask = bytearray(cols.num_nodes)
+            for row in rows:
+                mask[row] = 1
+        self._mask = mask
+        self._version = cols.version
         return mask
+
+    def rows(self, cols: ColumnarGraph) -> List[int]:
+        """The tree's row indices in ``cols``, the snapshot of its graph.
+
+        In no particular order; memoised alongside :meth:`row_mask`, which
+        lists them for a tree under half the nodes.  A larger tree reads
+        them off its mask on demand.
+        """
+        mask = self.row_mask(cols)
+        if self._rows is None:
+            self._rows = list(compress(range(cols.num_nodes), mask))
+        return self._rows
 
     def statistics(self, cols: ColumnarGraph) -> Tuple[int, int, int, int]:
         """The statistics echo ``(size, maxEdgeNum, maxWt, B)`` of the tree.
 
         The fold of the per-node ``(1, max edge number, max augmented
         weight, degree)`` under ``(sum, max, max, sum)``, read from the
-        snapshot's per-row columns; memoised alongside :meth:`rows`.
+        snapshot's per-row columns on the smaller side of the cut;
+        memoised alongside :meth:`row_mask`.
         """
+        mask = self.row_mask(cols)
         stats = self._stats
-        if stats is not None and self._rows_version == cols.version:
+        if stats is not None:
             return stats
-        rows = self.rows(cols)
         indptr = cols.indptr
-        stats = self._stats = (
-            len(rows),
-            max(map(cols.node_max_number.__getitem__, rows), default=0),
-            max(map(cols.node_max_augmented.__getitem__, rows), default=0),
-            sum(indptr[row + 1] - indptr[row] for row in rows),
-        )
+        if not self._holds_half(cols):
+            rows = self._rows
+            stats = (
+                len(rows),
+                max(map(cols.node_max_number.__getitem__, rows), default=0),
+                max(map(cols.node_max_augmented.__getitem__, rows), default=0),
+                sum(indptr[row + 1] - indptr[row] for row in rows),
+            )
+        else:
+            id_bits = cols.id_bits
+            id_mask = (1 << id_bits) - 1
+            pos = cols.pos
+
+            def held(number: int) -> bool:
+                # Whether the tree holds an endpoint of the edge ``number``.
+                return bool(mask[pos[number >> id_bits]] or mask[pos[number & id_mask]])
+
+            max_number = cols.max_number
+            if not (max_number and held(max_number)):
+                max_number = max(compress(cols.node_max_number, mask), default=0)
+            max_augmented = cols.max_augmented
+            if not (max_augmented and held(max_augmented & ((1 << 2 * id_bits) - 1))):
+                max_augmented = max(compress(cols.node_max_augmented, mask), default=0)
+            stats = (
+                len(self.parent),
+                max_number,
+                max_augmented,
+                len(cols.numbers)
+                - sum(indptr[row + 1] - indptr[row] for row in self._outside),
+            )
+        self._stats = stats
         return stats
 
     def cut_column(self, cols: ColumnarGraph) -> CutColumn:
         """The tree's cut column, the one input of the sketch kernels.
 
-        Memoised alongside :meth:`rows`, and built by
+        Memoised alongside :meth:`row_mask`, and built by
         :meth:`ColumnarGraph.cut_column_of_rows` from the smaller side of
         the cut: a tree under half the nodes gathers its own rows, a larger
         one the rows outside it, whose cut is the same edges with ``E↑``
-        and ``E↓`` swapped.  Wall-clock-only: both sides give the same
-        column.
+        and ``E↓`` swapped.
         """
-        cut = self._cut
-        if cut is not None and self._rows_version == cols.version:
-            return cut
-        rows = self.rows(cols)
         mask = self.row_mask(cols)
-        if 2 * len(rows) < cols.num_nodes:
-            cut = cols.cut_column_of_rows(rows, mask)
+        cut = self._cut
+        if cut is not None:
+            return cut
+        if not self._holds_half(cols):
+            cut = cols.cut_column_of_rows(self._rows, mask)
         else:
-            outside = mask.translate(_FLIP)
             aug, numbers, up = cols.cut_column_of_rows(
-                compress(range(cols.num_nodes), outside), outside
+                self._outside, mask.translate(_FLIP)
             )
             cut = CutColumn(aug, numbers, up.translate(_FLIP))
         self._cut = cut
@@ -266,11 +309,17 @@ class TreeStructure:
     def invalidate_memos(self) -> None:
         """Forget every memo after a patch of the structure."""
         self._eccentricity = None
-        self._rows = None
         self._forget_row_memos()
 
+    def _holds_half(self, cols: ColumnarGraph) -> bool:
+        """Whether the tree holds at least half the nodes: the side rule."""
+        return 2 * len(self.parent) >= cols.num_nodes
+
     def _forget_row_memos(self) -> None:
+        self._version = -1
         self._mask: Optional[bytearray] = None
+        self._rows: Optional[List[int]] = None
+        self._outside: Optional[List[int]] = None
         self._stats: Optional[Tuple[int, int, int, int]] = None
         self._cut: Optional[CutColumn] = None
 

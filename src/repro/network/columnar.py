@@ -7,6 +7,8 @@ incidence structure once:
 
 * ``ids`` — the node IDs in sorted order; ``pos`` maps an ID to its row.
 * ``indptr`` — ``indptr[i]:indptr[i+1]`` is node ``ids[i]``'s slot range.
+  Always a plain list: a splice shifts the tail of it, and list slicing
+  and concatenation do that faster than an ``array`` can be extended.
 * ``numbers`` / ``augmented`` / ``up`` — flat slot columns, one entry per
   (node, incident edge) pair, in :meth:`Graph.incident_edges` order (sorted
   by the other endpoint's ID).  ``up[slot]`` is 1 iff the node is the
@@ -24,9 +26,10 @@ of its complement with ``E↑`` and ``E↓`` swapped, so a tree holding at least
 half the nodes gathers the rows outside it instead of its own: either way
 the builder reads the smaller side of the cut.
 
-Columns are ``array('Q')`` when every value fits 64 bits and plain Python
-lists otherwise (the default ``id_bits=32`` pushes augmented weights past 64
-bits, so both representations are first-class).
+The other columns but ``up`` (a ``bytearray``) are ``array('Q')`` when
+every value fits 64 bits and plain Python lists otherwise (the default
+``id_bits=32`` pushes augmented weights past 64 bits, so both
+representations are first-class).
 
 Instances are immutable snapshots of one graph version.  :meth:`Graph.columnar`
 builds one with :meth:`ColumnarGraph.from_graph` on first use and caches it
@@ -122,7 +125,7 @@ class ColumnarGraph:
         version: int,
         ids: List[int],
         pos: Dict[int, int],
-        indptr: "array[int]",
+        indptr: List[int],
         numbers: Sequence[int],
         augmented: Sequence[int],
         up: bytearray,
@@ -159,7 +162,7 @@ class ColumnarGraph:
         shift = 2 * id_bits
         ids = sorted(adj)
         pos = {node: row for row, node in enumerate(ids)}
-        indptr = array("l", [0] * (len(ids) + 1))
+        indptr = [0] * (len(ids) + 1)
         numbers: List[int] = []
         augmented: List[int] = []
         up = bytearray()
@@ -249,9 +252,11 @@ class ColumnarGraph:
         j = bisect_left(numbers, number, v_start, v_stop)
 
         step = 1 if insert else -1
-        new_indptr = indptr[: urow + 1]
-        new_indptr.extend([p + step for p in indptr[urow + 1 : vrow + 1]])
-        new_indptr.extend([p + 2 * step for p in indptr[vrow + 1 :]])
+        new_indptr = (
+            indptr[: urow + 1]
+            + [p + step for p in indptr[urow + 1 : vrow + 1]]
+            + [p + 2 * step for p in indptr[vrow + 1 :]]
+        )
         new_numbers = _splice(numbers, ((j, number), (i, number)), insert)
         new_augmented = _splice(self.augmented, ((j, aug), (i, aug)), insert)
         node_max_number = self.node_max_number[:]

@@ -14,13 +14,17 @@ one builder, :meth:`ColumnarGraph.cut_column_of_rows`, fed the tree's own
 rows below half the nodes and the rows outside it otherwise; both sides
 must give the brute-force cut on each set, over empty, single-edge, narrow
 and full weight windows, an edgeless row, a graph of several components,
-and both column representations (``fits64``).
+and both column representations (``fits64``).  The same side rule gives
+a tree's row mask, rows and statistics tuple; they must equal a brute-force
+scan when the edge holding the snapshot's largest number and weight lies
+outside the tree, half in it or inside it, across splices.
 """
 
 import operator
 import random
 from array import array
 from functools import reduce
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -513,6 +517,27 @@ class TestColumnarGraph:
         assert_maxima_match_scan(graph)
         assert not heavy.fits64  # the held snapshot kept its representation
 
+    @pytest.mark.parametrize("id_bits", [9, 32])
+    def test_indptr_is_a_list_in_every_snapshot(self, id_bits):
+        # A fresh build and every splice successor, insertion or deletion,
+        # hold indptr as one type whatever the other columns' fits64.
+        graph = Graph(id_bits=id_bits)
+        for u, v in [(1, 2), (2, 3), (3, 4), (1, 4)]:
+            graph.add_edge(u, v, weight=u * v)
+        fresh = ColumnarGraph.from_graph(graph)
+        assert type(fresh.indptr) is list
+        held = graph.columnar()
+        for insert, u, v in [(False, 1, 4), (True, 1, 3), (False, 2, 3), (True, 2, 4)]:
+            if insert:
+                graph.add_edge(u, v, weight=7)
+            edge = graph.get_edge(u, v)
+            if not insert:
+                graph.remove_edge(u, v)
+            successor = held.spliced(edge, graph.version, insert)
+            assert type(successor.indptr) is type(fresh.indptr)
+            assert snapshot_columns(successor) == snapshot_columns(graph.columnar())
+            held = successor
+
     def test_unknown_node_rejected(self):
         graph = random_graph(seed=2)
         cols = ColumnarGraph.from_graph(graph)
@@ -545,6 +570,90 @@ class TestColumnarGraph:
         assert isinstance(cols.numbers, list)
         assert isinstance(cols.edge_aug, list)
         assert_all_kernels_match(graph, rng)
+
+
+def brute_statistics(graph: Graph, nodes) -> tuple:
+    """``(size, maxEdgeNum, maxWt, B)`` of ``nodes`` from the graph's edge list."""
+    id_bits = graph.id_bits
+    incident = [edge for node in nodes for edge in graph.incident_edges(node)]
+    return (
+        len(nodes),
+        max((edge.edge_number(id_bits) for edge in incident), default=0),
+        max((edge.augmented_weight(id_bits) for edge in incident), default=0),
+        len(incident),
+    )
+
+
+class TestTreeMemosFromTheSmallerSide:
+    """A tree's mask, rows and statistics equal a brute-force scan on both sides.
+
+    A tree holding at least half the nodes reads its statistics from the
+    rows outside it and the snapshot's maxima; these sets put the edge
+    holding the largest number and weight outside, half in or inside it.
+    """
+
+    # (9, 10) is the heaviest edge and has the largest number.
+    EDGES = [(u, u + 1, 10 * u) for u in range(1, 9)] + [
+        (9, 10, 1000),
+        (1, 10, 5),
+        (2, 9, 7),
+        (3, 7, 500),
+    ]
+    NODE_SETS = [
+        range(1, 9),  # >= half, both ends of (9, 10) outside
+        range(1, 6),  # exactly half, both outside
+        range(1, 10),  # one end inside
+        [10, *range(1, 6)],  # the other end inside
+        range(1, 11),  # every node
+        range(1, 4),  # under half
+        [9],  # one node
+    ]
+
+    @staticmethod
+    def assert_memos_match(graph: Graph, nodes) -> None:
+        cols = graph.columnar()
+        rows = sorted(cols.pos[node] for node in nodes)
+        expected = brute_statistics(graph, nodes)
+        for first in ("statistics", "rows", "row_mask"):
+            tree = tree_over(cols, rows)
+            getattr(tree, first)(cols)  # each memo may be the first one built
+            assert tree.statistics(cols) == expected
+            assert sorted(tree.rows(cols)) == rows
+            mask = tree.row_mask(cols)
+            assert list(compress(range(cols.num_nodes), mask)) == rows
+            assert len(mask) == cols.num_nodes
+
+    @pytest.mark.parametrize("id_bits", [9, 32])
+    def test_statistics_mask_and_rows_across_splices(self, id_bits):
+        graph = Graph(id_bits=id_bits)
+        for u, v, weight in self.EDGES:
+            graph.add_edge(u, v, weight=weight)
+        fresh = graph.columnar()
+        assert fresh.fits64 is (id_bits == 9)
+        assert fresh.max_number == graph.edge_number(9, 10)
+        assert fresh.max_augmented == graph.augmented_weight(9, 10)
+        # Delete the edge holding both maxima (the snapshot then rescans
+        # its largest number), put it back, then drop and add an edge
+        # inside the large sets.
+        steps = [None, ("remove", 9, 10), ("add", 9, 10), ("remove", 3, 7), ("add", 4, 8)]
+        for step in steps:
+            if step is not None:
+                op, u, v = step
+                if op == "add":
+                    graph.add_edge(u, v, weight=1000 if (u, v) == (9, 10) else 3)
+                else:
+                    graph.remove_edge(u, v)
+                assert graph.columnar().ids is fresh.ids  # spliced, not rebuilt
+            for nodes in self.NODE_SETS:
+                self.assert_memos_match(graph, list(nodes))
+
+    @pytest.mark.parametrize("id_bits", [9, 32])
+    def test_edgeless_graph(self, id_bits):
+        graph = Graph(id_bits=id_bits)
+        for node in range(1, 5):
+            graph.add_node(node)
+        for nodes in ([1], [1, 2], [1, 2, 3], [1, 2, 3, 4]):
+            self.assert_memos_match(graph, nodes)
 
 
 class TestFusedKernels:
