@@ -29,7 +29,7 @@ from typing import (
     Tuple,
 )
 
-from .errors import ForestError
+from .errors import ForestError, GraphError
 from .graph import Edge, Graph, edge_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -56,6 +56,14 @@ class SpanningForest:
     rebuilding it per broadcast-and-echo.  A sorted marked-adjacency map is
     maintained incrementally, making :meth:`marked_neighbors` ``O(marked
     degree)`` instead of ``O(degree)``.
+
+    The ``marked`` edges given to the constructor are filled in one pass:
+    each gets :meth:`mark`'s existence check (and its :class:`ForestError`),
+    duplicates count once, and each adjacency list is sorted once at the
+    end.  They are the initial state, not mutations, so the forest starts at
+    version 0 with an empty journal.  :meth:`copy` takes this path, so a
+    copy costs ``O(n + |marked|)`` (plus the sorts of already-sorted lists)
+    and still raises if the graph lost a marked edge.
     """
 
     def __init__(
@@ -73,8 +81,29 @@ class SpanningForest:
             _JOURNAL_LIMIT if journal_limit is None else journal_limit, 1
         )
         self._structures: Optional["TreeStructureCache"] = None
-        for u, v in marked or []:
-            self.mark(u, v)
+        if marked is not None:
+            self._fill(marked)
+
+    def _fill(self, marked: Iterable[Tuple[int, int]]) -> None:
+        """Bulk-mark ``marked`` into an empty forest, without journaling."""
+        # The graph's adjacency map, read in place (as the columnar
+        # snapshot's builder does): the existence check of :meth:`mark`
+        # without a ``has_edge`` call per edge.
+        graph_adj = self.graph._adj
+        keys = self._marked
+        adj = self._marked_adj
+        for u, v in marked:
+            key = (u, v) if u < v else edge_key(u, v)
+            if key in keys:
+                continue
+            a, b = key
+            if b not in graph_adj.get(a, ()):
+                raise ForestError(f"cannot mark non-existent edge {key}")
+            keys.add(key)
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        for nbrs in adj.values():
+            nbrs.sort()
 
     @property
     def journal_limit(self) -> int:
@@ -194,7 +223,7 @@ class SpanningForest:
         ]
 
     def marked_degree(self, node: int) -> int:
-        return len(self.marked_neighbors(node))
+        return len(self._marked_adj.get(node, ()))
 
     # ------------------------------------------------------------------ #
     # forest-level queries (simulation driver / verification)
@@ -217,14 +246,14 @@ class SpanningForest:
         """The node set of the maintained tree containing ``node`` (``T_x``)."""
         if not self.graph.has_node(node):
             raise ForestError(f"node {node} not in the graph")
+        adj = self._marked_adj
         seen = {node}
-        queue = deque([node])
-        while queue:
-            current = queue.popleft()
-            for nbr in self.marked_neighbors(current):
+        stack = [node]
+        while stack:
+            for nbr in adj.get(stack.pop(), ()):
                 if nbr not in seen:
                     seen.add(nbr)
-                    queue.append(nbr)
+                    stack.append(nbr)
         return seen
 
     def components(self) -> List[Set[int]]:
@@ -239,37 +268,38 @@ class SpanningForest:
             result.append(comp)
         return result
 
-    def component_index(self) -> Dict[int, int]:
-        """Map node -> index of its component in :meth:`components` order."""
-        index: Dict[int, int] = {}
-        for i, comp in enumerate(self.components()):
-            for node in comp:
-                index[node] = i
-        return index
-
     def tree_adjacency(self, component: Iterable[int]) -> Dict[int, List[int]]:
         """Adjacency (over marked edges) restricted to ``component``."""
+        adj = self._marked_adj
         comp = set(component)
         return {
-            node: [nbr for nbr in self.marked_neighbors(node) if nbr in comp]
+            node: [nbr for nbr in adj.get(node, ()) if nbr in comp]
             for node in sorted(comp)
         }
-
-    def same_component(self, u: int, v: int) -> bool:
-        return v in self.component_of(u)
 
     def outgoing_edges(self, component: Iterable[int]) -> List[Edge]:
         """Edges of the graph leaving the node set ``component`` (God's view).
 
-        Used only by verifiers and tests; the distributed algorithms never
-        call this.
+        Each edge with exactly one endpoint in ``component`` appears once,
+        met from that endpoint: ordered by the inside endpoint's ID, then
+        by the outside endpoint's ID.  ``O(sum of degrees)``, read straight
+        off the graph's adjacency, so it stays independent of the columnar
+        snapshot and the cut kernels it is the ground truth for.  Called by
+        verifiers, tests, :meth:`~repro.core.testout.CutTester.true_cut_edges`,
+        the claims ledger and the benchmark set-ups; the distributed
+        algorithms never call this.
         """
         comp = set(component)
+        graph_adj = self.graph._adj
         result = []
         for node in sorted(comp):
-            for edge in self.graph.incident_edges(node):
-                if (edge.other(node) not in comp) and edge not in result:
-                    result.append(edge)
+            try:
+                nbrs = graph_adj[node]
+            except KeyError:
+                raise GraphError(f"node {node} not present") from None
+            for other in sorted(nbrs):
+                if other not in comp:
+                    result.append(nbrs[other])
         return result
 
     # ------------------------------------------------------------------ #

@@ -399,11 +399,15 @@ class Graph:
         return sub
 
     def copy(self) -> "Graph":
+        """An independent graph with the same nodes, edges and :attr:`version`.
+
+        Copies the adjacency dicts in ``O(n + m)`` and shares the frozen
+        :class:`Edge` objects; the columnar snapshot is not shared, so the
+        copy builds its own on first read.
+        """
         dup = Graph(id_bits=self._id_bits)
-        for node in self.nodes():
-            dup.add_node(node)
-        for edge in self.edges():
-            dup.add_edge(edge.u, edge.v, edge.weight)
+        dup._adj = {node: dict(nbrs) for node, nbrs in self._adj.items()}
+        dup._version = self._version
         return dup
 
     def __iter__(self) -> Iterator[int]:

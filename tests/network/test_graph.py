@@ -2,8 +2,24 @@
 
 import pytest
 
+from repro.generators import random_connected_graph
+from repro.network.columnar import ColumnarGraph
 from repro.network.errors import GraphError
 from repro.network.graph import Edge, Graph, edge_key
+
+
+def _state(graph):
+    return (
+        graph.id_bits,
+        graph.nodes(),
+        [(e.u, e.v, e.weight) for e in graph.edges()],
+        {node: graph.neighbors(node) for node in graph.nodes()},
+    )
+
+
+def _columns(graph):
+    cols = graph.columnar()
+    return {name: getattr(cols, name) for name in ColumnarGraph.__slots__}
 
 
 class TestEdgeKey:
@@ -189,6 +205,33 @@ class TestGraphStructure:
         dup.remove_edge(1, 2)
         assert graph.has_edge(1, 2)
         assert not dup.has_edge(1, 2)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_copy_equals_source(self, seed):
+        graph = random_connected_graph(40, 120, seed=seed)
+        graph.add_node(63)  # an isolated node
+        graph.remove_edge(*graph.edges()[0].endpoints)
+        dup = graph.copy()
+        assert _state(dup) == _state(graph)
+        assert dup.version == graph.version
+        assert _columns(dup) == _columns(graph)
+        assert dup.columnar() is not graph.columnar()
+
+    @pytest.mark.parametrize("mutated", ["source", "copy"])
+    def test_copy_mutations_stay_apart(self, mutated):
+        graph = random_connected_graph(24, 60, seed=5)
+        dup = graph.copy()
+        changed, other = (graph, dup) if mutated == "source" else (dup, graph)
+        before = _state(other)
+        columns = _columns(other)
+        first, second = changed.edges()[:2]
+        changed.remove_edge(first.u, first.v)
+        changed.set_weight(second.u, second.v, second.weight + 100)
+        changed.add_edge(1, 30, 7)
+        changed.remove_node(2)
+        assert _state(other) == before
+        assert _columns(other) == columns
+        assert _state(changed) != before
 
     def test_total_weight(self):
         graph = Graph()

@@ -92,7 +92,7 @@ class TestForestProperties:
         edges = graph.edges()
         rng.shuffle(edges)
         for edge in edges:
-            if not forest.same_component(edge.u, edge.v):
+            if edge.v not in forest.component_of(edge.u):
                 forest.mark(edge.u, edge.v)
         assert forest.is_forest()
         assert forest.is_spanning()

@@ -94,7 +94,7 @@ class TestDistributedConstruction:
         for edge in graph.edges():
             if forest.is_marked(edge.u, edge.v):
                 continue
-            if not forest.same_component(edge.u, edge.v):
+            if edge.v not in forest.component_of(edge.u):
                 continue
             tree = build_tree_structure(forest, edge.u)
             path = tree.path_from_root(edge.v)
