@@ -12,10 +12,17 @@ weight range:
 3. the smallest sub-range reporting a ``1`` is verified with two
    ``HP-TestOut`` calls — no lighter edge was missed (``TestLow``) and the
    sub-range really contains a leaving edge (``TestInterval``) — and then
-   becomes the new range (:meth:`~repro.core.testout.CutProbe.narrow`,
-   shared with the sampled-pivot search of :mod:`repro.core.sample`);
+   becomes the new range; if no sub-range fired, one ``HP-TestOut`` on
+   ``[j, k]`` tells an empty cut (∅, verified) from a failed round;
 4. when the range is a single augmented weight, that weight *is* the edge
    (augmented weights are unique), and the search stops.
+
+Steps 2–4 are one loop per search,
+:meth:`~repro.core.testout.CutProbe.search`, which the sampled-pivot search
+of :mod:`repro.core.sample` shares.  It binds the tree, its cut and the
+echo widths once, draws each round's odd hash (and, on the columnar tier,
+each ``α``) inline, and splits a range only when the range moves: a round
+in which no TestOut fired re-tests the same sub-ranges under a fresh hash.
 
 Because each narrowing divides the range size by ``w = Θ(log n)``, an
 expected ``O(log n / log log n)`` iterations — hence broadcast-and-echoes —
@@ -30,14 +37,13 @@ either the correct edge or ∅ w.h.p.).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from ..network.accounting import CostDelta, CostSnapshot, MessageAccountant
-from ..network.errors import AlgorithmError
 from ..network.fragments import SpanningForest
 from ..network.graph import Edge, Graph
 from .config import AlgorithmConfig
-from .testout import CutTester
+from .testout import CutTester, split_range
 
 __all__ = ["FindResult", "FindMin", "split_range"]
 
@@ -86,21 +92,6 @@ class FindResult:
         return cls(edge, verified_empty, iterations, cost.broadcast_echoes, cost)
 
 
-def split_range(low: int, high: int, word_size: int) -> Tuple[List[int], List[int]]:
-    """Split [low, high] into at most ``word_size`` contiguous sub-ranges.
-
-    Returns the sub-ranges' ``(lows, highs)``: every one but the last spans
-    ``chunk`` weights, and the last ends at ``high``.
-    """
-    if low > high:
-        raise AlgorithmError(f"invalid range [{low}, {high}]")
-    chunk = max(1, -(-(high - low + 1) // word_size))
-    lows = list(range(low, high + 1, chunk))
-    highs = list(range(low + chunk - 1, high + chunk, chunk))
-    highs[-1] = high
-    return lows, highs
-
-
 class FindMin:
     """The FindMin / FindMin-C procedures over a maintained forest."""
 
@@ -139,29 +130,15 @@ class FindMin:
             return FindResult.since(accountant, start, None, True, 0)
         probe = self.tester.probe(root, tree, stats)
 
-        low = 0
         high = stats.max_augmented_weight
         budget = (
             self.config.findmin_c_budget(max(high, 2))
             if capped
             else self.config.findmin_budget(max(high, 2))
         )
-        word_size = self.config.word_size
-
-        iterations = 0
-        while iterations < budget:
-            iterations += 1
-            # Steps 4-7: one B&E answering w TestOuts in parallel, then the
-            # HP-TestOut checks of the lowest sub-range that fired.
-            lows, highs = split_range(low, high, word_size)
-            step = probe.narrow(low, high, lows, highs)
-            if step is None:
-                return FindResult.since(accountant, start, None, True, iterations)
-            low, high, edge = step
-            if edge is not None:
-                return FindResult.since(accountant, start, edge, False, iterations)
-
-        return FindResult.since(accountant, start, None, False, iterations)
+        # Steps 2-4: the narrowing loop, w TestOuts per B&E.
+        edge, verified_empty, iterations = probe.search(high, budget)
+        return FindResult.since(accountant, start, edge, verified_empty, iterations)
 
     # Convenience wrappers matching the paper's procedure names.
     def find_min(self, root: int) -> FindResult:

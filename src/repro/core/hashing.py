@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Tuple
+from typing import Callable, Iterable
 
 from ..network.errors import AlgorithmError
 from .primes import next_prime, prime_at_least
@@ -37,7 +37,6 @@ __all__ = [
     "KarpRabinFingerprint",
     "draw_below",
     "draw_odd_hash",
-    "draw_odd_hash_pair",
     "random_odd_hash",
     "random_pairwise_hash",
     "random_fingerprint",
@@ -53,9 +52,8 @@ class OddHashFunction:
 
     The constructor checks the arguments and sets the frozen fields
     directly rather than going through the generated ``__init__`` and
-    ``__post_init__``.  FindMin draws one per iteration through
-    :func:`draw_odd_hash`, whose values are valid by construction, so a
-    drawn hash skips the checks too.
+    ``__post_init__``.  A hash drawn by :func:`draw_odd_hash`, whose
+    values are valid by construction, skips the checks too.
     """
 
     multiplier: int
@@ -115,8 +113,9 @@ def draw_below(getrandbits: Callable[[int], int], n: int) -> int:
     the draw is below ``n``.  This is that loop without ``randrange``'s
     argument checks, so given a generator's ``getrandbits`` it consumes the
     same bits and returns the same values
-    (``tests/core/test_hashing.py::TestDrawBelow`` pins it).  The per-search
-    probes of :mod:`repro.core.testout` draw every hash and ``α`` with it.
+    (``tests/core/test_hashing.py::TestDrawBelow`` pins it).  FindMin's
+    narrowing loop, :meth:`~repro.core.testout.CutProbe.search`, runs the
+    same loop inline for each odd hash's two fields and each columnar ``α``.
     """
     bits = n.bit_length()
     value = getrandbits(bits)
@@ -125,31 +124,20 @@ def draw_below(getrandbits: Callable[[int], int], n: int) -> int:
     return value
 
 
-def draw_odd_hash_pair(word_bits: int, getrandbits: Callable[[int], int]) -> Tuple[int, int]:
-    """Draw an odd hash's ``(multiplier, threshold)`` from ``getrandbits``.
+def draw_odd_hash(word_bits: int, getrandbits: Callable[[int], int]) -> OddHashFunction:
+    """Draw an odd hash over ``word_bits``-bit words from ``getrandbits``.
 
     The multiplier is ``randrange(1, 2^w)`` made odd, then the threshold
     ``randrange(1, 2^w + 1)``, both via :func:`draw_below`; both lie in
-    range by construction.  The columnar TestOut probe hands the pair
-    straight to its kernel; :func:`draw_odd_hash` wraps it in a hash.
+    range by construction, so the constructor's checks are skipped.
     """
     size = 1 << word_bits
     multiplier = draw_below(getrandbits, size - 1) + 1
     if not multiplier & 1:
         multiplier -= 1
-    return multiplier, draw_below(getrandbits, size) + 1
-
-
-def draw_odd_hash(word_bits: int, getrandbits: Callable[[int], int]) -> OddHashFunction:
-    """Draw an odd hash over ``word_bits``-bit words from ``getrandbits``.
-
-    The fields come from :func:`draw_odd_hash_pair`; they lie in range by
-    construction, so the constructor's checks are skipped.
-    """
-    multiplier, threshold = draw_odd_hash_pair(word_bits, getrandbits)
     odd_hash = object.__new__(OddHashFunction)
     _set_field(odd_hash, "multiplier", multiplier)
-    _set_field(odd_hash, "threshold", threshold)
+    _set_field(odd_hash, "threshold", draw_below(getrandbits, size) + 1)
     _set_field(odd_hash, "word_bits", word_bits)
     return odd_hash
 

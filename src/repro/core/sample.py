@@ -23,8 +23,10 @@ module implements its stated idea:
    singleton interval at each pivot) are tested with one parallel
    ``TestOut`` word, the lowest positive interval is verified with
    ``HP-TestOut`` (no lighter interval missed, chosen interval non-empty),
-   and the range narrows to it — FindMin's narrowing step,
-   :meth:`~repro.core.testout.CutProbe.narrow`, over the pivot intervals.
+   and the range narrows to it.  This is FindMin's narrowing loop,
+   :meth:`~repro.core.testout.CutProbe.search`, given the pivot sampler:
+   the loop calls it every round, where FindMin's ``w``-wise split is
+   computed once per range.
 3. When the range narrows to a single augmented weight, that weight *is* the
    minimum leaving edge.
 """
@@ -96,36 +98,24 @@ class SuperpolyFindMin:
             return FindResult.since(accountant, start, None, True, 0)
         probe = self.tester.probe(root, tree, stats)
 
-        low = 0
         high = stats.max_augmented_weight
-        if not probe.hp(low, high):
+        if not probe.hp(0, high):
             return FindResult.since(accountant, start, None, True, 0)
 
         budget = (
             max_iterations
             if max_iterations is not None
-            else 8 * self.config.findmin_budget(max(stats.max_augmented_weight, 2))
+            else 8 * self.config.findmin_budget(max(high, 2))
         )
         num_pivots = max(2, self.config.word_size // 2)
         qualifying = self._qualifying(probe)
 
-        iterations = 0
-        while iterations < budget:
-            iterations += 1
-            if low == high:
-                edge = self.graph.edge_from_augmented_weight(low)
-                return FindResult.since(accountant, start, edge, False, iterations)
+        def pivots(low: int, high: int) -> Tuple[List[int], List[int]]:
+            sampled = self._sample_pivots(root, tree, low, high, num_pivots, qualifying)
+            return self._pivot_ranges(low, high, sampled)
 
-            pivots = self._sample_pivots(root, tree, low, high, num_pivots, qualifying)
-            lows, highs = self._pivot_ranges(low, high, pivots)
-            step = probe.narrow(low, high, lows, highs)
-            if step is None:
-                return FindResult.since(accountant, start, None, True, iterations)
-            low, high, edge = step
-            if edge is not None:
-                return FindResult.since(accountant, start, edge, False, iterations)
-
-        return FindResult.since(accountant, start, None, False, iterations)
+        edge, verified_empty, iterations = probe.search(high, budget, pivots)
+        return FindResult.since(accountant, start, edge, verified_empty, iterations)
 
     # ------------------------------------------------------------------ #
     # the Sample routine

@@ -296,7 +296,10 @@ def hp_products_all(
             down_product = down_product * (alpha - number) % p
     if up_product == down_product:
         return False
-    return not _internal_factor_vanishes(cols, alpha, p, low, high, row_mask, max_number)
+    # The walk starts at α mod p, so it is empty when that exceeds max_number.
+    return alpha % p > max_number or not _internal_factor_vanishes(
+        cols, alpha, p, low, high, row_mask, max_number
+    )
 
 
 def pack_parity_word(parities: Sequence[int]) -> int:

@@ -27,7 +27,10 @@ the tree, the odd hashes' word bits, HP-TestOut's prime and every echo width.
 Each of its echoes draws its randomness, computes the tree's aggregate (one
 columnar kernel call, or one reference fold) and is charged by one
 :meth:`~repro.network.broadcast.BroadcastEchoExecutor.broadcast_and_echo`.
-The :class:`CutTester` methods are thin wrappers over a one-off probe.
+FindMin's narrowing — its TestOut words and HP-TestOut checks, round after
+round — is one loop on the probe, :meth:`CutProbe.search`, which FindMin
+and Sample share on both tiers.  The :class:`CutTester` methods are thin
+wrappers over a one-off probe.
 
 Throughout this package, weight intervals refer to **augmented weights**
 (weight concatenated with the edge number, see :mod:`repro.network.graph`),
@@ -38,7 +41,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import fastpath
 from ..network.accounting import MessageAccountant
@@ -53,14 +57,7 @@ from ..network.errors import AlgorithmError
 from ..network.fragments import SpanningForest
 from ..network.graph import Edge, Graph
 from .config import AlgorithmConfig
-from .hashing import (
-    OddHashFunction,
-    PairwiseIndependentHash,
-    draw_below,
-    draw_odd_hash,
-    draw_odd_hash_pair,
-    random_odd_hash,
-)
+from .hashing import OddHashFunction, PairwiseIndependentHash, draw_below, random_odd_hash
 from .polynomial import SetEqualitySketch, local_product, product_pair_reducer
 from .primes import prime_for_field
 from .sketches import (
@@ -81,6 +78,7 @@ __all__ = [
     "CutProbe",
     "STATS_REDUCER",
     "lowest_set_bit",
+    "split_range",
     "testout_local_word",
     "hp_local_pair",
 ]
@@ -160,6 +158,30 @@ def lowest_set_bit(word: int, width: int) -> Optional[int]:
     return (word & -word).bit_length() - 1 if word else None
 
 
+def split_range(low: int, high: int, word_size: int) -> Tuple[List[int], List[int]]:
+    """Split [low, high] into at most ``word_size`` contiguous sub-ranges.
+
+    Returns the sub-ranges' ``(lows, highs)``: every one but the last spans
+    ``chunk`` weights, and the last ends at ``high``.
+    """
+    if low > high:
+        raise AlgorithmError(f"invalid range [{low}, {high}]")
+    chunk = max(1, -(-(high - low + 1) // word_size))
+    lows = list(range(low, high + 1, chunk))
+    highs = list(range(low + chunk - 1, high + chunk, chunk))
+    highs[-1] = high
+    return lows, highs
+
+
+#: ``testout(multiplier, threshold, word_bits, lows, highs, broadcast_bits)``:
+#: one TestOut word B&E under the odd hash of those fields.
+TestOutEcho = Callable[[int, int, int, Sequence[int], Sequence[int], int], int]
+#: ``hp(low, high)``: one HP-TestOut B&E under a fresh ``α``.
+HpEcho = Callable[[int, int], bool]
+#: ``pivots(low, high)``: the ``(lows, highs)`` of one round's sub-ranges.
+Pivots = Callable[[int, int], Tuple[List[int], List[int]]]
+
+
 class CutProbe:
     """The cut tests of one search, bound once to its tree ``T_x``.
 
@@ -168,14 +190,15 @@ class CutProbe:
     fixed for the search is resolved here: the executor, the tree, the odd
     hashes' word bits (from the statistics echo's ``maxEdgeNum``), the
     TestOut range-bits cap ``4·id_bits + 64``, and HP-TestOut's prime and
-    broadcast and echo widths.  Each echo method draws its randomness
-    (through :func:`~repro.core.hashing.draw_below`, the same values
-    ``Random.randrange`` gives), computes the tree's aggregate and is
-    charged by one call of the executor's
-    :meth:`~repro.network.broadcast.BroadcastEchoExecutor.broadcast_and_echo`,
-    as every other echo is.  A probe built without statistics cannot draw
-    its own odd hash (:meth:`testout_word`), and one without a prime cannot
-    run :meth:`hp`.
+    broadcast and echo widths.  A tier supplies two echoes bound to the
+    tree (:meth:`_echoes`): a TestOut word and an HP-TestOut, each one
+    call of the executor's
+    :meth:`~repro.network.broadcast.BroadcastEchoExecutor.broadcast_and_echo`
+    with one named kernel (columnar) or one reference fold, as every other
+    echo is charged.  :meth:`search` is FindMin's whole narrowing over
+    them, one loop per search, shared by FindMin and Sample; FindAny runs
+    its own echoes.  A probe built without statistics cannot
+    :meth:`search`, and one without a prime cannot run :meth:`hp`.
     """
 
     def __init__(
@@ -194,10 +217,9 @@ class CutProbe:
         self.tree = tree
         self.id_bits = id_bits
         self._getrandbits = tester.config.rng.getrandbits
+        self._word_size = tester.config.word_size
         if stats is not None:
             self._hash_bits = max(stats.max_edge_number, 1).bit_length()
-            # An odd hash's description: its multiplier and threshold.
-            self._hash_description_bits = 2 * self._hash_bits
         self._range_bits_cap = 4 * id_bits + 64
         self.field_prime = field_prime
         if field_prime is not None:
@@ -209,75 +231,139 @@ class CutProbe:
     def _bind(self) -> None:
         """Resolve the tier's own state for the tree."""
 
-    # ------------------------------------------------------------------ #
-    # TestOut and the FindMin narrowing step
-    # ------------------------------------------------------------------ #
-    def testout_word(self, lows: Sequence[int], highs: Sequence[int]) -> int:
-        """Parallel TestOuts of ``[lows[i], highs[i]]`` under a fresh odd hash.
+    @cached_property
+    def _echoes(self) -> Tuple[TestOutEcho, Optional[HpEcho]]:
+        """The tier's TestOut and HP-TestOut echoes over the tree.
 
-        One broadcast-and-echo whose ``len(lows)``-bit echo word has bit
-        ``i`` set iff TestOut fired on range ``i``.  The ranges must be
-        sorted and disjoint (``highs[i] < lows[i + 1]``), as FindMin's
-        ``w``-wise splits and Sample's pivot intervals are.
+        Each draws (HP-TestOut: its ``α``, as
+        :func:`~repro.core.hashing.draw_below` does) and charges one B&E.
+        They are built on the probe's first echo and kept for the search;
+        the kernels are looked up then, so a wrapper installed on them sees
+        every call.  HP-TestOut is ``None`` without a prime.
         """
-        return self.testout_word_with(
-            draw_odd_hash(self._hash_bits, self._getrandbits), lows, highs
-        )
+        return self._bind_echoes()
 
-    def testout_word_with(
-        self, odd_hash: OddHashFunction, lows: Sequence[int], highs: Sequence[int]
-    ) -> int:
-        """:meth:`testout_word` under the given odd hash."""
+    def _bind_echoes(self) -> Tuple[TestOutEcho, Optional[HpEcho]]:
+        """Build the tier's :attr:`_echoes`."""
         raise NotImplementedError
 
     def _testout_broadcast_bits(self, description_bits: int, top: int) -> int:
         """The hash's description plus the ranges, capped at ``4·id_bits + 64``."""
-        range_bits = 2 * max(top.bit_length(), 1)
-        return description_bits + min(range_bits, self._range_bits_cap)
+        return description_bits + min(2 * max(top.bit_length(), 1), self._range_bits_cap)
 
-    def narrow(
-        self, low: int, high: int, lows: List[int], highs: List[int]
-    ) -> Optional[Tuple[int, int, Optional[Edge]]]:
-        """One iteration of FindMin's steps 4–7 over the sub-ranges of ``[low, high]``.
+    # ------------------------------------------------------------------ #
+    # FindMin's narrowing (Section 3.1, steps 4-7; Appendix A's pivots)
+    # ------------------------------------------------------------------ #
+    def search(
+        self, high: int, budget: int, pivots: Optional[Pivots] = None
+    ) -> Tuple[Optional[Edge], bool, int]:
+        """Narrow ``[0, high]`` to the lightest leaving edge, in at most ``budget`` rounds.
 
-        One TestOut word over the sorted, disjoint sub-ranges
-        ``[lows[i], highs[i]]``; if none fires, HP-TestOut on ``[low, high]``
-        tells an empty cut from a round where every TestOut failed.
-        Otherwise the lowest firing sub-range is verified with HP-TestOut
-        twice — no lighter edge was missed (``TestLow``, only when the
-        sub-range is not the lowest) and the sub-range really holds a
-        leaving edge (``TestInterval``) — and becomes the range.  FindMin and
-        Sample share it.
+        Every round is one TestOut word over the sorted, disjoint sub-ranges
+        of the range ``[low, high]``: FindMin's ``w``-wise
+        :func:`split_range`, computed once per range, or, with ``pivots``,
+        ``pivots(low, high)``'s intervals, drawn afresh every round
+        (Sample's pivot B&E).  If no TestOut fires, HP-TestOut on
+        ``[low, high]`` tells an empty cut from a round where every TestOut
+        failed.  Otherwise the lowest firing sub-range is verified with
+        HP-TestOut twice — no lighter edge was missed (``TestLow``, only
+        when the sub-range is not the lowest) and the sub-range really
+        holds a leaving edge (``TestInterval``) — and becomes the range;
+        on inconsistent evidence the range stays.  A verified sub-range of
+        one augmented weight names the edge (augmented weights are unique).
 
-        Returns ``None`` when HP-TestOut certifies that no edge leaves the
-        tree within ``[low, high]``; otherwise ``(low, high, edge)``: the
-        range to search next (unchanged on inconsistent evidence) and, once
-        the verified sub-range is one augmented weight naming an edge, that
-        edge (augmented weights are unique).
+        A round draws from the config's generator the odd hash's multiplier
+        and threshold (as :func:`~repro.core.hashing.draw_odd_hash`),
+        then each HP-TestOut's ``α``, in that order.
+
+        Returns ``(edge, verified_empty, rounds)``: ``verified_empty`` when
+        HP-TestOut certified that no edge leaves the tree within the range,
+        and ``edge`` ``None`` also when the budget ran out.
         """
-        index = lowest_set_bit(self.testout_word(lows, highs), len(lows))
-        if index is None:
-            return (low, high, None) if self.hp(low, high) else None
-        range_low, range_high = lows[index], highs[index]
-        test_low = range_low > low and self.hp(low, range_low - 1)
-        test_interval = self.hp(range_low, range_high)
-        if test_low or not test_interval:
-            return low, high, None
-        if range_low == range_high:
-            # None only if HP-TestOut erred: a failed round.
-            return low, high, self.graph.edge_from_augmented_weight(range_low)
-        return range_low, range_high, None
+        testout, hp = self._echoes
+        getrandbits = self._getrandbits
+        edge_from_augmented_weight = self.graph.edge_from_augmented_weight
+        word_size = self._word_size
+        # draw_odd_hash's draws: the multiplier below 2^w - 1 and the
+        # threshold below 2^w, each plus one.
+        hash_bits = self._hash_bits
+        threshold_span = 1 << hash_bits
+        multiplier_span = threshold_span - 1
+        multiplier_bits = multiplier_span.bit_length()
+        threshold_bits = threshold_span.bit_length()
+        description_bits = 2 * hash_bits
+
+        low = 0
+        moved = True
+        rounds = 0
+        while rounds < budget:
+            rounds += 1
+            if moved:
+                moved = False
+                # Every sub-range list ends at ``high``.
+                broadcast_bits = self._testout_broadcast_bits(description_bits, high)
+                if pivots is None:
+                    lows, highs = split_range(low, high, word_size)
+            if pivots is not None:
+                lows, highs = pivots(low, high)
+            multiplier = getrandbits(multiplier_bits)
+            while multiplier >= multiplier_span:
+                multiplier = getrandbits(multiplier_bits)
+            multiplier += 1
+            if not multiplier & 1:
+                multiplier -= 1
+            threshold = getrandbits(threshold_bits)
+            while threshold >= threshold_span:
+                threshold = getrandbits(threshold_bits)
+            word = testout(multiplier, threshold + 1, hash_bits, lows, highs, broadcast_bits)
+            if not word:
+                if not hp(low, high):
+                    return None, True, rounds
+                continue
+            index = (word & -word).bit_length() - 1
+            range_low = lows[index]
+            range_high = highs[index]
+            test_low = range_low > low and hp(low, range_low - 1)
+            if not hp(range_low, range_high) or test_low:
+                continue
+            if range_low == range_high:
+                edge = edge_from_augmented_weight(range_low)
+                if edge is not None:
+                    return edge, False, rounds
+                # HP-TestOut erred: a failed round.
+                continue
+            low, high = range_low, range_high
+            moved = True
+        return None, False, rounds
 
     # ------------------------------------------------------------------ #
-    # HP-TestOut
+    # one-off TestOut and HP-TestOut
     # ------------------------------------------------------------------ #
+    def testout_word_with(
+        self, odd_hash: OddHashFunction, lows: Sequence[int], highs: Sequence[int]
+    ) -> int:
+        """Parallel TestOuts of ``[lows[i], highs[i]]`` under ``odd_hash``.
+
+        One broadcast-and-echo whose ``len(lows)``-bit echo word has bit
+        ``i`` set iff TestOut fired on range ``i``.  The columnar tier needs
+        the ranges sorted and disjoint (``highs[i] < lows[i + 1]``).
+        """
+        return self._echoes[0](
+            odd_hash.multiplier,
+            odd_hash.threshold,
+            odd_hash.word_bits,
+            lows,
+            highs,
+            self._testout_broadcast_bits(odd_hash.description_bits(), max(highs)),
+        )
+
     def hp(self, low: int = 0, high: int = _OPEN_HIGH) -> bool:
         """HP-TestOut on ``[low, high]`` under a fresh ``α``: one B&E.
 
         ``True`` iff the two Schwartz–Zippel products differ, i.e. (w.h.p.)
         some edge leaves the tree with augmented weight in the range.
         """
-        raise NotImplementedError
+        return self._echoes[1](low, high)
 
     # ------------------------------------------------------------------ #
     # FindAny's echoes (Section 4.1, steps 3-4)
@@ -323,59 +409,51 @@ class _ColumnarProbe(CutProbe):
         self._row_mask = tree.row_mask(cols)
         self._max_number = tree.statistics(cols)[1]
 
-    def testout_word(self, lows: Sequence[int], highs: Sequence[int]) -> int:
-        # Two ints in draw_odd_hash's order: no hash object per echo.
-        word_bits = self._hash_bits
-        multiplier, threshold = draw_odd_hash_pair(word_bits, self._getrandbits)
-        return self._testout(
-            multiplier, threshold, word_bits, self._hash_description_bits, lows, highs
-        )
+    def _bind_echoes(self) -> Tuple[TestOutEcho, Optional[HpEcho]]:
+        bne = self.executor.broadcast_and_echo
+        root, tree, cut = self.root, self.tree, self._cut
+        testout_kernel = range_parity_words_all
 
-    def testout_word_with(
-        self, odd_hash: OddHashFunction, lows: Sequence[int], highs: Sequence[int]
-    ) -> int:
-        return self._testout(
-            odd_hash.multiplier,
-            odd_hash.threshold,
-            odd_hash.word_bits,
-            odd_hash.description_bits(),
-            lows,
-            highs,
-        )
+        def testout(
+            multiplier: int,
+            threshold: int,
+            word_bits: int,
+            lows: Sequence[int],
+            highs: Sequence[int],
+            broadcast_bits: int,
+        ) -> int:
+            return bne(
+                root,
+                broadcast_bits=broadcast_bits,
+                echo_bits=len(lows),
+                tree=tree,
+                kind="testout",
+                aggregate=testout_kernel(multiplier, threshold, word_bits, lows, highs, cut),
+            )
 
-    def _testout(
-        self,
-        multiplier: int,
-        threshold: int,
-        word_bits: int,
-        description_bits: int,
-        lows: Sequence[int],
-        highs: Sequence[int],
-    ) -> int:
-        return self.executor.broadcast_and_echo(
-            self.root,
-            broadcast_bits=self._testout_broadcast_bits(description_bits, highs[-1]),
-            echo_bits=len(lows),
-            tree=self.tree,
-            kind="testout",
-            aggregate=range_parity_words_all(
-                multiplier, threshold, word_bits, lows, highs, self._cut
-            ),
-        )
-
-    def hp(self, low: int = 0, high: int = _OPEN_HIGH) -> bool:
         p = self.field_prime
-        alpha = draw_below(self._getrandbits, p)
-        return self.executor.broadcast_and_echo(
-            self.root,
-            broadcast_bits=self._hp_broadcast_bits,
-            echo_bits=self._hp_echo_bits,
-            tree=self.tree,
-            kind="hp_testout",
-            aggregate=hp_products_all(
-                self.cols, alpha, p, low, high, self._row_mask, self._max_number, self._cut
-            ),
-        )
+        if p is None:
+            return testout, None
+        getrandbits = self._getrandbits
+        alpha_bits = p.bit_length()
+        hp_kernel = hp_products_all
+        cols, row_mask, max_number = self.cols, self._row_mask, self._max_number
+        broadcast_bits, echo_bits = self._hp_broadcast_bits, self._hp_echo_bits
+
+        def hp(low: int, high: int) -> bool:
+            alpha = getrandbits(alpha_bits)
+            while alpha >= p:
+                alpha = getrandbits(alpha_bits)
+            return bne(
+                root,
+                broadcast_bits=broadcast_bits,
+                echo_bits=echo_bits,
+                tree=tree,
+                kind="hp_testout",
+                aggregate=hp_kernel(cols, alpha, p, low, high, row_mask, max_number, cut),
+            )
+
+        return testout, hp
 
     def prefix_word(self, pairwise: PairwiseIndependentHash) -> int:
         broadcast_bits, echo_bits = self._vector_bits(pairwise)
@@ -423,46 +501,56 @@ class _ReferenceProbe(CutProbe):
 
     cols = None
 
-    def _bind(self) -> None:
-        if self.field_prime is not None:
-            self._products = product_pair_reducer(self.field_prime)
-
     def _incident_numbers(self, node: int) -> List[int]:
         id_bits = self.id_bits
         return [e.edge_number(id_bits) for e in self.graph.incident_edges(node)]
 
-    def testout_word_with(
-        self, odd_hash: OddHashFunction, lows: Sequence[int], highs: Sequence[int]
-    ) -> int:
-        graph = self.graph
-        ranges = list(zip(lows, highs))
-        return self.executor.broadcast_and_echo(
-            self.root,
-            local_value=lambda node: testout_local_word(graph, node, odd_hash, ranges),
-            reducer=XOR_REDUCER,
-            broadcast_bits=self._testout_broadcast_bits(
-                odd_hash.description_bits(), max(highs)
-            ),
-            echo_bits=len(lows),
-            tree=self.tree,
-            kind="testout",
-        )
+    def _bind_echoes(self) -> Tuple[TestOutEcho, Optional[HpEcho]]:
+        bne = self.executor.broadcast_and_echo
+        root, tree, graph = self.root, self.tree, self.graph
 
-    def hp(self, low: int = 0, high: int = _OPEN_HIGH) -> bool:
+        def testout(
+            multiplier: int,
+            threshold: int,
+            word_bits: int,
+            lows: Sequence[int],
+            highs: Sequence[int],
+            broadcast_bits: int,
+        ) -> int:
+            odd_hash = OddHashFunction(multiplier, threshold, word_bits)
+            ranges = list(zip(lows, highs))
+            return bne(
+                root,
+                local_value=lambda node: testout_local_word(graph, node, odd_hash, ranges),
+                reducer=XOR_REDUCER,
+                broadcast_bits=broadcast_bits,
+                echo_bits=len(lows),
+                tree=tree,
+                kind="testout",
+            )
+
         p = self.field_prime
-        alpha = draw_below(self._getrandbits, p)
-        graph = self.graph
-        # The (up, down) pairs multiply up the tree componentwise mod p.
-        up, down = self.executor.broadcast_and_echo(
-            self.root,
-            local_value=lambda node: hp_local_pair(graph, node, alpha, p, low, high),
-            reducer=self._products,
-            broadcast_bits=self._hp_broadcast_bits,
-            echo_bits=self._hp_echo_bits,
-            tree=self.tree,
-            kind="hp_testout",
-        )
-        return not SetEqualitySketch(up, down, alpha, p).sides_equal
+        if p is None:
+            return testout, None
+        getrandbits = self._getrandbits
+        products = product_pair_reducer(p)
+        broadcast_bits, echo_bits = self._hp_broadcast_bits, self._hp_echo_bits
+
+        def hp(low: int, high: int) -> bool:
+            alpha = draw_below(getrandbits, p)
+            # The (up, down) pairs multiply up the tree componentwise mod p.
+            up, down = bne(
+                root,
+                local_value=lambda node: hp_local_pair(graph, node, alpha, p, low, high),
+                reducer=products,
+                broadcast_bits=broadcast_bits,
+                echo_bits=echo_bits,
+                tree=tree,
+                kind="hp_testout",
+            )
+            return not SetEqualitySketch(up, down, alpha, p).sides_equal
+
+        return testout, hp
 
     def prefix_word(self, pairwise: PairwiseIndependentHash) -> int:
         broadcast_bits, echo_bits = self._vector_bits(pairwise)

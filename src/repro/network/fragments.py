@@ -314,13 +314,19 @@ class SpanningForest:
         return True
 
     def check_forest(self) -> None:
-        """Raise :class:`ForestError` if the marked subgraph contains a cycle."""
-        for comp in self.components():
-            edges_inside = sum(
-                1
-                for (u, v) in self._marked
-                if u in comp and v in comp
-            )
+        """Raise :class:`ForestError` if the marked subgraph contains a cycle.
+
+        A component is a tree iff it holds one marked edge fewer than it has
+        nodes; one pass over the marked edges counts them all.
+        """
+        components = self.components()
+        index = {node: i for i, comp in enumerate(components) for node in comp}
+        inside = [0] * len(components)
+        for u, v in self._marked:
+            i = index.get(u)
+            if i is not None and i == index.get(v):
+                inside[i] += 1
+        for comp, edges_inside in zip(components, inside):
             if edges_inside != len(comp) - 1:
                 raise ForestError(
                     f"component {sorted(comp)} has {edges_inside} marked edges; "

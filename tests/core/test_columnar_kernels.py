@@ -29,6 +29,7 @@ from itertools import compress
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.sketches as sketches_module
 from repro.core.hashing import (
     PairwiseIndependentHash,
     random_odd_hash,
@@ -741,6 +742,10 @@ class TestHpTestOutCutPass:
         c_up, c_down = cut_products(cut, alpha, p, 0, 1 << 256)
         assert c_up != c_down
         assert hp_products_all(cols, alpha, p, 0, 1 << 256, mask, max_number, cut) is False
+        # An α above both p and maxEdgeNum walks from α mod p all the same.
+        above = alpha + p * (max_number // p + 1)
+        assert above > max_number
+        assert hp_products_all(cols, above, p, 0, 1 << 256, mask, max_number, cut) is False
         for alpha in range(p):
             assert_hp_answers_match(graph, rows, alpha, p, 0, 1 << 256)
 
@@ -774,3 +779,30 @@ class TestHpTestOutCutPass:
                 assert not hp_products_all(
                     cols, alpha, p, 0, 1 << 256, mask, cols.max_number, cut
                 )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_alpha_above_every_edge_number_skips_the_walk(self, seed, monkeypatch):
+        # With α mod p > maxEdgeNum the walk α mod p, α mod p + p, ... is
+        # empty, so the kernel answers from the cut products without it.
+        graph = random_graph(seed=seed)
+        cols, rows, mask, cut, _ = self.internal_and_rows(graph, seed)
+        max_number = max_number_of(cols, rows)
+        p = 2**61 - 1
+        walk = sketches_module._internal_factor_vanishes
+        walks = []
+
+        def spy(*args):
+            walks.append(args[1])
+            return walk(*args)
+
+        monkeypatch.setattr(sketches_module, "_internal_factor_vanishes", spy)
+        rng = random.Random(seed)
+        for alpha in [max_number + 1, p - 1] + [rng.randrange(max_number + 1, p) for _ in range(8)]:
+            assert_hp_answers_match(graph, rows, alpha, p, 0, 1 << 256)
+            assert hp_products_all(cols, alpha, p, 0, 1 << 256, mask, max_number, cut)
+        assert walks == []
+        # At or below maxEdgeNum, also as α mod p for an α above p, the
+        # walk still runs.
+        for alpha in (max_number, p + max_number):
+            assert_hp_answers_match(graph, rows, alpha, p, 0, 1 << 256)
+        assert walks == [max_number, p + max_number]

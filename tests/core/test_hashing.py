@@ -30,9 +30,12 @@ DRAW_WIDTHS = sorted(
 class TestDrawBelow:
     """The probes' draws equal ``Random.randrange`` on a twin generator.
 
-    Every hash and ``α`` a search draws goes through :func:`draw_below`, so
-    if CPython's ``randrange`` ever consumed bits differently, the counters
-    would move; this pins the equality on every Python CI runs.
+    Every hash and ``α`` a search draws is drawn by :func:`draw_below`'s
+    loop (inline in ``CutProbe.search``, which
+    ``tests/core/test_testout.py::TestProbeDrawOrder`` pins against
+    :func:`draw_odd_hash`), so if CPython's ``randrange`` ever consumed bits
+    differently, the counters would move; this pins the equality on every
+    Python CI runs.
     """
 
     @pytest.mark.parametrize("seed", range(0, 400, 7))

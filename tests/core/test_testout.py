@@ -1,12 +1,14 @@
 """Tests for TestOut / HP-TestOut (Lemma 1 and Section 2 semantics)."""
 
+import itertools
+
 import pytest
 
 import repro.core.testout as testout_module
 from repro import fastpath
 from repro.core.config import AlgorithmConfig
 from repro.core.hashing import draw_odd_hash
-from repro.core.testout import CutTester
+from repro.core.testout import CutTester, lowest_set_bit, split_range
 from repro.network.accounting import MessageAccountant
 from repro.network.fragments import SpanningForest
 from repro.network.graph import Graph
@@ -143,49 +145,78 @@ class TestTestOut:
         assert acct.messages == 0  # singleton tree: purely local computation
 
 
-class TestProbeDrawOrder:
-    """The columnar probe draws its odd hash as ints, as ``draw_odd_hash`` does.
+def model_search(probe, graph, high, budget, word_size, hash_bits, getrandbits):
+    """FindMin's narrowing spelled out over the probe's one-off echoes.
 
-    ``_ColumnarProbe.testout_word`` draws the multiplier and then the
-    threshold and hands them straight to the kernel; if the order or the
-    word width drifted from :func:`draw_odd_hash`, FindMin's counters would
-    move.  Each run is compared against ``testout_word_with`` under a hash
-    drawn from a twin generator.
+    Every round splits its range afresh, draws a hash object with
+    :func:`draw_odd_hash` and runs :meth:`CutProbe.testout_word_with` and
+    :meth:`CutProbe.hp` as separate calls.
+    """
+    low = 0
+    rounds = 0
+    while rounds < budget:
+        rounds += 1
+        lows, highs = split_range(low, high, word_size)
+        odd_hash = draw_odd_hash(hash_bits, getrandbits)
+        index = lowest_set_bit(probe.testout_word_with(odd_hash, lows, highs), len(lows))
+        if index is None:
+            if not probe.hp(low, high):
+                return None, True, rounds
+            continue
+        range_low, range_high = lows[index], highs[index]
+        test_low = range_low > low and probe.hp(low, range_low - 1)
+        test_interval = probe.hp(range_low, range_high)
+        if test_low or not test_interval:
+            continue
+        if range_low == range_high:
+            edge = graph.edge_from_augmented_weight(range_low)
+            if edge is not None:
+                return edge, False, rounds
+            continue
+        low, high = range_low, range_high
+    return None, False, rounds
+
+
+class TestProbeDrawOrder:
+    """:meth:`CutProbe.search` draws as the one-off echoes draw.
+
+    The loop draws each odd hash as two ints, in :func:`draw_odd_hash`'s
+    order, and each ``α`` inline; if the order or a width drifted, FindMin's
+    counters would move.  Each search is compared, on both tiers, against
+    :func:`model_search` over a twin generator: same answer, same rounds,
+    same charges and the same final generator state.
     """
 
     @pytest.mark.parametrize("seed", range(0, 200, 7))
     def test_matches_testout_word_with_a_drawn_hash(self, seed, two_fragment_graph):
         graph, forest = two_fragment_graph()
-        light, middle, heavy = sorted(
-            graph.augmented_weight(u, v) for u, v in ((3, 4), (2, 5), (1, 6))
-        )
-        open_high = testout_module._OPEN_HIGH
-        range_lists = [
-            ([0], [open_high]),
-            ([0, middle], [middle - 1, open_high]),
-            ([0, light + 1, heavy], [light, heavy - 1, heavy]),
-        ]
-        runs = []
-        for integer_draw in (True, False):
-            tester, acct = _tester(graph, forest, seed=seed)
-            with fastpath.fast_path():
-                stats = tester.tree_statistics(1)
-                probe = tester.probe(1, stats=stats)
-                assert type(probe).__name__ == "_ColumnarProbe"
-                word_bits = max(stats.max_edge_number, 1).bit_length()
-                getrandbits = tester.config.rng.getrandbits
-                words = []
-                for _ in range(4):
-                    for lows, highs in range_lists:
-                        if integer_draw:
-                            words.append(probe.testout_word(lows, highs))
-                        else:
-                            odd_hash = draw_odd_hash(word_bits, getrandbits)
-                            words.append(probe.testout_word_with(odd_hash, lows, highs))
-            runs.append(
-                (words, acct.snapshot(), acct.per_kind(), tester.config.rng.getstate())
-            )
-        assert runs[0] == runs[1]
+        tiers = (fastpath.fast_path, fastpath.reference_path)
+        # A budget of two rounds mostly runs out; the full one mostly finds.
+        for tier, short in itertools.product(tiers, (True, False)):
+            runs = []
+            for loop in (True, False):
+                tester, acct = _tester(graph, forest, seed=seed)
+                with tier():
+                    stats = tester.tree_statistics(1)
+                    probe = tester.probe(1, stats=stats)
+                    high = stats.max_augmented_weight
+                    budget = 2 if short else tester.config.findmin_budget(high)
+                    if loop:
+                        answer = probe.search(high, budget)
+                    else:
+                        answer = model_search(
+                            probe,
+                            graph,
+                            high,
+                            budget,
+                            tester.config.word_size,
+                            max(stats.max_edge_number, 1).bit_length(),
+                            tester.config.rng.getrandbits,
+                        )
+                runs.append(
+                    (answer, acct.snapshot(), acct.per_kind(), tester.config.rng.getstate())
+                )
+            assert runs[0] == runs[1]
 
 
 class TestHPTestOut:

@@ -114,6 +114,30 @@ class TestInvariants:
         with pytest.raises(ForestError):
             forest.check_forest()
 
+    def test_cycle_in_a_many_component_forest(self):
+        # 200 disjoint marked edges, then a triangle among the last ones:
+        # the one-pass count names the triangle's component, and only it.
+        graph = Graph()
+        for k in range(200):
+            graph.add_edge(2 * k + 1, 2 * k + 2, k + 1)
+        graph.add_edge(401, 402, 500)
+        graph.add_edge(402, 403, 501)
+        graph.add_edge(401, 403, 502)
+        marked = [(2 * k + 1, 2 * k + 2) for k in range(200)]
+        forest = SpanningForest(graph, marked=marked)
+        forest.check_forest()
+        forest.mark(401, 402)
+        forest.mark(402, 403)
+        forest.check_forest()
+        forest.mark(401, 403)
+        assert not forest.is_forest()
+        message = (
+            "component [401, 402, 403] has 3 marked edges; "
+            "a tree on 3 nodes must have 2"
+        )
+        with pytest.raises(ForestError, match=re.escape(message)):
+            forest.check_forest()
+
     def test_is_spanning(self, graph_and_forest):
         _, forest = graph_and_forest
         assert forest.is_spanning()
