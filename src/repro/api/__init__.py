@@ -82,8 +82,8 @@ from ..network.scheduler import (
 # Importing the adapters registers the built-in algorithms.
 from . import runners  # noqa: E402  (must come after registry)
 
-# Importing the Byzantine package registers the byz-* fault programs and the
-# "bracha" delivery substrate alongside the built-ins.
+# Importing the Byzantine package registers the "bracha" delivery substrate
+# alongside the built-in "plain" one.
 from .. import byzantine as _byzantine  # noqa: E402, F401  (must come after .faults)
 
 __all__ = [

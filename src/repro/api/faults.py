@@ -37,10 +37,10 @@ Registered programs
 ``link-storm``
     Fail-stop a burst of random links — the deletion-heavy storm that
     drives ``kkt-repair`` against ``recompute-repair``.
-``byz-corrupt`` / ``byz-equivocate`` / ``byz-replay`` / ``byz-silent``
-    The Byzantine tier (registered by :mod:`repro.byzantine.programs`): a
-    seed-chosen honest-majority subset of nodes lies, equivocates, replays
-    stale traffic or falls silent at the kernel's delivery boundary.
+
+No program is Byzantine: the paper's model has honest nodes.  The nodes that
+lie (:mod:`repro.byzantine.behaviors`) exist only to test Bracha's reliable
+broadcast, whose cost model is the ``"bracha"`` delivery substrate.
 
 Each program declares what it ``acts_on`` (:data:`FAULT_TARGETS`): its kernel
 injector's ``deliveries``, the ``updates`` the repair runners consume, or a

@@ -1,22 +1,19 @@
-"""The Byzantine fault tier: adversarial nodes and the Bracha defence.
+"""Bracha's reliable broadcast and the adversary its tests run it against.
 
-The benign fault subsystem (PR 4) models crashes, dead links and lossy
-delivery.  This package adds the adversary that *lies*, in two halves that
-mirror attack and defence:
-
-* :mod:`repro.byzantine.behaviors` — compromised-node programs (payload
-  corruption, equivocation, stale replay, send omission) injected at the
-  event kernel's single delivery boundary, plus
-  :mod:`repro.byzantine.programs`, which publishes them as ``byz-*`` fault
-  programs in the experiment registry;
 * :mod:`repro.byzantine.bracha` — Bracha's reliable broadcast
   (INIT/ECHO/READY, sound for ``n > 3t``) as an executable per-node
   protocol, plus :mod:`repro.byzantine.substrate`, which registers its
   closed-form cost model as the ``"bracha"`` delivery substrate the
-  broadcast-and-echo executor can charge through.
+  broadcast-and-echo executor can charge through;
+* :mod:`repro.byzantine.behaviors` — compromised-node behaviours (payload
+  corruption, equivocation, stale replay, send omission) injected at the
+  event kernel's single delivery boundary, which the tests use to check
+  Bracha's tolerance of ``t`` Byzantine nodes.
 
-The ``bracha-overhead`` claim of :mod:`repro.claims` pins what the
-hardening costs.
+No fault program of the experiment registry is Byzantine: the paper's model
+is CONGEST with honest nodes.  The ``bracha-overhead`` and
+``search-charges`` claims of :mod:`repro.claims` pin what the hardening
+costs.
 """
 
 from .behaviors import (
@@ -32,7 +29,6 @@ from .bracha import (
     complete_graph,
     run_bracha_broadcast,
 )
-from .programs import choose_byzantine_nodes, max_tolerated
 from .substrate import BrachaSubstrate, default_resilience
 
 __all__ = [
@@ -45,8 +41,6 @@ __all__ = [
     "BrachaRun",
     "complete_graph",
     "run_bracha_broadcast",
-    "choose_byzantine_nodes",
-    "max_tolerated",
     "BrachaSubstrate",
     "default_resilience",
 ]

@@ -1,40 +1,37 @@
 """Adversarial node behaviours injected at the kernel's delivery boundary.
 
-The crash/lossy/partition tier (PR 4) models a *benign* adversary: messages
-disappear or double, but nobody lies.  This module adds the Byzantine tier:
-a seeded subset of nodes is compromised and their *outgoing* traffic is
+The crash/lossy/partition fault programs model a *benign* adversary:
+messages disappear or double, but nobody lies.  This module adds the
+adversary that lies, which the tests run Bracha's reliable broadcast
+against: a set of nodes is compromised and their *outgoing* traffic is
 tampered with at the single :meth:`~repro.network.kernel.EventKernel._admit`
-seam, so every protocol running on the kernel faces the same adversary
-without knowing about it.
+seam, so the protocol faces the adversary without knowing about it.
 
 Four behaviours are provided (the ``program`` of a
 :class:`ByzantineBehavior`):
 
 ``silent``
-    The compromised node's outgoing messages are all suppressed from time
-    ``at`` on — a sender-side crash: the node still *receives* and computes,
-    it just never speaks.
+    The compromised node's outgoing messages are all suppressed — a
+    sender-side crash: the node still *receives* and computes, it just never
+    speaks.
 ``corrupt``
     Each outgoing payload is deterministically corrupted (numeric payloads
-    get a bit flipped) with probability ``rate``, drawn in delivery order
-    from the behaviour's own RNG.
+    get a bit flipped).
 ``equivocate``
     The classic Byzantine lie: for a fixed, seed-determined half of its
     peers the node's payloads are replaced with one consistent *altered*
     value while the other half sees the truth — conflicting claims about
     the same logical send.
 ``replay``
-    The node's first observed message is remembered and stale copies of it
-    are re-injected (with probability ``rate``) whenever the node speaks
-    again.
+    The node's first observed message is remembered and a stale copy of it
+    is re-injected whenever the node speaks again.
 
 Every action that actually fires is logged as a
 :class:`~repro.network.faults.FaultEvent` with kind ``byz-<program>``, which
-is how Byzantine runs carry their full adversarial history in
-``RunResult.extra["fault_events"]`` provenance.  Payloads that cannot be
-meaningfully corrupted (``None``, strings, objects) pass through unchanged
-— and *unlogged*, so the event log never claims an attack that did not
-happen.
+is how a Bracha run carries its full adversarial history in
+``BrachaRun.fault_events``.  Payloads that cannot be meaningfully corrupted
+(``None``, strings, objects) pass through unchanged — and *unlogged*, so the
+event log never claims an attack that did not happen.
 """
 
 from __future__ import annotations
@@ -93,19 +90,12 @@ class ByzantineBehavior:
     ----------
     nodes:
         The compromised node IDs.  An empty set is a valid (inert)
-        adversary — what the fault programs build on graphs too small to
-        tolerate any Byzantine node (``n <= 3``).
+        adversary.
     program:
         One of :data:`BYZANTINE_PROGRAMS`.
     seed:
-        Drives every decision the adversary makes; ``None`` means seed 0,
-        so a behaviour is *always* deterministic.
-    rate:
-        Per-message firing probability for the ``corrupt`` and ``replay``
-        programs (``equivocate`` and ``silent`` are deterministic per edge
-        and per message respectively).
-    at:
-        Kernel time (round / delivery count) from which the adversary acts.
+        Drives the equivocation split and the corruption salt; ``None``
+        means seed 0, so a behaviour is *always* deterministic.
     """
 
     def __init__(
@@ -113,36 +103,19 @@ class ByzantineBehavior:
         nodes: Iterable[int],
         program: str,
         seed: Optional[int] = None,
-        rate: float = 1.0,
-        at: int = 0,
     ) -> None:
         if program not in BYZANTINE_PROGRAMS:
             known = ", ".join(BYZANTINE_PROGRAMS)
             raise SimulationError(
                 f"unknown Byzantine program {program!r}; known programs: {known}"
             )
-        if not 0.0 <= rate <= 1.0:
-            raise SimulationError("Byzantine rate must be in [0, 1]")
-        if at < 0:
-            raise SimulationError("Byzantine start times must be non-negative")
         self.nodes = frozenset(int(node) for node in nodes)
         self.program = program
         self.seed = 0 if seed is None else int(seed)
-        self.rate = float(rate)
-        self.at = int(at)
-        self._rng = random.Random(self.seed)
 
-    def acts_on(self, message: Message, time: int) -> bool:
-        """Does this adversary tamper with ``message`` delivered at ``time``?"""
-        return time >= self.at and message.sender in self.nodes
-
-    def fires(self) -> bool:
-        """One seeded coin flip at ``rate``, drawn in delivery order."""
-        if self.rate >= 1.0:
-            return True
-        if self.rate <= 0.0:
-            return False
-        return self._rng.random() < self.rate
+    def acts_on(self, message: Message) -> bool:
+        """Does this adversary tamper with ``message``?"""
+        return message.sender in self.nodes
 
     def lies_to(self, sender: int, receiver: int) -> bool:
         """Equivocation split: does ``sender`` lie on the edge to ``receiver``?
@@ -157,10 +130,9 @@ class ByzantineBehavior:
 
 
 class ByzantineInjector(FaultInjector):
-    """A :class:`~repro.network.faults.FaultInjector` with a Byzantine layer.
+    """A :class:`~repro.network.faults.FaultInjector` that runs one adversary.
 
-    Benign faults (crashes, link windows, lossy drop/duplication) work
-    exactly as in the base class; on top, every admitted message from a
+    It installs no benign faults of its own; every admitted message from a
     compromised sender runs through the :class:`ByzantineBehavior`:
 
     * ``silent`` suppresses it (an extra :meth:`verdict` drop, logged as
@@ -175,9 +147,8 @@ class ByzantineInjector(FaultInjector):
     bit-identical to the plain :class:`FaultInjector`.
     """
 
-    def __init__(self, behavior: ByzantineBehavior, **kwargs: Any) -> None:
-        kwargs.setdefault("seed", behavior.seed)
-        super().__init__(**kwargs)
+    def __init__(self, behavior: ByzantineBehavior) -> None:
+        super().__init__(seed=behavior.seed)
         self.behavior = behavior
         # Sequence numbers of replayed clones: a replay never triggers
         # further tampering, so replay chains cannot grow unboundedly.
@@ -194,18 +165,17 @@ class ByzantineInjector(FaultInjector):
         if verdict != DELIVER:
             return verdict
         behavior = self.behavior
-        if behavior.program == "silent" and behavior.acts_on(message, time):
+        if behavior.program == "silent" and behavior.acts_on(message):
             self._log(time, "byz-silent", message)
             return DROP
         return DELIVER
 
     def on_deliver(self, message: Message, time: int) -> Optional[Message]:
         behavior = self.behavior
-        if message.sequence in self._replays or not behavior.acts_on(message, time):
+        if message.sequence in self._replays or not behavior.acts_on(message):
             return None
         if behavior.program == "corrupt":
-            if behavior.fires():
-                self._tamper(message, time, "byz-corrupt", salt=behavior.seed + 1)
+            self._tamper(message, time, "byz-corrupt", salt=behavior.seed + 1)
             return None
         if behavior.program == "equivocate":
             if behavior.lies_to(message.sender, message.receiver):
@@ -216,11 +186,10 @@ class ByzantineInjector(FaultInjector):
             if stale is None:
                 self._stale[message.sender] = message.clone()
                 return None
-            if behavior.fires():
-                replay = stale.clone()
-                self._replays.add(replay.sequence)
-                self._log(time, "byz-replay", replay)
-                return replay
+            replay = stale.clone()
+            self._replays.add(replay.sequence)
+            self._log(time, "byz-replay", replay)
+            return replay
         return None
 
     def _tamper(self, message: Message, time: int, kind: str, salt: int) -> None:

@@ -1,7 +1,7 @@
 """Bracha's reliable broadcast (Bracha 1987): INIT / ECHO / READY.
 
 The KKT broadcast-and-echo primitives assume a reliable tree: whatever the
-root sends is what every node receives.  Under the Byzantine tier that
+root sends is what every node receives.  With Byzantine nodes that
 assumption breaks, and the classic repair is Bracha's asynchronous reliable
 broadcast, which guarantees for ``n`` nodes with at most ``t < n/3``
 Byzantine among them:

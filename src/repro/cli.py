@@ -58,7 +58,7 @@ Examples
     python -m repro run kkt-repair --nodes 48 --workload weight-ramp
     python -m repro run flooding --nodes 48 --schedule random
     python -m repro run kkt-repair --nodes 48 --fault link-storm
-    python -m repro run flooding --nodes 24 --fault byz-equivocate
+    python -m repro run flooding --nodes 24 --fault lossy-uniform
     python -m repro run kkt-mst --nodes 64 --substrate bracha
     python -m repro compare kkt-mst ghs --nodes 64 --seed 1
     python -m repro compare kkt-repair recompute-repair --nodes 64 --mode st --fault crash-leaves

@@ -73,16 +73,6 @@ _PARAM_FUZZERS: Dict[Tuple[str, str], Callable[[random.Random], Dict[str, Any]]]
     ("fault", "partition-heal"): lambda rng: {
         "fraction": rng.choice([0.25, 0.4])
     },
-    ("fault", "byz-corrupt"): lambda rng: {
-        "count": rng.randint(1, 2),
-        "rate": rng.choice([0.5, 1.0]),
-    },
-    ("fault", "byz-equivocate"): lambda rng: {"count": rng.randint(1, 2)},
-    ("fault", "byz-replay"): lambda rng: {
-        "count": rng.randint(1, 2),
-        "rate": rng.choice([0.25, 0.5]),
-    },
-    ("fault", "byz-silent"): lambda rng: {"count": rng.randint(1, 2)},
 }
 
 

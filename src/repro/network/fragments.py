@@ -313,11 +313,13 @@ class SpanningForest:
             return False
         return True
 
-    def check_forest(self) -> None:
+    def check_forest(self) -> List[Set[int]]:
         """Raise :class:`ForestError` if the marked subgraph contains a cycle.
 
         A component is a tree iff it holds one marked edge fewer than it has
-        nodes; one pass over the marked edges counts them all.
+        nodes; one pass over the marked edges counts them all.  Returns the
+        :meth:`components` it built, so a caller that compares them with the
+        graph's need not build them again.
         """
         components = self.components()
         index = {node: i for i, comp in enumerate(components) for node in comp}
@@ -332,6 +334,7 @@ class SpanningForest:
                     f"component {sorted(comp)} has {edges_inside} marked edges; "
                     f"a tree on {len(comp)} nodes must have {len(comp) - 1}"
                 )
+        return components
 
     def is_spanning(self) -> bool:
         """True iff each maintained tree spans a connected component of the graph."""

@@ -22,10 +22,11 @@ Faults are injected at the kernel's delivery boundary: when a
 popped for delivery is first passed through :meth:`EventKernel._admit`, which
 drops messages to crashed nodes, messages on failed or partitioned links and
 (seed-deterministically) messages on lossy links, and enqueues duplicate
-copies.  Adversarial *node* behaviours (see :mod:`repro.byzantine`) ride the
-same boundary: an installed :class:`~repro.byzantine.ByzantineInjector` may
-additionally silence, corrupt or equivocate the payloads of compromised
-senders and replay their stale messages.  Every protocol — flooding,
+copies.  The adversarial *node* behaviours that Bracha's reliable broadcast
+is tested against (see :mod:`repro.byzantine`) ride the same boundary: an
+installed :class:`~repro.byzantine.ByzantineInjector` may additionally
+silence, corrupt or equivocate the payloads of compromised senders and
+replay their stale messages.  Every protocol — flooding,
 broadcast-and-echo, leader election — therefore sees the same fault model
 without knowing about it.  With no
 injector installed the kernel behaves bit-identically to the historical

@@ -14,8 +14,6 @@ A maintained forest is correct when (Section 1):
 
 from __future__ import annotations
 
-from typing import List
-
 from ..network.errors import ForestError
 from ..network.fragments import SpanningForest
 
@@ -32,12 +30,9 @@ def check_properly_marked(forest: SpanningForest) -> None:
 def check_spanning_forest(forest: SpanningForest) -> None:
     """Raise :class:`ForestError` unless ``forest`` is a maximal spanning forest."""
     check_properly_marked(forest)
-    forest.check_forest()
+    forest_components = sorted(sorted(component) for component in forest.check_forest())
     graph_components = sorted(
         (sorted(component) for component in forest.graph.connected_components())
-    )
-    forest_components = sorted(
-        (sorted(component) for component in forest.components())
     )
     if graph_components != forest_components:
         raise ForestError(

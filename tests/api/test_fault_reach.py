@@ -10,6 +10,8 @@ fault pair must change the run: a runner off the event kernel in its
 counters, the kernel runner (flooding) in a non-empty fault history.
 """
 
+import json
+
 import pytest
 
 from repro.api import (
@@ -97,8 +99,13 @@ class TestDeclarations:
     def test_every_program_acts_on_known_targets(self):
         for name in list_faults():
             assert set(fault_acts_on(name)) <= set(FAULT_TARGETS)
-        assert fault_acts_on("none") == ()
-        assert fault_acts_on("partition-heal") == ("deliveries", "updates")
+        assert {name: fault_acts_on(name) for name in list_faults()} == {
+            "crash-leaves": ("deliveries", "updates", "topology"),
+            "link-storm": ("deliveries", "updates", "topology"),
+            "lossy-uniform": ("deliveries",),
+            "none": (),
+            "partition-heal": ("deliveries", "updates"),
+        }
 
     def test_unknown_targets_are_rejected_at_registration(self):
         from repro.api import register_fault
@@ -107,15 +114,15 @@ class TestDeclarations:
             register_fault("meteor", acts_on=("weather",))
 
     def test_the_grid_has_both_kinds_of_pair(self):
-        assert len(REJECTED) == 28 and len(ACCEPTED) == 20
+        assert len(REJECTED) == 8 and len(ACCEPTED) == 16
 
 
 class TestRejected:
     def test_the_pinned_message(self):
         with pytest.raises(AlgorithmError) as excinfo:
-            run("kkt-mst", _spec("byz-silent"))
+            run("kkt-mst", _spec("lossy-uniform"))
         assert str(excinfo.value) == (
-            "kkt-mst cannot run under fault program 'byz-silent': it acts on "
+            "kkt-mst cannot run under fault program 'lossy-uniform': it acts on "
             "deliveries, and kkt-mst reads only topology"
         )
 
@@ -123,6 +130,12 @@ class TestRejected:
     def test_run_raises(self, algorithm, program):
         with pytest.raises(AlgorithmError) as excinfo:
             run(algorithm, _spec(program))
+        assert str(excinfo.value) == _message(algorithm, program)
+
+    @pytest.mark.parametrize("algorithm, program", REJECTED)
+    def test_check_reach_raises(self, algorithm, program):
+        with pytest.raises(AlgorithmError) as excinfo:
+            check_reach(algorithm, _spec(program))
         assert str(excinfo.value) == _message(algorithm, program)
 
     @pytest.mark.parametrize("algorithm, program", REJECTED)
@@ -139,12 +152,14 @@ class TestRejected:
         assert CaseContext(_spec(program), [algorithm, "flooding"]).algorithms == ["flooding"]
 
     def test_a_grid_of_only_rejected_cells_raises(self):
-        with pytest.raises(AlgorithmError, match="ghs cannot run under fault program 'byz-silent'"):
-            scenario_grid(["ghs", "kkt-mst"], [GOLDEN_GRAPH], faults=["byz-silent"])
+        with pytest.raises(
+            AlgorithmError, match="ghs cannot run under fault program 'lossy-uniform'"
+        ):
+            scenario_grid(["ghs", "kkt-mst"], [GOLDEN_GRAPH], faults=["lossy-uniform"])
 
     def test_cli_suite_skips_and_then_rejects(self, capsys):
         code = main(["suite", "--algorithms", "kkt-mst", "flooding", "--faults",
-                     "byz-silent", "--sizes", "8", "--json"])
+                     "lossy-uniform", "--sizes", "8", "--json"])
         out = capsys.readouterr().out
         assert code in (0, 1)
         assert out.count('"algorithm": "flooding"') == 1 and "kkt-mst" not in out
@@ -168,6 +183,24 @@ class TestAccepted:
             assert faulted.extra["fault_events"]
         else:
             assert faulted.counters() != clean.counters()
+
+    @pytest.mark.parametrize("algorithm, program", ACCEPTED)
+    def test_the_faulted_run_is_deterministic(self, algorithm, program):
+        first = run(algorithm, _spec(program))
+        second = run(algorithm, _spec(program))
+        assert first.extra["fault_events"] == second.extra["fault_events"]
+        assert first.counters() == second.counters()
+
+    @pytest.mark.parametrize("algorithm, program", ACCEPTED)
+    def test_the_fault_history_round_trips_through_json(self, algorithm, program):
+        result = run(algorithm, _spec(program))
+        assert result.faults is not None and result.faults.name == program
+        assert result.faults.seed == GOLDEN_GRAPH.seed  # resolved against the graph seed
+        events = result.extra["fault_events"]
+        assert events
+        assert json.loads(result.to_json())["extra"]["fault_events"] == events
+        again = type(result).from_json(result.to_json())
+        assert again.to_dict() == result.to_dict()
 
 
 class TestSchedules:

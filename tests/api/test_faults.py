@@ -26,6 +26,7 @@ from repro.api import (
     fault_summaries,
     get_fault,
     list_faults,
+    register_fault,
     run,
     scenario_grid,
 )
@@ -33,13 +34,10 @@ from repro.api.runners import _reference_forest
 from repro.api.scenario import stream_fingerprint
 from repro.dynamic import UpdateKind
 from repro.network.errors import AlgorithmError
+from repro.network.faults import FaultEvent
 from repro.network.scheduler import list_schedulers
 
 BUILTIN_FAULTS = [
-    "byz-corrupt",
-    "byz-equivocate",
-    "byz-replay",
-    "byz-silent",
     "crash-leaves",
     "link-storm",
     "lossy-uniform",
@@ -65,6 +63,39 @@ class TestRegistry:
     def test_unknown_name_lists_known_programs(self):
         with pytest.raises(AlgorithmError, match="registered fault programs"):
             get_fault("meteor-strike")
+
+    def test_cli_flattens_comma_separated_names(self):
+        from repro.cli import _fault_names
+
+        assert _fault_names(["lossy-uniform,link-storm", "none"]) == [
+            "lossy-uniform",
+            "link-storm",
+            "none",
+        ]
+        with pytest.raises(
+            AlgorithmError,
+            match="unknown fault program 'meteor-strike'; registered fault programs: ",
+        ):
+            _fault_names(["none,meteor-strike"])
+
+    @pytest.mark.parametrize("name", BUILTIN_FAULTS)
+    def test_duplicate_registration_is_rejected(self, name):
+        with pytest.raises(
+            AlgorithmError, match=f"fault program '{name}' is already registered"
+        ):
+
+            @register_fault(name)
+            def impostor(graph, forest, seed=None):  # pragma: no cover
+                return None
+
+        assert sorted(list_faults()) == BUILTIN_FAULTS
+
+    def test_fault_event_rows_round_trip_through_json(self):
+        event = FaultEvent(time=3, kind="duplicate", u=1, v=2)
+        row = event.to_list()
+        assert row == [3, "duplicate", 1, 2]
+        assert json.loads(json.dumps(row)) == row
+        assert FaultEvent(*json.loads(json.dumps(row))) == event
 
 
 

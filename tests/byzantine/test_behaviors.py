@@ -49,20 +49,13 @@ class TestByzantineBehavior:
         with pytest.raises(SimulationError, match="known programs"):
             ByzantineBehavior({1}, "bribe")
 
-    def test_rejects_bad_rate_and_start(self):
-        with pytest.raises(SimulationError):
-            ByzantineBehavior({1}, "corrupt", rate=1.5)
-        with pytest.raises(SimulationError):
-            ByzantineBehavior({1}, "corrupt", at=-1)
-
     def test_none_seed_means_seed_zero(self):
         assert ByzantineBehavior({1}, "silent", seed=None).seed == 0
 
-    def test_acts_on_gates_by_sender_and_time(self):
-        behavior = ByzantineBehavior({1, 3}, "silent", at=5)
-        assert behavior.acts_on(_message(sender=1), 5)
-        assert not behavior.acts_on(_message(sender=1), 4)  # before `at`
-        assert not behavior.acts_on(_message(sender=2), 9)  # honest sender
+    def test_acts_on_gates_by_sender(self):
+        behavior = ByzantineBehavior({1, 3}, "silent")
+        assert behavior.acts_on(_message(sender=1))
+        assert not behavior.acts_on(_message(sender=2))  # honest sender
 
     def test_lies_to_is_a_fixed_function_of_the_edge(self):
         behavior = ByzantineBehavior({1}, "equivocate", seed=4)
@@ -98,12 +91,6 @@ class TestCorruptInjector:
         assert message.payload == "hello"
         assert injector.event_log() == []
 
-    def test_rate_zero_never_fires(self):
-        injector = ByzantineInjector(ByzantineBehavior({1}, "corrupt", rate=0.0))
-        message = _message(payload=9)
-        injector.on_deliver(message, 0)
-        assert message.payload == 9
-
 
 class TestEquivocateInjector:
     def test_split_is_stable_per_receiver(self):
@@ -131,7 +118,7 @@ class TestEquivocateInjector:
 
 class TestReplayInjector:
     def test_first_message_becomes_the_stale_template(self):
-        injector = ByzantineInjector(ByzantineBehavior({1}, "replay", rate=1.0))
+        injector = ByzantineInjector(ByzantineBehavior({1}, "replay"))
         first = _message(payload=5, kind="A")
         assert injector.on_deliver(first, 0) is None  # observed, not replayed
         second = _message(payload=6, kind="B")
@@ -142,7 +129,7 @@ class TestReplayInjector:
         assert injector.event_log() == [[1, "byz-replay", 1, 2]]
 
     def test_replayed_clones_are_never_re_tampered(self):
-        injector = ByzantineInjector(ByzantineBehavior({1}, "replay", rate=1.0))
+        injector = ByzantineInjector(ByzantineBehavior({1}, "replay"))
         injector.on_deliver(_message(payload=5), 0)
         replay = injector.on_deliver(_message(payload=6), 1)
         # When the kernel later delivers the clone, the injector must not

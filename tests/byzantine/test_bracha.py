@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.byzantine import (
+    BYZANTINE_PROGRAMS,
     BrachaConfig,
     BrachaRun,
     ByzantineBehavior,
@@ -119,6 +120,26 @@ class TestUnderAttack:
             value for value in run.honest_delivered({1}).values() if value is not None
         }
         assert len(delivered) <= 1  # agreement: at most one value group-wide
+
+    @pytest.mark.parametrize("program", BYZANTINE_PROGRAMS)
+    def test_attacked_runs_are_deterministic(self, program):
+        def attacked():
+            behavior = ByzantineBehavior({1, 5}, program, seed=2)
+            return run_bracha_broadcast(7, 2, value=64, faults=ByzantineInjector(behavior))
+
+        first, second = attacked(), attacked()
+        assert first.fault_events == second.fault_events
+        assert first.delivered == second.delivered
+        assert first.accountant.summary() == second.accountant.summary()
+
+    @pytest.mark.parametrize("program", BYZANTINE_PROGRAMS)
+    def test_the_attack_history_names_only_compromised_senders(self, program):
+        behavior = ByzantineBehavior({1, 5}, program, seed=2)
+        run = run_bracha_broadcast(7, 2, value=64, faults=ByzantineInjector(behavior))
+        assert run.fault_events  # every program lands at least one attack here
+        assert {event[1] for event in run.fault_events} == {f"byz-{program}"}
+        assert {event[2] for event in run.fault_events} <= {1, 5}
+        assert all(event[3] not in (None, event[2]) for event in run.fault_events)
 
     def test_honest_delivered_filters_the_compromised_nodes(self):
         run = BrachaRun(

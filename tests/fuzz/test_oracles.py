@@ -286,7 +286,7 @@ def fragile_algorithm():
 
 
 class TestFaultedFailures:
-    @pytest.mark.parametrize("program", ["byz-equivocate", "link-storm"])
+    @pytest.mark.parametrize("program", ["lossy-uniform", "link-storm"])
     def test_failure_under_a_reaching_program_is_a_violation(
         self, fragile_algorithm, program
     ):
@@ -306,7 +306,7 @@ class TestFaultedFailures:
 
         spec = ExperimentSpec(
             graph=GraphSpec(nodes=12, density="sparse", seed=3),
-            faults=FaultSpec(name="byz-silent"),
+            faults=FaultSpec(name="lossy-uniform"),
         )
         context = _context(spec, ["kkt-mst", "flooding", "kkt-repair"])
         assert context.algorithms == ["flooding"]

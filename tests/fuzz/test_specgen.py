@@ -1,9 +1,20 @@
 """Tests for the seeded ExperimentSpec generator."""
 
+import random
+
 import pytest
 
-from repro.api import ExperimentSpec, fault_required_params, workload_required_params
+from repro.api import (
+    ExperimentSpec,
+    FaultSpec,
+    GraphSpec,
+    WorkloadSpec,
+    fault_required_params,
+    workload_required_params,
+)
+from repro.api.runners import _reference_forest
 from repro.fuzz import SpecGenerator, SpecSpace
+from repro.fuzz.specgen import _PARAM_FUZZERS
 from repro.network.errors import AlgorithmError
 
 
@@ -62,6 +73,20 @@ class TestRegistryIntrospection:
         assert seen_workloads == set(generator.workloads)
         assert seen_faults == set(generator.faults)
         assert seen_schedulers == set(generator.schedulers)
+
+
+class TestParamFuzzers:
+    @pytest.mark.parametrize("kind, name", sorted(_PARAM_FUZZERS))
+    def test_every_fuzzed_parameter_set_builds(self, kind, name):
+        rng = random.Random(0)
+        for _ in range(6):
+            params = _PARAM_FUZZERS[(kind, name)](rng)
+            graph = GraphSpec(nodes=12, density="sparse", seed=1).build()
+            forest = _reference_forest(graph)
+            if kind == "fault":
+                FaultSpec(name=name, seed=0, params=params).build(graph, forest)
+            else:
+                WorkloadSpec(name=name, updates=4, seed=0, params=params).build(graph, forest)
 
 
 class TestSpecSpaceValidation:

@@ -195,25 +195,6 @@ def test_fault_scenario_counters_bit_identical(algorithm, program, seed):
     assert fast["extra"]["fault_events"]
 
 
-@pytest.mark.parametrize(
-    "program", ["byz-corrupt", "byz-equivocate", "byz-replay", "byz-silent"]
-)
-def test_byzantine_flooding_on_kernel_counters_bit_identical(program):
-    # The Byzantine tier tampers at the same delivery boundary the benign
-    # faults use; the fast path must reproduce the identical attack history.
-    spec = ExperimentSpec(
-        graph=GraphSpec(nodes=NODES, density="dense", seed=2),
-        schedule=ScheduleSpec(scheduler="random"),
-        faults=FaultSpec(name=program),
-    )
-    with fastpath.reference_path():
-        reference = _run("flooding", spec)
-    with fastpath.fast_path():
-        fast = _run("flooding", spec)
-    assert fast == reference
-    assert fast["extra"]["fault_events"]  # at least the compromised-set plan
-
-
 @pytest.mark.parametrize("algorithm", ["kkt-mst", "kkt-st", "kkt-repair"])
 def test_bracha_substrate_counters_bit_identical(algorithm):
     # Substrate charging branches inside the broadcast executor, which both

@@ -106,6 +106,26 @@ class TestInvariants:
         assert forest.is_forest()
         forest.check_forest()
 
+    def test_check_forest_returns_the_components_it_built(self, graph_and_forest):
+        _, forest = graph_and_forest
+        assert forest.check_forest() == forest.components() == [{1, 2, 3, 4, 5, 6}]
+        forest.unmark(3, 4)
+        assert forest.check_forest() == forest.components()
+        assert sorted(map(sorted, forest.check_forest())) == [[1, 2, 3], [4, 5, 6]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_check_forest_components_partition_the_nodes(self, seed):
+        graph = random_connected_graph(16, 30, seed=seed)
+        rng = random.Random(seed)
+        forest = SpanningForest(graph)
+        for edge in graph.edges():
+            forest.mark(edge.u, edge.v)
+            if not forest.is_forest() or rng.random() < 0.4:
+                forest.unmark(edge.u, edge.v)
+        components = forest.check_forest()
+        assert components == forest.components()
+        assert sorted(node for comp in components for node in comp) == sorted(graph.nodes())
+
     def test_cycle_detected(self, triangle_graph):
         forest = SpanningForest(
             triangle_graph, marked=[(1, 2), (2, 3), (1, 3)]

@@ -26,6 +26,7 @@ from repro.byzantine import (
     run_bracha_broadcast,
 )
 from repro.network.errors import AlgorithmError
+from repro.network.scheduler import list_schedulers, make_scheduler
 
 SIZES = range(4, 9)
 
@@ -41,7 +42,7 @@ def _adversary(n, t, program, seed, include_sender):
         nodes = {1, *rng.sample(pool, t - 1)}
     else:
         nodes = set(rng.sample(pool, t))
-    behavior = ByzantineBehavior(nodes, program, seed=seed, rate=1.0)
+    behavior = ByzantineBehavior(nodes, program, seed=seed)
     return nodes, ByzantineInjector(behavior)
 
 
@@ -81,6 +82,29 @@ def test_async_schedules_preserve_the_guarantees(n):
     t = (n - 1) // 3
     byzantine, injector = _adversary(n, t, "equivocate", 3, include_sender=True)
     run = run_bracha_broadcast(n, t, value=19, engine="async", faults=injector)
+    _assert_agreement_and_totality(run, byzantine)
+
+
+@pytest.mark.parametrize("scheduler", list_schedulers())
+@pytest.mark.parametrize("program", BYZANTINE_PROGRAMS)
+def test_every_schedule_preserves_validity_under_every_program(program, scheduler):
+    n, t = 7, 2
+    byzantine, injector = _adversary(n, t, program, 4, include_sender=False)
+    run = run_bracha_broadcast(
+        n, t, value=77, engine="async", scheduler=make_scheduler(scheduler), faults=injector
+    )
+    honest = run.honest_delivered(byzantine)
+    assert honest == {node: 77 for node in honest}
+
+
+@pytest.mark.parametrize("scheduler", list_schedulers())
+@pytest.mark.parametrize("program", BYZANTINE_PROGRAMS)
+def test_every_schedule_preserves_agreement_under_a_byzantine_sender(program, scheduler):
+    n, t = 7, 2
+    byzantine, injector = _adversary(n, t, program, 4, include_sender=True)
+    run = run_bracha_broadcast(
+        n, t, value=77, engine="async", scheduler=make_scheduler(scheduler), faults=injector
+    )
     _assert_agreement_and_totality(run, byzantine)
 
 

@@ -1,5 +1,7 @@
 """Tests for the spanning-forest / MST verifiers."""
 
+import re
+
 import pytest
 
 from repro.baselines.sequential import kruskal_mst
@@ -53,6 +55,48 @@ class TestSpanningForest:
         graph.add_node(9)
         forest = SpanningForest(graph, marked=[(1, 2), (5, 6)])
         check_spanning_forest(forest)
+
+    def test_builds_the_forest_components_once(self, small_weighted_graph, mst_forest,
+                                               monkeypatch):
+        forest = mst_forest(small_weighted_graph)
+        components = SpanningForest.components
+        calls = []
+
+        def counted(self):
+            calls.append(self)
+            return components(self)
+
+        monkeypatch.setattr(SpanningForest, "components", counted)
+        check_spanning_forest(forest)
+        assert calls == [forest]
+        forest.unmark(*sorted(forest.marked_edges)[0])
+        calls.clear()
+        with pytest.raises(ForestError, match="do not span"):
+            check_spanning_forest(forest)
+        assert calls == [forest]
+
+
+class TestSpanningForestOnRandomGraphs:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_single_unmark_is_caught(self, seed, mst_forest):
+        graph = random_connected_graph(12, 24, seed=seed)
+        forest = mst_forest(graph)
+        check_spanning_forest(forest)
+        for u, v in sorted(forest.marked_edges):
+            broken = forest.copy()
+            broken.unmark(u, v)
+            with pytest.raises(ForestError, match="do not span"):
+                check_spanning_forest(broken)
+
+    def test_a_cycle_is_named_before_the_span_is_compared(self, triangle_graph):
+        forest = SpanningForest(triangle_graph, marked=[(1, 2), (2, 3), (1, 3)])
+        with pytest.raises(
+            ForestError,
+            match=re.escape(
+                "component [1, 2, 3] has 3 marked edges; a tree on 3 nodes must have 2"
+            ),
+        ):
+            check_spanning_forest(forest)
 
 
 class TestMinimumSpanningForest:
