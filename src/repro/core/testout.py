@@ -40,9 +40,8 @@ which is exactly the paper's device for making weights distinct.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import fastpath
 from ..network.accounting import MessageAccountant
@@ -87,8 +86,7 @@ __all__ = [
 _OPEN_HIGH = 1 << 256
 
 
-@dataclass(frozen=True)
-class TreeStatistics:
+class TreeStatistics(NamedTuple):
     """Aggregates computed by one broadcast-and-echo over ``T_x``.
 
     These are the quantities the paper's procedures ask the root to determine
@@ -655,12 +653,7 @@ class CutTester:
             kind="stats",
             **echo,
         )
-        return TreeStatistics(
-            size=size,
-            max_edge_number=max_en,
-            max_augmented_weight=max_aw,
-            num_endpoints=endpoints,
-        )
+        return TreeStatistics(size, max_en, max_aw, endpoints)
 
     def field_prime(self, stats: TreeStatistics) -> int:
         """HP-TestOut's prime for a tree with these statistics (Section 2.2)."""

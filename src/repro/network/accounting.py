@@ -6,6 +6,13 @@ broadcast-and-echo invocations — is tracked by a single
 :class:`MessageAccountant` instance that is threaded through the simulation
 engines, the broadcast-and-echo executor and the algorithms.
 
+A broadcast-and-echo on the plain substrate is charged by one call,
+:meth:`MessageAccountant.record_broadcast_echo_cost`, which tallies its
+messages under the B&E's kind (``"testout"``, ``"stats"``, ...);
+:meth:`MessageAccountant.per_kind` reports them as the ``kind:bcast`` and
+``kind:echo`` entries that one broadcast and one echo wave per tree edge
+send.
+
 The accountant supports cheap *snapshots* so that a caller can measure the
 cost of a sub-operation (e.g. one ``FindMin`` inside a Borůvka phase) without
 creating a new accountant:
@@ -21,15 +28,14 @@ creating a new accountant:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple
 
 from .errors import AccountingError
 
 __all__ = ["CostSnapshot", "CostDelta", "MessageAccountant", "PhaseRecord"]
 
 
-@dataclass(frozen=True)
-class CostSnapshot:
+class CostSnapshot(NamedTuple):
     """Immutable view of the accountant's counters at a point in time."""
 
     messages: int
@@ -38,8 +44,7 @@ class CostSnapshot:
     broadcast_echoes: int
 
 
-@dataclass(frozen=True)
-class CostDelta:
+class CostDelta(NamedTuple):
     """Difference between two snapshots (cost of a sub-operation)."""
 
     messages: int
@@ -47,12 +52,12 @@ class CostDelta:
     rounds: int
     broadcast_echoes: int
 
-    def __add__(self, other: "CostDelta") -> "CostDelta":
+    def __add__(self, other: "CostDelta") -> "CostDelta":  # type: ignore[override]
         return CostDelta(
-            messages=self.messages + other.messages,
-            bits=self.bits + other.bits,
-            rounds=self.rounds + other.rounds,
-            broadcast_echoes=self.broadcast_echoes + other.broadcast_echoes,
+            self.messages + other.messages,
+            self.bits + other.bits,
+            self.rounds + other.rounds,
+            self.broadcast_echoes + other.broadcast_echoes,
         )
 
     @staticmethod
@@ -73,7 +78,25 @@ class PhaseRecord:
 
 
 class MessageAccountant:
-    """Counts messages, bits, rounds and broadcast-and-echo invocations."""
+    """Counts messages, bits, rounds and broadcast-and-echo invocations.
+
+    Messages charged one wave at a time are tallied per message kind in
+    ``_per_kind``; a broadcast-and-echo's two waves are tallied once, per
+    B&E kind, in ``_bne_messages``.  The first B&E of a kind that sends
+    anything reserves its ``kind:bcast`` and ``kind:echo`` entries in
+    ``_per_kind`` (at 0), so :meth:`per_kind` lists them where two wave
+    charges would have.
+    """
+
+    __slots__ = (
+        "_messages",
+        "_bits",
+        "_rounds",
+        "_broadcast_echoes",
+        "_per_kind",
+        "_bne_messages",
+        "_phases",
+    )
 
     def __init__(self) -> None:
         self._messages = 0
@@ -81,6 +104,7 @@ class MessageAccountant:
         self._rounds = 0
         self._broadcast_echoes = 0
         self._per_kind: Dict[str, int] = {}
+        self._bne_messages: Dict[str, int] = {}
         self._phases: List[PhaseRecord] = []
 
     # ------------------------------------------------------------------ #
@@ -121,32 +145,39 @@ class MessageAccountant:
         count: int,
         bcast_bits: int,
         echo_bits: int,
-        labels: Tuple[str, str],
+        kind: str,
         rounds: int,
     ) -> None:
-        """Charge one broadcast-and-echo over a tree with ``count`` edges.
+        """Charge one broadcast-and-echo of kind ``kind`` over ``count`` tree edges.
 
         Equal to :meth:`record_broadcast_echo`, then :meth:`record_messages`
-        of ``count`` broadcast and ``count`` echo messages under the
-        ``(bcast, echo)`` kinds of ``labels``, then :meth:`record_rounds`,
-        with the same checks (bit widths only when ``count`` is positive).
+        of ``count`` broadcast messages under ``kind:bcast`` and ``count``
+        echo messages under ``kind:echo``, then :meth:`record_rounds`, with
+        the same checks (bit widths only when ``count`` is positive) — but
+        one update: the messages are tallied under ``kind`` alone, and
+        :meth:`per_kind` splits them into the two labels.
         """
-        if count < 0:
-            raise AccountingError("cannot charge a negative number of messages")
-        if rounds < 0:
-            raise AccountingError("cannot advance time backwards")
-        self._broadcast_echoes += 1
-        self._rounds += rounds
-        if count == 0:
-            return
-        if bcast_bits < 1 or echo_bits < 1:
-            raise AccountingError("a message carries at least one bit")
+        bne = self._bne_messages
+        if not (count > 0 and bcast_bits > 0 and echo_bits > 0 and rounds >= 0 and kind in bne):
+            if count < 0:
+                raise AccountingError("cannot charge a negative number of messages")
+            if rounds < 0:
+                raise AccountingError("cannot advance time backwards")
+            if count == 0:
+                self._broadcast_echoes += 1
+                self._rounds += rounds
+                return
+            if bcast_bits < 1 or echo_bits < 1:
+                raise AccountingError("a message carries at least one bit")
+            # The kind's first B&E that sends anything reserves its labels.
+            self._per_kind.setdefault(f"{kind}:bcast", 0)
+            self._per_kind.setdefault(f"{kind}:echo", 0)
+            bne[kind] = 0
+        bne[kind] += count
         self._messages += 2 * count
         self._bits += count * (bcast_bits + echo_bits)
-        per_kind = self._per_kind
-        bcast, echo = labels
-        per_kind[bcast] = per_kind.get(bcast, 0) + count
-        per_kind[echo] = per_kind.get(echo, 0) + count
+        self._rounds += rounds
+        self._broadcast_echoes += 1
 
     def record_phase(self, record: PhaseRecord) -> None:
         self._phases.append(record)
@@ -175,26 +206,30 @@ class MessageAccountant:
         return list(self._phases)
 
     def per_kind(self) -> Dict[str, int]:
-        """Message counts keyed by message kind."""
-        return dict(self._per_kind)
+        """Message counts keyed by message kind.
+
+        A broadcast-and-echo kind ``k`` appears as ``k:bcast`` and
+        ``k:echo``, one message each per tree edge.
+        """
+        counts = dict(self._per_kind)
+        for kind, count in self._bne_messages.items():
+            counts[f"{kind}:bcast"] += count
+            counts[f"{kind}:echo"] += count
+        return counts
 
     def snapshot(self) -> CostSnapshot:
-        return CostSnapshot(
-            messages=self._messages,
-            bits=self._bits,
-            rounds=self._rounds,
-            broadcast_echoes=self._broadcast_echoes,
-        )
+        return CostSnapshot(self._messages, self._bits, self._rounds, self._broadcast_echoes)
 
     def since(self, snapshot: CostSnapshot) -> CostDelta:
         """Cost accumulated since ``snapshot`` was taken."""
+        messages, bits, rounds, broadcast_echoes = snapshot
         delta = CostDelta(
-            messages=self._messages - snapshot.messages,
-            bits=self._bits - snapshot.bits,
-            rounds=self._rounds - snapshot.rounds,
-            broadcast_echoes=self._broadcast_echoes - snapshot.broadcast_echoes,
+            self._messages - messages,
+            self._bits - bits,
+            self._rounds - rounds,
+            self._broadcast_echoes - broadcast_echoes,
         )
-        if min(delta.messages, delta.bits, delta.rounds, delta.broadcast_echoes) < 0:
+        if min(delta) < 0:
             raise AccountingError("snapshot does not belong to this accountant")
         return delta
 
@@ -204,6 +239,7 @@ class MessageAccountant:
         self._rounds = 0
         self._broadcast_echoes = 0
         self._per_kind.clear()
+        self._bne_messages.clear()
         self._phases.clear()
 
     def summary(self) -> Dict[str, int]:

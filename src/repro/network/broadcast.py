@@ -35,7 +35,8 @@ are provided:
 
 Both realisations assume reliable point-to-point delivery.  That assumption
 is itself pluggable: a registered :class:`DeliverySubstrate` (see
-:func:`register_substrate` / :func:`delivery_substrate`) replaces each
+:func:`register_substrate`, and :func:`delivery_substrate`, which installs
+one for the current thread/context) replaces each
 logical tree-hop message with a hardened delivery protocol — the Bracha
 reliable-broadcast substrate of :mod:`repro.byzantine` being the shipped
 example — and charges its messages, bits and rounds through the same
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import operator
 from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import reduce
 from itertools import compress
 from typing import (
@@ -97,19 +99,10 @@ __all__ = [
 LocalValueFn = Callable[[int], Any]
 
 
-class _ChargeLabels(dict):
-    """Each B&E kind's ``(kind:bcast, kind:echo)`` accounting labels, built once."""
-
-    def __missing__(self, kind: str) -> Tuple[str, str]:
-        labels = self[kind] = (f"{kind}:bcast", f"{kind}:echo")
-        return labels
-
-
-_CHARGE_LABELS = _ChargeLabels()
-
 # Marks an omitted ``aggregate=`` (no aggregate is ever None, but the
 # sentinel keeps "not given" unambiguous).
 _NO_AGGREGATE: Any = object()
+_ONE_FORM = "broadcast_and_echo takes either local_value and reducer, or aggregate="
 
 # Swaps the bytes 0 and 1: a row mask's complement, or a cut's E↑/E↓ flags
 # seen from the other side.
@@ -394,8 +387,13 @@ SUBSTRATE_REGISTRY = Registry("delivery substrate", "substrates", ProtocolError)
 register_substrate = SUBSTRATE_REGISTRY.register
 list_substrates = SUBSTRATE_REGISTRY.names
 
-#: The process-wide default substrate installed by :func:`delivery_substrate`.
-_ACTIVE_SUBSTRATE: Optional[DeliverySubstrate] = None
+#: The current thread's (context's) default substrate, installed by
+#: :func:`delivery_substrate`.  A context variable rather than a module
+#: global, so concurrent runs in different threads never see each other's.
+_ACTIVE_SUBSTRATE: ContextVar[Optional[DeliverySubstrate]] = ContextVar(
+    "delivery_substrate", default=None
+)
+_current_substrate = _ACTIVE_SUBSTRATE.get
 
 
 def make_substrate(name: str, **params: Any) -> Optional[DeliverySubstrate]:
@@ -411,25 +409,24 @@ def _plain_substrate(**_params: Any) -> None:
 
 @contextmanager
 def delivery_substrate(substrate: Optional[DeliverySubstrate]) -> Iterator[None]:
-    """Install ``substrate`` as the process-wide default for the block.
+    """Install ``substrate`` as the default of the current thread/context for the block.
 
     Executors constructed without an explicit ``substrate`` consult the
     active default at charge time, so a whole algorithm run — including the
     executors it builds internally — can be hardened by wrapping it here.
-    ``None`` (the plain substrate) makes the block a no-op.
+    ``None`` installs the plain substrate for the block.  The default is
+    per thread/context: a run in another thread keeps its own.
     """
-    global _ACTIVE_SUBSTRATE
-    previous = _ACTIVE_SUBSTRATE
-    _ACTIVE_SUBSTRATE = substrate
+    token = _ACTIVE_SUBSTRATE.set(substrate)
     try:
         yield
     finally:
-        _ACTIVE_SUBSTRATE = previous
+        _ACTIVE_SUBSTRATE.reset(token)
 
 
 def active_substrate() -> Optional[DeliverySubstrate]:
-    """The process-wide default substrate (``None`` = plain delivery)."""
-    return _ACTIVE_SUBSTRATE
+    """The current thread/context's default substrate (``None`` = plain delivery)."""
+    return _current_substrate()
 
 
 class BroadcastEchoExecutor:
@@ -444,7 +441,8 @@ class BroadcastEchoExecutor:
 
     ``substrate`` optionally names how each logical tree-hop message is
     realised on the wire (default: the plain direct send, or whatever
-    :func:`delivery_substrate` installed for the surrounding block).
+    :func:`delivery_substrate` installed for the surrounding block in the
+    charging thread/context).
     """
 
     def __init__(
@@ -460,7 +458,7 @@ class BroadcastEchoExecutor:
         self.substrate = substrate
 
     def _substrate(self) -> Optional[DeliverySubstrate]:
-        return self.substrate if self.substrate is not None else _ACTIVE_SUBSTRATE
+        return self.substrate if self.substrate is not None else _current_substrate()
 
     # ------------------------------------------------------------------ #
     # primitives
@@ -487,24 +485,23 @@ class BroadcastEchoExecutor:
         messages of ``echo_bits`` bits, and ``2 × eccentricity`` rounds (the
         paper's time for one B&E).
         """
-        folds = aggregate is _NO_AGGREGATE
-        if (local_value is not None, reducer is not None) != (folds, folds):
-            raise ProtocolError(
-                "broadcast_and_echo takes either local_value and reducer, "
-                "or aggregate="
-            )
+        if aggregate is not _NO_AGGREGATE:
+            if local_value is not None or reducer is not None:
+                raise ProtocolError(_ONE_FORM)
+        elif local_value is None or reducer is None:
+            raise ProtocolError(_ONE_FORM)
         structure = tree if tree is not None else self.forest.rooted_structure(root)
-        if self.substrate is None and _ACTIVE_SUBSTRATE is None:
+        if self.substrate is None and _current_substrate() is None:
             self.accountant.record_broadcast_echo_cost(
                 len(structure.parent) - 1,
                 broadcast_bits,
                 echo_bits,
-                _CHARGE_LABELS[kind],
+                kind,
                 2 * structure.eccentricity,
             )
         else:
             self._charge(structure, broadcast_bits, echo_bits, kind)
-        if not folds:
+        if local_value is None:
             return aggregate
         return reduce(reducer.op, map(local_value, structure.parent), reducer.identity)
 
@@ -555,12 +552,12 @@ class BroadcastEchoExecutor:
         The charge is the full broadcast-and-echo the protocol sends.
         """
         structure = tree if tree is not None else self.forest.rooted_structure(root)
-        if self.substrate is None and _ACTIVE_SUBSTRATE is None:
+        if self.substrate is None and _current_substrate() is None:
             self.accountant.record_broadcast_echo_cost(
                 len(structure.parent) - 1,
                 broadcast_bits,
                 echo_bits,
-                _CHARGE_LABELS[kind],
+                kind,
                 2 * structure.eccentricity,
             )
         else:
@@ -591,9 +588,9 @@ class BroadcastEchoExecutor:
     def _charge(
         self, structure: TreeStructure, broadcast_bits: int, echo_bits: int, kind: str
     ) -> None:
-        """Charge one B&E through a hardened substrate.
+        """Charge one B&E through a hardened substrate, one wave at a time.
 
-        The plain substrate's charge is the accountant's one-call
+        The plain substrate's charge is the accountant's one update
         :meth:`~repro.network.accounting.MessageAccountant.record_broadcast_echo_cost`,
         made by the B&E methods themselves.
         """
@@ -601,9 +598,8 @@ class BroadcastEchoExecutor:
         accountant = self.accountant
         accountant.record_broadcast_echo()
         edges = structure.num_edges
-        bcast, echo = _CHARGE_LABELS[kind]
-        substrate.charge_messages(accountant, edges, broadcast_bits, bcast)
-        substrate.charge_messages(accountant, edges, echo_bits, echo)
+        substrate.charge_messages(accountant, edges, broadcast_bits, f"{kind}:bcast")
+        substrate.charge_messages(accountant, edges, echo_bits, f"{kind}:echo")
         accountant.record_rounds(substrate.rounds_per_hop * 2 * structure.eccentricity)
 
 

@@ -1,5 +1,8 @@
 """The Bracha delivery substrate: closed form == kernel run, same-tree runs."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.api import ExperimentSpec, GraphSpec, get_runner
@@ -10,11 +13,15 @@ from repro.byzantine import (
 )
 from repro.network.accounting import MessageAccountant
 from repro.network.broadcast import (
+    BroadcastEchoExecutor,
+    active_substrate,
     delivery_substrate,
     list_substrates,
     make_substrate,
 )
 from repro.network.errors import AlgorithmError, ProtocolError
+from repro.network.fragments import SpanningForest
+from repro.network.graph import Graph
 
 
 class TestRegistry:
@@ -115,8 +122,6 @@ class TestHardenedRuns:
         assert hardened.extra["substrate"] == "bracha"
 
     def test_delivery_substrate_context_restores_the_previous_default(self):
-        from repro.network.broadcast import active_substrate
-
         substrate = make_substrate("bracha", n=4)
         assert active_substrate() is None
         with delivery_substrate(substrate):
@@ -125,3 +130,81 @@ class TestHardenedRuns:
                 assert active_substrate() is None
             assert active_substrate() is substrate
         assert active_substrate() is None
+
+
+def _plain_stats_charge() -> MessageAccountant:
+    """One statistics B&E from node 1 over a 5-node path, on the executor's default."""
+    graph = Graph(id_bits=4)
+    for u in range(1, 5):
+        graph.add_edge(u, u + 1, u)
+    forest = SpanningForest(graph, marked=[(u, u + 1) for u in range(1, 5)])
+    accountant = MessageAccountant()
+    BroadcastEchoExecutor(graph, forest, accountant).broadcast_and_echo(
+        1, broadcast_bits=8, echo_bits=12, kind="stats", aggregate=(5, 0, 0, 8)
+    )
+    return accountant
+
+
+class TestPerThreadDefault:
+    def test_a_block_open_in_another_thread_leaves_this_thread_plain(self):
+        # Thread A holds a Bracha block open while thread B builds an
+        # executor and charges one B&E: B's charge is the plain one.
+        expected = _plain_stats_charge()
+        assert expected.messages == 2 * 4 and expected.rounds == 2 * 4
+        barrier = threading.Barrier(2, timeout=30)
+        seen = {}
+
+        def hold_block() -> None:
+            with delivery_substrate(make_substrate("bracha", n=5)):
+                seen["a"] = active_substrate()
+                barrier.wait()  # the block is open
+                barrier.wait()  # B has charged
+
+        def charge() -> None:
+            barrier.wait()
+            try:
+                seen["b"] = active_substrate()
+                seen["charged"] = _plain_stats_charge()
+            finally:
+                barrier.wait()
+
+        threads = [threading.Thread(target=hold_block), threading.Thread(target=charge)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        charged = seen["charged"]
+        assert charged.summary() == expected.summary()
+        assert charged.per_kind() == expected.per_kind() == {"stats:bcast": 4, "stats:echo": 4}
+        assert isinstance(seen["a"], BrachaSubstrate)
+        assert seen["b"] is None
+
+    def test_concurrent_plain_and_bracha_runs_keep_their_own_counters(self):
+        # Four threads run kkt-mst plain and over Bracha side by side,
+        # switching every 10 µs: each run's counters must equal the same
+        # run made alone.
+        spec = ExperimentSpec(graph=GraphSpec(nodes=16, density="sparse", seed=3))
+        runner = get_runner("kkt-mst")
+        substrates = ["plain", "bracha"] * 2
+        alone = {name: runner.run(spec, substrate=name).counters() for name in substrates}
+        assert alone["plain"] != alone["bracha"]
+        results = {index: [] for index in range(len(substrates))}
+
+        def runs(index: int) -> None:
+            for _ in range(3):
+                results[index].append(runner.run(spec, substrate=substrates[index]).counters())
+
+        threads = [threading.Thread(target=runs, args=(i,)) for i in range(len(substrates))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for index, name in enumerate(substrates):
+            assert results[index] == [alone[name]] * 3, name
