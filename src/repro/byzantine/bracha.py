@@ -205,14 +205,11 @@ def complete_graph(n: int, weight: int = 1) -> Graph:
     """The complete graph on nodes ``1..n`` — Bracha's communication medium."""
     if n < 1:
         raise AlgorithmError("a broadcast group needs at least one node")
-    id_bits = max(1, n.bit_length())
-    graph = Graph(id_bits=id_bits)
-    for node in range(1, n + 1):
-        graph.add_node(node)
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            graph.add_edge(u, v, weight)
-    return graph
+    return Graph.from_edges(
+        max(1, n.bit_length()),
+        range(1, n + 1),
+        [(u, v, weight) for u in range(1, n + 1) for v in range(u + 1, n + 1)],
+    )
 
 
 @dataclass

@@ -115,7 +115,9 @@ def draw_below(getrandbits: Callable[[int], int], n: int) -> int:
     same bits and returns the same values
     (``tests/core/test_hashing.py::TestDrawBelow`` pins it).  FindMin's
     narrowing loop, :meth:`~repro.core.testout.CutProbe.search`, runs the
-    same loop inline for each odd hash's two fields and each columnar ``α``.
+    same loop inline for each odd hash's two fields and each columnar ``α``,
+    and so do the random generators' extra-edge draws
+    (:mod:`repro.generators.random_graphs`).
     """
     bits = n.bit_length()
     value = getrandbits(bits)

@@ -85,11 +85,7 @@ class UpdateTrace:
     # ------------------------------------------------------------------ #
     def rebuild_initial_state(self) -> Tuple[Graph, SpanningForest]:
         """Reconstruct the initial graph and marked forest."""
-        graph = Graph(id_bits=self.id_bits)
-        for node in self.nodes:
-            graph.add_node(node)
-        for u, v, weight in self.edges:
-            graph.add_edge(u, v, weight)
+        graph = Graph.from_edges(self.id_bits, self.nodes, self.edges)
         forest = SpanningForest(graph, marked=self.marked_edges)
         return graph, forest
 

@@ -143,11 +143,11 @@ def restore_final_state(result: RunResult) -> Optional[Tuple[Graph, SpanningFore
     extra = result.extra
     if "tree_edges" not in extra or "graph_edges" not in extra:
         return None
-    graph = Graph(id_bits=int(extra.get("graph_id_bits", 32)))
-    for node in extra.get("graph_nodes", []):
-        graph.add_node(int(node))
-    for u, v, weight in extra["graph_edges"]:
-        graph.add_edge(int(u), int(v), int(weight))
+    graph = Graph.from_edges(
+        int(extra.get("graph_id_bits", 32)),
+        [int(node) for node in extra.get("graph_nodes", [])],
+        [(int(u), int(v), int(weight)) for u, v, weight in extra["graph_edges"]],
+    )
     marked = [(int(u), int(v)) for u, v in extra["tree_edges"]]
     return graph, SpanningForest(graph, marked=marked)
 

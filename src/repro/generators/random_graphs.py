@@ -33,16 +33,42 @@ def id_bits_for(n: int) -> int:
     return max(2, (n + 1).bit_length())
 
 
-def _finalize_weights(
-    graph: Graph, edges: List[Tuple[int, int]], rng: random.Random, max_weight: Optional[int]
+def _weighted_graph(
+    n: int, edges: List[Tuple[int, int]], rng: random.Random, max_weight: Optional[int]
 ) -> Graph:
+    """Nodes ``1..n`` and ``edges`` with shuffled weights ``1..m`` (capped by ``max_weight``)."""
     weights = list(range(1, len(edges) + 1))
     rng.shuffle(weights)
     if max_weight is not None:
         weights = [1 + (w % max_weight) for w in weights]
-    for (u, v), weight in zip(edges, weights):
-        graph.add_edge(u, v, weight)
-    return graph
+    return Graph.from_edges(
+        id_bits_for(n),
+        range(1, n + 1),
+        [(u, v, weight) for (u, v), weight in zip(edges, weights)],
+    )
+
+
+def _fill_pairs(
+    chosen: Set[Tuple[int, int]], n: int, m: int, rng: random.Random
+) -> List[Tuple[int, int]]:
+    """Add uniform random pairs to ``chosen`` until it holds ``m``; return them sorted.
+
+    Each endpoint is ``rng.randrange(1, n + 1)``, drawn inline the way
+    ``randrange`` draws it (:func:`repro.core.hashing.draw_below`), so the
+    pairs and the generator's state are exactly ``randrange``'s.
+    """
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    while len(chosen) < m:
+        u = getrandbits(bits)
+        while u >= n:
+            u = getrandbits(bits)
+        v = getrandbits(bits)
+        while v >= n:
+            v = getrandbits(bits)
+        if u != v:
+            chosen.add((u + 1, v + 1) if u < v else (v + 1, u + 1))
+    return sorted(chosen)
 
 
 def gnp_random_graph(
@@ -55,16 +81,13 @@ def gnp_random_graph(
     if not (0.0 <= p <= 1.0):
         raise GraphError("p must lie in [0, 1]")
     rng = random.Random(seed)
-    graph = Graph(id_bits=id_bits_for(n))
-    for node in range(1, n + 1):
-        graph.add_node(node)
     edges = [
         (u, v)
         for u in range(1, n + 1)
         for v in range(u + 1, n + 1)
         if rng.random() < p
     ]
-    return _finalize_weights(graph, edges, rng, max_weight)
+    return _weighted_graph(n, edges, rng, max_weight)
 
 
 def gnm_random_graph(
@@ -78,17 +101,7 @@ def gnm_random_graph(
     if m > max_edges:
         raise GraphError(f"cannot place {m} edges in a graph of {n} nodes")
     rng = random.Random(seed)
-    graph = Graph(id_bits=id_bits_for(n))
-    for node in range(1, n + 1):
-        graph.add_node(node)
-    chosen: Set[Tuple[int, int]] = set()
-    while len(chosen) < m:
-        u = rng.randrange(1, n + 1)
-        v = rng.randrange(1, n + 1)
-        if u == v:
-            continue
-        chosen.add((min(u, v), max(u, v)))
-    return _finalize_weights(graph, sorted(chosen), rng, max_weight)
+    return _weighted_graph(n, _fill_pairs(set(), n, m, rng), rng, max_weight)
 
 
 def random_connected_graph(
@@ -104,9 +117,6 @@ def random_connected_graph(
     if m > max_edges:
         raise GraphError(f"cannot place {m} edges in a graph of {n} nodes")
     rng = random.Random(seed)
-    graph = Graph(id_bits=id_bits_for(n))
-    for node in range(1, n + 1):
-        graph.add_node(node)
 
     # Random spanning tree via a random permutation (each new node attaches
     # to a uniformly random earlier node) — a simple recursive-tree model.
@@ -117,14 +127,7 @@ def random_connected_graph(
         parent = order[rng.randrange(index)]
         child = order[index]
         chosen.add((min(parent, child), max(parent, child)))
-
-    while len(chosen) < m:
-        u = rng.randrange(1, n + 1)
-        v = rng.randrange(1, n + 1)
-        if u == v:
-            continue
-        chosen.add((min(u, v), max(u, v)))
-    return _finalize_weights(graph, sorted(chosen), rng, max_weight)
+    return _weighted_graph(n, _fill_pairs(chosen, n, m, rng), rng, max_weight)
 
 
 def random_geometric_graph(
@@ -135,10 +138,8 @@ def random_geometric_graph(
 ) -> Graph:
     """Random geometric graph on the unit square (a wireless-network stand-in)."""
     rng = random.Random(seed)
-    graph = Graph(id_bits=id_bits_for(n))
     positions = {}
     for node in range(1, n + 1):
-        graph.add_node(node)
         positions[node] = (rng.random(), rng.random())
     edges = []
     for u in range(1, n + 1):
@@ -147,7 +148,7 @@ def random_geometric_graph(
             dy = positions[u][1] - positions[v][1]
             if math.hypot(dx, dy) <= radius:
                 edges.append((u, v))
-    return _finalize_weights(graph, edges, rng, max_weight)
+    return _weighted_graph(n, edges, rng, max_weight)
 
 
 def random_spanning_tree_forest(

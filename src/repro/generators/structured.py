@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 from ..network.errors import GraphError
 from ..network.graph import Graph
-from .random_graphs import id_bits_for
+from .random_graphs import _weighted_graph
 
 __all__ = [
     "path_graph",
@@ -27,17 +27,7 @@ __all__ = [
 
 
 def _build(n: int, edges: List[Tuple[int, int]], seed: Optional[int], max_weight: Optional[int]) -> Graph:
-    rng = random.Random(seed)
-    graph = Graph(id_bits=id_bits_for(n))
-    for node in range(1, n + 1):
-        graph.add_node(node)
-    weights = list(range(1, len(edges) + 1))
-    rng.shuffle(weights)
-    if max_weight is not None:
-        weights = [1 + (w % max_weight) for w in weights]
-    for (u, v), weight in zip(edges, weights):
-        graph.add_edge(u, v, weight)
-    return graph
+    return _weighted_graph(n, edges, random.Random(seed), max_weight)
 
 
 def path_graph(n: int, seed: Optional[int] = None, max_weight: Optional[int] = None) -> Graph:

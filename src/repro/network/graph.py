@@ -14,7 +14,13 @@ The paper's conventions (Section 1 and "Definitions") are implemented here:
 
 The class is deliberately small and explicit: it stores an adjacency map of
 :class:`Edge` objects and offers the dynamic operations the repair algorithms
-need (insert, delete, change weight).  Everything a *node* is allowed to know
+need (insert, delete, change weight).  A graph whose edges are known up front
+(a generator's output, a trace's initial state, a subgraph) is built by
+:meth:`Graph.from_edges` in one pass; :meth:`Graph.add_edge` stays for
+workloads and tests that grow a graph edge by edge.  Both, and
+:meth:`Graph.set_weight`, run one check on every edge: integer IDs in the ID
+space, no self-loop, a non-negative integer weight (``bool`` is neither an
+ID nor a weight).  Everything a *node* is allowed to know
 in the KT1 CONGEST model — its own ID, its incident edges, their weights and
 the IDs of the other endpoints — is available through :meth:`Graph.neighbors`
 and :meth:`Graph.incident_edges`; algorithms in :mod:`repro.core` only touch
@@ -132,6 +138,7 @@ class Graph:
         if id_bits < 1:
             raise GraphError("id_bits must be positive")
         self._id_bits = id_bits
+        self._id_limit = 1 << id_bits
         self._adj: Dict[int, Dict[int, Edge]] = {}
         # Version stamp: bumped on every topology/weight mutation; the
         # columnar snapshot, when cached, is always at the current version.
@@ -158,15 +165,64 @@ class Graph:
             self._version += 1
             self._columnar_cache = None
 
+    @classmethod
+    def from_edges(
+        cls,
+        id_bits: int,
+        nodes: Iterable[int],
+        edges: Iterable[Tuple[int, int, int]],
+    ) -> "Graph":
+        """A graph of ``nodes`` and ``(u, v, weight)`` ``edges``, filled in one pass.
+
+        The result equals :meth:`add_node` over ``nodes`` followed by
+        :meth:`add_edge` over ``edges`` on a fresh ``Graph(id_bits)``: the
+        same :class:`Edge` objects, adjacency order and :attr:`version`, with
+        endpoints missing from ``nodes`` created smaller first.  It raises
+        the same :class:`GraphError` at the same first bad node or edge.  The
+        columnar snapshot is left for the first :meth:`columnar` read, as
+        after ``add_edge``.
+
+        >>> graph = Graph.from_edges(3, [1, 2], [(3, 1, 5), (2, 3, 1)])
+        >>> [(e.u, e.v, e.weight) for e in graph.edges()], graph.version
+        ([(1, 3, 5), (2, 3, 1)], 5)
+        >>> Graph.from_edges(3, [1, 2], [(1, 2, 5), (2, 1, 4)])
+        Traceback (most recent call last):
+        ...
+        repro.network.errors.GraphError: edge (1, 2) already present
+        """
+        graph = cls(id_bits)
+        adj = graph._adj
+        check_id = graph._check_id
+        for node in nodes:
+            check_id(node)
+            if node not in adj:
+                adj[node] = {}
+        key = graph._edge_key
+        count = 0
+        for u, v, weight in edges:
+            a, b = key(u, v, weight)
+            row_a = adj.get(a)
+            if row_a is None:
+                row_a = adj[a] = {}
+            row_b = adj.get(b)
+            if row_b is None:
+                row_b = adj[b] = {}
+            if b in row_a:
+                raise GraphError(f"edge ({a}, {b}) already present")
+            row_a[b] = row_b[a] = Edge(a, b, weight)
+            count += 1
+        # One stamp per node created and per edge inserted, as add_node and
+        # add_edge count them.
+        graph._version = len(adj) + count
+        return graph
+
     def add_edge(self, u: int, v: int, weight: int = 1) -> Edge:
         """Insert the edge ``{u, v}`` with the given weight.
 
         Both endpoints are created if absent.  Raises :class:`GraphError` if
         the edge already exists (use :meth:`set_weight` to change a weight).
         """
-        a, b = edge_key(u, v)
-        self._check_id(a)
-        self._check_id(b)
+        a, b = self._edge_key(u, v, weight)
         self.add_node(a)
         self.add_node(b)
         if b in self._adj[a]:
@@ -201,7 +257,7 @@ class Graph:
 
     def set_weight(self, u: int, v: int, weight: int) -> Edge:
         """Change the weight of an existing edge and return the new Edge."""
-        a, b = edge_key(u, v)
+        a, b = self._edge_key(u, v, weight)
         if not self.has_edge(a, b):
             raise GraphError(f"edge ({a}, {b}) not present")
         self.remove_edge(a, b)
@@ -388,15 +444,18 @@ class Graph:
     def subgraph(self, nodes: Iterable[int]) -> "Graph":
         """A new graph induced on ``nodes`` (same ``id_bits``)."""
         keep = set(nodes)
-        sub = Graph(id_bits=self._id_bits)
         for node in keep:
             if not self.has_node(node):
                 raise GraphError(f"node {node} not present")
-            sub.add_node(node)
-        for edge in self.edges():
-            if edge.u in keep and edge.v in keep:
-                sub.add_edge(edge.u, edge.v, edge.weight)
-        return sub
+        return Graph.from_edges(
+            self._id_bits,
+            keep,
+            [
+                (edge.u, edge.v, edge.weight)
+                for edge in self.edges()
+                if edge.u in keep and edge.v in keep
+            ],
+        )
 
     def copy(self) -> "Graph":
         """An independent graph with the same nodes, edges and :attr:`version`.
@@ -433,9 +492,37 @@ class Graph:
             self._columnar_cache = cache.spliced(edge, self._version, insert)
 
     def _check_id(self, node: int) -> None:
-        if not isinstance(node, int):
+        if not isinstance(node, int) or isinstance(node, bool):
             raise GraphError(f"node IDs must be integers, got {node!r}")
-        if node < 1 or node >= (1 << self._id_bits):
+        if node < 1 or node >= self._id_limit:
             raise GraphError(
                 f"node ID {node} outside the ID space [1, 2^{self._id_bits})"
             )
+
+    def _edge_key(self, u: int, v: int, weight: int) -> Tuple[int, int]:
+        """The canonical key of a new edge ``{u, v}``, once it is valid.
+
+        The one check of :meth:`add_edge`, :meth:`set_weight` and
+        :meth:`from_edges`: both IDs (in order), then the self-loop, then the
+        weight, each failing with its own :class:`GraphError` before the
+        graph changes.  Plain ints in range pass the first test alone.
+        """
+        limit = self._id_limit
+        if (
+            type(u) is int
+            and type(v) is int
+            and type(weight) is int
+            and 0 < u < limit
+            and 0 < v < limit
+            and u != v
+            and weight >= 0
+        ):
+            return (u, v) if u < v else (v, u)
+        self._check_id(u)
+        self._check_id(v)
+        key = edge_key(u, v)
+        if not isinstance(weight, int) or isinstance(weight, bool):
+            raise GraphError(f"Edge weights must be integers, got {weight!r}")
+        if weight < 0:
+            raise GraphError(f"Edge weights must be non-negative, got {weight}")
+        return key

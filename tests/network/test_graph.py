@@ -238,3 +238,121 @@ class TestGraphStructure:
         graph.add_edge(1, 2, 3)
         graph.add_edge(2, 3, 4)
         assert graph.total_weight() == 7
+
+
+def _edge_by_edge(id_bits, nodes, edges):
+    """The build :meth:`Graph.from_edges` must equal: one call per node and edge."""
+    graph = Graph(id_bits)
+    for node in nodes:
+        graph.add_node(node)
+    for u, v, weight in edges:
+        graph.add_edge(u, v, weight)
+    return graph
+
+
+def _raised(build, *args):
+    with pytest.raises(GraphError) as info:
+        build(*args)
+    return str(info.value)
+
+
+class TestFromEdges:
+    def test_equals_the_edge_by_edge_build(self):
+        # Endpoints missing from ``nodes`` are created smaller first, and
+        # repeated nodes are ignored, as add_node/add_edge do.
+        nodes = [4, 2, 4, 9]
+        edges = [(9, 2, 5), (7, 4, 0), (1, 9, 3), (4, 2, 5), (8, 3, 2)]
+        bulk = Graph.from_edges(4, nodes, edges)
+        slow = _edge_by_edge(4, nodes, edges)
+        assert list(bulk._adj) == list(slow._adj) == [4, 2, 9, 7, 1, 3, 8]
+        for node in slow._adj:
+            assert list(bulk._adj[node].items()) == list(slow._adj[node].items())
+        assert bulk.version == slow.version == 12
+        assert _state(bulk) == _state(slow)
+        assert _columns(bulk) == _columns(slow)
+
+    def test_endpoints_share_one_edge_object(self):
+        graph = Graph.from_edges(3, [], [(2, 1, 4)])
+        assert graph._adj[1][2] is graph._adj[2][1] == Edge(1, 2, 4)
+
+    def test_empty(self):
+        graph = Graph.from_edges(2, [], [])
+        assert graph.num_nodes == 0 and graph.version == 0
+        assert Graph.from_edges(2, [3], []).version == 1
+
+    def test_snapshot_is_left_for_the_first_read(self):
+        graph = Graph.from_edges(3, [1, 2, 3], [(1, 2, 1), (2, 3, 2)])
+        assert graph._columnar_cache is None
+        assert graph.columnar().version == graph.version
+
+    @pytest.mark.parametrize(
+        "nodes, edges, message",
+        [
+            ([], [(3, 3, 1)], "self-loops are not allowed: (3, 3)"),
+            ([], [(1, 2, 1), (1, 2, 4)], "edge (1, 2) already present"),
+            ([], [(1, 2, 1), (2, 1, 4)], "edge (1, 2) already present"),
+            ([], [(1, 16, 1)], "node ID 16 outside the ID space [1, 2^4)"),
+            ([], [(0, 2, 1)], "node ID 0 outside the ID space [1, 2^4)"),
+            ([16], [], "node ID 16 outside the ID space [1, 2^4)"),
+            ([], [(1.0, 2, 1)], "node IDs must be integers, got 1.0"),
+            ([], [(1, "2", 1)], "node IDs must be integers, got '2'"),
+            ([], [(True, 2, 3)], "node IDs must be integers, got True"),
+            ([False], [], "node IDs must be integers, got False"),
+            ([], [(1, 2, -1)], "Edge weights must be non-negative, got -1"),
+            ([], [(1, 2, 1.5)], "Edge weights must be integers, got 1.5"),
+            ([], [(1, 2, True)], "Edge weights must be integers, got True"),
+            # The first bad input names the error.
+            ([1, 0], [(1, 1, 1)], "node ID 0 outside the ID space [1, 2^4)"),
+            ([], [(1, 2, 1), (3, 3, 1), (1, 2, 1)], "self-loops are not allowed: (3, 3)"),
+            ([], [(1, 2, -1), (1, 2, 1.5)], "Edge weights must be non-negative, got -1"),
+            ([], [(2, 3, 1), (0, 3, -1)], "node ID 0 outside the ID space [1, 2^4)"),
+        ],
+    )
+    def test_raises_add_edges_own_message(self, nodes, edges, message):
+        assert _raised(_edge_by_edge, 4, nodes, edges) == message
+        assert _raised(Graph.from_edges, 4, nodes, edges) == message
+
+
+class TestMisuseFailsAtInsertion:
+    def test_float_weight(self):
+        graph = Graph(4)
+        assert _raised(graph.add_edge, 1, 2, 1.5) == "Edge weights must be integers, got 1.5"
+        assert graph.num_nodes == 0 and graph.version == 0
+        graph.columnar()  # the snapshot never sees the bad weight
+
+    def test_bool_id(self):
+        graph = Graph(4)
+        assert _raised(graph.add_edge, True, 2, 3) == "node IDs must be integers, got True"
+        assert _raised(graph.add_node, True) == "node IDs must be integers, got True"
+        assert graph.nodes() == []
+
+    def test_bool_weight(self):
+        graph = Graph(4)
+        assert _raised(graph.add_edge, 1, 2, False) == "Edge weights must be integers, got False"
+        assert graph.nodes() == []
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            (1.5, "Edge weights must be integers, got 1.5"),
+            (True, "Edge weights must be integers, got True"),
+            (-2, "Edge weights must be non-negative, got -2"),
+        ],
+    )
+    def test_set_weight_keeps_the_edge(self, weight, message):
+        graph = Graph(4)
+        graph.add_edge(1, 2, 3)
+        before = graph.version
+        cols = graph.columnar()
+        assert _raised(graph.set_weight, 2, 1, weight) == message
+        assert graph.get_edge(1, 2).weight == 3
+        assert graph.version == before and graph.columnar() is cols
+
+    def test_int_subclass_takes_the_full_check(self):
+        class Id(int):
+            pass
+
+        graph = Graph(4)
+        edge = graph.add_edge(Id(2), 1, Id(7))
+        assert (edge.u, edge.v, edge.weight) == (1, 2, 7)
+        assert Graph.from_edges(4, [], [(Id(2), 1, Id(7))]).edges() == [edge]
